@@ -3,18 +3,20 @@ module An = Cayman_analysis
 module Sim = Cayman_sim
 
 (* Per-function bundle of every analysis the accelerator model consumes:
-   the paper's "profiling/analysis results R". *)
+   the paper's "profiling/analysis results R". Every field is built in
+   [create] and never changes: selection reads one context from several
+   pool domains at once, and neither [Hashtbl] nor [Lazy] is safe to
+   fill from two domains. *)
 type t = {
   program : Ir.Program.t;
   func : Ir.Func.t;
   profile : Sim.Profile.t;
-  dom : An.Dominance.t;
   loops : An.Loops.t;
-  live : An.Liveness.t;
   scev : An.Scev.t;
   loop_info : (string, An.Memdep.loop_info) Hashtbl.t;
   dfgs : (string, Dfg.t) Hashtbl.t;
   trips : (string, float) Hashtbl.t;
+  entries : (string, int) Hashtbl.t;
 }
 
 let create program profile (func : Ir.Func.t) =
@@ -24,18 +26,31 @@ let create program profile (func : Ir.Func.t) =
   let scev = An.Scev.create func loops in
   let loop_info = Hashtbl.create 8 in
   let trips = Hashtbl.create 8 in
+  let entries = Hashtbl.create 8 in
+  let preds = Ir.Func.preds func in
   List.iter
     (fun (l : An.Loops.loop) ->
-      Hashtbl.replace loop_info l.An.Loops.header
-        (An.Memdep.analyze_loop func live scev l);
-      Hashtbl.replace trips l.An.Loops.header (Sim.Profile.avg_trip func profile l))
+      let header = l.An.Loops.header in
+      Hashtbl.replace loop_info header (An.Memdep.analyze_loop func live scev l);
+      Hashtbl.replace trips header (Sim.Profile.avg_trip func profile l);
+      (* entries into the loop from outside it *)
+      Hashtbl.replace entries header
+        (List.fold_left
+           (fun acc p ->
+             if An.Loops.String_set.mem p l.An.Loops.blocks then acc
+             else
+               acc
+               + Sim.Profile.edge_exec profile ~func:func.Ir.Func.name ~src:p
+                   ~dst:header)
+           0
+           (try Hashtbl.find preds header with Not_found -> [])))
     loops;
   let dfgs = Hashtbl.create 16 in
   List.iter
     (fun (b : Ir.Block.t) ->
       Hashtbl.replace dfgs b.Ir.Block.label (Dfg.of_block b))
     func.Ir.Func.blocks;
-  { program; func; profile; dom; loops; live; scev; loop_info; dfgs; trips }
+  { program; func; profile; loops; scev; loop_info; dfgs; trips; entries }
 
 let dfg t label = Hashtbl.find t.dfgs label
 
@@ -50,18 +65,15 @@ let trip t header =
 let block_exec t label =
   Sim.Profile.block_exec t.profile ~func:t.func.Ir.Func.name ~label
 
+(* Profiled host cycles of one block, found through the DFG table rather
+   than a scan of the function's block list. *)
+let block_cycles t label =
+  Sim.Profile.cycles_of_block t.profile ~func:t.func.Ir.Func.name
+    (dfg t label).Dfg.block
+
 (* Entries into a loop from outside it. *)
 let loop_entries t (l : An.Loops.loop) =
-  let preds = Ir.Func.preds t.func in
-  List.fold_left
-    (fun acc p ->
-      if An.Loops.String_set.mem p l.An.Loops.blocks then acc
-      else
-        acc
-        + Sim.Profile.edge_exec t.profile ~func:t.func.Ir.Func.name ~src:p
-            ~dst:l.An.Loops.header)
-    0
-    (try Hashtbl.find preds l.An.Loops.header with Not_found -> [])
+  Option.value (Hashtbl.find_opt t.entries l.An.Loops.header) ~default:0
 
 (* All analysis contexts of a program, keyed by function name, restricted
    to functions reachable from main. *)

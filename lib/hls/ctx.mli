@@ -1,17 +1,22 @@
 (** Per-function analysis context: the paper's profiling/analysis results
-    [R], bundled for the accelerator model and candidate selection. *)
+    [R], bundled for the accelerator model and candidate selection.
+
+    A context is immutable once {!create} returns: selection reads one
+    from several pool domains at once, so anything derived from the
+    function or its profile must be built eagerly in {!create}, never
+    cached on first use. *)
 
 type t = {
   program : Cayman_ir.Program.t;
   func : Cayman_ir.Func.t;
   profile : Cayman_sim.Profile.t;
-  dom : Cayman_analysis.Dominance.t;
   loops : Cayman_analysis.Loops.t;
-  live : Cayman_analysis.Liveness.t;
   scev : Cayman_analysis.Scev.t;
   loop_info : (string, Cayman_analysis.Memdep.loop_info) Hashtbl.t;
   dfgs : (string, Dfg.t) Hashtbl.t;
   trips : (string, float) Hashtbl.t;
+  entries : (string, int) Hashtbl.t;
+      (** per loop header: profiled entries into the loop from outside *)
 }
 
 val create :
@@ -24,6 +29,10 @@ val loop_info : t -> string -> Cayman_analysis.Memdep.loop_info option
 val trip : t -> string -> int
 
 val block_exec : t -> string -> int
+
+(** Profiled host cycles of one block ({!Cayman_sim.Profile.block_cycles}). *)
+val block_cycles : t -> string -> int
+
 val loop_entries : t -> Cayman_analysis.Loops.loop -> int
 
 (** Contexts for every function reachable from main. *)

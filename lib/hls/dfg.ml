@@ -6,7 +6,31 @@ type t = {
   preds : int list array;
   live_in_uses : (string, int list) Hashtbl.t;
   last_def : (string, int) Hashtbl.t;
+  mem : int list;
+  units : (Ir.Op.unit_kind * int) list;
+  n_defs : int;
 }
+
+let unit_kinds = Array.of_list Ir.Op.all_unit_kinds
+
+(* Multiset of datapath unit kinds used by the block's compute nodes, in
+   [Ir.Op.all_unit_kinds] order. *)
+let units_of instrs =
+  let counts = Array.make (Array.length unit_kinds) 0 in
+  Array.iter
+    (fun instr ->
+      match Ir.Instr.unit_kind instr with
+      | Some k ->
+        let j = ref 0 in
+        while unit_kinds.(!j) <> k do incr j done;
+        counts.(!j) <- counts.(!j) + 1
+      | None -> ())
+    instrs;
+  let acc = ref [] in
+  for j = Array.length unit_kinds - 1 downto 0 do
+    if counts.(j) > 0 then acc := (unit_kinds.(j), counts.(j)) :: !acc
+  done;
+  !acc
 
 (* Build the data-flow graph of one block: data dependencies through
    registers plus conservative ordering between same-base memory accesses
@@ -21,6 +45,8 @@ let of_block (b : Ir.Block.t) =
   let last_store : (string, int) Hashtbl.t = Hashtbl.create 4 in
   let accesses_since_store : (string, int list) Hashtbl.t = Hashtbl.create 4 in
   let add_pred i p = if p <> i then preds.(i) <- p :: preds.(i) in
+  let mem = ref [] in
+  let n_defs = ref 0 in
   Array.iteri
     (fun i instr ->
       List.iter
@@ -35,6 +61,7 @@ let of_block (b : Ir.Block.t) =
         (Ir.Instr.uses instr);
       (match Ir.Instr.mem_ref_of instr with
        | Some m ->
+         mem := i :: !mem;
          let base = m.Ir.Instr.base in
          (match instr with
           | Ir.Instr.Store _ ->
@@ -59,39 +86,19 @@ let of_block (b : Ir.Block.t) =
           | Ir.Instr.Compare _ | Ir.Instr.Select _ | Ir.Instr.Call _ -> ())
        | None -> ());
       (match Ir.Instr.def instr with
-       | Some r -> Hashtbl.replace last_def r.Ir.Instr.id i
+       | Some r ->
+         incr n_defs;
+         Hashtbl.replace last_def r.Ir.Instr.id i
        | None -> ()))
     instrs;
-  { block = b; instrs; preds; live_in_uses; last_def }
+  { block = b; instrs; preds; live_in_uses; last_def; mem = List.rev !mem;
+    units = units_of instrs; n_defs = !n_defs }
 
 let size t = Array.length t.instrs
-
-let mem_nodes t =
-  let acc = ref [] in
-  Array.iteri
-    (fun i instr -> if Ir.Instr.is_mem instr then acc := i :: !acc)
-    t.instrs;
-  List.rev !acc
-
+let mem_nodes t = t.mem
 let has_call t = Array.exists Ir.Instr.is_call t.instrs
-
-(* Multiset of datapath unit kinds used by the block's compute nodes. *)
-let unit_counts t =
-  let tbl = Hashtbl.create 8 in
-  Array.iter
-    (fun instr ->
-      match Ir.Instr.unit_kind instr with
-      | Some k ->
-        let prev = try Hashtbl.find tbl k with Not_found -> 0 in
-        Hashtbl.replace tbl k (prev + 1)
-      | None -> ())
-    t.instrs;
-  List.filter_map
-    (fun k ->
-      match Hashtbl.find_opt tbl k with
-      | Some c -> Some (k, c)
-      | None -> None)
-    Ir.Op.all_unit_kinds
+let unit_counts t = t.units
+let n_defs t = t.n_defs
 
 (* Longest path (in summed per-node weights) from any node in [sources] to
    [sink], both inclusive; [None] if no path exists. *)

@@ -1,5 +1,9 @@
 (** Per-block data-flow graphs.
 
+    {!of_block} computes every per-block summary ({!mem_nodes},
+    {!unit_counts}, {!n_defs}) once; the accessors return the stored
+    values.
+
     Nodes are the block's instructions (by index). Edges are register
     def-use dependencies plus conservative ordering between same-base
     memory accesses. Registers read before any local definition are the
@@ -11,6 +15,9 @@ type t = {
   preds : int list array;
   live_in_uses : (string, int list) Hashtbl.t;
   last_def : (string, int) Hashtbl.t;
+  mem : int list;  (** see {!mem_nodes} *)
+  units : (Cayman_ir.Op.unit_kind * int) list;  (** see {!unit_counts} *)
+  n_defs : int;  (** see {!n_defs} *)
 }
 
 val of_block : Cayman_ir.Block.t -> t
@@ -23,6 +30,9 @@ val has_call : t -> bool
 
 (** Multiset of datapath unit kinds used by compute nodes (stable order). *)
 val unit_counts : t -> (Cayman_ir.Op.unit_kind * int) list
+
+(** Registers the block defines ([List.length (Block.defs block)]). *)
+val n_defs : t -> int
 
 (** Longest path from any of [sources] to [sink] (inclusive of both ends'
     weights); [None] if unreachable. Used for recurrence-MII queries. *)

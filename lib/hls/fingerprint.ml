@@ -47,7 +47,7 @@ let facts b (canon : Hash.canon) (ctx : Ctx.t) (region : An.Region.t) ~rename =
     (fun l ->
       Hash.str b (lbl l);
       Hash.int b (Ctx.block_exec ctx l);
-      Hash.int b (Sim.Profile.block_cycles func profile ~label:l))
+      Hash.int b (Ctx.block_cycles ctx l))
     canon.Hash.block_order;
   (* loops fully inside the region, ordered by their header's canonical
      position (renaming-invariant) *)

@@ -122,6 +122,133 @@ let unroll_factor (ctx : Ctx.t) config (l : An.Loops.loop) =
       if trip >= config.unroll then config.unroll else 1
     | Some _ | None -> 1
 
+
+(* --- per-region facts --- *)
+
+(* One memory access of the region with every fact the interface
+   assignment reads about it: its static footprint over one region
+   execution (under the trip counts of the loops inside the region) and
+   its Scev pattern. *)
+type access = {
+  a_label : string;
+  a_pos : int;
+  a_base : string;
+  a_store : bool;
+  a_footprint : int option;
+  a_pattern : An.Scev.pattern;
+}
+
+(* An array all of whose accesses in the region have a static footprint:
+   the input of the scratchpad rule. *)
+type static_array = {
+  st_base : string;
+  st_execs : int;  (* its accesses over the whole run *)
+  st_footprint : int;  (* union footprint of one region execution *)
+}
+
+(* Everything the model reads about a call-free region that does not
+   depend on the configuration, so a sweep analyses the region once and
+   evaluates each configuration over the result. *)
+type facts = {
+  f_region : An.Region.t;
+  f_pipelineable : (An.Loops.loop * string) list;
+      (* loops inside the region that pipeline when asked, with their
+         body block *)
+  f_accesses : access list;
+  f_static_arrays : static_array list;
+  f_cpu_cycles : int;
+  f_entries : int;
+}
+
+(* The facts of [r], or [None] when it contains a call (never
+   synthesized). *)
+let region_facts (ctx : Ctx.t) (r : An.Region.t) =
+  if region_has_call ctx r then None
+  else begin
+    let pipelineable =
+      List.filter_map
+        (fun l ->
+          match pipeline_body ctx l with
+          | Some body when Ctx.trip ctx l.An.Loops.header > 0 -> Some (l, body)
+          | Some _ | None -> None)
+        (loops_inside ctx r)
+    in
+    let region_trips label =
+      List.filter_map
+        (fun (l : An.Loops.loop) ->
+          if An.Loops.String_set.subset l.An.Loops.blocks r.An.Region.blocks
+          then Some (l.An.Loops.header, Ctx.trip ctx l.An.Loops.header)
+          else None)
+        (An.Loops.enclosing ctx.Ctx.loops label)
+    in
+    let accesses =
+      An.Region.String_set.fold
+        (fun label acc ->
+          let dfg = Ctx.dfg ctx label in
+          let trips = region_trips label in
+          List.fold_left
+            (fun acc i ->
+              let instr = dfg.Dfg.instrs.(i) in
+              let base =
+                match Ir.Instr.mem_ref_of instr with
+                | Some m -> m.Ir.Instr.base
+                | None ->
+                  raise
+                    (Internal_error
+                       (Printf.sprintf
+                          "hls.kernel: DFG memory node %d of block %s has no \
+                           memory reference"
+                          i label))
+              in
+              let a_store =
+                match instr with
+                | Ir.Instr.Store _ -> true
+                | Ir.Instr.Assign _ | Ir.Instr.Unary _ | Ir.Instr.Binary _
+                | Ir.Instr.Compare _ | Ir.Instr.Select _ | Ir.Instr.Load _
+                | Ir.Instr.Call _ -> false
+              in
+              { a_label = label; a_pos = i; a_base = base; a_store;
+                a_footprint =
+                  An.Scev.footprint ctx.Ctx.scev ~block:label ~pos:i ~trips;
+                a_pattern = An.Scev.classify ctx.Ctx.scev ~block:label ~pos:i }
+              :: acc)
+            acc (Dfg.mem_nodes dfg))
+        r.An.Region.blocks []
+    in
+    (* Per array: total accesses over the run and union footprint, kept
+       only when every access is statically analyzable. *)
+    let by_base : (string, access list) Hashtbl.t = Hashtbl.create 4 in
+    List.iter
+      (fun a ->
+        let prev = try Hashtbl.find by_base a.a_base with Not_found -> [] in
+        Hashtbl.replace by_base a.a_base (a :: prev))
+      accesses;
+    let static_arrays =
+      Hashtbl.fold
+        (fun st_base group acc ->
+          if List.exists (fun a -> a.a_footprint = None) group then acc
+          else
+            { st_base;
+              st_execs =
+                List.fold_left
+                  (fun n a -> n + Ctx.block_exec ctx a.a_label)
+                  0 group;
+              st_footprint =
+                List.fold_left
+                  (fun m a -> max m (Option.value a.a_footprint ~default:0))
+                  0 group }
+            :: acc)
+        by_base []
+    in
+    Some
+      { f_region = r;
+        f_pipelineable = pipelineable;
+        f_accesses = accesses;
+        f_static_arrays = static_arrays;
+        f_cpu_cycles = Sim.Profile.region_cycles ctx.Ctx.func ctx.Ctx.profile r;
+        f_entries = Sim.Profile.region_entries ctx.Ctx.func ctx.Ctx.profile r }
+  end
+
 (* --- interface assignment --- *)
 
 type sp_array = {
@@ -148,138 +275,70 @@ let iface_of assignment label i =
    footprint is cached in a scratchpad (reuse across accesses justifies
    the buffer); remaining stream accesses inside pipelined loops become
    decoupled; everything else stays coupled. *)
-let assign_interfaces (ctx : Ctx.t) (r : An.Region.t) ~beta ~config
+let assign_interfaces (f : facts) ~beta ~config
     ~(pipelined : (An.Loops.loop * string * int) list) =
   let table = Hashtbl.create 32 in
-  let invocations =
-    max 1 (Sim.Profile.region_entries ctx.Ctx.func ctx.Ctx.profile r)
+  let body_of = List.map (fun (_, body, u) -> body, u) pipelined in
+  (* Scratchpad arrays with their buffer words. *)
+  let sp_bases =
+    match config.mode with
+    | Heuristic | Scratchpad_preferred ->
+      let invocations = max 1 f.f_entries in
+      List.filter_map
+        (fun st ->
+          let per_inv =
+            float_of_int st.st_execs /. float_of_int invocations
+          in
+          let profitable =
+            match config.mode with
+            | Scratchpad_preferred -> true
+            | Heuristic | Coupled_only | Scan_only | Decoupled_preferred ->
+              per_inv >= beta *. float_of_int st.st_footprint
+          in
+          if
+            st.st_footprint > 0 && st.st_footprint <= max_scratchpad_words
+            && profitable
+          then Some (st.st_base, st.st_footprint)
+          else None)
+        f.f_static_arrays
+    | Coupled_only | Scan_only | Decoupled_preferred -> []
   in
-  let body_of = List.map (fun (l, body, u) -> body, (l, u)) pipelined in
-  let region_trips label =
-    List.filter_map
-      (fun (l : An.Loops.loop) ->
-        if An.Loops.String_set.subset l.An.Loops.blocks r.An.Region.blocks
-        then Some (l.An.Loops.header, Ctx.trip ctx l.An.Loops.header)
-        else None)
-      (An.Loops.enclosing ctx.Ctx.loops label)
-  in
-  (* Every memory access of the region with its static footprint. *)
-  let accesses =
-    An.Region.String_set.fold
-      (fun label acc ->
-        let dfg = Ctx.dfg ctx label in
-        List.fold_left
-          (fun acc i ->
-            let instr = dfg.Dfg.instrs.(i) in
-            let base =
-              match Ir.Instr.mem_ref_of instr with
-              | Some m -> m.Ir.Instr.base
-              | None ->
-                raise
-                  (Internal_error
-                     (Printf.sprintf
-                        "hls.kernel: DFG memory node %d of block %s has no \
-                         memory reference"
-                        i label))
-            in
-            let is_store =
-              match instr with
-              | Ir.Instr.Store _ -> true
-              | Ir.Instr.Assign _ | Ir.Instr.Unary _ | Ir.Instr.Binary _
-              | Ir.Instr.Compare _ | Ir.Instr.Select _ | Ir.Instr.Load _
-              | Ir.Instr.Call _ -> false
-            in
-            let fp =
-              An.Scev.footprint ctx.Ctx.scev ~block:label ~pos:i
-                ~trips:(region_trips label)
-            in
-            (label, i, base, is_store, fp) :: acc)
-          acc (Dfg.mem_nodes dfg))
-      r.An.Region.blocks []
-  in
-  (* Per-array caching decision: total accesses per invocation vs union
-     footprint, all accesses statically analyzable. *)
-  let sp_bases : (string, int) Hashtbl.t = Hashtbl.create 4 in
-  (match config.mode with
-   | Heuristic | Scratchpad_preferred ->
-     let by_base : (string, (int * int option) list) Hashtbl.t =
-       Hashtbl.create 4
-     in
-     List.iter
-       (fun (label, _, base, _, fp) ->
-         let execs = Ctx.block_exec ctx label in
-         let prev = try Hashtbl.find by_base base with Not_found -> [] in
-         Hashtbl.replace by_base base ((execs, fp) :: prev))
-       accesses;
-     Hashtbl.iter
-       (fun base entries ->
-         let all_static = List.for_all (fun (_, fp) -> fp <> None) entries in
-         if all_static then begin
-           let total =
-             List.fold_left (fun acc (e, _) -> acc + e) 0 entries
-           in
-           let union_fp =
-             List.fold_left
-               (fun acc (_, fp) -> max acc (Option.value fp ~default:0))
-               0 entries
-           in
-           let per_inv = float_of_int total /. float_of_int invocations in
-           let profitable =
-             match config.mode with
-             | Scratchpad_preferred -> true
-             | Heuristic | Coupled_only | Scan_only | Decoupled_preferred ->
-               per_inv >= beta *. float_of_int union_fp
-           in
-           if union_fp > 0 && union_fp <= max_scratchpad_words && profitable
-           then Hashtbl.replace sp_bases base union_fp
-         end)
-       by_base
-   | Coupled_only | Scan_only | Decoupled_preferred -> ());
   (* Per-access assignment. *)
   let sp_info : (string, int * bool * bool * int) Hashtbl.t = Hashtbl.create 4 in
   List.iter
-    (fun (label, i, base, is_store, fp) ->
-      let in_pipe = List.assoc_opt label body_of in
+    (fun a ->
+      let in_pipe = List.assoc_opt a.a_label body_of in
+      let sp_words = List.assoc_opt a.a_base sp_bases in
       let kind =
-        match config.mode with
-        | Scan_only -> Iface.Scan
-        | Coupled_only -> Iface.Coupled
-        | Decoupled_preferred ->
-          (match An.Scev.classify ctx.Ctx.scev ~block:label ~pos:i with
+        match config.mode, sp_words with
+        | Scan_only, _ -> Iface.Scan
+        | Coupled_only, _ -> Iface.Coupled
+        | Decoupled_preferred, _ ->
+          (match a.a_pattern with
            | An.Scev.Invariant | An.Scev.Stream _ -> Iface.Decoupled
            | An.Scev.Irregular -> Iface.Coupled)
-        | Scratchpad_preferred | Heuristic ->
-          if Hashtbl.mem sp_bases base && fp <> None then Iface.Scratchpad
-          else begin
-            let pattern = An.Scev.classify ctx.Ctx.scev ~block:label ~pos:i in
-            match in_pipe, pattern, config.mode with
-            | Some _, (An.Scev.Invariant | An.Scev.Stream _), Heuristic ->
-              Iface.Decoupled
-            | _, _, _ -> Iface.Coupled
-          end
+        | (Scratchpad_preferred | Heuristic), Some _ -> Iface.Scratchpad
+        | Scratchpad_preferred, None -> Iface.Coupled
+        | Heuristic, None ->
+          (match in_pipe, a.a_pattern with
+           | Some _, (An.Scev.Invariant | An.Scev.Stream _) -> Iface.Decoupled
+           | _, _ -> Iface.Coupled)
       in
-      Hashtbl.replace table (label, i) kind;
-      match kind with
-      | Iface.Scratchpad ->
-        let words =
-          try Hashtbl.find sp_bases base
-          with Not_found -> Option.value fp ~default:max_scratchpad_words
-        in
-        let banks =
-          match in_pipe with
-          | Some (_, u) -> u
-          | None -> 1
-        in
+      Hashtbl.replace table (a.a_label, a.a_pos) kind;
+      match kind, sp_words with
+      | Iface.Scratchpad, Some words ->
+        let banks = Option.value in_pipe ~default:1 in
         let words0, loaded, stored, banks0 =
-          try Hashtbl.find sp_info base with Not_found -> 0, false, false, 1
+          try Hashtbl.find sp_info a.a_base with Not_found -> 0, false, false, 1
         in
-        Hashtbl.replace sp_info base
+        Hashtbl.replace sp_info a.a_base
           ( max words0 words,
-            loaded || not is_store,
-            stored || is_store,
+            loaded || not a.a_store,
+            stored || a.a_store,
             max banks0 banks )
-      | Iface.Coupled | Iface.Decoupled | Iface.Scan -> ())
-    accesses;
+      | (Iface.Scratchpad | Iface.Coupled | Iface.Decoupled | Iface.Scan), _ ->
+        ())
+    f.f_accesses;
   let sp_arrays =
     Hashtbl.fold
       (fun sp_base (sp_words, sp_loaded, sp_stored, sp_banks) acc ->
@@ -303,39 +362,33 @@ type plan = {
   p_seq_blocks : string list;
 }
 
+let plan_of_facts (ctx : Ctx.t) (f : facts) ~beta config =
+  let pipelined =
+    if not config.pipeline then []
+    else
+      List.map
+        (fun (l, body) -> l, body, unroll_factor ctx config l)
+        f.f_pipelineable
+  in
+  let assignment = assign_interfaces f ~beta ~config ~pipelined in
+  let pipe_blocks =
+    List.fold_left
+      (fun acc ((l : An.Loops.loop), _, _) ->
+        An.Region.String_set.union acc l.An.Loops.blocks)
+      An.Region.String_set.empty pipelined
+  in
+  let seq_blocks =
+    An.Region.String_set.elements
+      (An.Region.String_set.diff f.f_region.An.Region.blocks pipe_blocks)
+  in
+  { p_region = f.f_region; p_config = config; p_pipelined = pipelined;
+    p_assignment = assignment; p_seq_blocks = seq_blocks }
+
 let plan (ctx : Ctx.t) (r : An.Region.t) ?(beta = default_beta) config =
   (* A malformed configuration (non-positive unroll, e.g. from a fault
      campaign's corrupted input) is unsynthesizable, not a crash. *)
   if config.unroll <= 0 then None
-  else if region_has_call ctx r then None
-  else begin
-    let loops_in = loops_inside ctx r in
-    let pipelined =
-      if not config.pipeline then []
-      else
-        List.filter_map
-          (fun l ->
-            match pipeline_body ctx l with
-            | Some body when Ctx.trip ctx l.An.Loops.header > 0 ->
-              Some (l, body, unroll_factor ctx config l)
-            | Some _ | None -> None)
-          loops_in
-    in
-    let assignment = assign_interfaces ctx r ~beta ~config ~pipelined in
-    let pipe_blocks =
-      List.fold_left
-        (fun acc ((l : An.Loops.loop), _, _) ->
-          An.Region.String_set.union acc l.An.Loops.blocks)
-        An.Region.String_set.empty pipelined
-    in
-    let seq_blocks =
-      An.Region.String_set.elements
-        (An.Region.String_set.diff r.An.Region.blocks pipe_blocks)
-    in
-    Some
-      { p_region = r; p_config = config; p_pipelined = pipelined;
-        p_assignment = assignment; p_seq_blocks = seq_blocks }
-  end
+  else Option.map (fun f -> plan_of_facts ctx f ~beta config) (region_facts ctx r)
 
 let plan_iface p label i = iface_of p.p_assignment label i
 
@@ -394,147 +447,149 @@ let units_area units =
 
 let scale_units mult units = List.map (fun (k, c) -> k, c * mult) units
 
+(* The design point of one plan over its region's facts. *)
+let point_of_plan (ctx : Ctx.t) (f : facts) (pl : plan) =
+  let config = pl.p_config in
+  let pipelined = pl.p_pipelined in
+  let assignment = pl.p_assignment in
+  (* sequential blocks *)
+  let seq_cycles = ref 0.0 in
+  let seq_area = ref 0.0 in
+  let units_acc = ref [] in
+  let regs_acc = ref 0 in
+  let n_seq_blocks = ref 0 in
+  let count_c = ref 0 and count_d = ref 0 and count_s = ref 0 in
+  let count_ifaces label dfg mult =
+    List.iter
+      (fun i ->
+        match iface_of assignment label i with
+        | Iface.Coupled | Iface.Scan -> count_c := !count_c + mult
+        | Iface.Decoupled -> count_d := !count_d + mult
+        | Iface.Scratchpad -> count_s := !count_s + mult)
+      (Dfg.mem_nodes dfg)
+  in
+  let iface_area label dfg mult =
+    List.fold_left
+      (fun acc i ->
+        acc
+        +. (float_of_int mult
+            *. Iface.per_access_area (iface_of assignment label i)))
+      0.0 (Dfg.mem_nodes dfg)
+  in
+  List.iter
+    (fun label ->
+      let dfg = Ctx.dfg ctx label in
+      let execs = Ctx.block_exec ctx label in
+      let iface i = iface_of assignment label i in
+      (* scratchpads are dual-ported SRAM *)
+      let sched = Schedule.run ~sp_banks:2 dfg ~iface in
+      seq_cycles :=
+        !seq_cycles
+        +. (float_of_int execs
+            *. float_of_int (sched.Schedule.length + Tech.seq_ctrl_cycles));
+      let n_defs = Dfg.n_defs dfg in
+      seq_area :=
+        !seq_area
+        +. units_area (Dfg.unit_counts dfg)
+        +. (float_of_int n_defs *. Tech.register_area)
+        +. Tech.block_ctrl_area
+        +. (float_of_int sched.Schedule.length *. Tech.fsm_state_area)
+        +. iface_area label dfg 1;
+      if Dfg.size dfg > 0 then incr n_seq_blocks;
+      units_acc := Dfg.unit_counts dfg :: !units_acc;
+      regs_acc := !regs_acc + n_defs;
+      count_ifaces label dfg 1)
+    pl.p_seq_blocks;
+  (* pipelined loops *)
+  let pipe_cycles = ref 0.0 in
+  let pipe_area = ref 0.0 in
+  List.iter
+    (fun ((l : An.Loops.loop), body, u) ->
+      let dfg = Ctx.dfg ctx body in
+      let iface i = iface_of assignment body i in
+      (* dual-ported SRAM, banked by the unroll factor *)
+      let sched = Schedule.run ~sp_banks:(2 * u) dfg ~iface in
+      let depth = sched.Schedule.length + 1 in
+      let ii = Pipeline.ii ctx dfg ~iface l ~unroll:u ~sp_banks:(2 * u) in
+      let trip = max 1 (Ctx.trip ctx l.An.Loops.header) in
+      let groups = (trip + u - 1) / u in
+      let entries = max 1 (Ctx.loop_entries ctx l) in
+      pipe_cycles :=
+        !pipe_cycles
+        +. (float_of_int entries
+            *. float_of_int (depth + (ii * (groups - 1)) + 2));
+      let n_defs = Dfg.n_defs dfg in
+      pipe_area :=
+        !pipe_area
+        +. (float_of_int u *. units_area (Dfg.unit_counts dfg))
+        +. (float_of_int (u * n_defs) *. Tech.register_area)
+        +. Tech.block_ctrl_area
+        +. (float_of_int depth *. Tech.pipeline_stage_area)
+        +. iface_area body dfg u;
+      units_acc := scale_units u (Dfg.unit_counts dfg) :: !units_acc;
+      regs_acc := !regs_acc + (u * n_defs) + (2 * depth);
+      count_ifaces body dfg u)
+    pipelined;
+  (* scratchpad DMA and buffers *)
+  let dma_per_inv = plan_dma_per_inv pl in
+  let sp_area =
+    List.fold_left
+      (fun acc sp ->
+        acc
+        +. (float_of_int sp.sp_words *. Tech.scratchpad_word_area)
+        +. (float_of_int (sp.sp_banks - 1) *. Tech.scratchpad_bank_overhead))
+      0.0 assignment.sp_arrays
+    +. if assignment.sp_arrays = [] then 0.0 else Tech.dma_engine_area
+  in
+  let accel_cycles =
+    !seq_cycles +. !pipe_cycles
+    +. (float_of_int f.f_entries
+        *. float_of_int (dma_per_inv + Tech.invoke_overhead_cycles))
+  in
+  let area = !seq_area +. !pipe_area +. sp_area +. Tech.accel_wrapper_area in
+  { config;
+    accel_cycles;
+    cpu_cycles = f.f_cpu_cycles;
+    invocations = f.f_entries;
+    area;
+    n_seq_blocks = !n_seq_blocks;
+    n_pipelined = List.length pipelined;
+    ifaces =
+      { n_coupled = !count_c; n_decoupled = !count_d; n_scratchpad = !count_s };
+    units = merge_units !units_acc;
+    n_regs = !regs_acc;
+    sp_words =
+      List.fold_left (fun acc sp -> acc + sp.sp_words) 0 assignment.sp_arrays }
+
 let m_estimates = Obs.Metrics.counter "hls.kernel_estimates"
 let m_points = Obs.Metrics.counter "hls.kernel_points"
 
 let fp_schedule = Obs.Faultpoint.register "schedule"
 
-let estimate (ctx : Ctx.t) (r : An.Region.t) ?(beta = default_beta) config =
+(* One configuration over the region's facts. [facts] is forced only
+   for a configuration with a positive unroll, so a region is analysed
+   exactly when the single-configuration model would have analysed it.
+   The lazy value never leaves the caller's stack frame, so no other
+   domain can force it. *)
+let estimate_with (ctx : Ctx.t) (facts : facts option Lazy.t) ~beta config =
   Obs.Faultpoint.hit fp_schedule;
   Obs.Metrics.incr m_estimates;
-  let func = ctx.Ctx.func in
-  let profile = ctx.Ctx.profile in
-  match plan ctx r ~beta config with
-  | None -> None
-  | Some pl ->
-    let cpu_cycles = Sim.Profile.region_cycles func profile r in
-    let invocations = Sim.Profile.region_entries func profile r in
-    if cpu_cycles <= 0 || invocations <= 0 then None
-    else begin
-      let pipelined = pl.p_pipelined in
-      let assignment = pl.p_assignment in
-      let seq_blocks = pl.p_seq_blocks in
-      (* sequential blocks *)
-      let seq_cycles = ref 0.0 in
-      let seq_area = ref 0.0 in
-      let units_acc = ref [] in
-      let regs_acc = ref 0 in
-      let n_seq_blocks = ref 0 in
-      let count_c = ref 0 and count_d = ref 0 and count_s = ref 0 in
-      let count_ifaces label dfg mult =
-        List.iter
-          (fun i ->
-            match iface_of assignment label i with
-            | Iface.Coupled | Iface.Scan -> count_c := !count_c + mult
-            | Iface.Decoupled -> count_d := !count_d + mult
-            | Iface.Scratchpad -> count_s := !count_s + mult)
-          (Dfg.mem_nodes dfg)
-      in
-      let iface_area label dfg mult =
-        List.fold_left
-          (fun acc i ->
-            acc
-            +. (float_of_int mult
-                *. Iface.per_access_area (iface_of assignment label i)))
-          0.0 (Dfg.mem_nodes dfg)
-      in
-      List.iter
-        (fun label ->
-          let dfg = Ctx.dfg ctx label in
-          let execs = Ctx.block_exec ctx label in
-          let iface i = iface_of assignment label i in
-          (* scratchpads are dual-ported SRAM *)
-          let sched = Schedule.run ~sp_banks:2 dfg ~iface in
-          seq_cycles :=
-            !seq_cycles
-            +. (float_of_int execs
-                *. float_of_int (sched.Schedule.length + Tech.seq_ctrl_cycles));
-          let n_defs =
-            List.length (Ir.Block.defs dfg.Dfg.block)
-          in
-          seq_area :=
-            !seq_area
-            +. units_area (Dfg.unit_counts dfg)
-            +. (float_of_int n_defs *. Tech.register_area)
-            +. Tech.block_ctrl_area
-            +. (float_of_int sched.Schedule.length *. Tech.fsm_state_area)
-            +. iface_area label dfg 1;
-          if Dfg.size dfg > 0 then incr n_seq_blocks;
-          units_acc := Dfg.unit_counts dfg :: !units_acc;
-          regs_acc := !regs_acc + n_defs;
-          count_ifaces label dfg 1)
-        seq_blocks;
-      (* pipelined loops *)
-      let pipe_cycles = ref 0.0 in
-      let pipe_area = ref 0.0 in
-      List.iter
-        (fun ((l : An.Loops.loop), body, u) ->
-          let dfg = Ctx.dfg ctx body in
-          let iface i = iface_of assignment body i in
-          (* dual-ported SRAM, banked by the unroll factor *)
-          let sched = Schedule.run ~sp_banks:(2 * u) dfg ~iface in
-          let depth = sched.Schedule.length + 1 in
-          let ii = Pipeline.ii ctx dfg ~iface l ~unroll:u ~sp_banks:(2 * u) in
-          let trip = max 1 (Ctx.trip ctx l.An.Loops.header) in
-          let groups = (trip + u - 1) / u in
-          let entries = max 1 (Ctx.loop_entries ctx l) in
-          pipe_cycles :=
-            !pipe_cycles
-            +. (float_of_int entries
-                *. float_of_int (depth + (ii * (groups - 1)) + 2));
-          let n_defs = List.length (Ir.Block.defs dfg.Dfg.block) in
-          pipe_area :=
-            !pipe_area
-            +. (float_of_int u *. units_area (Dfg.unit_counts dfg))
-            +. (float_of_int (u * n_defs) *. Tech.register_area)
-            +. Tech.block_ctrl_area
-            +. (float_of_int depth *. Tech.pipeline_stage_area)
-            +. iface_area body dfg u;
-          units_acc := scale_units u (Dfg.unit_counts dfg) :: !units_acc;
-          regs_acc := !regs_acc + (u * n_defs) + (2 * depth);
-          count_ifaces body dfg u)
-        pipelined;
-      (* scratchpad DMA and buffers *)
-      let dma_per_inv = plan_dma_per_inv pl in
-      let sp_area =
-        List.fold_left
-          (fun acc sp ->
-            acc
-            +. (float_of_int sp.sp_words *. Tech.scratchpad_word_area)
-            +. (float_of_int (sp.sp_banks - 1) *. Tech.scratchpad_bank_overhead))
-          0.0 assignment.sp_arrays
-        +. if assignment.sp_arrays = [] then 0.0 else Tech.dma_engine_area
-      in
-      let accel_cycles =
-        !seq_cycles +. !pipe_cycles
-        +. (float_of_int invocations
-            *. float_of_int (dma_per_inv + Tech.invoke_overhead_cycles))
-      in
-      let area =
-        !seq_area +. !pipe_area +. sp_area +. Tech.accel_wrapper_area
-      in
-      Some
-        { config;
-          accel_cycles;
-          cpu_cycles;
-          invocations;
-          area;
-          n_seq_blocks = !n_seq_blocks;
-          n_pipelined = List.length pipelined;
-          ifaces =
-            { n_coupled = !count_c; n_decoupled = !count_d;
-              n_scratchpad = !count_s };
-          units = merge_units !units_acc;
-          n_regs = !regs_acc;
-          sp_words =
-            List.fold_left (fun acc sp -> acc + sp.sp_words) 0
-              assignment.sp_arrays }
-    end
+  if config.unroll <= 0 then None
+  else
+    match Lazy.force facts with
+    | None -> None
+    | Some f when f.f_cpu_cycles <= 0 || f.f_entries <= 0 -> None
+    | Some f -> Some (point_of_plan ctx f (plan_of_facts ctx f ~beta config))
+
+let estimate (ctx : Ctx.t) (r : An.Region.t) ?(beta = default_beta) config =
+  estimate_with ctx (lazy (region_facts ctx r)) ~beta config
 
 (* All design points of a kernel for a list of configurations, dropping
-   duplicates that collapse to the same (cycles, area). *)
+   duplicates that collapse to the same (cycles, area). The region's
+   facts are built once and shared by every configuration. *)
 let estimate_all ctx r ?(beta = default_beta) configs =
-  let points = List.filter_map (fun c -> estimate ctx r ~beta c) configs in
+  let facts = lazy (region_facts ctx r) in
+  let points = List.filter_map (estimate_with ctx facts ~beta) configs in
   let seen = Hashtbl.create 8 in
   let points =
     List.filter

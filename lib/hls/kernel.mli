@@ -112,7 +112,11 @@ val estimate :
   Ctx.t -> Cayman_analysis.Region.t -> ?beta:float -> config -> point option
 
 (** Design points for several configurations, deduplicated by
-    (cycles, area). *)
+    (cycles, area). The same points as one {!estimate} per
+    configuration, but the region's configuration-independent facts
+    (memory accesses with their footprints and Scev patterns, per-array
+    scratchpad inputs, profiled cycles and entries) are computed once
+    for the whole list. *)
 val estimate_all :
   Ctx.t ->
   Cayman_analysis.Region.t ->

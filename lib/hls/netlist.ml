@@ -607,7 +607,7 @@ let build_kernel (ctx : Ctx.t) (region : An.Region.t) ?beta
       (* one wire per defined value *)
       List.fold_left
         (fun acc (label, _, _) ->
-          acc + List.length (Ir.Block.defs (Ctx.dfg ctx label).Dfg.block))
+          acc + Dfg.n_defs (Ctx.dfg ctx label))
         0 block_states
     in
     let pipe_states =

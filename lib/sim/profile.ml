@@ -89,16 +89,22 @@ let publish_metrics t =
 (* Cycles attributed to a block across the run: executions times its
    static cost. Call instructions contribute only their local overhead;
    callee time is attributed to the callee's own blocks. *)
+let cycles_of_block t ~func (b : Ir.Block.t) =
+  block_exec t ~func ~label:b.Ir.Block.label * Cpu_model.block_cycles b
+
 let block_cycles (f : Ir.Func.t) t ~label =
-  let b = Ir.Func.block_exn f label in
-  block_exec t ~func:f.Ir.Func.name ~label * Cpu_model.block_cycles b
+  cycles_of_block t ~func:f.Ir.Func.name (Ir.Func.block_exn f label)
 
 (* Total host cycles spent inside the region's own blocks (callee time
-   excluded; regions containing calls are never offloaded). *)
+   excluded; regions containing calls are never offloaded). One pass
+   over the function's blocks, so the cost is linear in its size. *)
 let region_cycles (f : Ir.Func.t) t (r : An.Region.t) =
-  An.Region.String_set.fold
-    (fun label acc -> acc + block_cycles f t ~label)
-    r.An.Region.blocks 0
+  List.fold_left
+    (fun acc (b : Ir.Block.t) ->
+      if An.Region.String_set.mem b.Ir.Block.label r.An.Region.blocks then
+        acc + cycles_of_block t ~func:f.Ir.Func.name b
+      else acc)
+    0 f.Ir.Func.blocks
 
 (* Number of executions of the region: entries into its entry block from
    outside the region. The whole-function region counts invocations. *)

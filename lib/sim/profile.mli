@@ -42,9 +42,17 @@ val total_seconds : t -> float
     completed profiling run. *)
 val publish_metrics : t -> unit
 
+(** Host cycles of one block across the run: its executions times its
+    static cost. *)
+val cycles_of_block : t -> func:string -> Cayman_ir.Block.t -> int
+
+(** {!cycles_of_block} of the block [label] of the function (a scan of
+    its block list; per-block callers go through a label table, such as
+    [Hls.Ctx.block_cycles]). *)
 val block_cycles : Cayman_ir.Func.t -> t -> label:string -> int
 
-(** Host cycles spent in the region's own blocks across the run. *)
+(** Host cycles spent in the region's own blocks across the run (one
+    pass over the function's blocks). *)
 val region_cycles : Cayman_ir.Func.t -> t -> Cayman_analysis.Region.t -> int
 
 (** Executions of the region (entries from outside). *)

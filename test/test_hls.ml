@@ -375,6 +375,110 @@ let test_saved_seconds_sign () =
       (Hls.Kernel.saved_seconds p > 0.0)
   | None -> Alcotest.fail "estimate failed"
 
+(* --- the per-region facts / per-config split --- *)
+
+let all_modes =
+  [ Hls.Kernel.Heuristic; Hls.Kernel.Coupled_only; Hls.Kernel.Scan_only;
+    Hls.Kernel.Scratchpad_preferred; Hls.Kernel.Decoupled_preferred ]
+
+(* Every region of a program with its function's context. *)
+let regions_of (a : Core.Cayman.analyzed) =
+  let acc = ref [] in
+  An.Wpst.iter
+    (fun fname r ->
+      match Hashtbl.find_opt a.Core.Cayman.ctxs fname with
+      | Some ctx -> acc := (ctx, r) :: !acc
+      | None -> ())
+    a.Core.Cayman.wpst;
+  List.rev !acc
+
+let sweep_programs () =
+  List.map
+    (fun name ->
+      name,
+      Core.Cayman.analyze
+        (Cayman_suites.Suite.compile (Cayman_suites.Suite.find_exn name)))
+    [ "3mm"; "atax"; "fft" ]
+  @ List.init 64 (fun i ->
+      ( Printf.sprintf "genprog-%d" i,
+        Core.Cayman.analyze_source (Fleet.Genprog.minic_source ~seed:7 ~index:i) ))
+
+(* [estimate_all] analyses a region once and evaluates each configuration
+   over the result; it must return exactly what one [estimate] call per
+   configuration returns after the same (cycles, area) dedup. *)
+let test_estimate_all_equals_per_config () =
+  let configs =
+    List.concat_map Hls.Kernel.default_configs all_modes
+    @ [ { Hls.Kernel.unroll = 0; pipeline = true; mode = Hls.Kernel.Heuristic } ]
+  in
+  let dedup points =
+    let seen = Hashtbl.create 8 in
+    List.filter
+      (fun (p : Hls.Kernel.point) ->
+        let key = p.Hls.Kernel.accel_cycles, p.Hls.Kernel.area in
+        if Hashtbl.mem seen key then false
+        else begin
+          Hashtbl.replace seen key ();
+          true
+        end)
+      points
+  in
+  let regions = ref 0 and with_points = ref 0 in
+  List.iter
+    (fun (name, a) ->
+      List.iter
+        (fun ((ctx : Hls.Ctx.t), (r : An.Region.t)) ->
+          incr regions;
+          let staged = Hls.Kernel.estimate_all ctx r configs in
+          let single =
+            dedup (List.filter_map (Hls.Kernel.estimate ctx r) configs)
+          in
+          if staged <> [] then incr with_points;
+          if staged <> single then
+            Alcotest.failf "%s, region %s: estimate_all differs from per-config \
+                            estimate" name (An.Region.name r))
+        (regions_of a))
+    (sweep_programs ());
+  Alcotest.(check bool) "some regions synthesize" true (!with_points > 0);
+  Alcotest.(check bool) "regions swept" true (!regions > !with_points)
+
+(* The region analysis runs once per sweep: one [estimate_all] over the
+   seven Heuristic configurations classifies each memory access of a
+   call-free region exactly once, and none of a region with a call. *)
+let test_estimate_all_classifies_once () =
+  let m = Obs.Metrics.counter "analysis.scev_accesses_classified" in
+  let a =
+    Core.Cayman.analyze
+      (Cayman_suites.Suite.compile (Cayman_suites.Suite.find_exn "atax"))
+  in
+  let configs = Hls.Kernel.default_configs Hls.Kernel.Heuristic in
+  Alcotest.(check int) "seven configurations" 7 (List.length configs);
+  let checked = ref 0 in
+  Engine.Config.set_jobs 1;
+  Fun.protect ~finally:Engine.Config.clear_jobs (fun () ->
+      List.iter
+        (fun ((ctx : Hls.Ctx.t), (r : An.Region.t)) ->
+          let blocks = An.Region.String_set.elements r.An.Region.blocks in
+          let has_call =
+            List.exists (fun l -> Hls.Dfg.has_call (Hls.Ctx.dfg ctx l)) blocks
+          in
+          let accesses =
+            if has_call then 0
+            else
+              List.fold_left
+                (fun n l -> n + List.length (Hls.Dfg.mem_nodes (Hls.Ctx.dfg ctx l)))
+                0 blocks
+          in
+          let before = Obs.Metrics.value m in
+          ignore (Hls.Kernel.estimate_all ctx r configs);
+          if accesses > 0 then incr checked;
+          Alcotest.(check int)
+            (An.Region.name r ^ " classified once per access")
+            accesses
+            (Obs.Metrics.value m - before))
+        (regions_of a));
+  Alcotest.(check bool) "regions with accesses checked" true (!checked > 0)
+
 let tests =
   [ Alcotest.test_case "DFG structure" `Quick test_dfg_structure;
     Alcotest.test_case "schedule respects dependencies" `Quick
@@ -401,4 +505,8 @@ let tests =
       test_unroll_replicates_dep_free_loop;
     Alcotest.test_case "tech table sanity" `Quick test_tech_sanity;
     Alcotest.test_case "saved seconds positive for MAC" `Quick
-      test_saved_seconds_sign ]
+      test_saved_seconds_sign;
+    Alcotest.test_case "estimate_all equals per-config estimate" `Quick
+      test_estimate_all_equals_per_config;
+    Alcotest.test_case "estimate_all classifies each access once" `Quick
+      test_estimate_all_classifies_once ]
