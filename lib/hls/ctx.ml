@@ -24,32 +24,36 @@ let create program profile (func : Ir.Func.t) =
   let loops = An.Loops.find func dom in
   let live = An.Liveness.compute func in
   let scev = An.Scev.create func loops in
-  let loop_info = Hashtbl.create 8 in
-  let trips = Hashtbl.create 8 in
-  let entries = Hashtbl.create 8 in
-  let preds = Ir.Func.preds func in
-  List.iter
-    (fun (l : An.Loops.loop) ->
-      let header = l.An.Loops.header in
-      Hashtbl.replace loop_info header (An.Memdep.analyze_loop func live scev l);
-      Hashtbl.replace trips header (Sim.Profile.avg_trip func profile l);
-      (* entries into the loop from outside it *)
-      Hashtbl.replace entries header
-        (List.fold_left
-           (fun acc p ->
-             if An.Loops.String_set.mem p l.An.Loops.blocks then acc
-             else
-               acc
-               + Sim.Profile.edge_exec profile ~func:func.Ir.Func.name ~src:p
-                   ~dst:header)
-           0
-           (try Hashtbl.find preds header with Not_found -> [])))
-    loops;
   let dfgs = Hashtbl.create 16 in
   List.iter
     (fun (b : Ir.Block.t) ->
       Hashtbl.replace dfgs b.Ir.Block.label (Dfg.of_block b))
     func.Ir.Func.blocks;
+  let loop_info = Hashtbl.create 8 in
+  let trips = Hashtbl.create 8 in
+  let entries = Hashtbl.create 8 in
+  let preds = Ir.Func.preds func in
+  let fname = func.Ir.Func.name in
+  List.iter
+    (fun (l : An.Loops.loop) ->
+      let header = l.An.Loops.header in
+      Hashtbl.replace loop_info header (An.Memdep.analyze_loop func live scev l);
+      (* entries into the loop from outside it *)
+      let n =
+        List.fold_left
+          (fun acc p ->
+            if An.Loops.String_set.mem p l.An.Loops.blocks then acc
+            else
+              acc
+              + Sim.Profile.edge_exec profile ~func:fname ~src:p ~dst:header)
+          0
+          (try Hashtbl.find preds header with Not_found -> [])
+      in
+      Hashtbl.replace entries header n;
+      Hashtbl.replace trips header
+        (Sim.Profile.avg_trip profile ~func:fname
+           ~header:(Hashtbl.find dfgs header).Dfg.block ~entries:n l))
+    loops;
   { program; func; profile; loops; scev; loop_info; dfgs; trips; entries }
 
 let dfg t label = Hashtbl.find t.dfgs label

@@ -5,13 +5,17 @@ open Interp_common
 
    Each basic block is pre-compiled once per run into a flat array of
    instruction closures — executing a block is a tight loop of indirect
-   calls with no per-instruction match dispatch and no allocation.
+   calls, one per instruction, with no per-instruction match dispatch.
    Registers live in typed, integer-indexed banks ([ints] holds both I32
-   and Bool — booleans as 0/1 — [flts] holds F32), so the hot path never
-   boxes a value. Memory bases are resolved to their raw arrays at
-   compile time; constant-index bounds checks are discharged at compile
-   time; "uninitialized register" checks are elided wherever a forward
-   must-defined dataflow proves the read safe.
+   and Bool — booleans as 0/1 — [flts] holds F32), and immediates in
+   constant slots of the same banks, so each closure reads its operands
+   and writes its result in the banks directly and a float is never
+   boxed. Memory bases are resolved to their raw arrays at compile
+   time; "uninitialized register" checks are compiled only where a
+   forward must-defined dataflow cannot prove the read safe, and def
+   bytes are kept only for registers such a check or an observer reads.
+   What still allocates is per call (a frame) or per run (codegen, the
+   profile tables), not per instruction.
 
    None of this is allowed to be observable: the engine is only used for
    programs that pass a whole-program static cleanliness check
@@ -241,8 +245,8 @@ let analyze (p : Ir.Program.t) : pmeta option =
 (* Forward intersection analysis over register uids: a register is
    must-defined at a block's entry when every CFG path from the function
    entry defines it first. Reads proven defined skip the def-byte check
-   at run time; every write still sets its def byte unconditionally, so
-   the two engines agree on [read] visibility at observer points. *)
+   at run time; [codegen] keeps a register's def byte only where an
+   unproven read or an observer needs it. *)
 let must_defined (fm : fmeta) : (string, bool array) Hashtbl.t =
   let blocks = Array.of_list fm.fm_func.Ir.Func.blocks in
   let nb = Array.length blocks in
@@ -315,10 +319,13 @@ let must_defined (fm : fmeta) : (string, bool array) Hashtbl.t =
 (* Compiled representation                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* A function's banks hold its registers first ([rinfo.bidx]), then one
+   constant slot per distinct immediate it reads, so every operand —
+   register or immediate — is a bank slot. *)
 type frame = {
-  ints : int array; (* I32 and Bool (0/1) registers *)
-  flts : float array; (* F32 registers *)
-  def : Bytes.t; (* '\001' once the register has been written *)
+  ints : int array; (* I32 and Bool (0/1) registers, then int constants *)
+  flts : float array; (* F32 registers, then float constants *)
+  def : Bytes.t; (* per register uid: '\001' once written, where tracked *)
   mutable reti : int; (* int/bool return slot *)
   mutable retf : float; (* float return slot *)
 }
@@ -329,6 +336,9 @@ type sblock = {
   sb_cycles : int;
   sb_ninstrs : int;
   mutable sb_code : (frame -> unit) array;
+  (* Uids whose def byte the block sets once its code has run: see
+     [codegen] for which registers are tracked. *)
+  mutable sb_defs : int array;
   mutable sb_term : sterm;
   (* Profile counter, bound lazily on first execution so the profile
      hashtable sees exactly the reference engine's insertion sequence
@@ -336,13 +346,14 @@ type sblock = {
   mutable sb_cnt : int ref option;
 }
 
+(* Terminator operands are bank slots. *)
 and sterm =
   | S_halt (* codegen placeholder, never executed *)
   | S_jump of sedge
-  | S_branch of (frame -> int) * sedge * sedge
-  | S_ret_int of (frame -> int)
-  | S_ret_bool of (frame -> int)
-  | S_ret_float of (frame -> float)
+  | S_branch of int * sedge * sedge
+  | S_ret_int of int
+  | S_ret_bool of int
+  | S_ret_float of int
   | S_ret_void
 
 and sedge = {
@@ -355,9 +366,11 @@ and sedge = {
 type sfunc = {
   sf_name : string;
   mutable sf_entry : sblock;
-  sf_nints : int;
-  sf_nflts : int;
-  sf_nregs : int;
+  (* Fresh-frame images: registers zero, constant slots filled, the
+     parameters' def bytes set (a call writes every parameter). *)
+  mutable sf_ints0 : int array;
+  mutable sf_flts0 : float array;
+  sf_def0 : Bytes.t;
   sf_regs : (string, rinfo) Hashtbl.t;
   sf_ret : ret_kind;
   mutable sf_cnt : int ref option; (* lazy call-count slot *)
@@ -365,15 +378,15 @@ type sfunc = {
 
 type ctx = {
   cx_profile : Profile.t;
-  cx_fuel : int ref;
+  mutable cx_fuel : int;
   cx_observer : observer option;
   cx_mem : Memory.t;
 }
 
 let new_frame (sf : sfunc) =
-  { ints = Array.make sf.sf_nints 0;
-    flts = Array.make sf.sf_nflts 0.0;
-    def = Bytes.make sf.sf_nregs '\000';
+  { ints = Array.copy sf.sf_ints0;
+    flts = Array.copy sf.sf_flts0;
+    def = Bytes.copy sf.sf_def0;
     reti = 0;
     retf = 0.0 }
 
@@ -406,8 +419,11 @@ let[@inline] bump_edge (cx : ctx) (b : sblock) (e : sedge) =
     e.e_cnt <- Some r
 
 (* The block-execution loop: per-block bookkeeping mirrors the reference
-   engine exactly (profile, observer, cycles, instrs, fuel — in that
-   order), then the instruction closures run back to back. *)
+   engine (profile, observer, fuel — in that order), then the
+   instruction closures run back to back, then the block's tracked def
+   bytes are set. The run's cycle and instruction totals are not kept
+   here: [run] derives them from the block counters once the run
+   completes. *)
 let exec_sfunc (cx : ctx) (sf : sfunc) (fr : frame) : unit =
   (match sf.sf_cnt with
    | Some r -> incr r
@@ -437,40 +453,42 @@ let exec_sfunc (cx : ctx) (sf : sfunc) (fr : frame) : unit =
        o.obs_block ~func:sf.sf_name ~label:b.sb_label
          ~read:(Option.get read) ~mem:cx.cx_mem
      | None -> ());
-    Profile.add_cycles cx.cx_profile b.sb_cycles;
-    Profile.add_instrs cx.cx_profile b.sb_ninstrs;
-    cx.cx_fuel := !(cx.cx_fuel) - b.sb_ninstrs - 1;
-    if !(cx.cx_fuel) < 0 then raise Out_of_fuel;
+    cx.cx_fuel <- cx.cx_fuel - b.sb_ninstrs - 1;
+    if cx.cx_fuel < 0 then raise Out_of_fuel;
     let code = b.sb_code in
     for i = 0 to Array.length code - 1 do
       (Array.unsafe_get code i) fr
+    done;
+    let defs = b.sb_defs in
+    for i = 0 to Array.length defs - 1 do
+      Bytes.unsafe_set fr.def (Array.unsafe_get defs i) '\001'
     done;
     match b.sb_term with
     | S_jump e ->
       bump_edge cx b e;
       cur := e.e_target
     | S_branch (c, te, fe) ->
-      let e = if c fr <> 0 then te else fe in
+      let e = if Array.unsafe_get fr.ints c <> 0 then te else fe in
       bump_edge cx b e;
       cur := e.e_target
-    | S_ret_int f ->
-      fr.reti <- f fr;
+    | S_ret_int s ->
+      fr.reti <- Array.unsafe_get fr.ints s;
       (match cx.cx_observer with
        | Some o ->
          o.obs_return ~func:sf.sf_name ~read:(Option.get read)
            ~value:(Some (Value.Vint fr.reti)) ~mem:cx.cx_mem
        | None -> ());
       running := false
-    | S_ret_bool f ->
-      fr.reti <- f fr;
+    | S_ret_bool s ->
+      fr.reti <- Array.unsafe_get fr.ints s;
       (match cx.cx_observer with
        | Some o ->
          o.obs_return ~func:sf.sf_name ~read:(Option.get read)
            ~value:(Some (Value.Vbool (fr.reti <> 0))) ~mem:cx.cx_mem
        | None -> ());
       running := false
-    | S_ret_float f ->
-      fr.retf <- f fr;
+    | S_ret_float s ->
+      fr.retf <- Array.unsafe_get fr.flts s;
       (match cx.cx_observer with
        | Some o ->
          o.obs_return ~func:sf.sf_name ~read:(Option.get read)
@@ -488,15 +506,292 @@ let exec_sfunc (cx : ctx) (sf : sfunc) (fr : frame) : unit =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Instruction closures                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Each IR instruction compiles to one closure over bank slots [d]
+   (destination) and [a]/[b]/[c] (operands) that reads and writes the
+   frame's banks directly: one indirect call per instruction, and a
+   float never crosses a closure boundary, so it is never boxed. The
+   bodies are spelled out operator by operator on purpose: OCaml without
+   flambda does not inline a function passed as an argument, so a
+   shared higher-order helper would put a call per operand (and a box
+   per float) back on the hot path. Operand reads are unchecked; an
+   operand the must-defined analysis does not prove gets a separate
+   [check] closure emitted before the instruction (see [codegen]). *)
+
+let check uid msg : frame -> unit =
+ fun fr ->
+  if Bytes.unsafe_get fr.def uid = '\000' then raise (Runtime_error msg)
+
+let binary (op : Ir.Op.bin) d a b : frame -> unit =
+  match op with
+  | Ir.Op.Add ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r d (Array.unsafe_get r a + Array.unsafe_get r b)
+  | Ir.Op.Sub ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r d (Array.unsafe_get r a - Array.unsafe_get r b)
+  | Ir.Op.Mul ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r d (Array.unsafe_get r a * Array.unsafe_get r b)
+  | Ir.Op.Div ->
+    fun fr ->
+      let r = fr.ints in
+      let y = Array.unsafe_get r b in
+      if y = 0 then raise (Runtime_error "integer division by zero");
+      Array.unsafe_set r d (Array.unsafe_get r a / y)
+  | Ir.Op.Rem ->
+    fun fr ->
+      let r = fr.ints in
+      let y = Array.unsafe_get r b in
+      if y = 0 then raise (Runtime_error "integer remainder by zero");
+      Array.unsafe_set r d (Array.unsafe_get r a mod y)
+  | Ir.Op.And ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r d (Array.unsafe_get r a land Array.unsafe_get r b)
+  | Ir.Op.Or ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r d (Array.unsafe_get r a lor Array.unsafe_get r b)
+  | Ir.Op.Xor ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r d (Array.unsafe_get r a lxor Array.unsafe_get r b)
+  | Ir.Op.Shl ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r d (Array.unsafe_get r a lsl Array.unsafe_get r b)
+  | Ir.Op.Shr ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r d (Array.unsafe_get r a asr Array.unsafe_get r b)
+  | Ir.Op.Fadd ->
+    fun fr ->
+      let f = fr.flts in
+      Array.unsafe_set f d (Array.unsafe_get f a +. Array.unsafe_get f b)
+  | Ir.Op.Fsub ->
+    fun fr ->
+      let f = fr.flts in
+      Array.unsafe_set f d (Array.unsafe_get f a -. Array.unsafe_get f b)
+  | Ir.Op.Fmul ->
+    fun fr ->
+      let f = fr.flts in
+      Array.unsafe_set f d (Array.unsafe_get f a *. Array.unsafe_get f b)
+  | Ir.Op.Fdiv ->
+    fun fr ->
+      let f = fr.flts in
+      Array.unsafe_set f d (Array.unsafe_get f a /. Array.unsafe_get f b)
+
+let comparison (op : Ir.Op.cmp) d a b : frame -> unit =
+  match op with
+  | Ir.Op.Eq ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r d
+        (Bool.to_int (Array.unsafe_get r a = Array.unsafe_get r b))
+  | Ir.Op.Ne ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r d
+        (Bool.to_int (Array.unsafe_get r a <> Array.unsafe_get r b))
+  | Ir.Op.Lt ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r d
+        (Bool.to_int (Array.unsafe_get r a < Array.unsafe_get r b))
+  | Ir.Op.Le ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r d
+        (Bool.to_int (Array.unsafe_get r a <= Array.unsafe_get r b))
+  | Ir.Op.Gt ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r d
+        (Bool.to_int (Array.unsafe_get r a > Array.unsafe_get r b))
+  | Ir.Op.Ge ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r d
+        (Bool.to_int (Array.unsafe_get r a >= Array.unsafe_get r b))
+  | Ir.Op.Feq ->
+    fun fr ->
+      let f = fr.flts in
+      Array.unsafe_set fr.ints d
+        (Bool.to_int (Array.unsafe_get f a = Array.unsafe_get f b))
+  | Ir.Op.Fne ->
+    fun fr ->
+      let f = fr.flts in
+      Array.unsafe_set fr.ints d
+        (Bool.to_int (Array.unsafe_get f a <> Array.unsafe_get f b))
+  | Ir.Op.Flt ->
+    fun fr ->
+      let f = fr.flts in
+      Array.unsafe_set fr.ints d
+        (Bool.to_int (Array.unsafe_get f a < Array.unsafe_get f b))
+  | Ir.Op.Fle ->
+    fun fr ->
+      let f = fr.flts in
+      Array.unsafe_set fr.ints d
+        (Bool.to_int (Array.unsafe_get f a <= Array.unsafe_get f b))
+  | Ir.Op.Fgt ->
+    fun fr ->
+      let f = fr.flts in
+      Array.unsafe_set fr.ints d
+        (Bool.to_int (Array.unsafe_get f a > Array.unsafe_get f b))
+  | Ir.Op.Fge ->
+    fun fr ->
+      let f = fr.flts in
+      Array.unsafe_set fr.ints d
+        (Bool.to_int (Array.unsafe_get f a >= Array.unsafe_get f b))
+
+let unary (op : Ir.Op.un) d a : frame -> unit =
+  match op with
+  | Ir.Op.Neg ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r d (-Array.unsafe_get r a)
+  | Ir.Op.Not ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r d (Array.unsafe_get r a lxor 1)
+  | Ir.Op.Fneg ->
+    fun fr ->
+      let f = fr.flts in
+      Array.unsafe_set f d (-.Array.unsafe_get f a)
+  | Ir.Op.Int_of_float ->
+    fun fr ->
+      Array.unsafe_set fr.ints d (int_of_float (Array.unsafe_get fr.flts a))
+  | Ir.Op.Float_of_int ->
+    fun fr ->
+      Array.unsafe_set fr.flts d (float_of_int (Array.unsafe_get fr.ints a))
+
+(* [Select] evaluates only the operand it picks, so a check on [a] or
+   [b] must run only on that side: [ka]/[kb] are those checks, and the
+   unchecked closures serve the common case where neither needs one. *)
+let select ~float d c a b ~ka ~kb : frame -> unit =
+  match float, ka, kb with
+  | false, None, None ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r d
+        (if Array.unsafe_get r c <> 0 then Array.unsafe_get r a
+         else Array.unsafe_get r b)
+  | true, None, None ->
+    fun fr ->
+      let f = fr.flts in
+      Array.unsafe_set f d
+        (if Array.unsafe_get fr.ints c <> 0 then Array.unsafe_get f a
+         else Array.unsafe_get f b)
+  | false, _, _ ->
+    let ka = Option.value ka ~default:ignore
+    and kb = Option.value kb ~default:ignore in
+    fun fr ->
+      let r = fr.ints in
+      if Array.unsafe_get r c <> 0 then (
+        ka fr;
+        Array.unsafe_set r d (Array.unsafe_get r a))
+      else (
+        kb fr;
+        Array.unsafe_set r d (Array.unsafe_get r b))
+  | true, _, _ ->
+    let ka = Option.value ka ~default:ignore
+    and kb = Option.value kb ~default:ignore in
+    fun fr ->
+      let f = fr.flts in
+      if Array.unsafe_get fr.ints c <> 0 then (
+        ka fr;
+        Array.unsafe_set f d (Array.unsafe_get f a))
+      else (
+        kb fr;
+        Array.unsafe_set f d (Array.unsafe_get f b))
+
+let oob base n idx =
+  Memory.Fault (Printf.sprintf "index %d out of bounds for %s[%d]" idx base n)
+
+(* Memory accesses follow the reference order: the cache sees the index
+   before the bounds check, and a fault carries [Memory]'s exact
+   message. *)
+let[@inline] touch cache base idx =
+  match cache with
+  | Some c -> ignore (Cache.access c ~base ~index:idx : bool)
+  | None -> ()
+
+let load mem cache base d ix : frame -> unit =
+  match Memory.int_cells mem base with
+  | Some arr ->
+    let n = Array.length arr in
+    fun fr ->
+      let r = fr.ints in
+      let i = Array.unsafe_get r ix in
+      touch cache base i;
+      if i < 0 || i >= n then raise (oob base n i);
+      Array.unsafe_set r d (Array.unsafe_get arr i)
+  | None ->
+    let arr = Option.get (Memory.float_cells mem base) in
+    let n = Array.length arr in
+    fun fr ->
+      let i = Array.unsafe_get fr.ints ix in
+      touch cache base i;
+      if i < 0 || i >= n then raise (oob base n i);
+      Array.unsafe_set fr.flts d (Array.unsafe_get arr i)
+
+let store mem cache base ix v : frame -> unit =
+  match Memory.int_cells mem base with
+  | Some arr ->
+    let n = Array.length arr in
+    fun fr ->
+      let r = fr.ints in
+      let i = Array.unsafe_get r ix in
+      touch cache base i;
+      if i < 0 || i >= n then raise (oob base n i);
+      Array.unsafe_set arr i (Array.unsafe_get r v)
+  | None ->
+    let arr = Option.get (Memory.float_cells mem base) in
+    let n = Array.length arr in
+    fun fr ->
+      let i = Array.unsafe_get fr.ints ix in
+      touch cache base i;
+      if i < 0 || i >= n then raise (oob base n i);
+      Array.unsafe_set arr i (Array.unsafe_get fr.flts v)
+
+(* ------------------------------------------------------------------ *)
 (* Code generation                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The constant slot of an immediate [key] in a bank with [nregs]
+   registers: one per distinct value, numbered past the registers in
+   first-use order. *)
+let const_slot tbl ~nregs key =
+  match Hashtbl.find_opt tbl key with
+  | Some s -> s
+  | None ->
+    let s = nregs + Hashtbl.length tbl in
+    Hashtbl.replace tbl key s;
+    s
+
 (* Compile every function of a clean program against one run's memory,
-   cache and context. Closures capture resolved arrays and counters
-   directly, so the hot path performs no name lookups. *)
+   cache and context. Returns the functions and every block, the latter
+   for [run]'s deferred totals. Everything built here belongs to this
+   run: the daemon and the pool interpret on several domains at once.
+
+   Def bytes exist for [frame_read] and for def-byte checks, so a block
+   sets the def byte of a register it defines only when the run has an
+   observer, or when some read of that register in the function is not
+   proven by [must_defined] (and so compiled to a [check]). The bytes
+   are set once the block's code has run: nothing reads them mid-block,
+   since a read of a register the same block defined earlier is proven,
+   and an observer sees a frame only at block entry and return. *)
 let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option) :
-    (string, sfunc) Hashtbl.t =
+    (string, sfunc) Hashtbl.t * sblock list =
   let sfuncs : (string, sfunc) Hashtbl.t = Hashtbl.create 8 in
+  let all_blocks = ref [] in
+  let observed = Option.is_some cx.cx_observer in
   (* Pass 1: shells, so call sites and mutual recursion resolve. *)
   Hashtbl.iter
     (fun name (fm : fmeta) ->
@@ -506,15 +801,21 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option) :
           sb_cycles = 0;
           sb_ninstrs = 0;
           sb_code = [||];
+          sb_defs = [||];
           sb_term = S_halt;
           sb_cnt = None }
       in
+      let def0 = Bytes.make fm.fm_nregs '\000' in
+      List.iter
+        (fun (r : Ir.Instr.reg) ->
+          Bytes.set def0 (Hashtbl.find fm.fm_regs r.Ir.Instr.id).uid '\001')
+        fm.fm_func.Ir.Func.params;
       Hashtbl.replace sfuncs name
         { sf_name = name;
           sf_entry = dummy;
-          sf_nints = fm.fm_nints;
-          sf_nflts = fm.fm_nflts;
-          sf_nregs = fm.fm_nregs;
+          sf_ints0 = [||];
+          sf_flts0 = [||];
+          sf_def0 = def0;
           sf_regs = fm.fm_regs;
           sf_ret = fm.fm_ret;
           sf_cnt = None })
@@ -526,6 +827,12 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option) :
       let f = fm.fm_func in
       let fname = f.Ir.Func.name in
       let entry_in = must_defined fm in
+      let ri_of (r : Ir.Instr.reg) = Hashtbl.find fm.fm_regs r.Ir.Instr.id in
+      (* Immediates by value; floats by their bits, so -0.0 and every
+         NaN payload keep their own slot. *)
+      let int_consts = Hashtbl.create 8 and flt_consts = Hashtbl.create 8 in
+      (* [checked.(uid)]: some read of the register compiled to a check. *)
+      let checked = Array.make fm.fm_nregs false in
       let blocks = Hashtbl.create 16 in
       List.iter
         (fun (b : Ir.Block.t) ->
@@ -535,411 +842,207 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option) :
               sb_cycles = Cpu_model.block_cycles b;
               sb_ninstrs = List.length b.Ir.Block.instrs;
               sb_code = [||];
+              sb_defs = [||];
               sb_term = S_halt;
               sb_cnt = None })
         f.Ir.Func.blocks;
-      List.iter
-        (fun (b : Ir.Block.t) ->
-          let sb = Hashtbl.find blocks b.Ir.Block.label in
-          (* Per-position defined set: the block-entry facts, advanced
-             past each instruction's destination as we compile. *)
-          let defined = Array.copy (Hashtbl.find entry_in b.Ir.Block.label) in
-          let ri_of (r : Ir.Instr.reg) = Hashtbl.find fm.fm_regs r.Ir.Instr.id in
-          (* Typed operand readers. Reads proven must-defined skip the
-             def-byte check; others keep it, raising the reference
-             engine's exact message. *)
-          let ci (o : Ir.Instr.operand) : frame -> int =
-            match o with
-            | Ir.Instr.Imm_int n -> fun _ -> n
-            | Ir.Instr.Imm_bool bv ->
-              let n = if bv then 1 else 0 in
-              fun _ -> n
-            | Ir.Instr.Imm_float _ -> assert false
-            | Ir.Instr.Reg r ->
-              let ri = ri_of r in
-              let bidx = ri.bidx in
-              if defined.(ri.uid) then
-                fun fr -> Array.unsafe_get fr.ints bidx
-              else
-                let uid = ri.uid in
-                let msg =
-                  Printf.sprintf "uninitialized register %%%s in %s"
-                    r.Ir.Instr.id fname
+      (* Each block with the uids it defines, for the def-byte pass. *)
+      let block_defs =
+        List.map
+          (fun (b : Ir.Block.t) ->
+            let sb = Hashtbl.find blocks b.Ir.Block.label in
+            (* Per-position defined set: the block-entry facts, advanced
+               past each instruction's destination as we compile. *)
+            let defined = Array.copy (Hashtbl.find entry_in b.Ir.Block.label) in
+            let code = ref [] and defs = ref [] in
+            let emit c = code := c :: !code in
+            (* The def-byte check a read of [o] needs at this point, if
+               the analysis does not prove it; it raises the reference
+               engine's exact message. *)
+            let check_of (o : Ir.Instr.operand) =
+              match o with
+              | Ir.Instr.Reg r ->
+                let uid = (ri_of r).uid in
+                if defined.(uid) then None
+                else (
+                  checked.(uid) <- true;
+                  Some
+                    (check uid
+                       (Printf.sprintf "uninitialized register %%%s in %s"
+                          r.Ir.Instr.id fname)))
+              | Ir.Instr.Imm_int _ | Ir.Instr.Imm_float _ | Ir.Instr.Imm_bool _
+                ->
+                None
+            in
+            let raw_slot (o : Ir.Instr.operand) =
+              match o with
+              | Ir.Instr.Reg r -> (ri_of r).bidx
+              | Ir.Instr.Imm_int n -> const_slot int_consts ~nregs:fm.fm_nints n
+              | Ir.Instr.Imm_bool v ->
+                const_slot int_consts ~nregs:fm.fm_nints (Bool.to_int v)
+              | Ir.Instr.Imm_float x ->
+                const_slot flt_consts ~nregs:fm.fm_nflts (Int64.bits_of_float x)
+            in
+            (* The slot of an operand read now: any check it needs is
+               emitted first, so checks run in the order the reference
+               engine evaluates operands. *)
+            let slot o =
+              Option.iter emit (check_of o);
+              raw_slot o
+            in
+            let dst (r : Ir.Instr.reg) = (ri_of r).bidx in
+            let compile_instr (i : Ir.Instr.t) : frame -> unit =
+              match i with
+              | Ir.Instr.Assign (r, o) ->
+                let a = slot o and d = dst r in
+                (match (ri_of r).rty with
+                 | Ir.Types.F32 ->
+                   fun fr ->
+                     let f = fr.flts in
+                     Array.unsafe_set f d (Array.unsafe_get f a)
+                 | Ir.Types.I32 | Ir.Types.Bool ->
+                   fun fr ->
+                     let r = fr.ints in
+                     Array.unsafe_set r d (Array.unsafe_get r a))
+              | Ir.Instr.Unary (r, op, o) -> unary op (dst r) (slot o)
+              | Ir.Instr.Binary (r, op, a, b) ->
+                (* The reference engine evaluates operand [b] before [a]
+                   (OCaml right-to-left application), then tests a
+                   divisor. *)
+                let b = slot b in
+                let a = slot a in
+                binary op (dst r) a b
+              | Ir.Instr.Compare (r, op, a, b) ->
+                let b = slot b in
+                let a = slot a in
+                comparison op (dst r) a b
+              | Ir.Instr.Select (r, c, a, b) ->
+                let c = slot c in
+                select
+                  ~float:(Ir.Types.equal (ri_of r).rty Ir.Types.F32)
+                  (dst r) c (raw_slot a) (raw_slot b) ~ka:(check_of a)
+                  ~kb:(check_of b)
+              | Ir.Instr.Load (r, m) ->
+                load cx.cx_mem cache m.Ir.Instr.base (dst r)
+                  (slot m.Ir.Instr.index)
+              | Ir.Instr.Store (m, v) ->
+                (* The reference engine evaluates the stored value after
+                   touching the cache; a check on it may run before the
+                   touch here, which only a run that then raises — and
+                   so returns no cache statistics — could tell. *)
+                let ix = slot m.Ir.Instr.index in
+                store cx.cx_mem cache m.Ir.Instr.base ix (slot v)
+              | Ir.Instr.Call (dest, callee, args) ->
+                let csf = Hashtbl.find sfuncs callee in
+                let cfm = Hashtbl.find pm.pm_funcs callee in
+                (* Arguments are checked left to right (the reference
+                   engine's List.map), then copied bank to bank. *)
+                let isrc = ref [] and idst = ref [] in
+                let fsrc = ref [] and fdst = ref [] in
+                List.iter2
+                  (fun (p : Ir.Instr.reg) (a : Ir.Instr.operand) ->
+                    let pri = Hashtbl.find cfm.fm_regs p.Ir.Instr.id in
+                    let s = slot a in
+                    match pri.rty with
+                    | Ir.Types.F32 ->
+                      fsrc := s :: !fsrc;
+                      fdst := pri.bidx :: !fdst
+                    | Ir.Types.I32 | Ir.Types.Bool ->
+                      isrc := s :: !isrc;
+                      idst := pri.bidx :: !idst)
+                  cfm.fm_func.Ir.Func.params args;
+                let isrc = Array.of_list !isrc and idst = Array.of_list !idst in
+                let fsrc = Array.of_list !fsrc and fdst = Array.of_list !fdst in
+                let call fr =
+                  let cfr = new_frame csf in
+                  for k = 0 to Array.length isrc - 1 do
+                    Array.unsafe_set cfr.ints (Array.unsafe_get idst k)
+                      (Array.unsafe_get fr.ints (Array.unsafe_get isrc k))
+                  done;
+                  for k = 0 to Array.length fsrc - 1 do
+                    Array.unsafe_set cfr.flts (Array.unsafe_get fdst k)
+                      (Array.unsafe_get fr.flts (Array.unsafe_get fsrc k))
+                  done;
+                  exec_sfunc cx csf cfr;
+                  cfr
                 in
-                fun fr ->
-                  if Bytes.unsafe_get fr.def uid = '\000' then
-                    raise (Runtime_error msg);
-                  Array.unsafe_get fr.ints bidx
-          in
-          let cf (o : Ir.Instr.operand) : frame -> float =
-            match o with
-            | Ir.Instr.Imm_float x -> fun _ -> x
-            | Ir.Instr.Imm_int _ | Ir.Instr.Imm_bool _ -> assert false
-            | Ir.Instr.Reg r ->
-              let ri = ri_of r in
-              let bidx = ri.bidx in
-              if defined.(ri.uid) then
-                fun fr -> Array.unsafe_get fr.flts bidx
-              else
-                let uid = ri.uid in
-                let msg =
-                  Printf.sprintf "uninitialized register %%%s in %s"
-                    r.Ir.Instr.id fname
-                in
-                fun fr ->
-                  if Bytes.unsafe_get fr.def uid = '\000' then
-                    raise (Runtime_error msg);
-                  Array.unsafe_get fr.flts bidx
-          in
-          (* Typed destination writers: always set the def byte so
-             observer [read] visibility matches the reference engine. *)
-          let seti (r : Ir.Instr.reg) : frame -> int -> unit =
-            let ri = ri_of r in
-            let bidx = ri.bidx and uid = ri.uid in
-            fun fr v ->
-              Array.unsafe_set fr.ints bidx v;
-              Bytes.unsafe_set fr.def uid '\001'
-          in
-          let setf (r : Ir.Instr.reg) : frame -> float -> unit =
-            let ri = ri_of r in
-            let bidx = ri.bidx and uid = ri.uid in
-            fun fr v ->
-              Array.unsafe_set fr.flts bidx v;
-              Bytes.unsafe_set fr.def uid '\001'
-          in
-          let touch base : int -> unit =
-            match cache with
-            | Some c -> fun index -> ignore (Cache.access c ~base ~index : bool)
-            | None -> fun _ -> ()
-          in
-          let oob base n idx =
-            Memory.Fault
-              (Printf.sprintf "index %d out of bounds for %s[%d]" idx base n)
-          in
-          let is_float_op (ty : Ir.Types.t) =
-            match ty with
-            | Ir.Types.F32 -> true
-            | Ir.Types.I32 | Ir.Types.Bool -> false
-          in
-          let compile_instr (i : Ir.Instr.t) : frame -> unit =
-            match i with
-            | Ir.Instr.Assign (r, o) ->
-              if is_float_op (ri_of r).rty then
-                let a = cf o and set = setf r in
-                fun fr -> set fr (a fr)
-              else
-                let a = ci o and set = seti r in
-                fun fr -> set fr (a fr)
-            | Ir.Instr.Unary (r, op, o) ->
-              (match op with
-               | Ir.Op.Neg ->
-                 let a = ci o and set = seti r in
-                 fun fr -> set fr (- a fr)
-               | Ir.Op.Not ->
-                 let a = ci o and set = seti r in
-                 fun fr -> set fr (a fr lxor 1)
-               | Ir.Op.Fneg ->
-                 let a = cf o and set = setf r in
-                 fun fr -> set fr (-. (a fr))
-               | Ir.Op.Int_of_float ->
-                 let a = cf o and set = seti r in
-                 fun fr -> set fr (int_of_float (a fr))
-               | Ir.Op.Float_of_int ->
-                 let a = ci o and set = setf r in
-                 fun fr -> set fr (float_of_int (a fr)))
-            | Ir.Instr.Binary (r, op, a, b) ->
-              (* The reference engine evaluates operand [b] before [a]
-                 (OCaml right-to-left application), so uninitialized-
-                 register errors must surface in that order here too. *)
-              (match op with
-               | Ir.Op.Add ->
-                 let fa = ci a and fb = ci b and set = seti r in
-                 fun fr ->
-                   let bv = fb fr in
-                   let av = fa fr in
-                   set fr (av + bv)
-               | Ir.Op.Sub ->
-                 let fa = ci a and fb = ci b and set = seti r in
-                 fun fr ->
-                   let bv = fb fr in
-                   let av = fa fr in
-                   set fr (av - bv)
-               | Ir.Op.Mul ->
-                 let fa = ci a and fb = ci b and set = seti r in
-                 fun fr ->
-                   let bv = fb fr in
-                   let av = fa fr in
-                   set fr (av * bv)
-               | Ir.Op.Div ->
-                 let fa = ci a and fb = ci b and set = seti r in
-                 fun fr ->
-                   let bv = fb fr in
-                   let av = fa fr in
-                   if bv = 0 then
-                     raise (Runtime_error "integer division by zero");
-                   set fr (av / bv)
-               | Ir.Op.Rem ->
-                 let fa = ci a and fb = ci b and set = seti r in
-                 fun fr ->
-                   let bv = fb fr in
-                   let av = fa fr in
-                   if bv = 0 then
-                     raise (Runtime_error "integer remainder by zero");
-                   set fr (av mod bv)
-               | Ir.Op.And ->
-                 let fa = ci a and fb = ci b and set = seti r in
-                 fun fr ->
-                   let bv = fb fr in
-                   let av = fa fr in
-                   set fr (av land bv)
-               | Ir.Op.Or ->
-                 let fa = ci a and fb = ci b and set = seti r in
-                 fun fr ->
-                   let bv = fb fr in
-                   let av = fa fr in
-                   set fr (av lor bv)
-               | Ir.Op.Xor ->
-                 let fa = ci a and fb = ci b and set = seti r in
-                 fun fr ->
-                   let bv = fb fr in
-                   let av = fa fr in
-                   set fr (av lxor bv)
-               | Ir.Op.Shl ->
-                 let fa = ci a and fb = ci b and set = seti r in
-                 fun fr ->
-                   let bv = fb fr in
-                   let av = fa fr in
-                   set fr (av lsl bv)
-               | Ir.Op.Shr ->
-                 let fa = ci a and fb = ci b and set = seti r in
-                 fun fr ->
-                   let bv = fb fr in
-                   let av = fa fr in
-                   set fr (av asr bv)
-               | Ir.Op.Fadd ->
-                 let fa = cf a and fb = cf b and set = setf r in
-                 fun fr ->
-                   let bv = fb fr in
-                   let av = fa fr in
-                   set fr (av +. bv)
-               | Ir.Op.Fsub ->
-                 let fa = cf a and fb = cf b and set = setf r in
-                 fun fr ->
-                   let bv = fb fr in
-                   let av = fa fr in
-                   set fr (av -. bv)
-               | Ir.Op.Fmul ->
-                 let fa = cf a and fb = cf b and set = setf r in
-                 fun fr ->
-                   let bv = fb fr in
-                   let av = fa fr in
-                   set fr (av *. bv)
-               | Ir.Op.Fdiv ->
-                 let fa = cf a and fb = cf b and set = setf r in
-                 fun fr ->
-                   let bv = fb fr in
-                   let av = fa fr in
-                   set fr (av /. bv))
-            | Ir.Instr.Compare (r, op, a, b) ->
-              let set = seti r in
-              if Ir.Op.cmp_is_float op then
-                let fa = cf a and fb = cf b in
-                let cmp : float -> float -> bool =
-                  match op with
-                  | Ir.Op.Feq -> fun x y -> x = y
-                  | Ir.Op.Fne -> fun x y -> x <> y
-                  | Ir.Op.Flt -> fun x y -> x < y
-                  | Ir.Op.Fle -> fun x y -> x <= y
-                  | Ir.Op.Fgt -> fun x y -> x > y
-                  | Ir.Op.Fge -> fun x y -> x >= y
-                  | Ir.Op.Eq | Ir.Op.Ne | Ir.Op.Lt | Ir.Op.Le | Ir.Op.Gt
-                  | Ir.Op.Ge ->
-                    assert false
-                in
-                fun fr ->
-                  let bv = fb fr in
-                  let av = fa fr in
-                  set fr (if cmp av bv then 1 else 0)
-              else
-                let fa = ci a and fb = ci b in
-                let cmp : int -> int -> bool =
-                  match op with
-                  | Ir.Op.Eq -> fun x y -> x = y
-                  | Ir.Op.Ne -> fun x y -> x <> y
-                  | Ir.Op.Lt -> fun x y -> x < y
-                  | Ir.Op.Le -> fun x y -> x <= y
-                  | Ir.Op.Gt -> fun x y -> x > y
-                  | Ir.Op.Ge -> fun x y -> x >= y
-                  | Ir.Op.Feq | Ir.Op.Fne | Ir.Op.Flt | Ir.Op.Fle
-                  | Ir.Op.Fgt | Ir.Op.Fge ->
-                    assert false
-                in
-                fun fr ->
-                  let bv = fb fr in
-                  let av = fa fr in
-                  set fr (if cmp av bv then 1 else 0)
-            | Ir.Instr.Select (r, c, a, b) ->
-              let fc = ci c in
-              if is_float_op (ri_of r).rty then
-                let fa = cf a and fb = cf b and set = setf r in
-                fun fr -> set fr (if fc fr <> 0 then fa fr else fb fr)
-              else
-                let fa = ci a and fb = ci b and set = seti r in
-                fun fr -> set fr (if fc fr <> 0 then fa fr else fb fr)
-            | Ir.Instr.Load (r, m) ->
-              let base = m.Ir.Instr.base in
-              let fi = ci m.Ir.Instr.index in
-              let tch = touch base in
-              (match Memory.int_cells cx.cx_mem base with
-               | Some arr ->
-                 let n = Array.length arr in
-                 let set = seti r in
-                 (match m.Ir.Instr.index with
-                  | Ir.Instr.Imm_int k when k >= 0 && k < n ->
-                    (* Bounds discharged at compile time. *)
-                    fun fr ->
-                      tch k;
-                      set fr (Array.unsafe_get arr k)
-                  | _ ->
-                    fun fr ->
-                      let idx = fi fr in
-                      tch idx;
-                      if idx < 0 || idx >= n then raise (oob base n idx);
-                      set fr (Array.unsafe_get arr idx))
-               | None ->
-                 let arr = Option.get (Memory.float_cells cx.cx_mem base) in
-                 let n = Array.length arr in
-                 let set = setf r in
-                 (match m.Ir.Instr.index with
-                  | Ir.Instr.Imm_int k when k >= 0 && k < n ->
-                    fun fr ->
-                      tch k;
-                      set fr (Array.unsafe_get arr k)
-                  | _ ->
-                    fun fr ->
-                      let idx = fi fr in
-                      tch idx;
-                      if idx < 0 || idx >= n then raise (oob base n idx);
-                      set fr (Array.unsafe_get arr idx)))
-            | Ir.Instr.Store (m, v) ->
-              let base = m.Ir.Instr.base in
-              let fi = ci m.Ir.Instr.index in
-              let tch = touch base in
-              (match Memory.int_cells cx.cx_mem base with
-               | Some arr ->
-                 let n = Array.length arr in
-                 let fv = ci v in
-                 (match m.Ir.Instr.index with
-                  | Ir.Instr.Imm_int k when k >= 0 && k < n ->
-                    fun fr ->
-                      tch k;
-                      Array.unsafe_set arr k (fv fr)
-                  | _ ->
-                    fun fr ->
-                      let idx = fi fr in
-                      tch idx;
-                      (* The reference engine evaluates the stored value
-                         before Memory.store bounds-checks the index. *)
-                      let x = fv fr in
-                      if idx < 0 || idx >= n then raise (oob base n idx);
-                      Array.unsafe_set arr idx x)
-               | None ->
-                 let arr = Option.get (Memory.float_cells cx.cx_mem base) in
-                 let n = Array.length arr in
-                 let fv = cf v in
-                 (match m.Ir.Instr.index with
-                  | Ir.Instr.Imm_int k when k >= 0 && k < n ->
-                    fun fr ->
-                      tch k;
-                      Array.unsafe_set arr k (fv fr)
-                  | _ ->
-                    fun fr ->
-                      let idx = fi fr in
-                      tch idx;
-                      let x = fv fr in
-                      if idx < 0 || idx >= n then raise (oob base n idx);
-                      Array.unsafe_set arr idx x))
-            | Ir.Instr.Call (dest, callee, args) ->
-              let csf = Hashtbl.find sfuncs callee in
-              let cfm = Hashtbl.find pm.pm_funcs callee in
-              (* One transfer closure per argument, applied caller-frame
-                 to callee-frame in argument order (the reference
-                 engine's List.map evaluates left to right). *)
-              let trans =
-                Array.of_list
-                  (List.map2
-                     (fun (p : Ir.Instr.reg) (a : Ir.Instr.operand) ->
-                       let pri = Hashtbl.find cfm.fm_regs p.Ir.Instr.id in
-                       let pb = pri.bidx and pu = pri.uid in
-                       if is_float_op pri.rty then
-                         let fa = cf a in
-                         fun caller callee_fr ->
-                           Array.unsafe_set callee_fr.flts pb (fa caller);
-                           Bytes.unsafe_set callee_fr.def pu '\001'
-                       else
-                         let fa = ci a in
-                         fun caller callee_fr ->
-                           Array.unsafe_set callee_fr.ints pb (fa caller);
-                           Bytes.unsafe_set callee_fr.def pu '\001')
-                     cfm.fm_func.Ir.Func.params args)
-              in
-              let nargs = Array.length trans in
-              let call fr =
-                let cfr = new_frame csf in
-                for i = 0 to nargs - 1 do
-                  (Array.unsafe_get trans i) fr cfr
-                done;
-                exec_sfunc cx csf cfr;
-                cfr
-              in
-              (match dest with
-               | None -> fun fr -> ignore (call fr : frame)
-               | Some r ->
-                 (match csf.sf_ret with
-                  | R_float ->
-                    let set = setf r in
-                    fun fr -> set fr (call fr).retf
-                  | R_int | R_bool ->
-                    let set = seti r in
-                    fun fr -> set fr (call fr).reti
-                  | R_void -> assert false (* ruled out by analysis *)))
-          in
-          let code =
-            List.map
+                (match dest with
+                 | None -> fun fr -> ignore (call fr : frame)
+                 | Some r ->
+                   let d = dst r in
+                   (match csf.sf_ret with
+                    | R_float ->
+                      fun fr -> Array.unsafe_set fr.flts d (call fr).retf
+                    | R_int | R_bool ->
+                      fun fr -> Array.unsafe_set fr.ints d (call fr).reti
+                    | R_void -> assert false (* ruled out by analysis *)))
+            in
+            List.iter
               (fun i ->
-                let c = compile_instr i in
+                emit (compile_instr i);
                 (* Advance the defined set past this instruction for the
                    operands compiled after it. *)
-                (match Ir.Instr.def i with
-                 | Some r -> defined.((ri_of r).uid) <- true
-                 | None -> ());
-                c)
-              b.Ir.Block.instrs
+                match Ir.Instr.def i with
+                | Some r ->
+                  let uid = (ri_of r).uid in
+                  defined.(uid) <- true;
+                  defs := uid :: !defs
+                | None -> ())
+              b.Ir.Block.instrs;
+            let edge dst =
+              { e_target = Hashtbl.find blocks dst;
+                e_src = b.Ir.Block.label;
+                e_dst = dst;
+                e_cnt = None }
+            in
+            (* A terminator's check joins the block's code, so it runs
+               after the instructions and before the edge is counted. *)
+            sb.sb_term <-
+              (match b.Ir.Block.term with
+               | Ir.Instr.Jump l -> S_jump (edge l)
+               | Ir.Instr.Branch (c, t, fl) ->
+                 let c = slot c in
+                 S_branch (c, edge t, edge fl)
+               | Ir.Instr.Return None -> S_ret_void
+               | Ir.Instr.Return (Some o) ->
+                 let s = slot o in
+                 (match fm.fm_ret with
+                  | R_float -> S_ret_float s
+                  | R_int -> S_ret_int s
+                  | R_bool -> S_ret_bool s
+                  | R_void -> assert false));
+            sb.sb_code <- Array.of_list (List.rev !code);
+            all_blocks := sb :: !all_blocks;
+            sb, !defs)
+          f.Ir.Func.blocks
+      in
+      (* Def bytes to keep, now that every read has been compiled. *)
+      let stamp = Array.make fm.fm_nregs (-1) in
+      List.iteri
+        (fun k (sb, defs) ->
+          let keep =
+            List.fold_left
+              (fun acc u ->
+                if (observed || checked.(u)) && stamp.(u) <> k then (
+                  stamp.(u) <- k;
+                  u :: acc)
+                else acc)
+              [] defs
           in
-          sb.sb_code <- Array.of_list code;
-          let edge dst =
-            { e_target = Hashtbl.find blocks dst;
-              e_src = b.Ir.Block.label;
-              e_dst = dst;
-              e_cnt = None }
-          in
-          sb.sb_term <-
-            (match b.Ir.Block.term with
-             | Ir.Instr.Jump l -> S_jump (edge l)
-             | Ir.Instr.Branch (c, t, fl) ->
-               S_branch (ci c, edge t, edge fl)
-             | Ir.Instr.Return None -> S_ret_void
-             | Ir.Instr.Return (Some o) ->
-               (match fm.fm_ret with
-                | R_float -> S_ret_float (cf o)
-                | R_int -> S_ret_int (ci o)
-                | R_bool -> S_ret_bool (ci o)
-                | R_void -> assert false)))
-        f.Ir.Func.blocks;
+          sb.sb_defs <- Array.of_list keep)
+        block_defs;
+      let ints0 = Array.make (fm.fm_nints + Hashtbl.length int_consts) 0 in
+      Hashtbl.iter (fun n s -> ints0.(s) <- n) int_consts;
+      let flts0 = Array.make (fm.fm_nflts + Hashtbl.length flt_consts) 0.0 in
+      Hashtbl.iter
+        (fun bits s -> flts0.(s) <- Int64.float_of_bits bits)
+        flt_consts;
+      sf.sf_ints0 <- ints0;
+      sf.sf_flts0 <- flts0;
       sf.sf_entry <-
         Hashtbl.find blocks (Ir.Func.entry f).Ir.Block.label)
     pm.pm_funcs;
-  sfuncs
+  sfuncs, !all_blocks
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                        *)
@@ -960,11 +1063,11 @@ let run ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
     in
     let cx =
       { cx_profile = profile;
-        cx_fuel = ref fuel;
+        cx_fuel = fuel;
         cx_observer = observer;
         cx_mem = memory }
     in
-    let sfuncs = codegen pm cx cache in
+    let sfuncs, blocks = codegen pm cx cache in
     let main = Hashtbl.find sfuncs p.Ir.Program.main in
     let return_value =
       Obs.Trace.span ~cat:"sim" "sim.interp" (fun () ->
@@ -980,6 +1083,17 @@ let run ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
           | Value.Type_error m -> raise (Runtime_error ("type error: " ^ m))
           | Memory.Fault m -> raise (Runtime_error ("memory fault: " ^ m)))
     in
+    (* The run completed: its totals are each block's executions times
+       its static cost, the same integers the reference engine adds up
+       block by block. *)
+    List.iter
+      (fun sb ->
+        match sb.sb_cnt with
+        | Some r ->
+          Profile.add_cycles profile (!r * sb.sb_cycles);
+          Profile.add_instrs profile (!r * sb.sb_ninstrs)
+        | None -> ())
+      blocks;
     Profile.publish_metrics profile;
     { return_value; memory; profile;
       cache_stats = Option.map Cache.stats cache }

@@ -1,7 +1,8 @@
 (** The staged (closure-compiled) interpreter engine: blocks are
-    pre-compiled into flat arrays of instruction closures over typed,
-    integer-indexed register banks — no per-instruction match dispatch
-    and no allocation on the hot path. Semantics are differentially
+    pre-compiled into flat arrays of instruction closures, one per
+    instruction, that read and write typed, integer-indexed register
+    banks directly — no per-instruction match dispatch and no boxed
+    float; allocation is per call and per run, not per instruction. Semantics are differentially
     tested against {!Interp_reference} (test/test_interp_diff.ml);
     programs that fail the static cleanliness analysis fall back to the
     reference engine wholesale. Use {!Interp.run} (which dispatches on

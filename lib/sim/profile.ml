@@ -125,43 +125,29 @@ let region_entries (f : Ir.Func.t) t (r : An.Region.t) =
         acc + edge_exec t ~func:f.Ir.Func.name ~src:p ~dst:r.An.Region.entry)
       0 outside
 
-(* Average trip count of a loop: body entries per loop entry. *)
-let avg_trip (f : Ir.Func.t) t (l : An.Loops.loop) =
-  let func = f.Ir.Func.name in
-  let back =
-    List.fold_left
-      (fun acc latch ->
-        acc + edge_exec t ~func ~src:latch ~dst:l.An.Loops.header)
-      0 l.An.Loops.latches
-  in
-  let preds = Ir.Func.preds f in
-  let entries =
-    List.fold_left
-      (fun acc p ->
-        if An.Loops.String_set.mem p l.An.Loops.blocks then acc
-        else acc + edge_exec t ~func ~src:p ~dst:l.An.Loops.header)
-      0
-      (try Hashtbl.find preds l.An.Loops.header with Not_found -> [])
-  in
+(* Average trip count of a loop: body iterations per loop entry.
+   [entries] is the number of entries into the loop from outside it and
+   [header] the loop's header block. *)
+let avg_trip t ~func ~(header : Ir.Block.t) ~entries (l : An.Loops.loop) =
   if entries = 0 then 0.0
   else
-    (* Header executions per entry = trips + 1 for rotated-exit loops; we
-       count body iterations via back edges + the first body entry. *)
-    let header_execs = block_exec t ~func ~label:l.An.Loops.header in
-    let _ = header_execs in
-    let body_iters = back + entries in
-    (* back edges give iterations after the first; loops whose body never
-       runs (zero-trip) contribute an entry but no back edge. Iterations =
-       header->body edge executions. *)
+    let hl = header.Ir.Block.label in
+    (* Iterations are header->body edge executions. Back edges count
+       the iterations after the first; they, plus one per entry, stand
+       in when no header->body edge ran. *)
     let body_edges =
-      let header_block = Ir.Func.block_exn f l.An.Loops.header in
       List.fold_left
         (fun acc s ->
           if An.Loops.String_set.mem s l.An.Loops.blocks then
-            acc + edge_exec t ~func ~src:l.An.Loops.header ~dst:s
+            acc + edge_exec t ~func ~src:hl ~dst:s
           else acc)
-        0
-        (Ir.Block.succs header_block)
+        0 (Ir.Block.succs header)
     in
-    let iters = if body_edges > 0 then body_edges else body_iters in
+    let iters =
+      if body_edges > 0 then body_edges
+      else
+        List.fold_left
+          (fun acc latch -> acc + edge_exec t ~func ~src:latch ~dst:hl)
+          entries l.An.Loops.latches
+    in
     float_of_int iters /. float_of_int entries

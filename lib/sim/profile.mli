@@ -58,5 +58,13 @@ val region_cycles : Cayman_ir.Func.t -> t -> Cayman_analysis.Region.t -> int
 (** Executions of the region (entries from outside). *)
 val region_entries : Cayman_ir.Func.t -> t -> Cayman_analysis.Region.t -> int
 
-(** Average body iterations per loop entry. *)
-val avg_trip : Cayman_ir.Func.t -> t -> Cayman_analysis.Loops.loop -> float
+(** Average body iterations per loop entry, for the loop with header
+    block [header] in function [func] that was entered [entries] times
+    from outside ([0.0] when it never was). *)
+val avg_trip :
+  t ->
+  func:string ->
+  header:Cayman_ir.Block.t ->
+  entries:int ->
+  Cayman_analysis.Loops.loop ->
+  float

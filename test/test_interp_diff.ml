@@ -457,28 +457,29 @@ let fuel_needed (p : Ir.Program.t) (profile : Sim.Profile.t) =
   in
   Sim.Profile.total_instrs profile + block_entries
 
+let fuel_boundary_holds (p : Ir.Program.t) =
+  match Sim.Interp.run ~engine:Sim.Interp.Reference p with
+  | exception (Sim.Interp.Runtime_error _ | Sim.Interp.Out_of_fuel) ->
+    true (* aborting programs are covered by the other properties *)
+  | res ->
+    let n = fuel_needed p res.Sim.Interp.profile in
+    let at fuel engine =
+      match Sim.Interp.run ~engine ~fuel p with
+      | _ -> `Done
+      | exception Sim.Interp.Out_of_fuel -> `Fuel
+    in
+    if at (n - 1) Sim.Interp.Reference <> `Fuel then
+      QCheck.Test.fail_reportf "reference: fuel %d did not exhaust" (n - 1);
+    if at n Sim.Interp.Reference <> `Done then
+      QCheck.Test.fail_reportf "reference: fuel %d did not complete" n;
+    List.for_all
+      (fun fuel -> diff_check ~observe:false ~fuel p)
+      [ n - 1; n; n + 1 ]
+
 let test_fuel_boundary =
   Testutil.qtest ~count:150 "Out_of_fuel boundary is engine-independent"
     arb_typed_program
-    (fun f ->
-      let p = wrap_typed_func f in
-      match Sim.Interp.run ~engine:Sim.Interp.Reference p with
-      | exception (Sim.Interp.Runtime_error _ | Sim.Interp.Out_of_fuel) ->
-        true (* aborting programs are covered by the other properties *)
-      | res ->
-        let n = fuel_needed p res.Sim.Interp.profile in
-        let at fuel engine =
-          match Sim.Interp.run ~engine ~fuel p with
-          | _ -> `Done
-          | exception Sim.Interp.Out_of_fuel -> `Fuel
-        in
-        if at (n - 1) Sim.Interp.Reference <> `Fuel then
-          QCheck.Test.fail_reportf "reference: fuel %d did not exhaust" (n - 1);
-        if at n Sim.Interp.Reference <> `Done then
-          QCheck.Test.fail_reportf "reference: fuel %d did not complete" n;
-        List.for_all
-          (fun fuel -> diff_check ~observe:false ~fuel p)
-          [ n - 1; n; n + 1 ])
+    (fun f -> fuel_boundary_holds (wrap_typed_func f))
 
 (* ------------------------------------------------------------------ *)
 (* Targeted parity cases                                               *)
@@ -546,6 +547,200 @@ let test_error_messages () =
             Ir.Instr.Reg u1) ]
        (Ir.Instr.Return (Some (Ir.Instr.Imm_int 0))))
     "uninitialized register %u1 in main"
+
+(* ------------------------------------------------------------------ *)
+(* Specialised instruction shapes                                      *)
+(* ------------------------------------------------------------------ *)
+
+let block label instrs term = Ir.Block.v ~label ~instrs ~term
+let reg_op r = Ir.Instr.Reg r
+let imm n = Ir.Instr.Imm_int n
+
+let typed_globals =
+  [ { Ir.Program.gname = "A"; elem = Ir.Types.F32; dims = [ 8 ] };
+    { Ir.Program.gname = "B"; elem = Ir.Types.F32; dims = [ 8 ] };
+    { Ir.Program.gname = "N"; elem = Ir.Types.I32; dims = [ 8 ] } ]
+
+(* A loop whose every read is proven defined, so each instruction takes
+   its register/register or register/immediate closure: float and int
+   loads and stores indexed by a register, float and int arithmetic, a
+   float compare feeding a float select, and a branch on a register. *)
+let spec_kernel =
+  let k = kreg and n0 = ireg 0 and n1 = ireg 1 and n2 = ireg 2 in
+  let f0 = freg 0 and f1 = freg 1 and f2 = freg 2 and f3 = freg 3 in
+  let c0 = breg 0 and c1 = breg 1 in
+  let at base = { Ir.Instr.base; index = reg_op k } in
+  Ir.Program.v ~globals:typed_globals
+    ~funcs:
+      [ Ir.Func.v ~name:"main" ~params:[] ~ret:(Some Ir.Types.I32)
+          ~blocks:
+            [ block "entry"
+                [ Ir.Instr.Assign (k, imm 0);
+                  Ir.Instr.Assign (f0, Ir.Instr.Imm_float 0.5);
+                  Ir.Instr.Assign (n0, imm 3) ]
+                (Ir.Instr.Jump "head");
+              block "head"
+                [ Ir.Instr.Compare (c0, Ir.Op.Lt, reg_op k, imm 8) ]
+                (Ir.Instr.Branch (reg_op c0, "body", "exit"));
+              block "body"
+                [ Ir.Instr.Load (f1, at "A");
+                  Ir.Instr.Binary
+                    (f2, Ir.Op.Fmul, reg_op f1, Ir.Instr.Imm_float 2.0);
+                  Ir.Instr.Binary (f3, Ir.Op.Fadd, reg_op f2, reg_op f0);
+                  Ir.Instr.Store (at "B", reg_op f3);
+                  Ir.Instr.Store (at "A", reg_op f3);
+                  Ir.Instr.Load (n1, at "N");
+                  Ir.Instr.Binary (n2, Ir.Op.Mul, reg_op n1, reg_op k);
+                  Ir.Instr.Binary (n2, Ir.Op.Add, reg_op n2, imm 7);
+                  Ir.Instr.Store (at "N", reg_op n2);
+                  Ir.Instr.Compare (c1, Ir.Op.Flt, reg_op f3, reg_op f0);
+                  Ir.Instr.Select (f0, reg_op c1, reg_op f3, reg_op f2);
+                  Ir.Instr.Binary (n0, Ir.Op.Rem, reg_op n0, reg_op n2);
+                  Ir.Instr.Binary (k, Ir.Op.Add, reg_op k, imm 1) ]
+                (Ir.Instr.Jump "head");
+              block "exit" [] (Ir.Instr.Return (Some (reg_op n0))) ] ]
+    ~main:"main"
+
+let alco_fail msg = Alcotest.fail msg
+
+(* Out-of-bounds accesses whose index is a proven register fault with
+   the reference engine's exact message, loads and stores, int and
+   float arrays, below and above the bounds. *)
+let test_proven_index_faults () =
+  let n1 = ireg 1 in
+  let at base = { Ir.Instr.base; index = reg_op n1 } in
+  let case name idx instr expected =
+    expect_error name
+      (straight ~globals:typed_globals
+         [ Ir.Instr.Assign (n1, imm idx); instr ]
+         (Ir.Instr.Return (Some (imm 0))))
+      expected
+  in
+  case "int load past end" 8 (Ir.Instr.Load (ireg 0, at "N"))
+    "memory fault: index 8 out of bounds for N[8]";
+  case "int store below start" (-1) (Ir.Instr.Store (at "N", imm 5))
+    "memory fault: index -1 out of bounds for N[8]";
+  case "float load below start" (-1) (Ir.Instr.Load (freg 0, at "A"))
+    "memory fault: index -1 out of bounds for A[8]";
+  case "float store past end" 9
+    (Ir.Instr.Store (at "B", Ir.Instr.Imm_float 1.0))
+    "memory fault: index 9 out of bounds for B[8]"
+
+(* [n1] is defined on the [then] path only and read at the join, so the
+   read keeps its def-byte check and [then] must keep writing the def
+   byte even though the run has no observer. *)
+let one_path_def taken =
+  let n0 = ireg 0 and n1 = ireg 1 and n2 = ireg 2 and c0 = breg 0 in
+  Ir.Program.v ~globals:typed_globals
+    ~funcs:
+      [ Ir.Func.v ~name:"main" ~params:[] ~ret:(Some Ir.Types.I32)
+          ~blocks:
+            [ block "entry"
+                [ Ir.Instr.Assign (n0, imm (if taken then 1 else 9));
+                  Ir.Instr.Compare (c0, Ir.Op.Lt, reg_op n0, imm 5) ]
+                (Ir.Instr.Branch (reg_op c0, "then", "else"));
+              block "then"
+                [ Ir.Instr.Assign (n1, imm 7) ]
+                (Ir.Instr.Jump "join");
+              block "else" [] (Ir.Instr.Jump "join");
+              block "join"
+                [ Ir.Instr.Binary (n2, Ir.Op.Add, reg_op n1, reg_op n0) ]
+                (Ir.Instr.Return (Some (reg_op n2))) ] ]
+    ~main:"main"
+
+let test_one_path_def () =
+  List.iter
+    (fun observe ->
+      List.iter
+        (fun taken ->
+          let p = one_path_def taken in
+          check_outcomes alco_fail p
+            (run_one ~observe Sim.Interp.Reference p)
+            (run_one ~observe Sim.Interp.Staged p))
+        [ true; false ])
+    [ false; true ];
+  (match Sim.Interp.run ~engine:Sim.Interp.Staged (one_path_def true) with
+   | { Sim.Interp.return_value = Some (Sim.Value.Vint 8); _ } -> ()
+   | _ -> Alcotest.fail "defined path must return 8");
+  expect_error "read of a one-path definition" (one_path_def false)
+    "uninitialized register %n1 in main"
+
+(* With no observer every def byte of [spec_kernel] is elided (all its
+   reads are proven); an observed run must still see every register the
+   reference engine sees, at every block entry and return. *)
+let test_observed_elided_defs () =
+  let p = spec_kernel in
+  let r = run_one ~observe:true Sim.Interp.Reference p in
+  let s = run_one ~observe:true Sim.Interp.Staged p in
+  check_outcomes alco_fail p r s;
+  let defined_reads =
+    List.fold_left
+      (fun acc ev ->
+        match ev with
+        | E_block (_, _, reads) | E_return (_, _, reads) ->
+          acc + List.length (List.filter (fun (_, v) -> v <> None) reads))
+      0 s.o_events
+  in
+  if defined_reads = 0 then Alcotest.fail "observer saw no defined register"
+
+let test_spec_cache () =
+  let p = spec_kernel in
+  let r = run_one ~cache_config:Sim.Cache.default_l1 Sim.Interp.Reference p in
+  let s = run_one ~cache_config:Sim.Cache.default_l1 Sim.Interp.Staged p in
+  check_outcomes alco_fail p r s;
+  match s.o_cache with
+  | Some st when st.Sim.Cache.accesses > 0 -> ()
+  | Some _ | None -> Alcotest.fail "expected cache accesses"
+
+let test_spec_fuel_boundary () =
+  (match Sim.Interp.run ~engine:Sim.Interp.Reference spec_kernel with
+   | _ -> ()
+   | exception e ->
+     Alcotest.failf "kernel must complete: %s" (Printexc.to_string e));
+  Alcotest.(check bool) "boundary holds" true (fuel_boundary_holds spec_kernel)
+
+(* The staged hot path allocates nothing per instruction: a call-free
+   kernel with int and float arithmetic and float loads and stores
+   allocates the same minor words, up to a small constant, whether its
+   outer loop runs [reps] or [4 * reps] times. *)
+let alloc_kernel reps =
+  Cayman_frontend.Lower.compile
+    (Printf.sprintf
+       {|const int M = 64;
+         const int R = %d;
+         float a[M]; float b[M];
+         int main() {
+           int s = 0;
+           for (int r = 0; r < R; r++) {
+             for (int i = 0; i < M; i++) {
+               a[i] = a[i] * 0.5 + b[i] + (float)i;
+               b[i] = a[i] - 1.0;
+               s = s + i * 3;
+             }
+           }
+           return s;
+         }|}
+       reps)
+
+let staged_minor_words p =
+  (match Cayman_sim.Interp_staged.analyze p with
+   | Some _ -> ()
+   | None -> Alcotest.fail "alloc kernel fails the staged analysis");
+  let before = Gc.minor_words () in
+  ignore (Sim.Interp.run ~engine:Sim.Interp.Staged p : Sim.Interp.result);
+  Gc.minor_words () -. before
+
+let test_hot_path_no_alloc () =
+  let small = alloc_kernel 50 and large = alloc_kernel 200 in
+  ignore (staged_minor_words small : float);
+  let w_small = staged_minor_words small in
+  let w_large = staged_minor_words large in
+  let growth = w_large -. w_small in
+  if growth > 256.0 then
+    Alcotest.failf
+      "staged run allocates per instruction: %.0f minor words at R=50, %.0f \
+       at R=200"
+      w_small w_large
 
 (* ------------------------------------------------------------------ *)
 (* 28-benchmark suite parity + fast-path sanity                        *)
@@ -669,6 +864,18 @@ let tests =
     test_fuel_boundary;
     Alcotest.test_case "exact error-message parity" `Quick
       test_error_messages;
+    Alcotest.test_case "proven-index bounds faults" `Quick
+      test_proven_index_faults;
+    Alcotest.test_case "one-path definition keeps def bytes" `Quick
+      test_one_path_def;
+    Alcotest.test_case "observed run sees elided def bytes" `Quick
+      test_observed_elided_defs;
+    Alcotest.test_case "cache stats on specialised paths" `Quick
+      test_spec_cache;
+    Alcotest.test_case "fuel boundary on specialised paths" `Quick
+      test_spec_fuel_boundary;
+    Alcotest.test_case "hot path does not allocate" `Quick
+      test_hot_path_no_alloc;
     Alcotest.test_case "28-benchmark suite parity" `Quick test_suite_parity;
     Alcotest.test_case "fig6 observer-stream parity" `Quick
       test_fig6_observer_parity;

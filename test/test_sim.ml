@@ -73,8 +73,13 @@ let test_profile_counts () =
   let header = l.An.Loops.header in
   Alcotest.(check int) "header executes N+1 times" 14
     (Sim.Profile.block_exec profile ~func:"main" ~label:header);
+  let entries =
+    Cayman_hls.Ctx.loop_entries (Testutil.func_ctx program res "main") l
+  in
+  Alcotest.(check int) "loop entered once" 1 entries;
   Alcotest.(check (float 0.01)) "avg trip" 13.0
-    (Sim.Profile.avg_trip f profile l);
+    (Sim.Profile.avg_trip profile ~func:"main"
+       ~header:(Ir.Func.block_exn f header) ~entries l);
   Alcotest.(check int) "main called once" 1
     (Sim.Profile.func_calls profile "main")
 
