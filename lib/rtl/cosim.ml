@@ -9,15 +9,17 @@ module Interp = Cayman_sim.Interp
    interpreter, with the RTL netlist simulator replayed against it at
    every kernel-region entry.
 
-   When the golden execution reaches a kernel's region entry, we
-   snapshot its live registers and memory and run {!Sim.run} on the
-   netlist from that state. When the golden execution next leaves the
-   region (first block outside it, or the function's return), the two
-   worlds are compared exactly: architectural registers the golden model
-   holds at the exit, the full memory image, the dynamic exit edge, and
-   the return value if the region returned. Kernel regions contain no
-   calls (unsynthesizable otherwise), so every golden observation
-   between entry and exit belongs to the same invocation.
+   Each kernel's netlist is compiled once ({!Sim.compile}). When the
+   golden execution reaches a kernel's region entry, we execute it from
+   the live registers and memory: the arrays in the kernel's write set
+   are private copies refilled from the golden memory, every other array
+   is the golden one. When the golden execution next leaves the region
+   (first block outside it, or the function's return), the two worlds
+   are compared exactly: architectural registers the golden model holds
+   at the exit, the write set's arrays, the dynamic exit edge, and the
+   return value if the region returned. Kernel regions contain no calls
+   (unsynthesizable otherwise), so every golden observation between
+   entry and exit belongs to the same invocation.
 
    Simulated cycles accumulate across invocations and are compared to
    {!Hls.Kernel.estimate}'s [accel_cycles] under a documented tolerance:
@@ -113,11 +115,36 @@ type spec = {
   k_config : Hls.Kernel.config;
 }
 
+(* A co-simulation harness invariant was violated: a bug in this
+   module, not a netlist/golden-model mismatch (those are reported). *)
+exception Internal_error of string
+
+(* Arrays the golden execution of a region can store to. The region has
+   no calls, so between its entry and exit the golden run executes
+   these blocks only. *)
+let region_stores (ctx : Hls.Ctx.t) (region : An.Region.t) =
+  List.concat_map
+    (fun (b : Ir.Block.t) ->
+      if An.Region.String_set.mem b.Ir.Block.label region.An.Region.blocks
+      then
+        List.filter_map
+          (fun (i : Ir.Instr.t) ->
+            match i with
+            | Ir.Instr.Store (m, _) -> Some m.Ir.Instr.base
+            | Ir.Instr.Assign _ | Ir.Instr.Unary _ | Ir.Instr.Binary _
+            | Ir.Instr.Compare _ | Ir.Instr.Select _ | Ir.Instr.Load _
+            | Ir.Instr.Call _ ->
+              None)
+          b.Ir.Block.instrs
+      else [])
+    ctx.Hls.Ctx.func.Ir.Func.blocks
+
 (* per-kernel live state during the observed run *)
 type kstate = {
   ks_spec : spec;
-  ks_nl : Hls.Netlist.structure;
-  ks_fault : Sim.fault option;  (* injected register fault, if any *)
+  ks_sim : Sim.compiled;  (* the netlist, with its injected fault if any *)
+  ks_writes : string list;  (* sorted: every array an invocation can change *)
+  ks_shadow : Memory.shadow;  (* private copies of [ks_writes] *)
   ks_func : string;
   ks_name : string;
   mutable ks_pending : (Sim.outcome, string) result option;
@@ -188,25 +215,27 @@ let resolve ks (read : string -> Value.t option) (golden_mem : Memory.t) how =
                note ks "register" "%%%s: golden %s, netlist %s" rid
                  (value_str gv) (value_str sv))
          o.Sim.o_regs;
-       (* memory: exact, array by array *)
+       (* memory: exact, array by array; every other array is shared
+          by the two worlds *)
        List.iter
          (fun (base, detail) -> note ks "memory" "%s: %s" base detail)
-         (Memory.diff golden_mem o.Sim.o_mem))
+         (Memory.diff ~bases:ks.ks_writes golden_mem o.Sim.o_mem))
 
-let enter ks max_invocations max_cycles (read : string -> Value.t option)
+(* The netlist runs to completion here, before the golden run moves
+   on, so it may read every array it does not write straight from the
+   golden memory. *)
+let enter ks max_invocations (read : string -> Value.t option)
     (mem : Memory.t) =
   ks.ks_inv <- ks.ks_inv + 1;
   match max_invocations with
   | Some cap when ks.ks_sim_inv >= cap -> ks.ks_capped <- true
   | Some _ | None ->
     ks.ks_sim_inv <- ks.ks_sim_inv + 1;
-    let shadow = Memory.snapshot mem in
     ks.ks_pending <-
       Some
         (try
            let o =
-             Sim.run ?max_cycles ?fault:ks.ks_fault ks.ks_spec.k_ctx
-               ks.ks_nl ~env:read ~mem:shadow
+             Sim.exec ks.ks_sim ~env:read ~mem:(Memory.view ks.ks_shadow mem)
            in
            if o.Sim.o_fault_fired then ks.ks_fault_fired <- true;
            Ok o
@@ -215,10 +244,6 @@ let enter ks max_invocations max_cycles (read : string -> Value.t option)
         | Interp.Runtime_error m -> Error ("Runtime_error: " ^ m)
         | Memory.Fault m -> Error ("memory fault: " ^ m)
         | Value.Type_error m -> Error ("type error: " ^ m))
-
-(* A co-simulation harness invariant was violated: a bug in this
-   module, not a netlist/golden-model mismatch (those are reported). *)
-exception Internal_error of string
 
 let m_runs = Obs.Metrics.counter "rtl.cosim_runs"
 let m_kernels = Obs.Metrics.counter "rtl.cosim_kernels"
@@ -268,9 +293,28 @@ let run_many_uncached ?fuel ?(tolerance = default_tolerance) ?max_invocations
                     func
                     (An.Region.name spec.k_region)))
         in
+        let sim = Sim.compile ?max_cycles ?fault:sim_fault spec.k_ctx nl in
+        (* An invocation can change only what the netlist writes and
+           what the golden region writes; every other array is equal in
+           both worlds at the exit, so it is neither copied nor
+           compared. *)
+        let writes =
+          List.sort_uniq String.compare
+            (Sim.writes sim @ region_stores spec.k_ctx spec.k_region)
+        in
+        List.iter
+          (fun base ->
+            if not (List.mem base writes) then
+              raise
+                (Internal_error
+                   (Printf.sprintf
+                      "rtl.cosim: %s stores to %s outside its write set" func
+                      base)))
+          (Sim.writes sim);
         { ks_spec = spec;
-          ks_nl = nl;
-          ks_fault = sim_fault;
+          ks_sim = sim;
+          ks_writes = writes;
+          ks_shadow = Memory.shadow writes;
           ks_func = func;
           ks_name = func ^ "/" ^ An.Region.name spec.k_region;
           ks_pending = None;
@@ -299,7 +343,7 @@ let run_many_uncached ?fuel ?(tolerance = default_tolerance) ?max_invocations
                 if
                   String.equal label ks.ks_spec.k_region.An.Region.entry
                   && ks.ks_pending = None
-                then enter ks max_invocations max_cycles read mem
+                then enter ks max_invocations read mem
               end)
             kstates);
       Interp.obs_return =

@@ -2,9 +2,11 @@
     interpreter.
 
     One observed interpreter run of the whole program; at every dynamic
-    entry of a kernel's region the netlist simulator ({!Sim}) is replayed
-    from the same state, and at the region's dynamic exit the two are
-    compared exactly — architectural registers, the full memory image,
+    entry of a kernel's region the netlist simulator ({!Sim}, compiled
+    once per kernel per call) is replayed from the same state, and at the
+    region's dynamic exit the two are compared exactly — architectural
+    registers, every array the invocation can have changed (those the
+    netlist or the golden region stores to; no other array can differ),
     the exit edge, and the return value. Simulated cycles are summed
     across invocations and compared to the estimator's [accel_cycles]
     under {!tolerance}; functional equivalence is always exact. *)

@@ -64,14 +64,50 @@ type outcome = {
           invocation; always [false] without [?fault] *)
 }
 
-(** [run ctx nl ~env ~mem] simulates one invocation. [env] supplies the
+(** {1 Compiled netlists}
+
+    A structure is compiled once and then executed once per invocation.
+    Compiling resolves every register, wire, state, successor label,
+    commit and array base to a slot, so an invocation does no name
+    lookup beyond resolving each array base once. Malformed structure
+    is not rejected by {!compile}: each error is raised by {!exec} when
+    the FSM walk reaches it, with the same text, and a broken state the
+    walk never visits never fails. *)
+
+type compiled
+
+(** [compile ctx nl] stages [nl]'s FSM and datapath. [?max_cycles]
+    bounds every invocation (default 2e9); [?fault] injects a register
+    fault into every invocation (fault campaigns). The result holds
+    mutable banks reused by every {!exec}: it belongs to one caller and
+    must not be executed from two domains at once. *)
+val compile :
+  ?max_cycles:int ->
+  ?fault:fault ->
+  Cayman_hls.Ctx.t ->
+  Cayman_hls.Netlist.structure ->
+  compiled
+
+(** Sorted names of every array an invocation can write in the memory
+    handed to {!exec}: the bases of the datapath's stores and the
+    scratchpad arrays written back at S_DONE. *)
+val writes : compiled -> string list
+
+(** [exec c ~env ~mem] simulates one invocation. [env] supplies the
     incoming value of each live-in architectural register ([None] powers
     the register up at zero of its type); [mem] is mutated in place by
-    direct-interface stores and by the scratchpad write-back.
-    [?fault] injects a register fault for this invocation (fault
-    campaigns); the pristine path is untouched when absent.
+    direct-interface stores and by the scratchpad write-back; arrays
+    outside {!writes} are only read.
     @raise Rtl_error on simulation failure (never on a well-formed
     netlist driven with well-typed inputs). *)
+val exec :
+  compiled ->
+  env:(string -> Cayman_sim.Value.t option) ->
+  mem:Cayman_sim.Memory.t ->
+  outcome
+
+(** [run ctx nl ~env ~mem] is [exec (compile ctx nl) ~env ~mem]: one
+    invocation of a freshly compiled netlist. *)
 val run :
   ?max_cycles:int ->
   ?fault:fault ->

@@ -32,8 +32,10 @@ let bounds base idx n =
     raise
       (Fault (Printf.sprintf "index %d out of bounds for %s[%d]" idx base n))
 
-let load t ~base ~index =
-  match cell_exn t base with
+let find_cell t base = Hashtbl.find_opt t base
+
+let load_cell cell ~base ~index =
+  match cell with
   | Ints a ->
     bounds base index (Array.length a);
     Value.Vint a.(index)
@@ -41,8 +43,8 @@ let load t ~base ~index =
     bounds base index (Array.length a);
     Value.Vfloat a.(index)
 
-let store t ~base ~index v =
-  match cell_exn t base, v with
+let store_cell cell ~base ~index v =
+  match cell, v with
   | Ints a, Value.Vint n ->
     bounds base index (Array.length a);
     a.(index) <- n
@@ -53,6 +55,10 @@ let store t ~base ~index v =
     raise (Fault ("type mismatch storing to int array " ^ base))
   | Floats _, (Value.Vint _ | Value.Vbool _) ->
     raise (Fault ("type mismatch storing to float array " ^ base))
+
+let load t ~base ~index = load_cell (cell_exn t base) ~base ~index
+
+let store t ~base ~index v = store_cell (cell_exn t base) ~base ~index v
 
 let int_cells t base =
   match Hashtbl.find_opt t base with
@@ -73,15 +79,43 @@ let copy_cell = function
   | Ints a -> Ints (Array.copy a)
   | Floats a -> Floats (Array.copy a)
 
-let snapshot (t : t) : t =
-  let c = Hashtbl.create (Hashtbl.length t) in
-  Hashtbl.iter (fun base cell -> Hashtbl.replace c base (copy_cell cell)) t;
-  c
-
+(* In place when [dst] already holds an array of the same kind and
+   length, so a refilled shadow keeps its storage. *)
 let blit ~src ~dst base =
   match Hashtbl.find_opt src base with
   | None -> raise (Fault ("unknown array " ^ base))
-  | Some cell -> Hashtbl.replace dst base (copy_cell cell)
+  | Some cell ->
+    (match cell, Hashtbl.find_opt dst base with
+     | Ints s, Some (Ints d) when Array.length s = Array.length d ->
+       Array.blit s 0 d 0 (Array.length s)
+     | Floats s, Some (Floats d) when Array.length s = Array.length d ->
+       Array.blit s 0 d 0 (Array.length s)
+     | (Ints _ | Floats _), _ -> Hashtbl.replace dst base (copy_cell cell))
+
+type shadow = {
+  sh_bases : string list;
+  mutable sh_last : (t * t) option;  (* source, view *)
+}
+
+let shadow bases = { sh_bases = bases; sh_last = None }
+
+let view sh (src : t) : t =
+  match sh.sh_last with
+  | Some (last, v) when last == src ->
+    List.iter
+      (fun base -> if Hashtbl.mem src base then blit ~src ~dst:v base)
+      sh.sh_bases;
+    v
+  | Some _ | None ->
+    let v = Hashtbl.copy src in
+    List.iter
+      (fun base ->
+        match Hashtbl.find_opt src base with
+        | Some cell -> Hashtbl.replace v base (copy_cell cell)
+        | None -> ())
+      sh.sh_bases;
+    sh.sh_last <- Some (src, v);
+    v
 
 let cells_equal a b =
   match a, b with
@@ -92,10 +126,12 @@ let cells_equal a b =
   | (Ints _ | Floats _), _ -> false
 
 (* First differing element per mismatching array, for diagnostics. *)
-let diff (a : t) (b : t) =
+let diff ?bases (a : t) (b : t) =
   let bases =
-    Hashtbl.fold (fun base _ acc -> base :: acc) a []
-    |> List.sort String.compare
+    (match bases with
+     | None -> Hashtbl.fold (fun base _ acc -> base :: acc) a []
+     | Some bases -> List.filter (Hashtbl.mem a) bases)
+    |> List.sort_uniq String.compare
   in
   List.filter_map
     (fun base ->

@@ -190,7 +190,9 @@ let compile_ok src =
 
 (* Small invocation budget; each kernel co-simulated independently
    through the pool so the jobs=1 and jobs=4 schedules must agree
-   report-for-report. *)
+   report-for-report. Every configuration the DSE sweeps is covered:
+   the three interface modes, sequential and unroll 1/2/4/8 pipelined,
+   and decoupled-preferred. *)
 let qcheck_cosim_smoke =
   Testutil.qtest ~count:8
     "random-program co-simulation is exact and job-count independent"
@@ -200,15 +202,11 @@ let qcheck_cosim_smoke =
       | Ok program ->
         let a = Core.Cayman.analyze ~fuel:50_000_000 program in
         let program = a.Core.Cayman.program in
-        let cfg =
-          { Hls.Kernel.unroll = 1; pipeline = true;
-            mode = Hls.Kernel.Heuristic }
-        in
         let specs =
           List.map
             (fun (ctx, region, cfg, _) ->
               { Rtl.Cosim.k_ctx = ctx; k_region = region; k_config = cfg })
-            (netlists_of a [ cfg ])
+            (netlists_of a all_mode_configs)
         in
         (match specs with
          | [] -> true  (* nothing synthesizable: vacuous but legal *)
@@ -224,6 +222,178 @@ let qcheck_cosim_smoke =
            let r4 = run 4 in
            r1 = r4 && List.for_all Rtl.Cosim.functional_ok r1))
 
+(* --- netlist simulator error paths ---
+
+   Hand-damaged copies of the mac kernel's netlists, simulated directly.
+   Each error must carry its exact text, and it must be raised only
+   when the FSM walk reaches the damage. *)
+
+let mac_analyzed () =
+  Core.Cayman.analyze (Cayman_frontend.Lower.compile mac_src)
+
+(* The pipelined u1 heuristic netlist of one of the kernel's regions. *)
+let mac_netlist (a : Core.Cayman.analyzed) region_name =
+  let cfg =
+    { Hls.Kernel.unroll = 1; pipeline = true; mode = Hls.Kernel.Heuristic }
+  in
+  match
+    List.find_opt
+      (fun ((ctx : Hls.Ctx.t), r, _, _) ->
+        String.equal ctx.Hls.Ctx.func.Ir.Func.name "kernel"
+        && String.equal (An.Region.name r) region_name)
+      (netlists_of a [ cfg ])
+  with
+  | Some (ctx, _, _, nl) -> a.Core.Cayman.program, ctx, nl
+  | None -> Alcotest.failf "mac kernel region %s not synthesizable" region_name
+
+(* One invocation from power-up zeros on a fresh memory image. *)
+let sim_once ?max_cycles (program, ctx, nl) =
+  Rtl.Sim.run ?max_cycles ctx nl
+    ~env:(fun _ -> None)
+    ~mem:(Sim.Memory.create program)
+
+let expect_rtl_error name expected (program, ctx, nl) ?max_cycles () =
+  match sim_once ?max_cycles (program, ctx, nl) with
+  | _ -> Alcotest.failf "%s: simulation succeeded" name
+  | exception Rtl.Sim.Rtl_error m -> Alcotest.(check string) name expected m
+
+let test_sim_errors () =
+  let a = mac_analyzed () in
+  let program, ctx, whole = mac_netlist a "func:entry0" in
+  let _, _, loop = mac_netlist a "loop:loop_head1" in
+  let open Hls.Netlist in
+  let name = whole.nl_name in
+  (* the loop header reads %i1 before anything in the region drives it *)
+  expect_rtl_error "undriven register" "undriven register %i1 in block loop_head1"
+    (program, ctx,
+     { loop with
+       nl_arch_regs =
+         List.filter (fun (r, _) -> r <> "i1") loop.nl_arch_regs })
+    ();
+  (* entry0 defines %acc0 and %i1 only *)
+  expect_rtl_error "commit without a driving wire"
+    ("commit of %t5 has no driving wire in " ^ name)
+    (program, ctx,
+     { whole with
+       nl_commits =
+         List.map
+           (fun (s, cs) ->
+             if s = "S_entry0" then
+               s, cs @ [ Ir.Instr.reg "t5" Ir.Types.F32, "w_bogus" ]
+             else s, cs)
+           whole.nl_commits })
+    ();
+  (* the loop's labels still map to the controller's state *)
+  expect_rtl_error "undefined FSM state"
+    ("undefined FSM state S_loop_body2 in " ^ name)
+    (program, ctx,
+     { whole with
+       nl_states =
+         List.filter (fun s -> s.s_name <> "S_loop_body2") whole.nl_states })
+    ();
+  expect_rtl_error "missing pipeline controller"
+    "state S_loop_body2 has no pipeline controller"
+    (program, ctx, { loop with nl_pipes = [] })
+    ();
+  (* prologue (12) + entry0 (2) = 14 cycles; at 20 the pipelined loop's
+     block walk trips the budget first *)
+  expect_rtl_error "cycle budget" ("cycle budget exceeded (14 cycles) in " ^ name)
+    (program, ctx, whole) ~max_cycles:13 ();
+  expect_rtl_error "pipelined walk budget"
+    ("cycle budget exceeded (pipelined loop loop_head1 walked 21 blocks) in "
+     ^ name)
+    (program, ctx, whole) ~max_cycles:20 ()
+
+let test_sim_unreachable_damage () =
+  let program, ctx, whole = mac_netlist (mac_analyzed ()) "func:entry0" in
+  let open Hls.Netlist in
+  let orphan name kind block =
+    { s_name = name; s_index = 99; s_kind = kind; s_block = block;
+      s_cycles = 1 }
+  in
+  (* a controller-less pipe state, a state whose block does not exist,
+     and a commit list with no driving wire: none is ever entered *)
+  let damaged =
+    { whole with
+      nl_states =
+        whole.nl_states
+        @ [ orphan "S_orphan_pipe" S_pipe None;
+            orphan "S_orphan_seq" S_seq (Some "no_such_block") ];
+      nl_commits =
+        ("S_orphan_seq", [ Ir.Instr.reg "t5" Ir.Types.F32, "w_bogus" ])
+        :: whole.nl_commits }
+  in
+  let strip (o : Rtl.Sim.outcome) =
+    o.Rtl.Sim.o_regs, o.Rtl.Sim.o_exit, o.Rtl.Sim.o_return,
+    o.Rtl.Sim.o_cycles, o.Rtl.Sim.o_iterations, o.Rtl.Sim.o_activations
+  in
+  let clean = sim_once (program, ctx, whole) in
+  Alcotest.(check int) "the loop ran" 64 clean.Rtl.Sim.o_iterations;
+  Alcotest.(check bool) "unreachable damage simulates like the original" true
+    (strip clean = strip (sim_once (program, ctx, damaged)))
+
+(* --- co-simulation memory traffic ---
+
+   A netlist invocation may only copy the arrays it can write. The
+   kernel below writes [out]; the 8192-float [big] is never touched in
+   the region, so co-simulating 40 invocations instead of 10 must not
+   allocate more directly in the major heap (where any copy of [big]
+   would land). *)
+
+let repeat_src reps =
+  Printf.sprintf
+    {|const int N = 16;
+      float big[8192]; float a[N]; float out[N];
+      void kernel() {
+        for (int i = 0; i < N; i++) { out[i] = a[i] * 2.0 + out[i]; }
+      }
+      int main() {
+        for (int i = 0; i < N; i++) { a[i] = 1.0; }
+        for (int t = 0; t < %d; t++) { kernel(); }
+        big[0] = out[0];
+        return 0;
+      }|}
+    reps
+
+let direct_major_words () =
+  Gc.full_major ();
+  let s = Gc.quick_stat () in
+  s.Gc.major_words -. s.Gc.promoted_words
+
+let cosim_major_growth reps =
+  let a = Core.Cayman.analyze (Cayman_frontend.Lower.compile (repeat_src reps)) in
+  let cfg =
+    { Hls.Kernel.unroll = 1; pipeline = true; mode = Hls.Kernel.Heuristic }
+  in
+  match
+    List.find_opt
+      (fun ((ctx : Hls.Ctx.t), (r : An.Region.t), _, _) ->
+        String.equal ctx.Hls.Ctx.func.Ir.Func.name "kernel"
+        && r.An.Region.kind = An.Region.Loop_region)
+      (netlists_of a [ cfg ])
+  with
+  | None -> Alcotest.fail "repeat kernel loop not synthesizable"
+  | Some (ctx, region, _, _) ->
+    let spec = { Rtl.Cosim.k_ctx = ctx; k_region = region; k_config = cfg } in
+    Memo.Store.without_cache @@ fun () ->
+    let before = direct_major_words () in
+    let rep = Rtl.Cosim.run a.Core.Cayman.program spec in
+    let growth = direct_major_words () -. before in
+    if not (Rtl.Cosim.functional_ok rep) then
+      Alcotest.failf "functional mismatch:\n%s" (Rtl.Cosim.report_to_string rep);
+    Alcotest.(check int) "every entry co-simulated" reps
+      rep.Rtl.Cosim.r_invocations;
+    growth
+
+let test_cosim_no_per_invocation_major_alloc () =
+  let g10 = cosim_major_growth 10 in
+  let g40 = cosim_major_growth 40 in
+  if g40 -. g10 > 1024.0 then
+    Alcotest.failf
+      "direct major allocation grows with invocations: %.0f words at 10, \
+       %.0f at 40"
+      g10 g40
+
 let tests =
   [ Alcotest.test_case "lint: suite netlists are clean" `Slow test_lint_clean;
     Alcotest.test_case "lint: damaged netlist is flagged" `Quick
@@ -232,4 +402,11 @@ let tests =
       test_cosim_three_modes;
     Alcotest.test_case "cosim: uniform-trip kernel cycles are exact" `Quick
       test_cosim_exact_cycles;
+    Alcotest.test_case "sim: error paths carry their exact text" `Quick
+      test_sim_errors;
+    Alcotest.test_case "sim: unreachable damage is never raised" `Quick
+      test_sim_unreachable_damage;
+    Alcotest.test_case "cosim: no major allocation per invocation" `Quick
+      test_cosim_no_per_invocation_major_alloc;
     qcheck_cosim_smoke ]
+
