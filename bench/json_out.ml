@@ -2,9 +2,9 @@
 
    The value type and emitter live in [Obs.Json] (shared with the
    tracing/metrics subsystem); this module re-exports them and keeps the
-   bench-side sink: [set_base "BENCH"] arms it; each experiment that
+   bench-side sink: [set_base "out"] arms it; each experiment that
    supports machine-readable output then calls [write "table2" json] to
-   produce BENCH_table2.json next to the textual stdout (which stays
+   produce out_table2.json next to the textual stdout (which stays
    byte-identical whether or not the flag is given). *)
 
 include Obs.Json
@@ -27,8 +27,8 @@ let write experiment (v : t) =
     Printf.eprintf "wrote %s\n%!" path
 
 (* Writes <base>_<suffix> verbatim (no JSON encoding) — for non-JSON
-   artifacts riding along with a trajectory, like the final scraped
-   telemetry exposition of serve-load. *)
+   artifacts riding along with an experiment's JSON, like the final
+   scraped telemetry exposition of serve-load. *)
 let write_text suffix (text : string) =
   match !base with
   | None -> ()
@@ -38,52 +38,3 @@ let write_text suffix (text : string) =
     output_string oc text;
     close_out oc;
     Printf.eprintf "wrote %s\n%!" path
-
-(* Writes <base>.json itself, with no experiment suffix. Used by the
-   trajectory experiments (profile, serve-load) whose committed
-   artifact is a numbered BENCH_<n>.json at the repo root (ROADMAP
-   item 5), so the base given on the command line is the final
-   filename. Alongside it, BENCH_latest.json (same directory) is
-   refreshed with a copy carrying a "source" field, so regression
-   tooling — `cayman bench-diff` in CI — can always name "the most
-   recent trajectory" without knowing the PR number. *)
-let write_trajectory (v : t) =
-  match !base with
-  | None -> ()
-  | Some base ->
-    let path = base ^ ".json" in
-    Obs.Json.write_file path v;
-    Printf.eprintf "wrote %s\n%!" path;
-    let latest =
-      Filename.concat (Filename.dirname path) "BENCH_latest.json"
-    in
-    let pointed =
-      match v with
-      | Obj fields ->
-        Obj (("source", String (Filename.basename path)) :: fields)
-      | v -> v
-    in
-    Obs.Json.write_file latest pointed;
-    Printf.eprintf "wrote %s\n%!" latest
-
-(* Folds one more section into an existing trajectory document instead
-   of replacing it: rereads <base>.json if present, drops any previous
-   [key] (and the "source" the latest-pointer copy carries), appends
-   [key] at the end, and rewrites both files through
-   [write_trajectory]. Lets two experiments — serve-load and
-   serve-chaos — share one committed BENCH_<n>.json regardless of the
-   order they ran in. *)
-let merge_trajectory key (v : t) =
-  match !base with
-  | None -> ()
-  | Some base ->
-    let path = base ^ ".json" in
-    let existing =
-      if Sys.file_exists path then
-        match Obs.Json.parse (In_channel.with_open_bin path In_channel.input_all) with
-        | Ok (Obj fields) ->
-          List.filter (fun (k, _) -> k <> key && k <> "source") fields
-        | Ok _ | Error _ -> []
-      else []
-    in
-    write_trajectory (Obj (existing @ [ key, v ]))

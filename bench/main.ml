@@ -4,12 +4,14 @@
    Usage:
      dune exec bench/main.exe                  # everything
      dune exec bench/main.exe -- table2        # one experiment
-     dune exec bench/main.exe -- --bechamel    # also time each generator
-     dune exec bench/main.exe -- --json BENCH table2 cosim
-         # additionally write BENCH_table2.json, BENCH_cosim.json
+     dune exec bench/main.exe -- --json out table2 cosim
+         # additionally write out_table2.json, out_cosim.json
 
-   Experiments: table1 fig2 fig4 table2 fig6 cosim faults profile
-   ablation-filter ablation-merge ablation-cache ablation-dse *)
+   Experiments: table1 fig2 fig4 table2 fig6 cosim faults
+   ablation-filter ablation-merge ablation-cache ablation-dse, the fast
+   variants table2-small cosim-small faults-small, and the opt-in
+   fleet fleet-small serve-load serve-load-small serve-chaos. Speed is
+   measured by perfbench/, not here. *)
 
 module Ir = Cayman_ir
 module An = Cayman_analysis
@@ -82,8 +84,8 @@ let speedup_of (a : Core.Cayman.analyzed) frontier budget_ratio =
 (* Table I: qualitative comparison                                     *)
 (* ------------------------------------------------------------------ *)
 
-let table1_string () =
-  String.concat "\n"
+let table1 () =
+  print_endline @@ String.concat "\n"
     [ "== Table I: comparison between prior works and Cayman ==";
       "method   | design entry | selection | control flow | data access  | sharing";
       "---------+--------------+-----------+--------------+--------------+---------";
@@ -92,8 +94,6 @@ let table1_string () =
       "OCA      | application  | auto      | sequential   | slow         | restricted";
       "Cayman   | application  | auto      | optimized    | specialized  | flexible";
       "(CFU baseline here: lib/baselines/novia.ml; OCA baseline: qscores.ml)" ]
-
-let table1 () = print_endline (table1_string ())
 
 (* ------------------------------------------------------------------ *)
 (* Fig 2: wPST + profiling + analysis of the paper's example           *)
@@ -825,82 +825,6 @@ let ablation_dse () =
     \ explores the space efficiently without losing much quality)"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel timing of each generator                                   *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_run () =
-  let open Bechamel in
-  let open Toolkit in
-  print_endline "== Bechamel: timing each table/figure generator ==";
-  (* Reusable analyzed inputs so the tests measure generation, not
-     interpretation. *)
-  let atax = Core.Cayman.analyze (Suite.compile (Suite.find_exn "atax")) in
-  let fig2_a = Core.Cayman.analyze_source fig2_src in
-  let fig4_a = Core.Cayman.analyze_source fig4_src in
-  let fig4_ctx = Hashtbl.find fig4_a.Core.Cayman.ctxs "kernel" in
-  let fig4_region =
-    let ft = Option.get (An.Wpst.func_tree fig4_a.Core.Cayman.wpst "kernel") in
-    let r = ref None in
-    An.Region.iter
-      (fun x ->
-        if x.An.Region.kind = An.Region.Loop_region && !r = None then
-          r := Some x)
-      ft.An.Wpst.root;
-    Option.get !r
-  in
-  let select_on analyzed gen () =
-    ignore
-      (Core.Select.select ~gen analyzed.Core.Cayman.ctxs
-         analyzed.Core.Cayman.wpst analyzed.Core.Cayman.profile
-        : Core.Solution.t list * Core.Select.stats)
-  in
-  let tests =
-    Test.make_grouped ~name:"cayman"
-      [ Test.make ~name:"table1"
-          (Staged.stage (fun () -> ignore (table1_string () : string)));
-        Test.make ~name:"fig2-wpst"
-          (Staged.stage (fun () ->
-               ignore (An.Wpst.build fig2_a.Core.Cayman.program : An.Wpst.t)));
-        Test.make ~name:"fig4-estimates"
-          (Staged.stage (fun () ->
-               ignore
-                 (Hls.Kernel.estimate_all fig4_ctx fig4_region
-                    (Hls.Kernel.default_configs Hls.Kernel.Heuristic)
-                  : Hls.Kernel.point list)));
-        Test.make ~name:"table2-selection-atax"
-          (Staged.stage (select_on atax (Core.Cayman.gen Hls.Kernel.Heuristic)));
-        Test.make ~name:"fig6-baselines-atax"
-          (Staged.stage (select_on atax Cayman_baselines.Qscores.gen));
-        Test.make ~name:"ablation-merge-atax"
-          (Staged.stage (fun () ->
-               let frontier, _ =
-                 Core.Select.select
-                   ~gen:(Core.Cayman.gen Hls.Kernel.Heuristic)
-                   atax.Core.Cayman.ctxs atax.Core.Cayman.wpst
-                   atax.Core.Cayman.profile
-               in
-               ignore
-                 (Core.Cayman.merge atax (best frontier 0.25)
-                  : Core.Merge.result))) ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name v ->
-      let est =
-        match Analyze.OLS.estimates v with
-        | Some (e :: _) -> e
-        | Some [] | None -> nan
-      in
-      Printf.printf "  %-32s %12.0f ns/run\n" name est)
-    results
-
-(* ------------------------------------------------------------------ *)
 (* Fault-injection campaign                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -933,137 +857,12 @@ let faults ?(name = "faults")
     (Cayman_fault.Campaign.unhandled report)
 
 (* ------------------------------------------------------------------ *)
-(* Interpreter engine trajectory: staged vs reference wall time        *)
-(* ------------------------------------------------------------------ *)
-
-(* Opt-in (not part of `all`): unlike the default experiments its
-   stdout carries measured wall times, so it is machine- and
-   run-dependent by design. Each benchmark is interpreted end to end
-   under both engines, CAYMAN_BENCH_REPS (default 5) timed reps per
-   engine after one untimed warm-up whose profile Marshal digest
-   doubles as an inline parity check. Runs are serial regardless of
-   CAYMAN_JOBS so the reps do not contend with each other. With
-   --json BASE the result is written to BASE.json itself — the
-   committed BENCH_<n>.json perf trajectory of ROADMAP item 5. *)
-
-let profile_benchmarks =
-  [ "atax"; "jacobi-2d"; "fft"; "parser-125k"; "nnet-test" ]
-
-let profile () =
-  let reps =
-    match
-      Option.bind (Sys.getenv_opt "CAYMAN_BENCH_REPS") int_of_string_opt
-    with
-    | Some n when n > 0 -> n
-    | Some _ | None -> 5
-  in
-  Printf.printf
-    "== Interpreter engines: sim.profile wall time, reference vs staged \
-     (%d timed reps each) ==\n"
-    reps;
-  let stats runs =
-    let n = float_of_int (List.length runs) in
-    let mean = List.fold_left ( +. ) 0.0 runs /. n in
-    let var =
-      List.fold_left (fun acc x -> acc +. (((x -. mean) ** 2.) /. n)) 0.0 runs
-    in
-    mean, var, sqrt var
-  in
-  let time_engine e program =
-    let warm =
-      Sim.Interp.with_engine e (fun () -> Sim.Interp.run program)
-    in
-    let digest =
-      Digest.to_hex
-        (Digest.string (Marshal.to_string warm.Sim.Interp.profile []))
-    in
-    let runs =
-      List.init reps (fun _ ->
-          Sim.Interp.with_engine e (fun () ->
-              snd
-                (Engine.Clock.timed (fun () ->
-                     ignore (Sim.Interp.run program : Sim.Interp.result)))))
-    in
-    warm, digest, runs
-  in
-  Printf.printf "%-26s %10s %18s %18s %8s %7s\n" "benchmark" "Minstrs"
-    "reference mean(s)" "staged mean(s)" "speedup" "parity";
-  let rows =
-    List.map
-      (fun name ->
-        let b = Suite.find_exn name in
-        let program = Suite.compile b in
-        let warm, d_ref, runs_ref =
-          time_engine Sim.Interp.Reference program
-        in
-        let _, d_stg, runs_stg = time_engine Sim.Interp.Staged program in
-        let instrs = Sim.Profile.total_instrs warm.Sim.Interp.profile in
-        let mean_ref, var_ref, sd_ref = stats runs_ref in
-        let mean_stg, var_stg, sd_stg = stats runs_stg in
-        let speedup = mean_ref /. mean_stg in
-        let parity = d_ref = d_stg in
-        Printf.printf "%-26s %10.2f %9.4f ± %.4f %9.4f ± %.4f %7.2fx %7s\n"
-          name
-          (float_of_int instrs /. 1e6)
-          mean_ref sd_ref mean_stg sd_stg speedup
-          (if parity then "ok" else "FAIL");
-        let engine_json mean var sd runs =
-          Json_out.Obj
-            [ "mean_s", Json_out.Float mean;
-              "stddev_s", Json_out.Float sd;
-              "variance_s2", Json_out.Float var;
-              "runs_s", Json_out.List (List.map (fun t -> Json_out.Float t) runs)
-            ]
-        in
-        ( speedup,
-          parity,
-          Json_out.Obj
-            [ "benchmark", Json_out.String name;
-              "suite", Json_out.String b.Suite.suite;
-              "dynamic_instrs", Json_out.Int instrs;
-              "reference", engine_json mean_ref var_ref sd_ref runs_ref;
-              "staged", engine_json mean_stg var_stg sd_stg runs_stg;
-              "speedup", Json_out.Float speedup;
-              "profile_parity", Json_out.Bool parity ] ))
-      profile_benchmarks
-  in
-  let speedups = List.map (fun (s, _, _) -> s) rows in
-  let geomean =
-    exp
-      (List.fold_left (fun acc s -> acc +. log s) 0.0 speedups
-      /. float_of_int (List.length speedups))
-  in
-  let min_speedup = List.fold_left Float.min infinity speedups in
-  let all_parity = List.for_all (fun (_, p, _) -> p) rows in
-  Printf.printf
-    "profile summary: staged is %.2fx geomean (%.2fx min) over %d \
-     benchmark(s), profile parity %s\n"
-    geomean min_speedup (List.length rows)
-    (if all_parity then "ok" else "FAIL");
-  flush stdout;
-  Json_out.write_trajectory
-    (Json_out.Obj
-       [ "experiment", Json_out.String "profile";
-         "metric", Json_out.String "sim.profile wall seconds";
-         "reps", Json_out.Int reps;
-         "benchmarks", Json_out.List (List.map (fun (_, _, j) -> j) rows);
-         ( "summary",
-           Json_out.Obj
-             [ "geomean_speedup", Json_out.Float geomean;
-               "min_speedup", Json_out.Float min_speedup;
-               "profile_parity", Json_out.Bool all_parity ] ) ]);
-  if not all_parity then begin
-    prerr_endline "profile: engine parity violated";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Serve: daemon throughput and latency under concurrent replay        *)
 (* ------------------------------------------------------------------ *)
 
-(* Opt-in (not part of `all`), like profile: the stdout carries
-   measured wall times. An in-process daemon is started on a private
-   socket with a fresh private memoization store, then:
+(* Opt-in (not part of `all`): the stdout carries measured wall times.
+   An in-process daemon is started on a private socket with a fresh
+   private memoization store, then:
 
      1. cold pass  — one client replays every benchmark as concurrent
         `run` requests against the empty caches;
@@ -1076,9 +875,11 @@ let profile () =
         daemon amortizes away, and checking the daemon's replies are
         byte-identical to the CLI's stdout.
 
-   Any failed request, or any identity mismatch, fails the experiment
-   (exit 1). With --json BASE the result is written to BASE.json itself
-   — the committed BENCH_<n>.json trajectory of ROADMAP item 5. *)
+   The experiment fails (exit 1) on any failed request, an identity
+   mismatch, no warm request or no telemetry scrape, a scrape that does
+   not parse, or a last scrape without the request counter's TYPE line.
+   With --json BASE the result is written to BASE_<name>.json and the
+   last scrape to BASE_telemetry.prom. *)
 
 let serve_load ?(name = "serve-load") ?(benchmarks = Suite.all)
     ?(clients = 4) () =
@@ -1306,7 +1107,7 @@ let serve_load ?(name = "serve-load") ?(benchmarks = Suite.all)
     else Sys.remove path
   in
   (try rm_rf store_dir with Sys_error _ -> ());
-  Json_out.write_trajectory
+  Json_out.write name
     (Json_out.Obj
        [ "experiment", Json_out.String name;
          "metric", Json_out.String "serve daemon throughput/latency";
@@ -1347,7 +1148,13 @@ let serve_load ?(name = "serve-load") ?(benchmarks = Suite.all)
                "hz", Json_out.Float 10.0;
                "parse_failures", Json_out.Int scrape_failures ] ) ]);
   if last_scrape <> "" then Json_out.write_text "telemetry.prom" last_scrape;
-  if Atomic.get failed > 0 || not !identity || scrape_failures > 0 then begin
+  let requests_typed =
+    List.mem "# TYPE cayman_serve_requests_total counter"
+      (String.split_on_char '\n' last_scrape)
+  in
+  if Atomic.get failed > 0 || (not !identity) || n_warm = 0 || scrapes = 0
+     || scrape_failures > 0 || not requests_typed
+  then begin
     prerr_endline
       (name ^ ": failed requests, identity violation or telemetry failure");
     exit 1
@@ -1373,12 +1180,13 @@ let serve_load ?(name = "serve-load") ?(benchmarks = Suite.all)
        unhandled exceptions, and no error classes outside the
        documented overload contract (overloaded / deadline-expired);
      - the write-buffer high-water mark stays <= the configured cap;
-     - health and telemetry still answer (and parse) after the abuse.
+     - health and telemetry still answer (and parse) after the abuse;
+     - every adversary kind ran and connected at least once;
+     - every well-behaved request ended ok or shed after retries.
 
    The adversary schedule is a pure function of --seed, so a failure
-   replays exactly. With --json BASE the campaign report is merged into
-   BASE.json under "chaos" (alongside serve-load's sections, whichever
-   ran first). *)
+   replays exactly. With --json BASE the campaign report is written to
+   BASE_<name>.json. *)
 
 let serve_chaos ?(name = "serve-chaos") ?(seed = 42) ?(duration_s = 2.0) () =
   let benches = [ "atax"; "bicg"; "mvt" ] in
@@ -1570,7 +1378,7 @@ let serve_chaos ?(name = "serve-chaos") ?(seed = 42) ?(duration_s = 2.0) () =
     (if health_ok then "ok" else "FAIL")
     (if telemetry_ok then "ok" else "FAIL");
   flush stdout;
-  Json_out.merge_trajectory "chaos"
+  Json_out.write name
     (Json_out.Obj
        [ "experiment", Json_out.String name;
          "seed", Json_out.Int seed;
@@ -1616,16 +1424,29 @@ let serve_chaos ?(name = "serve-chaos") ?(seed = 42) ?(duration_s = 2.0) () =
              ] );
          "health_ok", Json_out.Bool health_ok;
          "telemetry_parse_ok", Json_out.Bool telemetry_ok ]);
+  (* six distinct kinds, a fixed count: dropping one from
+     [Chaos.all_kinds] fails here instead of silently weakening the
+     campaign *)
+  let kinds =
+    List.sort_uniq compare
+      (List.map (fun (s : Cayman_fault.Chaos.stats) -> s.Cayman_fault.Chaos.st_kind)
+         adv_stats)
+  in
   let failed =
     crash <> None || wb_mismatches > 0 || wb_unexpected <> [] || wb_exns > 0
+    || wb_ok + wb_shed <> wb_requests
     || (not health_ok) || (not telemetry_ok)
     || hwm > config.Serve.Server.sc_max_write_buf
+    || List.length kinds <> 6
+    || List.exists
+         (fun (s : Cayman_fault.Chaos.stats) -> s.Cayman_fault.Chaos.st_connects = 0)
+         adv_stats
   in
   if failed then begin
     prerr_endline
       (name
-      ^ ": chaos campaign failed (crash, identity, unhandled class, or \
-         write-buffer bound)");
+      ^ ": chaos campaign failed (crash, identity, unhandled class, \
+         write-buffer bound or idle adversary)");
     exit 1
   end
 
@@ -1633,15 +1454,17 @@ let serve_chaos ?(name = "serve-chaos") ?(seed = 42) ?(duration_s = 2.0) () =
 (* Fleet: cross-program accelerator sharing at population scale        *)
 (* ------------------------------------------------------------------ *)
 
-(* Opt-in, like profile/serve-load: the committed artifact is a
-   BENCH_<n>.json trajectory. A fresh private memoization store makes
+(* Opt-in, like serve-load. A fresh private memoization store makes
    the cold pass over the largest population genuinely cold; the warm
    rerun drops the in-memory layer (a process restart, simulated) and
    replays the identical fleet purely from disk — it must reproduce the
    cold report byte-for-byte (exit 1 otherwise), which is the same
    determinism contract the report already keeps across CAYMAN_JOBS
-   values. Stdout carries only schedule-independent area/coverage
-   numbers; wall times go to stderr and the JSON trajectory. *)
+   values. The experiment also fails if any program's pipeline failed
+   at any population size, or if cross-program merging does not beat
+   per-program merging at the largest one. Stdout carries only
+   schedule-independent area/coverage numbers; wall times go to stderr.
+   With --json BASE the reports are written to BASE_<name>.json. *)
 
 let fleet_bench ?(name = "fleet") ?(sizes = [ 1000; 2000; 5000; 10000 ])
     ?(seed = 42) () =
@@ -1721,26 +1544,30 @@ let fleet_bench ?(name = "fleet") ?(sizes = [ 1000; 2000; 5000; 10000 ])
     else Sys.remove path
   in
   (try rm_rf store_dir with Sys_error _ -> ());
-  Json_out.write_trajectory
+  Json_out.write name
     (Json_out.Obj
        [ "experiment", Json_out.String name;
-         ( "metric",
-           Json_out.String
-             "cross-program area saved vs population + cold/warm wall" );
+         "metric", Json_out.String "cross-program area saved vs population";
          "seed", Json_out.Int seed;
          "programs", Json_out.Int max_size;
-         ( "fleet_cold_mean_s",
-           Json_out.Float (cold_wall /. float_of_int max_size) );
-         ( "fleet_warm_mean_s",
-           Json_out.Float (warm_wall /. float_of_int max_size) );
-         "cold_wall_s", Json_out.Float cold_wall;
-         "warm_wall_s", Json_out.Float warm_wall;
-         "warm_speedup", Json_out.Float speedup;
          "warm_identical", Json_out.Bool identical;
          ( "trajectory",
            Json_out.List (List.map Fleet.Merge.report_to_json rows) ) ]);
   if not identical then begin
     prerr_endline (name ^ ": warm rerun diverged from the cold report");
+    exit 1
+  end;
+  if List.exists (fun (r : Fleet.Merge.report) -> r.Fleet.Merge.r_failed > 0) rows
+  then begin
+    prerr_endline (name ^ ": a generated program failed the pipeline");
+    exit 1
+  end;
+  if not
+       (cold.Fleet.Merge.r_area_fleet < cold.Fleet.Merge.r_area_per_program
+       && cold.Fleet.Merge.r_saving_vs_per_program_pct > 0.0)
+  then begin
+    prerr_endline
+      (name ^ ": cross-program merging saved no area over per-program merging");
     exit 1
   end
 
@@ -1748,141 +1575,122 @@ let fleet_bench ?(name = "fleet") ?(sizes = [ 1000; 2000; 5000; 10000 ])
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let small names = List.filter_map Suite.find names
+
+(* Every experiment by name; [all] (or no name) runs [default]. *)
+let experiments =
+  [ "table1", table1;
+    "fig2", fig2;
+    "fig4", fig4;
+    "table2", (fun () -> table2 ());
+    ( "table2-small",
+      fun () ->
+        table2 ~name:"table2-small" ~benchmarks:(small [ "3mm"; "atax"; "fft" ])
+          () );
+    "fig6", fig6;
+    "cosim", (fun () -> cosim ());
+    "cosim-small", (fun () -> cosim ~benchmarks:(small [ "3mm"; "atax"; "fft" ]) ());
+    "faults", (fun () -> faults ());
+    ( "faults-small",
+      fun () ->
+        faults ~name:"faults-small"
+          ~options:
+            { Cayman_fault.Campaign.default_options with
+              Cayman_fault.Campaign.faults_per_kernel = 6;
+              stage_benchmarks = 1 }
+          ~benchmarks:(small [ "atax"; "mvt" ])
+          () );
+    "fleet", (fun () -> fleet_bench ());
+    "fleet-small", (fun () -> fleet_bench ~name:"fleet-small" ~sizes:[ 50; 100; 200 ] ());
+    "serve-load", (fun () -> serve_load ());
+    ( "serve-load-small",
+      fun () ->
+        serve_load ~name:"serve-load-small"
+          ~benchmarks:(small [ "atax"; "bicg"; "mvt"; "fft" ])
+          ~clients:2 () );
+    "serve-chaos", (fun () -> serve_chaos ());
+    "ablation-filter", ablation_filter;
+    "ablation-merge", ablation_merge;
+    "ablation-cache", ablation_cache;
+    "ablation-dse", ablation_dse ]
+
+let default =
+  [ "table1"; "fig2"; "fig4"; "table2"; "fig6"; "cosim"; "faults";
+    "ablation-filter"; "ablation-merge"; "ablation-cache"; "ablation-dse" ]
+
 let usage () =
-  print_endline
-    "usage: main.exe [--bechamel] [--json BASE] [--fuel N]\n\
-    \                [--cache-dir DIR] [--no-cache]\n\
-    \                [table1|fig2|fig4|table2|fig6|cosim|faults|profile|\n\
-    \                 fleet|fleet-small|serve-load|serve-load-small|\n\
-    \                 serve-chaos|ablation-filter|ablation-merge|\n\
-    \                 ablation-cache|ablation-dse|all]\n\
-     CAYMAN_JOBS=N parallelizes evaluation across N domains; stdout is\n\
-     byte-identical for every N (wall-time reports go to stderr).\n\
-     --json BASE additionally writes BASE_<experiment>.json for the\n\
-     experiments with machine-readable output (table2, fig6, cosim,\n\
-     faults) plus BASE_cache.json with memoization-cache statistics;\n\
-     stdout is unchanged. The opt-in profile experiment (not part of\n\
-     `all`) times the staged vs reference interpreter engines over\n\
-     CAYMAN_BENCH_REPS reps (default 5) and writes its trajectory to\n\
-     BASE.json itself; the opt-in fleet experiment generates seeded\n\
-     program fleets, merges accelerators across programs, and writes\n\
-     the area-saved-vs-population trajectory plus cold/warm wall times\n\
-     the same way (the warm rerun must reproduce the cold report\n\
-     byte-for-byte); the opt-in serve-load experiment replays the\n\
-     suite concurrently against an in-process daemon and reports\n\
-     requests/s plus latency percentiles the same way; the opt-in\n\
-     serve-chaos experiment abuses the daemon with seeded socket-level\n\
-     adversaries (Fault.Chaos) and merges its report into BASE.json\n\
-     under \"chaos\". Trajectory\n\
-     writes also refresh BENCH_latest.json for `cayman bench-diff`.\n\
-     --fuel N bounds every interpreter run at N executed instructions\n\
-     (also CAYMAN_FUEL); exhaustion is a diagnostic, not a hang.\n\
-     The on-disk memoization cache (CAYMAN_CACHE_DIR, default\n\
-     ~/.cache/cayman) is enabled by default; --cache-dir DIR relocates\n\
-     it and --no-cache disables it. Cached and recomputed results are\n\
-     bit-identical, so stdout does not depend on the cache state.\n\
-     (Note: the ablation-cache experiment is about the simulated L1\n\
-     data cache, not this memoization cache.)"
+  prerr_endline
+    ("usage: main.exe [--json BASE] [--fuel N] [--cache-dir DIR] [--no-cache]\n\
+     \                [EXPERIMENT...|all]\n\
+      experiments: "
+    ^ String.concat " " (List.map fst experiments)
+    ^ "\n\
+       With no experiment (or `all`) runs "
+    ^ String.concat " " default
+    ^ ".\n\
+       CAYMAN_JOBS=N parallelizes evaluation across N domains; stdout is\n\
+       byte-identical for every N (wall-time reports go to stderr).\n\
+       --json BASE additionally writes BASE_<experiment>.json for the\n\
+       experiments with machine-readable output plus BASE_metrics.json and\n\
+       BASE_cache.json; stdout is unchanged. The opt-in fleet and serve\n\
+       experiments exit 1 when their own checks fail.\n\
+       --fuel N bounds every interpreter run at N executed instructions\n\
+       (also CAYMAN_FUEL); exhaustion is a diagnostic, not a hang.\n\
+       The on-disk memoization cache (CAYMAN_CACHE_DIR, default\n\
+       ~/.cache/cayman) is enabled by default; --cache-dir DIR relocates\n\
+       it and --no-cache disables it. Cached and recomputed results are\n\
+       bit-identical, so stdout does not depend on the cache state.\n\
+       (Note: the ablation-cache experiment is about the simulated L1\n\
+       data cache, not this memoization cache.)")
+
+(* A bad command line exits 2 before any experiment runs. *)
+let bad_usage fmt =
+  Printf.ksprintf
+    (fun m ->
+      prerr_endline ("main.exe: " ^ m);
+      usage ();
+      exit 2)
+    fmt
 
 let () =
-  (* The first spurious stdout line keeps the output diff-stable when the
-     output is redirected without a terminal. *)
-  let args = List.tl (Array.to_list Sys.argv) in
-  let bechamel = List.mem "--bechamel" args in
-  let args = List.filter (fun a -> a <> "--bechamel") args in
-  let rec strip_json = function
+  let cache_dir = ref None and no_cache = ref false in
+  let rec parse names = function
     | "--json" :: base :: rest ->
       Json_out.set_base base;
-      strip_json rest
-    | x :: rest -> x :: strip_json rest
-    | [] -> []
-  in
-  let args = strip_json args in
-  let rec strip_fuel = function
+      parse names rest
     | "--fuel" :: n :: rest ->
       (match int_of_string_opt n with
        | Some f when f > 0 -> Engine.Config.set_fuel f
-       | Some _ | None ->
-         Printf.eprintf "ignoring invalid --fuel %s\n%!" n);
-      strip_fuel rest
-    | x :: rest -> x :: strip_fuel rest
-    | [] -> []
-  in
-  let args = strip_fuel args in
-  let cache_dir = ref None in
-  let no_cache = ref false in
-  let rec strip_cache = function
+       | Some _ | None -> bad_usage "invalid --fuel %s (want a positive integer)" n);
+      parse names rest
     | "--cache-dir" :: dir :: rest ->
       cache_dir := Some dir;
-      strip_cache rest
+      parse names rest
     | "--no-cache" :: rest ->
       no_cache := true;
-      strip_cache rest
-    | x :: rest -> x :: strip_cache rest
-    | [] -> []
+      parse names rest
+    | [ ("--json" | "--fuel" | "--cache-dir") as flag ] ->
+      bad_usage "%s needs an argument" flag
+    | "all" :: rest -> parse (List.rev_append default names) rest
+    | name :: rest when List.mem_assoc name experiments -> parse (name :: names) rest
+    | name :: _ -> bad_usage "unknown experiment %s" name
+    | [] -> List.rev names
   in
-  let args = strip_cache args in
+  let names =
+    match parse [] (List.tl (Array.to_list Sys.argv)) with
+    | [] -> default
+    | names -> names
+  in
   if !no_cache then Memo.Store.disable ()
   else Memo.Store.enable ?dir:!cache_dir ();
-  let experiments =
-    match args with
-    | [] | [ "all" ] ->
-      [ "table1"; "fig2"; "fig4"; "table2"; "fig6"; "cosim"; "faults";
-        "ablation-filter"; "ablation-merge"; "ablation-cache";
-        "ablation-dse" ]
-    | xs -> xs
-  in
   let (), wall =
     Engine.Clock.timed @@ fun () ->
-  List.iter
-    (fun x ->
-      (match x with
-       | "table1" -> table1 ()
-       | "fig2" -> fig2 ()
-       | "fig4" -> fig4 ()
-       | "table2" -> table2 ()
-       | "table2-small" ->
-         table2 ~name:"table2-small"
-           ~benchmarks:
-             (List.filter_map Suite.find [ "3mm"; "atax"; "fft" ])
-           ()
-       | "fig6" -> fig6 ()
-       | "cosim" -> cosim ()
-       | "cosim-small" ->
-         cosim
-           ~benchmarks:
-             (List.filter_map Suite.find [ "3mm"; "atax"; "fft" ])
-           ()
-       | "faults" -> faults ()
-       | "faults-small" ->
-         faults ~name:"faults-small"
-           ~options:
-             { Cayman_fault.Campaign.default_options with
-               Cayman_fault.Campaign.faults_per_kernel = 6;
-               stage_benchmarks = 1 }
-           ~benchmarks:(List.filter_map Suite.find [ "atax"; "mvt" ])
-           ()
-       | "profile" -> profile ()
-       | "fleet" -> fleet_bench ()
-       | "fleet-small" ->
-         fleet_bench ~name:"fleet-small" ~sizes:[ 50; 100; 200 ] ()
-       | "serve-load" -> serve_load ()
-       | "serve-chaos" -> serve_chaos ()
-       | "serve-load-small" ->
-         serve_load ~name:"serve-load-small"
-           ~benchmarks:
-             (List.filter_map Suite.find [ "atax"; "bicg"; "mvt"; "fft" ])
-           ~clients:2 ()
-       | "ablation-filter" -> ablation_filter ()
-       | "ablation-merge" -> ablation_merge ()
-       | "ablation-cache" -> ablation_cache ()
-       | "ablation-dse" -> ablation_dse ()
-       | other ->
-         Printf.printf "unknown experiment %s\n" other;
-         usage ());
-      print_newline ();
-      flush stdout)
-    experiments
+    List.iter
+      (fun name ->
+        List.assoc name experiments ();
+        print_newline ();
+        flush stdout)
+      names
   in
   (* With --json armed, also dump every pipeline metric accumulated over
      the experiments that just ran (BASE_metrics.json) and the
@@ -1893,5 +1701,4 @@ let () =
   if Json_out.enabled () then begin
     Json_out.write "metrics" (Obs.Metrics.to_json ());
     Json_out.write "cache" (Memo.Store.report_json ~wall_s:wall)
-  end;
-  if bechamel then bechamel_run ()
+  end

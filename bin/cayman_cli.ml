@@ -826,71 +826,6 @@ let serve_t =
           $ interp_arg $ cache_dir_arg $ no_cache_arg $ max_queue_arg
           $ max_write_buf_arg $ drain_timeout_arg $ trace_arg)
 
-(* cayman bench-diff OLD.json NEW.json — regression gate over the mean
-   wall times of two bench trajectory files (exit 2 on regression). *)
-
-let bench_diff_cmd old_path new_path max_pct json =
-  let read path =
-    try
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      (match Obs.Json.parse s with
-       | Ok j -> Ok j
-       | Error m -> Error (Printf.sprintf "%s: %s" path m))
-    with Sys_error m -> Error m
-  in
-  match read old_path, read new_path with
-  | Error m, _ | _, Error m -> prerr_endline ("cayman: " ^ m); 1
-  | Ok old_doc, Ok new_doc ->
-    let r = Obs.Benchdiff.diff ~max_regress_pct:max_pct old_doc new_doc in
-    print_string (Obs.Benchdiff.to_string ~max_regress_pct:max_pct r);
-    (match json with
-     | None -> ()
-     | Some path ->
-       Obs.Json.write_file path
-         (Obs.Benchdiff.to_json
-            ?old_source:(Obs.Benchdiff.source old_doc)
-            ?new_source:(Obs.Benchdiff.source new_doc)
-            ~max_regress_pct:max_pct r);
-       Printf.eprintf "wrote %s\n%!" path);
-    if Obs.Benchdiff.ok r then 0 else 2
-
-let bench_diff_t =
-  let old_arg =
-    Arg.(required
-         & pos 0 (some file) None
-         & info [] ~docv:"OLD.json" ~doc:"Baseline trajectory file.")
-  in
-  let new_arg =
-    Arg.(required
-         & pos 1 (some file) None
-         & info [] ~docv:"NEW.json" ~doc:"Candidate trajectory file.")
-  in
-  let max_pct_arg =
-    let doc =
-      "Allowed mean wall-time growth per phase, in percent; anything \
-       beyond is a regression."
-    in
-    Arg.(value & opt float 25.0 & info [ "max-regress-pct" ] ~doc ~docv:"PCT")
-  in
-  let json_arg =
-    let doc =
-      "Also write the machine-readable report (per-phase old/new/delta, \
-       regression verdicts) to $(docv)."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
-  in
-  Cmd.v
-    (Cmd.info "bench-diff"
-       ~doc:
-         "Compare the mean wall times of two BENCH_*.json trajectory \
-          files phase by phase and exit nonzero when any shared phase \
-          regressed beyond the threshold (schedule-dependent gauges and \
-          percentiles are ignored)")
-    Term.(const bench_diff_cmd $ old_arg $ new_arg $ max_pct_arg $ json_arg)
-
 (* cayman top / cayman logs — observe a running daemon through the
    telemetry and log-tail control verbs. Both are pure clients: they
    never touch the pipeline, so pointing them at a busy daemon costs
@@ -1145,6 +1080,6 @@ let main =
        ~doc:"Custom accelerator generation with control flow and data access \
              optimization")
     [ run_t; dump_t; emit_t; cosim_t; faults_t; graph_t; list_t; stats_t;
-      fleet_t; cache_t; serve_t; top_t; logs_t; bench_diff_t ]
+      fleet_t; cache_t; serve_t; top_t; logs_t ]
 
 let () = exit (Cmd.eval' main)

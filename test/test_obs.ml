@@ -237,60 +237,6 @@ let test_metrics_phase_and_json () =
     Obs.Metrics.reset ()
 
 (* ------------------------------------------------------------------ *)
-(* Benchdiff                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let parse_doc s =
-  match Obs.Json.parse s with
-  | Ok j -> j
-  | Error m -> Alcotest.fail ("test doc does not parse: " ^ m)
-
-let test_benchdiff_phases () =
-  let doc =
-    parse_doc
-      {|{"experiment": "e2e",
-         "results": [
-           {"benchmark": "atax", "mean_s": 0.5, "p95_us": 900, "n": 3},
-           {"benchmark": "bicg", "reference_mean_s": 0.25}],
-         "warm_mean_s": 0.125}|}
-  in
-  let ps = Obs.Benchdiff.phases doc in
-  check "three mean phases, sorted, gauges ignored" true
-    (List.map fst ps = [ "results.atax"; "results.bicg.reference"; "warm" ]);
-  check "values extracted" true (List.assoc "warm" ps = 0.125)
-
-let test_benchdiff_gating () =
-  let old_doc =
-    parse_doc {|{"a_mean_s": 1.0, "b_mean_s": 1.0, "gone_mean_s": 1.0}|}
-  in
-  let new_doc =
-    parse_doc {|{"a_mean_s": 1.1, "b_mean_s": 2.0, "new_mean_s": 1.0}|}
-  in
-  let r = Obs.Benchdiff.diff ~max_regress_pct:25.0 old_doc new_doc in
-  check "two phases compared" true (List.length r.Obs.Benchdiff.r_compared = 2);
-  (match r.Obs.Benchdiff.r_regressions with
-   | [ c ] ->
-     check "b regressed" true (c.Obs.Benchdiff.c_phase = "b");
-     check "pct computed" true (abs_float (c.Obs.Benchdiff.c_pct -. 100.0) < 1e-9)
-   | _ -> Alcotest.fail "expected exactly one regression");
-  check "not ok" false (Obs.Benchdiff.ok r);
-  check "phase drift reported" true
-    (r.Obs.Benchdiff.r_only_old = [ "gone" ]
-     && r.Obs.Benchdiff.r_only_new = [ "new" ]);
-  (* an improvement or within-threshold noise passes *)
-  let r2 = Obs.Benchdiff.diff ~max_regress_pct:25.0 new_doc new_doc in
-  check "identical trajectories pass" true (Obs.Benchdiff.ok r2);
-  (* rendering is deterministic and mentions the verdict *)
-  let s = Obs.Benchdiff.to_string ~max_regress_pct:25.0 r in
-  check "summary names the regression count" true
-    (String.length s > 0
-     && (let rec contains i =
-           i + 13 <= String.length s
-           && (String.sub s i 13 = "1 regression(" || contains (i + 1))
-         in
-         contains 0))
-
-(* ------------------------------------------------------------------ *)
 (* Metrics: wall_histogram determinism exemption (dedicated)           *)
 (* ------------------------------------------------------------------ *)
 
@@ -588,50 +534,6 @@ let test_expose_parse_rejects_garbage () =
      | Ok [ f ] -> f.Obs.Expose.f_name = "cayman_x"
      | _ -> false)
 
-(* ------------------------------------------------------------------ *)
-(* Benchdiff JSON report                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_benchdiff_to_json () =
-  let old_doc = parse_doc {|{"a_mean_s": 1.0, "b_mean_s": 1.0}|} in
-  let new_doc = parse_doc {|{"a_mean_s": 1.1, "b_mean_s": 2.0}|} in
-  let r = Obs.Benchdiff.diff ~max_regress_pct:25.0 old_doc new_doc in
-  let j = Obs.Benchdiff.to_json ~max_regress_pct:25.0 r in
-  (* the document itself round-trips through the emitter/parser *)
-  match Obs.Json.parse (Obs.Json.to_string j) with
-  | Error m -> Alcotest.fail ("benchdiff JSON does not parse: " ^ m)
-  | Ok j ->
-    check "ok flag is false" true
-      (Obs.Json.member "ok" j = Some (Obs.Json.Bool false));
-    let compared =
-      match Option.bind (Obs.Json.member "compared" j) Obs.Json.to_list with
-      | Some l -> l
-      | None -> Alcotest.fail "compared array missing"
-    in
-    Alcotest.(check int) "both phases reported" 2 (List.length compared);
-    (match
-       List.find_opt
-         (fun c ->
-           Option.bind (Obs.Json.member "phase" c) Obs.Json.to_string_opt
-           = Some "b")
-         compared
-     with
-     | None -> Alcotest.fail "phase b missing from the JSON report"
-     | Some c ->
-       check "regression flagged per phase" true
-         (Obs.Json.member "regression" c = Some (Obs.Json.Bool true));
-       check "delta carried" true
-         (match
-            Option.bind (Obs.Json.member "delta_pct" c) Obs.Json.to_float
-          with
-          | Some d -> abs_float (d -. 100.0) < 1e-9
-          | None -> false));
-    (match
-       Option.bind (Obs.Json.member "regressions" j) Obs.Json.to_list
-     with
-     | Some [ _ ] -> ()
-     | _ -> Alcotest.fail "expected exactly one regression in the JSON")
-
 let tests =
   [ Alcotest.test_case "span invariants" `Quick test_span_invariants;
     Alcotest.test_case "disabled tracing records nothing" `Quick
@@ -642,10 +544,6 @@ let tests =
     Alcotest.test_case "metric kinds and snapshots" `Quick test_metrics_kinds;
     Alcotest.test_case "metric phases and json export" `Quick
       test_metrics_phase_and_json;
-    Alcotest.test_case "benchdiff phase extraction" `Quick
-      test_benchdiff_phases;
-    Alcotest.test_case "benchdiff regression gating" `Quick
-      test_benchdiff_gating;
     Alcotest.test_case "wall histogram determinism exemption" `Quick
       test_wall_histogram_exemption;
     Alcotest.test_case "log events and tail" `Quick test_log_events;
@@ -659,5 +557,4 @@ let tests =
     Alcotest.test_case "expose byte-exact round-trip" `Quick
       test_expose_roundtrip;
     Alcotest.test_case "expose parse rejects garbage" `Quick
-      test_expose_parse_rejects_garbage;
-    Alcotest.test_case "benchdiff json report" `Quick test_benchdiff_to_json ]
+      test_expose_parse_rejects_garbage ]
