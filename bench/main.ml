@@ -866,295 +866,304 @@ let faults ?(name = "faults")
 
      1. cold pass  — one client replays every benchmark as concurrent
         `run` requests against the empty caches;
-     2. warm reps  — CAYMAN_BENCH_REPS (default 3) reps of N client
-        domains, each concurrently replaying the full benchmark list;
-        per-request latency is measured client-side from send to reply
-        (queueing included), pooled across reps into p50/p95/p99;
+     2. warm reps  — at least CAYMAN_BENCH_REPS (default 3) reps of N
+        client domains, each concurrently replaying the full benchmark
+        list, repeated until the telemetry scraper has completed
+        [min_warm_scrapes] scrapes under load; per-request latency is
+        measured client-side from send to reply (queueing included),
+        pooled across reps into p50/p95/p99;
      3. baseline   — a few one-shot `cayman run --no-cache` subprocess
         invocations of the sibling CLI, timing the per-request cost the
         daemon amortizes away, and checking the daemon's replies are
         byte-identical to the CLI's stdout.
 
    The experiment fails (exit 1) on any failed request, an identity
-   mismatch, no warm request or no telemetry scrape, a scrape that does
-   not parse, or a last scrape without the request counter's TYPE line.
+   mismatch, no warm request, fewer than [min_warm_scrapes] telemetry
+   scrapes completed during warm load, a scrape that does not parse, or
+   a last scrape without the request counter's TYPE line.
    With --json BASE the result is written to BASE_<name>.json and the
    last scrape to BASE_telemetry.prom. *)
+
+(* An in-process daemon on a fresh private socket, and a first client
+   connected once it is up. The daemon domain returns the text of the
+   exception that stopped it, if any. *)
+let start_daemon ~name config =
+  let sock = Filename.temp_file ("cayman-" ^ name) ".sock" in
+  Sys.remove sock;
+  let daemon =
+    Domain.spawn (fun () ->
+        match Serve.Server.serve_socket ~config sock with
+        | () -> None
+        | exception e -> Some (Printexc.to_string e))
+  in
+  sock, daemon, Serve.Client.connect_when_up sock
+
+(* Scrapes of the telemetry verb that must complete while warm load is
+   running before the warm phase may end. *)
+let min_warm_scrapes = 3
 
 let serve_load ?(name = "serve-load") ?(benchmarks = Suite.all)
     ?(clients = 4) () =
   let reps =
-    match
-      Option.bind (Sys.getenv_opt "CAYMAN_BENCH_REPS") int_of_string_opt
-    with
-    | Some n when n > 0 -> n
-    | Some _ | None -> 3
+    Option.value ~default:3
+      (Option.bind (Sys.getenv_opt "CAYMAN_BENCH_REPS")
+         Engine.Config.positive_int)
   in
   let bench_names = List.map (fun (b : Suite.benchmark) -> b.Suite.name) benchmarks in
   let n_benches = List.length bench_names in
   Printf.printf
-    "== %s: daemon replay of %d benchmarks, %d concurrent clients, %d \
-     warm reps ==\n"
+    "== %s: daemon replay of %d benchmarks, %d concurrent clients, at \
+     least %d warm reps ==\n"
     name n_benches clients reps;
   (* fresh private store so the cold pass is genuinely cold *)
-  let store_dir = Filename.temp_file "cayman-serve-bench" "" in
-  Sys.remove store_dir;
-  Sys.mkdir store_dir 0o700;
-  let prev_store = Memo.Store.ambient () in
-  Memo.Store.reset_memory ();
-  let sock = Filename.temp_file "cayman-serve-bench" ".sock" in
-  Sys.remove sock;
-  let config =
-    { Serve.Server.default_config with
-      Serve.Server.sc_interp = Some Sim.Interp.Staged;
-      sc_cache = true;
-      sc_cache_dir = Some store_dir }
-  in
-  let daemon = Domain.spawn (fun () -> Serve.Server.serve_socket ~config sock) in
-  let rec wait_up n =
-    if n = 0 then failwith "serve-load: daemon did not come up";
-    match Serve.Client.connect sock with
-    | cl -> cl
-    | exception Unix.Unix_error _ ->
-      Unix.sleepf 0.01;
-      wait_up (n - 1)
-  in
-  let failed = Atomic.make 0 in
-  (* Replay the benchmark list over [cl]: send everything, then collect
-     by id. Returns (bench, reply, latency_s) in benchmark order. *)
-  let replay cl =
-    let sent =
-      List.mapi
-        (fun i b ->
-          let id = i + 1 in
-          Serve.Client.send cl (Serve.Protocol.request ~bench:b ~id "run");
-          id, b, Engine.Clock.wall ())
-        bench_names
-    in
-    List.map
-      (fun (id, b, t0) ->
-        let r = Serve.Client.recv cl ~id in
-        if not r.Serve.Protocol.rp_ok then Atomic.incr failed;
-        b, r, Engine.Clock.wall () -. t0)
-      sent
-  in
-  let cl0 = wait_up 500 in
-  let cold, cold_wall = Engine.Clock.timed (fun () -> replay cl0) in
-  Printf.printf "%s: cold %d requests in %.3f s (%.4f s/request)\n" name
-    n_benches cold_wall
-    (cold_wall /. float_of_int n_benches);
-  (* Concurrent telemetry scraper: polls the `telemetry` verb at ~10 Hz
-     for the whole warm phase and validates every scrape through
-     Obs.Expose.parse — so the warm throughput below includes the
-     overhead a live dashboard imposes, and any exposition the daemon
-     renders that does not parse back fails the experiment.
-
-     A thread, deliberately not a domain: an extra live domain — even
-     one asleep in [sleepf] — drags every stop-the-world minor GC of
-     the whole process, which an interleaved A/B measured at ~6% of
-     warm throughput, an order of magnitude above the scrapes
-     themselves (~2%). An external dashboard process imposes neither,
-     so the thread is the faithful stand-in. *)
-  let scraper_stop = Atomic.make false in
-  let scraper_result = ref (0, 0, "") in
-  let scraper =
-    Thread.create
-      (fun () ->
-        let cl = Serve.Client.connect sock in
-        let n = ref 0 and bad = ref 0 and last = ref "" in
-        while not (Atomic.get scraper_stop) do
-          let r = Serve.Client.telemetry cl in
-          incr n;
-          (if not r.Serve.Protocol.rp_ok then incr bad
-           else
-             match Obs.Expose.parse r.Serve.Protocol.rp_output with
-             | Ok _ -> last := r.Serve.Protocol.rp_output
-             | Error _ -> incr bad);
-          Unix.sleepf 0.1
-        done;
-        Serve.Client.close cl;
-        scraper_result := (!n, !bad, !last))
-      ()
-  in
-  (* warm concurrent reps *)
-  let warm_latencies = ref [] in
-  let warm_wall = ref 0.0 in
-  for _ = 1 to reps do
-    let (), wall =
-      Engine.Clock.timed @@ fun () ->
-      let doms =
-        List.init clients (fun _ ->
-            Domain.spawn (fun () ->
-                let cl = Serve.Client.connect sock in
-                let rows = replay cl in
-                Serve.Client.close cl;
-                List.map (fun (_, _, lat) -> lat) rows))
+  let broken =
+    Memo.Store.with_private_store @@ fun _ ->
+      let config =
+        { Serve.Server.default_config with
+          Serve.Server.sc_interp = Some Sim.Interp.Staged }
       in
-      List.iter
-        (fun d -> warm_latencies := Domain.join d @ !warm_latencies)
-        doms
-    in
-    warm_wall := !warm_wall +. wall
-  done;
-  Atomic.set scraper_stop true;
-  Thread.join scraper;
-  let scrapes, scrape_failures, last_scrape = !scraper_result in
-  Printf.printf
-    "%s: telemetry scraper: %d scrapes at ~10 Hz, %d parse failure(s)\n"
-    name scrapes scrape_failures;
-  let n_warm = reps * clients * n_benches in
-  let throughput = float_of_int n_warm /. !warm_wall in
-  let sorted = List.sort compare !warm_latencies in
-  let arr = Array.of_list sorted in
-  let pct p =
-    if Array.length arr = 0 then 0.0
-    else
-      arr.(min
-             (Array.length arr - 1)
-             (int_of_float (p *. float_of_int (Array.length arr))))
-  in
-  let p50 = pct 0.50 and p95 = pct 0.95 and p99 = pct 0.99 in
-  Printf.printf
-    "%s: warm %d requests in %.3f s -> %.1f requests/s; latency p50 %.1f \
-     ms p95 %.1f ms p99 %.1f ms\n"
-    name n_warm !warm_wall throughput (1e3 *. p50) (1e3 *. p95)
-    (1e3 *. p99);
-  (* one-shot CLI baseline + byte identity against the daemon replies *)
-  let cli =
-    Filename.concat
-      (Filename.dirname (Filename.dirname Sys.executable_name))
-      (Filename.concat "bin" "cayman_cli.exe")
-  in
-  let baseline_names =
-    List.filteri (fun i _ -> i < 3) bench_names
-  in
-  let identity = ref true in
-  let baseline =
-    if not (Sys.file_exists cli) then begin
-      Printf.printf "%s: CLI baseline skipped (%s not built)\n" name cli;
-      []
-    end
-    else
-      List.map
-        (fun b ->
-          let (out, status), wall =
-            Engine.Clock.timed @@ fun () ->
-            let ic =
-              Unix.open_process_in
-                (Printf.sprintf "%s run --bench %s --no-cache"
-                   (Filename.quote cli) (Filename.quote b))
-            in
-            let buf = Buffer.create 4096 in
-            let chunk = Bytes.create 4096 in
-            let rec slurp () =
-              let n = input ic chunk 0 (Bytes.length chunk) in
-              if n > 0 then begin
-                Buffer.add_subbytes buf chunk 0 n;
-                slurp ()
-              end
-            in
-            (try slurp () with End_of_file -> ());
-            let status = Unix.close_process_in ic in
-            Buffer.contents buf, status
+      let sock, daemon, cl0 = start_daemon ~name config in
+      let failed = Atomic.make 0 in
+      (* Replay the benchmark list over [cl]: send everything, then collect
+         by id. Returns (bench, reply, latency_s) in benchmark order. *)
+      let replay cl =
+        let sent =
+          List.mapi
+            (fun i b ->
+              let id = i + 1 in
+              Serve.Client.send cl (Serve.Protocol.request ~bench:b ~id "run");
+              id, b, Engine.Clock.wall ())
+            bench_names
+        in
+        List.map
+          (fun (id, b, t0) ->
+            let r = Serve.Client.recv cl ~id in
+            if not r.Serve.Protocol.rp_ok then Atomic.incr failed;
+            b, r, Engine.Clock.wall () -. t0)
+          sent
+      in
+      let cold, cold_wall = Engine.Clock.timed (fun () -> replay cl0) in
+      Printf.printf "%s: cold %d requests in %.3f s (%.4f s/request)\n" name
+        n_benches cold_wall
+        (cold_wall /. float_of_int n_benches);
+      (* Concurrent telemetry scraper: polls the `telemetry` verb at ~10 Hz
+         for the whole warm phase and validates every scrape through
+         Obs.Expose.parse — so the warm throughput below includes the
+         overhead a live dashboard imposes, and any exposition the daemon
+         renders that does not parse back fails the experiment. A scrape
+         that completes while [warm] is still set overlapped warm load.
+
+         A thread, deliberately not a domain: an extra live domain — even
+         one asleep in [sleepf] — drags every stop-the-world minor GC of
+         the whole process, which an interleaved A/B measured at ~6% of
+         warm throughput, an order of magnitude above the scrapes
+         themselves (~2%). An external dashboard process imposes neither,
+         so the thread is the faithful stand-in. *)
+      let warm = Atomic.make true in
+      let warm_scrapes = Atomic.make 0 in
+      let scraper_alive = Atomic.make true in
+      let scraper_result = ref (0, 0, "") in
+      let scraper =
+        Thread.create
+          (fun () ->
+            Fun.protect ~finally:(fun () -> Atomic.set scraper_alive false)
+            @@ fun () ->
+            let cl = Serve.Client.connect sock in
+            let n = ref 0 and bad = ref 0 and last = ref "" in
+            while Atomic.get warm do
+              let r = Serve.Client.telemetry cl in
+              incr n;
+              if Atomic.get warm then Atomic.incr warm_scrapes;
+              (if not r.Serve.Protocol.rp_ok then incr bad
+               else
+                 match Obs.Expose.parse r.Serve.Protocol.rp_output with
+                 | Ok _ -> last := r.Serve.Protocol.rp_output
+                 | Error _ -> incr bad);
+              Unix.sleepf 0.1
+            done;
+            Serve.Client.close cl;
+            scraper_result := (!n, !bad, !last))
+          ()
+      in
+      (* warm concurrent reps: at least [reps], and on until the scraper has
+         completed [min_warm_scrapes] scrapes under load (a fast warm phase
+         would otherwise rest the telemetry check on a single scrape) *)
+      let warm_latencies = ref [] in
+      let warm_wall = ref 0.0 in
+      let reps_run = ref 0 in
+      while
+        !reps_run < reps
+        || (Atomic.get warm_scrapes < min_warm_scrapes
+           && Atomic.get scraper_alive)
+      do
+        let (), wall =
+          Engine.Clock.timed @@ fun () ->
+          let doms =
+            List.init clients (fun _ ->
+                Domain.spawn (fun () ->
+                    let cl = Serve.Client.connect sock in
+                    let rows = replay cl in
+                    Serve.Client.close cl;
+                    List.map (fun (_, _, lat) -> lat) rows))
           in
-          if status <> Unix.WEXITED 0 then Atomic.incr failed;
-          let daemon_reply =
-            match List.find_opt (fun (b', _, _) -> b' = b) cold with
-            | Some (_, r, _) -> r.Serve.Protocol.rp_output
-            | None -> ""
-          in
-          if out <> daemon_reply then begin
-            identity := false;
-            Printf.printf
-              "%s: BYTE IDENTITY VIOLATED for %s (CLI %d bytes, daemon %d \
-               bytes)\n"
-              name b (String.length out)
-              (String.length daemon_reply)
-          end;
-          b, wall)
-        baseline_names
+          List.iter
+            (fun d -> warm_latencies := Domain.join d @ !warm_latencies)
+            doms
+        in
+        warm_wall := !warm_wall +. wall;
+        incr reps_run
+      done;
+      let warm_scrapes = Atomic.get warm_scrapes in
+      Atomic.set warm false;
+      Thread.join scraper;
+      let scrapes, scrape_failures, last_scrape = !scraper_result in
+      Printf.printf
+        "%s: telemetry scraper: %d scrapes at ~10 Hz (%d during warm load), \
+         %d parse failure(s)\n"
+        name scrapes warm_scrapes scrape_failures;
+      let n_warm = !reps_run * clients * n_benches in
+      let throughput = float_of_int n_warm /. !warm_wall in
+      let sorted = List.sort compare !warm_latencies in
+      let arr = Array.of_list sorted in
+      let pct p =
+        if Array.length arr = 0 then 0.0
+        else
+          arr.(min
+                 (Array.length arr - 1)
+                 (int_of_float (p *. float_of_int (Array.length arr))))
+      in
+      let p50 = pct 0.50 and p95 = pct 0.95 and p99 = pct 0.99 in
+      Printf.printf
+        "%s: warm %d reps, %d requests in %.3f s -> %.1f requests/s; latency \
+         p50 %.1f ms p95 %.1f ms p99 %.1f ms\n"
+        name !reps_run n_warm !warm_wall throughput (1e3 *. p50) (1e3 *. p95)
+        (1e3 *. p99);
+      (* one-shot CLI baseline + byte identity against the daemon replies *)
+      let cli =
+        Filename.concat
+          (Filename.dirname (Filename.dirname Sys.executable_name))
+          (Filename.concat "bin" "cayman_cli.exe")
+      in
+      let baseline_names =
+        List.filteri (fun i _ -> i < 3) bench_names
+      in
+      let identity = ref true in
+      let baseline =
+        if not (Sys.file_exists cli) then begin
+          Printf.printf "%s: CLI baseline skipped (%s not built)\n" name cli;
+          []
+        end
+        else
+          List.map
+            (fun b ->
+              let (out, status), wall =
+                Engine.Clock.timed @@ fun () ->
+                let ic =
+                  Unix.open_process_in
+                    (Printf.sprintf "%s run --bench %s --no-cache"
+                       (Filename.quote cli) (Filename.quote b))
+                in
+                let buf = Buffer.create 4096 in
+                let chunk = Bytes.create 4096 in
+                let rec slurp () =
+                  let n = input ic chunk 0 (Bytes.length chunk) in
+                  if n > 0 then begin
+                    Buffer.add_subbytes buf chunk 0 n;
+                    slurp ()
+                  end
+                in
+                (try slurp () with End_of_file -> ());
+                let status = Unix.close_process_in ic in
+                Buffer.contents buf, status
+              in
+              if status <> Unix.WEXITED 0 then Atomic.incr failed;
+              let daemon_reply =
+                match List.find_opt (fun (b', _, _) -> b' = b) cold with
+                | Some (_, r, _) -> r.Serve.Protocol.rp_output
+                | None -> ""
+              in
+              if out <> daemon_reply then begin
+                identity := false;
+                Printf.printf
+                  "%s: BYTE IDENTITY VIOLATED for %s (CLI %d bytes, daemon %d \
+                   bytes)\n"
+                  name b (String.length out)
+                  (String.length daemon_reply)
+              end;
+              b, wall)
+            baseline_names
+      in
+      let baseline_mean =
+        match baseline with
+        | [] -> nan
+        | rows ->
+          List.fold_left (fun acc (_, w) -> acc +. w) 0.0 rows
+          /. float_of_int (List.length rows)
+      in
+      let warm_per_request = !warm_wall /. float_of_int n_warm in
+      let speedup_vs_cli = baseline_mean /. warm_per_request in
+      if baseline <> [] then
+        Printf.printf
+          "%s: one-shot CLI baseline %.4f s/request -> warm daemon throughput \
+           is %.1fx the per-request CLI (identity %s)\n"
+          name baseline_mean speedup_vs_cli
+          (if !identity then "ok" else "FAIL");
+      Printf.printf "%s: %d failed request(s)\n" name (Atomic.get failed);
+      flush stdout;
+      Serve.Client.shutdown cl0;
+      Serve.Client.close cl0;
+      Option.iter failwith (Domain.join daemon);
+      Json_out.write name
+        (Json_out.Obj
+           [ "experiment", Json_out.String name;
+             "metric", Json_out.String "serve daemon throughput/latency";
+             "benchmarks", Json_out.Int n_benches;
+             "clients", Json_out.Int clients;
+             "reps", Json_out.Int !reps_run;
+             ( "cold",
+               Json_out.Obj
+                 [ "wall_s", Json_out.Float cold_wall;
+                   "mean_s", Json_out.Float (cold_wall /. float_of_int n_benches)
+                 ] );
+             ( "warm",
+               Json_out.Obj
+                 [ "wall_s", Json_out.Float !warm_wall;
+                   "requests", Json_out.Int n_warm;
+                   "throughput_rps", Json_out.Float throughput;
+                   "mean_s", Json_out.Float warm_per_request;
+                   "p50_us", Json_out.Float (1e6 *. p50);
+                   "p95_us", Json_out.Float (1e6 *. p95);
+                   "p99_us", Json_out.Float (1e6 *. p99) ] );
+             ( "cli_baseline",
+               Json_out.Obj
+                 [ "mean_s", Json_out.Float baseline_mean;
+                   ( "per_request",
+                     Json_out.List
+                       (List.map
+                          (fun (b, w) ->
+                            Json_out.Obj
+                              [ "benchmark", Json_out.String b;
+                                "wall_s", Json_out.Float w ])
+                          baseline) ) ] );
+             "speedup_vs_cli", Json_out.Float speedup_vs_cli;
+             "failed_requests", Json_out.Int (Atomic.get failed);
+             "byte_identity", Json_out.Bool !identity;
+             ( "telemetry",
+               Json_out.Obj
+                 [ "scrapes", Json_out.Int scrapes;
+                   "warm_scrapes", Json_out.Int warm_scrapes;
+                   "hz", Json_out.Float 10.0;
+                   "parse_failures", Json_out.Int scrape_failures ] ) ]);
+      if last_scrape <> "" then Json_out.write_text "telemetry.prom" last_scrape;
+      let requests_typed =
+        List.mem "# TYPE cayman_serve_requests_total counter"
+          (String.split_on_char '\n' last_scrape)
+      in
+      Atomic.get failed > 0 || (not !identity) || n_warm = 0
+      || warm_scrapes < min_warm_scrapes || scrape_failures > 0
+      || not requests_typed
   in
-  let baseline_mean =
-    match baseline with
-    | [] -> nan
-    | rows ->
-      List.fold_left (fun acc (_, w) -> acc +. w) 0.0 rows
-      /. float_of_int (List.length rows)
-  in
-  let warm_per_request = !warm_wall /. float_of_int n_warm in
-  let speedup_vs_cli = baseline_mean /. warm_per_request in
-  if baseline <> [] then
-    Printf.printf
-      "%s: one-shot CLI baseline %.4f s/request -> warm daemon throughput \
-       is %.1fx the per-request CLI (identity %s)\n"
-      name baseline_mean speedup_vs_cli
-      (if !identity then "ok" else "FAIL");
-  Printf.printf "%s: %d failed request(s)\n" name (Atomic.get failed);
-  flush stdout;
-  (* shut the daemon down and restore the ambient store *)
-  Serve.Client.shutdown cl0;
-  Serve.Client.close cl0;
-  Domain.join daemon;
-  Memo.Store.reset_memory ();
-  (match prev_store with
-   | Some s -> Memo.Store.enable ~dir:(Memo.Store.dir s) ()
-   | None -> Memo.Store.disable ());
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  (try rm_rf store_dir with Sys_error _ -> ());
-  Json_out.write name
-    (Json_out.Obj
-       [ "experiment", Json_out.String name;
-         "metric", Json_out.String "serve daemon throughput/latency";
-         "benchmarks", Json_out.Int n_benches;
-         "clients", Json_out.Int clients;
-         "reps", Json_out.Int reps;
-         ( "cold",
-           Json_out.Obj
-             [ "wall_s", Json_out.Float cold_wall;
-               "mean_s", Json_out.Float (cold_wall /. float_of_int n_benches)
-             ] );
-         ( "warm",
-           Json_out.Obj
-             [ "wall_s", Json_out.Float !warm_wall;
-               "requests", Json_out.Int n_warm;
-               "throughput_rps", Json_out.Float throughput;
-               "mean_s", Json_out.Float warm_per_request;
-               "p50_us", Json_out.Float (1e6 *. p50);
-               "p95_us", Json_out.Float (1e6 *. p95);
-               "p99_us", Json_out.Float (1e6 *. p99) ] );
-         ( "cli_baseline",
-           Json_out.Obj
-             [ "mean_s", Json_out.Float baseline_mean;
-               ( "per_request",
-                 Json_out.List
-                   (List.map
-                      (fun (b, w) ->
-                        Json_out.Obj
-                          [ "benchmark", Json_out.String b;
-                            "wall_s", Json_out.Float w ])
-                      baseline) ) ] );
-         "speedup_vs_cli", Json_out.Float speedup_vs_cli;
-         "failed_requests", Json_out.Int (Atomic.get failed);
-         "byte_identity", Json_out.Bool !identity;
-         ( "telemetry",
-           Json_out.Obj
-             [ "scrapes", Json_out.Int scrapes;
-               "hz", Json_out.Float 10.0;
-               "parse_failures", Json_out.Int scrape_failures ] ) ]);
-  if last_scrape <> "" then Json_out.write_text "telemetry.prom" last_scrape;
-  let requests_typed =
-    List.mem "# TYPE cayman_serve_requests_total counter"
-      (String.split_on_char '\n' last_scrape)
-  in
-  if Atomic.get failed > 0 || (not !identity) || n_warm = 0 || scrapes = 0
-     || scrape_failures > 0 || not requests_typed
-  then begin
+  if broken then begin
     prerr_endline
       (name ^ ": failed requests, identity violation or telemetry failure");
     exit 1
@@ -1215,25 +1224,6 @@ let serve_chaos ?(name = "serve-chaos") ?(seed = 42) ?(duration_s = 2.0) () =
         b, text)
       benches
   in
-  (* fresh private store + socket, ambient store restored afterwards *)
-  let store_dir = Filename.temp_file "cayman-serve-chaos" "" in
-  Sys.remove store_dir;
-  Sys.mkdir store_dir 0o700;
-  let prev_store = Memo.Store.ambient () in
-  Memo.Store.reset_memory ();
-  let sock = Filename.temp_file "cayman-serve-chaos" ".sock" in
-  Sys.remove sock;
-  let config =
-    { Serve.Server.default_config with
-      Serve.Server.sc_interp = Some Sim.Interp.Staged;
-      sc_cache = true;
-      sc_cache_dir = Some store_dir;
-      (* small caps so the campaign actually exercises the defenses
-         (the write cap still comfortably exceeds the largest single
-         reply these requests produce) *)
-      sc_max_queue = 64;
-      sc_max_write_buf = 64 * 1024 }
-  in
   (* deltas, not totals: serve-load may have run in this process *)
   let c_shed = Obs.Metrics.counter "serve.shed" in
   let c_deadline = Obs.Metrics.counter "serve.deadline_expired" in
@@ -1241,206 +1231,191 @@ let serve_chaos ?(name = "serve-chaos") ?(seed = 42) ?(duration_s = 2.0) () =
   let c_requests = Obs.Metrics.counter "serve.requests" in
   let c_errors = Obs.Metrics.counter "serve.errors" in
   let v0 = List.map Obs.Metrics.value [ c_shed; c_deadline; c_slow; c_requests; c_errors ] in
-  let daemon =
-    Domain.spawn (fun () ->
-        match Serve.Server.serve_socket ~config sock with
-        | () -> None
-        | exception e -> Some (Printexc.to_string e))
-  in
-  let rec wait_up n =
-    if n = 0 then failwith (name ^ ": daemon did not come up");
-    match Serve.Client.connect sock with
-    | cl -> cl
-    | exception Unix.Unix_error _ ->
-      Unix.sleepf 0.01;
-      wait_up (n - 1)
-  in
-  let probe = wait_up 500 in
-  (* the adversaries, one domain per kind, all seeded off the campaign
-     seed and their own kind label *)
-  let adversaries =
-    List.map
-      (fun kind ->
-        Domain.spawn (fun () ->
-            Cayman_fault.Chaos.run ~duration_s ~seed ~kind sock))
-      Cayman_fault.Chaos.all_kinds
-  in
-  (* the well-behaved client, concurrently: replay `run` requests with
-     the retrying client and check every byte *)
-  let wb =
-    Domain.spawn (fun () ->
-        let deadline = Unix.gettimeofday () +. duration_s in
-        let cl = ref (Serve.Client.connect sock) in
-        let requests = ref 0 in
-        let ok = ref 0 in
-        let mismatches = ref 0 in
-        let shed_final = ref 0 in
-        let unexpected = ref [] in
-        let exns = ref 0 in
-        while Unix.gettimeofday () < deadline do
-          List.iter
-            (fun (b, want) ->
-              incr requests;
-              match Serve.Client.rpc_retry !cl ~bench:b "run" with
-              | r ->
-                if r.Serve.Protocol.rp_ok then begin
-                  if r.Serve.Protocol.rp_output = want then incr ok
-                  else incr mismatches
-                end
-                else if r.Serve.Protocol.rp_class = "overloaded"
-                        || r.Serve.Protocol.rp_class = "deadline-expired"
-                then incr shed_final
-                else unexpected := r.Serve.Protocol.rp_class :: !unexpected
-              | exception _ ->
-                incr exns;
-                (match Serve.Client.connect sock with
-                 | fresh ->
-                   Serve.Client.close !cl;
-                   cl := fresh
-                 | exception _ -> ()))
-            expected
-        done;
-        Serve.Client.close !cl;
-        (!requests, !ok, !mismatches, !shed_final, !unexpected, !exns))
-  in
-  let adv_stats = List.map Domain.join adversaries in
-  let wb_requests, wb_ok, wb_mismatches, wb_shed, wb_unexpected, wb_exns =
-    Domain.join wb
-  in
-  (* after the abuse: the daemon must still answer, and its telemetry
-     must still parse *)
-  let health_ok =
-    match Serve.Client.rpc probe "health" with
-    | r -> r.Serve.Protocol.rp_ok && r.Serve.Protocol.rp_output = "ok\n"
-    | exception _ -> false
-  in
-  let telemetry_ok =
-    match Serve.Client.telemetry probe with
-    | r ->
-      r.Serve.Protocol.rp_ok
-      && Result.is_ok (Obs.Expose.parse r.Serve.Protocol.rp_output)
-    | exception _ -> false
-  in
-  let hwm =
-    match List.assoc_opt "serve.write_buf_hwm" (Obs.Metrics.snapshot ()) with
-    | Some (Obs.Metrics.S_gauge v) -> v
-    | _ -> 0
-  in
-  (match Serve.Client.shutdown probe with
-   | () -> ()
-   | exception _ -> ());
-  Serve.Client.close probe;
-  let crash = Domain.join daemon in
-  Memo.Store.reset_memory ();
-  (match prev_store with
-   | Some s -> Memo.Store.enable ~dir:(Memo.Store.dir s) ()
-   | None -> Memo.Store.disable ());
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  (try rm_rf store_dir with Sys_error _ -> ());
-  let v1 =
-    List.map Obs.Metrics.value [ c_shed; c_deadline; c_slow; c_requests; c_errors ]
-  in
-  let d_shed, d_deadline, d_slow, d_requests, d_errors =
-    match List.map2 (fun a b -> a - b) v1 v0 with
-    | [ a; b; c; d; e ] -> a, b, c, d, e
-    | _ -> 0, 0, 0, 0, 0
-  in
-  List.iter
-    (fun (s : Cayman_fault.Chaos.stats) ->
-      Printf.printf
-        "%s: adversary %-17s %4d connects, %4d sends, %8d bytes, %4d \
-         peer-closes, %d local errors\n"
-        name s.Cayman_fault.Chaos.st_kind s.Cayman_fault.Chaos.st_connects
-        s.Cayman_fault.Chaos.st_sends s.Cayman_fault.Chaos.st_bytes_sent
-        s.Cayman_fault.Chaos.st_peer_closes
-        s.Cayman_fault.Chaos.st_local_errors)
-    adv_stats;
-  Printf.printf
-    "%s: well-behaved client: %d requests, %d ok, %d mismatches, %d shed \
-     after retries, %d unexpected classes, %d exceptions\n"
-    name wb_requests wb_ok wb_mismatches wb_shed
-    (List.length wb_unexpected)
-    wb_exns;
-  Printf.printf
-    "%s: daemon counters: %d served, %d errors, %d shed, %d \
-     deadline-expired, %d slow-client disconnects\n"
-    name d_requests d_errors d_shed d_deadline d_slow;
-  Printf.printf "%s: write-buffer high-water mark %d bytes (cap %d)\n" name
-    hwm config.Serve.Server.sc_max_write_buf;
-  Printf.printf "%s: daemon crash: %s; health %s; telemetry parse %s\n" name
-    (match crash with None -> "none" | Some m -> m)
-    (if health_ok then "ok" else "FAIL")
-    (if telemetry_ok then "ok" else "FAIL");
-  flush stdout;
-  Json_out.write name
-    (Json_out.Obj
-       [ "experiment", Json_out.String name;
-         "seed", Json_out.Int seed;
-         "duration_s", Json_out.Float duration_s;
-         ( "daemon_crash",
-           match crash with
-           | None -> Json_out.Null
-           | Some m -> Json_out.String m );
-         ( "well_behaved",
-           Json_out.Obj
-             [ "requests", Json_out.Int wb_requests;
-               "ok", Json_out.Int wb_ok;
-               "mismatches", Json_out.Int wb_mismatches;
-               "shed_after_retries", Json_out.Int wb_shed;
-               "unexpected_classes", Json_out.Int (List.length wb_unexpected);
-               "exceptions", Json_out.Int wb_exns ] );
-         ( "adversaries",
-           Json_out.List
-             (List.map
-                (fun (s : Cayman_fault.Chaos.stats) ->
-                  Json_out.Obj
-                    [ "kind", Json_out.String s.Cayman_fault.Chaos.st_kind;
-                      "connects", Json_out.Int s.Cayman_fault.Chaos.st_connects;
-                      "sends", Json_out.Int s.Cayman_fault.Chaos.st_sends;
-                      ( "bytes_sent",
-                        Json_out.Int s.Cayman_fault.Chaos.st_bytes_sent );
-                      ( "peer_closes",
-                        Json_out.Int s.Cayman_fault.Chaos.st_peer_closes );
-                      ( "local_errors",
-                        Json_out.Int s.Cayman_fault.Chaos.st_local_errors ) ])
-                adv_stats) );
-         ( "daemon",
-           Json_out.Obj
-             [ "requests", Json_out.Int d_requests;
-               "errors", Json_out.Int d_errors;
-               "shed", Json_out.Int d_shed;
-               "deadline_expired", Json_out.Int d_deadline;
-               "slow_client_disconnects", Json_out.Int d_slow ] );
-         ( "write_buf",
-           Json_out.Obj
-             [ "hwm_bytes", Json_out.Int hwm;
-               "cap_bytes", Json_out.Int config.Serve.Server.sc_max_write_buf
-             ] );
-         "health_ok", Json_out.Bool health_ok;
-         "telemetry_parse_ok", Json_out.Bool telemetry_ok ]);
-  (* six distinct kinds, a fixed count: dropping one from
-     [Chaos.all_kinds] fails here instead of silently weakening the
-     campaign *)
-  let kinds =
-    List.sort_uniq compare
-      (List.map (fun (s : Cayman_fault.Chaos.stats) -> s.Cayman_fault.Chaos.st_kind)
-         adv_stats)
-  in
+  (* fresh private store + socket, ambient store restored afterwards *)
   let failed =
-    crash <> None || wb_mismatches > 0 || wb_unexpected <> [] || wb_exns > 0
-    || wb_ok + wb_shed <> wb_requests
-    || (not health_ok) || (not telemetry_ok)
-    || hwm > config.Serve.Server.sc_max_write_buf
-    || List.length kinds <> 6
-    || List.exists
-         (fun (s : Cayman_fault.Chaos.stats) -> s.Cayman_fault.Chaos.st_connects = 0)
-         adv_stats
+    Memo.Store.with_private_store @@ fun _ ->
+      let config =
+        { Serve.Server.default_config with
+          Serve.Server.sc_interp = Some Sim.Interp.Staged;
+          (* small caps so the campaign actually exercises the defenses
+             (the write cap still comfortably exceeds the largest single
+             reply these requests produce) *)
+          sc_max_queue = 64;
+          sc_max_write_buf = 64 * 1024 }
+      in
+      let sock, daemon, probe = start_daemon ~name config in
+      (* the adversaries, one domain per kind, all seeded off the campaign
+         seed and their own kind label *)
+      let adversaries =
+        List.map
+          (fun kind ->
+            Domain.spawn (fun () ->
+                Cayman_fault.Chaos.run ~duration_s ~seed ~kind sock))
+          Cayman_fault.Chaos.all_kinds
+      in
+      (* the well-behaved client, concurrently: replay `run` requests with
+         the retrying client and check every byte *)
+      let wb =
+        Domain.spawn (fun () ->
+            let deadline = Unix.gettimeofday () +. duration_s in
+            let cl = ref (Serve.Client.connect sock) in
+            let requests = ref 0 in
+            let ok = ref 0 in
+            let mismatches = ref 0 in
+            let shed_final = ref 0 in
+            let unexpected = ref [] in
+            let exns = ref 0 in
+            while Unix.gettimeofday () < deadline do
+              List.iter
+                (fun (b, want) ->
+                  incr requests;
+                  match Serve.Client.rpc_retry !cl ~bench:b "run" with
+                  | r ->
+                    if r.Serve.Protocol.rp_ok then begin
+                      if r.Serve.Protocol.rp_output = want then incr ok
+                      else incr mismatches
+                    end
+                    else if r.Serve.Protocol.rp_class = "overloaded"
+                            || r.Serve.Protocol.rp_class = "deadline-expired"
+                    then incr shed_final
+                    else unexpected := r.Serve.Protocol.rp_class :: !unexpected
+                  | exception _ ->
+                    incr exns;
+                    (match Serve.Client.connect sock with
+                     | fresh ->
+                       Serve.Client.close !cl;
+                       cl := fresh
+                     | exception _ -> ()))
+                expected
+            done;
+            Serve.Client.close !cl;
+            (!requests, !ok, !mismatches, !shed_final, !unexpected, !exns))
+      in
+      let adv_stats = List.map Domain.join adversaries in
+      let wb_requests, wb_ok, wb_mismatches, wb_shed, wb_unexpected, wb_exns =
+        Domain.join wb
+      in
+      (* after the abuse: the daemon must still answer, and its telemetry
+         must still parse *)
+      let health_ok =
+        match Serve.Client.rpc probe "health" with
+        | r -> r.Serve.Protocol.rp_ok && r.Serve.Protocol.rp_output = "ok\n"
+        | exception _ -> false
+      in
+      let telemetry_ok =
+        match Serve.Client.telemetry probe with
+        | r ->
+          r.Serve.Protocol.rp_ok
+          && Result.is_ok (Obs.Expose.parse r.Serve.Protocol.rp_output)
+        | exception _ -> false
+      in
+      let hwm =
+        match List.assoc_opt "serve.write_buf_hwm" (Obs.Metrics.snapshot ()) with
+        | Some (Obs.Metrics.S_gauge v) -> v
+        | _ -> 0
+      in
+      (match Serve.Client.shutdown probe with
+       | () -> ()
+       | exception _ -> ());
+      Serve.Client.close probe;
+      let crash = Domain.join daemon in
+      let v1 =
+        List.map Obs.Metrics.value [ c_shed; c_deadline; c_slow; c_requests; c_errors ]
+      in
+      let d_shed, d_deadline, d_slow, d_requests, d_errors =
+        match List.map2 (fun a b -> a - b) v1 v0 with
+        | [ a; b; c; d; e ] -> a, b, c, d, e
+        | _ -> 0, 0, 0, 0, 0
+      in
+      List.iter
+        (fun (s : Cayman_fault.Chaos.stats) ->
+          Printf.printf
+            "%s: adversary %-17s %4d connects, %4d sends, %8d bytes, %4d \
+             peer-closes, %d local errors\n"
+            name s.Cayman_fault.Chaos.st_kind s.Cayman_fault.Chaos.st_connects
+            s.Cayman_fault.Chaos.st_sends s.Cayman_fault.Chaos.st_bytes_sent
+            s.Cayman_fault.Chaos.st_peer_closes
+            s.Cayman_fault.Chaos.st_local_errors)
+        adv_stats;
+      Printf.printf
+        "%s: well-behaved client: %d requests, %d ok, %d mismatches, %d shed \
+         after retries, %d unexpected classes, %d exceptions\n"
+        name wb_requests wb_ok wb_mismatches wb_shed
+        (List.length wb_unexpected)
+        wb_exns;
+      Printf.printf
+        "%s: daemon counters: %d served, %d errors, %d shed, %d \
+         deadline-expired, %d slow-client disconnects\n"
+        name d_requests d_errors d_shed d_deadline d_slow;
+      Printf.printf "%s: write-buffer high-water mark %d bytes (cap %d)\n" name
+        hwm config.Serve.Server.sc_max_write_buf;
+      Printf.printf "%s: daemon crash: %s; health %s; telemetry parse %s\n" name
+        (match crash with None -> "none" | Some m -> m)
+        (if health_ok then "ok" else "FAIL")
+        (if telemetry_ok then "ok" else "FAIL");
+      flush stdout;
+      Json_out.write name
+        (Json_out.Obj
+           [ "experiment", Json_out.String name;
+             "seed", Json_out.Int seed;
+             "duration_s", Json_out.Float duration_s;
+             ( "daemon_crash",
+               match crash with
+               | None -> Json_out.Null
+               | Some m -> Json_out.String m );
+             ( "well_behaved",
+               Json_out.Obj
+                 [ "requests", Json_out.Int wb_requests;
+                   "ok", Json_out.Int wb_ok;
+                   "mismatches", Json_out.Int wb_mismatches;
+                   "shed_after_retries", Json_out.Int wb_shed;
+                   "unexpected_classes", Json_out.Int (List.length wb_unexpected);
+                   "exceptions", Json_out.Int wb_exns ] );
+             ( "adversaries",
+               Json_out.List
+                 (List.map
+                    (fun (s : Cayman_fault.Chaos.stats) ->
+                      Json_out.Obj
+                        [ "kind", Json_out.String s.Cayman_fault.Chaos.st_kind;
+                          "connects", Json_out.Int s.Cayman_fault.Chaos.st_connects;
+                          "sends", Json_out.Int s.Cayman_fault.Chaos.st_sends;
+                          ( "bytes_sent",
+                            Json_out.Int s.Cayman_fault.Chaos.st_bytes_sent );
+                          ( "peer_closes",
+                            Json_out.Int s.Cayman_fault.Chaos.st_peer_closes );
+                          ( "local_errors",
+                            Json_out.Int s.Cayman_fault.Chaos.st_local_errors ) ])
+                    adv_stats) );
+             ( "daemon",
+               Json_out.Obj
+                 [ "requests", Json_out.Int d_requests;
+                   "errors", Json_out.Int d_errors;
+                   "shed", Json_out.Int d_shed;
+                   "deadline_expired", Json_out.Int d_deadline;
+                   "slow_client_disconnects", Json_out.Int d_slow ] );
+             ( "write_buf",
+               Json_out.Obj
+                 [ "hwm_bytes", Json_out.Int hwm;
+                   "cap_bytes", Json_out.Int config.Serve.Server.sc_max_write_buf
+                 ] );
+             "health_ok", Json_out.Bool health_ok;
+             "telemetry_parse_ok", Json_out.Bool telemetry_ok ]);
+      (* six distinct kinds, a fixed count: dropping one from
+         [Chaos.all_kinds] fails here instead of silently weakening the
+         campaign *)
+      let kinds =
+        List.sort_uniq compare
+          (List.map (fun (s : Cayman_fault.Chaos.stats) -> s.Cayman_fault.Chaos.st_kind)
+             adv_stats)
+      in
+      crash <> None || wb_mismatches > 0 || wb_unexpected <> [] || wb_exns > 0
+      || wb_ok + wb_shed <> wb_requests
+      || (not health_ok) || (not telemetry_ok)
+      || hwm > config.Serve.Server.sc_max_write_buf
+      || List.length kinds <> 6
+      || List.exists
+           (fun (s : Cayman_fault.Chaos.stats) -> s.Cayman_fault.Chaos.st_connects = 0)
+           adv_stats
   in
   if failed then begin
     prerr_endline
@@ -1475,46 +1450,44 @@ let fleet_bench ?(name = "fleet") ?(sizes = [ 1000; 2000; 5000; 10000 ])
      (seed %d) ==\n"
     name seed;
   (* fresh private store so the cold pass is genuinely cold *)
-  let store_dir = Filename.temp_file "cayman-fleet-bench" "" in
-  Sys.remove store_dir;
-  Sys.mkdir store_dir 0o700;
-  let prev_store = Memo.Store.ambient () in
-  Memo.Store.reset_memory ();
-  Memo.Store.enable ~dir:store_dir ();
-  let opts kernels =
-    { Fleet.Merge.default_options with
-      Fleet.Merge.o_kernels = kernels;
-      o_seed = seed }
-  in
-  let cold, cold_wall =
-    Engine.Clock.timed (fun () -> Fleet.Merge.run (opts max_size))
-  in
-  print_string (Fleet.Merge.report_to_string cold);
-  Printf.eprintf "%s: cold %d programs in %.3f s\n%!" name max_size
-    cold_wall;
-  (* simulated restart: drop the in-memory memo layer so the warm rerun
-     reads every program summary back from disk *)
-  Memo.Store.reset_memory ();
-  let warm, warm_wall =
-    Engine.Clock.timed (fun () -> Fleet.Merge.run (opts max_size))
-  in
-  let identical =
-    String.equal
-      (Fleet.Merge.report_to_string warm)
-      (Fleet.Merge.report_to_string cold)
-  in
-  let speedup = cold_wall /. Float.max 1e-9 warm_wall in
-  Printf.printf "%s: warm rerun report %s\n" name
-    (if identical then "identical" else "DIFFERS");
-  Printf.eprintf "%s: warm %d programs in %.3f s (%.1fx cold)\n%!" name
-    max_size warm_wall speedup;
-  (* area saved vs population size: every smaller prefix of the same
-     fleet re-merged (program summaries come from the store, clustering
-     and merging are recomputed per population) *)
-  let rows =
-    List.map
-      (fun n -> if n = max_size then cold else Fleet.Merge.run (opts n))
-      sizes
+  let cold, identical, rows =
+    Memo.Store.with_private_store @@ fun _ ->
+      let opts kernels =
+        { Fleet.Merge.default_options with
+          Fleet.Merge.o_kernels = kernels;
+          o_seed = seed }
+      in
+      let cold, cold_wall =
+        Engine.Clock.timed (fun () -> Fleet.Merge.run (opts max_size))
+      in
+      print_string (Fleet.Merge.report_to_string cold);
+      Printf.eprintf "%s: cold %d programs in %.3f s\n%!" name max_size
+        cold_wall;
+      (* simulated restart: drop the in-memory memo layer so the warm rerun
+         reads every program summary back from disk *)
+      Memo.Store.reset_memory ();
+      let warm, warm_wall =
+        Engine.Clock.timed (fun () -> Fleet.Merge.run (opts max_size))
+      in
+      let identical =
+        String.equal
+          (Fleet.Merge.report_to_string warm)
+          (Fleet.Merge.report_to_string cold)
+      in
+      let speedup = cold_wall /. Float.max 1e-9 warm_wall in
+      Printf.printf "%s: warm rerun report %s\n" name
+        (if identical then "identical" else "DIFFERS");
+      Printf.eprintf "%s: warm %d programs in %.3f s (%.1fx cold)\n%!" name
+        max_size warm_wall speedup;
+      (* area saved vs population size: every smaller prefix of the same
+         fleet re-merged (program summaries come from the store, clustering
+         and merging are recomputed per population) *)
+      let rows =
+        List.map
+          (fun n -> if n = max_size then cold else Fleet.Merge.run (opts n))
+          sizes
+      in
+      cold, identical, rows
   in
   Printf.printf "%8s %8s %8s %10s %10s %10s %8s %8s\n" "programs"
     "kernels" "shared" "solo mm2" "per mm2" "fleet mm2" "fleet%" "vs-per%";
@@ -1531,19 +1504,6 @@ let fleet_bench ?(name = "fleet") ?(sizes = [ 1000; 2000; 5000; 10000 ])
         r.Fleet.Merge.r_saving_vs_per_program_pct)
     rows;
   flush stdout;
-  (* restore the ambient store and drop the private one *)
-  Memo.Store.reset_memory ();
-  (match prev_store with
-   | Some s -> Memo.Store.enable ~dir:(Memo.Store.dir s) ()
-   | None -> Memo.Store.disable ());
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  (try rm_rf store_dir with Sys_error _ -> ());
   Json_out.write name
     (Json_out.Obj
        [ "experiment", Json_out.String name;
@@ -1659,9 +1619,9 @@ let () =
       Json_out.set_base base;
       parse names rest
     | "--fuel" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some f when f > 0 -> Engine.Config.set_fuel f
-       | Some _ | None -> bad_usage "invalid --fuel %s (want a positive integer)" n);
+      (match Engine.Config.positive_int n with
+       | Some f -> Engine.Config.set_fuel f
+       | None -> bad_usage "invalid --fuel %s (want a positive integer)" n);
       parse names rest
     | "--cache-dir" :: dir :: rest ->
       cache_dir := Some dir;

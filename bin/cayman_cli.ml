@@ -14,93 +14,49 @@ module Suite = Cayman_suites.Suite
 
 open Cmdliner
 
-let load_program ~bench ~file =
-  match bench, file with
-  | Some name, None ->
-    (match Suite.find name with
-     | Some b -> Ok (Suite.compile b)
-     | None ->
-       Error (Printf.sprintf "unknown benchmark %s (try the list command)" name))
-  | None, Some path ->
-    (try
-       let ic = open_in path in
-       let n = in_channel_length ic in
-       let src = really_input_string ic n in
-       close_in ic;
-       Ok (Cayman_frontend.Lower.compile src)
-     with
-     | Sys_error m -> Error m
-     | Cayman_frontend.Diag.Error d ->
-       Error (Printf.sprintf "%s: %s" path (Cayman_frontend.Diag.to_string d)))
-  | Some _, Some _ -> Error "use either --bench or --file, not both"
-  | None, None -> Error "one of --bench or --file is required"
+let fail m =
+  prerr_endline ("cayman: " ^ m);
+  1
 
-let bench_arg =
-  let doc = "Suite benchmark name (see the list command)." in
-  Arg.(value & opt (some string) None & info [ "b"; "bench" ] ~doc)
+(* --- the program a pipeline subcommand works on --- *)
 
-let file_arg =
-  let doc = "MiniC source file to compile and accelerate." in
-  Arg.(value & opt (some file) None & info [ "f"; "file" ] ~doc)
-
-let budget_arg =
-  let doc = "Area budget as a fraction of the CVA6 tile area." in
-  Arg.(value & opt float 0.25 & info [ "budget" ] ~doc)
-
-let mode_arg =
-  let doc = "Accelerator model: full, coupled-only, novia, qscores." in
-  Arg.(value & opt string "full" & info [ "mode" ] ~doc)
-
-let alpha_arg =
-  let doc = "Pareto filter spacing ratio (Algorithm 1's alpha)." in
-  Arg.(value & opt float 1.08 & info [ "alpha" ] ~doc)
-
-let jobs_arg =
-  let doc =
-    "Worker domains for parallel evaluation (0 = auto: $(b,CAYMAN_JOBS) \
-     or the recommended domain count). Results are identical for every \
-     value."
+let program_t =
+  let bench_arg =
+    let doc = "Suite benchmark name (see the list command)." in
+    Arg.(value & opt (some string) None & info [ "b"; "bench" ] ~doc)
   in
-  Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~doc ~docv:"N")
-
-(* Install an explicit --jobs as the process-wide default so every
-   engine entry point (selection, merging sweeps) sees it. *)
-let apply_jobs jobs = if jobs > 0 then Engine.Config.set_jobs jobs
-
-let fuel_arg =
-  let doc =
-    "Interpreter fuel budget in executed instructions (0 = default: \
-     $(b,CAYMAN_FUEL) or a finite built-in budget). Runs that exhaust \
-     it stop with a diagnostic instead of hanging."
+  let file_arg =
+    let doc = "MiniC source file to compile and accelerate." in
+    Arg.(value & opt (some file) None & info [ "f"; "file" ] ~doc)
   in
-  Arg.(value & opt int 0 & info [ "fuel" ] ~doc ~docv:"N")
-
-let apply_fuel fuel = if fuel > 0 then Engine.Config.set_fuel fuel
-
-let interp_arg =
-  let doc =
-    "Interpreter engine: $(docv) is $(b,staged) (closure-compiled fast \
-     path, the default) or $(b,reference) (tree-walking ground truth). \
-     Defaults to $(b,CAYMAN_INTERP) when unset. Every observable output \
-     — profiles, selections, co-simulation verdicts — is byte-identical \
-     between the two."
+  (* A thunk: the program is compiled inside [with_setup], so a front-end
+     diagnostic is reported like any other. *)
+  let load bench file () =
+    match bench, file with
+    | Some name, None -> Serve.Handlers.load ~bench:name ()
+    | None, Some path ->
+      (match
+         Cayman_frontend.Lower.compile
+           (In_channel.with_open_text path In_channel.input_all)
+       with
+       | p -> Ok p
+       | exception Sys_error m -> Error m
+       | exception Cayman_frontend.Diag.Error d ->
+         Error (Printf.sprintf "%s: %s" path (Cayman_frontend.Diag.to_string d)))
+    | Some _, Some _ -> Error "use either --bench or --file, not both"
+    | None, None -> Error "one of --bench or --file is required"
   in
-  Arg.(
-    value
-    & opt
-        (some
-           (enum
-              [ "staged", Sim.Interp.Staged;
-                "reference", Sim.Interp.Reference ]))
-        None
-    & info [ "interp" ] ~doc ~docv:"ENGINE")
+  Term.(const load $ bench_arg $ file_arg)
 
-(* Like --jobs/--fuel: an explicit flag becomes the process-wide
-   override so every interpreter entry point (profiling, cosim golden
-   runs, fault campaigns) sees the same engine. *)
-let apply_interp = function
-  | None -> ()
-  | Some e -> Sim.Interp.set_engine e
+(* --- process settings shared by every pipeline subcommand --- *)
+
+type setup = {
+  fuel : int;  (* 0 = Engine.Config's default *)
+  interp : Sim.Interp.engine option;
+  cache_dir : string option;
+  no_cache : bool;
+  trace : string option;
+}
 
 let cache_dir_arg =
   let doc =
@@ -110,43 +66,62 @@ let cache_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~doc ~docv:"DIR")
 
-let no_cache_arg =
-  let doc =
-    "Disable the on-disk memoization cache for this run (results are \
-     bit-identical either way, just slower)."
+let setup_t =
+  let fuel_arg =
+    let doc =
+      "Interpreter fuel budget in executed instructions (0 = default: \
+       $(b,CAYMAN_FUEL) or a finite built-in budget). Runs that exhaust \
+       it stop with a diagnostic instead of hanging."
+    in
+    Arg.(value & opt int 0 & info [ "fuel" ] ~doc ~docv:"N")
   in
-  Arg.(value & flag & info [ "no-cache" ] ~doc)
-
-(* The library default is cache-off; the CLI turns it on after flag
-   parsing. Fault campaigns force recomputation internally whatever the
-   ambient state (see Fault.Campaign). *)
-let apply_cache cache_dir no_cache =
-  if no_cache then Memo.Store.disable ()
-  else Memo.Store.enable ?dir:cache_dir ()
-
-(* Convert the documented pipeline exceptions into clean one-line
-   diagnostics + exit 1; anything else is a genuine crash and should
-   keep its backtrace. *)
-let with_diagnostics f =
-  try f () with
-  | Cayman_sim.Interp.Out_of_fuel ->
-    prerr_endline
-      "cayman: interpreter ran out of fuel (raise --fuel or CAYMAN_FUEL)";
-    1
-  | Cayman_sim.Interp.Runtime_error m ->
-    prerr_endline ("cayman: runtime error: " ^ m);
-    1
-  | Cayman_frontend.Diag.Error d ->
-    prerr_endline ("cayman: " ^ Cayman_frontend.Diag.to_string d);
-    1
-
-let trace_arg =
-  let doc =
-    "Record a Chrome trace_event timeline of the whole run and write it \
-     to $(docv) (load in Perfetto or chrome://tracing). Stdout is \
-     unaffected; the confirmation goes to stderr."
+  let interp_arg =
+    let doc =
+      "Interpreter engine: $(docv) is $(b,staged) (closure-compiled fast \
+       path, the default) or $(b,reference) (tree-walking ground truth). \
+       Defaults to $(b,CAYMAN_INTERP) when unset. Every observable output \
+       — profiles, selections, co-simulation verdicts — is byte-identical \
+       between the two."
+    in
+    Arg.(
+      value
+      & opt
+          (some
+             (enum
+                [ "staged", Sim.Interp.Staged;
+                  "reference", Sim.Interp.Reference ]))
+          None
+      & info [ "interp" ] ~doc ~docv:"ENGINE")
   in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~doc ~docv:"FILE")
+  let no_cache_arg =
+    let doc =
+      "Disable the on-disk memoization cache for this run (results are \
+       bit-identical either way, just slower)."
+    in
+    Arg.(value & flag & info [ "no-cache" ] ~doc)
+  in
+  let trace_arg =
+    let doc =
+      "Record a Chrome trace_event timeline of the whole run and write it \
+       to $(docv) (load in Perfetto or chrome://tracing). Stdout is \
+       unaffected; the confirmation goes to stderr."
+    in
+    Arg.(value & opt (some string) None & info [ "trace" ] ~doc ~docv:"FILE")
+  in
+  let make fuel interp cache_dir no_cache trace =
+    { fuel; interp; cache_dir; no_cache; trace }
+  in
+  Term.(const make $ fuel_arg $ interp_arg $ cache_dir_arg $ no_cache_arg
+        $ trace_arg)
+
+(* Only the subcommands that run Engine.Pool take --jobs. *)
+let jobs_arg =
+  let doc =
+    "Worker domains for parallel evaluation (0 = auto: $(b,CAYMAN_JOBS) \
+     or the recommended domain count). Results are identical for every \
+     value."
+  in
+  Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~doc ~docv:"N")
 
 (* Arm tracing around a subcommand body and flush the timeline on the
    way out — including error exits, so partial runs are inspectable. *)
@@ -168,108 +143,120 @@ let with_trace trace f =
      | code -> flush (); code
      | exception e -> flush (); raise e)
 
-(* The run/dump/cosim bodies live in Serve.Handlers, shared verbatim
-   with the daemon: `cayman serve` replies are byte-identical to these
-   subcommands' stdout by construction. *)
-let gen_of_mode = Serve.Handlers.gen_of_mode
+(* Run a subcommand body under its settings. Explicit flags become the
+   Engine.Config overrides, so every entry point (selection, profiling,
+   cosim golden runs, fault campaigns) sees them. The memo store is off
+   in the library and turned on here. The documented pipeline exceptions
+   become one-line diagnostics and exit 1; anything else is a genuine
+   crash and keeps its backtrace. *)
+let with_setup ?(jobs = 0) s f =
+  if jobs > 0 then Engine.Config.set_jobs jobs;
+  if s.fuel > 0 then Engine.Config.set_fuel s.fuel;
+  Option.iter Sim.Interp.set_engine s.interp;
+  if s.no_cache then Memo.Store.disable ()
+  else Memo.Store.enable ?dir:s.cache_dir ();
+  with_trace s.trace @@ fun () ->
+  try f () with
+  | Sim.Interp.Out_of_fuel ->
+    fail "interpreter ran out of fuel (raise --fuel or CAYMAN_FUEL)"
+  | Sim.Interp.Runtime_error m -> fail ("runtime error: " ^ m)
+  | Cayman_frontend.Diag.Error d -> fail (Cayman_frontend.Diag.to_string d)
 
-let run_cmd bench file budget mode alpha jobs fuel interp cache_dir no_cache trace =
-  apply_jobs jobs;
-  apply_fuel fuel;
-  apply_interp interp;
-  apply_cache cache_dir no_cache;
-  with_trace trace @@ fun () ->
-  with_diagnostics @@ fun () ->
-  match load_program ~bench ~file with
-  | Error m -> prerr_endline ("cayman: " ^ m); 1
-  | Ok program ->
-    (match Serve.Handlers.run_text ~budget ~mode ~alpha program with
-     | Error m -> prerr_endline ("cayman: " ^ m); 1
-     | Ok text -> print_string text; 0)
+let with_program ?jobs s program f =
+  with_setup ?jobs s @@ fun () ->
+  match program () with
+  | Error m -> fail m
+  | Ok p -> f p
 
-let dump_cmd bench file fuel interp cache_dir no_cache trace =
-  apply_fuel fuel;
-  apply_interp interp;
-  apply_cache cache_dir no_cache;
-  with_trace trace @@ fun () ->
-  with_diagnostics @@ fun () ->
-  match load_program ~bench ~file with
-  | Error m -> prerr_endline ("cayman: " ^ m); 1
-  | Ok program ->
-    print_string (Serve.Handlers.dump_text program);
-    0
+let budget_arg =
+  let doc = "Area budget as a fraction of the CVA6 tile area." in
+  Arg.(value & opt float 0.25 & info [ "budget" ] ~doc)
+
+let mode_arg =
+  let doc = "Accelerator model: full, coupled-only, novia, qscores." in
+  Arg.(value & opt string "full" & info [ "mode" ] ~doc)
+
+let alpha_arg =
+  let doc = "Pareto filter spacing ratio (Algorithm 1's alpha)." in
+  Arg.(value & opt float 1.08 & info [ "alpha" ] ~doc)
 
 let out_arg =
   let doc = "Output directory for generated Verilog." in
   Arg.(value & opt string "cayman_rtl" & info [ "o"; "out" ] ~doc)
 
-let emit_cmd bench file budget out jobs fuel interp cache_dir no_cache trace =
-  apply_jobs jobs;
-  apply_fuel fuel;
-  apply_interp interp;
-  apply_cache cache_dir no_cache;
-  with_trace trace @@ fun () ->
-  with_diagnostics @@ fun () ->
-  match load_program ~bench ~file with
-  | Error m -> prerr_endline ("cayman: " ^ m); 1
-  | Ok program ->
-    let a = Core.Cayman.analyze program in
-    let r = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a in
-    let s = Core.Cayman.best_under_ratio r ~budget_ratio:budget in
-    if not (Sys.file_exists out) then Sys.mkdir out 0o755;
-    let write name contents =
-      let oc = open_out (Filename.concat out name) in
-      output_string oc contents;
-      close_out oc
-    in
-    write "cayman_primitives.v" Hls.Netlist.primitives;
-    let count = ref 0 in
-    List.iter
-      (fun (acc : Core.Solution.accel) ->
-        match Hashtbl.find_opt a.Core.Cayman.ctxs acc.Core.Solution.a_func with
-        | None -> ()
-        | Some ctx ->
-          let region =
-            An.Wpst.region a.Core.Cayman.wpst
-              { An.Wpst.vfunc = acc.Core.Solution.a_func;
-                vid = acc.Core.Solution.a_region_id }
-          in
-          (match region with
-           | None -> ()
-           | Some region ->
-             (match
-                Hls.Netlist.of_kernel ctx region
-                  acc.Core.Solution.a_point.Hls.Kernel.config
-              with
-              | Some n ->
-                incr count;
-                write (n.Hls.Netlist.module_name ^ ".v") n.Hls.Netlist.verilog;
-                Printf.printf
-                  "%-48s %4d units %3d mem %4d regs %3d states
-"
-                  (n.Hls.Netlist.module_name ^ ".v")
-                  n.Hls.Netlist.stats.Hls.Netlist.n_compute
-                  n.Hls.Netlist.stats.Hls.Netlist.n_mem
-                  n.Hls.Netlist.stats.Hls.Netlist.n_regs
-                  n.Hls.Netlist.stats.Hls.Netlist.n_states
-              | None -> ())))
-      s.Core.Solution.accels;
-    (* merged (reusable) accelerators *)
-    let m = Core.Cayman.merge a s in
-    List.iteri
-      (fun i (acc : Core.Merge.accel) ->
-        if List.length acc.Core.Merge.regions >= 2 then begin
-          let n = Core.Merge.netlist_of i acc in
-          incr count;
-          write (n.Hls.Netlist.module_name ^ ".v") n.Hls.Netlist.verilog;
-          Printf.printf "%-48s reusable: %d FSMs, %d shared units\n"
-            (n.Hls.Netlist.module_name ^ ".v")
-            n.Hls.Netlist.stats.Hls.Netlist.n_states
-            n.Hls.Netlist.stats.Hls.Netlist.n_compute
-        end)
-      m.Core.Merge.accels;
-    Printf.printf "wrote %d netlists + primitives to %s/\n" !count out;
-    0
+(* The run/dump/cosim bodies live in Serve.Handlers, shared verbatim
+   with the daemon: `cayman serve` replies are byte-identical to these
+   subcommands' stdout by construction. *)
+
+let run_cmd program budget mode alpha jobs setup =
+  with_program ~jobs setup program @@ fun p ->
+  match Serve.Handlers.run_text ~budget ~mode ~alpha p with
+  | Error m -> fail m
+  | Ok text -> print_string text; 0
+
+let dump_cmd program setup =
+  with_program setup program @@ fun p ->
+  print_string (Serve.Handlers.dump_text p);
+  0
+
+let emit_cmd program budget out jobs setup =
+  with_program ~jobs setup program @@ fun program ->
+  let a = Core.Cayman.analyze program in
+  let r = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a in
+  let s = Core.Cayman.best_under_ratio r ~budget_ratio:budget in
+  if not (Sys.file_exists out) then Sys.mkdir out 0o755;
+  let write name contents =
+    let oc = open_out (Filename.concat out name) in
+    output_string oc contents;
+    close_out oc
+  in
+  write "cayman_primitives.v" Hls.Netlist.primitives;
+  let count = ref 0 in
+  List.iter
+    (fun (acc : Core.Solution.accel) ->
+      match Hashtbl.find_opt a.Core.Cayman.ctxs acc.Core.Solution.a_func with
+      | None -> ()
+      | Some ctx ->
+        let region =
+          An.Wpst.region a.Core.Cayman.wpst
+            { An.Wpst.vfunc = acc.Core.Solution.a_func;
+              vid = acc.Core.Solution.a_region_id }
+        in
+        (match region with
+         | None -> ()
+         | Some region ->
+           (match
+              Hls.Netlist.of_kernel ctx region
+                acc.Core.Solution.a_point.Hls.Kernel.config
+            with
+            | Some n ->
+              incr count;
+              write (n.Hls.Netlist.module_name ^ ".v") n.Hls.Netlist.verilog;
+              Printf.printf
+                "%-48s %4d units %3d mem %4d regs %3d states\n"
+                (n.Hls.Netlist.module_name ^ ".v")
+                n.Hls.Netlist.stats.Hls.Netlist.n_compute
+                n.Hls.Netlist.stats.Hls.Netlist.n_mem
+                n.Hls.Netlist.stats.Hls.Netlist.n_regs
+                n.Hls.Netlist.stats.Hls.Netlist.n_states
+            | None -> ())))
+    s.Core.Solution.accels;
+  (* merged (reusable) accelerators *)
+  let m = Core.Cayman.merge a s in
+  List.iteri
+    (fun i (acc : Core.Merge.accel) ->
+      if List.length acc.Core.Merge.regions >= 2 then begin
+        let n = Core.Merge.netlist_of i acc in
+        incr count;
+        write (n.Hls.Netlist.module_name ^ ".v") n.Hls.Netlist.verilog;
+        Printf.printf "%-48s reusable: %d FSMs, %d shared units\n"
+          (n.Hls.Netlist.module_name ^ ".v")
+          n.Hls.Netlist.stats.Hls.Netlist.n_states
+          n.Hls.Netlist.stats.Hls.Netlist.n_compute
+      end)
+    m.Core.Merge.accels;
+  Printf.printf "wrote %d netlists + primitives to %s/\n" !count out;
+  0
 
 let max_inv_arg =
   let doc =
@@ -280,47 +267,31 @@ let max_inv_arg =
 
 (* Differential co-simulation (body shared with the daemon — see
    Serve.Handlers.cosim_text). *)
-let cosim_cmd bench file budget mode jobs max_inv fuel interp cache_dir
-    no_cache
-    trace =
-  apply_jobs jobs;
-  apply_fuel fuel;
-  apply_interp interp;
-  apply_cache cache_dir no_cache;
-  with_trace trace @@ fun () ->
-  with_diagnostics @@ fun () ->
-  match load_program ~bench ~file with
-  | Error m -> prerr_endline ("cayman: " ^ m); 1
-  | Ok program ->
-    let max_invocations = if max_inv > 0 then Some max_inv else None in
-    (match
-       Serve.Handlers.cosim_text ?max_invocations ~budget ~mode program
-     with
-     | Error m -> prerr_endline ("cayman: " ^ m); 1
-     | Ok (text, ok) -> print_string text; if ok then 0 else 1)
+let cosim_cmd program budget mode jobs max_inv setup =
+  with_program ~jobs setup program @@ fun p ->
+  let max_invocations = if max_inv > 0 then Some max_inv else None in
+  match Serve.Handlers.cosim_text ?max_invocations ~budget ~mode p with
+  | Error m -> fail m
+  | Ok (text, ok) -> print_string text; if ok then 0 else 1
 
-let graph_cmd bench file out cache_dir no_cache trace =
-  apply_cache cache_dir no_cache;
-  with_trace trace @@ fun () ->
-  match load_program ~bench ~file with
-  | Error m -> prerr_endline ("cayman: " ^ m); 1
-  | Ok program ->
-    let a = Core.Cayman.analyze program in
-    if not (Sys.file_exists out) then Sys.mkdir out 0o755;
-    let write name contents =
-      let oc = open_out (Filename.concat out name) in
-      output_string oc contents;
-      close_out oc
-    in
-    write "wpst.dot" (An.Dot.wpst a.Core.Cayman.wpst);
-    List.iter
-      (fun (f : Ir.Func.t) ->
-        write (Printf.sprintf "cfg_%s.dot" f.Ir.Func.name) (An.Dot.cfg f))
-      a.Core.Cayman.program.Ir.Program.funcs;
-    Printf.printf "wrote wpst.dot + %d CFGs to %s/ (render with graphviz)\n"
-      (List.length a.Core.Cayman.program.Ir.Program.funcs)
-      out;
-    0
+let graph_cmd program out setup =
+  with_program setup program @@ fun program ->
+  let a = Core.Cayman.analyze program in
+  if not (Sys.file_exists out) then Sys.mkdir out 0o755;
+  let write name contents =
+    let oc = open_out (Filename.concat out name) in
+    output_string oc contents;
+    close_out oc
+  in
+  write "wpst.dot" (An.Dot.wpst a.Core.Cayman.wpst);
+  List.iter
+    (fun (f : Ir.Func.t) ->
+      write (Printf.sprintf "cfg_%s.dot" f.Ir.Func.name) (An.Dot.cfg f))
+    a.Core.Cayman.program.Ir.Program.funcs;
+  Printf.printf "wrote wpst.dot + %d CFGs to %s/ (render with graphviz)\n"
+    (List.length a.Core.Cayman.program.Ir.Program.funcs)
+    out;
+  0
 
 let list_cmd () =
   List.iter
@@ -332,82 +303,73 @@ let list_cmd () =
 (* Run the full flow with tracing armed internally and report where the
    time and the work went: a per-span rollup plus every pipeline metric
    grouped by phase. *)
-let stats_cmd bench file budget mode alpha jobs fuel interp cache_dir
-    no_cache
-    trace =
-  apply_jobs jobs;
-  apply_fuel fuel;
-  apply_interp interp;
-  apply_cache cache_dir no_cache;
-  with_diagnostics @@ fun () ->
-  match load_program ~bench ~file with
-  | Error m -> prerr_endline ("cayman: " ^ m); 1
-  | Ok program ->
-    (match gen_of_mode mode with
-     | Error m -> prerr_endline ("cayman: " ^ m); 1
-     | Ok (gen, memo_key) ->
-       Obs.Metrics.reset ();
-       Obs.Trace.reset ();
-       Obs.Trace.set_enabled true;
-       let a = Core.Cayman.analyze program in
-       let params = { Core.Select.default_params with Core.Select.alpha } in
-       let frontier, _stats =
-         Core.Select.select ~params ~memo_key ~gen a.Core.Cayman.ctxs
-           a.Core.Cayman.wpst a.Core.Cayman.profile
-       in
-       let budget_area = budget *. Hls.Tech.cva6_tile_area in
-       let s =
-         match Core.Solution.best_under ~budget:budget_area frontier with
-         | Some s -> s
-         | None -> Core.Solution.empty
-       in
-       let (_ : Core.Merge.result) = Core.Cayman.merge a s in
-       Obs.Trace.set_enabled false;
-       (* spans: wall-clock rollup, heaviest first *)
-       Printf.printf "%-28s %10s %12s\n" "span" "calls" "total ms";
-       Printf.printf "%s\n" (String.make 52 '-');
-       List.iter
-         (fun (name, calls, total_s) ->
-           Printf.printf "%-28s %10d %12.3f\n" name calls (1e3 *. total_s))
-         (Obs.Trace.rollup ());
-       let span_drops = Obs.Trace.dropped () in
-       Printf.printf "spans dropped: %d\n" span_drops;
-       if span_drops > 0 then
-         Printf.printf
-           "warning: trace ring buffers overflowed; the rollup is missing \
-            the %d oldest spans\n"
-           span_drops;
-       (* metrics: schedule-independent counters/histograms plus gauges,
-          grouped by the phase prefix of the metric name *)
-       print_newline ();
-       Printf.printf "%-36s %16s\n" "metric" "value";
-       let last_phase = ref "" in
-       List.iter
-         (fun (name, snap) ->
-           let phase = Obs.Metrics.phase_of name in
-           if phase <> !last_phase then begin
-             last_phase := phase;
-             Printf.printf "%s\n" (String.make 53 '-')
-           end;
-           match snap with
-           | Obs.Metrics.S_counter v -> Printf.printf "%-36s %16d\n" name v
-           | Obs.Metrics.S_gauge v ->
-             Printf.printf "%-36s %16d  (gauge)\n" name v
-           | Obs.Metrics.S_histogram h ->
-             Printf.printf "%-36s %16d  (n=%d min=%d max=%d)\n" name
-               h.Obs.Metrics.hs_sum h.Obs.Metrics.hs_count
-               h.Obs.Metrics.hs_min h.Obs.Metrics.hs_max
-           | Obs.Metrics.S_wall_histogram h ->
-             Printf.printf "%-36s %16d  (wall us; n=%d min=%d max=%d)\n" name
-               h.Obs.Metrics.hs_sum h.Obs.Metrics.hs_count
-               h.Obs.Metrics.hs_min h.Obs.Metrics.hs_max)
-         (Obs.Metrics.snapshot ());
-       (match trace with
-        | None -> ()
-        | Some path ->
-          Obs.Trace.write_file path;
-          Printf.eprintf "wrote %s\n%!" path);
-       0)
+let stats_cmd program budget mode alpha jobs setup =
+  with_program ~jobs { setup with trace = None } program @@ fun program ->
+  match Serve.Handlers.gen_of_mode mode with
+  | Error m -> fail m
+  | Ok (gen, memo_key) ->
+    Obs.Metrics.reset ();
+    Obs.Trace.reset ();
+    Obs.Trace.set_enabled true;
+    let a = Core.Cayman.analyze program in
+    let params = { Core.Select.default_params with Core.Select.alpha } in
+    let frontier, _stats =
+      Core.Select.select ~params ~memo_key ~gen a.Core.Cayman.ctxs
+        a.Core.Cayman.wpst a.Core.Cayman.profile
+    in
+    let budget_area = budget *. Hls.Tech.cva6_tile_area in
+    let s =
+      match Core.Solution.best_under ~budget:budget_area frontier with
+      | Some s -> s
+      | None -> Core.Solution.empty
+    in
+    let (_ : Core.Merge.result) = Core.Cayman.merge a s in
+    Obs.Trace.set_enabled false;
+    (* spans: wall-clock rollup, heaviest first *)
+    Printf.printf "%-28s %10s %12s\n" "span" "calls" "total ms";
+    Printf.printf "%s\n" (String.make 52 '-');
+    List.iter
+      (fun (name, calls, total_s) ->
+        Printf.printf "%-28s %10d %12.3f\n" name calls (1e3 *. total_s))
+      (Obs.Trace.rollup ());
+    let span_drops = Obs.Trace.dropped () in
+    Printf.printf "spans dropped: %d\n" span_drops;
+    if span_drops > 0 then
+      Printf.printf
+        "warning: trace ring buffers overflowed; the rollup is missing \
+         the %d oldest spans\n"
+        span_drops;
+    (* metrics: schedule-independent counters/histograms plus gauges,
+       grouped by the phase prefix of the metric name *)
+    print_newline ();
+    Printf.printf "%-36s %16s\n" "metric" "value";
+    let last_phase = ref "" in
+    List.iter
+      (fun (name, snap) ->
+        let phase = Obs.Metrics.phase_of name in
+        if phase <> !last_phase then begin
+          last_phase := phase;
+          Printf.printf "%s\n" (String.make 53 '-')
+        end;
+        match snap with
+        | Obs.Metrics.S_counter v -> Printf.printf "%-36s %16d\n" name v
+        | Obs.Metrics.S_gauge v ->
+          Printf.printf "%-36s %16d  (gauge)\n" name v
+        | Obs.Metrics.S_histogram h ->
+          Printf.printf "%-36s %16d  (n=%d min=%d max=%d)\n" name
+            h.Obs.Metrics.hs_sum h.Obs.Metrics.hs_count
+            h.Obs.Metrics.hs_min h.Obs.Metrics.hs_max
+        | Obs.Metrics.S_wall_histogram h ->
+          Printf.printf "%-36s %16d  (wall us; n=%d min=%d max=%d)\n" name
+            h.Obs.Metrics.hs_sum h.Obs.Metrics.hs_count
+            h.Obs.Metrics.hs_min h.Obs.Metrics.hs_max)
+      (Obs.Metrics.snapshot ());
+    (match setup.trace with
+     | None -> ()
+     | Some path ->
+       Obs.Trace.write_file path;
+       Printf.eprintf "wrote %s\n%!" path);
+    0
 
 (* Deterministic fault-injection campaign: RTL mutation testing of the
    selected kernels plus seeded pipeline-stage faults. The report is a
@@ -421,15 +383,10 @@ let default_fault_benches =
   [ "atax"; "bicg"; "mvt"; "trisolv"; "doitgen"; "fft"; "spmv"; "nw" ]
 
 let faults_cmd seed n_faults max_inv benches all budget stage_benches jobs
-    fuel interp cache_dir no_cache json trace =
-  apply_jobs jobs;
-  apply_fuel fuel;
-  apply_interp interp;
-  (* accepted for interface uniformity; the campaign recomputes through
-     [Memo.Store.without_cache] regardless *)
-  apply_cache cache_dir no_cache;
-  with_trace trace @@ fun () ->
-  with_diagnostics @@ fun () ->
+    setup json =
+  (* the cache flags are accepted for interface uniformity; the campaign
+     recomputes through [Memo.Store.without_cache] regardless *)
+  with_setup ~jobs setup @@ fun () ->
   let resolve names =
     List.fold_left
       (fun acc name ->
@@ -450,7 +407,7 @@ let faults_cmd seed n_faults max_inv benches all budget stage_benches jobs
     | names, false -> resolve names
   in
   match selected with
-  | Error m -> prerr_endline ("cayman: " ^ m); 1
+  | Error m -> fail m
   | Ok benches ->
     let options =
       { Cayman_fault.Campaign.default_options with
@@ -479,22 +436,19 @@ let faults_cmd seed n_faults max_inv benches all budget stage_benches jobs
 
 let run_t =
   Cmd.v (Cmd.info "run" ~doc:"Run the full Cayman flow on a program")
-    Term.(const run_cmd $ bench_arg $ file_arg $ budget_arg $ mode_arg
-          $ alpha_arg $ jobs_arg $ fuel_arg $ interp_arg $ cache_dir_arg
-          $ no_cache_arg $ trace_arg)
+    Term.(const run_cmd $ program_t $ budget_arg $ mode_arg $ alpha_arg
+          $ jobs_arg $ setup_t)
 
 let dump_t =
   Cmd.v (Cmd.info "dump" ~doc:"Dump IR, wPST and profile of a program")
-    Term.(const dump_cmd $ bench_arg $ file_arg $ fuel_arg $ interp_arg
-          $ cache_dir_arg $ no_cache_arg $ trace_arg)
+    Term.(const dump_cmd $ program_t $ setup_t)
 
 let emit_t =
   Cmd.v
     (Cmd.info "emit"
        ~doc:"Emit Verilog netlists for the selected accelerators")
-    Term.(const emit_cmd $ bench_arg $ file_arg $ budget_arg $ out_arg
-          $ jobs_arg $ fuel_arg $ interp_arg $ cache_dir_arg $ no_cache_arg
-          $ trace_arg)
+    Term.(const emit_cmd $ program_t $ budget_arg $ out_arg $ jobs_arg
+          $ setup_t)
 
 let cosim_t =
   let mode_arg =
@@ -506,9 +460,8 @@ let cosim_t =
        ~doc:
          "Differentially co-simulate selected kernel netlists against the \
           golden interpreter (plus a static lint of each netlist)")
-    Term.(const cosim_cmd $ bench_arg $ file_arg $ budget_arg $ mode_arg
-          $ jobs_arg $ max_inv_arg $ fuel_arg $ interp_arg $ cache_dir_arg
-          $ no_cache_arg $ trace_arg)
+    Term.(const cosim_cmd $ program_t $ budget_arg $ mode_arg $ jobs_arg
+          $ max_inv_arg $ setup_t)
 
 let faults_t =
   let seed_arg =
@@ -552,14 +505,12 @@ let faults_t =
           verify the pipeline degrades instead of crashing")
     Term.(const faults_cmd $ seed_arg $ n_faults_arg $ max_inv_arg
           $ benches_arg $ all_arg $ budget_arg $ stage_arg $ jobs_arg
-          $ fuel_arg $ interp_arg $ cache_dir_arg $ no_cache_arg $ json_arg
-          $ trace_arg)
+          $ setup_t $ json_arg)
 
 let graph_t =
   Cmd.v
     (Cmd.info "graph" ~doc:"Write graphviz dot files (CFGs + wPST)")
-    Term.(const graph_cmd $ bench_arg $ file_arg $ out_arg $ cache_dir_arg
-          $ no_cache_arg $ trace_arg)
+    Term.(const graph_cmd $ program_t $ out_arg $ setup_t)
 
 let list_t =
   Cmd.v (Cmd.info "list" ~doc:"List suite benchmarks")
@@ -572,23 +523,16 @@ let stats_t =
          "Run the full flow and print per-phase wall-time and pipeline \
           metrics (region counts, prune/memo hits, design points, DP \
           frontier sizes)")
-    Term.(const stats_cmd $ bench_arg $ file_arg $ budget_arg $ mode_arg
-          $ alpha_arg $ jobs_arg $ fuel_arg $ interp_arg $ cache_dir_arg
-          $ no_cache_arg $ trace_arg)
+    Term.(const stats_cmd $ program_t $ budget_arg $ mode_arg $ alpha_arg
+          $ jobs_arg $ setup_t)
 
 (* cayman fleet — generate a seeded fleet of MiniC programs, push every
    one through the full compile/profile/select flow, and merge the
    selected accelerators across programs under a shared area budget
    (lib/fleet). The report is byte-identical for every --jobs value. *)
 
-let fleet_cmd kernels seed budget per_budget json jobs fuel interp
-    cache_dir no_cache trace =
-  apply_jobs jobs;
-  apply_fuel fuel;
-  apply_interp interp;
-  apply_cache cache_dir no_cache;
-  with_trace trace @@ fun () ->
-  with_diagnostics @@ fun () ->
+let fleet_cmd kernels seed budget per_budget json jobs setup =
+  with_setup ~jobs setup @@ fun () ->
   let opts =
     { Fleet.Merge.default_options with
       Fleet.Merge.o_kernels = kernels;
@@ -643,59 +587,51 @@ let fleet_t =
           area saved versus per-program merging, byte-identically for \
           every job count")
     Term.(const fleet_cmd $ kernels_arg $ seed_arg $ fleet_budget_arg
-          $ per_budget_arg $ json_arg $ jobs_arg $ fuel_arg $ interp_arg
-          $ cache_dir_arg $ no_cache_arg $ trace_arg)
+          $ per_budget_arg $ json_arg $ jobs_arg $ setup_t)
 
 (* cayman cache {stats,gc,clear} — maintenance for the memoization store.
    These operate on the directory directly (no ambient enable), so they
    work on any store path without arming caching for the process. *)
 
-let cache_target_dir = function
-  | Some d -> d
-  | None -> Memo.Store.default_dir ()
+(* Run [f dir store] on the store at [--cache-dir] (else the default
+   directory); a directory that is not a store is reported, not made. *)
+let with_cache_store cache_dir f =
+  let dir = Option.value cache_dir ~default:(Memo.Store.default_dir ()) in
+  if not (Memo.Store.is_store dir) then begin
+    Printf.printf "no cache at %s\n" dir;
+    0
+  end
+  else
+    match Memo.Store.open_store dir with
+    | Error m -> fail m
+    | Ok store -> f dir store
 
 let cache_stats_cmd cache_dir =
-  let dir = cache_target_dir cache_dir in
-  if not (Memo.Store.is_store dir) then begin
-    Printf.printf "no cache at %s\n" dir;
-    0
-  end
-  else
-    match Memo.Store.open_store dir with
-    | Error m -> prerr_endline ("cayman: " ^ m); 1
-    | Ok store ->
-      let s = Memo.Store.stats_of store in
-      Printf.printf "cache %s: %d entries, %d bytes (%.1f MiB)\n" dir
-        s.Memo.Store.st_entries s.Memo.Store.st_bytes
-        (float_of_int s.Memo.Store.st_bytes /. (1024. *. 1024.));
-      (* Process-local guard over canonical-region digests: any nonzero
-         count here means two structurally different regions hashed to
-         the same digest in this process (see Memo.Hash.canon_digest). *)
-      Printf.printf "canon-digest collisions (this process): %d\n"
-        (Obs.Metrics.value (Obs.Metrics.counter "memo.canon_collisions"));
-      0
+  with_cache_store cache_dir @@ fun dir store ->
+  let s = Memo.Store.stats_of store in
+  Printf.printf "cache %s: %d entries, %d bytes (%.1f MiB)\n" dir
+    s.Memo.Store.st_entries s.Memo.Store.st_bytes
+    (float_of_int s.Memo.Store.st_bytes /. (1024. *. 1024.));
+  (* Process-local guard over canonical-region digests: any nonzero
+     count here means two structurally different regions hashed to
+     the same digest in this process (see Memo.Hash.canon_digest). *)
+  Printf.printf "canon-digest collisions (this process): %d\n"
+    (Obs.Metrics.value (Obs.Metrics.counter "memo.canon_collisions"));
+  0
 
 let cache_gc_cmd cache_dir max_mb =
-  let dir = cache_target_dir cache_dir in
-  if not (Memo.Store.is_store dir) then begin
-    Printf.printf "no cache at %s\n" dir;
-    0
-  end
-  else
-    match Memo.Store.open_store dir with
-    | Error m -> prerr_endline ("cayman: " ^ m); 1
-    | Ok store ->
-      let max_bytes =
-        match max_mb with
-        | Some mb -> mb * 1024 * 1024
-        | None -> Memo.Store.default_max_bytes ()
-      in
-      let evicted, freed = Memo.Store.gc store ~max_bytes in
-      Printf.printf "evicted %d entries, freed %d bytes\n" evicted freed;
-      0
+  with_cache_store cache_dir @@ fun _ store ->
+  let max_bytes =
+    match max_mb with
+    | Some mb -> mb * 1024 * 1024
+    | None -> Memo.Store.default_max_bytes ()
+  in
+  let evicted, freed = Memo.Store.gc store ~max_bytes in
+  Printf.printf "evicted %d entries, freed %d bytes\n" evicted freed;
+  0
 
 let cache_clear_cmd cache_dir =
-  let dir = cache_target_dir cache_dir in
+  let dir = Option.value cache_dir ~default:(Memo.Store.default_dir ()) in
   if not (Sys.file_exists dir) then begin
     Printf.printf "no cache at %s\n" dir;
     0
@@ -703,7 +639,7 @@ let cache_clear_cmd cache_dir =
   else
     match Memo.Store.clear dir with
     | Ok n -> Printf.printf "removed %d entries from %s\n" n dir; 0
-    | Error m -> prerr_endline ("cayman: " ^ m); 1
+    | Error m -> fail m
 
 let cache_t =
   let max_mb_arg =
@@ -739,18 +675,12 @@ let cache_t =
    startup (staged unless --interp says otherwise) so every reply over
    the daemon's lifetime comes from the same engine. *)
 
-let serve_cmd socket stdio jobs fuel interp cache_dir no_cache max_queue
-    max_write_buf drain_timeout trace =
-  with_trace trace @@ fun () ->
-  with_diagnostics @@ fun () ->
+let serve_cmd socket stdio jobs setup max_queue max_write_buf drain_timeout =
+  let interp = Some (Option.value setup.interp ~default:Sim.Interp.Staged) in
+  with_setup ~jobs { setup with interp } @@ fun () ->
   let config =
     { Serve.Server.default_config with
-      Serve.Server.sc_jobs = jobs;
-      sc_fuel = fuel;
-      sc_interp = Some (Option.value interp ~default:Sim.Interp.Staged);
-      sc_cache_dir = cache_dir;
-      sc_cache = not no_cache;
-      sc_max_queue = max_queue;
+      Serve.Server.sc_max_queue = max_queue;
       sc_max_write_buf = max_write_buf;
       sc_drain_timeout_s = drain_timeout;
       (* a real daemon process: SIGTERM means drain and exit 0 *)
@@ -822,9 +752,8 @@ let serve_t =
           reply; overload is shed at a bounded queue, slow readers are \
           disconnected at a bounded write buffer, and SIGTERM drains \
           gracefully")
-    Term.(const serve_cmd $ socket_arg $ stdio_arg $ jobs_arg $ fuel_arg
-          $ interp_arg $ cache_dir_arg $ no_cache_arg $ max_queue_arg
-          $ max_write_buf_arg $ drain_timeout_arg $ trace_arg)
+    Term.(const serve_cmd $ socket_arg $ stdio_arg $ jobs_arg $ setup_t
+          $ max_queue_arg $ max_write_buf_arg $ drain_timeout_arg)
 
 (* cayman top / cayman logs — observe a running daemon through the
    telemetry and log-tail control verbs. Both are pure clients: they

@@ -1,16 +1,44 @@
-(** Global parallelism configuration for the evaluation engine.
+(** Process-wide settings: the worker count, the interpreter fuel and
+    (through {!knob}) the interpreter engine.
 
-    The worker count used by {!Pool} when none is given explicitly is
-    resolved in this order:
+    Every setting is a {!knob}, resolved in one order: an explicit
+    argument, then a process-wide override ({!set}, the CLI's flags),
+    then an environment variable, then a built-in default. *)
 
-    + a process-wide override installed with {!set_jobs} (the CLI's
-      [--jobs] flag),
-    + the [CAYMAN_JOBS] environment variable,
-    + [Domain.recommended_domain_count ()].
+(** {1 Knobs} *)
 
-    A resolved count of [1] means "run sequentially in the calling
-    domain"; no worker domains are ever spawned in that case, so single-
-    job runs behave exactly like the pre-engine code. *)
+type 'a knob
+
+val knob :
+  env:string -> parse:(string -> 'a option) -> default:(unit -> 'a) -> 'a knob
+(** [knob ~env ~parse ~default] reads environment variable [env]
+    through [parse] (unparsable values fall through to [default ()]). *)
+
+val get : ?explicit:'a -> 'a knob -> 'a
+(** The effective value: [explicit] if given, else the override, else
+    the environment variable (read on every call), else the default. *)
+
+val set : 'a knob -> 'a -> unit
+(** Install a process-wide override (thread-safe). *)
+
+val clear : 'a knob -> unit
+(** Remove the override. *)
+
+val with_ : 'a knob -> 'a -> (unit -> 'b) -> 'b
+(** [with_ k v f] runs [f] with the override set to [v], restoring the
+    previous override afterwards (also on exceptions). *)
+
+val positive_int : string -> int option
+(** Parser for integer environment variables: [Some n] for a
+    (whitespace-trimmed) integer [n >= 1], else [None]. *)
+
+(** {1 Jobs}
+
+    The worker count used by {!Pool} when none is given explicitly:
+    override {!set_jobs}, then [CAYMAN_JOBS], then
+    [Domain.recommended_domain_count ()]. A resolved count of [1] means
+    "run sequentially in the calling domain"; no worker domains are
+    ever spawned in that case. *)
 
 val env_var : string
 (** Name of the environment variable consulted by {!jobs}
@@ -37,10 +65,9 @@ val jobs : ?jobs:int -> unit -> int
     Interpreter runs throughout the pipeline (profiling, co-simulation,
     fault campaigns) consume fuel — one unit per executed instruction —
     and raise [Cayman_sim.Interp.Out_of_fuel] when it runs out. The
-    default budget is resolved here so every entry point shares one
-    knob: a {!set_fuel} override (the CLI's [--fuel] flag), then the
-    [CAYMAN_FUEL] environment variable, then {!default_fuel}. A finite
-    default turns would-be hangs into catchable diagnostics. *)
+    default budget: a {!set_fuel} override (the CLI's [--fuel] flag),
+    then [CAYMAN_FUEL], then {!default_fuel}. A finite default turns
+    would-be hangs into catchable diagnostics. *)
 
 val fuel_env_var : string
 (** Name of the environment variable consulted by {!fuel}

@@ -286,14 +286,10 @@ let gc t ~max_bytes =
 
 let default_max_bytes () =
   let mb =
-    match Sys.getenv_opt "CAYMAN_CACHE_MAX_MB" with
-    | Some s ->
-      (match int_of_string_opt (String.trim s) with
-       | Some n when n > 0 -> n
-       | Some _ | None -> 2048)
-    | None -> 2048
+    Option.bind (Sys.getenv_opt "CAYMAN_CACHE_MAX_MB")
+      Engine.Config.positive_int
   in
-  mb * 1024 * 1024
+  Option.value mb ~default:2048 * 1024 * 1024
 
 let clear dir =
   if not (Sys.file_exists dir) then
@@ -365,6 +361,32 @@ let reset_memory () =
   Hashtbl.reset cells;
   Condition.broadcast cells_cv;
   Mutex.unlock cells_mu
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "cayman" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ())
+    (fun () -> f dir)
+
+let with_private_store f =
+  with_temp_dir @@ fun dir ->
+  let saved = Atomic.get state in
+  reset_memory ();
+  Fun.protect
+    ~finally:(fun () ->
+      reset_memory ();
+      Atomic.set state saved)
+    (fun () ->
+      enable ~dir ();
+      f dir)
 
 let find : type a. ns:string -> key:string -> a option =
  fun ~ns ~key ->

@@ -73,6 +73,18 @@ val without_cache : (unit -> 'a) -> 'a
     untouched. *)
 val reset_memory : unit -> unit
 
+(** [with_temp_dir f] runs [f dir] on a new empty temporary directory
+    and removes it with its contents afterwards, also when [f] raises. *)
+val with_temp_dir : (string -> 'a) -> 'a
+
+(** [with_private_store f] runs [f dir] against a fresh, empty store in a
+    new temporary directory [dir], enabled as the ambient store, with the compute-once table dropped before and after.
+    Afterwards — also when [f] raises — the ambient store in force before
+    the call is restored exactly (not reopened, so no second {!gc}) and
+    [dir] is removed. Like {!without_cache}, call it from the top-level
+    driver thread only. *)
+val with_private_store : (string -> 'a) -> 'a
+
 (** {1 Typed access}
 
     Values are marshaled; type safety is by namespace discipline — one

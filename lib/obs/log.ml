@@ -1,13 +1,11 @@
 (* Structured, leveled event log with per-domain ring buffers.
 
-   The design mirrors [Trace]: each domain appends completed events to
-   its own fixed-capacity ring reached through [Domain.DLS] (no locks
-   on the recording path beyond one registry insertion per domain), and
-   event ids come from a global monotone counter, so reads merge every
-   ring into one canonical id-sorted sequence no matter which domain
-   logged what. Rings overwrite the oldest event once full — the log is
-   a bounded in-memory tail, never an unbounded queue — and what was
-   lost is counted in [dropped].
+   Recording goes through [Ring], like [Trace]: each domain appends to
+   its own bounded ring and event ids are globally monotone, so reads
+   merge every ring into one canonical id-sorted sequence. Rings
+   overwrite the oldest event once full — the log is a bounded
+   in-memory tail, never an unbounded queue — and what was lost is
+   counted in [dropped].
 
    Field keys are interned once (typically at module init:
    [let k_verb = Obs.Log.key "verb"]) so a hot-path event append is a
@@ -92,52 +90,25 @@ type event = {
   ev_dom : int;  (* appending domain id *)
 }
 
-(* Per-domain ring; the bounded in-memory tail. *)
-let capacity = 1 lsl 12
-
-type buffer = {
-  buf_dom : int;
-  ring : event option array;
-  mutable n_written : int;  (* total ever appended; slot = n mod capacity *)
-}
-
-let epoch = Atomic.make (Unix.gettimeofday ())
-let next_id = Atomic.make 1
+(* Per-domain rings; the bounded in-memory tail. *)
+let ring : event Ring.t = Ring.create ~capacity:(1 lsl 12)
 
 (* Events strictly below this rank are skipped on one atomic load. *)
 let min_rank = Atomic.make (level_rank Info)
-
-let registry : buffer list ref = ref []
-let registry_mutex = Mutex.create ()
-
-let buf_key : buffer Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let b =
-        { buf_dom = (Domain.self () :> int);
-          ring = Array.make capacity None;
-          n_written = 0 }
-      in
-      Mutex.lock registry_mutex;
-      registry := b :: !registry;
-      Mutex.unlock registry_mutex;
-      b)
 
 let set_level l = Atomic.set min_rank (level_rank l)
 let enabled l = level_rank l >= Atomic.get min_rank
 
 let log l msg fields =
   if enabled l then begin
-    let b = Domain.DLS.get buf_key in
-    let ev =
-      { ev_id = Atomic.fetch_and_add next_id 1;
-        ev_t = Unix.gettimeofday () -. Atomic.get epoch;
+    let b = Ring.local ring in
+    Ring.push ring b
+      { ev_id = Ring.next_id ring;
+        ev_t = Unix.gettimeofday () -. Ring.epoch ring;
         ev_level = l;
         ev_msg = msg;
         ev_fields = fields;
-        ev_dom = b.buf_dom }
-    in
-    b.ring.(b.n_written mod capacity) <- Some ev;
-    b.n_written <- b.n_written + 1
+        ev_dom = Ring.dom b }
   end
 
 let debug msg fields = log Debug msg fields
@@ -146,26 +117,8 @@ let warn msg fields = log Warn msg fields
 let error msg fields = log Error msg fields
 
 (* Merged snapshot in canonical id order. Like [Trace.spans], the
-   caller owns quiescence; events appended concurrently with the read
-   may or may not be included. *)
-let events () =
-  Mutex.lock registry_mutex;
-  let bufs = !registry in
-  Mutex.unlock registry_mutex;
-  let all =
-    List.concat_map
-      (fun b ->
-        let n = min b.n_written capacity in
-        let acc = ref [] in
-        for i = 0 to n - 1 do
-          match b.ring.(i) with
-          | Some e -> acc := e :: !acc
-          | None -> ()
-        done;
-        !acc)
-      bufs
-  in
-  List.sort (fun a b -> compare a.ev_id b.ev_id) all
+   caller owns quiescence. *)
+let events () = Ring.contents ring ~id:(fun e -> e.ev_id)
 
 let tail n =
   if n <= 0 then []
@@ -174,23 +127,8 @@ let tail n =
     let drop = List.length all - n in
     if drop <= 0 then all else List.filteri (fun i _ -> i >= drop) all
 
-let dropped () =
-  Mutex.lock registry_mutex;
-  let bufs = !registry in
-  Mutex.unlock registry_mutex;
-  List.fold_left (fun acc b -> acc + max 0 (b.n_written - capacity)) 0 bufs
-
-let reset () =
-  Mutex.lock registry_mutex;
-  let bufs = !registry in
-  Mutex.unlock registry_mutex;
-  List.iter
-    (fun b ->
-      Array.fill b.ring 0 capacity None;
-      b.n_written <- 0)
-    bufs;
-  Atomic.set next_id 1;
-  Atomic.set epoch (Unix.gettimeofday ())
+let dropped () = Ring.dropped ring
+let reset () = Ring.reset ring
 
 (* --- JSON export --- *)
 

@@ -52,9 +52,6 @@ val info : string -> (key * value) list -> unit
 val warn : string -> (key * value) list -> unit
 val error : string -> (key * value) list -> unit
 
-(** Per-domain ring capacity (events retained per domain). *)
-val capacity : int
-
 (** Merged snapshot of every domain's ring, sorted by id. The caller
     owns quiescence; concurrent appends may or may not be included. *)
 val events : unit -> event list

@@ -3,12 +3,9 @@
    The disabled path is one [Atomic.get] and a branch — no allocation,
    no locking, no clock read — so instrumentation can stay in every hot
    layer of the pipeline permanently. When enabled, each domain records
-   completed spans into its own fixed-capacity ring reached through
-   [Domain.DLS]; the only lock is taken once per domain, when its ring
-   is first created and added to the flush registry. Span ids come from
-   one global monotone counter ([Atomic.fetch_and_add], lock-free), so
-   flushing can merge every ring into a single canonical id-sorted
-   sequence no matter which domain recorded what.
+   completed spans into its own [Ring] (shared with [Log]): lock-free
+   past the first span per domain, with globally monotone span ids, so
+   flushing merges every ring into one canonical id-sorted sequence.
 
    Wall-clock timings are inherently schedule-dependent; anything that
    must be bit-identical across CAYMAN_JOBS values belongs in
@@ -24,70 +21,40 @@ type span = {
   sp_dom : int;  (* recording domain id *)
 }
 
-(* Per-domain ring: spans overwrite the oldest once [capacity] is
-   exceeded, keeping memory bounded on pathological span floods while
-   counting what was lost. *)
-let capacity = 1 lsl 14
-
-type buffer = {
-  buf_dom : int;
-  ring : span option array;
-  mutable n_written : int;  (* total ever recorded; ring slot = n mod capacity *)
-  mutable stack : int list;  (* open span ids on this domain, innermost first *)
-}
+(* Spans overwrite the oldest once a domain's ring is full, keeping
+   memory bounded on pathological span floods while counting what was
+   lost. *)
+let ring : span Ring.t = Ring.create ~capacity:(1 lsl 14)
 
 let enabled_flag = Atomic.make false
-let epoch = Atomic.make 0.0
-let next_id = Atomic.make 1
-
-let registry : buffer list ref = ref []
-let registry_mutex = Mutex.create ()
-
-let buf_key : buffer Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let b =
-        { buf_dom = (Domain.self () :> int);
-          ring = Array.make capacity None;
-          n_written = 0;
-          stack = [] }
-      in
-      Mutex.lock registry_mutex;
-      registry := b :: !registry;
-      Mutex.unlock registry_mutex;
-      b)
 
 let enabled () = Atomic.get enabled_flag
 
 let set_enabled on =
-  if on && not (Atomic.get enabled_flag) then
-    Atomic.set epoch (Unix.gettimeofday ());
+  if on && not (Atomic.get enabled_flag) then Ring.rearm ring;
   Atomic.set enabled_flag on
-
-let record b sp =
-  b.ring.(b.n_written mod capacity) <- Some sp;
-  b.n_written <- b.n_written + 1
 
 let span ?(cat = "cayman") name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
-    let b = Domain.DLS.get buf_key in
-    let id = Atomic.fetch_and_add next_id 1 in
-    let parent = match b.stack with [] -> 0 | p :: _ -> p in
-    b.stack <- id :: b.stack;
+    let l = Ring.local ring in
+    let id = Ring.next_id ring in
+    let parent = match Ring.open_ids l with [] -> 0 | p :: _ -> p in
+    Ring.set_open_ids l (id :: Ring.open_ids l);
     let t0 = Unix.gettimeofday () in
     let close () =
       let t1 = Unix.gettimeofday () in
-      (match b.stack with
-       | s :: rest when s = id -> b.stack <- rest
-       | _ -> b.stack <- List.filter (fun s -> s <> id) b.stack);
-      record b
+      (match Ring.open_ids l with
+       | s :: rest when s = id -> Ring.set_open_ids l rest
+       | ids -> Ring.set_open_ids l (List.filter (fun s -> s <> id) ids));
+      Ring.push ring l
         { sp_id = id;
           sp_parent = parent;
           sp_name = name;
           sp_cat = cat;
-          sp_start = t0 -. Atomic.get epoch;
+          sp_start = t0 -. Ring.epoch ring;
           sp_dur = t1 -. t0;
-          sp_dom = b.buf_dom }
+          sp_dom = Ring.dom l }
     in
     match f () with
     | v ->
@@ -98,47 +65,12 @@ let span ?(cat = "cayman") name f =
       raise e
   end
 
-(* Snapshot of every ring, merged into the canonical id order. Caller
-   is responsible for quiescence (flush after the instrumented work has
-   completed); spans recorded concurrently with the flush may or may
-   not be included. *)
-let spans () =
-  Mutex.lock registry_mutex;
-  let bufs = !registry in
-  Mutex.unlock registry_mutex;
-  let all =
-    List.concat_map
-      (fun b ->
-        let n = min b.n_written capacity in
-        let acc = ref [] in
-        for i = 0 to n - 1 do
-          match b.ring.(i) with
-          | Some s -> acc := s :: !acc
-          | None -> ()
-        done;
-        !acc)
-      bufs
-  in
-  List.sort (fun a b -> compare a.sp_id b.sp_id) all
-
-let dropped () =
-  Mutex.lock registry_mutex;
-  let bufs = !registry in
-  Mutex.unlock registry_mutex;
-  List.fold_left (fun acc b -> acc + max 0 (b.n_written - capacity)) 0 bufs
-
-let reset () =
-  Mutex.lock registry_mutex;
-  let bufs = !registry in
-  Mutex.unlock registry_mutex;
-  List.iter
-    (fun b ->
-      Array.fill b.ring 0 capacity None;
-      b.n_written <- 0;
-      b.stack <- [])
-    bufs;
-  Atomic.set next_id 1;
-  Atomic.set epoch (Unix.gettimeofday ())
+(* Snapshot of every ring in the canonical id order. Caller is
+   responsible for quiescence (flush after the instrumented work has
+   completed). *)
+let spans () = Ring.contents ring ~id:(fun s -> s.sp_id)
+let dropped () = Ring.dropped ring
+let reset () = Ring.reset ring
 
 (* Chrome trace_event export: one complete ("X") event per span, in
    microseconds, one tid lane per recording domain. Perfetto and

@@ -59,6 +59,16 @@ let connect ?(max_frame = Protocol.default_max_frame) path =
     cl_owns_fds = true;
     cl_path = Some path }
 
+let connect_when_up path =
+  let rec go n =
+    match connect path with
+    | cl -> cl
+    | exception Unix.Unix_error _ when n > 1 ->
+      Unix.sleepf 0.01;
+      go (n - 1)
+  in
+  go 500
+
 let close t =
   if t.cl_owns_fds then begin
     t.cl_owns_fds <- false;

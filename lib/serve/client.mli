@@ -15,6 +15,11 @@ type t
     @raise Unix.Unix_error when nothing is listening. *)
 val connect : ?max_frame:int -> string -> t
 
+(** {!connect} to a daemon that may not be listening yet, retrying every
+    10 ms for about 5 s.
+    @raise Unix.Unix_error from the last try. *)
+val connect_when_up : string -> t
+
 (** Wrap an already-connected fd pair (socketpair tests, stdio mode).
     The fds stay owned by the caller. *)
 val of_fds :

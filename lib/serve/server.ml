@@ -59,7 +59,6 @@ module Sim = Cayman_sim
 type config = {
   sc_max_frame : int;
   sc_jobs : int;  (* 0 = resolve via Engine.Config *)
-  sc_fuel : int;  (* 0 = resolve via Engine.Config *)
   sc_interp : Sim.Interp.engine option;  (* pinned at startup *)
   sc_cache_dir : string option;
   sc_cache : bool;
@@ -76,7 +75,6 @@ type config = {
 let default_config =
   { sc_max_frame = Protocol.default_max_frame;
     sc_jobs = 0;
-    sc_fuel = 0;
     sc_interp = None;
     sc_cache_dir = None;
     sc_cache = false;
@@ -533,10 +531,7 @@ let serve_conns ~(config : config) ?listen conns0 =
          (Sys.Signal_handle (fun _ -> Atomic.set sigterm true))
      with Invalid_argument _ -> ());
   if config.sc_jobs > 0 then Engine.Config.set_jobs config.sc_jobs;
-  if config.sc_fuel > 0 then Engine.Config.set_fuel config.sc_fuel;
-  (match config.sc_interp with
-   | Some e -> Sim.Interp.set_engine e
-   | None -> ());
+  Option.iter Sim.Interp.set_engine config.sc_interp;
   if config.sc_cache then Memo.Store.enable ?dir:config.sc_cache_dir ();
   let pool = Engine.Pool.create ?jobs:None () in
   let conns = ref conns0 in

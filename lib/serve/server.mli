@@ -42,7 +42,6 @@
 type config = {
   sc_max_frame : int;  (** per-connection declared-length cap *)
   sc_jobs : int;  (** [> 0] pins the pool width, else {!Engine.Config} *)
-  sc_fuel : int;  (** [> 0] pins the default fuel, else {!Engine.Config} *)
   sc_interp : Cayman_sim.Interp.engine option;
       (** pinned process-wide at startup when present *)
   sc_cache_dir : string option;

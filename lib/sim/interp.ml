@@ -2,9 +2,7 @@
    engines live in Interp_reference (the original tree-walking
    interpreter, kept as semantic ground truth) and Interp_staged (the
    closure-compiled fast path). This module re-exports the shared types
-   and picks an engine per run: explicit [?engine] argument, else the
-   process-wide override (set_engine / with_engine), else the
-   CAYMAN_INTERP environment variable, else the staged default. *)
+   and picks an engine per run through an Engine.Config knob. *)
 
 (* Re-export the shared exceptions and types with their identities
    preserved, so [try ... with Interp.Out_of_fuel] keeps matching
@@ -59,38 +57,18 @@ let engine_name = function
   | Reference -> "reference"
   | Staged -> "staged"
 
-(* Process-wide override, above the environment and below an explicit
-   [?engine] argument. Atomic for the same reason as Engine.Config's
-   job override: tests flip it around parallel pipeline runs. *)
-let override : engine option Atomic.t = Atomic.make None
+(* The Engine.Config knob rule: explicit [?engine] > override >
+   CAYMAN_INTERP > staged. *)
+let knob =
+  Engine.Config.knob ~env:engine_env_var ~parse:engine_of_string
+    ~default:(fun () -> default_engine)
 
-let set_engine e = Atomic.set override (Some e)
-let clear_engine () = Atomic.set override None
-
-let env_engine () =
-  match Sys.getenv_opt engine_env_var with
-  | None -> None
-  | Some s -> engine_of_string s
-
-let current_engine () =
-  match Atomic.get override with
-  | Some e -> e
-  | None ->
-    (match env_engine () with
-     | Some e -> e
-     | None -> default_engine)
-
-let with_engine e f =
-  let saved = Atomic.get override in
-  Atomic.set override (Some e);
-  Fun.protect ~finally:(fun () -> Atomic.set override saved) f
+let set_engine e = Engine.Config.set knob e
+let clear_engine () = Engine.Config.clear knob
+let current_engine () = Engine.Config.get knob
+let with_engine e f = Engine.Config.with_ knob e f
 
 let run ?engine ?fuel ?cache_config ?observer p =
-  let e =
-    match engine with
-    | Some e -> e
-    | None -> current_engine ()
-  in
-  match e with
+  match Engine.Config.get ?explicit:engine knob with
   | Reference -> Interp_reference.run ?fuel ?cache_config ?observer p
   | Staged -> Interp_staged.run ?fuel ?cache_config ?observer p

@@ -70,28 +70,8 @@ let () =
      two warm runs and a nonzero disk hit count (the phases above ran
      with the store disabled — the library default — so their metric
      comparisons are unaffected). *)
-  let store_dir =
-    let f = Filename.temp_file "cayman-test-jobs-store" "" in
-    Sys.remove f;
-    Sys.mkdir f 0o700;
-    f
-  in
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter
-        (fun e -> rm_rf (Filename.concat path e))
-        (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Memo.Store.disable ();
-      Memo.Store.reset_memory ();
-      if Sys.file_exists store_dir then rm_rf store_dir)
-    (fun () ->
-      Memo.Store.enable ~dir:store_dir ();
+  Memo.Store.with_private_store
+    (fun _ ->
       if not (Memo.Store.active ()) then
         fail "private memoization store failed to enable";
       let cold = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a in
@@ -198,19 +178,8 @@ let () =
     fail "cosim reports differ between engines";
   (* Cross-engine warm cache: prime a private store under the reference
      engine, then read it back under the staged engine. *)
-  let store_dir2 =
-    let f = Filename.temp_file "cayman-test-jobs-engines" "" in
-    Sys.remove f;
-    Sys.mkdir f 0o700;
-    f
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Memo.Store.disable ();
-      Memo.Store.reset_memory ();
-      if Sys.file_exists store_dir2 then rm_rf store_dir2)
-    (fun () ->
-      Memo.Store.enable ~dir:store_dir2 ();
+  Memo.Store.with_private_store
+    (fun _ ->
       let _ = Sim.Interp.with_engine Sim.Interp.Reference (fun () ->
           let a' =
             Core.Cayman.analyze (Suite.compile (Suite.find_exn "atax"))

@@ -13,33 +13,12 @@ module Hls = Cayman_hls
 (* Temp-store helpers                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_dir () =
-  let f = Filename.temp_file "cayman-memo-test" "" in
-  Sys.remove f;
-  Sys.mkdir f 0o700;
-  f
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-(* Run [f] against a private enabled store; always disables the ambient
-   store and drops the in-memory table afterwards so the other suites
-   (which assume caching off) are unaffected. *)
+(* Run [f] against a private enabled store; the ambient store (off in
+   the other suites) is restored afterwards. *)
 let with_store f =
-  let dir = fresh_dir () in
-  Fun.protect
-    ~finally:(fun () ->
-      Memo.Store.disable ();
-      Memo.Store.reset_memory ();
-      if Sys.file_exists dir then rm_rf dir)
-    (fun () ->
-      Memo.Store.enable ~dir ();
-      Alcotest.(check bool) "store enabled" true (Memo.Store.active ());
-      f dir)
+  Memo.Store.with_private_store @@ fun dir ->
+  Alcotest.(check bool) "store enabled" true (Memo.Store.active ());
+  f dir
 
 let counter name = Obs.Metrics.value (Obs.Metrics.counter name)
 
@@ -314,8 +293,7 @@ let test_gc_evicts () =
 
 let test_clear_refuses_non_store () =
   (* a directory full of somebody else's files must not be cleared *)
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Memo.Store.with_temp_dir @@ fun dir ->
   let precious = Filename.concat dir "precious.txt" in
   Out_channel.with_open_bin precious (fun oc ->
       Out_channel.output_string oc "keep me");
@@ -336,8 +314,7 @@ let test_clear_refuses_non_store () =
     (Memo.Store.find ~ns:"test" ~key:"k" = (None : int option))
 
 let test_open_store_refuses_nonempty () =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Memo.Store.with_temp_dir @@ fun dir ->
   Out_channel.with_open_bin (Filename.concat dir "data") (fun oc ->
       Out_channel.output_string oc "unrelated");
   match Memo.Store.open_store dir with

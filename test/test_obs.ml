@@ -329,23 +329,24 @@ let test_log_multi_domain () =
   check "merged in id order" true (List.sort compare ids = ids);
   Obs.Log.reset ()
 
-let test_log_ring_bounds () =
-  Obs.Log.reset ();
-  let n = Obs.Log.capacity + 100 in
-  for i = 1 to n do
-    Obs.Log.info "spam" [ k_test_n, Obs.Log.I i ]
+(* The per-domain ring under Trace and Log: a full ring keeps its
+   newest entries, counts the overwritten ones, and reset forgets
+   entries, losses, open ids and the id sequence. *)
+let test_ring_overflow_reset () =
+  let r : int Obs.Ring.t = Obs.Ring.create ~capacity:4 in
+  let l = Obs.Ring.local r in
+  for _ = 1 to 10 do
+    Obs.Ring.push r l (Obs.Ring.next_id r)
   done;
-  check "retained tail is bounded by capacity" true
-    (List.length (Obs.Log.events ()) <= Obs.Log.capacity);
-  Alcotest.(check int) "overwrites counted" 100 (Obs.Log.dropped ());
-  (* the tail is the most recent events, not the oldest *)
-  (match List.rev (Obs.Log.tail 1) with
-   | [ e ] -> check "latest event survives" true
-                (List.assoc k_test_n e.Obs.Log.ev_fields = Obs.Log.I n)
-   | _ -> Alcotest.fail "tail 1 must return one event");
-  Obs.Log.reset ();
-  check "reset clears events" true (Obs.Log.events () = []);
-  Alcotest.(check int) "reset clears drop count" 0 (Obs.Log.dropped ())
+  Alcotest.(check (list int)) "newest entries retained in id order"
+    [ 7; 8; 9; 10 ] (Obs.Ring.contents r ~id:Fun.id);
+  Alcotest.(check int) "overwrites counted" 6 (Obs.Ring.dropped r);
+  Obs.Ring.set_open_ids l [ 3 ];
+  Obs.Ring.reset r;
+  check "reset clears entries" true (Obs.Ring.contents r ~id:Fun.id = []);
+  Alcotest.(check int) "reset clears drop count" 0 (Obs.Ring.dropped r);
+  check "reset clears open ids" true (Obs.Ring.open_ids l = []);
+  Alcotest.(check int) "reset restarts ids" 1 (Obs.Ring.next_id r)
 
 let test_log_json () =
   Obs.Log.reset ();
@@ -548,7 +549,7 @@ let tests =
       test_wall_histogram_exemption;
     Alcotest.test_case "log events and tail" `Quick test_log_events;
     Alcotest.test_case "log across pool domains" `Quick test_log_multi_domain;
-    Alcotest.test_case "log ring bounds and reset" `Quick test_log_ring_bounds;
+    Alcotest.test_case "ring overflow and reset" `Quick test_ring_overflow_reset;
     Alcotest.test_case "log json export" `Quick test_log_json;
     Alcotest.test_case "window counter rates" `Quick test_window_counter_rate;
     Alcotest.test_case "window wall percentiles" `Quick

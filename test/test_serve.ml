@@ -114,16 +114,7 @@ let temp_sock () =
 
 let with_socket_server ?(config = Serve.Server.default_config) path f =
   let dom = Domain.spawn (fun () -> Serve.Server.serve_socket ~config path) in
-  (* wait for the daemon to start listening *)
-  let rec wait n =
-    if n = 0 then Alcotest.fail "daemon did not come up";
-    match Serve.Client.connect path with
-    | cl -> cl
-    | exception Unix.Unix_error _ ->
-      Unix.sleepf 0.01;
-      wait (n - 1)
-  in
-  let cl = wait 500 in
+  let cl = Serve.Client.connect_when_up path in
   (match f cl with
    | () ->
      Serve.Client.shutdown cl;
@@ -640,15 +631,7 @@ let test_client_reconnect_after_restart () =
   let path = temp_sock () in
   let spawn () = Domain.spawn (fun () -> Serve.Server.serve_socket path) in
   let dom1 = spawn () in
-  let rec wait n =
-    if n = 0 then Alcotest.fail "daemon did not come up";
-    match Serve.Client.connect path with
-    | cl -> cl
-    | exception Unix.Unix_error _ ->
-      Unix.sleepf 0.01;
-      wait (n - 1)
-  in
-  let cl = wait 500 in
+  let cl = Serve.Client.connect_when_up path in
   let r = Serve.Client.rpc cl "health" in
   check "health before restart" "ok\n" r.Serve.Protocol.rp_output;
   Serve.Client.shutdown cl;
