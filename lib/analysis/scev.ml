@@ -28,6 +28,11 @@ type t = {
   defs : (string, (string * int) list) Hashtbl.t;
   params : String_set.t;
   block_index : (string, Ir.Block.t) Hashtbl.t;
+  enclosing : (string, Loops.loop list) Hashtbl.t;
+  accesses : (string, (form * pattern) array) Hashtbl.t;
+      (* per block, the address form and pattern of each instruction
+         ([Unknown], [Irregular] for one that is not a memory access);
+         filled by [create] *)
 }
 
 let const n = { const = n; ivs = []; syms = [] }
@@ -148,25 +153,12 @@ let detect_ivs (f : Ir.Func.t) (loops : Loops.t) defs =
     loops;
   ivs
 
-let create (f : Ir.Func.t) (loops : Loops.t) =
-  let defs = collect_defs f in
-  let block_index = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Ir.Block.t) -> Hashtbl.replace block_index b.Ir.Block.label b)
-    f.Ir.Func.blocks;
-  let params =
-    String_set.of_list
-      (List.map (fun (r : Ir.Instr.reg) -> r.Ir.Instr.id) f.Ir.Func.params)
-  in
-  let t =
-    { func = f; loops; ivs = detect_ivs f loops defs; defs; params; block_index }
-  in
-  (* Resolve IV start values now that the resolver state exists. *)
-  t
-
 (* --- resolution --- *)
 
 let max_depth = 64
+
+let enclosing t label =
+  Option.value (Hashtbl.find_opt t.enclosing label) ~default:[]
 
 let rec resolve t ~block ~pos ~depth (o : Ir.Instr.operand) : form =
   if depth > max_depth then Unknown
@@ -192,13 +184,13 @@ and resolve_reg t ~block ~pos ~depth rid =
     resolve_def t ~block:b ~pos:i ~depth
   | [] ->
     (* Live-in to this block: IV, unique remote def, parameter, or give up. *)
-    let enclosing = Loops.enclosing t.loops block in
+    let around = enclosing t block in
     let as_iv =
       match Hashtbl.find_opt t.ivs rid with
       | Some iv
         when List.exists
                (fun (l : Loops.loop) -> String.equal l.Loops.header iv.iv_loop)
-               enclosing ->
+               around ->
         Some iv
       | Some _ | None -> None
     in
@@ -217,10 +209,10 @@ and resolve_reg t ~block ~pos ~depth rid =
              conservatively require the def site to be outside every loop
              that contains [block] but not the def). *)
           let def_loops =
-            List.map (fun (l : Loops.loop) -> l.Loops.header) (Loops.enclosing t.loops b)
+            List.map (fun (l : Loops.loop) -> l.Loops.header) (enclosing t b)
           in
           let use_loops =
-            List.map (fun (l : Loops.loop) -> l.Loops.header) enclosing
+            List.map (fun (l : Loops.loop) -> l.Loops.header) around
           in
           let invariant_ok =
             List.for_all (fun h -> List.mem h def_loops) use_loops
@@ -242,7 +234,7 @@ and resolve_reg t ~block ~pos ~depth rid =
              statically computable with respect to that loop (a stream),
              even though the symbol varies with outer loops. Footprints
              over such symbols are rejected (see [footprint]). *)
-          (match enclosing with
+          (match around with
            | innermost :: _ ->
              let defined_inside =
                List.exists
@@ -308,36 +300,72 @@ and resolve_def t ~block ~pos ~depth =
   | Ir.Instr.Store _ | Ir.Instr.Call _ ->
     Unknown
 
-(* Form of the address of the memory instruction at [(block, pos)]. *)
-let access_form t ~block ~pos =
-  match Hashtbl.find_opt t.block_index block with
-  | None -> Unknown
-  | Some b ->
-    (match List.nth_opt b.Ir.Block.instrs pos with
-     | Some instr ->
-       (match Ir.Instr.mem_ref_of instr with
-        | Some m -> resolve t ~block ~pos ~depth:0 m.Ir.Instr.index
-        | None -> Unknown)
-     | None -> Unknown)
-
 let coeff_of (a : affine) header =
   match List.assoc_opt header a.ivs with
   | Some c -> c
   | None -> 0
 
-let m_classified = Obs.Metrics.counter "analysis.scev_accesses_classified"
-
 (* Access pattern with respect to the innermost enclosing loop. *)
-let classify t ~block ~pos =
-  Obs.Metrics.incr m_classified;
-  match access_form t ~block ~pos with
+let pattern_of t ~block = function
   | Unknown -> Irregular
   | Affine a ->
-    (match Loops.enclosing t.loops block with
+    (match enclosing t block with
      | [] -> Invariant
      | innermost :: _ ->
        let c = coeff_of a innermost.Loops.header in
        if c = 0 then Invariant else Stream c)
+
+(* Every memory access is resolved and classified once, here: the key
+   derivation, [Kernel.region_facts] and [Memdep] query the same
+   accesses many times. The tables are complete before [create] returns
+   and never written again, because one [Ctx] is read by several pool
+   domains at once. *)
+let create (f : Ir.Func.t) (loops : Loops.t) =
+  let defs = collect_defs f in
+  let block_index = Hashtbl.create 16 in
+  let enclosing = Hashtbl.create 16 in
+  List.iter
+    (fun (b : Ir.Block.t) ->
+      let l = b.Ir.Block.label in
+      Hashtbl.replace block_index l b;
+      Hashtbl.replace enclosing l (Loops.enclosing loops l))
+    f.Ir.Func.blocks;
+  let params =
+    String_set.of_list
+      (List.map (fun (r : Ir.Instr.reg) -> r.Ir.Instr.id) f.Ir.Func.params)
+  in
+  let t =
+    { func = f; loops; ivs = detect_ivs f loops defs; defs; params;
+      block_index; enclosing; accesses = Hashtbl.create 16 }
+  in
+  Hashtbl.iter
+    (fun block (b : Ir.Block.t) ->
+      Hashtbl.replace t.accesses block
+        (Array.of_list
+           (List.mapi
+              (fun pos i ->
+                match Ir.Instr.mem_ref_of i with
+                | Some m ->
+                  let form = resolve t ~block ~pos ~depth:0 m.Ir.Instr.index in
+                  (form, pattern_of t ~block form)
+                | None -> (Unknown, Irregular))
+              b.Ir.Block.instrs)))
+    block_index;
+  t
+
+let access t ~block ~pos =
+  match Hashtbl.find_opt t.accesses block with
+  | Some a when pos >= 0 && pos < Array.length a -> a.(pos)
+  | Some _ | None -> (Unknown, Irregular)
+
+(* Form of the address of the memory instruction at [(block, pos)]. *)
+let access_form t ~block ~pos = fst (access t ~block ~pos)
+
+let m_classified = Obs.Metrics.counter "analysis.scev_accesses_classified"
+
+let classify t ~block ~pos =
+  Obs.Metrics.incr m_classified;
+  snd (access t ~block ~pos)
 
 (* Footprint of the access over one execution of a region: the number of
    distinct elements touched while the loops in [trips] (header, trip
@@ -346,9 +374,7 @@ let footprint t ~block ~pos ~trips =
   match access_form t ~block ~pos with
   | Unknown -> None
   | Affine a when
-      List.exists
-        (fun (s, _) -> String.length s >= 4 && String.equal (String.sub s 0 4) "inv:")
-        a.syms ->
+      List.exists (fun (s, _) -> String.starts_with ~prefix:"inv:" s) a.syms ->
     (* The form hides variation of outer loops inside an invariant
        symbol: the true footprint is not statically analyzable. *)
     None
@@ -377,5 +403,5 @@ let pp_form fmt = function
 
 let pattern_to_string = function
   | Invariant -> "invariant"
-  | Stream c -> Printf.sprintf "stream(%+d)" c
+  | Stream c -> (if c < 0 then "stream(" else "stream(+") ^ string_of_int c ^ ")"
   | Irregular -> "irregular"

@@ -27,7 +27,14 @@ type iv_info = { iv_loop : string; step : int; start : form }
 
 type t
 
+(** Resolves and classifies every memory access of the function once;
+    the queries below read the result and never write [t], so one [t]
+    may be read from several domains at once. *)
 val create : Cayman_ir.Func.t -> Loops.t -> t
+
+(** Loops containing a block, innermost first ({!Loops.enclosing}, built
+    once per block by {!create}). *)
+val enclosing : t -> string -> Loops.loop list
 
 val affine_equal : affine -> affine -> bool
 val coeff_of : affine -> string -> int
@@ -36,6 +43,7 @@ val coeff_of : affine -> string -> int
     (instruction index within the block). *)
 val access_form : t -> block:string -> pos:int -> form
 
+(** Counts one [analysis.scev_accesses_classified] per call. *)
 val classify : t -> block:string -> pos:int -> pattern
 
 (** [footprint t ~block ~pos ~trips] is the number of distinct elements the

@@ -20,20 +20,30 @@ let fp_ifconv = Obs.Faultpoint.register "ifconv"
 
 (* The profiling interpreter pass is a pure function of the validated,
    if-converted program and the fuel bound, and it dominates the wall
-   time of a cold evaluation — memoize it keyed by the program's
-   printed form. [Profile.publish_metrics] (normally run inside
-   [Interp.run]) is replayed on a cache hit so the metric totals are
-   identical whether the profile came from disk or from execution.
-   Fault campaigns run under [Memo.Store.without_cache], so armed
-   interpreter faultpoints always re-execute. *)
+   time of a cold evaluation — memoize it keyed by the program's exact
+   listing ([Memo.Hash.program_code], floats printed exactly). The
+   "ir-exact" field keeps these keys apart from those of the earlier
+   listing, whose six-digit floats let two programs share a profile.
+   [Profile.publish_metrics] (normally run inside [Interp.run]) is
+   replayed on a cache hit so the metric totals are identical whether
+   the profile came from disk or from execution. Fault campaigns run
+   under [Memo.Store.without_cache], so armed interpreter faultpoints
+   always re-execute. *)
+let profile_key ~fuel program =
+  let b = Memo.Hash.builder ~ns:"profile" in
+  Memo.Hash.str b "ir-exact";
+  Memo.Hash.str b (Memo.Hash.program_digest program);
+  Memo.Hash.int b fuel;
+  Memo.Hash.digest b
+
 let profile_of ~fuel program =
   if not (Memo.Store.active ()) then
     (Sim.Interp.run ~fuel program).Sim.Interp.profile
   else begin
-    let b = Memo.Hash.builder ~ns:"profile" in
-    Memo.Hash.str b (Digest.to_hex (Digest.string (Ir.Program.to_string program)));
-    Memo.Hash.int b fuel;
-    let key = Memo.Hash.digest b in
+    let key =
+      Obs.Trace.span ~cat:"memo" "memo.key" (fun () ->
+          profile_key ~fuel program)
+    in
     match Memo.Store.find ~ns:"profile" ~key with
     | Some p ->
       Sim.Profile.publish_metrics p;

@@ -21,6 +21,12 @@ type analyzed = {
     @raise Cayman_sim.Interp.Runtime_error on dynamic errors. *)
 val analyze : ?fuel:int -> ?if_convert:bool -> Cayman_ir.Program.t -> analyzed
 
+(** Memo-store key of the profiling pass that {!analyze} runs over
+    [program] (the validated, if-converted program) with [fuel]: the
+    digest of its exact listing ({!Memo.Hash.program_code}) and the
+    fuel. *)
+val profile_key : fuel:int -> Cayman_ir.Program.t -> string
+
 (** [analyze_source src] compiles MiniC source first.
     @raise Cayman_frontend.Diag.Error on frontend errors. *)
 val analyze_source : ?fuel:int -> ?if_convert:bool -> string -> analyzed

@@ -94,7 +94,7 @@ let select ?(params = default_params) ?jobs ?memo_key ~(gen : accel_gen)
       p
     | None ->
       Obs.Metrics.incr m_memo_misses;
-      let cycles = Sim.Profile.region_cycles ctx.Hls.Ctx.func profile r in
+      let cycles = Hls.Ctx.region_cycles ctx r in
       let p = float_of_int cycles < prune_cycles in
       Hashtbl.add prune_memo key p;
       p
@@ -147,7 +147,10 @@ let select ?(params = default_params) ?jobs ?memo_key ~(gen : accel_gen)
     match memo_key with
     | Some mk when Memo.Store.active () ->
       fun (ctx, r) ->
-        let key = Hls.Fingerprint.points_key ctx r ~gen:mk in
+        let key =
+          Obs.Trace.span ~cat:"memo" "memo.key" (fun () ->
+              Hls.Fingerprint.points_key ctx r ~gen:mk)
+        in
         Memo.Store.memoize ~ns:"points" ~key (fun () -> gen ctx r)
     | Some _ | None -> fun (ctx, r) -> gen ctx r
   in

@@ -54,6 +54,7 @@ let jobs_knob =
 
 let set_jobs n = set jobs_knob (clamp n)
 let clear_jobs () = clear jobs_knob
+let with_jobs n f = with_ jobs_knob (clamp n) f
 
 let jobs ?jobs () =
   get ?explicit:(Option.map clamp (Option.bind jobs positive)) jobs_knob

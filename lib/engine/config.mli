@@ -55,6 +55,10 @@ val set_jobs : int -> unit
 val clear_jobs : unit -> unit
 (** Remove the override installed by {!set_jobs}. *)
 
+val with_jobs : int -> (unit -> 'a) -> 'a
+(** [with_jobs n f] runs [f] with the override set to [n] (clamped),
+    restoring the previous override afterwards (also on exceptions). *)
+
 val jobs : ?jobs:int -> unit -> int
 (** [jobs ()] resolves the effective worker count as documented above.
     [jobs ~jobs:n ()] short-circuits resolution with [n] (still

@@ -17,6 +17,8 @@ type t = {
   dfgs : (string, Dfg.t) Hashtbl.t;
   trips : (string, float) Hashtbl.t;
   entries : (string, int) Hashtbl.t;
+  preds : (string, string list) Hashtbl.t;
+  blocks : (string, int * int) Hashtbl.t;
 }
 
 let create program profile (func : Ir.Func.t) =
@@ -34,6 +36,14 @@ let create program profile (func : Ir.Func.t) =
   let entries = Hashtbl.create 8 in
   let preds = Ir.Func.preds func in
   let fname = func.Ir.Func.name in
+  let blocks = Hashtbl.create 16 in
+  List.iter
+    (fun (b : Ir.Block.t) ->
+      let label = b.Ir.Block.label in
+      Hashtbl.replace blocks label
+        ( Sim.Profile.block_exec profile ~func:fname ~label,
+          Sim.Profile.cycles_of_block profile ~func:fname b ))
+    func.Ir.Func.blocks;
   List.iter
     (fun (l : An.Loops.loop) ->
       let header = l.An.Loops.header in
@@ -54,7 +64,8 @@ let create program profile (func : Ir.Func.t) =
         (Sim.Profile.avg_trip profile ~func:fname
            ~header:(Hashtbl.find dfgs header).Dfg.block ~entries:n l))
     loops;
-  { program; func; profile; loops; scev; loop_info; dfgs; trips; entries }
+  { program; func; profile; loops; scev; loop_info; dfgs; trips; entries;
+    preds; blocks }
 
 let dfg t label = Hashtbl.find t.dfgs label
 
@@ -67,13 +78,36 @@ let trip t header =
   | Some _ | None -> 0
 
 let block_exec t label =
-  Sim.Profile.block_exec t.profile ~func:t.func.Ir.Func.name ~label
+  match Hashtbl.find_opt t.blocks label with
+  | Some (exec, _) -> exec
+  | None -> 0
 
-(* Profiled host cycles of one block, found through the DFG table rather
-   than a scan of the function's block list. *)
-let block_cycles t label =
-  Sim.Profile.cycles_of_block t.profile ~func:t.func.Ir.Func.name
-    (dfg t label).Dfg.block
+let block_cycles t label = snd (Hashtbl.find t.blocks label)
+
+(* Whether loop [l] lies wholly inside region [r]; the header test
+   settles most loops without walking their blocks. *)
+let loop_inside (r : An.Region.t) (l : An.Loops.loop) =
+  An.Region.String_set.mem l.An.Loops.header r.An.Region.blocks
+  && An.Loops.String_set.subset l.An.Loops.blocks r.An.Region.blocks
+
+let loops_inside t r = List.filter (loop_inside r) t.loops
+
+let region_trips t r label =
+  List.filter_map
+    (fun (l : An.Loops.loop) ->
+      if loop_inside r l then Some (l.An.Loops.header, trip t l.An.Loops.header)
+      else None)
+    (An.Scev.enclosing t.scev label)
+
+(* [Sim.Profile.region_cycles] and [region_entries] over the tables
+   built above, without a scan of the function or a fresh pred map. *)
+let region_cycles t (r : An.Region.t) =
+  An.Region.String_set.fold
+    (fun l acc -> acc + block_cycles t l)
+    r.An.Region.blocks 0
+
+let region_entries t (r : An.Region.t) =
+  Sim.Profile.region_entries ~preds:t.preds t.func t.profile r
 
 (* Entries into a loop from outside it. *)
 let loop_entries t (l : An.Loops.loop) =

@@ -17,6 +17,9 @@ type t = {
   trips : (string, float) Hashtbl.t;
   entries : (string, int) Hashtbl.t;
       (** per loop header: profiled entries into the loop from outside *)
+  preds : (string, string list) Hashtbl.t;  (** {!Cayman_ir.Func.preds} *)
+  blocks : (string, int * int) Hashtbl.t;
+      (** per block: {!block_exec} and {!block_cycles} *)
 }
 
 val create :
@@ -32,6 +35,22 @@ val block_exec : t -> string -> int
 
 (** Profiled host cycles of one block ({!Cayman_sim.Profile.block_cycles}). *)
 val block_cycles : t -> string -> int
+
+(** The loops that lie wholly inside a region. *)
+val loops_inside :
+  t -> Cayman_analysis.Region.t -> Cayman_analysis.Loops.loop list
+
+(** [region_trips t r label]: (header, {!trip}) of each loop around
+    [label] that lies wholly inside [r], innermost first — the loops
+    whose iterations one execution of [r] covers. *)
+val region_trips :
+  t -> Cayman_analysis.Region.t -> string -> (string * int) list
+
+(** {!Cayman_sim.Profile.region_cycles} of a region of this function. *)
+val region_cycles : t -> Cayman_analysis.Region.t -> int
+
+(** {!Cayman_sim.Profile.region_entries} of a region of this function. *)
+val region_entries : t -> Cayman_analysis.Region.t -> int
 
 val loop_entries : t -> Cayman_analysis.Loops.loop -> int
 

@@ -1,6 +1,5 @@
 module Ir = Cayman_ir
 module An = Cayman_analysis
-module Sim = Cayman_sim
 module Hash = Memo.Hash
 
 (* Digest of the whole technology table: every constant the estimator or
@@ -33,38 +32,33 @@ let tech =
   Hash.digest b
 
 (* Every profile/analysis fact the kernel model reads for [region], fed
-   in a deterministic order. [rename] selects canonical vs original
-   names; everything else is identical between the two key flavours. *)
-let facts b (canon : Hash.canon) (ctx : Ctx.t) (region : An.Region.t) ~rename =
-  let lbl l = if rename then canon.Hash.canon_of_label l else l in
-  let rg r = if rename then canon.Hash.canon_of_reg r else r in
-  let func = ctx.Ctx.func in
-  let profile = ctx.Ctx.profile in
+   in a deterministic order, under the names of [listing]: canonical for
+   [points], original for [netlist]. *)
+let facts b (listing : Hash.listing) (ctx : Ctx.t) (region : An.Region.t) =
+  let lbl = listing.Hash.label_name in
+  let rg = listing.Hash.reg_name in
   (* profile: region aggregate + per-block, in canonical block order *)
-  Hash.int b (Sim.Profile.region_cycles func profile region);
-  Hash.int b (Sim.Profile.region_entries func profile region);
+  Hash.int b (Ctx.region_cycles ctx region);
+  Hash.int b (Ctx.region_entries ctx region);
   List.iter
     (fun l ->
       Hash.str b (lbl l);
       Hash.int b (Ctx.block_exec ctx l);
       Hash.int b (Ctx.block_cycles ctx l))
-    canon.Hash.block_order;
+    listing.Hash.block_order;
   (* loops fully inside the region, ordered by their header's canonical
      position (renaming-invariant) *)
-  let pos =
-    let tbl = Hashtbl.create 16 in
-    List.iteri (fun i l -> Hashtbl.replace tbl l i) canon.Hash.block_order;
-    fun l -> Option.value ~default:max_int (Hashtbl.find_opt tbl l)
-  in
   let loops =
-    List.sort
-      (fun (a : An.Loops.loop) (b : An.Loops.loop) ->
-        compare (pos a.An.Loops.header) (pos b.An.Loops.header))
-      (List.filter
-         (fun (l : An.Loops.loop) ->
-           An.Loops.String_set.subset l.An.Loops.blocks
-             region.An.Region.blocks)
-         ctx.Ctx.loops)
+    match Ctx.loops_inside ctx region with
+    | ([] | [ _ ]) as loops -> loops
+    | loops ->
+      let tbl = Hashtbl.create 16 in
+      List.iteri (fun i l -> Hashtbl.replace tbl l i) listing.Hash.block_order;
+      let pos l = Option.value ~default:max_int (Hashtbl.find_opt tbl l) in
+      List.sort
+        (fun (a : An.Loops.loop) (b : An.Loops.loop) ->
+          compare (pos a.An.Loops.header) (pos b.An.Loops.header))
+        loops
   in
   Hash.int b (List.length loops);
   List.iter
@@ -102,21 +96,14 @@ let facts b (canon : Hash.canon) (ctx : Ctx.t) (region : An.Region.t) ~rename =
   (* scalar evolution per memory access, exactly as assign_interfaces
      consumes it: pattern, static footprint w.r.t. the region's loop
      trips, and the affine address form *)
-  let region_trips label =
-    List.filter_map
-      (fun (l : An.Loops.loop) ->
-        if
-          An.Loops.String_set.subset l.An.Loops.blocks region.An.Region.blocks
-        then Some (l.An.Loops.header, Ctx.trip ctx l.An.Loops.header)
-        else None)
-      (An.Loops.enclosing ctx.Ctx.loops label)
-  in
   List.iter
     (fun label ->
       let dfg = Ctx.dfg ctx label in
+      let trips = Ctx.region_trips ctx region label in
+      let name = lbl label in
       List.iter
         (fun i ->
-          Hash.str b (lbl label);
+          Hash.str b name;
           Hash.int b i;
           (match Ir.Instr.mem_ref_of dfg.Dfg.instrs.(i) with
            | Some m -> Hash.str b m.Ir.Instr.base
@@ -125,8 +112,7 @@ let facts b (canon : Hash.canon) (ctx : Ctx.t) (region : An.Region.t) ~rename =
             (An.Scev.pattern_to_string
                (An.Scev.classify ctx.Ctx.scev ~block:label ~pos:i));
           Hash.int_opt b
-            (An.Scev.footprint ctx.Ctx.scev ~block:label ~pos:i
-               ~trips:(region_trips label));
+            (An.Scev.footprint ctx.Ctx.scev ~block:label ~pos:i ~trips);
           match An.Scev.access_form ctx.Ctx.scev ~block:label ~pos:i with
           | An.Scev.Unknown -> Hash.bool b false
           | An.Scev.Affine a ->
@@ -143,15 +129,15 @@ let facts b (canon : Hash.canon) (ctx : Ctx.t) (region : An.Region.t) ~rename =
                 Hash.int b c)
               a.An.Scev.syms)
         (Dfg.mem_nodes dfg))
-    canon.Hash.block_order
+    listing.Hash.block_order
 
 let points_key (ctx : Ctx.t) (region : An.Region.t) ~gen =
   let b = Hash.builder ~ns:"points" in
   Hash.str b tech;
   Hash.str b gen;
-  let canon = Hash.canon_region ctx.Ctx.func region in
-  Hash.str b canon.Hash.canon_code;
-  facts b canon ctx region ~rename:true;
+  let listing = Hash.canon_region ctx.Ctx.func region in
+  Hash.str b listing.Hash.code;
+  facts b listing ctx region;
   Hash.digest b
 
 let netlist_key (ctx : Ctx.t) (region : An.Region.t) ~beta ~config =
@@ -159,7 +145,7 @@ let netlist_key (ctx : Ctx.t) (region : An.Region.t) ~beta ~config =
   Hash.str b tech;
   Hash.str b (Kernel.config_to_string config);
   Hash.float b beta;
-  let canon = Hash.canon_region ctx.Ctx.func region in
-  Hash.str b canon.Hash.exact_code;
-  facts b canon ctx region ~rename:false;
+  let listing = Hash.exact_region ctx.Ctx.func region in
+  Hash.str b listing.Hash.code;
+  facts b listing ctx region;
   Hash.digest b

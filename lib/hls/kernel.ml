@@ -87,13 +87,6 @@ let region_has_call (ctx : Ctx.t) (r : An.Region.t) =
     (fun label -> Dfg.has_call (Ctx.dfg ctx label))
     r.An.Region.blocks
 
-(* Loops whose blocks lie entirely inside the region. *)
-let loops_inside (ctx : Ctx.t) (r : An.Region.t) =
-  List.filter
-    (fun (l : An.Loops.loop) ->
-      An.Loops.String_set.subset l.An.Loops.blocks r.An.Region.blocks)
-    ctx.Ctx.loops
-
 (* A loop is pipelineable when it is innermost with a straight-line
    body: either the canonical header/body/latch shape, or the two-block
    shape left after CFG simplification fuses the body into the latch. *)
@@ -171,21 +164,13 @@ let region_facts (ctx : Ctx.t) (r : An.Region.t) =
           match pipeline_body ctx l with
           | Some body when Ctx.trip ctx l.An.Loops.header > 0 -> Some (l, body)
           | Some _ | None -> None)
-        (loops_inside ctx r)
-    in
-    let region_trips label =
-      List.filter_map
-        (fun (l : An.Loops.loop) ->
-          if An.Loops.String_set.subset l.An.Loops.blocks r.An.Region.blocks
-          then Some (l.An.Loops.header, Ctx.trip ctx l.An.Loops.header)
-          else None)
-        (An.Loops.enclosing ctx.Ctx.loops label)
+        (Ctx.loops_inside ctx r)
     in
     let accesses =
       An.Region.String_set.fold
         (fun label acc ->
           let dfg = Ctx.dfg ctx label in
-          let trips = region_trips label in
+          let trips = Ctx.region_trips ctx r label in
           List.fold_left
             (fun acc i ->
               let instr = dfg.Dfg.instrs.(i) in
@@ -245,8 +230,8 @@ let region_facts (ctx : Ctx.t) (r : An.Region.t) =
         f_pipelineable = pipelineable;
         f_accesses = accesses;
         f_static_arrays = static_arrays;
-        f_cpu_cycles = Sim.Profile.region_cycles ctx.Ctx.func ctx.Ctx.profile r;
-        f_entries = Sim.Profile.region_entries ctx.Ctx.func ctx.Ctx.profile r }
+        f_cpu_cycles = Ctx.region_cycles ctx r;
+        f_entries = Ctx.region_entries ctx r }
   end
 
 (* --- interface assignment --- *)

@@ -693,9 +693,10 @@ let of_kernel (ctx : Ctx.t) (region : An.Region.t) ?beta
   if not (Memo.Store.active ()) then build_kernel ctx region ?beta config
   else
     let key =
-      Fingerprint.netlist_key ctx region
-        ~beta:(Option.value beta ~default:Kernel.default_beta)
-        ~config
+      Obs.Trace.span ~cat:"memo" "memo.key" (fun () ->
+          Fingerprint.netlist_key ctx region
+            ~beta:(Option.value beta ~default:Kernel.default_beta)
+            ~config)
     in
     Memo.Store.memoize ~ns:"netlist" ~key (fun () ->
         build_kernel ctx region ?beta config)

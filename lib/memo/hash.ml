@@ -20,15 +20,28 @@ let builder ~ns =
   Buffer.add_char b '\n';
   b
 
+(* [string_of_int n] written straight into [b]. Digits are taken from
+   the non-positive [-|n|], which, unlike [|n|], exists for [min_int]. *)
+let add_decimal b n =
+  let rec digits m =
+    if m <= -10 then digits (m / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 - (m mod 10)))
+  in
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    digits n
+  end
+  else digits (-n)
+
 let str b s =
   Buffer.add_char b 's';
-  Buffer.add_string b (string_of_int (String.length s));
+  add_decimal b (String.length s);
   Buffer.add_char b ':';
   Buffer.add_string b s
 
 let int b n =
   Buffer.add_char b 'i';
-  Buffer.add_string b (string_of_int n);
+  add_decimal b n;
   Buffer.add_char b ';'
 
 let bool b v = Buffer.add_string b (if v then "b1" else "b0")
@@ -44,23 +57,149 @@ let int_opt b = function
 
 let digest b = Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* --- region canonicalization --- *)
+(* --- the IR emitter --- *)
 
-type canon = {
-  canon_code : string;
-  exact_code : string;
+(* One emitter renders IR into every key: regions under canonical or
+   original names, and whole programs. It writes straight into the
+   buffer. Float immediates print with [%h], exactly: the six digits of
+   [Instr.pp_operand]'s [%g] would give two programs that differ only in
+   a constant the same key.
+
+   [reg] and [label] give the printed name of a register or a label.
+   For a canonical listing they hand out a fresh number on first sight,
+   so the order in which the emitter asks for names fixes the numbering.
+   That order is spelled out below with one [let] per name, and it is
+   the order every stored [points] key was derived under (the first
+   renderer met names this way because it evaluated string
+   concatenations right to left). Within an instruction: its operands
+   last to first, then its destination; a store names its value, then
+   its index; a call its destination, then its arguments left to right.
+   A branch names its false target, then its true target, then its
+   condition. Changing the order renumbers registers and exits, so it
+   moves keys. *)
+
+(* The printed name of an operand's register; [""] for an immediate. *)
+let name ~reg = function
+  | Ir.Instr.Reg r -> reg r.Ir.Instr.id
+  | Ir.Instr.Imm_int _ | Ir.Instr.Imm_float _ | Ir.Instr.Imm_bool _ -> ""
+
+let add_reg buf n (r : Ir.Instr.reg) =
+  Buffer.add_char buf '%';
+  Buffer.add_string buf n;
+  Buffer.add_char buf ':';
+  Buffer.add_string buf (Ir.Types.to_string r.Ir.Instr.ty)
+
+(* [o] printed with [n], its register's name from [name]. *)
+let add_operand buf n = function
+  | Ir.Instr.Reg r -> add_reg buf n r
+  | Ir.Instr.Imm_int k -> Buffer.add_string buf (string_of_int k)
+  | Ir.Instr.Imm_float x -> Buffer.add_string buf (Printf.sprintf "%h" x)
+  | Ir.Instr.Imm_bool v -> Buffer.add_string buf (string_of_bool v)
+
+(* Array symbols are global names, never renamed. *)
+let add_mem buf n (m : Ir.Instr.mem_ref) =
+  Buffer.add_string buf m.Ir.Instr.base;
+  Buffer.add_char buf '[';
+  add_operand buf n m.Ir.Instr.index;
+  Buffer.add_char buf ']'
+
+let add_instr buf ~reg (i : Ir.Instr.t) =
+  let add = Buffer.add_string buf in
+  let dest (r : Ir.Instr.reg) = (reg r.Ir.Instr.id, r) in
+  let add_dest (n, r) =
+    add_reg buf n r;
+    add " = "
+  in
+  (* [named] pairs each operand with its name; [fold_right] names the
+     last operand first *)
+  let named ops = List.fold_right (fun o acc -> (name ~reg o, o) :: acc) ops [] in
+  let operands =
+    List.iteri (fun k (n, o) ->
+        if k > 0 then add ", ";
+        add_operand buf n o)
+  in
+  (* [r = op o1, o2, ...]: operands named last to first, then [r] *)
+  let def r op ops =
+    let ops = named ops in
+    add_dest (dest r);
+    add op;
+    if op <> "" then add " ";
+    operands ops
+  in
+  match i with
+  | Ir.Instr.Assign (r, a) -> def r "" [ a ]
+  | Ir.Instr.Unary (r, op, a) -> def r (Ir.Op.un_to_string op) [ a ]
+  | Ir.Instr.Binary (r, op, a, b) -> def r (Ir.Op.bin_to_string op) [ a; b ]
+  | Ir.Instr.Compare (r, op, a, b) -> def r (Ir.Op.cmp_to_string op) [ a; b ]
+  | Ir.Instr.Select (r, c, a, b) -> def r "select" [ c; a; b ]
+  | Ir.Instr.Load (r, m) ->
+    let ni = name ~reg m.Ir.Instr.index in
+    add_dest (dest r);
+    add "load ";
+    add_mem buf ni m
+  | Ir.Instr.Store (m, v) ->
+    let nv = name ~reg v in
+    let ni = name ~reg m.Ir.Instr.index in
+    add "store ";
+    add_mem buf ni m;
+    add ", ";
+    add_operand buf nv v
+  | Ir.Instr.Call (r, f, args) ->
+    let nr = Option.map dest r in
+    let args = List.rev (named (List.rev args)) in
+    Option.iter add_dest nr;
+    add "call ";
+    add f;
+    add "(";
+    operands args;
+    add ")"
+
+let add_term buf ~reg ~label = function
+  | Ir.Instr.Jump l ->
+    let nl = label l in
+    Buffer.add_string buf "jump ";
+    Buffer.add_string buf nl
+  | Ir.Instr.Branch (c, t, f) ->
+    let nf = label f in
+    let nt = label t in
+    let nc = name ~reg c in
+    Buffer.add_string buf "branch ";
+    add_operand buf nc c;
+    Buffer.add_string buf ", ";
+    Buffer.add_string buf nt;
+    Buffer.add_string buf ", ";
+    Buffer.add_string buf nf
+  | Ir.Instr.Return None -> Buffer.add_string buf "return"
+  | Ir.Instr.Return (Some v) ->
+    let nv = name ~reg v in
+    Buffer.add_string buf "return ";
+    add_operand buf nv v
+
+(* [l:] then one instruction a line, each indented by one space. *)
+let add_block buf ~reg ~label l (blk : Ir.Block.t option) =
+  Buffer.add_string buf (label l);
+  Buffer.add_string buf ":\n";
+  match blk with
+  | None -> Buffer.add_string buf " <missing>\n"
+  | Some blk ->
+    List.iter
+      (fun i ->
+        Buffer.add_char buf ' ';
+        add_instr buf ~reg i;
+        Buffer.add_char buf '\n')
+      blk.Ir.Block.instrs;
+    Buffer.add_char buf ' ';
+    add_term buf ~reg ~label blk.Ir.Block.term;
+    Buffer.add_char buf '\n'
+
+(* --- region listings --- *)
+
+type listing = {
+  code : string;
   block_order : string list;
-  canon_of_label : string -> string;
-  canon_of_reg : string -> string;
+  label_name : string -> string;
+  reg_name : string -> string;
 }
-
-let intern tbl prefix name =
-  match Hashtbl.find_opt tbl name with
-  | Some c -> c
-  | None ->
-    let c = Printf.sprintf "%s%d" prefix (Hashtbl.length tbl) in
-    Hashtbl.add tbl name c;
-    c
 
 (* --- digest-collision guard --- *)
 
@@ -95,17 +234,30 @@ let guard_digest ~digest ~code =
        Hashtbl.add guard_tbl digest (ref [ code ]));
   Mutex.unlock guard_mutex
 
-let canon_digest c =
-  let code = c.canon_code in
+let canon_digest (c : listing) =
+  let code = c.code in
   let d = Digest.to_hex (Digest.string (version ^ "\n" ^ code)) in
   guard_digest ~digest:d ~code;
   d
 
-let canon_region (func : Ir.Func.t) (region : An.Region.t) =
+let kind_string = function
+  | An.Region.Whole_function -> "whole"
+  | An.Region.Basic_block -> "bb"
+  | An.Region.Loop_region -> "loop"
+  | An.Region.Cond_region -> "cond"
+
+(* The region's blocks in canonical order: BFS from the region entry in
+   terminator successor order, which only follows the CFG shape and so
+   is renaming-invariant; blocks it does not reach are appended in
+   sorted label order. *)
+let traverse (func : Ir.Func.t) (region : An.Region.t) =
   let in_region l = An.Region.String_set.mem l region.An.Region.blocks in
-  (* Canonical block order: BFS from the region entry in terminator
-     successor order — renaming-invariant because it only follows the
-     CFG shape. *)
+  let blocks = Hashtbl.create 16 in
+  List.iter
+    (fun (b : Ir.Block.t) ->
+      if in_region b.Ir.Block.label && not (Hashtbl.mem blocks b.Ir.Block.label)
+      then Hashtbl.add blocks b.Ir.Block.label b)
+    func.Ir.Func.blocks;
   let seen = Hashtbl.create 16 in
   let queue = Queue.create () in
   let order = ref [] in
@@ -119,7 +271,7 @@ let canon_region (func : Ir.Func.t) (region : An.Region.t) =
   while not (Queue.is_empty queue) do
     let l = Queue.pop queue in
     order := l :: !order;
-    match Ir.Func.find_block func l with
+    match Hashtbl.find_opt blocks l with
     | None -> ()
     | Some blk -> List.iter enqueue (Ir.Block.succs blk)
   done;
@@ -128,99 +280,39 @@ let canon_region (func : Ir.Func.t) (region : An.Region.t) =
       (fun l -> not (Hashtbl.mem seen l))
       (An.Region.String_set.elements region.An.Region.blocks)
   in
-  let block_order = List.rev !order @ leftovers in
-  (* Name interning, in traversal/first-occurrence order. *)
+  (List.rev !order @ leftovers, Hashtbl.find_opt blocks)
+
+let canon_region (func : Ir.Func.t) (region : An.Region.t) =
+  let block_order, block = traverse func region in
   let labels = Hashtbl.create 16 in
   let exits = Hashtbl.create 8 in
   let regs = Hashtbl.create 64 in
+  let intern tbl prefix x =
+    match Hashtbl.find_opt tbl x with
+    | Some c -> c
+    | None ->
+      let c = prefix ^ string_of_int (Hashtbl.length tbl) in
+      Hashtbl.add tbl x c;
+      c
+  in
   List.iter (fun l -> ignore (intern labels "B" l)) block_order;
-  let canon_label l =
-    if in_region l then intern labels "B" l else intern exits "X" l
+  let label l =
+    match Hashtbl.find_opt labels l with
+    | Some c -> c
+    | None -> intern exits "X" l
   in
-  let canon_reg r = intern regs "r" r in
-  (* Two renderings share one traversal: [rn]/[ln] pick the name space. *)
-  let cbuf = Buffer.create 1024 in
-  let ebuf = Buffer.create 1024 in
-  let ty t = Format.asprintf "%a" Ir.Types.pp t in
-  let emit_block buf ~rn ~ln label =
-    let reg (r : Ir.Instr.reg) = "%" ^ rn r.Ir.Instr.id ^ ":" ^ ty r.Ir.Instr.ty in
-    let operand = function
-      | Ir.Instr.Reg r -> reg r
-      | Ir.Instr.Imm_int n -> string_of_int n
-      | Ir.Instr.Imm_float x -> Printf.sprintf "%h" x
-      | Ir.Instr.Imm_bool b -> string_of_bool b
-    in
-    let mem (m : Ir.Instr.mem_ref) =
-      (* array symbols are global names, never renamed *)
-      m.Ir.Instr.base ^ "[" ^ operand m.Ir.Instr.index ^ "]"
-    in
-    let add = Buffer.add_string buf in
-    add (ln label);
-    add ":\n";
-    (match Ir.Func.find_block func label with
-     | None -> add " <missing>\n"
-     | Some blk ->
-       List.iter
-         (fun (i : Ir.Instr.t) ->
-           add " ";
-           (match i with
-            | Ir.Instr.Assign (r, a) -> add (reg r ^ " = " ^ operand a)
-            | Ir.Instr.Unary (r, op, a) ->
-              add (reg r ^ " = " ^ Ir.Op.un_to_string op ^ " " ^ operand a)
-            | Ir.Instr.Binary (r, op, a, b) ->
-              add
-                (reg r ^ " = " ^ Ir.Op.bin_to_string op ^ " " ^ operand a
-               ^ ", " ^ operand b)
-            | Ir.Instr.Compare (r, op, a, b) ->
-              add
-                (reg r ^ " = " ^ Ir.Op.cmp_to_string op ^ " " ^ operand a
-               ^ ", " ^ operand b)
-            | Ir.Instr.Select (r, c, a, b) ->
-              add
-                (reg r ^ " = select " ^ operand c ^ ", " ^ operand a ^ ", "
-               ^ operand b)
-            | Ir.Instr.Load (r, m) -> add (reg r ^ " = load " ^ mem m)
-            | Ir.Instr.Store (m, v) -> add ("store " ^ mem m ^ ", " ^ operand v)
-            | Ir.Instr.Call (r, f, args) ->
-              (match r with
-               | Some r -> add (reg r ^ " = ")
-               | None -> ());
-              add ("call " ^ f ^ "(");
-              add (String.concat ", " (List.map operand args));
-              add ")");
-           add "\n")
-         blk.Ir.Block.instrs;
-       add " ";
-       (match blk.Ir.Block.term with
-        | Ir.Instr.Jump l -> add ("jump " ^ ln l)
-        | Ir.Instr.Branch (c, t, f) ->
-          add ("branch " ^ operand c ^ ", " ^ ln t ^ ", " ^ ln f)
-        | Ir.Instr.Return None -> add "return"
-        | Ir.Instr.Return (Some v) -> add ("return " ^ operand v));
-       add "\n")
-  in
-  let kind =
-    match region.An.Region.kind with
-    | An.Region.Whole_function -> "whole"
-    | An.Region.Basic_block -> "bb"
-    | An.Region.Loop_region -> "loop"
-    | An.Region.Cond_region -> "cond"
-  in
-  Buffer.add_string cbuf
-    (Printf.sprintf "region %s blocks=%d\n" kind (List.length block_order));
-  Buffer.add_string ebuf
-    (Printf.sprintf "region %s %s/%d entry=%s blocks=%d\n" kind
-       func.Ir.Func.name region.An.Region.id region.An.Region.entry
-       (List.length block_order));
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "region ";
+  Buffer.add_string buf (kind_string region.An.Region.kind);
+  Buffer.add_string buf " blocks=";
+  Buffer.add_string buf (string_of_int (List.length block_order));
+  Buffer.add_char buf '\n';
   List.iter
-    (fun l ->
-      emit_block cbuf ~rn:canon_reg ~ln:canon_label l;
-      emit_block ebuf ~rn:(fun r -> r) ~ln:(fun l -> l) l)
+    (fun l -> add_block buf ~reg:(intern regs "r") ~label l (block l))
     block_order;
-  { canon_code = Buffer.contents cbuf;
-    exact_code = Buffer.contents ebuf;
+  { code = Buffer.contents buf;
     block_order;
-    canon_of_label =
+    label_name =
       (fun l ->
         match Hashtbl.find_opt labels l with
         | Some c -> c
@@ -228,8 +320,69 @@ let canon_region (func : Ir.Func.t) (region : An.Region.t) =
           (match Hashtbl.find_opt exits l with
            | Some c -> c
            | None -> "?" ^ l));
-    canon_of_reg =
+    reg_name =
       (fun r ->
         match Hashtbl.find_opt regs r with
         | Some c -> c
         | None -> "?" ^ r) }
+
+let exact_region (func : Ir.Func.t) (region : An.Region.t) =
+  let block_order, block = traverse func region in
+  let buf = Buffer.create 1024 in
+  Printf.bprintf buf "region %s %s/%d entry=%s blocks=%d\n"
+    (kind_string region.An.Region.kind)
+    func.Ir.Func.name region.An.Region.id region.An.Region.entry
+    (List.length block_order);
+  List.iter
+    (fun l -> add_block buf ~reg:Fun.id ~label:Fun.id l (block l))
+    block_order;
+  { code = Buffer.contents buf; block_order; label_name = Fun.id;
+    reg_name = Fun.id }
+
+(* --- whole programs --- *)
+
+let program_code (p : Ir.Program.t) =
+  let buf = Buffer.create 4096 in
+  let add = Buffer.add_string buf in
+  add "program main=";
+  add p.Ir.Program.main;
+  add "\n";
+  List.iter
+    (fun (g : Ir.Program.global) ->
+      add "global ";
+      add (Ir.Types.to_string g.Ir.Program.elem);
+      add " ";
+      add g.Ir.Program.gname;
+      List.iter
+        (fun d ->
+          add "[";
+          add (string_of_int d);
+          add "]")
+        g.Ir.Program.dims;
+      add "\n")
+    p.Ir.Program.globals;
+  List.iter
+    (fun (f : Ir.Func.t) ->
+      add "func ";
+      add f.Ir.Func.name;
+      add "(";
+      List.iteri
+        (fun k r ->
+          if k > 0 then add ", ";
+          add_reg buf r.Ir.Instr.id r)
+        f.Ir.Func.params;
+      add ")";
+      Option.iter
+        (fun ty ->
+          add " : ";
+          add (Ir.Types.to_string ty))
+        f.Ir.Func.ret;
+      add "\n";
+      List.iter
+        (fun (b : Ir.Block.t) ->
+          add_block buf ~reg:Fun.id ~label:Fun.id b.Ir.Block.label (Some b))
+        f.Ir.Func.blocks)
+    p.Ir.Program.funcs;
+  Buffer.contents buf
+
+let program_digest p = Digest.to_hex (Digest.string (program_code p))

@@ -12,7 +12,7 @@
     - a {e canonicalizer} for IR regions ({!canon_region}): a
       deterministic traversal of a region's blocks that renames labels
       and virtual registers by first occurrence. Two regions that differ
-      only in register/label names produce the same [canon_code], so
+      only in register/label names produce the same canonical code, so
       cache keys built from it survive irrelevant renames; any semantic
       change (an opcode, a constant, a type, the shape of the CFG)
       changes it. Array/global names are kept verbatim — they are
@@ -50,36 +50,55 @@ val int_opt : b -> int option -> unit
 (** 32-character lowercase hex MD5 of everything fed so far. *)
 val digest : b -> string
 
-(** {1 Region canonicalization} *)
+(** {1 IR listings}
 
-type canon = {
-  canon_code : string;
-      (** alpha-renamed region listing: blocks in canonical order, labels
-          as [B0..], registers as [r0..], exit targets as [X0..] *)
-  exact_code : string;
-      (** the same traversal with original names (for caches whose values
-          embed names, e.g. netlists) *)
+    One emitter renders IR for every key: a region under canonical or
+    original names, and a whole program. It writes straight into a
+    buffer, and prints float immediates exactly ([%h]), so two
+    programs that differ in any constant get different listings. *)
+
+type listing = {
+  code : string;  (** the listing *)
   block_order : string list;  (** original labels, canonical order *)
-  canon_of_label : string -> string;
-      (** canonical name of an original label ([B<k>] inside the region,
-          [X<k>] for recorded exit targets, [?<l>] otherwise) *)
-  canon_of_reg : string -> string;
-      (** canonical name of an original register ([?<r>] if it never
-          occurs in the region) *)
+  label_name : string -> string;
+      (** the name a label has in [code]: for a canonical listing
+          [B<k>] inside the region, [X<k>] for recorded exit targets,
+          [?<l>] otherwise; the identity for an exact one *)
+  reg_name : string -> string;
+      (** the name a register has in [code]: for a canonical listing
+          [r<k>], or [?<r>] if it never occurs in the region; the
+          identity for an exact one *)
 }
 
-(** Canonicalize [region] of [func]. Traversal: breadth-first from the
-    region entry following terminator successor order — a property of
-    the CFG shape only, so the canonical order (and all derived names)
-    is invariant under renaming. Blocks unreachable from the entry
-    within the region (defensive; SESE regions have none) are appended
-    in sorted label order. *)
-val canon_region : Cayman_ir.Func.t -> Cayman_analysis.Region.t -> canon
+(** The alpha-renamed listing of [region] of [func]: blocks in canonical
+    order, labels as [B0..], registers as [r0..], exit targets as
+    [X0..]. The canonical order is a breadth-first walk from the region
+    entry in terminator successor order — a property of the CFG shape
+    only, so the order and every derived name are invariant under
+    renaming. Blocks the walk does not reach (defensive; SESE regions
+    have none) are appended in sorted label order. Names are numbered
+    by first occurrence: within an instruction its operands last to
+    first, then its destination; a store its value, then its index; a
+    call its destination, then its arguments left to right; a branch
+    its false target, its true target, then its condition. *)
+val canon_region : Cayman_ir.Func.t -> Cayman_analysis.Region.t -> listing
+
+(** The same walk under original names (for caches whose values embed
+    names, e.g. netlists). *)
+val exact_region : Cayman_ir.Func.t -> Cayman_analysis.Region.t -> listing
+
+(** Exact listing of a whole program under original names: its entry
+    function, globals, and every function's signature and blocks, in
+    program order. *)
+val program_code : Cayman_ir.Program.t -> string
+
+(** Hex MD5 of {!program_code}. *)
+val program_digest : Cayman_ir.Program.t -> string
 
 (** {1 Canon digests, collision-guarded}
 
     Fleet-scale clustering compares kernels by the digest of their
-    [canon_code] and treats equal digests as "structurally identical" —
+    canonical listing and treats equal digests as "structurally identical" —
     a hash collision would silently merge different datapaths. The
     digest below therefore passes through a process-wide guard that
     remembers every distinct canonical code seen per digest and bumps
@@ -89,8 +108,8 @@ val canon_region : Cayman_ir.Func.t -> Cayman_analysis.Region.t -> canon
     digests of (distinct codes − 1), in whatever order regions are
     canonicalized. *)
 
-(** Guarded, version-salted digest of a region's canonical code. *)
-val canon_digest : canon -> string
+(** Guarded, version-salted digest of a {!canon_region} listing. *)
+val canon_digest : listing -> string
 
 (** The guard itself, exposed so tests can exercise the collision path
     directly (real MD5 collisions being unconstructible here): records

@@ -336,10 +336,14 @@ let enable ?dir () =
 
 let disable () = Atomic.set state None
 
-let without_cache f =
+let with_state set f =
   let saved = Atomic.get state in
-  Atomic.set state None;
-  Fun.protect ~finally:(fun () -> Atomic.set state saved) f
+  Fun.protect ~finally:(fun () -> Atomic.set state saved) (fun () ->
+      set ();
+      f ())
+
+let without_cache f = with_state disable f
+let with_enabled ?dir f = with_state (enable ?dir) f
 
 (* --- compute-once table ---
    One cell per (ns, key) for the whole process: the first requester
@@ -378,15 +382,9 @@ let with_temp_dir f =
 
 let with_private_store f =
   with_temp_dir @@ fun dir ->
-  let saved = Atomic.get state in
   reset_memory ();
-  Fun.protect
-    ~finally:(fun () ->
-      reset_memory ();
-      Atomic.set state saved)
-    (fun () ->
-      enable ~dir ();
-      f dir)
+  Fun.protect ~finally:reset_memory (fun () ->
+      with_enabled ~dir (fun () -> f dir))
 
 let find : type a. ns:string -> key:string -> a option =
  fun ~ns ~key ->

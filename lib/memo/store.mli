@@ -69,6 +69,11 @@ val ambient : unit -> t option
     only from the top-level driver thread. *)
 val without_cache : (unit -> 'a) -> 'a
 
+(** Run [f] with the ambient store enabled as by {!enable}; the ambient
+    store in force before the call is restored afterwards (not reopened),
+    also when [f] raises. The same caveat as {!without_cache} applies. *)
+val with_enabled : ?dir:string -> (unit -> 'a) -> 'a
+
 (** Drop the process-wide compute-once table (tests). Counters are
     untouched. *)
 val reset_memory : unit -> unit

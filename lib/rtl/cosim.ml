@@ -399,7 +399,9 @@ let run_many_uncached ?fuel ?(tolerance = default_tolerance) ?max_invocations
 (* One spec's verdict is independent of which other specs observe the
    same golden run (observers are read-only), so reports cache
    per-spec. The key enumerates everything a verdict depends on: the
-   whole program (the golden run), the interpreter fuel, the tolerance
+   whole program's exact listing (the golden run; "ir-exact" keeps these
+   keys apart from those of the earlier listing, whose six-digit floats
+   let two programs share a verdict), the interpreter fuel, the tolerance
    and caps, and the exact netlist key (code + profile/analysis facts +
    config + tech + version salt). Cached verdicts are only consulted on
    fault-free runs: an injection campaign must re-execute the build and
@@ -409,6 +411,7 @@ let m_cached = Obs.Metrics.counter "rtl.cosim_cached_reports"
 let spec_key ~program_digest ~fuel ~tolerance ~max_invocations ~max_cycles
     spec =
   let b = Memo.Hash.builder ~ns:"cosim" in
+  Memo.Hash.str b "ir-exact";
   Memo.Hash.str b program_digest;
   Memo.Hash.int b fuel;
   Memo.Hash.float b tolerance.tol_rel;
@@ -432,14 +435,13 @@ let run_many ?fuel ?(tolerance = default_tolerance) ?max_invocations
         specs
     else begin
       let fuel = Engine.Config.fuel ?fuel () in
-      let program_digest =
-        Digest.to_hex (Digest.string (Ir.Program.to_string program))
-      in
       let keys =
-        List.map
-          (spec_key ~program_digest ~fuel ~tolerance ~max_invocations
-             ~max_cycles)
-          specs
+        Obs.Trace.span ~cat:"memo" "memo.key" (fun () ->
+            let program_digest = Memo.Hash.program_digest program in
+            List.map
+              (spec_key ~program_digest ~fuel ~tolerance ~max_invocations
+                 ~max_cycles)
+              specs)
       in
       let cached =
         List.map (fun key -> (Memo.Store.find ~ns:"cosim" ~key : report option)) keys

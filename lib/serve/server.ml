@@ -530,9 +530,24 @@ let serve_conns ~(config : config) ?listen conns0 =
        Sys.set_signal Sys.sigterm
          (Sys.Signal_handle (fun _ -> Atomic.set sigterm true))
      with Invalid_argument _ -> ());
-  if config.sc_jobs > 0 then Engine.Config.set_jobs config.sc_jobs;
-  Option.iter Sim.Interp.set_engine config.sc_interp;
-  if config.sc_cache then Memo.Store.enable ?dir:config.sc_cache_dir ();
+  (* The daemon's jobs, engine and store hold for this session only: the
+     settings in force before it come back when it returns, by shutdown,
+     drain or exception. *)
+  let session f =
+    let f =
+      if config.sc_cache then fun () ->
+        Memo.Store.with_enabled ?dir:config.sc_cache_dir f
+      else f
+    in
+    let f =
+      match config.sc_interp with
+      | Some e -> fun () -> Sim.Interp.with_engine e f
+      | None -> f
+    in
+    if config.sc_jobs > 0 then Engine.Config.with_jobs config.sc_jobs f
+    else f ()
+  in
+  session @@ fun () ->
   let pool = Engine.Pool.create ?jobs:None () in
   let conns = ref conns0 in
   List.iter conn_set_nonblock conns0;

@@ -108,13 +108,17 @@ let region_cycles (f : Ir.Func.t) t (r : An.Region.t) =
 
 (* Number of executions of the region: entries into its entry block from
    outside the region. The whole-function region counts invocations. *)
-let region_entries (f : Ir.Func.t) t (r : An.Region.t) =
+let region_entries ?preds (f : Ir.Func.t) t (r : An.Region.t) =
   match r.An.Region.kind with
   | An.Region.Whole_function -> func_calls t f.Ir.Func.name
   | An.Region.Basic_block ->
     block_exec t ~func:f.Ir.Func.name ~label:r.An.Region.entry
   | An.Region.Loop_region | An.Region.Cond_region ->
-    let preds = Ir.Func.preds f in
+    let preds =
+      match preds with
+      | Some p -> p
+      | None -> Ir.Func.preds f
+    in
     let outside =
       List.filter
         (fun p -> not (An.Region.String_set.mem p r.An.Region.blocks))

@@ -55,8 +55,14 @@ val block_cycles : Cayman_ir.Func.t -> t -> label:string -> int
     pass over the function's blocks). *)
 val region_cycles : Cayman_ir.Func.t -> t -> Cayman_analysis.Region.t -> int
 
-(** Executions of the region (entries from outside). *)
-val region_entries : Cayman_ir.Func.t -> t -> Cayman_analysis.Region.t -> int
+(** Executions of the region (entries from outside). [preds] is
+    [Cayman_ir.Func.preds f], built here when absent. *)
+val region_entries :
+  ?preds:(string, string list) Hashtbl.t ->
+  Cayman_ir.Func.t ->
+  t ->
+  Cayman_analysis.Region.t ->
+  int
 
 (** Average body iterations per loop entry, for the loop with header
     block [header] in function [func] that was entered [entries] times

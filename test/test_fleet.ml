@@ -149,7 +149,7 @@ let test_canon_digest_distinguishes () =
     let f = gen s and g = gen (s + 1) in
     let cf = Memo.Hash.canon_region f (An.Region.pst f)
     and cg = Memo.Hash.canon_region g (An.Region.pst g) in
-    if cf.Memo.Hash.canon_code = cg.Memo.Hash.canon_code then
+    if cf.Memo.Hash.code = cg.Memo.Hash.code then
       distinct_pair (s + 2)
     else (cf, cg)
   in

@@ -60,6 +60,16 @@ let test_builder () =
   Alcotest.(check bool) "int_opt none vs some" true
     (d (fun b -> Memo.Hash.int_opt b None)
     <> d (fun b -> Memo.Hash.int_opt b (Some 0)));
+  (* the field bytes are part of every stored key: an int is its
+     decimal rendering, a string its length then its bytes *)
+  List.iter
+    (fun n ->
+      Alcotest.(check string) (string_of_int n)
+        (Digest.to_hex
+           (Digest.string
+              (Memo.Hash.version ^ "/t\ni" ^ string_of_int n ^ ";s3:abc")))
+        (d (fun b -> Memo.Hash.int b n; Memo.Hash.str b "abc")))
+    [ 0; 7; -7; 10; -10; 1234567; max_int; min_int ];
   let other_ns =
     let b = Memo.Hash.builder ~ns:"u" in
     Memo.Hash.str b "x";
@@ -130,20 +140,50 @@ let test_rename_invariance =
     (fun f ->
       let g = rename_func f in
       let cf = canon_of f and cg = canon_of g in
-      if cf.Memo.Hash.canon_code <> cg.Memo.Hash.canon_code then
+      if cf.Memo.Hash.code <> cg.Memo.Hash.code then
         QCheck.Test.fail_reportf "canon differs under rename:\n%s\n--\n%s"
-          cf.Memo.Hash.canon_code cg.Memo.Hash.canon_code;
+          cf.Memo.Hash.code cg.Memo.Hash.code;
       (* the canonical names of corresponding originals agree too *)
       List.iter2
         (fun l l' ->
           if
-            cf.Memo.Hash.canon_of_label l <> cg.Memo.Hash.canon_of_label l'
+            cf.Memo.Hash.label_name l <> cg.Memo.Hash.label_name l'
           then QCheck.Test.fail_reportf "label canon differs for %s" l)
         cf.Memo.Hash.block_order cg.Memo.Hash.block_order;
       (* renaming is visible in the exact listing whenever the function
          has at least one named thing (it always has a terminator label
          or register here) *)
-      cf.Memo.Hash.exact_code <> cg.Memo.Hash.exact_code)
+      let exact f = (Memo.Hash.exact_region f (An.Region.pst f)).Memo.Hash.code in
+      exact f <> exact g)
+
+(* Canonical names go out in a fixed order that stored keys depend on:
+   within an instruction, operands last to first, then the destination;
+   a store's value before its index; a call's destination before its
+   arguments, which go left to right. *)
+let test_canon_naming_order () =
+  let r id ty = Ir.Instr.reg id ty in
+  let reg id ty = Ir.Instr.Reg (r id ty) in
+  let i32 = Ir.Types.I32 and f32 = Ir.Types.F32 in
+  let blk =
+    Ir.Block.v ~label:"entry"
+      ~instrs:
+        [ Ir.Instr.Binary (r "c" i32, Ir.Op.Add, reg "a" i32, reg "b" i32);
+          Ir.Instr.Store ({ Ir.Instr.base = "A"; index = reg "i" i32 }, reg "v" f32);
+          Ir.Instr.Select (r "s" f32, reg "p" Ir.Types.Bool, reg "x" f32, reg "y" f32);
+          Ir.Instr.Call (Some (r "d" i32), "g", [ reg "m" i32; reg "n" i32 ]) ]
+      ~term:(Ir.Instr.Return (Some (reg "d" i32)))
+  in
+  let f = Ir.Func.v ~name:"f" ~params:[] ~ret:(Some i32) ~blocks:[ blk ] in
+  let code = (canon_of f).Memo.Hash.code in
+  Alcotest.(check string) "canonical listing"
+    "region whole blocks=1\n\
+     B0:\n\
+    \ %r2:i32 = add %r1:i32, %r0:i32\n\
+    \ store A[%r4:i32], %r3:f32\n\
+    \ %r8:f32 = select %r7:bool, %r6:f32, %r5:f32\n\
+    \ %r9:i32 = call g(%r10:i32, %r11:i32)\n\
+    \ return %r9:i32\n"
+    code
 
 (* One point mutation to the first instruction of the first block that
    has one: any semantic change must change the canonical listing. *)
@@ -193,9 +233,9 @@ let test_mutation_sensitivity =
       | None -> QCheck.assume_fail ()
       | Some g ->
         let cf = canon_of f and cg = canon_of g in
-        if cf.Memo.Hash.canon_code = cg.Memo.Hash.canon_code then
+        if cf.Memo.Hash.code = cg.Memo.Hash.code then
           QCheck.Test.fail_reportf
-            "mutation did not change canon:\n%s" cf.Memo.Hash.canon_code;
+            "mutation did not change canon:\n%s" cf.Memo.Hash.code;
         true)
 
 (* ------------------------------------------------------------------ *)
@@ -365,6 +405,47 @@ let test_select_cached_equals_uncached () =
   Alcotest.(check bool) "frontier nonempty" true
     (base.Core.Cayman.frontier <> [])
 
+(* Two programs that differ only in a float constant past its sixth
+   significant digit: both print the constant as 0.01 under [%g], yet
+   one more loop iteration passes the guard in the first. Each must get
+   its own profile from a shared store, not the other's. *)
+let guarded_src k =
+  Printf.sprintf
+    {|
+const int N = 100;
+float x[N];
+
+int main() {
+  int c = 0;
+  for (int i = 0; i < N; i++) {
+    if ((float)i * %s < 0.50000075) { c = c + 1; x[i] = 1.0; }
+  }
+  return c;
+}
+|}
+    k
+
+let test_float_constants_keep_profiles_apart () =
+  let src_a = guarded_src "0.01000001" and src_b = guarded_src "0.01000002" in
+  let instrs (a : Core.Cayman.analyzed) =
+    Cayman_sim.Profile.total_instrs a.Core.Cayman.profile
+  in
+  let own_a, own_b =
+    Memo.Store.without_cache (fun () ->
+        ( Core.Cayman.analyze_source src_a,
+          Core.Cayman.analyze_source src_b ))
+  in
+  Alcotest.(check bool) "the programs profile differently" true
+    (instrs own_a <> instrs own_b);
+  with_store @@ fun _dir ->
+  ignore (Core.Cayman.analyze_source src_a);
+  let b = Core.Cayman.analyze_source src_b in
+  Alcotest.(check int) "B after A gets B's own profile" (instrs own_b)
+    (instrs b);
+  Alcotest.(check int) "B's own host cycles"
+    (Cayman_sim.Profile.total_cycles own_b.Core.Cayman.profile)
+    (Cayman_sim.Profile.total_cycles b.Core.Cayman.profile)
+
 (* Cosim specs of the 25%-budget heuristic solution, as the bench
    harness builds them. *)
 let cosim_specs (a : Core.Cayman.analyzed) (s : Core.Solution.t) =
@@ -427,6 +508,7 @@ let tests =
   [ Alcotest.test_case "key builder fields" `Quick test_builder;
     test_rename_invariance;
     test_mutation_sensitivity;
+    Alcotest.test_case "canonical naming order" `Quick test_canon_naming_order;
     Alcotest.test_case "store round-trip" `Quick test_roundtrip;
     Alcotest.test_case "memoize computes once" `Quick
       test_memoize_compute_once;
@@ -441,4 +523,6 @@ let tests =
       test_select_cached_equals_uncached;
     Alcotest.test_case "cached cosim = uncached" `Slow
       test_cosim_cached_equals_uncached;
+    Alcotest.test_case "float constants keep profiles apart" `Quick
+      test_float_constants_keep_profiles_apart;
     Alcotest.test_case "Sim.Cache vs Memo naming" `Quick test_cache_naming ]

@@ -139,6 +139,32 @@ let test_health_and_bad_verb () =
   check_bool "unknown verb fails" false r.Serve.Protocol.rp_ok;
   check "unknown verb class" "bad-request" r.Serve.Protocol.rp_class
 
+(* A daemon's jobs, engine and store belong to its session: once it
+   returns, whatever was in force before it is back. The session pins
+   values unlike the ambient ones, so the check bites under any
+   CAYMAN_INTERP/CAYMAN_JOBS. *)
+let test_session_settings_restored () =
+  let module I = Cayman_sim.Interp in
+  let engine0 = I.current_engine () in
+  let jobs0 = Engine.Config.jobs () in
+  let active0 = Memo.Store.active () in
+  Memo.Store.with_temp_dir @@ fun dir ->
+  let config =
+    { Serve.Server.default_config with
+      Serve.Server.sc_interp =
+        Some (match engine0 with I.Staged -> I.Reference | I.Reference -> I.Staged);
+      sc_jobs = (if jobs0 = 3 then 2 else 3);
+      sc_cache = true;
+      sc_cache_dir = Some dir }
+  in
+  with_fd_server ~config (fun cl ->
+      let r = Serve.Client.rpc cl "health" in
+      check "health output" "ok\n" r.Serve.Protocol.rp_output);
+  check "engine restored" (I.engine_name engine0)
+    (I.engine_name (I.current_engine ()));
+  check_int "jobs restored" jobs0 (Engine.Config.jobs ());
+  check_bool "store restored" active0 (Memo.Store.active ())
+
 let test_garbage_survival () =
   with_fd_server_fd @@ fun cl fd ->
   (* a well-framed payload that is not JSON: answered with an id-0
@@ -756,6 +782,8 @@ let tests =
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
     Alcotest.test_case "health + bad verb" `Quick test_health_and_bad_verb;
     Alcotest.test_case "garbage survival" `Quick test_garbage_survival;
+    Alcotest.test_case "session settings restored" `Quick
+      test_session_settings_restored;
     Alcotest.test_case "oversized frame closes" `Quick
       test_oversized_frame_closes;
     Alcotest.test_case "truncated frame quiet close" `Quick
