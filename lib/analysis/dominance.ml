@@ -1,128 +1,36 @@
 module Ir = Cayman_ir
 
-type t = {
-  entry : string;
-  idom : (string, string) Hashtbl.t;
-  depth : (string, int) Hashtbl.t;
-  rpo : string list;
-}
+(* A label-level view of one of the index's two trees. *)
+type t = { cfg : Ir.Cfg.t; post : bool }
 
-(* Generic Cooper-Harvey-Kennedy iterative dominator computation over an
-   abstract graph given by [succs]. Nodes unreachable from [entry] are
-   absent from the result. *)
-let compute ~nodes ~entry ~succs =
-  let _ = nodes in
-  (* Depth-first traversal to obtain reverse postorder. *)
-  let visited = Hashtbl.create 64 in
-  let postorder = ref [] in
-  let rec dfs n =
-    if not (Hashtbl.mem visited n) then begin
-      Hashtbl.replace visited n ();
-      List.iter dfs (succs n);
-      postorder := n :: !postorder
-    end
-  in
-  dfs entry;
-  let rpo = !postorder in
-  let rpo_index = Hashtbl.create 64 in
-  List.iteri (fun i n -> Hashtbl.replace rpo_index n i) rpo;
-  let preds = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace preds n []) rpo;
-  List.iter
-    (fun n ->
-      List.iter
-        (fun s ->
-          if Hashtbl.mem rpo_index s then
-            Hashtbl.replace preds s (n :: (try Hashtbl.find preds s with Not_found -> [])))
-        (succs n))
-    rpo;
-  let idom = Hashtbl.create 64 in
-  Hashtbl.replace idom entry entry;
-  let intersect a b =
-    let rec walk a b =
-      if String.equal a b then a
-      else begin
-        let ia = Hashtbl.find rpo_index a and ib = Hashtbl.find rpo_index b in
-        if ia > ib then walk (Hashtbl.find idom a) b
-        else walk a (Hashtbl.find idom b)
-      end
-    in
-    walk a b
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun n ->
-        if not (String.equal n entry) then begin
-          let ps =
-            List.filter (fun p -> Hashtbl.mem idom p)
-              (try Hashtbl.find preds n with Not_found -> [])
-          in
-          match ps with
-          | [] -> ()
-          | p0 :: rest ->
-            let new_idom = List.fold_left intersect p0 rest in
-            (match Hashtbl.find_opt idom n with
-             | Some old when String.equal old new_idom -> ()
-             | Some _ | None ->
-               Hashtbl.replace idom n new_idom;
-               changed := true)
-        end)
-      rpo
-  done;
-  let depth = Hashtbl.create 64 in
-  Hashtbl.replace depth entry 0;
-  let rec depth_of n =
-    match Hashtbl.find_opt depth n with
-    | Some d -> d
-    | None ->
-      let d = 1 + depth_of (Hashtbl.find idom n) in
-      Hashtbl.replace depth n d;
-      d
-  in
-  List.iter (fun n -> ignore (depth_of n : int)) rpo;
-  { entry; idom; depth; rpo }
-
-let dominators (f : Ir.Func.t) =
-  let entry = (Ir.Func.entry f).Ir.Block.label in
-  let succs label = Ir.Block.succs (Ir.Func.block_exn f label) in
-  compute ~nodes:(Ir.Func.labels f) ~entry ~succs
-
+let dominators f = { cfg = Ir.Cfg.of_func f; post = false }
+let postdominators f = { cfg = Ir.Cfg.of_func f; post = true }
+let cfg t = t.cfg
 let virtual_exit = "<exit>"
 
-let postdominators (f : Ir.Func.t) =
-  (* Reverse graph with a virtual exit fed by every returning block. *)
-  let preds = Ir.Func.preds f in
-  let returning =
-    List.filter_map
-      (fun (b : Ir.Block.t) ->
-        match b.Ir.Block.term with
-        | Ir.Instr.Return _ -> Some b.Ir.Block.label
-        | Ir.Instr.Jump _ | Ir.Instr.Branch _ -> None)
-      f.Ir.Func.blocks
-  in
-  let succs label =
-    if String.equal label virtual_exit then returning
-    else try Hashtbl.find preds label with Not_found -> []
-  in
-  compute ~nodes:(virtual_exit :: Ir.Func.labels f) ~entry:virtual_exit ~succs
+let node t label =
+  if t.post && String.equal label virtual_exit then Some (Ir.Cfg.exit_node t.cfg)
+  else Ir.Cfg.id_opt t.cfg label
 
-let reachable t label = Hashtbl.mem t.depth label
+let label t v =
+  if v = Ir.Cfg.exit_node t.cfg then virtual_exit else t.cfg.Ir.Cfg.labels.(v)
 
-(* Reflexive dominance query by walking the idom chain from [b] up to the
-   depth of [a]. *)
+let tree t = if t.post then t.cfg.Ir.Cfg.ipdom else t.cfg.Ir.Cfg.idom
+
+let reachable t label =
+  match node t label with
+  | Some v -> (tree t).(v) >= 0
+  | None -> false
+
 let dominates t a b =
-  match Hashtbl.find_opt t.depth a, Hashtbl.find_opt t.depth b with
-  | Some da, Some db ->
-    if da > db then false
-    else begin
-      let rec up n d = if d = da then n else up (Hashtbl.find t.idom n) (d - 1) in
-      String.equal (up b db) a
-    end
+  match node t a, node t b with
+  | Some a, Some b ->
+    if t.post then Ir.Cfg.postdominates t.cfg a b else Ir.Cfg.dominates t.cfg a b
   | None, _ | _, None -> false
 
-let idom t label =
-  match Hashtbl.find_opt t.idom label with
-  | Some p when not (String.equal p label) -> Some p
-  | Some _ | None -> None
+let idom t l =
+  match node t l with
+  | Some v ->
+    let p = (tree t).(v) in
+    if p < 0 || p = v then None else Some (label t p)
+  | None -> None

@@ -44,66 +44,6 @@ let speculatable_block (b : Ir.Block.t) =
   List.length b.Ir.Block.instrs <= max_arm_instrs
   && List.for_all speculatable_instr b.Ir.Block.instrs
 
-(* Forward must-defined analysis (same lattice as the validator's). *)
-let must_defined (f : Ir.Func.t) =
-  let params =
-    String_set.of_list
-      (List.map (fun (r : Ir.Instr.reg) -> r.Ir.Instr.id) f.Ir.Func.params)
-  in
-  let all_regs =
-    List.fold_left
-      (fun acc (b : Ir.Block.t) ->
-        List.fold_left
-          (fun acc i ->
-            match Ir.Instr.def i with
-            | Some r -> String_set.add r.Ir.Instr.id acc
-            | None -> acc)
-          acc b.Ir.Block.instrs)
-      params f.Ir.Func.blocks
-  in
-  let entry = (Ir.Func.entry f).Ir.Block.label in
-  let preds = Ir.Func.preds f in
-  let in_sets = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Ir.Block.t) ->
-      Hashtbl.replace in_sets b.Ir.Block.label
-        (if String.equal b.Ir.Block.label entry then params else all_regs))
-    f.Ir.Func.blocks;
-  let out_of label =
-    let b = Ir.Func.block_exn f label in
-    List.fold_left
-      (fun acc i ->
-        match Ir.Instr.def i with
-        | Some r -> String_set.add r.Ir.Instr.id acc
-        | None -> acc)
-      (Hashtbl.find in_sets label)
-      b.Ir.Block.instrs
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (b : Ir.Block.t) ->
-        let label = b.Ir.Block.label in
-        if not (String.equal label entry) then begin
-          let ps = try Hashtbl.find preds label with Not_found -> [] in
-          let inter =
-            match ps with
-            | [] -> params
-            | p :: rest ->
-              List.fold_left
-                (fun acc q -> String_set.inter acc (out_of q))
-                (out_of p) rest
-          in
-          if not (String_set.equal inter (Hashtbl.find in_sets label)) then begin
-            Hashtbl.replace in_sets label inter;
-            changed := true
-          end
-        end)
-      f.Ir.Func.blocks
-  done;
-  in_sets
-
 (* Rename the definitions of an arm so both the original (fall-through)
    values and the speculated values coexist; returns the rewritten
    instructions and the map from original register to its arm-final
@@ -157,21 +97,22 @@ type shape =
   | Diamond of { then_arm : string; else_arm : string; join : string }
 
 (* Recognize a convertible branch at [a]. *)
-let shape_of f preds (a : Ir.Block.t) =
+let shape_of (cfg : Ir.Cfg.t) (a : Ir.Block.t) =
   match a.Ir.Block.term with
   | Ir.Instr.Jump _ | Ir.Instr.Return _ -> None
   | Ir.Instr.Branch (_, t, e) ->
     if String.equal t e then None
     else begin
+      let block l = cfg.Ir.Cfg.blocks.(Ir.Cfg.id cfg l) in
       let single_pred l =
-        match Hashtbl.find_opt preds l with
-        | Some [ p ] -> String.equal p a.Ir.Block.label
+        match Option.map (Array.get cfg.Ir.Cfg.preds) (Ir.Cfg.id_opt cfg l) with
+        | Some [| p |] -> String.equal cfg.Ir.Cfg.labels.(p) a.Ir.Block.label
         | Some _ | None -> false
       in
       let arm_ok l =
         single_pred l
         &&
-        let b = Ir.Func.block_exn f l in
+        let b = block l in
         speculatable_block b
         &&
         match b.Ir.Block.term with
@@ -179,7 +120,7 @@ let shape_of f preds (a : Ir.Block.t) =
         | Ir.Instr.Branch _ | Ir.Instr.Return _ -> false
       in
       let jump_target l =
-        match (Ir.Func.block_exn f l).Ir.Block.term with
+        match (block l).Ir.Block.term with
         | Ir.Instr.Jump j -> Some j
         | Ir.Instr.Branch _ | Ir.Instr.Return _ -> None
       in
@@ -224,15 +165,25 @@ let upward_exposed (b : Ir.Block.t) =
 
 (* Try to convert one branch in [f]; [Some f'] on success. *)
 let convert_one (f : Ir.Func.t) =
-  let preds = Ir.Func.preds f in
-  let defined = must_defined f in
+  let cfg = Ir.Cfg.of_func f in
+  (* Solved only once a shape matches: the last pass over a function
+     matches none. *)
+  let defined = lazy (Ir.Cfg.Must_defined.solve cfg) in
+  (* Registers defined on every path into block [l]. *)
+  let available l =
+    let md = Lazy.force defined in
+    let at = Ir.Cfg.Must_defined.at_entry md (Ir.Cfg.id cfg l) in
+    fun d ->
+      let k = Ir.Cfg.Must_defined.reg md d in
+      k >= 0 && Ir.Cfg.Bits.mem at k
+  in
   let counter = ref 0 in
   let fresh base =
     incr counter;
     Printf.sprintf "%s_ifc%d" base !counter
   in
   let try_block (a : Ir.Block.t) =
-    match shape_of f preds a with
+    match shape_of cfg a with
     | None -> None
     | Some shape ->
       let cond =
@@ -246,22 +197,20 @@ let convert_one (f : Ir.Func.t) =
       in
       (match shape with
        | Triangle { arm; join; negated } ->
-         let arm_block = Ir.Func.block_exn f arm in
+         let arm_block = cfg.Ir.Cfg.blocks.(Ir.Cfg.id cfg arm) in
          let defs =
            List.sort_uniq compare
              (List.map (fun (r : Ir.Instr.reg) -> r.Ir.Instr.id)
                 (Ir.Block.defs arm_block))
          in
-         let available =
-           try Hashtbl.find defined arm with Not_found -> String_set.empty
-         in
+         let available = available arm in
          (* Every value the arm reads must exist unconditionally. Arm
             definitions without a fall-through value are necessarily
             arm-local temporaries (the validator would otherwise have
             rejected the original program), so they are renamed without a
             select. *)
-         let defs = List.filter (fun d -> String_set.mem d available) defs in
-         if String_set.subset (upward_exposed arm_block) available then begin
+         let defs = List.filter available defs in
+         if String_set.for_all available (upward_exposed arm_block) then begin
            let instrs, subst = speculate_arm ~fresh arm_block in
            let reg_of d =
              match
@@ -317,8 +266,8 @@ let convert_one (f : Ir.Func.t) =
          end
          else None
        | Diamond { then_arm; else_arm; join } ->
-         let tb = Ir.Func.block_exn f then_arm in
-         let eb = Ir.Func.block_exn f else_arm in
+         let tb = cfg.Ir.Cfg.blocks.(Ir.Cfg.id cfg then_arm) in
+         let eb = cfg.Ir.Cfg.blocks.(Ir.Cfg.id cfg else_arm) in
          let defs_of b =
            List.sort_uniq compare
              (List.map (fun (r : Ir.Instr.reg) -> r.Ir.Instr.id)
@@ -326,21 +275,19 @@ let convert_one (f : Ir.Func.t) =
          in
          let dt = defs_of tb and de = defs_of eb in
          let union = List.sort_uniq compare (dt @ de) in
-         let available =
-           try Hashtbl.find defined then_arm with Not_found -> String_set.empty
-         in
+         let available = available then_arm in
          (* selects are needed for registers either defined in both arms
             or merged with a prior value; one-arm definitions without a
             prior value are arm-local temporaries *)
          let union =
            List.filter
              (fun d ->
-               (List.mem d dt && List.mem d de) || String_set.mem d available)
+               (List.mem d dt && List.mem d de) || available d)
              union
          in
          let ok =
-           String_set.subset (upward_exposed tb) available
-           && String_set.subset (upward_exposed eb) available
+           String_set.for_all available (upward_exposed tb)
+           && String_set.for_all available (upward_exposed eb)
          in
          if ok then begin
            let t_instrs, t_subst = speculate_arm ~fresh tb in

@@ -12,100 +12,85 @@ type loop = {
 
 type t = loop list
 
-(* Natural loop of back edge [latch -> header]: header plus every block
-   that reaches [latch] without passing through [header]. *)
-let natural_loop f ~header ~latch =
-  let preds = Ir.Func.preds f in
-  let body = ref (String_set.singleton header) in
-  let rec pull n =
-    if not (String_set.mem n !body) then begin
-      body := String_set.add n !body;
-      List.iter pull (try Hashtbl.find preds n with Not_found -> [])
-    end
+let of_cfg (cfg : Ir.Cfg.t) : t =
+  let module B = Ir.Cfg.Bits in
+  let n = cfg.Ir.Cfg.size and labels = cfg.Ir.Cfg.labels in
+  let preds = cfg.Ir.Cfg.preds in
+  (* Back edges [latch -> header], latches of each header listed last
+     edge first. *)
+  let latches = Array.make n [] in
+  for b = 0 to n - 1 do
+    Array.iter
+      (fun s -> if Ir.Cfg.dominates cfg s b then latches.(s) <- b :: latches.(s))
+      cfg.Ir.Cfg.succs.(b)
+  done;
+  (* Natural loop of a header: the header plus every block that reaches
+     one of its latches without passing through the header. *)
+  let body header =
+    let body = B.create n in
+    B.add body header;
+    let rec pull v =
+      if not (B.mem body v) then begin
+        B.add body v;
+        Array.iter pull preds.(v)
+      end
+    in
+    List.iter pull latches.(header);
+    body
   in
-  pull latch;
-  !body
-
-let find (f : Ir.Func.t) (dom : Dominance.t) : t =
-  let preds = Ir.Func.preds f in
-  (* Collect back edges grouped by header. *)
-  let back : (string, string list) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (b : Ir.Block.t) ->
-      List.iter
-        (fun s ->
-          if Dominance.dominates dom s b.Ir.Block.label then
-            Hashtbl.replace back s
-              (b.Ir.Block.label :: (try Hashtbl.find back s with Not_found -> [])))
-        (Ir.Block.succs b))
-    f.Ir.Func.blocks;
-  let loops_no_parent =
-    Hashtbl.fold
-      (fun header latches acc ->
-        let blocks =
-          List.fold_left
-            (fun acc latch ->
-              String_set.union acc (natural_loop f ~header ~latch))
-            String_set.empty latches
-        in
+  (* Outer loops first: headers in RPO. *)
+  let headers =
+    List.filter (fun h -> latches.(h) <> []) (Array.to_list cfg.Ir.Cfg.rpo)
+  in
+  let found =
+    List.map
+      (fun header ->
+        let bits = body header in
+        let blocks = ref String_set.empty in
+        B.iter (fun v -> blocks := String_set.add labels.(v) !blocks) bits;
         let exits =
           String_set.fold
             (fun label acc ->
-              let b = Ir.Func.block_exn f label in
-              List.fold_left
+              Array.fold_left
                 (fun acc s ->
-                  if String_set.mem s blocks then acc else (label, s) :: acc)
-                acc (Ir.Block.succs b))
-            blocks []
+                  if B.mem bits s then acc else (label, labels.(s)) :: acc)
+                acc
+                cfg.Ir.Cfg.succs.(Ir.Cfg.id cfg label))
+            !blocks []
         in
-        let outside_preds =
-          List.filter
-            (fun p -> not (String_set.mem p blocks))
-            (try Hashtbl.find preds header with Not_found -> [])
+        let outside =
+          List.filter (fun p -> not (B.mem bits p)) (Array.to_list preds.(header))
         in
         let preheader =
-          match outside_preds with
-          | [ p ] -> Some p
+          match outside with
+          | [ p ] -> Some labels.(p)
           | [] | _ :: _ :: _ -> None
         in
-        { header; latches; blocks; exits; preheader; parent = None } :: acc)
-      back []
+        ( bits,
+          { header = labels.(header);
+            latches = List.map (fun v -> labels.(v)) latches.(header);
+            blocks = !blocks; exits; preheader; parent = None } ))
+      headers
   in
   (* Parent links: the innermost distinct loop whose block set strictly
      contains this loop's. *)
-  let with_parents =
-    List.map
-      (fun l ->
-        let candidates =
-          List.filter
-            (fun l' ->
-              not (String.equal l'.header l.header)
-              && String_set.subset l.blocks l'.blocks)
-            loops_no_parent
-        in
-        let parent =
-          List.fold_left
-            (fun best l' ->
+  List.map
+    (fun (bits, l) ->
+      let parent =
+        List.fold_left
+          (fun best (bits', l') ->
+            if String.equal l'.header l.header || not (B.subset bits bits')
+            then best
+            else
               match best with
-              | None -> Some l'
-              | Some b ->
-                if String_set.cardinal l'.blocks < String_set.cardinal b.blocks
-                then Some l'
-                else best)
-            None candidates
-        in
-        { l with parent = Option.map (fun p -> p.header) parent })
-      loops_no_parent
-  in
-  (* Stable order: by position of the header in RPO (outer loops first). *)
-  let rpo_index = Hashtbl.create 16 in
-  List.iteri (fun i n -> Hashtbl.replace rpo_index n i) dom.Dominance.rpo;
-  List.sort
-    (fun a b ->
-      compare
-        (try Hashtbl.find rpo_index a.header with Not_found -> max_int)
-        (try Hashtbl.find rpo_index b.header with Not_found -> max_int))
-    with_parents
+              | Some (size, _) when size <= B.cardinal bits' -> best
+              | Some _ | None -> Some (B.cardinal bits', l'.header))
+          None found
+      in
+      { l with parent = Option.map snd parent })
+    found
+
+let find (_ : Ir.Func.t) (dom : Dominance.t) = of_cfg (Dominance.cfg dom)
 
 let loop_of t header = List.find_opt (fun l -> String.equal l.header header) t
 

@@ -34,106 +34,113 @@ let name r =
   | Loop_region | Cond_region ->
     Printf.sprintf "%s:%s" (kind_to_string r.kind) r.entry
 
-(* A candidate region (entry block [a], exit block [b]): the blocks
-   dominated by [a] and postdominated by [b], excluding [b]. It is SESE at
-   block granularity iff outside edges enter only at [a] and inside edges
-   leave only to [b]. *)
-let candidate f dom pdom ~a ~b =
-  let labels = Ir.Func.labels f in
-  let inside =
-    List.filter
-      (fun x ->
-        (not (String.equal x b))
-        && Dominance.dominates dom a x
-        && Dominance.dominates pdom b x)
-      labels
+(* Control-flow SESE regions of an index, as [(entry, exit, blocks,
+   kind)] over block ids. A candidate (entry [a], exit [b]) holds the
+   blocks dominated by [a] and postdominated by [b], less [b]; it is SESE
+   at block granularity iff outside edges enter only at [a] and inside
+   edges leave only to [b]. For each block [a] the exit walks up the
+   postdominator chain from [a] while [a] still dominates it. *)
+let ctrl_regions (cfg : Ir.Cfg.t) =
+  let module B = Ir.Cfg.Bits in
+  let n = cfg.Ir.Cfg.size and exit = Ir.Cfg.exit_node cfg in
+  let idom = cfg.Ir.Cfg.idom and ipdom = cfg.Ir.Cfg.ipdom in
+  (* [dominated.(a)]: blocks [a] dominates; [postdominated.(b)]: blocks
+     [b] postdominates (both reflexive, reachable blocks only). *)
+  let dominated = Array.init n (fun _ -> B.create n) in
+  let postdominated = Array.init n (fun _ -> B.create n) in
+  for x = 0 to n - 1 do
+    if idom.(x) >= 0 then begin
+      let rec up a =
+        B.add dominated.(a) x;
+        if a <> 0 then up idom.(a)
+      in
+      up x
+    end;
+    if ipdom.(x) >= 0 then begin
+      let rec up b =
+        if b <> exit then begin
+          B.add postdominated.(b) x;
+          up ipdom.(b)
+        end
+      in
+      up x
+    end
+  done;
+  let succ_bits =
+    Array.map
+      (fun ids ->
+        let s = B.create n in
+        Array.iter (B.add s) ids;
+        s)
+      cfg.Ir.Cfg.succs
   in
-  let set = String_set.of_list inside in
-  if String_set.is_empty set then None
-  else begin
-    let preds = Ir.Func.preds f in
-    let entry_ok =
-      String_set.for_all
-        (fun x ->
-          List.for_all
-            (fun p -> String_set.mem p set || String.equal x a)
-            (try Hashtbl.find preds x with Not_found -> []))
-        set
-    in
-    let exit_ok =
-      String_set.for_all
-        (fun x ->
-          List.for_all
-            (fun s -> String_set.mem s set || String.equal s b)
-            (Ir.Block.succs (Ir.Func.block_exn f x)))
-        set
-    in
-    if entry_ok && exit_ok then Some set else None
-  end
-
-let has_back_edge f set entry =
-  String_set.exists
-    (fun x ->
-      List.exists (String.equal entry) (Ir.Block.succs (Ir.Func.block_exn f x)))
-    set
-
-(* Enumerate control-flow SESE regions: for each block [a], walk the
-   postdominator chain upward from [a] while [a] still dominates the
-   candidate exit. *)
-let ctrl_regions f dom pdom =
+  (* Edges leaving the candidate's blocks must reach only its blocks or
+     [b]; edges entering them from outside must reach only [a]. *)
+  let out = B.create n and into = B.create n in
+  let candidate a b =
+    let set = B.inter dominated.(a) postdominated.(b) in
+    B.remove set b;
+    if B.is_empty set then None
+    else begin
+      B.clear out;
+      B.clear into;
+      for x = 0 to n - 1 do
+        B.union_into ~dst:(if B.mem set x then out else into) succ_bits.(x)
+      done;
+      B.remove out b;
+      B.inter_into ~dst:into set;
+      B.remove into a;
+      if B.subset out set && B.is_empty into then Some set else None
+    end
+  in
   let acc = ref [] in
-  List.iter
-    (fun a ->
-      if Dominance.reachable dom a && Dominance.reachable pdom a then begin
-        let rec walk b =
-          if
-            (not (String.equal b Dominance.virtual_exit))
-            && Dominance.reachable dom b
-            && Dominance.dominates dom a b
-          then begin
-            (match candidate f dom pdom ~a ~b with
-             | Some set ->
-               let trivial =
-                 String_set.cardinal set = 1
-                 &&
-                 match Ir.Block.succs (Ir.Func.block_exn f a) with
-                 | [ _ ] -> true
-                 | [] | _ :: _ :: _ -> false
+  for a = 0 to n - 1 do
+    if idom.(a) >= 0 && ipdom.(a) >= 0 then begin
+      let rec walk b =
+        if b <> exit && B.mem dominated.(a) b then begin
+          (match candidate a b with
+           | Some set ->
+             let trivial =
+               B.cardinal set = 1
+               &&
+               match cfg.Ir.Cfg.blocks.(a).Ir.Block.term with
+               | Ir.Instr.Jump _ -> true
+               | Ir.Instr.Branch _ | Ir.Instr.Return _ -> false
+             in
+             if not trivial then begin
+               (* a back edge into [a] makes it a loop *)
+               let kind =
+                 if
+                   Array.exists (fun p -> B.mem set p) cfg.Ir.Cfg.preds.(a)
+                 then Loop_region
+                 else Cond_region
                in
-               if not trivial then begin
-                 let kind =
-                   if has_back_edge f set a then Loop_region else Cond_region
-                 in
-                 acc := (a, b, set, kind) :: !acc
-               end
-             | None -> ());
-            match Dominance.idom pdom b with
-            | Some b' -> walk b'
-            | None -> ()
-          end
-        in
-        match Dominance.idom pdom a with
-        | Some b -> walk b
-        | None -> ()
-      end)
-    (Ir.Func.labels f);
+               acc := (a, b, set, kind) :: !acc
+             end
+           | None -> ());
+          walk ipdom.(b)
+        end
+      in
+      walk ipdom.(a)
+    end
+  done;
   !acc
 
 (* Tree node under construction. *)
 type proto = {
   p_kind : kind;
-  p_entry : string;
-  p_exit : string option;
-  p_blocks : String_set.t;
+  p_entry : int;
+  p_exit : int option;
+  p_blocks : Ir.Cfg.Bits.t;
+  p_size : int;
   mutable p_children : proto list;
 }
 
 let rec insert parent node =
+  let module B = Ir.Cfg.Bits in
   (* Find a child that contains the node; recurse there. *)
   let container =
-    List.find_opt
-      (fun c -> String_set.subset node.p_blocks c.p_blocks)
-      parent.p_children
+    List.find_opt (fun c -> B.subset node.p_blocks c.p_blocks) parent.p_children
   in
   match container with
   | Some c -> insert c node
@@ -145,59 +152,60 @@ let rec insert parent node =
     let partial_overlap =
       List.exists
         (fun c ->
-          (not (String_set.subset c.p_blocks node.p_blocks))
-          && not (String_set.is_empty (String_set.inter c.p_blocks node.p_blocks)))
+          (not (B.subset c.p_blocks node.p_blocks))
+          && not (B.disjoint c.p_blocks node.p_blocks))
         parent.p_children
     in
     if not partial_overlap then begin
       (* Adopt any current children now contained in the node. *)
       let inside, outside =
         List.partition
-          (fun c -> String_set.subset c.p_blocks node.p_blocks)
+          (fun c -> B.subset c.p_blocks node.p_blocks)
           parent.p_children
       in
       node.p_children <- node.p_children @ inside;
       parent.p_children <- node :: outside
     end
 
-let pst (f : Ir.Func.t) : t =
-  let dom = Dominance.dominators f in
-  let pdom = Dominance.postdominators f in
-  let reachable_labels = List.filter (Dominance.reachable dom) (Ir.Func.labels f) in
-  let root =
-    { p_kind = Whole_function;
-      p_entry = (Ir.Func.entry f).Ir.Block.label;
-      p_exit = None;
-      p_blocks = String_set.of_list reachable_labels;
-      p_children = [] }
+let pst_of_cfg (cfg : Ir.Cfg.t) : t =
+  let module B = Ir.Cfg.Bits in
+  let n = cfg.Ir.Cfg.size and labels = cfg.Ir.Cfg.labels in
+  let reachable =
+    List.filter (fun v -> cfg.Ir.Cfg.idom.(v) >= 0) (List.init n Fun.id)
   in
-  let regions = ctrl_regions f dom pdom in
+  let all = B.create n in
+  List.iter (B.add all) reachable;
+  let root =
+    { p_kind = Whole_function; p_entry = 0; p_exit = None; p_blocks = all;
+      p_size = List.length reachable; p_children = [] }
+  in
   (* Insert larger regions first so containment nesting is direct. *)
   let sorted =
-    List.sort
-      (fun (_, _, s1, _) (_, _, s2, _) ->
-        compare (String_set.cardinal s2) (String_set.cardinal s1))
-      regions
+    List.stable_sort
+      (fun (_, _, _, _, c1) (_, _, _, _, c2) -> compare c2 c1)
+      (List.map
+         (fun (a, b, set, kind) -> a, b, set, kind, B.cardinal set)
+         (ctrl_regions cfg))
   in
   List.iter
-    (fun (a, b, set, kind) ->
-      if not (String_set.equal set root.p_blocks) then
+    (fun (a, b, set, kind, size) ->
+      if not (B.equal set all) then
         insert root
           { p_kind = kind; p_entry = a; p_exit = Some b; p_blocks = set;
-            p_children = [] })
+            p_size = size; p_children = [] })
     sorted;
   (* Basic-block leaves under the innermost containing region. *)
   List.iter
-    (fun label ->
+    (fun v ->
+      let set = B.create n in
+      B.add set v;
       insert root
-        { p_kind = Basic_block; p_entry = label; p_exit = None;
-          p_blocks = String_set.singleton label; p_children = [] })
-    reachable_labels;
+        { p_kind = Basic_block; p_entry = v; p_exit = None; p_blocks = set;
+          p_size = 1; p_children = [] })
+    reachable;
   (* Freeze, ordering children by RPO position of their entry and numbering
      vertices in preorder. *)
-  let rpo_index = Hashtbl.create 16 in
-  List.iteri (fun i n -> Hashtbl.replace rpo_index n i) dom.Dominance.rpo;
-  let pos label = try Hashtbl.find rpo_index label with Not_found -> max_int in
+  let pos v = cfg.Ir.Cfg.rpo_index.(v) in
   let next_id = ref 0 in
   let rec freeze p =
     let id = !next_id in
@@ -205,15 +213,18 @@ let pst (f : Ir.Func.t) : t =
     let children =
       p.p_children
       |> List.sort (fun c1 c2 ->
-        compare
-          (pos c1.p_entry, String_set.cardinal c2.p_blocks)
-          (pos c2.p_entry, String_set.cardinal c1.p_blocks))
+        compare (pos c1.p_entry, c2.p_size) (pos c2.p_entry, c1.p_size))
       |> List.map freeze
     in
-    { id; kind = p.p_kind; entry = p.p_entry; exit = p.p_exit;
-      blocks = p.p_blocks; children }
+    let blocks = ref String_set.empty in
+    B.iter (fun v -> blocks := String_set.add labels.(v) !blocks) p.p_blocks;
+    { id; kind = p.p_kind; entry = labels.(p.p_entry);
+      exit = Option.map (fun v -> labels.(v)) p.p_exit; blocks = !blocks;
+      children }
   in
   freeze root
+
+let pst f = pst_of_cfg (Ir.Cfg.of_func f)
 
 let rec iter g r =
   g r;

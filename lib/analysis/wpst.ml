@@ -2,7 +2,7 @@ module Ir = Cayman_ir
 
 type vref = { vfunc : string; vid : int }
 
-type func_tree = { fname : string; root : Region.t }
+type func_tree = { fname : string; root : Region.t; cfg : Ir.Cfg.t }
 
 type t = { program : Ir.Program.t; funcs : func_tree list }
 
@@ -43,7 +43,9 @@ let build (p : Ir.Program.t) =
         List.filter_map
           (fun name ->
             match Ir.Program.find_func p name with
-            | Some f -> Some { fname = name; root = Region.pst f }
+            | Some f ->
+              let cfg = Ir.Cfg.of_func f in
+              Some { fname = name; root = Region.pst_of_cfg cfg; cfg }
             | None -> None)
           (reachable_funcs p)
       in

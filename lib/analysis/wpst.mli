@@ -7,7 +7,9 @@
 
 type vref = { vfunc : string; vid : int }
 
-type func_tree = { fname : string; root : Region.t }
+(** A function's region tree and the index it was built from, which the
+    accelerator model's per-function context reads again. *)
+type func_tree = { fname : string; root : Region.t; cfg : Cayman_ir.Cfg.t }
 
 type t = { program : Cayman_ir.Program.t; funcs : func_tree list }
 

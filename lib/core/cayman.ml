@@ -69,7 +69,7 @@ let analyze ?fuel ?(if_convert = true) (program : Ir.Program.t) =
   let fuel = Engine.Config.fuel ?fuel () in
   let profile = profile_of ~fuel program in
   let wpst = An.Wpst.build program in
-  let ctxs = Hls.Ctx.for_program program profile in
+  let ctxs = Hls.Ctx.for_program wpst profile in
   { program; profile; wpst; ctxs; t_all = Sim.Profile.total_seconds profile }
 
 let analyze_source ?fuel ?if_convert src =

@@ -13,76 +13,74 @@ type t = {
   profile : Sim.Profile.t;
   loops : An.Loops.t;
   scev : An.Scev.t;
-  loop_info : (string, An.Memdep.loop_info) Hashtbl.t;
-  dfgs : (string, Dfg.t) Hashtbl.t;
-  trips : (string, float) Hashtbl.t;
-  entries : (string, int) Hashtbl.t;
-  preds : (string, string list) Hashtbl.t;
-  blocks : (string, int * int) Hashtbl.t;
+  cfg : Ir.Cfg.t;
+  dfgs : Dfg.t array;
+  blocks : (int * int) array;
+  loop_info : An.Memdep.loop_info option array;
+  trips : float array;
+  entries : int array;
 }
 
-let create program profile (func : Ir.Func.t) =
-  let dom = An.Dominance.dominators func in
-  let loops = An.Loops.find func dom in
+let create program profile (cfg : Ir.Cfg.t) =
+  let func = cfg.Ir.Cfg.func in
+  let loops = An.Loops.of_cfg cfg in
   let live = An.Liveness.compute func in
   let scev = An.Scev.create func loops in
-  let dfgs = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Ir.Block.t) ->
-      Hashtbl.replace dfgs b.Ir.Block.label (Dfg.of_block b))
-    func.Ir.Func.blocks;
-  let loop_info = Hashtbl.create 8 in
-  let trips = Hashtbl.create 8 in
-  let entries = Hashtbl.create 8 in
-  let preds = Ir.Func.preds func in
+  let dfgs = Array.map Dfg.of_block cfg.Ir.Cfg.blocks in
   let fname = func.Ir.Func.name in
-  let blocks = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Ir.Block.t) ->
-      let label = b.Ir.Block.label in
-      Hashtbl.replace blocks label
-        ( Sim.Profile.block_exec profile ~func:fname ~label,
+  let blocks =
+    Array.map
+      (fun (b : Ir.Block.t) ->
+        ( Sim.Profile.block_exec profile ~func:fname ~label:b.Ir.Block.label,
           Sim.Profile.cycles_of_block profile ~func:fname b ))
-    func.Ir.Func.blocks;
+      cfg.Ir.Cfg.blocks
+  in
+  let size = cfg.Ir.Cfg.size in
+  let loop_info = Array.make size None in
+  let trips = Array.make size 0.0 in
+  let entries = Array.make size 0 in
   List.iter
     (fun (l : An.Loops.loop) ->
       let header = l.An.Loops.header in
-      Hashtbl.replace loop_info header (An.Memdep.analyze_loop func live scev l);
+      let h = Ir.Cfg.id cfg header in
+      loop_info.(h) <- Some (An.Memdep.analyze_loop func live scev l);
       (* entries into the loop from outside it *)
       let n =
-        List.fold_left
+        Array.fold_left
           (fun acc p ->
-            if An.Loops.String_set.mem p l.An.Loops.blocks then acc
-            else
-              acc
-              + Sim.Profile.edge_exec profile ~func:fname ~src:p ~dst:header)
-          0
-          (try Hashtbl.find preds header with Not_found -> [])
+            let src = cfg.Ir.Cfg.labels.(p) in
+            if An.Loops.String_set.mem src l.An.Loops.blocks then acc
+            else acc + Sim.Profile.edge_exec profile ~func:fname ~src ~dst:header)
+          0 cfg.Ir.Cfg.preds.(h)
       in
-      Hashtbl.replace entries header n;
-      Hashtbl.replace trips header
-        (Sim.Profile.avg_trip profile ~func:fname
-           ~header:(Hashtbl.find dfgs header).Dfg.block ~entries:n l))
+      entries.(h) <- n;
+      trips.(h) <-
+        Sim.Profile.avg_trip profile ~func:fname ~header:cfg.Ir.Cfg.blocks.(h)
+          ~entries:n l)
     loops;
-  { program; func; profile; loops; scev; loop_info; dfgs; trips; entries;
-    preds; blocks }
+  { program; func; profile; loops; scev; cfg; dfgs; blocks; loop_info; trips;
+    entries }
 
-let dfg t label = Hashtbl.find t.dfgs label
+let dfg t label = t.dfgs.(Ir.Cfg.id t.cfg label)
 
-let loop_info t header = Hashtbl.find_opt t.loop_info header
+let loop_info t header =
+  match Ir.Cfg.id_opt t.cfg header with
+  | Some h -> t.loop_info.(h)
+  | None -> None
 
 (* Average trip count, rounded to at least 1 when the loop ran at all. *)
 let trip t header =
-  match Hashtbl.find_opt t.trips header with
-  | Some x when x > 0.0 -> max 1 (int_of_float (Float.round x))
+  match Ir.Cfg.id_opt t.cfg header with
+  | Some h when t.trips.(h) > 0.0 ->
+    max 1 (int_of_float (Float.round t.trips.(h)))
   | Some _ | None -> 0
 
 let block_exec t label =
-  match Hashtbl.find_opt t.blocks label with
-  | Some (exec, _) -> exec
+  match Ir.Cfg.id_opt t.cfg label with
+  | Some v -> fst t.blocks.(v)
   | None -> 0
 
-let block_cycles t label = snd (Hashtbl.find t.blocks label)
+let block_cycles t label = snd t.blocks.(Ir.Cfg.id t.cfg label)
 
 (* Whether loop [l] lies wholly inside region [r]; the header test
    settles most loops without walking their blocks. *)
@@ -107,24 +105,25 @@ let region_cycles t (r : An.Region.t) =
     r.An.Region.blocks 0
 
 let region_entries t (r : An.Region.t) =
-  Sim.Profile.region_entries ~preds:t.preds t.func t.profile r
+  Sim.Profile.region_entries t.cfg t.profile r
 
 (* Entries into a loop from outside it. *)
 let loop_entries t (l : An.Loops.loop) =
-  Option.value (Hashtbl.find_opt t.entries l.An.Loops.header) ~default:0
+  match Ir.Cfg.id_opt t.cfg l.An.Loops.header with
+  | Some h -> t.entries.(h)
+  | None -> 0
 
-(* All analysis contexts of a program, keyed by function name, restricted
-   to functions reachable from main. *)
+(* All analysis contexts of a program, keyed by function name: one per
+   wPST function tree (those reachable from main), over its index. *)
 let m_ctxs = Obs.Metrics.counter "hls.ctxs_built"
 
-let for_program program profile =
+let for_program (wpst : An.Wpst.t) profile =
   Obs.Trace.span ~cat:"hls" "hls.ctx" (fun () ->
       let tbl = Hashtbl.create 8 in
       List.iter
-        (fun name ->
-          match Ir.Program.find_func program name with
-          | Some f -> Hashtbl.replace tbl name (create program profile f)
-          | None -> ())
-        (An.Wpst.reachable_funcs program);
+        (fun (ft : An.Wpst.func_tree) ->
+          Hashtbl.replace tbl ft.An.Wpst.fname
+            (create wpst.An.Wpst.program profile ft.An.Wpst.cfg))
+        wpst.An.Wpst.funcs;
       Obs.Metrics.add m_ctxs (Hashtbl.length tbl);
       tbl)

@@ -12,18 +12,20 @@ type t = {
   profile : Cayman_sim.Profile.t;
   loops : Cayman_analysis.Loops.t;
   scev : Cayman_analysis.Scev.t;
-  loop_info : (string, Cayman_analysis.Memdep.loop_info) Hashtbl.t;
-  dfgs : (string, Dfg.t) Hashtbl.t;
-  trips : (string, float) Hashtbl.t;
-  entries : (string, int) Hashtbl.t;
-      (** per loop header: profiled entries into the loop from outside *)
-  preds : (string, string list) Hashtbl.t;  (** {!Cayman_ir.Func.preds} *)
-  blocks : (string, int * int) Hashtbl.t;
-      (** per block: {!block_exec} and {!block_cycles} *)
+  cfg : Cayman_ir.Cfg.t;  (** the index the function's wPST was built from *)
+  dfgs : Dfg.t array;  (** per block id *)
+  blocks : (int * int) array;
+      (** per block id: {!block_exec} and {!block_cycles} *)
+  loop_info : Cayman_analysis.Memdep.loop_info option array;
+      (** per block id, [Some] for loop headers *)
+  trips : float array;  (** per loop header id: average profiled trip count *)
+  entries : int array;
+      (** per loop header id: profiled entries into the loop from outside *)
 }
 
+(** The context of an indexed function of the program. *)
 val create :
-  Cayman_ir.Program.t -> Cayman_sim.Profile.t -> Cayman_ir.Func.t -> t
+  Cayman_ir.Program.t -> Cayman_sim.Profile.t -> Cayman_ir.Cfg.t -> t
 
 val dfg : t -> string -> Dfg.t
 val loop_info : t -> string -> Cayman_analysis.Memdep.loop_info option
@@ -54,6 +56,7 @@ val region_entries : t -> Cayman_analysis.Region.t -> int
 
 val loop_entries : t -> Cayman_analysis.Loops.loop -> int
 
-(** Contexts for every function reachable from main. *)
+(** Contexts for every function of the wPST (those reachable from
+    main), each over the index its region tree was built from. *)
 val for_program :
-  Cayman_ir.Program.t -> Cayman_sim.Profile.t -> (string, t) Hashtbl.t
+  Cayman_analysis.Wpst.t -> Cayman_sim.Profile.t -> (string, t) Hashtbl.t

@@ -1,6 +1,3 @@
-module String_set = Set.Make (String)
-module String_map = Map.Make (String)
-
 type error = { where : string; message : string }
 
 let err where fmt = Format.kasprintf (fun message -> { where; message }) fmt
@@ -9,20 +6,18 @@ let pp_error fmt e = Format.fprintf fmt "%s: %s" e.where e.message
 
 (* Per-function checks that do not need data-flow: label uniqueness, branch
    targets, operand/instruction typing, global and call references. *)
-let check_structure (p : Program.t) (f : Func.t) =
+let check_structure (p : Program.t) (cfg : Cfg.t) =
+  let f = cfg.Cfg.func in
   let errors = ref [] in
   let add e = errors := e :: !errors in
   let where label = Printf.sprintf "%s/%s" f.Func.name label in
-  let labels = Func.labels f in
-  let label_set = String_set.of_list labels in
-  if List.length labels <> String_set.cardinal label_set then
+  if List.length f.Func.blocks <> cfg.Cfg.size then
     add (err f.Func.name "duplicate block labels");
-  if f.Func.blocks = [] then add (err f.Func.name "function has no blocks");
   (* Register typing: each register id must have a single type. *)
-  let reg_ty : Types.t String_map.t ref = ref String_map.empty in
+  let reg_ty = Cfg.String_tbl.create 64 in
   let note_reg w (r : Instr.reg) =
-    match String_map.find_opt r.Instr.id !reg_ty with
-    | None -> reg_ty := String_map.add r.Instr.id r.Instr.ty !reg_ty
+    match Cfg.String_tbl.find_opt reg_ty r.Instr.id with
+    | None -> Cfg.String_tbl.replace reg_ty r.Instr.id r.Instr.ty
     | Some ty ->
       if not (Types.equal ty r.Instr.ty) then
         add
@@ -108,7 +103,7 @@ let check_structure (p : Program.t) (f : Func.t) =
     List.iter (note_reg w) (Instr.term_uses t);
     List.iter
       (fun s ->
-        if not (String_set.mem s label_set) then
+        if Cfg.id_opt cfg s = None then
           add (err w "branch to unknown block %s" s))
       (Instr.term_succs t);
     match t with
@@ -135,70 +130,22 @@ let check_structure (p : Program.t) (f : Func.t) =
     f.Func.blocks;
   List.rev !errors
 
-(* Forward must-defined analysis: flags registers that may be read before
-   any write on some path from the entry. *)
-let check_init (f : Func.t) =
+(* Reads of registers that may not be written yet on some path from the
+   entry, over the one must-defined solution of the index. *)
+let check_init (cfg : Cfg.t) =
+  let f = cfg.Cfg.func in
+  let md = Cfg.Must_defined.solve cfg in
   let errors = ref [] in
-  let params = String_set.of_list (List.map (fun (r : Instr.reg) -> r.Instr.id) f.Func.params) in
-  let in_sets : (string, String_set.t) Hashtbl.t = Hashtbl.create 16 in
-  let preds = Func.preds f in
-  let entry = (Func.entry f).Block.label in
-  let all_regs =
-    List.fold_left
-      (fun acc (b : Block.t) ->
-        List.fold_left
-          (fun acc i ->
-            match Instr.def i with
-            | Some r -> String_set.add r.Instr.id acc
-            | None -> acc)
-          acc b.Block.instrs)
-      params f.Func.blocks
-  in
-  List.iter
-    (fun (b : Block.t) ->
-      Hashtbl.replace in_sets b.Block.label
-        (if String.equal b.Block.label entry then params else all_regs))
-    f.Func.blocks;
-  let out_of label =
-    let b = Func.block_exn f label in
-    let init = Hashtbl.find in_sets label in
-    List.fold_left
-      (fun acc i ->
-        match Instr.def i with
-        | Some r -> String_set.add r.Instr.id acc
-        | None -> acc)
-      init b.Block.instrs
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (b : Block.t) ->
-        let label = b.Block.label in
-        if not (String.equal label entry) then begin
-          let ps = try Hashtbl.find preds label with Not_found -> [] in
-          let inter =
-            match ps with
-            | [] -> params
-            | p0 :: rest ->
-              List.fold_left
-                (fun acc p -> String_set.inter acc (out_of p))
-                (out_of p0) rest
-          in
-          let old = Hashtbl.find in_sets label in
-          if not (String_set.equal old inter) then begin
-            Hashtbl.replace in_sets label inter;
-            changed := true
-          end
-        end)
-      f.Func.blocks
-  done;
   List.iter
     (fun (b : Block.t) ->
       let w = Printf.sprintf "%s/%s" f.Func.name b.Block.label in
-      let defined = ref (Hashtbl.find in_sets b.Block.label) in
+      let defined =
+        Cfg.Bits.copy
+          (Cfg.Must_defined.at_entry md (Cfg.id cfg b.Block.label))
+      in
       let check_use (r : Instr.reg) =
-        if not (String_set.mem r.Instr.id !defined) then
+        let k = Cfg.Must_defined.reg md r.Instr.id in
+        if k < 0 || not (Cfg.Bits.mem defined k) then
           errors :=
             err w "register %%%s may be read before it is written" r.Instr.id
             :: !errors
@@ -207,7 +154,7 @@ let check_init (f : Func.t) =
         (fun i ->
           List.iter check_use (Instr.uses i);
           match Instr.def i with
-          | Some r -> defined := String_set.add r.Instr.id !defined
+          | Some r -> Cfg.Bits.add defined (Cfg.Must_defined.reg md r.Instr.id)
           | None -> ())
         b.Block.instrs;
       List.iter check_use (Instr.term_uses b.Block.term))
@@ -216,7 +163,9 @@ let check_init (f : Func.t) =
 
 let check_func p f =
   if f.Func.blocks = [] then [ err f.Func.name "function has no blocks" ]
-  else check_structure p f @ check_init f
+  else
+    let cfg = Cfg.of_func f in
+    check_structure p cfg @ check_init cfg
 
 let check (p : Program.t) =
   let errors = ref [] in

@@ -21,7 +21,12 @@ let m_bytes_read = Obs.Metrics.counter "memo.bytes_read"
 let m_bytes_written = Obs.Metrics.counter "memo.bytes_written"
 let g_io_us = Obs.Metrics.gauge "memo.disk_io_us"
 
+(* Every disk read or write of an entry, marshalling included: counted
+   in [memo.disk_io_us] and traced as its own [memo.io] span, so the
+   self time of the span that asked for it (a region's candidate
+   generation, a program's analysis) holds no disk time. *)
 let timed f =
+  Obs.Trace.span ~cat:"memo" "memo.io" @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let finally () =
     Obs.Metrics.gauge_add g_io_us

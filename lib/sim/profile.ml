@@ -108,26 +108,20 @@ let region_cycles (f : Ir.Func.t) t (r : An.Region.t) =
 
 (* Number of executions of the region: entries into its entry block from
    outside the region. The whole-function region counts invocations. *)
-let region_entries ?preds (f : Ir.Func.t) t (r : An.Region.t) =
+let region_entries (cfg : Ir.Cfg.t) t (r : An.Region.t) =
+  let f = cfg.Ir.Cfg.func in
   match r.An.Region.kind with
   | An.Region.Whole_function -> func_calls t f.Ir.Func.name
   | An.Region.Basic_block ->
     block_exec t ~func:f.Ir.Func.name ~label:r.An.Region.entry
   | An.Region.Loop_region | An.Region.Cond_region ->
-    let preds =
-      match preds with
-      | Some p -> p
-      | None -> Ir.Func.preds f
-    in
-    let outside =
-      List.filter
-        (fun p -> not (An.Region.String_set.mem p r.An.Region.blocks))
-        (try Hashtbl.find preds r.An.Region.entry with Not_found -> [])
-    in
-    List.fold_left
+    Array.fold_left
       (fun acc p ->
-        acc + edge_exec t ~func:f.Ir.Func.name ~src:p ~dst:r.An.Region.entry)
-      0 outside
+        let src = cfg.Ir.Cfg.labels.(p) in
+        if An.Region.String_set.mem src r.An.Region.blocks then acc
+        else acc + edge_exec t ~func:f.Ir.Func.name ~src ~dst:r.An.Region.entry)
+      0
+      cfg.Ir.Cfg.preds.(Ir.Cfg.id cfg r.An.Region.entry)
 
 (* Average trip count of a loop: body iterations per loop entry.
    [entries] is the number of entries into the loop from outside it and

@@ -55,11 +55,10 @@ val block_cycles : Cayman_ir.Func.t -> t -> label:string -> int
     pass over the function's blocks). *)
 val region_cycles : Cayman_ir.Func.t -> t -> Cayman_analysis.Region.t -> int
 
-(** Executions of the region (entries from outside). [preds] is
-    [Cayman_ir.Func.preds f], built here when absent. *)
+(** Executions of the region (entries from outside), with the
+    predecessors read from the function's index. *)
 val region_entries :
-  ?preds:(string, string list) Hashtbl.t ->
-  Cayman_ir.Func.t ->
+  Cayman_ir.Cfg.t ->
   t ->
   Cayman_analysis.Region.t ->
   int

@@ -236,6 +236,117 @@ let test_dominance_suite_properties () =
         program.Ir.Program.funcs)
     [ "3mm"; "nw"; "zip-test"; "fft" ]
 
+(* --- oracles: dominance and SESE checked straight from the CFG --- *)
+
+(* Labels reachable from [roots] along [next], never entering [cut]. *)
+let reach ~next ~cut roots =
+  let seen = Hashtbl.create 16 in
+  let rec go l =
+    if (not (Hashtbl.mem seen l)) && not (String.equal l cut) then begin
+      Hashtbl.replace seen l ();
+      List.iter go (next l)
+    end
+  in
+  List.iter go roots;
+  seen
+
+(* [a] dominates [b] iff [b] is reachable from the root and stops being
+   so once [a] is removed (or is [a]). *)
+let dominance_matches ~what t ~nodes ~root ~next =
+  let reachable = reach ~next ~cut:"" [ root ] in
+  let without = Hashtbl.create 16 in
+  List.iter (fun a -> Hashtbl.replace without a (reach ~next ~cut:a [ root ])) nodes;
+  let dom a b =
+    Hashtbl.mem reachable b
+    && (String.equal a b || not (Hashtbl.mem (Hashtbl.find without a) b))
+  in
+  List.for_all
+    (fun b ->
+      List.for_all
+        (fun a ->
+          An.Dominance.dominates t a b = dom a b
+          || QCheck.Test.fail_reportf "%s: dominates %s %s" what a b)
+        nodes
+      &&
+      match An.Dominance.idom t b with
+      | None ->
+        (* only the root and unreachable nodes have none *)
+        String.equal b root || not (Hashtbl.mem reachable b)
+        || QCheck.Test.fail_reportf "%s: no idom for %s" what b
+      | Some p ->
+        (* the closest strict dominator: every other one dominates it *)
+        (dom p b && not (String.equal p b)
+         && List.for_all
+              (fun a -> String.equal a b || (not (dom a b)) || dom a p)
+              nodes)
+        || QCheck.Test.fail_reportf "%s: idom %s = %s" what b p)
+    nodes
+
+let succs_of (f : Ir.Func.t) l =
+  match Ir.Func.find_block f l with
+  | Some b -> List.filter (fun s -> Ir.Func.find_block f s <> None) (Ir.Block.succs b)
+  | None -> []
+
+let dominance_oracle (f : Ir.Func.t) =
+  let labels = Ir.Func.labels f in
+  let entry = (Ir.Func.entry f).Ir.Block.label in
+  let exit = An.Dominance.virtual_exit in
+  let returning =
+    List.filter_map
+      (fun (b : Ir.Block.t) ->
+        match b.Ir.Block.term with
+        | Ir.Instr.Return _ -> Some b.Ir.Block.label
+        | Ir.Instr.Jump _ | Ir.Instr.Branch _ -> None)
+      f.Ir.Func.blocks
+  in
+  let preds_of l = List.filter (fun p -> List.mem l (succs_of f p)) labels in
+  dominance_matches ~what:"dom" (An.Dominance.dominators f) ~nodes:labels
+    ~root:entry ~next:(succs_of f)
+  && dominance_matches ~what:"pdom" (An.Dominance.postdominators f)
+       ~nodes:(exit :: labels) ~root:exit
+       ~next:(fun l -> if String.equal l exit then returning else preds_of l)
+
+(* Every loop and conditional region is single-entry single-exit:
+   edges from outside reach only its entry, edges from inside leave
+   only to its exit. *)
+let sese_oracle (f : Ir.Func.t) =
+  let ok = ref true in
+  An.Region.iter
+    (fun (r : An.Region.t) ->
+      if An.Region.is_ctrl_flow r then begin
+        let inside l = An.Region.String_set.mem l r.An.Region.blocks in
+        List.iter
+          (fun (b : Ir.Block.t) ->
+            let x = b.Ir.Block.label in
+            List.iter
+              (fun s ->
+                let entry = r.An.Region.entry and exit = r.An.Region.exit in
+                if (not (inside x)) && inside s && not (String.equal s entry)
+                then ok := false;
+                if inside x && (not (inside s)) && Some s <> exit then
+                  ok := false)
+              (succs_of f x))
+          f.Ir.Func.blocks
+      end)
+    (An.Region.pst f);
+  !ok || QCheck.Test.fail_reportf "%s: a region is not SESE" f.Ir.Func.name
+
+let cfg_oracles f = dominance_oracle f && sese_oracle f
+
+let qcheck_oracles_ir_funcs =
+  Testutil.qtest ~count:200 "dominance and SESE oracles on generated CFGs"
+    Fleet.Genprog.arb_ir_func cfg_oracles
+
+let qcheck_oracles_programs =
+  Testutil.qtest ~count:40 "dominance and SESE oracles on random programs"
+    Test_random.arb_prog (fun p ->
+      match Test_random.compile_ok (Test_random.prog_to_minic p) with
+      | Error m -> QCheck.Test.fail_report m
+      | Ok program ->
+        let converted = An.Simplify.merge_chains (An.Ifconv.run program) in
+        List.for_all cfg_oracles
+          (program.Ir.Program.funcs @ converted.Ir.Program.funcs))
+
 let tests =
   [ Alcotest.test_case "dominators on diamond loop" `Quick test_dominators;
     Alcotest.test_case "postdominators" `Quick test_postdominators;
@@ -247,4 +358,6 @@ let tests =
     Alcotest.test_case "wPST reachability" `Quick test_wpst_reachability;
     Alcotest.test_case "liveness on diamond loop" `Quick test_liveness;
     Alcotest.test_case "dominance properties on benchmarks" `Quick
-      test_dominance_suite_properties ]
+      test_dominance_suite_properties;
+    qcheck_oracles_ir_funcs;
+    qcheck_oracles_programs ]

@@ -114,7 +114,9 @@ let setup_kernel () =
   let program = Cayman_frontend.Lower.compile src in
   let res = Sim.Interp.run program in
   let ctx =
-    Hashtbl.find (Hls.Ctx.for_program program res.Sim.Interp.profile) "kernel"
+    Hashtbl.find
+      (Hls.Ctx.for_program (An.Wpst.build program) res.Sim.Interp.profile)
+      "kernel"
   in
   let region = ref None in
   An.Region.iter

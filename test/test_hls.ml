@@ -9,7 +9,7 @@ module Hls = Cayman_hls
 let compile_ctx src fname =
   let program = Cayman_frontend.Lower.compile src in
   let res = Sim.Interp.run program in
-  let ctxs = Hls.Ctx.for_program program res.Sim.Interp.profile in
+  let ctxs = Hls.Ctx.for_program (An.Wpst.build program) res.Sim.Interp.profile in
   Hashtbl.find ctxs fname
 
 (* The innermost (first) loop region of a function's PST. *)

@@ -44,10 +44,14 @@ let check_valid () =
     Alcotest.failf "expected valid, got %d errors: %s" (List.length es)
       (Format.asprintf "%a" Ir.Validate.pp_error (List.hd es))
 
-let expect_invalid name p =
+(* The exact diagnostics, in order: a change to how the checks walk the
+   program must not add, drop, reword or reorder a message. *)
+let expect_invalid name p expected =
   match Ir.Validate.check p with
   | Ok () -> Alcotest.failf "%s: expected validation failure" name
-  | Error _ -> ()
+  | Error es ->
+    Alcotest.(check (list string)) name expected
+      (List.map (Format.asprintf "%a" Ir.Validate.pp_error) es)
 
 (* Build a one-function program around a block list. *)
 let program_of_blocks ?(globals = []) ?(params = []) ?ret blocks =
@@ -93,12 +97,14 @@ let test_missing_main () =
     Ir.Program.v ~globals:[] ~funcs:[] ~main:"main"
   in
   expect_invalid "missing main" p
+    [ "program: missing main function main" ]
 
 let test_branch_to_unknown () =
   let p =
     program_of_blocks [ block "entry" [] (Ir.Instr.Jump "nowhere") ]
   in
   expect_invalid "branch to unknown label" p
+    [ "main/entry: branch to unknown block nowhere" ]
 
 let test_type_mismatch_binary () =
   let r = reg "x" Ir.Types.I32 in
@@ -109,6 +115,9 @@ let test_type_mismatch_binary () =
           (Ir.Instr.Return None) ]
   in
   expect_invalid "fadd on ints" p
+    [ "main/entry: fadd result type mismatch";
+      "main/entry: fadd: expected f32, got i32";
+      "main/entry: fadd: expected f32, got i32" ]
 
 let test_branch_condition_not_bool () =
   let p =
@@ -117,6 +126,7 @@ let test_branch_condition_not_bool () =
           (Ir.Instr.Branch (Ir.Instr.Imm_int 1, "entry", "entry")) ]
   in
   expect_invalid "int branch condition" p
+    [ "main/entry: branch condition must be bool" ]
 
 let test_unknown_global () =
   let r = reg "x" Ir.Types.F32 in
@@ -127,6 +137,7 @@ let test_unknown_global () =
           (Ir.Instr.Return None) ]
   in
   expect_invalid "unknown global" p
+    [ "main/entry: unknown global ghost" ]
 
 let test_load_type_mismatch () =
   let r = reg "x" Ir.Types.I32 in
@@ -138,6 +149,7 @@ let test_load_type_mismatch () =
           (Ir.Instr.Return None) ]
   in
   expect_invalid "int load from float array" p
+    [ "main/entry: load type mismatch on a" ]
 
 let test_register_retyped () =
   let p =
@@ -148,6 +160,7 @@ let test_register_retyped () =
           (Ir.Instr.Return None) ]
   in
   expect_invalid "register used at two types" p
+    [ "main/entry: register %x used at both i32 and f32" ]
 
 let test_read_before_write () =
   let x = reg "x" Ir.Types.I32 in
@@ -159,6 +172,7 @@ let test_read_before_write () =
           (Ir.Instr.Return None) ]
   in
   expect_invalid "read before write" p
+    [ "main/entry: register %x may be read before it is written" ]
 
 let test_read_before_write_one_path () =
   (* x defined on the then-path only; the join reads it. *)
@@ -178,6 +192,7 @@ let test_read_before_write_one_path () =
           (Ir.Instr.Return None) ]
   in
   expect_invalid "maybe-uninitialized at join" p
+    [ "main/join: register %x may be read before it is written" ]
 
 let test_defined_on_all_paths_ok () =
   let c = reg "c" Ir.Types.Bool in
@@ -217,6 +232,7 @@ let test_call_arity () =
       ~main:"main"
   in
   expect_invalid "arity mismatch" p
+    [ "main/entry: call f: arity mismatch" ]
 
 let test_duplicate_labels () =
   let p =
@@ -225,6 +241,85 @@ let test_duplicate_labels () =
         block "entry" [] (Ir.Instr.Return None) ]
   in
   expect_invalid "duplicate labels" p
+    [ "main: duplicate block labels" ]
+
+(* Ill-formed programs whose diagnostics pin the corners of the
+   must-defined analysis and the order of the messages. *)
+let diagnostics_table =
+  let i32 = Ir.Types.I32 in
+  let x = reg "x" i32 and y = reg "y" i32 and z = reg "z" i32 in
+  let c = reg "c" Ir.Types.Bool in
+  let set r v = Ir.Instr.Assign (r, Ir.Instr.Imm_int v) in
+  let copy r s = Ir.Instr.Assign (r, Ir.Instr.Reg s) in
+  let cmp = Ir.Instr.Compare (c, Ir.Op.Eq, Ir.Instr.Imm_int 0, Ir.Instr.Imm_int 0) in
+  let ret = Ir.Instr.Return None in
+  let jump l = Ir.Instr.Jump l in
+  let branch t e = Ir.Instr.Branch (Ir.Instr.Reg c, t, e) in
+  [ (* a duplicated label is one node: its in-set comes from every edge
+       to the label, and its out-set from the first block's definitions *)
+    ( "duplicate label dataflow",
+      program_of_blocks
+        [ block "entry" [] (jump "a");
+          block "a" [ set x 1 ] (jump "b");
+          block "a" [ copy y x ] ret;
+          block "b" [ copy z y ] ret ] );
+    (* a block without predecessors starts from the parameters; an
+       unreachable cycle keeps every register *)
+    ( "unreachable blocks",
+      program_of_blocks ~params:[ z ]
+        [ block "entry" [ set x 1 ] ret;
+          block "dead" [ copy y x; copy y z ] ret;
+          block "u1" [ copy y x ] (jump "u2");
+          block "u2" [ copy y x ] (jump "u1") ] );
+    (* a register defined in the loop body is not defined at the header *)
+    ( "loop-carried read",
+      program_of_blocks
+        [ block "entry" [ cmp ] (jump "head");
+          block "head" [ copy y x ] (branch "body" "exit");
+          block "body" [ set x 1 ] (jump "head");
+          block "exit" [] ret ] );
+    (* a function's messages come out last-found first: dataflow before
+       structure, later blocks before earlier ones *)
+    ( "message order",
+      program_of_blocks ~ret:i32
+        [ block "entry" [ copy y x; cmp ] (branch "a" "nowhere");
+          block "a"
+            [ Ir.Instr.Binary (z, Ir.Op.Fadd, Ir.Instr.Imm_int 1, Ir.Instr.Reg y) ]
+            (Ir.Instr.Return (Some (Ir.Instr.Reg (reg "w" i32)))) ] );
+    (* program-level errors: main first, then globals, then each function
+       in order with its duplicate-name error ahead of its own errors *)
+    ( "program-level order",
+      Ir.Program.v
+        ~globals:
+          [ { Ir.Program.gname = "g"; elem = Ir.Types.F32; dims = [ 0 ] };
+            { Ir.Program.gname = "g"; elem = Ir.Types.F32; dims = [ 2 ] } ]
+        ~funcs:
+          [ Ir.Func.v ~name:"f" ~params:[] ~ret:None ~blocks:[];
+            Ir.Func.v ~name:"f" ~params:[] ~ret:None
+              ~blocks:[ block "entry" [ copy y x ] ret ] ]
+        ~main:"main" ) ]
+
+let test_diagnostics_table () =
+  List.iter2
+    (fun (name, p) expected -> expect_invalid name p expected)
+    diagnostics_table
+    [ [ "main/b: register %y may be read before it is written";
+        "main/a: register %x may be read before it is written";
+        "main: duplicate block labels" ];
+      [ "main/dead: register %x may be read before it is written" ];
+      [ "main/head: register %x may be read before it is written" ];
+      [ "main/a: register %w may be read before it is written";
+        "main/entry: register %x may be read before it is written";
+        "main/a: fadd result type mismatch";
+        "main/a: fadd: expected f32, got i32";
+        "main/a: fadd: expected f32, got i32";
+        "main/entry: branch to unknown block nowhere" ];
+      [ "program: missing main function main";
+        "g: global has non-positive size";
+        "program: duplicate global g";
+        "f: function has no blocks";
+        "program: duplicate function f";
+        "f/entry: register %x may be read before it is written" ] ]
 
 let test_printer_shapes () =
   let p = valid_program () in
@@ -266,6 +361,47 @@ let test_unit_kinds_cover_ops () =
         (List.mem k Ir.Op.all_unit_kinds))
     bins
 
+(* Index bitsets span several words: registers and, after
+   if-conversion, blocks outnumber one word's 63 members. *)
+let qcheck_bits =
+  let module B = Ir.Cfg.Bits in
+  let n = 200 in
+  let elems = QCheck.(small_list (int_bound (n - 1))) in
+  let gen = QCheck.pair elems elems in
+  Testutil.qtest ~count:200 "index bitsets match integer lists" gen
+    (fun (xs, ys) ->
+      let set l =
+        let s = B.create n in
+        List.iter (B.add s) l;
+        s
+      in
+      let a = set xs and b = set ys in
+      let elems s =
+        let acc = ref [] in
+        B.iter (fun i -> acc := i :: !acc) s;
+        List.rev !acc
+      in
+      let sorted l = List.sort_uniq compare l in
+      let inter = List.filter (fun x -> List.mem x ys) (sorted xs) in
+      let without_first =
+        match xs with
+        | [] -> a
+        | x :: _ ->
+          let c = B.copy a in
+          B.remove c x;
+          c
+      in
+      elems a = sorted xs
+      && B.cardinal a = List.length (sorted xs)
+      && List.for_all (fun i -> B.mem a i = List.mem i xs) (List.init n Fun.id)
+      && elems (B.inter a b) = inter
+      && B.subset a b = List.for_all (fun x -> List.mem x ys) xs
+      && B.disjoint a b = (inter = [])
+      && B.equal a b = (sorted xs = sorted ys)
+      && B.is_empty a = (xs = [])
+      && elems without_first
+         = (match xs with [] -> [] | x :: _ -> List.filter (( <> ) x) (sorted xs)))
+
 let tests =
   [ Alcotest.test_case "valid program validates" `Quick check_valid;
     Alcotest.test_case "builder entry is first block" `Quick
@@ -292,8 +428,11 @@ let tests =
       test_defined_on_all_paths_ok;
     Alcotest.test_case "call arity mismatch rejected" `Quick test_call_arity;
     Alcotest.test_case "duplicate labels rejected" `Quick test_duplicate_labels;
+    Alcotest.test_case "diagnostics of ill-formed programs" `Quick
+      test_diagnostics_table;
     Alcotest.test_case "printer mentions program parts" `Quick
       test_printer_shapes;
     Alcotest.test_case "instr defs and uses" `Quick test_instr_defs_uses;
     Alcotest.test_case "unit kinds cover all binops" `Quick
-      test_unit_kinds_cover_ops ]
+      test_unit_kinds_cover_ops;
+    qcheck_bits ]

@@ -23,7 +23,7 @@ let mac_src =
 let setup src fname =
   let program = Cayman_frontend.Lower.compile src in
   let res = Sim.Interp.run program in
-  let ctxs = Hls.Ctx.for_program program res.Sim.Interp.profile in
+  let ctxs = Hls.Ctx.for_program (An.Wpst.build program) res.Sim.Interp.profile in
   let ctx = Hashtbl.find ctxs fname in
   let root = An.Region.pst ctx.Hls.Ctx.func in
   let region = ref None in

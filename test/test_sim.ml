@@ -127,7 +127,7 @@ let test_region_profile () =
   let root = An.Region.pst f in
   (* whole-function region entered 3 times *)
   Alcotest.(check int) "fill region entries" 3
-    (Sim.Profile.region_entries f profile root);
+    (Sim.Profile.region_entries (Ir.Cfg.of_func f) profile root);
   (* its loop region is also entered 3 times *)
   let loop_region = ref None in
   An.Region.iter
@@ -138,7 +138,7 @@ let test_region_profile () =
   (match !loop_region with
    | Some r ->
      Alcotest.(check int) "loop region entries" 3
-       (Sim.Profile.region_entries f profile r);
+       (Sim.Profile.region_entries (Ir.Cfg.of_func f) profile r);
      Alcotest.(check bool) "loop region cycles positive" true
        (Sim.Profile.region_cycles f profile r > 0)
    | None -> Alcotest.fail "no loop region in fill");

@@ -35,7 +35,9 @@ let expect_frontend_error name src =
 (* First function with the given name, with its analyses. *)
 let func_ctx program res name =
   let ctxs =
-    Cayman_hls.Ctx.for_program program res.Cayman_sim.Interp.profile
+    Cayman_hls.Ctx.for_program
+      (Cayman_analysis.Wpst.build program)
+      res.Cayman_sim.Interp.profile
   in
   match Hashtbl.find_opt ctxs name with
   | Some ctx -> ctx
