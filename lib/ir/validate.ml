@@ -187,7 +187,7 @@ let check (p : Program.t) =
       if Hashtbl.mem fseen f.Func.name then
         errors := err "program" "duplicate function %s" f.Func.name :: !errors;
       Hashtbl.replace fseen f.Func.name ();
-      errors := List.rev_append (List.rev (check_func p f)) !errors)
+      errors := List.rev_append (check_func p f) !errors)
     p.Program.funcs;
   match List.rev !errors with
   | [] -> Ok ()

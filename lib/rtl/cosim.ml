@@ -9,6 +9,12 @@ module Interp = Cayman_sim.Interp
    interpreter, with the RTL netlist simulator replayed against it at
    every kernel-region entry.
 
+   The run watches only the blocks where some kernel acts: each region's
+   entry and the blocks its region exits to, plus the returns of the
+   kernels' functions. A table built once per run maps each of those
+   (function, label) pairs to the kernels that act there; every other
+   block runs as in an unobserved run.
+
    Each kernel's netlist is compiled once ({!Sim.compile}). When the
    golden execution reaches a kernel's region entry, we execute it from
    the live registers and memory: the arrays in the kernel's write set
@@ -138,6 +144,20 @@ let region_stores (ctx : Hls.Ctx.t) (region : An.Region.t) =
           b.Ir.Block.instrs
       else [])
     ctx.Hls.Ctx.func.Ir.Func.blocks
+
+(* Blocks control can leave a region to: the successors of its blocks
+   that lie outside it, sorted. *)
+let region_exits (ctx : Hls.Ctx.t) (region : An.Region.t) =
+  let inside l = An.Region.String_set.mem l region.An.Region.blocks in
+  List.sort_uniq String.compare
+    (List.concat_map
+       (fun (b : Ir.Block.t) ->
+         if inside b.Ir.Block.label then
+           List.filter
+             (fun l -> not (inside l))
+             (Ir.Instr.term_succs b.Ir.Block.term)
+         else [])
+       ctx.Hls.Ctx.func.Ir.Func.blocks)
 
 (* per-kernel live state during the observed run *)
 type kstate = {
@@ -328,31 +348,51 @@ let run_many_uncached ?fuel ?(tolerance = default_tolerance) ?max_invocations
           ks_fault_fired = false })
       specs
   in
+  (* The dispatch table, built once per run. A kernel acts at two kinds
+     of watch point: at a block its region exits to, it resolves its
+     pending invocation; at its region's entry, it enters. A kernel
+     region holds no calls, so the first block the golden run executes
+     outside the region after an entry is one of those exits. Each point
+     lists its kernels in [kstates] order, as does each function's
+     return. *)
+  let acts = Hashtbl.create 16 and returns = Hashtbl.create 4 in
+  let add tbl key x =
+    Hashtbl.replace tbl key
+      (x :: Option.value (Hashtbl.find_opt tbl key) ~default:[])
+  in
+  List.iter
+    (fun ks ->
+      let region = ks.ks_spec.k_region in
+      add acts (ks.ks_func, region.An.Region.entry) (`Enter ks);
+      List.iter
+        (fun l -> add acts (ks.ks_func, l) (`Exit ks))
+        (region_exits ks.ks_spec.k_ctx region);
+      add returns ks.ks_func ks)
+    (List.rev kstates);
+  let block_watch label kacts : Interp.block_watch =
+    let exit = `Exit label in
+    fun ~read ~mem ->
+      List.iter
+        (function
+          | `Exit ks -> if ks.ks_pending <> None then resolve ks read mem exit
+          | `Enter ks ->
+            if ks.ks_pending = None then enter ks max_invocations read mem)
+        kacts
+  in
+  let return_watch kss : Interp.return_watch =
+    fun ~read ~value ~mem ->
+    List.iter
+      (fun ks ->
+        if ks.ks_pending <> None then resolve ks read mem (`Return value))
+      kss
+  in
   let observer =
     { Interp.obs_block =
-        (fun ~func ~label ~read ~mem ->
-          List.iter
-            (fun ks ->
-              if String.equal ks.ks_func func then begin
-                if
-                  ks.ks_pending <> None
-                  && not
-                       (An.Region.String_set.mem label
-                          ks.ks_spec.k_region.An.Region.blocks)
-                then resolve ks read mem (`Exit label);
-                if
-                  String.equal label ks.ks_spec.k_region.An.Region.entry
-                  && ks.ks_pending = None
-                then enter ks max_invocations read mem
-              end)
-            kstates);
-      Interp.obs_return =
-        (fun ~func ~read ~value ~mem ->
-          List.iter
-            (fun ks ->
-              if String.equal ks.ks_func func && ks.ks_pending <> None then
-                resolve ks read mem (`Return value))
-            kstates) }
+        (fun ~func ~label ->
+          Option.map (block_watch label) (Hashtbl.find_opt acts (func, label)));
+      obs_return =
+        (fun ~func -> Option.map return_watch (Hashtbl.find_opt returns func))
+    }
   in
   let fuel = Engine.Config.fuel ?fuel () in
   let (_ : Interp.result) = Interp.run ~fuel ~observer program in

@@ -130,7 +130,8 @@ type compiled = {
 
 let writes c = c.c_writes
 
-let exec c ~env ~mem = c.c_exec ~env ~mem
+let exec c ~env ~mem =
+  Obs.Trace.span ~cat:"rtl" "rtl.sim" (fun () -> c.c_exec ~env ~mem)
 
 (* The dense index of [key] in [tbl], assigned on first sight. *)
 let intern tbl key =

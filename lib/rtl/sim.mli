@@ -97,7 +97,9 @@ val writes : compiled -> string list
     incoming value of each live-in architectural register ([None] powers
     the register up at zero of its type); [mem] is mutated in place by
     direct-interface stores and by the scratchpad write-back; arrays
-    outside {!writes} are only read.
+    outside {!writes} are only read. Each invocation is one ["rtl.sim"]
+    trace span, so a traced co-simulation books netlist time apart from
+    the golden interpreter's ["sim.interp"] span it runs inside.
     @raise Rtl_error on simulation failure (never on a well-formed
     netlist driven with well-typed inputs). *)
 val exec :

@@ -17,19 +17,13 @@ type result = Interp_common.result = {
   cache_stats : Cache.stats option;
 }
 
+type block_watch = Interp_common.block_watch
+
+type return_watch = Interp_common.return_watch
+
 type observer = Interp_common.observer = {
-  obs_block :
-    func:string ->
-    label:string ->
-    read:(string -> Value.t option) ->
-    mem:Memory.t ->
-    unit;
-  obs_return :
-    func:string ->
-    read:(string -> Value.t option) ->
-    value:Value.t option ->
-    mem:Memory.t ->
-    unit;
+  obs_block : func:string -> label:string -> block_watch option;
+  obs_return : func:string -> return_watch option;
 }
 
 let eval_bin = Interp_common.eval_bin

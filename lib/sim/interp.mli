@@ -22,24 +22,34 @@ type result = {
       (** present when [cache_config] was given *)
 }
 
-(** Execution observer for differential testing: [obs_block] fires on
-    every basic-block entry (before its instructions execute),
-    [obs_return] when a function returns, both with read access to the
-    live register environment and the program memory. Used by the RTL
-    co-simulation harness to snapshot state at region boundaries. *)
+(** {1 Watch points}
+
+    An observer is a set of watch points, resolved once per run.
+    Before the run starts, {!run} calls [obs_block ~func ~label] once for
+    every block of every function: [Some h] makes the block a watch
+    point, and [h] then fires on every entry of the block, before its
+    instructions execute; [None] leaves the block to run exactly as in
+    an unobserved run. [obs_return ~func] resolves one handler per
+    function in the same way, fired whenever the function returns.
+    Handlers read the live register environment ([read] answers [None]
+    for a register the current call has not written) and the program
+    memory. A resolver must not depend on when or how often it is
+    called. To observe every block, return [Some] for every label.
+    [Rtl.Cosim] watches only its kernels' region entries, the blocks
+    control leaves a region to, and the returns of their functions. *)
+
+type block_watch =
+  read:(string -> Value.t option) -> mem:Memory.t -> unit
+
+type return_watch =
+  read:(string -> Value.t option) ->
+  value:Value.t option ->
+  mem:Memory.t ->
+  unit
+
 type observer = {
-  obs_block :
-    func:string ->
-    label:string ->
-    read:(string -> Value.t option) ->
-    mem:Memory.t ->
-    unit;
-  obs_return :
-    func:string ->
-    read:(string -> Value.t option) ->
-    value:Value.t option ->
-    mem:Memory.t ->
-    unit;
+  obs_block : func:string -> label:string -> block_watch option;
+  obs_return : func:string -> return_watch option;
 }
 
 (** {1 Engine selection}

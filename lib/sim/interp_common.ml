@@ -10,24 +10,28 @@ type result = {
   cache_stats : Cache.stats option;
 }
 
-(* Execution observer for differential testing (Rtl.Cosim): called on
-   every block entry and on every function return, with read access to
-   the live register environment and memory. Both engines fire the
-   callbacks at exactly the same points, so an observed run is
-   engine-independent. *)
+(* Execution observer (Rtl.Cosim, differential tests): a set of watch
+   points, resolved once per run. [obs_block ~func ~label] is called
+   once per block before the run starts; [Some h] makes the block a
+   watch point, and [h] then fires on every entry of that block, before
+   its instructions execute. [obs_return ~func] likewise resolves one
+   handler per function, fired on each of its returns. Handlers get read
+   access to the live register environment and memory. Both engines
+   fire the handlers at exactly the same points, so an observed run is
+   engine-independent; a block or function resolved to [None] runs as
+   it would without an observer. *)
+type block_watch =
+  read:(string -> Value.t option) -> mem:Memory.t -> unit
+
+type return_watch =
+  read:(string -> Value.t option) ->
+  value:Value.t option ->
+  mem:Memory.t ->
+  unit
+
 type observer = {
-  obs_block :
-    func:string ->
-    label:string ->
-    read:(string -> Value.t option) ->
-    mem:Memory.t ->
-    unit;
-  obs_return :
-    func:string ->
-    read:(string -> Value.t option) ->
-    value:Value.t option ->
-    mem:Memory.t ->
-    unit;
+  obs_block : func:string -> label:string -> block_watch option;
+  obs_return : func:string -> return_watch option;
 }
 
 (* Value semantics of the IR operators. Shared by the reference engine,

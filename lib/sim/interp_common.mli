@@ -12,19 +12,18 @@ type result = {
   cache_stats : Cache.stats option;
 }
 
+type block_watch =
+  read:(string -> Value.t option) -> mem:Memory.t -> unit
+
+type return_watch =
+  read:(string -> Value.t option) ->
+  value:Value.t option ->
+  mem:Memory.t ->
+  unit
+
 type observer = {
-  obs_block :
-    func:string ->
-    label:string ->
-    read:(string -> Value.t option) ->
-    mem:Memory.t ->
-    unit;
-  obs_return :
-    func:string ->
-    read:(string -> Value.t option) ->
-    value:Value.t option ->
-    mem:Memory.t ->
-    unit;
+  obs_block : func:string -> label:string -> block_watch option;
+  obs_return : func:string -> return_watch option;
 }
 
 val eval_bin : Cayman_ir.Op.bin -> Value.t -> Value.t -> Value.t

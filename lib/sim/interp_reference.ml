@@ -9,33 +9,43 @@ open Interp_common
 (* A compiled block holds exactly one representation of its instruction
    sequence: the array. The static cycle cost is precomputed (it needs
    the instruction list only at compile time), and the dynamic
-   instruction count is [Array.length instrs]. *)
+   instruction count is [Array.length instrs]. The observer's watch
+   points are resolved here too, once per run: [watch] per block and
+   [on_return] per function. *)
 type cblock = {
   label : string;
   static_cycles : int;
   instrs : Ir.Instr.t array;
   term : Ir.Instr.term;
+  watch : block_watch option;
 }
 
 type cfunc = {
   f : Ir.Func.t;
   blocks : (string, cblock) Hashtbl.t;
   entry : string;
+  on_return : return_watch option;
 }
 
-let compile_func (f : Ir.Func.t) =
+let compile_func observer (f : Ir.Func.t) =
+  let func = f.Ir.Func.name in
   let blocks = Hashtbl.create 16 in
   List.iter
     (fun (b : Ir.Block.t) ->
-      Hashtbl.replace blocks b.Ir.Block.label
-        { label = b.Ir.Block.label;
+      let label = b.Ir.Block.label in
+      Hashtbl.replace blocks label
+        { label;
           static_cycles = Cpu_model.block_cycles b;
           instrs = Array.of_list b.Ir.Block.instrs;
-          term = b.Ir.Block.term })
+          term = b.Ir.Block.term;
+          watch = Option.bind observer (fun o -> o.obs_block ~func ~label) })
     f.Ir.Func.blocks;
-  { f; blocks; entry = (Ir.Func.entry f).Ir.Block.label }
+  { f;
+    blocks;
+    entry = (Ir.Func.entry f).Ir.Block.label;
+    on_return = Option.bind observer (fun o -> o.obs_return ~func) }
 
-let run ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
+let exec ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
   let memory = Memory.create p in
   let profile = Profile.create () in
   let cache = Option.map (fun config -> Cache.create ~config p) cache_config in
@@ -47,7 +57,7 @@ let run ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
   let funcs = Hashtbl.create 8 in
   List.iter
     (fun (f : Ir.Func.t) ->
-      Hashtbl.replace funcs f.Ir.Func.name (compile_func f))
+      Hashtbl.replace funcs f.Ir.Func.name (compile_func observer f))
     p.Ir.Program.funcs;
   let fuel_left = ref fuel in
   let rec exec_func (cf : cfunc) (args : Value.t list) : Value.t option =
@@ -115,8 +125,8 @@ let run ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
       let label = blk.label in
       let n_instrs = Array.length blk.instrs in
       Profile.note_block profile ~func:fname ~label;
-      (match observer with
-       | Some o -> o.obs_block ~func:fname ~label ~read ~mem:memory
+      (match blk.watch with
+       | Some w -> w ~read ~mem:memory
        | None -> ());
       Profile.add_cycles profile blk.static_cycles;
       Profile.add_instrs profile n_instrs;
@@ -126,9 +136,8 @@ let run ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
       (match blk.term with
        | Ir.Instr.Return o ->
          return_value := Option.map eval o;
-         (match observer with
-          | Some ob ->
-            ob.obs_return ~func:fname ~read ~value:!return_value ~mem:memory
+         (match cf.on_return with
+          | Some w -> w ~read ~value:!return_value ~mem:memory
           | None -> ());
          running := false
        | Ir.Instr.Jump l ->
@@ -149,13 +158,16 @@ let run ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
   if main.f.Ir.Func.params <> [] then
     raise (Runtime_error "main must take no parameters");
   let return_value =
-    Obs.Trace.span ~cat:"sim" "sim.interp" (fun () ->
-        try exec_func main [] with
-        | Value.Type_error m -> raise (Runtime_error ("type error: " ^ m))
-        | Memory.Fault m -> raise (Runtime_error ("memory fault: " ^ m)))
+    try exec_func main [] with
+    | Value.Type_error m -> raise (Runtime_error ("type error: " ^ m))
+    | Memory.Fault m -> raise (Runtime_error ("memory fault: " ^ m))
   in
   (* Publish the run's profile totals — the Eq. (1) inputs — through the
      shared metrics registry so they appear in `cayman stats`. *)
   Profile.publish_metrics profile;
   { return_value; memory; profile;
     cache_stats = Option.map Cache.stats cache }
+
+let run ?fuel ?cache_config ?observer p =
+  Obs.Trace.span ~cat:"sim" "sim.interp" (fun () ->
+      exec ?fuel ?cache_config ?observer p)

@@ -4,7 +4,18 @@
     Use {!Interp.run} (which dispatches on the selected engine) rather
     than calling this directly. *)
 
+(** [run] inside the ["sim.interp"] trace span. *)
+
 val run :
+  ?fuel:int ->
+  ?cache_config:Cache.config ->
+  ?observer:Interp_common.observer ->
+  Cayman_ir.Program.t ->
+  Interp_common.result
+
+(** [run] without opening the ["sim.interp"] span, for the staged
+    engine's fallback, which runs inside its own. *)
+val exec :
   ?fuel:int ->
   ?cache_config:Cache.config ->
   ?observer:Interp_common.observer ->

@@ -13,7 +13,8 @@ open Interp_common
    boxed. Memory bases are resolved to their raw arrays at compile
    time; "uninitialized register" checks are compiled only where a
    forward must-defined dataflow cannot prove the read safe, and def
-   bytes are kept only for registers such a check or an observer reads.
+   bytes are kept only for registers such a check reads, or that an
+   observer's watch point reads without the dataflow's proof.
    What still allocates is per call (a frame) or per run (codegen, the
    profile tables), not per instruction.
 
@@ -246,7 +247,7 @@ let analyze (p : Ir.Program.t) : pmeta option =
    must-defined at a block's entry when every CFG path from the function
    entry defines it first. Reads proven defined skip the def-byte check
    at run time; [codegen] keeps a register's def byte only where an
-   unproven read or an observer needs it. *)
+   unproven read or a watch point needs it. *)
 let must_defined (fm : fmeta) : (string, bool array) Hashtbl.t =
   let blocks = Array.of_list fm.fm_func.Ir.Func.blocks in
   let nb = Array.length blocks in
@@ -330,20 +331,27 @@ type frame = {
   mutable retf : float; (* float return slot *)
 }
 
+(* The fields the block loop reads come first, so they share a cache
+   line. *)
 type sblock = {
-  sb_func : string;
-  sb_label : string;
-  sb_cycles : int;
+  (* Profile counter, bound lazily on first execution so the profile
+     hashtable sees exactly the reference engine's insertion sequence
+     (byte-identical under Marshal). *)
+  mutable sb_cnt : int ref option;
+  (* The observer's handlers, resolved once per run: [sb_watch] fires at
+     block entry when the block is a watch point, [sb_on_return] when a
+     returning block's function has a return handler. *)
+  mutable sb_watch : (frame -> unit) option;
   sb_ninstrs : int;
   mutable sb_code : (frame -> unit) array;
   (* Uids whose def byte the block sets once its code has run: see
      [codegen] for which registers are tracked. *)
   mutable sb_defs : int array;
   mutable sb_term : sterm;
-  (* Profile counter, bound lazily on first execution so the profile
-     hashtable sees exactly the reference engine's insertion sequence
-     (byte-identical under Marshal). *)
-  mutable sb_cnt : int ref option;
+  mutable sb_on_return : (frame -> Value.t option -> unit) option;
+  sb_func : string;
+  sb_label : string;
+  sb_cycles : int;
 }
 
 (* Terminator operands are bank slots. *)
@@ -379,7 +387,6 @@ type sfunc = {
 type ctx = {
   cx_profile : Profile.t;
   mutable cx_fuel : int;
-  cx_observer : observer option;
   cx_mem : Memory.t;
 }
 
@@ -390,11 +397,15 @@ let new_frame (sf : sfunc) =
     reti = 0;
     retf = 0.0 }
 
-let frame_read (sf : sfunc) (fr : frame) (rid : string) : Value.t option =
+(* A register read at a watch point where [proven] holds the registers
+   the must-defined dataflow proves written there; any other register
+   the point reads keeps its def byte (see [codegen]). *)
+let frame_read (sf : sfunc) (proven : bool array) (fr : frame) (rid : string)
+    : Value.t option =
   match Hashtbl.find_opt sf.sf_regs rid with
   | None -> None
   | Some ri ->
-    if Bytes.get fr.def ri.uid = '\000' then None
+    if (not proven.(ri.uid)) && Bytes.get fr.def ri.uid = '\000' then None
     else
       Some
         (match ri.rty with
@@ -419,7 +430,7 @@ let[@inline] bump_edge (cx : ctx) (b : sblock) (e : sedge) =
     e.e_cnt <- Some r
 
 (* The block-execution loop: per-block bookkeeping mirrors the reference
-   engine (profile, observer, fuel — in that order), then the
+   engine (profile, watch point, fuel — in that order), then the
    instruction closures run back to back, then the block's tracked def
    bytes are set. The run's cycle and instruction totals are not kept
    here: [run] derives them from the block counters once the run
@@ -431,11 +442,6 @@ let exec_sfunc (cx : ctx) (sf : sfunc) (fr : frame) : unit =
      let r = Profile.call_slot cx.cx_profile sf.sf_name in
      incr r;
      sf.sf_cnt <- Some r);
-  let read =
-    match cx.cx_observer with
-    | Some _ -> Some (frame_read sf fr)
-    | None -> None
-  in
   let cur = ref sf.sf_entry in
   let running = ref true in
   while !running do
@@ -448,10 +454,8 @@ let exec_sfunc (cx : ctx) (sf : sfunc) (fr : frame) : unit =
        in
        incr r;
        b.sb_cnt <- Some r);
-    (match cx.cx_observer with
-     | Some o ->
-       o.obs_block ~func:sf.sf_name ~label:b.sb_label
-         ~read:(Option.get read) ~mem:cx.cx_mem
+    (match b.sb_watch with
+     | Some w -> w fr
      | None -> ());
     cx.cx_fuel <- cx.cx_fuel - b.sb_ninstrs - 1;
     if cx.cx_fuel < 0 then raise Out_of_fuel;
@@ -473,33 +477,25 @@ let exec_sfunc (cx : ctx) (sf : sfunc) (fr : frame) : unit =
       cur := e.e_target
     | S_ret_int s ->
       fr.reti <- Array.unsafe_get fr.ints s;
-      (match cx.cx_observer with
-       | Some o ->
-         o.obs_return ~func:sf.sf_name ~read:(Option.get read)
-           ~value:(Some (Value.Vint fr.reti)) ~mem:cx.cx_mem
+      (match b.sb_on_return with
+       | Some w -> w fr (Some (Value.Vint fr.reti))
        | None -> ());
       running := false
     | S_ret_bool s ->
       fr.reti <- Array.unsafe_get fr.ints s;
-      (match cx.cx_observer with
-       | Some o ->
-         o.obs_return ~func:sf.sf_name ~read:(Option.get read)
-           ~value:(Some (Value.Vbool (fr.reti <> 0))) ~mem:cx.cx_mem
+      (match b.sb_on_return with
+       | Some w -> w fr (Some (Value.Vbool (fr.reti <> 0)))
        | None -> ());
       running := false
     | S_ret_float s ->
       fr.retf <- Array.unsafe_get fr.flts s;
-      (match cx.cx_observer with
-       | Some o ->
-         o.obs_return ~func:sf.sf_name ~read:(Option.get read)
-           ~value:(Some (Value.Vfloat fr.retf)) ~mem:cx.cx_mem
+      (match b.sb_on_return with
+       | Some w -> w fr (Some (Value.Vfloat fr.retf))
        | None -> ());
       running := false
     | S_ret_void ->
-      (match cx.cx_observer with
-       | Some o ->
-         o.obs_return ~func:sf.sf_name ~read:(Option.get read) ~value:None
-           ~mem:cx.cx_mem
+      (match b.sb_on_return with
+       | Some w -> w fr None
        | None -> ());
       running := false
     | S_halt -> assert false
@@ -776,22 +772,27 @@ let const_slot tbl ~nregs key =
     s
 
 (* Compile every function of a clean program against one run's memory,
-   cache and context. Returns the functions and every block, the latter
-   for [run]'s deferred totals. Everything built here belongs to this
-   run: the daemon and the pool interpret on several domains at once.
+   cache, context and observer. Returns the functions and every block,
+   the latter for [run]'s deferred totals. Everything built here belongs
+   to this run: the daemon and the pool interpret on several domains at
+   once.
 
-   Def bytes exist for [frame_read] and for def-byte checks, so a block
-   sets the def byte of a register it defines only when the run has an
-   observer, or when some read of that register in the function is not
-   proven by [must_defined] (and so compiled to a [check]). The bytes
-   are set once the block's code has run: nothing reads them mid-block,
-   since a read of a register the same block defined earlier is proven,
-   and an observer sees a frame only at block entry and return. *)
-let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option) :
-    (string, sfunc) Hashtbl.t * sblock list =
+   The observer's watch points are resolved here, once per block and
+   once per function. Def bytes exist for def-byte checks and for
+   [frame_read] at a watch point, so a block sets the def byte of a
+   register it defines only when some read of that register in the
+   function is not proven by [must_defined] (and so compiled to a
+   [check]), or when the register is not proven written at some watch
+   point of the function: the entry of a watched block, or a return of a
+   function with a return handler. At a watch point [frame_read] trusts
+   the proof first and the byte second. The bytes are set once the
+   block's code has run: nothing reads them mid-block, since a read of a
+   register the same block defined earlier is proven, and a watch point
+   sees a frame only at block entry and return. *)
+let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
+    (observer : observer option) : (string, sfunc) Hashtbl.t * sblock list =
   let sfuncs : (string, sfunc) Hashtbl.t = Hashtbl.create 8 in
   let all_blocks = ref [] in
-  let observed = Option.is_some cx.cx_observer in
   (* Pass 1: shells, so call sites and mutual recursion resolve. *)
   Hashtbl.iter
     (fun name (fm : fmeta) ->
@@ -803,6 +804,8 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option) :
           sb_code = [||];
           sb_defs = [||];
           sb_term = S_halt;
+          sb_watch = None;
+          sb_on_return = None;
           sb_cnt = None }
       in
       let def0 = Bytes.make fm.fm_nregs '\000' in
@@ -844,16 +847,39 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option) :
               sb_code = [||];
               sb_defs = [||];
               sb_term = S_halt;
+              sb_watch = None;
+              sb_on_return = None;
               sb_cnt = None })
         f.Ir.Func.blocks;
+      (* [watched.(uid)]: the register is not proven written at some
+         watch point, so [frame_read] needs its def byte. *)
+      let watched = Array.make fm.fm_nregs false in
+      let watch_at proven =
+        Array.iteri (fun u p -> if not p then watched.(u) <- true) proven
+      in
+      let on_return =
+        Option.bind observer (fun o -> o.obs_return ~func:fname)
+      in
       (* Each block with the uids it defines, for the def-byte pass. *)
       let block_defs =
         List.map
           (fun (b : Ir.Block.t) ->
             let sb = Hashtbl.find blocks b.Ir.Block.label in
+            let at_entry = Hashtbl.find entry_in b.Ir.Block.label in
+            (match
+               Option.bind observer (fun o ->
+                   o.obs_block ~func:fname ~label:b.Ir.Block.label)
+             with
+             | None -> ()
+             | Some w ->
+               watch_at at_entry;
+               sb.sb_watch <-
+                 Some
+                   (fun fr ->
+                     w ~read:(frame_read sf at_entry fr) ~mem:cx.cx_mem));
             (* Per-position defined set: the block-entry facts, advanced
                past each instruction's destination as we compile. *)
-            let defined = Array.copy (Hashtbl.find entry_in b.Ir.Block.label) in
+            let defined = Array.copy at_entry in
             let code = ref [] and defs = ref [] in
             let emit c = code := c :: !code in
             (* The def-byte check a read of [o] needs at this point, if
@@ -1011,6 +1037,16 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option) :
                   | R_int -> S_ret_int s
                   | R_bool -> S_ret_bool s
                   | R_void -> assert false));
+            (match b.Ir.Block.term, on_return with
+             | Ir.Instr.Return _, Some w ->
+               (* [defined] now holds what is proven at the return. *)
+               watch_at defined;
+               sb.sb_on_return <-
+                 Some
+                   (fun fr value ->
+                     w ~read:(frame_read sf defined fr) ~value ~mem:cx.cx_mem)
+             | (Ir.Instr.Return _ | Ir.Instr.Jump _ | Ir.Instr.Branch _), _ ->
+               ());
             sb.sb_code <- Array.of_list (List.rev !code);
             all_blocks := sb :: !all_blocks;
             sb, !defs)
@@ -1023,7 +1059,7 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option) :
           let keep =
             List.fold_left
               (fun acc u ->
-                if (observed || checked.(u)) && stamp.(u) <> k then (
+                if (watched.(u) || checked.(u)) && stamp.(u) <> k then (
                   stamp.(u) <- k;
                   u :: acc)
                 else acc)
@@ -1048,40 +1084,37 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option) :
 (* Entry point                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The whole run — analysis and code generation included — is one
+   "sim.interp" span, like a reference run. *)
 let run ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
+  Obs.Trace.span ~cat:"sim" "sim.interp" @@ fun () ->
   match analyze p with
   | None ->
     (* Unclean program: execute on the reference engine so every
        dynamic error (type errors, unknown labels, arity mismatches,
        missing main, ...) surfaces exactly as it always has. *)
-    Interp_reference.run ~fuel ?cache_config ?observer p
+    Interp_reference.exec ~fuel ?cache_config ?observer p
   | Some pm ->
     let memory = Memory.create p in
     let profile = Profile.create () in
     let cache =
       Option.map (fun config -> Cache.create ~config p) cache_config
     in
-    let cx =
-      { cx_profile = profile;
-        cx_fuel = fuel;
-        cx_observer = observer;
-        cx_mem = memory }
-    in
-    let sfuncs, blocks = codegen pm cx cache in
+    let cx = { cx_profile = profile; cx_fuel = fuel; cx_mem = memory } in
+    let sfuncs, blocks = codegen pm cx cache observer in
     let main = Hashtbl.find sfuncs p.Ir.Program.main in
     let return_value =
-      Obs.Trace.span ~cat:"sim" "sim.interp" (fun () ->
-          try
-            let fr = new_frame main in
-            exec_sfunc cx main fr;
-            match main.sf_ret with
-            | R_void -> None
-            | R_int -> Some (Value.Vint fr.reti)
-            | R_bool -> Some (Value.Vbool (fr.reti <> 0))
-            | R_float -> Some (Value.Vfloat fr.retf)
-          with
-          | Value.Type_error m -> raise (Runtime_error ("type error: " ^ m))
-          | Memory.Fault m -> raise (Runtime_error ("memory fault: " ^ m)))
+      try
+        let fr = new_frame main in
+        exec_sfunc cx main fr;
+        match main.sf_ret with
+        | R_void -> None
+        | R_int -> Some (Value.Vint fr.reti)
+        | R_bool -> Some (Value.Vbool (fr.reti <> 0))
+        | R_float -> Some (Value.Vfloat fr.retf)
+      with
+      | Value.Type_error m -> raise (Runtime_error ("type error: " ^ m))
+      | Memory.Fault m -> raise (Runtime_error ("memory fault: " ^ m))
     in
     (* The run completed: its totals are each block's executions times
        its static cost, the same integers the reference engine adds up

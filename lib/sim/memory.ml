@@ -117,12 +117,39 @@ let view sh (src : t) : t =
     sh.sh_last <- Some (src, v);
     v
 
+(* Co-simulation compares every array of a kernel's write set at every
+   invocation exit, so these are plain loops: [Array.for_all2] would
+   make a closure call per element, and box both floats of it. *)
+let ints_equal (x : int array) (y : int array) =
+  let n = Array.length x in
+  n = Array.length y
+  &&
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get x !i = Array.unsafe_get y !i do
+    incr i
+  done;
+  !i = n
+
+(* [Float.equal] without its call: equal values, or two NaNs. *)
+let floats_equal (x : float array) (y : float array) =
+  let n = Array.length x in
+  n = Array.length y
+  &&
+  let i = ref 0 in
+  while
+    !i < n
+    &&
+    let a = Array.unsafe_get x !i and b = Array.unsafe_get y !i in
+    a = b || (a <> a && b <> b)
+  do
+    incr i
+  done;
+  !i = n
+
 let cells_equal a b =
   match a, b with
-  | Ints x, Ints y ->
-    Array.length x = Array.length y && Array.for_all2 ( = ) x y
-  | Floats x, Floats y ->
-    Array.length x = Array.length y && Array.for_all2 Float.equal x y
+  | Ints x, Ints y -> ints_equal x y
+  | Floats x, Floats y -> floats_equal x y
   | (Ints _ | Floats _), _ -> false
 
 (* First differing element per mismatching array, for diagnostics. *)

@@ -40,18 +40,35 @@ type outcome = {
   o_events : event list;
 }
 
-let run_one ?(observe = false) ?cache_config ?fuel engine p : outcome =
+(* The watch points an observed run sets: [watch ~func ~label] for a
+   block, with [label = None] for the function's returns. *)
+type watch = func:string -> label:string option -> bool
+
+let watch_all : watch = fun ~func:_ ~label:_ -> true
+
+let recording_observer (watch : watch) events =
+  { Sim.Interp.obs_block =
+      (fun ~func ~label ->
+        if watch ~func ~label:(Some label) then
+          Some
+            (fun ~read ~mem:_ ->
+              events := E_block (func, label, snap read) :: !events)
+        else None);
+    obs_return =
+      (fun ~func ->
+        if watch ~func ~label:None then
+          Some
+            (fun ~read ~value ~mem:_ ->
+              events := E_return (func, value, snap read) :: !events)
+        else None) }
+
+(* [observe] watches every block and every return, unless [watch]
+   narrows it. *)
+let run_one ?(observe = false) ?(watch = watch_all) ?cache_config ?fuel engine
+    p : outcome =
   let events = ref [] in
   let observer =
-    if not observe then None
-    else
-      Some
-        { Sim.Interp.obs_block =
-            (fun ~func ~label ~read ~mem:_ ->
-              events := E_block (func, label, snap read) :: !events);
-          obs_return =
-            (fun ~func ~read ~value ~mem:_ ->
-              events := E_return (func, value, snap read) :: !events) }
+    if observe then Some (recording_observer watch events) else None
   in
   match Sim.Interp.run ~engine ?fuel ?cache_config ?observer p with
   | res ->
@@ -481,6 +498,58 @@ let test_fuel_boundary =
     arb_typed_program
     (fun f -> fuel_boundary_holds (wrap_typed_func f))
 
+(* A random subset of the watch points: each block and each function's
+   returns, in or out by a hash of [seed]. *)
+let watch_subset seed : watch =
+ fun ~func ~label -> Hashtbl.hash (seed, func, label) mod 3 = 0
+
+let event_watched (watch : watch) = function
+  | E_block (func, label, _) -> watch ~func ~label:(Some label)
+  | E_return (func, _, _) -> watch ~func ~label:None
+
+(* Watching a subset changes nothing but which events fire: under both
+   engines the stream equals the full-observation stream filtered to
+   the subset, register reads included, with the same outcome. Besides
+   an unlimited run, a run that completes is replayed with fuel running
+   out at a random point and at its last block, so the exact
+   Out_of_fuel boundary and the events before it are covered. *)
+let watch_subset_holds (p : Ir.Program.t) seed frac =
+  let watch = watch_subset seed in
+  let fuels =
+    match Sim.Interp.run ~engine:Sim.Interp.Reference p with
+    | exception (Sim.Interp.Runtime_error _ | Sim.Interp.Out_of_fuel) ->
+      [ None ]
+    | res ->
+      let n = fuel_needed p res.Sim.Interp.profile in
+      [ None; Some (int_of_float (frac *. float_of_int n)); Some (n - 1) ]
+  in
+  List.for_all
+    (fun fuel ->
+      let full = run_one ~observe:true ?fuel Sim.Interp.Reference p in
+      let want =
+        { full with o_events = List.filter (event_watched watch) full.o_events }
+      in
+      List.iter
+        (fun engine ->
+          check_outcomes qfail p want
+            (run_one ~observe:true ~watch ?fuel engine p))
+        [ Sim.Interp.Reference; Sim.Interp.Staged ];
+      true)
+    fuels
+
+let test_watch_subset =
+  Testutil.qtest ~count:200
+    "a watched subset sees the filtered full stream on both engines"
+    (QCheck.triple arb_typed_program QCheck.int
+       (QCheck.float_bound_exclusive 1.0))
+    (fun (f, seed, frac) -> watch_subset_holds (wrap_typed_func f) seed frac)
+
+let test_watch_subset_memo =
+  Testutil.qtest ~count:100
+    "a watched subset agrees on memo-generator programs"
+    (QCheck.pair arb_memo_program QCheck.int)
+    (fun (f, seed) -> watch_subset_holds (wrap_memo_func f) seed 0.5)
+
 (* ------------------------------------------------------------------ *)
 (* Targeted parity cases                                               *)
 (* ------------------------------------------------------------------ *)
@@ -628,7 +697,9 @@ let test_proven_index_faults () =
 
 (* [n1] is defined on the [then] path only and read at the join, so the
    read keeps its def-byte check and [then] must keep writing the def
-   byte even though the run has no observer. *)
+   byte even though the run has no observer. [n0] is proven at the join
+   and never checked, so its def byte is elided; [n2] is never written
+   before the join. *)
 let one_path_def taken =
   let n0 = ireg 0 and n1 = ireg 1 and n2 = ireg 2 and c0 = breg 0 in
   Ir.Program.v ~globals:typed_globals
@@ -662,6 +733,31 @@ let test_one_path_def () =
   (match Sim.Interp.run ~engine:Sim.Interp.Staged (one_path_def true) with
    | { Sim.Interp.return_value = Some (Sim.Value.Vint 8); _ } -> ()
    | _ -> Alcotest.fail "defined path must return 8");
+  (* A watch point at [join] alone: the proof answers for [n0], the def
+     bytes for [n1] and [n2], exactly as the reference engine's
+     environment does. *)
+  let at_join ~func:_ ~label = label = Some "join" in
+  let value =
+    Alcotest.testable (Fmt.of_to_string pp_value_opt) value_opt_equal
+  in
+  List.iter
+    (fun (taken, n0, n1) ->
+      let p = one_path_def taken in
+      let r = run_one ~observe:true ~watch:at_join Sim.Interp.Reference p in
+      let s = run_one ~observe:true ~watch:at_join Sim.Interp.Staged p in
+      check_outcomes alco_fail p r s;
+      match s.o_events with
+      | [ E_block ("main", "join", reads) ] ->
+        List.iter
+          (fun (reg, want) ->
+            Alcotest.check value
+              (Printf.sprintf "%s at join (taken=%b)" reg taken)
+              want (List.assoc reg reads))
+          [ "n0", Some n0; "n1", n1; "n2", None ]
+      | evs ->
+        Alcotest.failf "expected one event at join, got %d" (List.length evs))
+    [ true, Sim.Value.Vint 1, Some (Sim.Value.Vint 7);
+      false, Sim.Value.Vint 9, None ];
   expect_error "read of a one-path definition" (one_path_def false)
     "uninitialized register %n1 in main"
 
@@ -755,13 +851,17 @@ let folding_observer () =
   let mix x y = h := (!h * 1000003) lxor Hashtbl.hash x lxor Hashtbl.hash y in
   let obs =
     { Sim.Interp.obs_block =
-        (fun ~func ~label ~read:_ ~mem:_ ->
-          incr count;
-          mix func label);
+        (fun ~func ~label ->
+          Some
+            (fun ~read:_ ~mem:_ ->
+              incr count;
+              mix func label));
       obs_return =
-        (fun ~func ~read:_ ~value ~mem:_ ->
-          incr count;
-          mix func (pp_value_opt value)) }
+        (fun ~func ->
+          Some
+            (fun ~read:_ ~value ~mem:_ ->
+              incr count;
+              mix func (pp_value_opt value))) }
   in
   obs, h, count
 
@@ -862,6 +962,8 @@ let tests =
     test_diff_typed;
     test_diff_cache;
     test_fuel_boundary;
+    test_watch_subset;
+    test_watch_subset_memo;
     Alcotest.test_case "exact error-message parity" `Quick
       test_error_messages;
     Alcotest.test_case "proven-index bounds faults" `Quick

@@ -115,9 +115,9 @@ let test_type_mismatch_binary () =
           (Ir.Instr.Return None) ]
   in
   expect_invalid "fadd on ints" p
-    [ "main/entry: fadd result type mismatch";
+    [ "main/entry: fadd: expected f32, got i32";
       "main/entry: fadd: expected f32, got i32";
-      "main/entry: fadd: expected f32, got i32" ]
+      "main/entry: fadd result type mismatch" ]
 
 let test_branch_condition_not_bool () =
   let p =
@@ -278,8 +278,8 @@ let diagnostics_table =
           block "head" [ copy y x ] (branch "body" "exit");
           block "body" [ set x 1 ] (jump "head");
           block "exit" [] ret ] );
-    (* a function's messages come out last-found first: dataflow before
-       structure, later blocks before earlier ones *)
+    (* a function's messages come out in the order found: structure
+       before dataflow, earlier blocks before later ones *)
     ( "message order",
       program_of_blocks ~ret:i32
         [ block "entry" [ copy y x; cmp ] (branch "a" "nowhere");
@@ -303,17 +303,17 @@ let test_diagnostics_table () =
   List.iter2
     (fun (name, p) expected -> expect_invalid name p expected)
     diagnostics_table
-    [ [ "main/b: register %y may be read before it is written";
+    [ [ "main: duplicate block labels";
         "main/a: register %x may be read before it is written";
-        "main: duplicate block labels" ];
+        "main/b: register %y may be read before it is written" ];
       [ "main/dead: register %x may be read before it is written" ];
       [ "main/head: register %x may be read before it is written" ];
-      [ "main/a: register %w may be read before it is written";
-        "main/entry: register %x may be read before it is written";
+      [ "main/entry: branch to unknown block nowhere";
+        "main/a: fadd: expected f32, got i32";
+        "main/a: fadd: expected f32, got i32";
         "main/a: fadd result type mismatch";
-        "main/a: fadd: expected f32, got i32";
-        "main/a: fadd: expected f32, got i32";
-        "main/entry: branch to unknown block nowhere" ];
+        "main/entry: register %x may be read before it is written";
+        "main/a: register %w may be read before it is written" ];
       [ "program: missing main function main";
         "g: global has non-positive size";
         "program: duplicate global g";

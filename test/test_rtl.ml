@@ -181,6 +181,119 @@ let test_cosim_exact_cycles () =
       (int_of_float rep.Rtl.Cosim.r_est_cycles)
       rep.Rtl.Cosim.r_sim_cycles
 
+(* --- watch points shared between kernels ---
+
+   Kernel A is a loop with two exiting edges (the [break] and the loop
+   test), both to the block where kernel B's region starts, so one
+   watched block resolves A and enters B. A third kernel shares A's
+   entry. The reports, with and without injected faults, are pinned as
+   the harness printed them before the golden run watched only kernel
+   entries and exits, and must not depend on the interpreter engine. *)
+
+let shared_exit_src =
+  {|const int N = 32;
+    int a[N]; int b[N]; int out[N];
+    int main() {
+      for (int i = 0; i < N; i++) { a[i] = (i * 5) % 11; b[i] = 0; }
+      for (int t = 0; t < 4; t++) {
+        for (int i = 0; i < N; i++) {
+          if (a[i] == t + 7) break;
+          b[i] = b[i] + a[i];
+        }
+        for (int j = 0; j < N; j++) { out[j] = out[j] + b[j] * t; }
+      }
+      return out[3];
+    }|}
+
+let test_cosim_shared_exit_entry () =
+  let a = Core.Cayman.analyze (Cayman_frontend.Lower.compile shared_exit_src) in
+  let ctx = Hashtbl.find a.Core.Cayman.ctxs "main" in
+  let ft = Option.get (An.Wpst.func_tree a.Core.Cayman.wpst "main") in
+  let region entry exit =
+    match
+      An.Region.fold
+        (fun acc (r : An.Region.t) ->
+          if An.Region.is_ctrl_flow r && String.equal r.An.Region.entry entry
+             && r.An.Region.exit = Some exit
+          then Some r
+          else acc)
+        None ft.An.Wpst.root
+    with
+    | Some r -> r
+    | None -> Alcotest.failf "no region %s -> %s" entry exit
+  in
+  let config pipeline =
+    { Hls.Kernel.unroll = 1; pipeline; mode = Hls.Kernel.Heuristic }
+  in
+  let spec entry exit pipeline =
+    { Rtl.Cosim.k_ctx = ctx;
+      k_region = region entry exit;
+      k_config = config pipeline }
+  in
+  let ka = spec "loop_head9" "loop_exit12" true in
+  let kb = spec "loop_exit12" "loop_exit18" false in
+  let ko = spec "loop_head9" "loop_exit18" false in
+  let line_a =
+    "main/loop:loop_head9 [u1+pipe/heuristic]: 4 invocations, functionally \
+     equivalent; cycles sim=100 est=100 (+0.00%) within tolerance"
+  and line_b =
+    "main/cond:loop_exit12 [u1+seq/heuristic]: 4 invocations, functionally \
+     equivalent; cycles sim=2112 est=2112 (+0.00%) within tolerance"
+  and line_o =
+    "main/loop:loop_head9 [u1+seq/heuristic]: 4 invocations, functionally \
+     equivalent; cycles sim=2576 est=2576 (+0.00%) within tolerance"
+  in
+  let fault r kind nth =
+    Some { Rtl.Sim.f_reg = r; f_kind = kind; f_nth = nth }
+  in
+  let faulted =
+    [ String.concat "\n"
+        [ "main/loop:loop_head9 [u1+pipe/heuristic]: 4 invocations, 16 \
+           MISMATCHES; cycles sim=113 est=100 (-11.50%) within tolerance";
+          "  inv 1 register: %t12: golden 2, netlist 1";
+          "  inv 1 register: %t13: golden 2, netlist 1";
+          "  inv 1 memory: b: b[2]: 10 vs 0";
+          "  inv 2 register: %t11: golden 3, netlist 4";
+          "  inv 2 register: %t12: golden 3, netlist 4";
+          "  inv 2 register: %t13: golden 6, netlist 8";
+          "  inv 2 memory: b: b[2]: 20 vs 10";
+          "  inv 3 register: %t11: golden 8, netlist 6";
+          "  ... and 8 more" ];
+      String.concat "\n"
+        [ "main/cond:loop_exit12 [u1+seq/heuristic]: 4 invocations, 6 \
+           MISMATCHES; cycles sim=2112 est=2112 (+0.00%) within tolerance";
+          "  inv 2 register: %t4: golden 1, netlist 0";
+          "  inv 2 memory: out: out[1]: 10 vs 0";
+          "  inv 3 register: %t4: golden 2, netlist 0";
+          "  inv 3 memory: out: out[1]: 40 vs 10";
+          "  inv 4 register: %t4: golden 3, netlist 0";
+          "  inv 4 memory: out: out[1]: 100 vs 40" ] ]
+  in
+  let reports ?faults specs =
+    List.map Rtl.Cosim.report_to_string
+      (Rtl.Cosim.run_many ?faults a.Core.Cayman.program specs)
+  in
+  List.iter
+    (fun engine ->
+      Sim.Interp.with_engine engine @@ fun () ->
+      Memo.Store.without_cache @@ fun () ->
+      let check name want got =
+        Alcotest.(check (list string))
+          (name ^ " @ " ^ Sim.Interp.engine_name engine)
+          want got
+      in
+      check "exit target is the next entry" [ line_a; line_b ]
+        (reports [ ka; kb ]);
+      check "reversed kernel order" [ line_b; line_a ] (reports [ kb; ka ]);
+      check "shared entry" [ line_a; line_b; line_o ] (reports [ ka; kb; ko ]);
+      check "injected faults" faulted
+        (reports
+           ~faults:
+             [ None, fault "i6" (Rtl.Sim.Flip_bit 1) 3;
+               None, fault "t4" Rtl.Sim.Stuck_zero 1 ]
+           [ ka; kb ]))
+    [ Sim.Interp.Reference; Sim.Interp.Staged ]
+
 (* --- random-program smoke test --- *)
 
 let compile_ok src =
@@ -402,6 +515,8 @@ let tests =
       test_cosim_three_modes;
     Alcotest.test_case "cosim: uniform-trip kernel cycles are exact" `Quick
       test_cosim_exact_cycles;
+    Alcotest.test_case "cosim: one block exits a kernel and enters another"
+      `Quick test_cosim_shared_exit_entry;
     Alcotest.test_case "sim: error paths carry their exact text" `Quick
       test_sim_errors;
     Alcotest.test_case "sim: unreachable damage is never raised" `Quick

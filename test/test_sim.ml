@@ -30,6 +30,45 @@ let test_memory_basics () =
    | _ -> Alcotest.fail "unknown array must fault"
    | exception Sim.Memory.Fault _ -> ())
 
+(* [Memory.diff] reports an array exactly when [Float.equal] or integer
+   equality finds a differing element: NaNs match each other, and 0.0
+   matches -0.0. *)
+let qcheck_memory_diff_equality =
+  let program =
+    Ir.Program.v
+      ~globals:
+        [ { Ir.Program.gname = "a"; elem = Ir.Types.I32; dims = [ 4 ] };
+          { Ir.Program.gname = "f"; elem = Ir.Types.F32; dims = [ 4 ] } ]
+      ~funcs:[] ~main:"main"
+  in
+  let fill ints floats =
+    let m = Sim.Memory.create program in
+    List.iteri
+      (fun i n -> Sim.Memory.store m ~base:"a" ~index:i (Sim.Value.Vint n))
+      ints;
+    List.iteri
+      (fun i x -> Sim.Memory.store m ~base:"f" ~index:i (Sim.Value.Vfloat x))
+      floats;
+    m
+  in
+  let cells =
+    QCheck.(
+      pair
+        (list_of_size (Gen.return 4) (int_range 0 1))
+        (list_of_size (Gen.return 4)
+           (oneofl [ 0.0; -0.0; nan; Float.neg nan; 1.0; infinity ])))
+  in
+  Testutil.qtest ~count:300 "memory diff matches element equality"
+    (QCheck.pair cells cells) (fun ((ia, fa), (ib, fb)) ->
+      let reported =
+        List.map fst (Sim.Memory.diff (fill ia fa) (fill ib fb))
+      in
+      let expected =
+        (if List.for_all2 Int.equal ia ib then [] else [ "a" ])
+        @ if List.for_all2 Float.equal fa fb then [] else [ "f" ]
+      in
+      reported = expected)
+
 let test_runtime_errors () =
   let run src =
     let program = Cayman_frontend.Lower.compile src in
@@ -253,4 +292,5 @@ let tests =
     Alcotest.test_case "region profiling" `Quick test_region_profile;
     Alcotest.test_case "determinism" `Quick test_determinism;
     qcheck_interp_matches_reference;
-    qcheck_array_sum ]
+    qcheck_array_sum;
+    qcheck_memory_diff_equality ]
