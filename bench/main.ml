@@ -792,10 +792,7 @@ let ablation_dse () =
             An.Region.iter
               (fun r ->
                 if r.An.Region.kind = An.Region.Loop_region then begin
-                  let cycles =
-                    Sim.Profile.region_cycles ctx.Hls.Ctx.func
-                      a.Core.Cayman.profile r
-                  in
+                  let cycles = Hls.Ctx.region_cycles ctx r in
                   match !bestr with
                   | Some (_, _, c) when c >= cycles -> ()
                   | Some _ | None ->
@@ -1592,8 +1589,9 @@ let usage () =
        byte-identical for every N (wall-time reports go to stderr).\n\
        --json BASE additionally writes BASE_<experiment>.json for the\n\
        experiments with machine-readable output plus BASE_metrics.json and\n\
-       BASE_cache.json; stdout is unchanged. The opt-in fleet and serve\n\
-       experiments exit 1 when their own checks fail.\n\
+       BASE_cache.json (exit 1 when the metrics snapshot is empty);\n\
+       stdout is unchanged. The opt-in fleet and serve experiments exit\n\
+       1 when their own checks fail.\n\
        --fuel N bounds every interpreter run at N executed instructions\n\
        (also CAYMAN_FUEL); exhaustion is a diagnostic, not a hang.\n\
        The on-disk memoization cache (CAYMAN_CACHE_DIR, default\n\
@@ -1657,8 +1655,16 @@ let () =
      memoization-cache report (BASE_cache.json: enabled/dir, hit and
      miss counters, store size). Counters and histograms are
      schedule-independent, so the files are comparable across
-     CAYMAN_JOBS values up to the gauge entries. *)
+     CAYMAN_JOBS values up to the gauge entries. A run whose metrics
+     snapshot is empty exits 1: the experiments ran with no metric
+     recorded, so the metrics surface itself is broken. *)
   if Json_out.enabled () then begin
+    let n_metrics = List.length (Obs.Metrics.snapshot ()) in
     Json_out.write "metrics" (Obs.Metrics.to_json ());
-    Json_out.write "cache" (Memo.Store.report_json ~wall_s:wall)
+    Json_out.write "cache" (Memo.Store.report_json ~wall_s:wall);
+    if n_metrics = 0 then begin
+      prerr_endline "main.exe: the metrics snapshot is empty";
+      exit 1
+    end;
+    Printf.eprintf "metrics ok: %d entries\n%!" n_metrics
   end

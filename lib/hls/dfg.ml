@@ -7,14 +7,15 @@ type t = {
   live_in_uses : (string, int list) Hashtbl.t;
   last_def : (string, int) Hashtbl.t;
   mem : int list;
-  units : (Ir.Op.unit_kind * int) list;
+  units : int array;
   n_defs : int;
+  has_call : bool;
 }
 
 let unit_kinds = Array.of_list Ir.Op.all_unit_kinds
 
-(* Multiset of datapath unit kinds used by the block's compute nodes, in
-   [Ir.Op.all_unit_kinds] order. *)
+(* Multiset of datapath unit kinds used by the block's compute nodes:
+   one count per kind, in [Ir.Op.all_unit_kinds] order. *)
 let units_of instrs =
   let counts = Array.make (Array.length unit_kinds) 0 in
   Array.iter
@@ -26,11 +27,7 @@ let units_of instrs =
         counts.(!j) <- counts.(!j) + 1
       | None -> ())
     instrs;
-  let acc = ref [] in
-  for j = Array.length unit_kinds - 1 downto 0 do
-    if counts.(j) > 0 then acc := (unit_kinds.(j), counts.(j)) :: !acc
-  done;
-  !acc
+  counts
 
 (* Build the data-flow graph of one block: data dependencies through
    registers plus conservative ordering between same-base memory accesses
@@ -92,12 +89,21 @@ let of_block (b : Ir.Block.t) =
        | None -> ()))
     instrs;
   { block = b; instrs; preds; live_in_uses; last_def; mem = List.rev !mem;
-    units = units_of instrs; n_defs = !n_defs }
+    units = units_of instrs; n_defs = !n_defs;
+    has_call = Array.exists Ir.Instr.is_call instrs }
 
 let size t = Array.length t.instrs
 let mem_nodes t = t.mem
-let has_call t = Array.exists Ir.Instr.is_call t.instrs
-let unit_counts t = t.units
+let has_call t = t.has_call
+
+let unit_list counts =
+  let acc = ref [] in
+  for j = Array.length unit_kinds - 1 downto 0 do
+    if counts.(j) > 0 then acc := (unit_kinds.(j), counts.(j)) :: !acc
+  done;
+  !acc
+
+let unit_counts t = unit_list t.units
 let n_defs t = t.n_defs
 
 (* Longest path (in summed per-node weights) from any node in [sources] to

@@ -1,8 +1,8 @@
 (** Per-block data-flow graphs.
 
     {!of_block} computes every per-block summary ({!mem_nodes},
-    {!unit_counts}, {!n_defs}) once; the accessors return the stored
-    values.
+    {!unit_counts}, {!n_defs}, {!has_call}) once; the accessors return
+    the stored values.
 
     Nodes are the block's instructions (by index). Edges are register
     def-use dependencies plus conservative ordering between same-base
@@ -16,8 +16,11 @@ type t = {
   live_in_uses : (string, int list) Hashtbl.t;
   last_def : (string, int) Hashtbl.t;
   mem : int list;  (** see {!mem_nodes} *)
-  units : (Cayman_ir.Op.unit_kind * int) list;  (** see {!unit_counts} *)
+  units : int array;
+      (** count of each datapath unit kind used by compute nodes, in
+          [Cayman_ir.Op.all_unit_kinds] order *)
   n_defs : int;  (** see {!n_defs} *)
+  has_call : bool;  (** see {!has_call} *)
 }
 
 val of_block : Cayman_ir.Block.t -> t
@@ -28,8 +31,14 @@ val mem_nodes : t -> int list
 
 val has_call : t -> bool
 
-(** Multiset of datapath unit kinds used by compute nodes (stable order). *)
+(** Multiset of datapath unit kinds used by compute nodes, in
+    [Cayman_ir.Op.all_unit_kinds] order (the nonzero entries of
+    [units]). *)
 val unit_counts : t -> (Cayman_ir.Op.unit_kind * int) list
+
+(** [unit_list counts]: the nonzero entries of a count array in
+    [Cayman_ir.Op.all_unit_kinds] order, as [(kind, count)] pairs. *)
+val unit_list : int array -> (Cayman_ir.Op.unit_kind * int) list
 
 (** Registers the block defines ([List.length (Block.defs block)]). *)
 val n_defs : t -> int

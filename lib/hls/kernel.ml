@@ -82,11 +82,6 @@ let default_beta = 4.0
 
 (* --- helpers --- *)
 
-let region_has_call (ctx : Ctx.t) (r : An.Region.t) =
-  An.Region.String_set.exists
-    (fun label -> Dfg.has_call (Ctx.dfg ctx label))
-    r.An.Region.blocks
-
 (* A loop is pipelineable when it is innermost with a straight-line
    body: either the canonical header/body/latch shape, or the two-block
    shape left after CFG simplification fuses the body into the latch. *)
@@ -106,29 +101,68 @@ let pipeline_body (ctx : Ctx.t) (l : An.Loops.loop) =
        | _ :: _ :: _ -> None)
     | [] | _ :: _ :: _ -> None
 
-let unroll_factor (ctx : Ctx.t) config (l : An.Loops.loop) =
-  if config.unroll <= 1 then 1
-  else
-    match Ctx.loop_info ctx l.An.Loops.header with
-    | Some info when not (An.Memdep.has_carried_dep info) ->
-      let trip = Ctx.trip ctx l.An.Loops.header in
-      if trip >= config.unroll then config.unroll else 1
-    | Some _ | None -> 1
+let unit_kinds = Array.of_list Ir.Op.all_unit_kinds
 
+(* Area of a unit multiset given as counts in [unit_kinds] order. *)
+let units_area counts =
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun j c ->
+      if c > 0 then acc := !acc +. (float_of_int c *. Tech.area unit_kinds.(j)))
+    counts;
+  !acc
+
+(* The interface of node [i] in a block's kind array; nodes past its end
+   (every node of a block without memory accesses) are coupled. *)
+let kind_at (kinds : Iface.kind array) i =
+  if i < Array.length kinds then kinds.(i) else Iface.Coupled
 
 (* --- per-region facts --- *)
 
+(* One entry of the block-plan table: what a block contributes to any
+   configuration that schedules it with [s_banks] scratchpad banks under
+   the interface vector [s_kinds]. A sequential block has two banks and
+   multiplier 1; a pipelined body unrolled [u] times has [2 * u] banks
+   and multiplier [u], so the bank count fixes the multiplier. *)
+type summary = {
+  s_banks : int;
+  s_kinds : Iface.kind array;
+  s_length : int;  (* schedule length *)
+  mutable s_ii : int;
+      (* initiation interval as a pipelined body; 0 until a pipelined
+         configuration first asks for it *)
+  s_iface_area : float;  (* interface area at multiplier [s_banks / 2] *)
+  s_coupled : int;  (* accesses per interface kind, scan counted as coupled *)
+  s_decoupled : int;
+  s_scratchpad : int;
+}
+
+(* One block of the region with what the estimator reads about it. *)
+type block = {
+  b_label : string;
+  b_slot : int;  (* its index in the region's sorted labels *)
+  b_dfg : Dfg.t;
+  b_execs : int;
+  b_units_area : float;
+  mutable b_summaries : summary list;
+      (* this block's row of the block-plan table; filled by the sweep
+         that built the facts, which never leave it *)
+}
+
 (* One memory access of the region with every fact the interface
    assignment reads about it: its static footprint over one region
-   execution (under the trip counts of the loops inside the region) and
-   its Scev pattern. *)
+   execution (under the trip counts of the loops inside the region),
+   its Scev pattern, and where it sits. *)
 type access = {
-  a_label : string;
+  a_slot : int;  (* its block *)
   a_pos : int;
   a_base : string;
   a_store : bool;
   a_footprint : int option;
   a_pattern : An.Scev.pattern;
+  a_pipe : int option;
+      (* index in [f_pipelineable] of the loop whose body holds it *)
+  a_static : int option;  (* index in [f_static_arrays] of its array *)
 }
 
 (* An array all of whose accesses in the region have a static footprint:
@@ -137,6 +171,19 @@ type static_array = {
   st_base : string;
   st_execs : int;  (* its accesses over the whole run *)
   st_footprint : int;  (* union footprint of one region execution *)
+  st_loaded : bool;  (* some access loads it *)
+  st_stored : bool;  (* some access stores it *)
+}
+
+(* A loop inside the region that pipelines when asked. *)
+type pipe_loop = {
+  pl_loop : An.Loops.loop;
+  pl_body : block;
+  pl_trip : int;  (* profiled trip count, positive *)
+  pl_unroll_trip : int;
+      (* [pl_trip] when the loop has no carried dependency, else 0: an
+         unroll factor up to it applies, a larger one falls back to 1 *)
+  pl_entries : int;  (* entries from outside the loop, at least 1 *)
 }
 
 (* Everything the model reads about a call-free region that does not
@@ -144,11 +191,13 @@ type static_array = {
    evaluates each configuration over the result. *)
 type facts = {
   f_region : An.Region.t;
-  f_pipelineable : (An.Loops.loop * string) list;
-      (* loops inside the region that pipeline when asked, with their
-         body block *)
+  f_labels : string array;  (* the region's blocks, sorted *)
+  f_blocks : block array;  (* by slot *)
+  f_pipelineable : pipe_loop array;
+  f_seq_all : block list;  (* every block: the configurations without pipelining *)
+  f_seq_piped : block list;  (* the blocks outside [f_pipelineable] *)
   f_accesses : access list;
-  f_static_arrays : static_array list;
+  f_static_arrays : static_array array;  (* sorted by array name *)
   f_cpu_cycles : int;
   f_entries : int;
 }
@@ -156,24 +205,59 @@ type facts = {
 (* The facts of [r], or [None] when it contains a call (never
    synthesized). *)
 let region_facts (ctx : Ctx.t) (r : An.Region.t) =
-  if region_has_call ctx r then None
+  let labels = Array.of_list (An.Region.String_set.elements r.An.Region.blocks) in
+  let ids = Array.map (Ir.Cfg.id ctx.Ctx.cfg) labels in
+  if Array.exists (fun id -> Dfg.has_call ctx.Ctx.dfgs.(id)) ids then None
   else begin
+    let blocks =
+      Array.mapi
+        (fun b_slot b_label ->
+          let id = ids.(b_slot) in
+          let b_dfg = ctx.Ctx.dfgs.(id) in
+          { b_label; b_slot; b_dfg; b_execs = fst ctx.Ctx.blocks.(id);
+            b_units_area = units_area b_dfg.Dfg.units; b_summaries = [] })
+        labels
+    in
     let pipelineable =
-      List.filter_map
-        (fun l ->
-          match pipeline_body ctx l with
-          | Some body when Ctx.trip ctx l.An.Loops.header > 0 -> Some (l, body)
-          | Some _ | None -> None)
-        (Ctx.loops_inside ctx r)
+      Array.of_list
+        (List.filter_map
+           (fun (l : An.Loops.loop) ->
+             let header = l.An.Loops.header in
+             match pipeline_body ctx l with
+             | Some body when Ctx.trip ctx header > 0 ->
+               let slot =
+                 match Array.find_index (String.equal body) labels with
+                 | Some slot -> slot
+                 | None ->
+                   raise
+                     (Internal_error
+                        (Printf.sprintf
+                           "hls.kernel: body %s of loop %s is outside region %d"
+                           body header r.An.Region.id))
+               in
+               let trip = Ctx.trip ctx header in
+               Some
+                 { pl_loop = l; pl_body = blocks.(slot); pl_trip = trip;
+                   pl_unroll_trip =
+                     (match Ctx.loop_info ctx header with
+                      | Some info when not (An.Memdep.has_carried_dep info) ->
+                        trip
+                      | Some _ | None -> 0);
+                   pl_entries = max 1 (Ctx.loop_entries ctx l) }
+             | Some _ | None -> None)
+           (Ctx.loops_inside ctx r))
     in
     let accesses =
-      An.Region.String_set.fold
-        (fun label acc ->
-          let dfg = Ctx.dfg ctx label in
+      Array.fold_left
+        (fun acc b ->
+          let label = b.b_label in
           let trips = Ctx.region_trips ctx r label in
+          let pipe =
+            Array.find_index (fun p -> p.pl_body.b_slot = b.b_slot) pipelineable
+          in
           List.fold_left
             (fun acc i ->
-              let instr = dfg.Dfg.instrs.(i) in
+              let instr = b.b_dfg.Dfg.instrs.(i) in
               let base =
                 match Ir.Instr.mem_ref_of instr with
                 | Some m -> m.Ir.Instr.base
@@ -192,13 +276,14 @@ let region_facts (ctx : Ctx.t) (r : An.Region.t) =
                 | Ir.Instr.Compare _ | Ir.Instr.Select _ | Ir.Instr.Load _
                 | Ir.Instr.Call _ -> false
               in
-              { a_label = label; a_pos = i; a_base = base; a_store;
+              { a_slot = b.b_slot; a_pos = i; a_base = base; a_store;
                 a_footprint =
                   An.Scev.footprint ctx.Ctx.scev ~block:label ~pos:i ~trips;
-                a_pattern = An.Scev.classify ctx.Ctx.scev ~block:label ~pos:i }
+                a_pattern = An.Scev.classify ctx.Ctx.scev ~block:label ~pos:i;
+                a_pipe = pipe; a_static = None }
               :: acc)
-            acc (Dfg.mem_nodes dfg))
-        r.An.Region.blocks []
+            acc (Dfg.mem_nodes b.b_dfg))
+        [] blocks
     in
     (* Per array: total accesses over the run and union footprint, kept
        only when every access is statically analyzable. *)
@@ -215,20 +300,42 @@ let region_facts (ctx : Ctx.t) (r : An.Region.t) =
           else
             { st_base;
               st_execs =
-                List.fold_left
-                  (fun n a -> n + Ctx.block_exec ctx a.a_label)
-                  0 group;
+                List.fold_left (fun n a -> n + blocks.(a.a_slot).b_execs) 0 group;
               st_footprint =
                 List.fold_left
                   (fun m a -> max m (Option.value a.a_footprint ~default:0))
-                  0 group }
+                  0 group;
+              st_loaded = List.exists (fun a -> not a.a_store) group;
+              st_stored = List.exists (fun a -> a.a_store) group }
             :: acc)
         by_base []
+      |> List.sort (fun a b -> String.compare a.st_base b.st_base)
+      |> Array.of_list
     in
     Some
       { f_region = r;
+        f_labels = labels;
+        f_blocks = blocks;
         f_pipelineable = pipelineable;
-        f_accesses = accesses;
+        f_seq_all = Array.to_list blocks;
+        f_seq_piped =
+          List.filter
+            (fun b ->
+              not
+                (Array.exists
+                   (fun p ->
+                     An.Loops.String_set.mem b.b_label p.pl_loop.An.Loops.blocks)
+                   pipelineable))
+            (Array.to_list blocks);
+        f_accesses =
+          List.map
+            (fun a ->
+              { a with
+                a_static =
+                  Array.find_index
+                    (fun st -> String.equal st.st_base a.a_base)
+                    static_arrays })
+            accesses;
         f_static_arrays = static_arrays;
         f_cpu_cycles = Ctx.region_cycles ctx r;
         f_entries = Ctx.region_entries ctx r }
@@ -245,31 +352,28 @@ type sp_array = {
 }
 
 type assignment = {
-  table : (string * int, Iface.kind) Hashtbl.t;
+  labels : string array;  (* the region's blocks, sorted *)
+  kinds : Iface.kind array array;
+      (* per block (in [labels] order), the interface of each DFG node;
+         [[||]] for a block without memory accesses *)
   sp_arrays : sp_array list;
 }
-
-let iface_of assignment label i =
-  match Hashtbl.find_opt assignment.table (label, i) with
-  | Some k -> k
-  | None -> Iface.Coupled
 
 (* Decide the interface of every memory access in the region per the
    paper's heuristic, applied per array: an array whose total access count
    over one region execution exceeds beta times its statically-known
    footprint is cached in a scratchpad (reuse across accesses justifies
    the buffer); remaining stream accesses inside pipelined loops become
-   decoupled; everything else stays coupled. *)
-let assign_interfaces (f : facts) ~beta ~config
-    ~(pipelined : (An.Loops.loop * string * int) list) =
-  let table = Hashtbl.create 32 in
-  let body_of = List.map (fun (_, body, u) -> body, u) pipelined in
-  (* Scratchpad arrays with their buffer words. *)
-  let sp_bases =
+   decoupled; everything else stays coupled. [unrolls] holds the unroll
+   factor of each pipelineable loop, and is empty when the configuration
+   does not pipeline. *)
+let assign_interfaces (f : facts) ~beta ~config ~(unrolls : int array) =
+  (* Scratchpad arrays, by index in [f_static_arrays]. *)
+  let selected =
     match config.mode with
     | Heuristic | Scratchpad_preferred ->
       let invocations = max 1 f.f_entries in
-      List.filter_map
+      Array.map
         (fun st ->
           let per_inv =
             float_of_int st.st_execs /. float_of_int invocations
@@ -280,58 +384,61 @@ let assign_interfaces (f : facts) ~beta ~config
             | Heuristic | Coupled_only | Scan_only | Decoupled_preferred ->
               per_inv >= beta *. float_of_int st.st_footprint
           in
-          if
-            st.st_footprint > 0 && st.st_footprint <= max_scratchpad_words
-            && profitable
-          then Some (st.st_base, st.st_footprint)
-          else None)
+          st.st_footprint > 0 && st.st_footprint <= max_scratchpad_words
+          && profitable)
         f.f_static_arrays
-    | Coupled_only | Scan_only | Decoupled_preferred -> []
+    | Coupled_only | Scan_only | Decoupled_preferred ->
+      Array.make (Array.length f.f_static_arrays) false
   in
+  let banks = Array.make (Array.length f.f_static_arrays) 1 in
+  let kinds = Array.make (Array.length f.f_blocks) [||] in
   (* Per-access assignment. *)
-  let sp_info : (string, int * bool * bool * int) Hashtbl.t = Hashtbl.create 4 in
   List.iter
     (fun a ->
-      let in_pipe = List.assoc_opt a.a_label body_of in
-      let sp_words = List.assoc_opt a.a_base sp_bases in
+      let in_pipe =
+        match a.a_pipe with
+        | Some i when Array.length unrolls > 0 -> Some unrolls.(i)
+        | Some _ | None -> None
+      in
+      let sp =
+        match a.a_static with Some i -> selected.(i) | None -> false
+      in
       let kind =
-        match config.mode, sp_words with
+        match config.mode, sp with
         | Scan_only, _ -> Iface.Scan
         | Coupled_only, _ -> Iface.Coupled
         | Decoupled_preferred, _ ->
           (match a.a_pattern with
            | An.Scev.Invariant | An.Scev.Stream _ -> Iface.Decoupled
            | An.Scev.Irregular -> Iface.Coupled)
-        | (Scratchpad_preferred | Heuristic), Some _ -> Iface.Scratchpad
-        | Scratchpad_preferred, None -> Iface.Coupled
-        | Heuristic, None ->
+        | (Scratchpad_preferred | Heuristic), true -> Iface.Scratchpad
+        | Scratchpad_preferred, false -> Iface.Coupled
+        | Heuristic, false ->
           (match in_pipe, a.a_pattern with
            | Some _, (An.Scev.Invariant | An.Scev.Stream _) -> Iface.Decoupled
            | _, _ -> Iface.Coupled)
       in
-      Hashtbl.replace table (a.a_label, a.a_pos) kind;
-      match kind, sp_words with
-      | Iface.Scratchpad, Some words ->
-        let banks = Option.value in_pipe ~default:1 in
-        let words0, loaded, stored, banks0 =
-          try Hashtbl.find sp_info a.a_base with Not_found -> 0, false, false, 1
-        in
-        Hashtbl.replace sp_info a.a_base
-          ( max words0 words,
-            loaded || not a.a_store,
-            stored || a.a_store,
-            max banks0 banks )
-      | (Iface.Scratchpad | Iface.Coupled | Iface.Decoupled | Iface.Scan), _ ->
-        ())
+      if Array.length kinds.(a.a_slot) = 0 then
+        kinds.(a.a_slot) <-
+          Array.make (Dfg.size f.f_blocks.(a.a_slot).b_dfg) Iface.Coupled;
+      kinds.(a.a_slot).(a.a_pos) <- kind;
+      match a.a_static with
+      | Some i when sp ->
+        banks.(i) <- max banks.(i) (Option.value in_pipe ~default:1)
+      | Some _ | None -> ())
     f.f_accesses;
-  let sp_arrays =
-    Hashtbl.fold
-      (fun sp_base (sp_words, sp_loaded, sp_stored, sp_banks) acc ->
-        { sp_base; sp_words; sp_loaded; sp_stored; sp_banks } :: acc)
-      sp_info []
-    |> List.sort (fun a b -> String.compare a.sp_base b.sp_base)
-  in
-  { table; sp_arrays }
+  let sp_arrays = ref [] in
+  for i = Array.length selected - 1 downto 0 do
+    if selected.(i) then begin
+      let st = f.f_static_arrays.(i) in
+      sp_arrays :=
+        { sp_base = st.st_base; sp_words = st.st_footprint;
+          sp_loaded = st.st_loaded; sp_stored = st.st_stored;
+          sp_banks = banks.(i) }
+        :: !sp_arrays
+    end
+  done;
+  { labels = f.f_labels; kinds; sp_arrays = !sp_arrays }
 
 (* --- synthesis plan --- *)
 
@@ -347,35 +454,40 @@ type plan = {
   p_seq_blocks : string list;
 }
 
-let plan_of_facts (ctx : Ctx.t) (f : facts) ~beta config =
-  let pipelined =
-    if not config.pipeline then []
-    else
-      List.map
-        (fun (l, body) -> l, body, unroll_factor ctx config l)
-        f.f_pipelineable
+(* The unroll factor of a pipelineable loop: applied only to loops
+   without carried dependencies that run at least that many times. *)
+let unroll_factor config p =
+  if config.unroll > 1 && p.pl_unroll_trip >= config.unroll then config.unroll
+  else 1
+
+let seq_blocks f config = if config.pipeline then f.f_seq_piped else f.f_seq_all
+
+let plan_of_facts (f : facts) ~beta config =
+  let unrolls =
+    if config.pipeline then Array.map (unroll_factor config) f.f_pipelineable
+    else [||]
   in
-  let assignment = assign_interfaces f ~beta ~config ~pipelined in
-  let pipe_blocks =
-    List.fold_left
-      (fun acc ((l : An.Loops.loop), _, _) ->
-        An.Region.String_set.union acc l.An.Loops.blocks)
-      An.Region.String_set.empty pipelined
-  in
-  let seq_blocks =
-    An.Region.String_set.elements
-      (An.Region.String_set.diff f.f_region.An.Region.blocks pipe_blocks)
-  in
-  { p_region = f.f_region; p_config = config; p_pipelined = pipelined;
-    p_assignment = assignment; p_seq_blocks = seq_blocks }
+  let pipelined = ref [] in
+  for i = Array.length unrolls - 1 downto 0 do
+    let p = f.f_pipelineable.(i) in
+    pipelined := (p.pl_loop, p.pl_body.b_label, unrolls.(i)) :: !pipelined
+  done;
+  { p_region = f.f_region; p_config = config; p_pipelined = !pipelined;
+    p_assignment = assign_interfaces f ~beta ~config ~unrolls;
+    p_seq_blocks = List.map (fun b -> b.b_label) (seq_blocks f config) }
 
 let plan (ctx : Ctx.t) (r : An.Region.t) ?(beta = default_beta) config =
   (* A malformed configuration (non-positive unroll, e.g. from a fault
      campaign's corrupted input) is unsynthesizable, not a crash. *)
   if config.unroll <= 0 then None
-  else Option.map (fun f -> plan_of_facts ctx f ~beta config) (region_facts ctx r)
+  else Option.map (fun f -> plan_of_facts f ~beta config) (region_facts ctx r)
 
-let plan_iface p label i = iface_of p.p_assignment label i
+let plan_iface p label =
+  let a = p.p_assignment in
+  kind_at
+    (match Array.find_index (String.equal label) a.labels with
+     | Some slot -> a.kinds.(slot)
+     | None -> [||])
 
 let plan_sp_arrays p =
   List.map (fun sp -> sp.sp_base, sp.sp_words) p.p_assignment.sp_arrays
@@ -413,108 +525,123 @@ let plan_dma_per_inv p =
 
 (* --- estimation --- *)
 
-let merge_units lists =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (List.iter (fun (k, c) ->
-       let prev = try Hashtbl.find tbl k with Not_found -> 0 in
-       Hashtbl.replace tbl k (prev + c)))
-    lists;
-  List.filter_map
-    (fun k ->
-      match Hashtbl.find_opt tbl k with
-      | Some c when c > 0 -> Some (k, c)
-      | Some _ | None -> None)
-    Ir.Op.all_unit_kinds
+let same_kinds (a : Iface.kind array) b =
+  a == b
+  || Array.length a = Array.length b
+     &&
+     let rec go i = i < 0 || (a.(i) == b.(i) && go (i - 1)) in
+     go (Array.length a - 1)
 
-let units_area units =
-  List.fold_left (fun acc (k, c) -> acc +. (float_of_int c *. Tech.area k)) 0.0 units
+(* The summary of block [b] under [banks] scratchpad banks and the
+   interface vector [kinds]: found in the block's table row, or
+   scheduled and added to it. *)
+let summary (b : block) ~banks kinds =
+  let rec find = function
+    | s :: rest ->
+      if s.s_banks = banks && same_kinds s.s_kinds kinds then s else find rest
+    | [] ->
+      let iface = kind_at kinds in
+      let sched = Schedule.run ~sp_banks:banks b.b_dfg ~iface in
+      let mult = float_of_int (banks / 2) in
+      let area = ref 0.0 in
+      let c = ref 0 and d = ref 0 and sp = ref 0 in
+      List.iter
+        (fun i ->
+          let k = iface i in
+          area := !area +. (mult *. Iface.per_access_area k);
+          match k with
+          | Iface.Coupled | Iface.Scan -> incr c
+          | Iface.Decoupled -> incr d
+          | Iface.Scratchpad -> incr sp)
+        (Dfg.mem_nodes b.b_dfg);
+      let s =
+        { s_banks = banks; s_kinds = kinds; s_length = sched.Schedule.length;
+          s_ii = 0; s_iface_area = !area; s_coupled = !c; s_decoupled = !d;
+          s_scratchpad = !sp }
+      in
+      b.b_summaries <- s :: b.b_summaries;
+      s
+  in
+  find b.b_summaries
 
-let scale_units mult units = List.map (fun (k, c) -> k, c * mult) units
+(* The initiation interval of a pipelined body under the summary [s]
+   (unrolled [s_banks / 2] times), computed on first use. *)
+let body_ii (ctx : Ctx.t) (p : pipe_loop) s =
+  if s.s_ii = 0 then
+    s.s_ii <-
+      Pipeline.ii ctx p.pl_body.b_dfg ~iface:(kind_at s.s_kinds) p.pl_loop
+        ~unroll:(s.s_banks / 2) ~sp_banks:s.s_banks;
+  s.s_ii
 
-(* The design point of one plan over its region's facts. *)
+(* The design point of one plan over its region's facts: a sum of the
+   summaries of its blocks, in block order. *)
 let point_of_plan (ctx : Ctx.t) (f : facts) (pl : plan) =
   let config = pl.p_config in
-  let pipelined = pl.p_pipelined in
   let assignment = pl.p_assignment in
+  let kinds = assignment.kinds in
+  let units = Array.make (Array.length unit_kinds) 0 in
+  let add_units (dfg : Dfg.t) mult =
+    Array.iteri (fun j c -> units.(j) <- units.(j) + (mult * c)) dfg.Dfg.units
+  in
+  let regs_acc = ref 0 in
+  let count_c = ref 0 and count_d = ref 0 and count_s = ref 0 in
+  let count_ifaces s mult =
+    count_c := !count_c + (mult * s.s_coupled);
+    count_d := !count_d + (mult * s.s_decoupled);
+    count_s := !count_s + (mult * s.s_scratchpad)
+  in
   (* sequential blocks *)
   let seq_cycles = ref 0.0 in
   let seq_area = ref 0.0 in
-  let units_acc = ref [] in
-  let regs_acc = ref 0 in
   let n_seq_blocks = ref 0 in
-  let count_c = ref 0 and count_d = ref 0 and count_s = ref 0 in
-  let count_ifaces label dfg mult =
-    List.iter
-      (fun i ->
-        match iface_of assignment label i with
-        | Iface.Coupled | Iface.Scan -> count_c := !count_c + mult
-        | Iface.Decoupled -> count_d := !count_d + mult
-        | Iface.Scratchpad -> count_s := !count_s + mult)
-      (Dfg.mem_nodes dfg)
-  in
-  let iface_area label dfg mult =
-    List.fold_left
-      (fun acc i ->
-        acc
-        +. (float_of_int mult
-            *. Iface.per_access_area (iface_of assignment label i)))
-      0.0 (Dfg.mem_nodes dfg)
-  in
   List.iter
-    (fun label ->
-      let dfg = Ctx.dfg ctx label in
-      let execs = Ctx.block_exec ctx label in
-      let iface i = iface_of assignment label i in
+    (fun b ->
       (* scratchpads are dual-ported SRAM *)
-      let sched = Schedule.run ~sp_banks:2 dfg ~iface in
+      let s = summary b ~banks:2 kinds.(b.b_slot) in
       seq_cycles :=
         !seq_cycles
-        +. (float_of_int execs
-            *. float_of_int (sched.Schedule.length + Tech.seq_ctrl_cycles));
-      let n_defs = Dfg.n_defs dfg in
+        +. (float_of_int b.b_execs
+            *. float_of_int (s.s_length + Tech.seq_ctrl_cycles));
+      let n_defs = Dfg.n_defs b.b_dfg in
       seq_area :=
-        !seq_area
-        +. units_area (Dfg.unit_counts dfg)
+        !seq_area +. b.b_units_area
         +. (float_of_int n_defs *. Tech.register_area)
         +. Tech.block_ctrl_area
-        +. (float_of_int sched.Schedule.length *. Tech.fsm_state_area)
-        +. iface_area label dfg 1;
-      if Dfg.size dfg > 0 then incr n_seq_blocks;
-      units_acc := Dfg.unit_counts dfg :: !units_acc;
+        +. (float_of_int s.s_length *. Tech.fsm_state_area)
+        +. s.s_iface_area;
+      if Dfg.size b.b_dfg > 0 then incr n_seq_blocks;
+      add_units b.b_dfg 1;
       regs_acc := !regs_acc + n_defs;
-      count_ifaces label dfg 1)
-    pl.p_seq_blocks;
+      count_ifaces s 1)
+    (seq_blocks f config);
   (* pipelined loops *)
   let pipe_cycles = ref 0.0 in
   let pipe_area = ref 0.0 in
-  List.iter
-    (fun ((l : An.Loops.loop), body, u) ->
-      let dfg = Ctx.dfg ctx body in
-      let iface i = iface_of assignment body i in
+  List.iteri
+    (fun i (_, _, u) ->
+      let p = f.f_pipelineable.(i) in
+      let b = p.pl_body in
       (* dual-ported SRAM, banked by the unroll factor *)
-      let sched = Schedule.run ~sp_banks:(2 * u) dfg ~iface in
-      let depth = sched.Schedule.length + 1 in
-      let ii = Pipeline.ii ctx dfg ~iface l ~unroll:u ~sp_banks:(2 * u) in
-      let trip = max 1 (Ctx.trip ctx l.An.Loops.header) in
-      let groups = (trip + u - 1) / u in
-      let entries = max 1 (Ctx.loop_entries ctx l) in
+      let s = summary b ~banks:(2 * u) kinds.(b.b_slot) in
+      let depth = s.s_length + 1 in
+      let ii = body_ii ctx p s in
+      let groups = (p.pl_trip + u - 1) / u in
       pipe_cycles :=
         !pipe_cycles
-        +. (float_of_int entries
+        +. (float_of_int p.pl_entries
             *. float_of_int (depth + (ii * (groups - 1)) + 2));
-      let n_defs = Dfg.n_defs dfg in
+      let n_defs = Dfg.n_defs b.b_dfg in
       pipe_area :=
         !pipe_area
-        +. (float_of_int u *. units_area (Dfg.unit_counts dfg))
+        +. (float_of_int u *. b.b_units_area)
         +. (float_of_int (u * n_defs) *. Tech.register_area)
         +. Tech.block_ctrl_area
         +. (float_of_int depth *. Tech.pipeline_stage_area)
-        +. iface_area body dfg u;
-      units_acc := scale_units u (Dfg.unit_counts dfg) :: !units_acc;
+        +. s.s_iface_area;
+      add_units b.b_dfg u;
       regs_acc := !regs_acc + (u * n_defs) + (2 * depth);
-      count_ifaces body dfg u)
-    pipelined;
+      count_ifaces s u)
+    pl.p_pipelined;
   (* scratchpad DMA and buffers *)
   let dma_per_inv = plan_dma_per_inv pl in
   let sp_area =
@@ -538,10 +665,10 @@ let point_of_plan (ctx : Ctx.t) (f : facts) (pl : plan) =
     invocations = f.f_entries;
     area;
     n_seq_blocks = !n_seq_blocks;
-    n_pipelined = List.length pipelined;
+    n_pipelined = List.length pl.p_pipelined;
     ifaces =
       { n_coupled = !count_c; n_decoupled = !count_d; n_scratchpad = !count_s };
-    units = merge_units !units_acc;
+    units = Dfg.unit_list units;
     n_regs = !regs_acc;
     sp_words =
       List.fold_left (fun acc sp -> acc + sp.sp_words) 0 assignment.sp_arrays }
@@ -554,8 +681,8 @@ let fp_schedule = Obs.Faultpoint.register "schedule"
 (* One configuration over the region's facts. [facts] is forced only
    for a configuration with a positive unroll, so a region is analysed
    exactly when the single-configuration model would have analysed it.
-   The lazy value never leaves the caller's stack frame, so no other
-   domain can force it. *)
+   The facts, and the block-plan table they carry, never leave the
+   caller's stack frame, so no other domain can force or fill them. *)
 let estimate_with (ctx : Ctx.t) (facts : facts option Lazy.t) ~beta config =
   Obs.Faultpoint.hit fp_schedule;
   Obs.Metrics.incr m_estimates;
@@ -564,14 +691,16 @@ let estimate_with (ctx : Ctx.t) (facts : facts option Lazy.t) ~beta config =
     match Lazy.force facts with
     | None -> None
     | Some f when f.f_cpu_cycles <= 0 || f.f_entries <= 0 -> None
-    | Some f -> Some (point_of_plan ctx f (plan_of_facts ctx f ~beta config))
+    | Some f -> Some (point_of_plan ctx f (plan_of_facts f ~beta config))
 
 let estimate (ctx : Ctx.t) (r : An.Region.t) ?(beta = default_beta) config =
   estimate_with ctx (lazy (region_facts ctx r)) ~beta config
 
 (* All design points of a kernel for a list of configurations, dropping
    duplicates that collapse to the same (cycles, area). The region's
-   facts are built once and shared by every configuration. *)
+   facts are built once and shared by every configuration, and each
+   distinct block plan is scheduled once: a configuration sums the
+   summaries its blocks find in the facts' block-plan table. *)
 let estimate_all ctx r ?(beta = default_beta) configs =
   let facts = lazy (region_facts ctx r) in
   let points = List.filter_map (estimate_with ctx facts ~beta) configs in

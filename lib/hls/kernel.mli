@@ -112,11 +112,19 @@ val estimate :
   Ctx.t -> Cayman_analysis.Region.t -> ?beta:float -> config -> point option
 
 (** Design points for several configurations, deduplicated by
-    (cycles, area). The same points as one {!estimate} per
-    configuration, but the region's configuration-independent facts
-    (memory accesses with their footprints and Scev patterns, per-array
-    scratchpad inputs, profiled cycles and entries) are computed once
-    for the whole list. *)
+    (cycles, area). The same points, bit for bit, as one {!estimate} per
+    configuration, but computed as one sweep:
+    - the region's configuration-independent facts (memory accesses
+      with their footprints and Scev patterns, per-array scratchpad
+      inputs, pipelineable loops, sequential-block lists, profiled
+      cycles and entries) are computed once for the whole list;
+    - each distinct block plan (block, scratchpad banks, interface
+      vector) is scheduled once, and its summary (schedule length,
+      initiation interval, interface area and counts) is kept in a
+      table local to the sweep; a configuration sums its blocks'
+      summaries. [hls.schedules_run] therefore counts distinct block
+      plans per sweep, while [hls.kernel_estimates] and the [schedule]
+      fault point still count one per configuration. *)
 val estimate_all :
   Ctx.t ->
   Cayman_analysis.Region.t ->

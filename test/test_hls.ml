@@ -479,6 +479,119 @@ let test_estimate_all_classifies_once () =
         (regions_of a));
   Alcotest.(check bool) "regions with accesses checked" true (!checked > 0)
 
+(* The distinct block plans of [configs] over region [r], counted from
+   the plans alone: one (block, scratchpad banks, interface vector) triple
+   per sequential block (two banks) and per pipelined body (two banks per
+   unroll), over the configurations that yield a design point. *)
+let distinct_block_plans ctx r configs =
+  let triples = Hashtbl.create 16 in
+  List.iter
+    (fun config ->
+      match Hls.Kernel.estimate ctx r config, Hls.Kernel.plan ctx r config with
+      | Some _, Some p ->
+        let add label banks =
+          let kinds =
+            List.map
+              (Hls.Kernel.plan_iface p label)
+              (Hls.Dfg.mem_nodes (Hls.Ctx.dfg ctx label))
+          in
+          Hashtbl.replace triples (label, banks, kinds) ()
+        in
+        List.iter (fun label -> add label 2) p.Hls.Kernel.p_seq_blocks;
+        List.iter (fun (_, body, u) -> add body (2 * u)) p.Hls.Kernel.p_pipelined
+      | None, _ | Some _, None -> ())
+    configs;
+  Hashtbl.length triples
+
+let m_schedules = Obs.Metrics.counter "hls.schedules_run"
+
+(* The schedules one [estimate_all] sweep runs. *)
+let sweep_schedules ctx r configs =
+  let before = Obs.Metrics.value m_schedules in
+  let points = Hls.Kernel.estimate_all ctx r configs in
+  points, Obs.Metrics.value m_schedules - before
+
+(* A sweep schedules each distinct block plan once: over the seven
+   Heuristic configurations of every atax region, the schedules one
+   [estimate_all] runs are exactly the distinct block plans. *)
+let test_estimate_all_schedules_once () =
+  let a =
+    Core.Cayman.analyze
+      (Cayman_suites.Suite.compile (Cayman_suites.Suite.find_exn "atax"))
+  in
+  let configs = Hls.Kernel.default_configs Hls.Kernel.Heuristic in
+  let shared = ref 0 in
+  List.iter
+    (fun ((ctx : Hls.Ctx.t), (r : An.Region.t)) ->
+      let expected = distinct_block_plans ctx r configs in
+      let _, ran = sweep_schedules ctx r configs in
+      Alcotest.(check int)
+        (An.Region.name r ^ " schedules each block plan once")
+        expected ran;
+      (* a region whose configurations share block plans *)
+      let per_config =
+        List.fold_left
+          (fun n c -> n + distinct_block_plans ctx r [ c ])
+          0 configs
+      in
+      if per_config > expected then incr shared)
+    (regions_of a);
+  Alcotest.(check bool) "some sweeps share block plans" true (!shared > 0)
+
+(* Two configurations that differ only in unroll give a scratchpad-bound
+   body the same interface vector but different bank counts; the table
+   must keep them apart. The body's twelve independent scratchpad
+   accesses need three cycles of four banks but two of eight. *)
+let test_block_plans_keep_bank_counts () =
+  let src =
+    {|const int N = 64;
+      const int M = 72;
+      float a[M];
+      float b0[N]; float b1[N]; float b2[N]; float b3[N]; float b4[N];
+      float b5[N];
+      void kernel() {
+        for (int i = 0; i < N; i++) {
+          b0[i] = a[i]; b1[i] = a[i + 1]; b2[i] = a[i + 2];
+          b3[i] = a[i + 3]; b4[i] = a[i + 4]; b5[i] = a[i + 5];
+        }
+      }
+      int main() {
+        for (int i = 0; i < M; i++) { a[i] = 1.0; }
+        for (int t = 0; t < 4; t++) { kernel(); }
+        return (int)b5[0];
+      }|}
+  in
+  let ctx = compile_ctx src "kernel" in
+  let r = first_loop_region ctx in
+  let config u =
+    { Hls.Kernel.unroll = u; pipeline = true;
+      mode = Hls.Kernel.Scratchpad_preferred }
+  in
+  let body_plan u =
+    match Hls.Kernel.plan ctx r (config u) with
+    | Some ({ Hls.Kernel.p_pipelined = [ (loop, body, u') ]; _ } as p) ->
+      Alcotest.(check int) "unroll applies" u u';
+      let dfg = Hls.Ctx.dfg ctx body in
+      let iface = Hls.Kernel.plan_iface p body in
+      let kinds = List.map iface (Hls.Dfg.mem_nodes dfg) in
+      ( kinds,
+        ( Hls.Schedule.block_latency ~sp_banks:(2 * u) dfg ~iface,
+          Hls.Pipeline.ii ctx dfg ~iface loop ~unroll:u ~sp_banks:(2 * u) ) )
+    | Some _ | None -> Alcotest.fail "expected one pipelined loop"
+  in
+  let kinds2, timing2 = body_plan 2 and kinds4, timing4 = body_plan 4 in
+  Alcotest.(check bool) "all scratchpad" true
+    (List.for_all (fun k -> k = Hls.Iface.Scratchpad) kinds2);
+  Alcotest.(check bool) "same interface vector" true (kinds2 = kinds4);
+  Alcotest.(check bool) "bank count moves the schedule" true (timing2 <> timing4);
+  let configs = [ config 2; config 4 ] in
+  let points, ran = sweep_schedules ctx r configs in
+  Alcotest.(check int) "one schedule per block plan"
+    (distinct_block_plans ctx r configs) ran;
+  Alcotest.(check bool) "same points as per-config estimates" true
+    (points = List.filter_map (Hls.Kernel.estimate ctx r) configs);
+  Alcotest.(check int) "two points" 2 (List.length points)
+
 let tests =
   [ Alcotest.test_case "DFG structure" `Quick test_dfg_structure;
     Alcotest.test_case "schedule respects dependencies" `Quick
@@ -509,4 +622,8 @@ let tests =
     Alcotest.test_case "estimate_all equals per-config estimate" `Quick
       test_estimate_all_equals_per_config;
     Alcotest.test_case "estimate_all classifies each access once" `Quick
-      test_estimate_all_classifies_once ]
+      test_estimate_all_classifies_once;
+    Alcotest.test_case "estimate_all schedules each distinct block plan once"
+      `Quick test_estimate_all_schedules_once;
+    Alcotest.test_case "block plans keep bank counts apart" `Quick
+      test_block_plans_keep_bank_counts ]
