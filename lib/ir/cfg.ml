@@ -6,11 +6,11 @@ module Bits = struct
   let words n = (n + w - 1) / w
   let create n = Array.make (max 1 (words n)) 0
 
+  (* A full word is [-1]: all 63 bits set. *)
   let full n =
     let b = create n in
-    for i = 0 to n - 1 do
-      b.(i / w) <- b.(i / w) lor (1 lsl (i mod w))
-    done;
+    Array.fill b 0 (n / w) (-1);
+    if n mod w > 0 then b.(n / w) <- (1 lsl (n mod w)) - 1;
     b
 
   let copy = Array.copy
@@ -231,6 +231,7 @@ module Must_defined = struct
   type t = { regs : int String_tbl.t; ins : Bits.t array }
 
   let reg t id = Option.value (String_tbl.find_opt t.regs id) ~default:(-1)
+  let size t = String_tbl.length t.regs
   let at_entry t v = t.ins.(v)
 
   let solve (cfg : cfg) =
@@ -269,9 +270,10 @@ module Must_defined = struct
     in
     let params = bits param_ids in
     let gen = Array.map bits gen_ids in
+    let top = Bits.full n in
     let ins =
       Array.init cfg.size (fun v ->
-          if v = 0 then Bits.copy params else Bits.full n)
+          Bits.copy (if v = 0 then params else top))
     in
     let order =
       if Array.length cfg.rpo = cfg.size then cfg.rpo

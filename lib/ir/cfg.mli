@@ -6,8 +6,8 @@
     and block sets are {!Bits} words. The index is built once per
     function ({!of_func}) and read by dominance, the program structure
     tree, loop detection, the accelerator model's context,
-    if-conversion and the validator; string labels are only looked up
-    at its boundary.
+    if-conversion, the validator and the staged interpreter; string
+    labels are only looked up at its boundary.
 
     A label names one node: edges to an unknown label are dropped, and
     a label given to several blocks (which {!Validate} rejects) is the
@@ -114,6 +114,10 @@ module Must_defined : sig
   (** Interned id of a register, [-1] for one that is never written
       (and so never defined). *)
   val reg : t -> string -> int
+
+  (** Number of interned registers: ids are [0 .. size - 1], and every
+      {!at_entry} set has this capacity. *)
+  val size : t -> int
 
   (** Registers defined at the entry of a block id. The set is shared:
       copy it before changing it. *)

@@ -11,10 +11,12 @@ open Interp_common
    constant slots of the same banks, so each closure reads its operands
    and writes its result in the banks directly and a float is never
    boxed. Memory bases are resolved to their raw arrays at compile
-   time; "uninitialized register" checks are compiled only where a
-   forward must-defined dataflow cannot prove the read safe, and def
-   bytes are kept only for registers such a check reads, or that an
-   observer's watch point reads without the dataflow's proof.
+   time. Control flow comes from the function's {!Ir.Cfg} index: blocks
+   are compiled into an array over its ids, and "uninitialized
+   register" checks are compiled only where {!Ir.Cfg.Must_defined}
+   cannot prove the read safe. Def bytes are kept only for registers
+   such a check reads, or that an observer's watch point reads without
+   that proof.
    What still allocates is per call (a frame) or per run (codegen, the
    profile tables), not per instruction.
 
@@ -39,12 +41,16 @@ exception Unclean
 type ret_kind = R_int | R_bool | R_float | R_void
 
 (* Per-register interning record: [uid] indexes the def-bytes, [bidx]
-   the typed bank picked by [rty]. *)
+   the typed bank picked by [rty]. A written register's uid is its
+   {!Ir.Cfg.Must_defined} id, so the solver's sets answer for it
+   directly; registers that are only read are numbered after those. *)
 type rinfo = { uid : int; bidx : int; rty : Ir.Types.t }
 
 type fmeta = {
   fm_func : Ir.Func.t;
-  fm_regs : (string, rinfo) Hashtbl.t;
+  fm_cfg : Ir.Cfg.t;
+  fm_md : Ir.Cfg.Must_defined.t;
+  fm_regs : rinfo Ir.Cfg.String_tbl.t;
   fm_nregs : int;
   fm_nints : int;
   fm_nflts : int;
@@ -70,15 +76,22 @@ let bank_of (ty : Ir.Types.t) =
   | Ir.Types.F32 -> `Float
 
 (* Intern a register occurrence; the same id must always carry the same
-   type annotation or the function is unclean. *)
-let intern fm_regs next_uid next_int next_flt (r : Ir.Instr.reg) =
-  match Hashtbl.find_opt fm_regs r.Ir.Instr.id with
+   type annotation or the function is unclean. [next_uid] counts from
+   the solver's register count up, for registers it does not know. *)
+let intern md fm_regs next_uid next_int next_flt (r : Ir.Instr.reg) =
+  match Ir.Cfg.String_tbl.find_opt fm_regs r.Ir.Instr.id with
   | Some ri ->
     if not (Ir.Types.equal ri.rty r.Ir.Instr.ty) then raise Unclean;
     ri
   | None ->
-    let uid = !next_uid in
-    incr next_uid;
+    let uid =
+      match Ir.Cfg.Must_defined.reg md r.Ir.Instr.id with
+      | -1 ->
+        let u = !next_uid in
+        incr next_uid;
+        u
+      | u -> u
+    in
     let bidx =
       match bank_of r.Ir.Instr.ty with
       | `Int ->
@@ -91,29 +104,30 @@ let intern fm_regs next_uid next_int next_flt (r : Ir.Instr.reg) =
         i
     in
     let ri = { uid; bidx; rty = r.Ir.Instr.ty } in
-    Hashtbl.replace fm_regs r.Ir.Instr.id ri;
+    Ir.Cfg.String_tbl.replace fm_regs r.Ir.Instr.id ri;
     ri
 
 let operand_ty (o : Ir.Instr.operand) = Ir.Instr.operand_ty o
 
 (* Check one function: intern every register, enforce full type/arity/
-   label consistency. [fsigs] maps callee name to (param types, ret). *)
+   label consistency. [fsigs] maps callee name to (param types, ret).
+   The function's control-flow index and must-defined facts are built
+   here, once: a label given to two blocks leaves the index smaller
+   than the block list, and a target the index does not know is an
+   unknown label. *)
 let check_func fsigs pm_globals (f : Ir.Func.t) : fmeta =
   if f.Ir.Func.blocks = [] then raise Unclean;
-  let labels = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Ir.Block.t) ->
-      if Hashtbl.mem labels b.Ir.Block.label then raise Unclean;
-      Hashtbl.replace labels b.Ir.Block.label ())
-    f.Ir.Func.blocks;
-  let fm_regs = Hashtbl.create 32 in
-  let next_uid = ref 0 and next_int = ref 0 and next_flt = ref 0 in
-  let intern r = intern fm_regs next_uid next_int next_flt r in
-  let seen_params = Hashtbl.create 8 in
+  let cfg = Ir.Cfg.of_func f in
+  if cfg.Ir.Cfg.size < List.length f.Ir.Func.blocks then raise Unclean;
+  let md = Ir.Cfg.Must_defined.solve cfg in
+  let fm_regs = Ir.Cfg.String_tbl.create 32 in
+  let next_uid = ref (Ir.Cfg.Must_defined.size md) in
+  let next_int = ref 0 and next_flt = ref 0 in
+  let intern r = intern md fm_regs next_uid next_int next_flt r in
+  (* Parameters are interned first, so a repeated one is already known. *)
   List.iter
     (fun (r : Ir.Instr.reg) ->
-      if Hashtbl.mem seen_params r.Ir.Instr.id then raise Unclean;
-      Hashtbl.replace seen_params r.Ir.Instr.id ();
+      if Ir.Cfg.String_tbl.mem fm_regs r.Ir.Instr.id then raise Unclean;
       ignore (intern r : rinfo))
     f.Ir.Func.params;
   let check_operand (o : Ir.Instr.operand) (want : Ir.Types.t) =
@@ -178,13 +192,14 @@ let check_func fsigs pm_globals (f : Ir.Func.t) : fmeta =
           | Some ty when Ir.Types.equal ri.rty ty -> ()
           | Some _ | None -> raise Unclean))
   in
+  let check_label l = if Ir.Cfg.id_opt cfg l = None then raise Unclean in
   let check_term (t : Ir.Instr.term) =
     match t with
-    | Ir.Instr.Jump l -> if not (Hashtbl.mem labels l) then raise Unclean
+    | Ir.Instr.Jump l -> check_label l
     | Ir.Instr.Branch (c, tl, fl) ->
       check_operand c Ir.Types.Bool;
-      if not (Hashtbl.mem labels tl && Hashtbl.mem labels fl) then
-        raise Unclean
+      check_label tl;
+      check_label fl
     | Ir.Instr.Return o ->
       (match o, f.Ir.Func.ret with
        | None, None -> ()
@@ -197,6 +212,8 @@ let check_func fsigs pm_globals (f : Ir.Func.t) : fmeta =
       check_term b.Ir.Block.term)
     f.Ir.Func.blocks;
   { fm_func = f;
+    fm_cfg = cfg;
+    fm_md = md;
     fm_regs;
     fm_nregs = !next_uid;
     fm_nints = !next_int;
@@ -238,83 +255,6 @@ let analyze (p : Ir.Program.t) : pmeta option =
     if pm_main.fm_func.Ir.Func.params <> [] then raise Unclean;
     Some { pm_funcs; pm_globals; pm_main }
   with Unclean -> None
-
-(* ------------------------------------------------------------------ *)
-(* Must-defined dataflow                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Forward intersection analysis over register uids: a register is
-   must-defined at a block's entry when every CFG path from the function
-   entry defines it first. Reads proven defined skip the def-byte check
-   at run time; [codegen] keeps a register's def byte only where an
-   unproven read or a watch point needs it. *)
-let must_defined (fm : fmeta) : (string, bool array) Hashtbl.t =
-  let blocks = Array.of_list fm.fm_func.Ir.Func.blocks in
-  let nb = Array.length blocks in
-  let index = Hashtbl.create nb in
-  Array.iteri
-    (fun i (b : Ir.Block.t) -> Hashtbl.replace index b.Ir.Block.label i)
-    blocks;
-  let uid_of (r : Ir.Instr.reg) =
-    (Hashtbl.find fm.fm_regs r.Ir.Instr.id).uid
-  in
-  let defs =
-    Array.map
-      (fun (b : Ir.Block.t) ->
-        let d = Array.make fm.fm_nregs false in
-        List.iter
-          (fun i ->
-            match Ir.Instr.def i with
-            | Some r -> d.(uid_of r) <- true
-            | None -> ())
-          b.Ir.Block.instrs;
-        d)
-      blocks
-  in
-  let preds = Array.make nb [] in
-  Array.iteri
-    (fun i (b : Ir.Block.t) ->
-      List.iter
-        (fun s ->
-          let j = Hashtbl.find index s in
-          preds.(j) <- i :: preds.(j))
-        (Ir.Instr.term_succs b.Ir.Block.term))
-    blocks;
-  (* Entry starts from the parameters; everything else from top (all
-     true) and is narrowed by intersection to a fixpoint. *)
-  let inb =
-    Array.init nb (fun i ->
-        if i = 0 then (
-          let a = Array.make fm.fm_nregs false in
-          List.iter
-            (fun r -> a.(uid_of r) <- true)
-            fm.fm_func.Ir.Func.params;
-          a)
-        else Array.make fm.fm_nregs true)
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = 1 to nb - 1 do
-      match preds.(i) with
-      | [] -> () (* unreachable: never executes, any answer is safe *)
-      | ps ->
-        for u = 0 to fm.fm_nregs - 1 do
-          let v =
-            List.for_all (fun pi -> inb.(pi).(u) || defs.(pi).(u)) ps
-          in
-          if inb.(i).(u) && not v then (
-            inb.(i).(u) <- false;
-            changed := true)
-        done
-    done
-  done;
-  let out = Hashtbl.create nb in
-  Array.iteri
-    (fun i (b : Ir.Block.t) ->
-      Hashtbl.replace out b.Ir.Block.label inb.(i))
-    blocks;
-  out
 
 (* ------------------------------------------------------------------ *)
 (* Compiled representation                                            *)
@@ -373,15 +313,16 @@ and sedge = {
 
 type sfunc = {
   sf_name : string;
-  mutable sf_entry : sblock;
+  sf_entry : sblock;
   (* Fresh-frame images: registers zero, constant slots filled, the
      parameters' def bytes set (a call writes every parameter). *)
   mutable sf_ints0 : int array;
   mutable sf_flts0 : float array;
   sf_def0 : Bytes.t;
-  sf_regs : (string, rinfo) Hashtbl.t;
+  sf_regs : rinfo Ir.Cfg.String_tbl.t;
   sf_ret : ret_kind;
   mutable sf_cnt : int ref option; (* lazy call-count slot *)
+  sf_blocks : sblock array; (* by {!Ir.Cfg} id; the entry is id 0 *)
 }
 
 type ctx = {
@@ -397,15 +338,15 @@ let new_frame (sf : sfunc) =
     reti = 0;
     retf = 0.0 }
 
-(* A register read at a watch point where [proven] holds the registers
-   the must-defined dataflow proves written there; any other register
-   the point reads keeps its def byte (see [codegen]). *)
-let frame_read (sf : sfunc) (proven : bool array) (fr : frame) (rid : string)
+(* A register read at a watch point where [proven uid] holds for the
+   registers {!Ir.Cfg.Must_defined} proves written there; any other
+   register the point reads keeps its def byte (see [codegen]). *)
+let frame_read (sf : sfunc) (proven : int -> bool) (fr : frame) (rid : string)
     : Value.t option =
-  match Hashtbl.find_opt sf.sf_regs rid with
+  match Ir.Cfg.String_tbl.find_opt sf.sf_regs rid with
   | None -> None
   | Some ri ->
-    if (not proven.(ri.uid)) && Bytes.get fr.def ri.uid = '\000' then None
+    if (not (proven ri.uid)) && Bytes.get fr.def ri.uid = '\000' then None
     else
       Some
         (match ri.rty with
@@ -513,7 +454,7 @@ let exec_sfunc (cx : ctx) (sf : sfunc) (fr : frame) : unit =
    flambda does not inline a function passed as an argument, so a
    shared higher-order helper would put a call per operand (and a box
    per float) back on the hot path. Operand reads are unchecked; an
-   operand the must-defined analysis does not prove gets a separate
+   operand {!Ir.Cfg.Must_defined} does not prove gets a separate
    [check] closure emitted before the instruction (see [codegen]). *)
 
 let check uid msg : frame -> unit =
@@ -772,75 +713,40 @@ let const_slot tbl ~nregs key =
     s
 
 (* Compile every function of a clean program against one run's memory,
-   cache, context and observer. Returns the functions and every block,
-   the latter for [run]'s deferred totals. Everything built here belongs
-   to this run: the daemon and the pool interpret on several domains at
-   once.
+   cache, context and observer. Everything built here belongs to this
+   run: the daemon and the pool interpret on several domains at once.
 
-   The observer's watch points are resolved here, once per block and
-   once per function. Def bytes exist for def-byte checks and for
-   [frame_read] at a watch point, so a block sets the def byte of a
-   register it defines only when some read of that register in the
-   function is not proven by [must_defined] (and so compiled to a
-   [check]), or when the register is not proven written at some watch
+   Blocks are compiled into an array over the function's {!Ir.Cfg} ids:
+   the entry is id 0 and a terminator's targets are its [succs], in
+   branch order. The observer's watch points are resolved here, once
+   per block and once per function. Def bytes exist for def-byte checks
+   and for [frame_read] at a watch point, so a block sets the def byte
+   of a register it defines only when some read of that register in the
+   function is not proven by {!Ir.Cfg.Must_defined} (and so compiled to
+   a [check]), or when the register is not proven written at some watch
    point of the function: the entry of a watched block, or a return of a
-   function with a return handler. At a watch point [frame_read] trusts
-   the proof first and the byte second. The bytes are set once the
-   block's code has run: nothing reads them mid-block, since a read of a
-   register the same block defined earlier is proven, and a watch point
-   sees a frame only at block entry and return. *)
+   function with a return handler. A register the solver does not know
+   (one that is only read) is never proven. At a watch point
+   [frame_read] trusts the proof first and the byte second. The bytes
+   are set once the block's code has run: nothing reads them mid-block,
+   since a read of a register the same block defined earlier is proven,
+   and a watch point sees a frame only at block entry and return. *)
 let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
-    (observer : observer option) : (string, sfunc) Hashtbl.t * sblock list =
+    (observer : observer option) : (string, sfunc) Hashtbl.t =
   let sfuncs : (string, sfunc) Hashtbl.t = Hashtbl.create 8 in
-  let all_blocks = ref [] in
   (* Pass 1: shells, so call sites and mutual recursion resolve. *)
   Hashtbl.iter
     (fun name (fm : fmeta) ->
-      let dummy =
-        { sb_func = name;
-          sb_label = "";
-          sb_cycles = 0;
-          sb_ninstrs = 0;
-          sb_code = [||];
-          sb_defs = [||];
-          sb_term = S_halt;
-          sb_watch = None;
-          sb_on_return = None;
-          sb_cnt = None }
-      in
       let def0 = Bytes.make fm.fm_nregs '\000' in
       List.iter
         (fun (r : Ir.Instr.reg) ->
-          Bytes.set def0 (Hashtbl.find fm.fm_regs r.Ir.Instr.id).uid '\001')
+          let ri = Ir.Cfg.String_tbl.find fm.fm_regs r.Ir.Instr.id in
+          Bytes.set def0 ri.uid '\001')
         fm.fm_func.Ir.Func.params;
-      Hashtbl.replace sfuncs name
-        { sf_name = name;
-          sf_entry = dummy;
-          sf_ints0 = [||];
-          sf_flts0 = [||];
-          sf_def0 = def0;
-          sf_regs = fm.fm_regs;
-          sf_ret = fm.fm_ret;
-          sf_cnt = None })
-    pm.pm_funcs;
-  (* Pass 2: code. *)
-  Hashtbl.iter
-    (fun name (fm : fmeta) ->
-      let sf = Hashtbl.find sfuncs name in
-      let f = fm.fm_func in
-      let fname = f.Ir.Func.name in
-      let entry_in = must_defined fm in
-      let ri_of (r : Ir.Instr.reg) = Hashtbl.find fm.fm_regs r.Ir.Instr.id in
-      (* Immediates by value; floats by their bits, so -0.0 and every
-         NaN payload keep their own slot. *)
-      let int_consts = Hashtbl.create 8 and flt_consts = Hashtbl.create 8 in
-      (* [checked.(uid)]: some read of the register compiled to a check. *)
-      let checked = Array.make fm.fm_nregs false in
-      let blocks = Hashtbl.create 16 in
-      List.iter
-        (fun (b : Ir.Block.t) ->
-          Hashtbl.replace blocks b.Ir.Block.label
-            { sb_func = fname;
+      let blocks =
+        Array.map
+          (fun (b : Ir.Block.t) ->
+            { sb_func = name;
               sb_label = b.Ir.Block.label;
               sb_cycles = Cpu_model.block_cycles b;
               sb_ninstrs = List.length b.Ir.Block.instrs;
@@ -850,22 +756,49 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
               sb_watch = None;
               sb_on_return = None;
               sb_cnt = None })
-        f.Ir.Func.blocks;
-      (* [watched.(uid)]: the register is not proven written at some
-         watch point, so [frame_read] needs its def byte. *)
-      let watched = Array.make fm.fm_nregs false in
-      let watch_at proven =
-        Array.iteri (fun u p -> if not p then watched.(u) <- true) proven
+          fm.fm_cfg.Ir.Cfg.blocks
       in
+      Hashtbl.replace sfuncs name
+        { sf_name = name;
+          sf_entry = blocks.(0);
+          sf_ints0 = [||];
+          sf_flts0 = [||];
+          sf_def0 = def0;
+          sf_regs = fm.fm_regs;
+          sf_ret = fm.fm_ret;
+          sf_cnt = None;
+          sf_blocks = blocks })
+    pm.pm_funcs;
+  (* Pass 2: code. *)
+  Hashtbl.iter
+    (fun fname (fm : fmeta) ->
+      let sf = Hashtbl.find sfuncs fname in
+      let cfg = fm.fm_cfg in
+      let nproven = Ir.Cfg.Must_defined.size fm.fm_md in
+      let proven set uid = uid < nproven && Ir.Cfg.Bits.mem set uid in
+      let ri_of (r : Ir.Instr.reg) =
+        Ir.Cfg.String_tbl.find fm.fm_regs r.Ir.Instr.id
+      in
+      (* Immediates by value; floats by their bits, so -0.0 and every
+         NaN payload keep their own slot. *)
+      let int_consts = Hashtbl.create 8 and flt_consts = Hashtbl.create 8 in
+      (* [checked.(uid)]: some read of the register compiled to a check. *)
+      let checked = Array.make fm.fm_nregs false in
+      let blocks = sf.sf_blocks in
+      (* The registers proven written at every watch point of the
+         function; [frame_read] needs the def byte of any other. *)
+      let proven_at_watch = Ir.Cfg.Bits.full nproven in
+      let watch_at = Ir.Cfg.Bits.inter_into ~dst:proven_at_watch in
       let on_return =
         Option.bind observer (fun o -> o.obs_return ~func:fname)
       in
-      (* Each block with the uids it defines, for the def-byte pass. *)
+      (* The uids each block defines, by block id, for the def-byte
+         pass. *)
       let block_defs =
-        List.map
-          (fun (b : Ir.Block.t) ->
-            let sb = Hashtbl.find blocks b.Ir.Block.label in
-            let at_entry = Hashtbl.find entry_in b.Ir.Block.label in
+        Array.mapi
+          (fun v (b : Ir.Block.t) ->
+            let sb = blocks.(v) in
+            let at_entry = Ir.Cfg.Must_defined.at_entry fm.fm_md v in
             (match
                Option.bind observer (fun o ->
                    o.obs_block ~func:fname ~label:b.Ir.Block.label)
@@ -876,10 +809,11 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
                sb.sb_watch <-
                  Some
                    (fun fr ->
-                     w ~read:(frame_read sf at_entry fr) ~mem:cx.cx_mem));
+                     w ~read:(frame_read sf (proven at_entry) fr)
+                       ~mem:cx.cx_mem));
             (* Per-position defined set: the block-entry facts, advanced
                past each instruction's destination as we compile. *)
-            let defined = Array.copy at_entry in
+            let defined = Ir.Cfg.Bits.copy at_entry in
             let code = ref [] and defs = ref [] in
             let emit c = code := c :: !code in
             (* The def-byte check a read of [o] needs at this point, if
@@ -889,7 +823,7 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
               match o with
               | Ir.Instr.Reg r ->
                 let uid = (ri_of r).uid in
-                if defined.(uid) then None
+                if proven defined uid then None
                 else (
                   checked.(uid) <- true;
                   Some
@@ -967,7 +901,9 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
                 let fsrc = ref [] and fdst = ref [] in
                 List.iter2
                   (fun (p : Ir.Instr.reg) (a : Ir.Instr.operand) ->
-                    let pri = Hashtbl.find cfm.fm_regs p.Ir.Instr.id in
+                    let pri =
+                      Ir.Cfg.String_tbl.find cfm.fm_regs p.Ir.Instr.id
+                    in
                     let s = slot a in
                     match pri.rty with
                     | Ir.Types.F32 ->
@@ -1011,12 +947,14 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
                 match Ir.Instr.def i with
                 | Some r ->
                   let uid = (ri_of r).uid in
-                  defined.(uid) <- true;
+                  Ir.Cfg.Bits.add defined uid;
                   defs := uid :: !defs
                 | None -> ())
               b.Ir.Block.instrs;
-            let edge dst =
-              { e_target = Hashtbl.find blocks dst;
+            (* The [k]th target, in branch order; [dst] is the label as
+               the terminator spells it, which the profile keys by. *)
+            let edge k dst =
+              { e_target = blocks.(cfg.Ir.Cfg.succs.(v).(k));
                 e_src = b.Ir.Block.label;
                 e_dst = dst;
                 e_cnt = None }
@@ -1025,10 +963,10 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
                after the instructions and before the edge is counted. *)
             sb.sb_term <-
               (match b.Ir.Block.term with
-               | Ir.Instr.Jump l -> S_jump (edge l)
+               | Ir.Instr.Jump l -> S_jump (edge 0 l)
                | Ir.Instr.Branch (c, t, fl) ->
                  let c = slot c in
-                 S_branch (c, edge t, edge fl)
+                 S_branch (c, edge 0 t, edge 1 fl)
                | Ir.Instr.Return None -> S_ret_void
                | Ir.Instr.Return (Some o) ->
                  let s = slot o in
@@ -1044,28 +982,31 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
                sb.sb_on_return <-
                  Some
                    (fun fr value ->
-                     w ~read:(frame_read sf defined fr) ~value ~mem:cx.cx_mem)
+                     w ~read:(frame_read sf (proven defined) fr) ~value
+                       ~mem:cx.cx_mem)
              | (Ir.Instr.Return _ | Ir.Instr.Jump _ | Ir.Instr.Branch _), _ ->
                ());
             sb.sb_code <- Array.of_list (List.rev !code);
-            all_blocks := sb :: !all_blocks;
-            sb, !defs)
-          f.Ir.Func.blocks
+            !defs)
+          cfg.Ir.Cfg.blocks
       in
       (* Def bytes to keep, now that every read has been compiled. *)
       let stamp = Array.make fm.fm_nregs (-1) in
-      List.iteri
-        (fun k (sb, defs) ->
+      Array.iteri
+        (fun k defs ->
           let keep =
             List.fold_left
               (fun acc u ->
-                if (watched.(u) || checked.(u)) && stamp.(u) <> k then (
+                if
+                  ((not (Ir.Cfg.Bits.mem proven_at_watch u)) || checked.(u))
+                  && stamp.(u) <> k
+                then (
                   stamp.(u) <- k;
                   u :: acc)
                 else acc)
               [] defs
           in
-          sb.sb_defs <- Array.of_list keep)
+          blocks.(k).sb_defs <- Array.of_list keep)
         block_defs;
       let ints0 = Array.make (fm.fm_nints + Hashtbl.length int_consts) 0 in
       Hashtbl.iter (fun n s -> ints0.(s) <- n) int_consts;
@@ -1074,11 +1015,9 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
         (fun bits s -> flts0.(s) <- Int64.float_of_bits bits)
         flt_consts;
       sf.sf_ints0 <- ints0;
-      sf.sf_flts0 <- flts0;
-      sf.sf_entry <-
-        Hashtbl.find blocks (Ir.Func.entry f).Ir.Block.label)
+      sf.sf_flts0 <- flts0)
     pm.pm_funcs;
-  sfuncs, !all_blocks
+  sfuncs
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                        *)
@@ -1101,7 +1040,7 @@ let run ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
       Option.map (fun config -> Cache.create ~config p) cache_config
     in
     let cx = { cx_profile = profile; cx_fuel = fuel; cx_mem = memory } in
-    let sfuncs, blocks = codegen pm cx cache observer in
+    let sfuncs = codegen pm cx cache observer in
     let main = Hashtbl.find sfuncs p.Ir.Program.main in
     let return_value =
       try
@@ -1119,14 +1058,17 @@ let run ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
     (* The run completed: its totals are each block's executions times
        its static cost, the same integers the reference engine adds up
        block by block. *)
-    List.iter
-      (fun sb ->
-        match sb.sb_cnt with
-        | Some r ->
-          Profile.add_cycles profile (!r * sb.sb_cycles);
-          Profile.add_instrs profile (!r * sb.sb_ninstrs)
-        | None -> ())
-      blocks;
+    Hashtbl.iter
+      (fun _ sf ->
+        Array.iter
+          (fun sb ->
+            match sb.sb_cnt with
+            | Some r ->
+              Profile.add_cycles profile (!r * sb.sb_cycles);
+              Profile.add_instrs profile (!r * sb.sb_ninstrs)
+            | None -> ())
+          sf.sf_blocks)
+      sfuncs;
     Profile.publish_metrics profile;
     { return_value; memory; profile;
       cache_stats = Option.map Cache.stats cache }

@@ -761,6 +761,116 @@ let test_one_path_def () =
   expect_error "read of a one-path definition" (one_path_def false)
     "uninitialized register %n1 in main"
 
+(* Control-flow graphs the staged engine's analysis rejects through the
+   function's [Ir.Cfg] index: a label given to two blocks, a jump or a
+   branch to a label no block has, and a function with no blocks. Each
+   program falls back to the reference engine, so both engines agree on
+   the outcome, including any exception the reference engine raises for
+   the malformed graph. *)
+let malformed_cfgs =
+  let n0 = ireg 0 and c0 = breg 0 in
+  let main blocks =
+    Ir.Func.v ~name:"main" ~params:[] ~ret:(Some Ir.Types.I32) ~blocks
+  in
+  let prog funcs = Ir.Program.v ~globals:typed_globals ~funcs ~main:"main" in
+  [ ( "duplicate label",
+      prog
+        [ main
+            [ block "entry" [ Ir.Instr.Assign (n0, imm 1) ] (Ir.Instr.Jump "b");
+              block "b" [] (Ir.Instr.Return (Some (reg_op n0)));
+              block "b" [] (Ir.Instr.Return (Some (imm 2))) ] ] );
+    ( "jump to an unknown label",
+      prog [ main [ block "entry" [] (Ir.Instr.Jump "nowhere") ] ] );
+    ( "branch with one unknown target",
+      prog
+        [ main
+            [ block "entry"
+                [ Ir.Instr.Assign (c0, Ir.Instr.Imm_bool true) ]
+                (Ir.Instr.Branch (reg_op c0, "ok", "nowhere"));
+              block "ok" [] (Ir.Instr.Return (Some (imm 1))) ] ] );
+    ( "function with no blocks",
+      prog
+        [ main [ block "entry" [] (Ir.Instr.Return (Some (imm 0))) ];
+          Ir.Func.v ~name:"empty" ~params:[] ~ret:None ~blocks:[] ] ) ]
+
+let test_malformed_cfgs () =
+  List.iter
+    (fun (name, p) ->
+      if Option.is_some (Cayman_sim.Interp_staged.analyze p) then
+        Alcotest.failf "%s: the staged analysis must reject it" name;
+      let run engine =
+        match run_one ~observe:true engine p with
+        | o -> Ok o
+        | exception e -> Error (Printexc.to_string e)
+      in
+      match run Sim.Interp.Reference, run Sim.Interp.Staged with
+      | Ok r, Ok s -> check_outcomes alco_fail p r s
+      | Error r, Error s -> Alcotest.(check string) name r s
+      | Ok _, Error e | Error e, Ok _ ->
+        Alcotest.failf "%s: only one engine raised %s" name e)
+    malformed_cfgs
+
+(* A reachable loop header with an unreachable predecessor: the latch
+   [Lower.lower_loop] leaves behind when the body always returns. The
+   must-defined facts start that latch from the parameters, so [a] and
+   [w], written before the loop, are not proven at [head]: its read of
+   [a] keeps a check and [w] keeps its def byte for a watch point at
+   [head]. The latch reads [u], which nothing writes, and never runs. *)
+let dead_latch =
+  let a = Ir.Instr.reg "a" Ir.Types.I32 in
+  let w = Ir.Instr.reg "w" Ir.Types.I32 in
+  let c0 = breg 0 and n1 = ireg 1 in
+  Ir.Program.v ~globals:typed_globals
+    ~funcs:
+      [ Ir.Func.v ~name:"main" ~params:[] ~ret:(Some Ir.Types.I32)
+          ~blocks:
+            [ block "entry"
+                [ Ir.Instr.Assign (a, imm 7); Ir.Instr.Assign (w, imm 3) ]
+                (Ir.Instr.Jump "head");
+              block "head"
+                [ Ir.Instr.Compare (c0, Ir.Op.Lt, reg_op a, imm 10) ]
+                (Ir.Instr.Branch (reg_op c0, "body", "exit"));
+              block "body" [] (Ir.Instr.Return (Some (reg_op a)));
+              block "latch"
+                [ Ir.Instr.Binary (n1, Ir.Op.Add, reg_op ureg, imm 1) ]
+                (Ir.Instr.Jump "head");
+              block "exit" [] (Ir.Instr.Return (Some (imm 0))) ] ]
+    ~main:"main"
+
+let test_dead_latch () =
+  let p = dead_latch in
+  let cfg = Ir.Cfg.of_func (Ir.Program.func_exn p "main") in
+  Alcotest.(check int) "latch is unreachable" (-1)
+    cfg.Ir.Cfg.rpo_index.(Ir.Cfg.id cfg "latch");
+  if Option.is_none (Cayman_sim.Interp_staged.analyze p) then
+    Alcotest.fail "the dead-latch program must take the staged path";
+  let n =
+    let res = Sim.Interp.run ~engine:Sim.Interp.Reference p in
+    fuel_needed p res.Sim.Interp.profile
+  in
+  let at_head ~func:_ ~label = label = Some "head" in
+  List.iter
+    (fun fuel ->
+      List.iter
+        (fun observe ->
+          check_outcomes alco_fail p
+            (run_one ~observe ~watch:at_head ?fuel Sim.Interp.Reference p)
+            (run_one ~observe ~watch:at_head ?fuel Sim.Interp.Staged p))
+        [ false; true ])
+    [ None; Some (n - 1); Some n ];
+  let value =
+    Alcotest.testable (Fmt.of_to_string pp_value_opt) value_opt_equal
+  in
+  let staged = run_one ~observe:true ~watch:at_head Sim.Interp.Staged p in
+  match staged.o_events with
+  | [ E_block ("main", "head", reads) ] ->
+    List.iter
+      (fun (reg, want) ->
+        Alcotest.check value (reg ^ " at head") want (List.assoc reg reads))
+      [ "a", Some (Sim.Value.Vint 7); "w", Some (Sim.Value.Vint 3); "u", None ]
+  | evs ->
+    Alcotest.failf "expected one event at head, got %d" (List.length evs)
+
 (* With no observer every def byte of [spec_kernel] is elided (all its
    reads are proven); an observed run must still see every register the
    reference engine sees, at every block entry and return. *)
@@ -972,6 +1082,10 @@ let tests =
       test_one_path_def;
     Alcotest.test_case "observed run sees elided def bytes" `Quick
       test_observed_elided_defs;
+    Alcotest.test_case "malformed CFGs fall back with identical outcomes"
+      `Quick test_malformed_cfgs;
+    Alcotest.test_case "unreachable latch of a reachable loop header" `Quick
+      test_dead_latch;
     Alcotest.test_case "cache stats on specialised paths" `Quick
       test_spec_cache;
     Alcotest.test_case "fuel boundary on specialised paths" `Quick

@@ -507,6 +507,55 @@ let test_cosim_no_per_invocation_major_alloc () =
        %.0f at 40"
       g10 g40
 
+(* --- tracing ---
+
+   A traced co-simulation books the golden interpreter and the netlist
+   simulator to spans of their own: every [rtl.sim] invocation runs
+   inside the [sim.interp] span of the golden run that drives it. *)
+let test_cosim_trace_spans () =
+  let a = Core.Cayman.analyze (Suite.compile (Suite.find_exn "atax")) in
+  let r = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a in
+  let specs = specs_of a (Core.Cayman.best_under_ratio r ~budget_ratio:0.25) in
+  Obs.Trace.reset ();
+  Obs.Trace.set_enabled true;
+  let reports =
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.set_enabled false)
+      (fun () ->
+        Memo.Store.without_cache (fun () ->
+            Rtl.Cosim.run_many a.Core.Cayman.program specs))
+  in
+  let spans = Obs.Trace.spans () in
+  Obs.Trace.reset ();
+  List.iter
+    (fun (rep : Rtl.Cosim.report) ->
+      if not (Rtl.Cosim.functional_ok rep) then
+        Alcotest.failf "functional mismatch:\n%s"
+          (Rtl.Cosim.report_to_string rep))
+    reports;
+  let by_id = Hashtbl.create 64 in
+  List.iter
+    (fun (s : Obs.Trace.span) -> Hashtbl.replace by_id s.sp_id s)
+    spans;
+  let rec under name (s : Obs.Trace.span) =
+    match Hashtbl.find_opt by_id s.sp_parent with
+    | None -> false
+    | Some p -> String.equal p.sp_name name || under name p
+  in
+  let named name =
+    List.filter (fun (s : Obs.Trace.span) -> String.equal s.sp_name name) spans
+  in
+  Alcotest.(check bool)
+    "sim.interp span recorded" true
+    (named "sim.interp" <> []);
+  let sims = named "rtl.sim" in
+  Alcotest.(check bool) "rtl.sim span recorded" true (sims <> []);
+  List.iter
+    (fun s ->
+      if not (under "sim.interp" s) then
+        Alcotest.fail "an rtl.sim span is not nested inside sim.interp")
+    sims
+
 let tests =
   [ Alcotest.test_case "lint: suite netlists are clean" `Slow test_lint_clean;
     Alcotest.test_case "lint: damaged netlist is flagged" `Quick
@@ -523,5 +572,7 @@ let tests =
       test_sim_unreachable_damage;
     Alcotest.test_case "cosim: no major allocation per invocation" `Quick
       test_cosim_no_per_invocation_major_alloc;
+    Alcotest.test_case "trace: rtl.sim nests inside sim.interp" `Quick
+      test_cosim_trace_spans;
     qcheck_cosim_smoke ]
 
