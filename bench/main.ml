@@ -32,17 +32,11 @@ type method_run = {
                          over-reports under the parallel engine *)
 }
 
-(* [memo_key] names the generator for the on-disk memoization store
-   (see lib/memo); per-region kernel generation is shared across
-   benchmarks and across runs when the cache is enabled (the default —
-   [--no-cache] turns it off, and cached results are bit-identical to
-   recomputed ones, so stdout stays byte-stable either way). *)
-let run_gen ~memo_key (gen : Core.Select.accel_gen) (a : Core.Cayman.analyzed)
-    =
+let run_gen (gen : Core.Select.accel_gen) (a : Core.Cayman.analyzed) =
   let (frontier, _), m_runtime =
     Engine.Clock.timed (fun () ->
-        Core.Select.select ~memo_key ~gen a.Core.Cayman.ctxs
-          a.Core.Cayman.wpst a.Core.Cayman.profile)
+        Core.Select.select ~gen a.Core.Cayman.ctxs a.Core.Cayman.wpst
+          a.Core.Cayman.profile)
   in
   { m_frontier = frontier; m_runtime }
 
@@ -59,17 +53,10 @@ let evaluate (bench : Suite.benchmark) =
   let a = Core.Cayman.analyze (Suite.compile bench) in
   { bench;
     a;
-    full =
-      run_gen
-        ~memo_key:(Core.Cayman.gen_key Hls.Kernel.Heuristic)
-        (Core.Cayman.gen Hls.Kernel.Heuristic) a;
-    coupled =
-      run_gen
-        ~memo_key:(Core.Cayman.gen_key Hls.Kernel.Coupled_only)
-        (Core.Cayman.gen Hls.Kernel.Coupled_only) a;
-    novia = run_gen ~memo_key:"baseline.novia" Cayman_baselines.Novia.gen a;
-    qscores =
-      run_gen ~memo_key:"baseline.qscores" Cayman_baselines.Qscores.gen a }
+    full = run_gen (Core.Cayman.gen Hls.Kernel.Heuristic) a;
+    coupled = run_gen (Core.Cayman.gen Hls.Kernel.Coupled_only) a;
+    novia = run_gen Cayman_baselines.Novia.gen a;
+    qscores = run_gen Cayman_baselines.Qscores.gen a }
 
 let best frontier budget_ratio =
   let budget = budget_ratio *. Hls.Tech.cva6_tile_area in
@@ -699,7 +686,6 @@ let ablation_filter () =
       let (frontier, stats), dt =
         Engine.Clock.timed (fun () ->
             Core.Select.select ~params
-              ~memo_key:(Core.Cayman.gen_key Hls.Kernel.Heuristic)
               ~gen:(Core.Cayman.gen Hls.Kernel.Heuristic)
               a.Core.Cayman.ctxs a.Core.Cayman.wpst a.Core.Cayman.profile)
       in

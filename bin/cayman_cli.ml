@@ -307,14 +307,14 @@ let stats_cmd program budget mode alpha jobs setup =
   with_program ~jobs { setup with trace = None } program @@ fun program ->
   match Serve.Handlers.gen_of_mode mode with
   | Error m -> fail m
-  | Ok (gen, memo_key) ->
+  | Ok gen ->
     Obs.Metrics.reset ();
     Obs.Trace.reset ();
     Obs.Trace.set_enabled true;
     let a = Core.Cayman.analyze program in
     let params = { Core.Select.default_params with Core.Select.alpha } in
     let frontier, _stats =
-      Core.Select.select ~params ~memo_key ~gen a.Core.Cayman.ctxs
+      Core.Select.select ~params ~gen a.Core.Cayman.ctxs
         a.Core.Cayman.wpst a.Core.Cayman.profile
     in
     let budget_area = budget *. Hls.Tech.cva6_tile_area in

@@ -80,10 +80,9 @@ let gen ?(beta = Hls.Kernel.default_beta) mode : Select.accel_gen =
  fun ctx region ->
   Hls.Kernel.estimate_all ctx region ~beta (Hls.Kernel.default_configs mode)
 
-(* Everything [gen] closes over, rendered stably: the memoization key
-   fragment that pairs with the per-region structural facts. Beta is
-   hashed by its bits, configs by their canonical strings, so any knob
-   change invalidates cached candidate lists. *)
+(* Everything [gen] closes over, rendered stably: the fleet merge keys
+   its per-program results with it. Beta is hashed by its bits, configs
+   by their canonical strings, so any knob change invalidates them. *)
 let gen_key ?(beta = Hls.Kernel.default_beta) mode =
   Printf.sprintf "cayman.gen mode=%s beta=%Lx configs=[%s]"
     (Hls.Kernel.mode_to_string mode)
@@ -103,8 +102,8 @@ let run ?(params = Select.default_params) ?beta ?jobs ~mode (a : analyzed) =
      and would over-report under the parallel engine. *)
   let t0 = Engine.Clock.wall () in
   let frontier, stats =
-    Select.select ~params ?jobs ~memo_key:(gen_key ?beta mode)
-      ~gen:(gen ?beta mode) a.ctxs a.wpst a.profile
+    Select.select ~params ?jobs ~gen:(gen ?beta mode) a.ctxs a.wpst
+      a.profile
   in
   let runtime_s = Engine.Clock.wall () -. t0 in
   { frontier; stats; runtime_s }

@@ -34,9 +34,9 @@ val analyze_source : ?fuel:int -> ?if_convert:bool -> string -> analyzed
 (** Cayman's accelerator model packaged as a selection plug-in. *)
 val gen : ?beta:float -> Cayman_hls.Kernel.mode -> Select.accel_gen
 
-(** Stable identity of {!gen}'s knobs (mode, beta, config list) for
-    {!Select.select}'s [memo_key]: callers that pass [gen ?beta mode]
-    pass [gen_key ?beta mode] alongside. {!run} does so itself. *)
+(** Stable identity of {!gen}'s knobs (mode, beta, config list), for
+    memo-store keys of results that depend on the generator (the fleet
+    merge's per-program key). *)
 val gen_key : ?beta:float -> Cayman_hls.Kernel.mode -> string
 
 type run_result = {
@@ -47,7 +47,8 @@ type run_result = {
 
 (** Run selection; [jobs] is forwarded to {!Select.select}'s parallel
     candidate-generation phase (the frontier is identical for every job
-    count — see the engine's determinism contract). *)
+    count — see the engine's determinism contract). It neither reads
+    nor writes the memo store; only {!analyze} does. *)
 val run :
   ?params:Select.params ->
   ?beta:float ->

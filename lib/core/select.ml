@@ -74,7 +74,7 @@ let fp_select = Obs.Faultpoint.register "select"
    3. the sequential DP itself, now just combining and filtering the
       precomputed candidate lists — identical to the single-threaded
       formulation solution-for-solution. *)
-let select ?(params = default_params) ?jobs ?memo_key ~(gen : accel_gen)
+let select ?(params = default_params) ?jobs ~(gen : accel_gen)
     (ctxs : (string, Hls.Ctx.t) Hashtbl.t) (wpst : An.Wpst.t)
     (profile : Sim.Profile.t) : Solution.t list * stats =
   Obs.Trace.span ~cat:"select" "select" @@ fun () ->
@@ -138,28 +138,12 @@ let select ?(params = default_params) ?jobs ?memo_key ~(gen : accel_gen)
   in
   let points = ref 0 in
   let failures = ref [] in
-  (* With a [memo_key] and an active store, each task routes through the
-     compute-once memoizer under an alpha-equivalent key: structurally
-     identical regions (within this run or from an earlier one) evaluate
-     [gen] once. The key is derived inside the task — it only reads the
-     immutable context, so the fan-out stays embarrassingly parallel. *)
-  let gen_task =
-    match memo_key with
-    | Some mk when Memo.Store.active () ->
-      fun (ctx, r) ->
-        let key =
-          Obs.Trace.span ~cat:"memo" "memo.key" (fun () ->
-              Hls.Fingerprint.points_key ctx r ~gen:mk)
-        in
-        Memo.Store.memoize ~ns:"points" ~key (fun () -> gen ctx r)
-    | Some _ | None -> fun (ctx, r) -> gen ctx r
-  in
   let gen_results =
     Obs.Trace.span ~cat:"select" "select.gen" (fun () ->
         Engine.Pool.map_result ?jobs
-          (fun task ->
+          (fun (ctx, r) ->
             Obs.Trace.span ~cat:"select" "select.gen-region" (fun () ->
-                gen_task task))
+                gen ctx r))
           tasks)
   in
   List.iter2

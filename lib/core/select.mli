@@ -53,20 +53,14 @@ val failure_reason : exn -> string
     [stats.failures], its subtree still combines children normally, and
     every other region's candidates are unaffected.
 
-    [memo_key] opts the per-region generation into the ambient
-    {!Memo.Store}: it must identify [gen] and everything it closes over
-    (mode, beta, config list — see {!Cayman.gen_key}), and is combined
-    with [Fingerprint.points_key]'s alpha-equivalent region facts, so
-    structurally identical regions — across benchmarks and across runs —
-    generate once. Cached candidate lists are bit-identical to
-    recomputed ones (the codec round-trips floats exactly), so the
-    frontier and stats are unchanged by caching; when the store is
-    disabled (the default) [memo_key] has no effect. Failures are never
-    cached. *)
+    Selection never reads or writes the {!Memo.Store}: every task
+    calls [gen]. One model call costs about as much as deriving a
+    cache key for its region, so caching candidate lists would cost
+    more than it saves. What a warm run reuses is the profile that
+    {!Cayman.analyze} keeps in the store. *)
 val select :
   ?params:params ->
   ?jobs:int ->
-  ?memo_key:string ->
   gen:accel_gen ->
   (string, Cayman_hls.Ctx.t) Hashtbl.t ->
   Cayman_analysis.Wpst.t ->

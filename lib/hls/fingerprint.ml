@@ -32,28 +32,26 @@ let tech =
   Hash.digest b
 
 (* Every profile/analysis fact the kernel model reads for [region], fed
-   in a deterministic order, under the names of [listing]: canonical for
-   [points], original for [netlist]. *)
-let facts b (listing : Hash.listing) (ctx : Ctx.t) (region : An.Region.t) =
-  let lbl = listing.Hash.label_name in
-  let rg = listing.Hash.reg_name in
-  (* profile: region aggregate + per-block, in canonical block order *)
+   in a deterministic order under the original names: [block_order] is
+   the region's blocks in the listing's walk order. *)
+let facts b ~block_order (ctx : Ctx.t) (region : An.Region.t) =
+  (* profile: region aggregate + per-block, in walk order *)
   Hash.int b (Ctx.region_cycles ctx region);
   Hash.int b (Ctx.region_entries ctx region);
   List.iter
     (fun l ->
-      Hash.str b (lbl l);
+      Hash.str b l;
       Hash.int b (Ctx.block_exec ctx l);
       Hash.int b (Ctx.block_cycles ctx l))
-    listing.Hash.block_order;
-  (* loops fully inside the region, ordered by their header's canonical
-     position (renaming-invariant) *)
+    block_order;
+  (* loops fully inside the region, ordered by their header's position
+     in the walk *)
   let loops =
     match Ctx.loops_inside ctx region with
     | ([] | [ _ ]) as loops -> loops
     | loops ->
       let tbl = Hashtbl.create 16 in
-      List.iteri (fun i l -> Hashtbl.replace tbl l i) listing.Hash.block_order;
+      List.iteri (fun i l -> Hashtbl.replace tbl l i) block_order;
       let pos l = Option.value ~default:max_int (Hashtbl.find_opt tbl l) in
       List.sort
         (fun (a : An.Loops.loop) (b : An.Loops.loop) ->
@@ -63,12 +61,12 @@ let facts b (listing : Hash.listing) (ctx : Ctx.t) (region : An.Region.t) =
   Hash.int b (List.length loops);
   List.iter
     (fun (l : An.Loops.loop) ->
-      Hash.str b (lbl l.An.Loops.header);
-      List.iter (fun x -> Hash.str b (lbl x)) l.An.Loops.latches;
+      Hash.str b l.An.Loops.header;
+      List.iter (Hash.str b) l.An.Loops.latches;
       List.iter
         (fun (f, t) ->
-          Hash.str b (lbl f);
-          Hash.str b (lbl t))
+          Hash.str b f;
+          Hash.str b t)
         l.An.Loops.exits;
       Hash.int b (Ctx.trip ctx l.An.Loops.header);
       Hash.int b (Ctx.loop_entries ctx l);
@@ -78,12 +76,12 @@ let facts b (listing : Hash.listing) (ctx : Ctx.t) (region : An.Region.t) =
       | Some info ->
         Hash.bool b true;
         Hash.bool b (An.Memdep.has_carried_dep info);
-        List.iter (fun r -> Hash.str b (rg r)) info.An.Memdep.recurrences;
+        List.iter (Hash.str b) info.An.Memdep.recurrences;
         Hash.int b (List.length info.An.Memdep.carried);
         List.iter
           (fun (d : An.Memdep.carried_dep) ->
             let access (a : An.Memdep.access) =
-              Hash.str b (lbl a.An.Memdep.a_block);
+              Hash.str b a.An.Memdep.a_block;
               Hash.int b a.An.Memdep.a_pos;
               Hash.str b a.An.Memdep.a_base;
               Hash.bool b a.An.Memdep.a_is_store
@@ -100,10 +98,9 @@ let facts b (listing : Hash.listing) (ctx : Ctx.t) (region : An.Region.t) =
     (fun label ->
       let dfg = Ctx.dfg ctx label in
       let trips = Ctx.region_trips ctx region label in
-      let name = lbl label in
       List.iter
         (fun i ->
-          Hash.str b name;
+          Hash.str b label;
           Hash.int b i;
           (match Ir.Instr.mem_ref_of dfg.Dfg.instrs.(i) with
            | Some m -> Hash.str b m.Ir.Instr.base
@@ -120,25 +117,16 @@ let facts b (listing : Hash.listing) (ctx : Ctx.t) (region : An.Region.t) =
             Hash.int b a.An.Scev.const;
             List.iter
               (fun (h, c) ->
-                Hash.str b (lbl h);
+                Hash.str b h;
                 Hash.int b c)
               a.An.Scev.ivs;
             List.iter
               (fun (s, c) ->
-                Hash.str b (rg s);
+                Hash.str b s;
                 Hash.int b c)
               a.An.Scev.syms)
         (Dfg.mem_nodes dfg))
-    listing.Hash.block_order
-
-let points_key (ctx : Ctx.t) (region : An.Region.t) ~gen =
-  let b = Hash.builder ~ns:"points" in
-  Hash.str b tech;
-  Hash.str b gen;
-  let listing = Hash.canon_region ctx.Ctx.func region in
-  Hash.str b listing.Hash.code;
-  facts b listing ctx region;
-  Hash.digest b
+    block_order
 
 let netlist_key (ctx : Ctx.t) (region : An.Region.t) ~beta ~config =
   let b = Hash.builder ~ns:"netlist" in
@@ -147,5 +135,5 @@ let netlist_key (ctx : Ctx.t) (region : An.Region.t) ~beta ~config =
   Hash.float b beta;
   let listing = Hash.exact_region ctx.Ctx.func region in
   Hash.str b listing.Hash.code;
-  facts b listing ctx region;
+  facts b ~block_order:listing.Hash.block_order ctx region;
   Hash.digest b

@@ -3,31 +3,24 @@
     A cache key must determine the computation's result: it is built by
     {e fact enumeration} — every input the estimator/netlist backend
     reads is fed to a {!Memo.Hash} builder. Concretely that is the
-    region's code (canonical or exact, see below), the profile facts
+    region's exact code, the profile facts
     (region cycles/entries, per-block execution counts and cycles,
     per-loop trip counts and entries), the memory-dependence facts
     (recurrences, loop-carried dependencies), the scalar-evolution facts
     (access pattern, affine form, static footprint w.r.t. the region's
     loop trips — mirroring [Kernel.assign_interfaces]), the technology
-    table ({!tech}), and the generator configuration. The library
+    table ({!tech}), and the kernel configuration. The library
     version salt rides in via {!Memo.Hash.builder}.
 
-    [points_key] uses the {e alpha-renamed} region listing: a
-    {!Kernel.point} carries no register or label names, so structurally
-    identical regions — including across different benchmarks in one
-    run — share one entry. [netlist_key] uses the {e exact} listing:
+    [netlist_key] uses the {e exact} listing and original names:
     netlists embed real names (module name, FSM states, architectural
-    registers), so those keys are rename-sensitive by design. *)
+    registers), so those keys are rename-sensitive by design. Design
+    points are not cached: {!Kernel.estimate_all} costs about as much
+    as a key for its region would. *)
 
 (** Digest of the full {!Tech} characterization table: any change to a
     delay/area/latency constant invalidates every key derived here. *)
 val tech : string
-
-(** Key for a region's kernel design-point list ([Kernel.estimate_all]
-    and friends). [gen] identifies the generator and its knobs (mode,
-    beta, config list) — include everything the generator closes
-    over. *)
-val points_key : Ctx.t -> Cayman_analysis.Region.t -> gen:string -> string
 
 (** Key for [Netlist.of_kernel ctx region ?beta config]. *)
 val netlist_key :

@@ -198,7 +198,6 @@ type listing = {
   code : string;
   block_order : string list;
   label_name : string -> string;
-  reg_name : string -> string;
 }
 
 (* --- digest-collision guard --- *)
@@ -319,12 +318,7 @@ let canon_region (func : Ir.Func.t) (region : An.Region.t) =
         | None ->
           (match Hashtbl.find_opt exits l with
            | Some c -> c
-           | None -> "?" ^ l));
-    reg_name =
-      (fun r ->
-        match Hashtbl.find_opt regs r with
-        | Some c -> c
-        | None -> "?" ^ r) }
+           | None -> "?" ^ l)) }
 
 let exact_region (func : Ir.Func.t) (region : An.Region.t) =
   let block_order, block = traverse func region in
@@ -336,8 +330,7 @@ let exact_region (func : Ir.Func.t) (region : An.Region.t) =
   List.iter
     (fun l -> add_block buf ~reg:Fun.id ~label:Fun.id l (block l))
     block_order;
-  { code = Buffer.contents buf; block_order; label_name = Fun.id;
-    reg_name = Fun.id }
+  { code = Buffer.contents buf; block_order; label_name = Fun.id }
 
 (* --- whole programs --- *)
 

@@ -64,10 +64,6 @@ type listing = {
       (** the name a label has in [code]: for a canonical listing
           [B<k>] inside the region, [X<k>] for recorded exit targets,
           [?<l>] otherwise; the identity for an exact one *)
-  reg_name : string -> string;
-      (** the name a register has in [code]: for a canonical listing
-          [r<k>], or [?<r>] if it never occurs in the region; the
-          identity for an exact one *)
 }
 
 (** The alpha-renamed listing of [region] of [func]: blocks in canonical

@@ -50,17 +50,11 @@ let load ?bench ?source () =
   | Some _, Some _ -> Error "use either bench or source, not both"
   | None, None -> Error "one of bench or source is required"
 
-(* Generator plus its memoization identity (what the generator closes
-   over; the baselines have no knobs, so a fixed tag suffices). *)
 let gen_of_mode = function
-  | "full" ->
-    Ok (Core.Cayman.gen Hls.Kernel.Heuristic,
-        Core.Cayman.gen_key Hls.Kernel.Heuristic)
-  | "coupled-only" ->
-    Ok (Core.Cayman.gen Hls.Kernel.Coupled_only,
-        Core.Cayman.gen_key Hls.Kernel.Coupled_only)
-  | "novia" -> Ok (Cayman_baselines.Novia.gen, "baseline.novia")
-  | "qscores" -> Ok (Cayman_baselines.Qscores.gen, "baseline.qscores")
+  | "full" -> Ok (Core.Cayman.gen Hls.Kernel.Heuristic)
+  | "coupled-only" -> Ok (Core.Cayman.gen Hls.Kernel.Coupled_only)
+  | "novia" -> Ok Cayman_baselines.Novia.gen
+  | "qscores" -> Ok Cayman_baselines.Qscores.gen
   | other -> Error (Printf.sprintf "unknown mode %s" other)
 
 let kernel_mode_of = function
@@ -80,7 +74,7 @@ let formatter_of b = Format.formatter_of_buffer b
 let run_text ?fuel ~budget ~mode ~alpha program =
   match gen_of_mode mode with
   | Error m -> Error m
-  | Ok (gen, memo_key) ->
+  | Ok gen ->
     let b = Buffer.create 1024 in
     let fmt = formatter_of b in
     let a = Core.Cayman.analyze ?fuel program in
@@ -91,7 +85,7 @@ let run_text ?fuel ~budget ~mode ~alpha program =
       (Sim.Profile.total_instrs a.Core.Cayman.profile);
     let params = { Core.Select.default_params with Core.Select.alpha } in
     let frontier, stats =
-      Core.Select.select ~params ~memo_key ~gen a.Core.Cayman.ctxs
+      Core.Select.select ~params ~gen a.Core.Cayman.ctxs
         a.Core.Cayman.wpst a.Core.Cayman.profile
     in
     Printf.bprintf b

@@ -27,10 +27,9 @@ val load :
   unit ->
   (Cayman_ir.Program.t, string) result
 
-(** Selection generator + memo identity for a [--mode] string
-    ([full], [coupled-only], [novia], [qscores]). *)
-val gen_of_mode :
-  string -> (Core.Select.accel_gen * string, string) result
+(** Selection generator for a [--mode] string ([full],
+    [coupled-only], [novia], [qscores]). *)
+val gen_of_mode : string -> (Core.Select.accel_gen, string) result
 
 (** Kernel interface mode for a cosim [--mode] string. *)
 val kernel_mode_of : string -> (Cayman_hls.Kernel.mode, string) result

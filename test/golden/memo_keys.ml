@@ -2,11 +2,10 @@
    key, so any change to key derivation shows up as a reviewed diff:
 
      profile <program> <key>
-     region <program> <func>/<id> points=<key> netlist=<key> canon=<digest>
+     region <program> <func>/<id> netlist=<key> canon=<digest>
 
    For every wPST region of six Table II programs and the first 20
-   generated fleet programs (seed 1), the region line holds the
-   alpha-renamed points key (heuristic mode's generator), the exact
+   generated fleet programs (seed 1), the region line holds the exact
    netlist key of one fixed configuration and the guarded canon digest.
    The profile line holds the key of the program's profiling pass at the
    default fuel. No store is opened: keys are derived, never looked up. *)
@@ -20,8 +19,6 @@ let table2 = [ "atax"; "gramschmidt"; "fft"; "nw"; "epic"; "zip-test" ]
 let config =
   { Hls.Kernel.unroll = 2; pipeline = true; mode = Hls.Kernel.Heuristic }
 
-let gen = Core.Cayman.gen_key Hls.Kernel.Heuristic
-
 let print_keys name (program : Ir.Program.t) =
   let a = Core.Cayman.analyze program in
   let program = a.Core.Cayman.program in
@@ -32,9 +29,8 @@ let print_keys name (program : Ir.Program.t) =
       match Hashtbl.find_opt a.Core.Cayman.ctxs fname with
       | None -> ()
       | Some ctx ->
-        Printf.printf "region %s %s/%d points=%s netlist=%s canon=%s\n" name
-          fname r.An.Region.id
-          (Hls.Fingerprint.points_key ctx r ~gen)
+        Printf.printf "region %s %s/%d netlist=%s canon=%s\n" name fname
+          r.An.Region.id
           (Hls.Fingerprint.netlist_key ctx r ~beta:Hls.Kernel.default_beta
              ~config)
           (Memo.Hash.canon_digest (Memo.Hash.canon_region ctx.Hls.Ctx.func r)))

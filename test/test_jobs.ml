@@ -31,7 +31,8 @@ let () =
   (* 3. end-to-end: env-driven selection equals the sequential run.
      Metrics are snapshotted around each run so the schedule-independent
      subset (counters + histograms) can be compared bit-for-bit. *)
-  let a = Core.Cayman.analyze (Suite.compile (Suite.find_exn "atax")) in
+  let atax = Suite.compile (Suite.find_exn "atax") in
+  let a = Core.Cayman.analyze atax in
   Obs.Metrics.reset ();
   let seq_run = Core.Cayman.run ~jobs:1 ~mode:Hls.Kernel.Heuristic a in
   let seq_metrics = Obs.Metrics.deterministic_snapshot () in
@@ -64,17 +65,19 @@ let () =
       resolved
   end;
   (* 5. warm-cache determinism: against a private memoization store, a
-     cold run primes the cache; warm runs at jobs=1 and at the
-     env-resolved job count must then reproduce the cache-off frontier
-     bit-for-bit, with bit-identical deterministic metrics between the
-     two warm runs and a nonzero disk hit count (the phases above ran
-     with the store disabled — the library default — so their metric
-     comparisons are unaffected). *)
+     cold analysis primes the cache with the profile; warm analyses plus
+     runs at jobs=1 and at the env-resolved job count must then
+     reproduce the cache-off frontier bit-for-bit, with bit-identical
+     deterministic metrics between the two warm runs and a nonzero disk
+     hit count (the phases above ran with the store disabled — the
+     library default — so their metric comparisons are unaffected). *)
   Memo.Store.with_private_store
     (fun _ ->
       if not (Memo.Store.active ()) then
         fail "private memoization store failed to enable";
-      let cold = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a in
+      let cold =
+        Core.Cayman.run ~mode:Hls.Kernel.Heuristic (Core.Cayman.analyze atax)
+      in
       if
         not
           (Core.Solution.equal_frontier cold.Core.Cayman.frontier
@@ -83,7 +86,10 @@ let () =
       let warm_run jobs =
         Memo.Store.reset_memory ();
         Obs.Metrics.reset ();
-        let r = Core.Cayman.run ?jobs ~mode:Hls.Kernel.Heuristic a in
+        let r =
+          Core.Cayman.run ?jobs ~mode:Hls.Kernel.Heuristic
+            (Core.Cayman.analyze atax)
+        in
         r, Obs.Metrics.deterministic_snapshot ()
       in
       let warm_seq, warm_seq_metrics = warm_run (Some 1) in

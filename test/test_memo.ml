@@ -385,14 +385,22 @@ int main() {
 }
 |}
 
+(* Selection itself keeps nothing in the store; what a warm run reuses
+   is the profile, so the warm side analyses the source again. *)
 let test_select_cached_equals_uncached () =
-  let a = Core.Cayman.analyze_source flow_src in
   Memo.Store.disable ();
-  let base = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a in
+  let base =
+    Core.Cayman.run ~mode:Hls.Kernel.Heuristic
+      (Core.Cayman.analyze_source flow_src)
+  in
   with_store @@ fun _dir ->
-  let cold = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a in
+  let cold =
+    Core.Cayman.run ~mode:Hls.Kernel.Heuristic
+      (Core.Cayman.analyze_source flow_src)
+  in
   Memo.Store.reset_memory ();
   let hits0 = counter "memo.disk_hits" in
+  let a = Core.Cayman.analyze_source flow_src in
   let warm = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a in
   Alcotest.(check bool) "cold frontier = uncached" true
     (Core.Solution.equal_frontier cold.Core.Cayman.frontier
@@ -403,7 +411,17 @@ let test_select_cached_equals_uncached () =
   Alcotest.(check bool) "warm run hit the disk" true
     (counter "memo.disk_hits" > hits0);
   Alcotest.(check bool) "frontier nonempty" true
-    (base.Core.Cayman.frontier <> [])
+    (base.Core.Cayman.frontier <> []);
+  let lookups () =
+    counter "memo.disk_hits" + counter "memo.disk_misses"
+    + counter "memo.run_shared"
+  in
+  let lookups0 = lookups () and puts0 = counter "memo.puts" in
+  ignore (Core.Cayman.run ~mode:Hls.Kernel.Heuristic a);
+  Alcotest.(check int) "selection makes no store lookup" lookups0
+    (lookups ());
+  Alcotest.(check int) "selection makes no store put" puts0
+    (counter "memo.puts")
 
 (* Two programs that differ only in a float constant past its sixth
    significant digit: both print the constant as 0.01 under [%g], yet
