@@ -3,20 +3,25 @@ open Interp_common
 
 (* Staged (closure-compiled) interpreter engine.
 
-   Each basic block is pre-compiled once per run into a flat array of
-   instruction closures — executing a block is a tight loop of indirect
-   calls, one per instruction, with no per-instruction match dispatch.
-   Registers live in typed, integer-indexed banks ([ints] holds both I32
-   and Bool — booleans as 0/1 — [flts] holds F32), and immediates in
-   constant slots of the same banks, so each closure reads its operands
-   and writes its result in the banks directly and a float is never
-   boxed. Memory bases are resolved to their raw arrays at compile
-   time. Control flow comes from the function's {!Ir.Cfg} index: blocks
-   are compiled into an array over its ids, and "uninitialized
-   register" checks are compiled only where {!Ir.Cfg.Must_defined}
-   cannot prove the read safe. Def bytes are kept only for registers
-   such a check reads, or that an observer's watch point reads without
-   that proof.
+   Each basic block is pre-compiled once per run into one chain of
+   closures of type [frame -> sblock]: every instruction closure does
+   its work and tail-calls the next link, and the last link is the
+   block's terminator, which counts the edge it takes and returns the
+   next block (or the [halt] sentinel on a return). Executing a block is
+   one call into its chain, with no per-instruction array load, loop
+   test or match dispatch, and no terminator match. A block that ends
+   in an integer compare feeding its branch compiles the two into one
+   terminator link. Registers live in typed, integer-indexed banks
+   ([ints] holds both I32 and Bool — booleans as 0/1 — [flts] holds
+   F32), and immediates in constant slots of the same banks, so each
+   closure reads its operands and writes its result in the banks
+   directly and a float is never boxed. Memory bases are resolved to
+   their raw arrays at compile time. Control flow comes from the
+   function's {!Ir.Cfg} index: blocks are compiled into an array over
+   its ids, and "uninitialized register" checks are compiled only where
+   {!Ir.Cfg.Must_defined} cannot prove the read safe. Def bytes are kept
+   only for registers such a check reads, or that an observer's watch
+   point reads without that proof.
    What still allocates is per call (a frame) or per run (codegen, the
    profile tables), not per instruction.
 
@@ -271,40 +276,30 @@ type frame = {
   mutable retf : float; (* float return slot *)
 }
 
-(* The fields the block loop reads come first, so they share a cache
-   line. *)
+(* The fields the block loop reads come first, in the order it reads
+   them, so they share a cache line: the counter, the watch point, the
+   fuel cost and the chain. *)
 type sblock = {
   (* Profile counter, bound lazily on first execution so the profile
      hashtable sees exactly the reference engine's insertion sequence
      (byte-identical under Marshal). *)
   mutable sb_cnt : int ref option;
-  (* The observer's handlers, resolved once per run: [sb_watch] fires at
-     block entry when the block is a watch point, [sb_on_return] when a
-     returning block's function has a return handler. *)
+  (* The observer's block handler, resolved once per run: it fires at
+     block entry when the block is a watch point. *)
   mutable sb_watch : (frame -> unit) option;
   sb_ninstrs : int;
-  mutable sb_code : (frame -> unit) array;
-  (* Uids whose def byte the block sets once its code has run: see
-     [codegen] for which registers are tracked. *)
-  mutable sb_defs : int array;
-  mutable sb_term : sterm;
-  mutable sb_on_return : (frame -> Value.t option -> unit) option;
+  (* The block's code: its instructions, then the def bytes it keeps,
+     then its terminator, which returns the next block ([halt] after a
+     return). Set by [codegen] once every block has its shell. *)
+  mutable sb_run : frame -> sblock;
   sb_func : string;
   sb_label : string;
   sb_cycles : int;
 }
 
-(* Terminator operands are bank slots. *)
-and sterm =
-  | S_halt (* codegen placeholder, never executed *)
-  | S_jump of sedge
-  | S_branch of int * sedge * sedge
-  | S_ret_int of int
-  | S_ret_bool of int
-  | S_ret_float of int
-  | S_ret_void
-
-and sedge = {
+(* A control-flow edge as its terminator link holds it: the block it
+   enters and the labels the profile keys its counter by. *)
+type sedge = {
   e_target : sblock;
   e_src : string;
   e_dst : string;
@@ -354,28 +349,22 @@ let frame_read (sf : sfunc) (proven : int -> bool) (fr : frame) (rid : string)
          | Ir.Types.Bool -> Value.Vbool (fr.ints.(ri.bidx) <> 0)
          | Ir.Types.F32 -> Value.Vfloat fr.flts.(ri.bidx))
 
-(* Bump a lazily-bound profile counter. The slot is created on first
-   execution (not at compile time), so the profile hashtables see
-   exactly the reference engine's insertion sequence and stay
-   byte-identical under Marshal. After the first bump the counter is a
-   cached [int ref]: no hashing, no allocation. *)
-let[@inline] bump_edge (cx : ctx) (b : sblock) (e : sedge) =
-  match e.e_cnt with
-  | Some r -> incr r
-  | None ->
-    let r =
-      Profile.edge_slot cx.cx_profile ~func:b.sb_func ~src:e.e_src
-        ~dst:e.e_dst
-    in
-    incr r;
-    e.e_cnt <- Some r
+(* What a return link hands back to the block loop, which stops at it.
+   It is never run and never written. *)
+let halt =
+  { sb_cnt = None;
+    sb_watch = None;
+    sb_ninstrs = 0;
+    sb_run = (fun _ -> assert false);
+    sb_func = "";
+    sb_label = "";
+    sb_cycles = 0 }
 
-(* The block-execution loop: per-block bookkeeping mirrors the reference
-   engine (profile, watch point, fuel — in that order), then the
-   instruction closures run back to back, then the block's tracked def
-   bytes are set. The run's cycle and instruction totals are not kept
-   here: [run] derives them from the block counters once the run
-   completes. *)
+(* The block loop: per-block bookkeeping mirrors the reference engine
+   (profile, watch point, fuel — in that order), then one call runs the
+   block's chain, which returns the next block. The run's cycle and
+   instruction totals are not kept here: [run] derives them from the
+   block counters once the run completes. *)
 let exec_sfunc (cx : ctx) (sf : sfunc) (fr : frame) : unit =
   (match sf.sf_cnt with
    | Some r -> incr r
@@ -384,8 +373,7 @@ let exec_sfunc (cx : ctx) (sf : sfunc) (fr : frame) : unit =
      incr r;
      sf.sf_cnt <- Some r);
   let cur = ref sf.sf_entry in
-  let running = ref true in
-  while !running do
+  while !cur != halt do
     let b = !cur in
     (match b.sb_cnt with
      | Some r -> incr r
@@ -400,253 +388,266 @@ let exec_sfunc (cx : ctx) (sf : sfunc) (fr : frame) : unit =
      | None -> ());
     cx.cx_fuel <- cx.cx_fuel - b.sb_ninstrs - 1;
     if cx.cx_fuel < 0 then raise Out_of_fuel;
-    let code = b.sb_code in
-    for i = 0 to Array.length code - 1 do
-      (Array.unsafe_get code i) fr
-    done;
-    let defs = b.sb_defs in
-    for i = 0 to Array.length defs - 1 do
-      Bytes.unsafe_set fr.def (Array.unsafe_get defs i) '\001'
-    done;
-    match b.sb_term with
-    | S_jump e ->
-      bump_edge cx b e;
-      cur := e.e_target
-    | S_branch (c, te, fe) ->
-      let e = if Array.unsafe_get fr.ints c <> 0 then te else fe in
-      bump_edge cx b e;
-      cur := e.e_target
-    | S_ret_int s ->
-      fr.reti <- Array.unsafe_get fr.ints s;
-      (match b.sb_on_return with
-       | Some w -> w fr (Some (Value.Vint fr.reti))
-       | None -> ());
-      running := false
-    | S_ret_bool s ->
-      fr.reti <- Array.unsafe_get fr.ints s;
-      (match b.sb_on_return with
-       | Some w -> w fr (Some (Value.Vbool (fr.reti <> 0)))
-       | None -> ());
-      running := false
-    | S_ret_float s ->
-      fr.retf <- Array.unsafe_get fr.flts s;
-      (match b.sb_on_return with
-       | Some w -> w fr (Some (Value.Vfloat fr.retf))
-       | None -> ());
-      running := false
-    | S_ret_void ->
-      (match b.sb_on_return with
-       | Some w -> w fr None
-       | None -> ());
-      running := false
-    | S_halt -> assert false
+    cur := b.sb_run fr
   done
 
 (* ------------------------------------------------------------------ *)
-(* Instruction closures                                               *)
+(* Instruction links                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Each IR instruction compiles to one closure over bank slots [d]
-   (destination) and [a]/[b]/[c] (operands) that reads and writes the
-   frame's banks directly: one indirect call per instruction, and a
-   float never crosses a closure boundary, so it is never boxed. The
-   bodies are spelled out operator by operator on purpose: OCaml without
-   flambda does not inline a function passed as an argument, so a
-   shared higher-order helper would put a call per operand (and a box
-   per float) back on the hot path. Operand reads are unchecked; an
-   operand {!Ir.Cfg.Must_defined} does not prove gets a separate
-   [check] closure emitted before the instruction (see [codegen]). *)
+(* A link of a block's chain. Each IR instruction compiles to one link
+   over bank slots [d] (destination) and [a]/[b]/[c] (operands) that
+   reads and writes the frame's banks directly and then tail-calls [k],
+   the rest of the block, fixed at codegen: one indirect jump per
+   instruction, and a float never crosses a closure boundary, so it is
+   never boxed. The bodies are spelled out operator by operator on
+   purpose: OCaml without flambda does not inline a function passed as
+   an argument, so a shared higher-order helper would put a call per
+   operand (and a box per float) back on the hot path. Operand reads are
+   unchecked; an operand {!Ir.Cfg.Must_defined} does not prove gets a
+   separate [check] link before the instruction (see [codegen]). *)
+type link = frame -> sblock
 
-let check uid msg : frame -> unit =
- fun fr ->
+let[@inline] require fr uid msg =
   if Bytes.unsafe_get fr.def uid = '\000' then raise (Runtime_error msg)
 
-let binary (op : Ir.Op.bin) d a b : frame -> unit =
+let check uid msg (k : link) : link =
+ fun fr ->
+  require fr uid msg;
+  k fr
+
+let binary (op : Ir.Op.bin) d a b (k : link) : link =
   match op with
   | Ir.Op.Add ->
     fun fr ->
       let r = fr.ints in
-      Array.unsafe_set r d (Array.unsafe_get r a + Array.unsafe_get r b)
+      Array.unsafe_set r d (Array.unsafe_get r a + Array.unsafe_get r b);
+      k fr
   | Ir.Op.Sub ->
     fun fr ->
       let r = fr.ints in
-      Array.unsafe_set r d (Array.unsafe_get r a - Array.unsafe_get r b)
+      Array.unsafe_set r d (Array.unsafe_get r a - Array.unsafe_get r b);
+      k fr
   | Ir.Op.Mul ->
     fun fr ->
       let r = fr.ints in
-      Array.unsafe_set r d (Array.unsafe_get r a * Array.unsafe_get r b)
+      Array.unsafe_set r d (Array.unsafe_get r a * Array.unsafe_get r b);
+      k fr
   | Ir.Op.Div ->
     fun fr ->
       let r = fr.ints in
       let y = Array.unsafe_get r b in
       if y = 0 then raise (Runtime_error "integer division by zero");
-      Array.unsafe_set r d (Array.unsafe_get r a / y)
+      Array.unsafe_set r d (Array.unsafe_get r a / y);
+      k fr
   | Ir.Op.Rem ->
     fun fr ->
       let r = fr.ints in
       let y = Array.unsafe_get r b in
       if y = 0 then raise (Runtime_error "integer remainder by zero");
-      Array.unsafe_set r d (Array.unsafe_get r a mod y)
+      Array.unsafe_set r d (Array.unsafe_get r a mod y);
+      k fr
   | Ir.Op.And ->
     fun fr ->
       let r = fr.ints in
-      Array.unsafe_set r d (Array.unsafe_get r a land Array.unsafe_get r b)
+      Array.unsafe_set r d (Array.unsafe_get r a land Array.unsafe_get r b);
+      k fr
   | Ir.Op.Or ->
     fun fr ->
       let r = fr.ints in
-      Array.unsafe_set r d (Array.unsafe_get r a lor Array.unsafe_get r b)
+      Array.unsafe_set r d (Array.unsafe_get r a lor Array.unsafe_get r b);
+      k fr
   | Ir.Op.Xor ->
     fun fr ->
       let r = fr.ints in
-      Array.unsafe_set r d (Array.unsafe_get r a lxor Array.unsafe_get r b)
+      Array.unsafe_set r d (Array.unsafe_get r a lxor Array.unsafe_get r b);
+      k fr
   | Ir.Op.Shl ->
     fun fr ->
       let r = fr.ints in
-      Array.unsafe_set r d (Array.unsafe_get r a lsl Array.unsafe_get r b)
+      Array.unsafe_set r d (Array.unsafe_get r a lsl Array.unsafe_get r b);
+      k fr
   | Ir.Op.Shr ->
     fun fr ->
       let r = fr.ints in
-      Array.unsafe_set r d (Array.unsafe_get r a asr Array.unsafe_get r b)
+      Array.unsafe_set r d (Array.unsafe_get r a asr Array.unsafe_get r b);
+      k fr
   | Ir.Op.Fadd ->
     fun fr ->
       let f = fr.flts in
-      Array.unsafe_set f d (Array.unsafe_get f a +. Array.unsafe_get f b)
+      Array.unsafe_set f d (Array.unsafe_get f a +. Array.unsafe_get f b);
+      k fr
   | Ir.Op.Fsub ->
     fun fr ->
       let f = fr.flts in
-      Array.unsafe_set f d (Array.unsafe_get f a -. Array.unsafe_get f b)
+      Array.unsafe_set f d (Array.unsafe_get f a -. Array.unsafe_get f b);
+      k fr
   | Ir.Op.Fmul ->
     fun fr ->
       let f = fr.flts in
-      Array.unsafe_set f d (Array.unsafe_get f a *. Array.unsafe_get f b)
+      Array.unsafe_set f d (Array.unsafe_get f a *. Array.unsafe_get f b);
+      k fr
   | Ir.Op.Fdiv ->
     fun fr ->
       let f = fr.flts in
-      Array.unsafe_set f d (Array.unsafe_get f a /. Array.unsafe_get f b)
+      Array.unsafe_set f d (Array.unsafe_get f a /. Array.unsafe_get f b);
+      k fr
 
-let comparison (op : Ir.Op.cmp) d a b : frame -> unit =
+let comparison (op : Ir.Op.cmp) d a b (k : link) : link =
   match op with
   | Ir.Op.Eq ->
     fun fr ->
       let r = fr.ints in
       Array.unsafe_set r d
-        (Bool.to_int (Array.unsafe_get r a = Array.unsafe_get r b))
+        (Bool.to_int (Array.unsafe_get r a = Array.unsafe_get r b));
+      k fr
   | Ir.Op.Ne ->
     fun fr ->
       let r = fr.ints in
       Array.unsafe_set r d
-        (Bool.to_int (Array.unsafe_get r a <> Array.unsafe_get r b))
+        (Bool.to_int (Array.unsafe_get r a <> Array.unsafe_get r b));
+      k fr
   | Ir.Op.Lt ->
     fun fr ->
       let r = fr.ints in
       Array.unsafe_set r d
-        (Bool.to_int (Array.unsafe_get r a < Array.unsafe_get r b))
+        (Bool.to_int (Array.unsafe_get r a < Array.unsafe_get r b));
+      k fr
   | Ir.Op.Le ->
     fun fr ->
       let r = fr.ints in
       Array.unsafe_set r d
-        (Bool.to_int (Array.unsafe_get r a <= Array.unsafe_get r b))
+        (Bool.to_int (Array.unsafe_get r a <= Array.unsafe_get r b));
+      k fr
   | Ir.Op.Gt ->
     fun fr ->
       let r = fr.ints in
       Array.unsafe_set r d
-        (Bool.to_int (Array.unsafe_get r a > Array.unsafe_get r b))
+        (Bool.to_int (Array.unsafe_get r a > Array.unsafe_get r b));
+      k fr
   | Ir.Op.Ge ->
     fun fr ->
       let r = fr.ints in
       Array.unsafe_set r d
-        (Bool.to_int (Array.unsafe_get r a >= Array.unsafe_get r b))
+        (Bool.to_int (Array.unsafe_get r a >= Array.unsafe_get r b));
+      k fr
   | Ir.Op.Feq ->
     fun fr ->
       let f = fr.flts in
       Array.unsafe_set fr.ints d
-        (Bool.to_int (Array.unsafe_get f a = Array.unsafe_get f b))
+        (Bool.to_int (Array.unsafe_get f a = Array.unsafe_get f b));
+      k fr
   | Ir.Op.Fne ->
     fun fr ->
       let f = fr.flts in
       Array.unsafe_set fr.ints d
-        (Bool.to_int (Array.unsafe_get f a <> Array.unsafe_get f b))
+        (Bool.to_int (Array.unsafe_get f a <> Array.unsafe_get f b));
+      k fr
   | Ir.Op.Flt ->
     fun fr ->
       let f = fr.flts in
       Array.unsafe_set fr.ints d
-        (Bool.to_int (Array.unsafe_get f a < Array.unsafe_get f b))
+        (Bool.to_int (Array.unsafe_get f a < Array.unsafe_get f b));
+      k fr
   | Ir.Op.Fle ->
     fun fr ->
       let f = fr.flts in
       Array.unsafe_set fr.ints d
-        (Bool.to_int (Array.unsafe_get f a <= Array.unsafe_get f b))
+        (Bool.to_int (Array.unsafe_get f a <= Array.unsafe_get f b));
+      k fr
   | Ir.Op.Fgt ->
     fun fr ->
       let f = fr.flts in
       Array.unsafe_set fr.ints d
-        (Bool.to_int (Array.unsafe_get f a > Array.unsafe_get f b))
+        (Bool.to_int (Array.unsafe_get f a > Array.unsafe_get f b));
+      k fr
   | Ir.Op.Fge ->
     fun fr ->
       let f = fr.flts in
       Array.unsafe_set fr.ints d
-        (Bool.to_int (Array.unsafe_get f a >= Array.unsafe_get f b))
+        (Bool.to_int (Array.unsafe_get f a >= Array.unsafe_get f b));
+      k fr
 
-let unary (op : Ir.Op.un) d a : frame -> unit =
+let unary (op : Ir.Op.un) d a (k : link) : link =
   match op with
   | Ir.Op.Neg ->
     fun fr ->
       let r = fr.ints in
-      Array.unsafe_set r d (-Array.unsafe_get r a)
+      Array.unsafe_set r d (-Array.unsafe_get r a);
+      k fr
   | Ir.Op.Not ->
     fun fr ->
       let r = fr.ints in
-      Array.unsafe_set r d (Array.unsafe_get r a lxor 1)
+      Array.unsafe_set r d (Array.unsafe_get r a lxor 1);
+      k fr
   | Ir.Op.Fneg ->
     fun fr ->
       let f = fr.flts in
-      Array.unsafe_set f d (-.Array.unsafe_get f a)
+      Array.unsafe_set f d (-.Array.unsafe_get f a);
+      k fr
   | Ir.Op.Int_of_float ->
     fun fr ->
-      Array.unsafe_set fr.ints d (int_of_float (Array.unsafe_get fr.flts a))
+      Array.unsafe_set fr.ints d (int_of_float (Array.unsafe_get fr.flts a));
+      k fr
   | Ir.Op.Float_of_int ->
     fun fr ->
-      Array.unsafe_set fr.flts d (float_of_int (Array.unsafe_get fr.ints a))
+      Array.unsafe_set fr.flts d (float_of_int (Array.unsafe_get fr.ints a));
+      k fr
+
+let assign ~float d a (k : link) : link =
+  if float then fun fr ->
+    let f = fr.flts in
+    Array.unsafe_set f d (Array.unsafe_get f a);
+    k fr
+  else fun fr ->
+    let r = fr.ints in
+    Array.unsafe_set r d (Array.unsafe_get r a);
+    k fr
 
 (* [Select] evaluates only the operand it picks, so a check on [a] or
-   [b] must run only on that side: [ka]/[kb] are those checks, and the
-   unchecked closures serve the common case where neither needs one. *)
-let select ~float d c a b ~ka ~kb : frame -> unit =
+   [b] must run only on that side: [ka]/[kb] are those checks, as
+   (uid, message), and the unchecked links serve the common case where
+   neither needs one. *)
+let select ~float d c a b ~ka ~kb (k : link) : link =
   match float, ka, kb with
   | false, None, None ->
     fun fr ->
       let r = fr.ints in
       Array.unsafe_set r d
         (if Array.unsafe_get r c <> 0 then Array.unsafe_get r a
-         else Array.unsafe_get r b)
+         else Array.unsafe_get r b);
+      k fr
   | true, None, None ->
     fun fr ->
       let f = fr.flts in
       Array.unsafe_set f d
         (if Array.unsafe_get fr.ints c <> 0 then Array.unsafe_get f a
-         else Array.unsafe_get f b)
-  | false, _, _ ->
-    let ka = Option.value ka ~default:ignore
-    and kb = Option.value kb ~default:ignore in
-    fun fr ->
-      let r = fr.ints in
-      if Array.unsafe_get r c <> 0 then (
-        ka fr;
-        Array.unsafe_set r d (Array.unsafe_get r a))
-      else (
-        kb fr;
-        Array.unsafe_set r d (Array.unsafe_get r b))
-  | true, _, _ ->
-    let ka = Option.value ka ~default:ignore
-    and kb = Option.value kb ~default:ignore in
-    fun fr ->
+         else Array.unsafe_get f b);
+      k fr
+  | _, _, _ ->
+    let guard = function
+      | Some (uid, msg) -> fun fr -> require fr uid msg
+      | None -> ignore
+    in
+    let ka = guard ka and kb = guard kb in
+    if float then fun fr ->
       let f = fr.flts in
       if Array.unsafe_get fr.ints c <> 0 then (
         ka fr;
         Array.unsafe_set f d (Array.unsafe_get f a))
       else (
         kb fr;
-        Array.unsafe_set f d (Array.unsafe_get f b))
+        Array.unsafe_set f d (Array.unsafe_get f b));
+      k fr
+    else fun fr ->
+      let r = fr.ints in
+      if Array.unsafe_get r c <> 0 then (
+        ka fr;
+        Array.unsafe_set r d (Array.unsafe_get r a))
+      else (
+        kb fr;
+        Array.unsafe_set r d (Array.unsafe_get r b));
+      k fr
 
 let oob base n idx =
   Memory.Fault (Printf.sprintf "index %d out of bounds for %s[%d]" idx base n)
@@ -659,7 +660,7 @@ let[@inline] touch cache base idx =
   | Some c -> ignore (Cache.access c ~base ~index:idx : bool)
   | None -> ()
 
-let load mem cache base d ix : frame -> unit =
+let load mem cache base d ix (k : link) : link =
   match Memory.int_cells mem base with
   | Some arr ->
     let n = Array.length arr in
@@ -668,7 +669,8 @@ let load mem cache base d ix : frame -> unit =
       let i = Array.unsafe_get r ix in
       touch cache base i;
       if i < 0 || i >= n then raise (oob base n i);
-      Array.unsafe_set r d (Array.unsafe_get arr i)
+      Array.unsafe_set r d (Array.unsafe_get arr i);
+      k fr
   | None ->
     let arr = Option.get (Memory.float_cells mem base) in
     let n = Array.length arr in
@@ -676,9 +678,10 @@ let load mem cache base d ix : frame -> unit =
       let i = Array.unsafe_get fr.ints ix in
       touch cache base i;
       if i < 0 || i >= n then raise (oob base n i);
-      Array.unsafe_set fr.flts d (Array.unsafe_get arr i)
+      Array.unsafe_set fr.flts d (Array.unsafe_get arr i);
+      k fr
 
-let store mem cache base ix v : frame -> unit =
+let store mem cache base ix v (k : link) : link =
   match Memory.int_cells mem base with
   | Some arr ->
     let n = Array.length arr in
@@ -687,7 +690,8 @@ let store mem cache base ix v : frame -> unit =
       let i = Array.unsafe_get r ix in
       touch cache base i;
       if i < 0 || i >= n then raise (oob base n i);
-      Array.unsafe_set arr i (Array.unsafe_get r v)
+      Array.unsafe_set arr i (Array.unsafe_get r v);
+      k fr
   | None ->
     let arr = Option.get (Memory.float_cells mem base) in
     let n = Array.length arr in
@@ -695,7 +699,114 @@ let store mem cache base ix v : frame -> unit =
       let i = Array.unsafe_get fr.ints ix in
       touch cache base i;
       if i < 0 || i >= n then raise (oob base n i);
-      Array.unsafe_set arr i (Array.unsafe_get fr.flts v)
+      Array.unsafe_set arr i (Array.unsafe_get fr.flts v);
+      k fr
+
+(* The def bytes a block keeps, set in one link once its instructions
+   have run (see [codegen]). *)
+let set_defs defs (k : link) : link =
+ fun fr ->
+  let def = fr.def in
+  for i = 0 to Array.length defs - 1 do
+    Bytes.unsafe_set def (Array.unsafe_get defs i) '\001'
+  done;
+  k fr
+
+(* ------------------------------------------------------------------ *)
+(* Terminator links                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Take an edge: bump its lazily bound profile counter and return the
+   block it enters. The slot is created on first execution (not at
+   compile time), so the profile hashtables see exactly the reference
+   engine's insertion sequence and stay byte-identical under Marshal.
+   After the first bump the counter is a cached [int ref]: no hashing,
+   no allocation. *)
+let[@inline] take (cx : ctx) func (e : sedge) =
+  (match e.e_cnt with
+   | Some r -> incr r
+   | None ->
+     let r = Profile.edge_slot cx.cx_profile ~func ~src:e.e_src ~dst:e.e_dst in
+     incr r;
+     e.e_cnt <- Some r);
+  e.e_target
+
+let jump cx func e : link = fun _ -> take cx func e
+
+let branch cx func c te fe : link =
+ fun fr -> take cx func (if Array.unsafe_get fr.ints c <> 0 then te else fe)
+
+(* A block's trailing integer compare and the branch on its result, in
+   one link: the compare still writes its register, which a successor
+   or a watch point may read, and the branch tests the result without
+   reading it back. Float compares are not fused. *)
+let compare_branch cx func (op : Ir.Op.cmp) d a b te fe : link =
+  match op with
+  | Ir.Op.Eq ->
+    fun fr ->
+      let r = fr.ints in
+      let t = Array.unsafe_get r a = Array.unsafe_get r b in
+      Array.unsafe_set r d (Bool.to_int t);
+      take cx func (if t then te else fe)
+  | Ir.Op.Ne ->
+    fun fr ->
+      let r = fr.ints in
+      let t = Array.unsafe_get r a <> Array.unsafe_get r b in
+      Array.unsafe_set r d (Bool.to_int t);
+      take cx func (if t then te else fe)
+  | Ir.Op.Lt ->
+    fun fr ->
+      let r = fr.ints in
+      let t = Array.unsafe_get r a < Array.unsafe_get r b in
+      Array.unsafe_set r d (Bool.to_int t);
+      take cx func (if t then te else fe)
+  | Ir.Op.Le ->
+    fun fr ->
+      let r = fr.ints in
+      let t = Array.unsafe_get r a <= Array.unsafe_get r b in
+      Array.unsafe_set r d (Bool.to_int t);
+      take cx func (if t then te else fe)
+  | Ir.Op.Gt ->
+    fun fr ->
+      let r = fr.ints in
+      let t = Array.unsafe_get r a > Array.unsafe_get r b in
+      Array.unsafe_set r d (Bool.to_int t);
+      take cx func (if t then te else fe)
+  | Ir.Op.Ge ->
+    fun fr ->
+      let r = fr.ints in
+      let t = Array.unsafe_get r a >= Array.unsafe_get r b in
+      Array.unsafe_set r d (Bool.to_int t);
+      take cx func (if t then te else fe)
+  | Ir.Op.Feq | Ir.Op.Fne | Ir.Op.Flt | Ir.Op.Fle | Ir.Op.Fgt | Ir.Op.Fge ->
+    invalid_arg "Interp_staged.compare_branch: float compare"
+
+(* A return stores its value in the frame's return slot, calls the
+   function's return handler, if any, and stops the block loop. *)
+let return_int ~bool s on_return : link =
+ fun fr ->
+  fr.reti <- Array.unsafe_get fr.ints s;
+  (match on_return with
+   | Some w ->
+     w fr
+       (Some (if bool then Value.Vbool (fr.reti <> 0) else Value.Vint fr.reti))
+   | None -> ());
+  halt
+
+let return_float s on_return : link =
+ fun fr ->
+  fr.retf <- Array.unsafe_get fr.flts s;
+  (match on_return with
+   | Some w -> w fr (Some (Value.Vfloat fr.retf))
+   | None -> ());
+  halt
+
+let return_void on_return : link =
+ fun fr ->
+  (match on_return with
+   | Some w -> w fr None
+   | None -> ());
+  halt
 
 (* ------------------------------------------------------------------ *)
 (* Code generation                                                    *)
@@ -718,23 +829,35 @@ let const_slot tbl ~nregs key =
 
    Blocks are compiled into an array over the function's {!Ir.Cfg} ids:
    the entry is id 0 and a terminator's targets are its [succs], in
-   branch order. The observer's watch points are resolved here, once
-   per block and once per function. Def bytes exist for def-byte checks
-   and for [frame_read] at a watch point, so a block sets the def byte
-   of a register it defines only when some read of that register in the
+   branch order. A block's chain is built back to front, each link
+   taking the rest of the block as its continuation: its terminator
+   first, then the def-byte link if the block keeps any, then its
+   instructions' links from the last. An integer [Compare] that is the
+   last instruction of a block whose [Branch] tests its register is not
+   compiled alone: it becomes part of the terminator link
+   ([compare_branch]), after the checks its operands need.
+
+   The observer's watch points are resolved here, once per block and
+   once per function. Def bytes exist for def-byte checks and for
+   [frame_read] at a watch point, so a block sets the def byte of a
+   register it defines only when some read of that register in the
    function is not proven by {!Ir.Cfg.Must_defined} (and so compiled to
    a [check]), or when the register is not proven written at some watch
    point of the function: the entry of a watched block, or a return of a
    function with a return handler. A register the solver does not know
    (one that is only read) is never proven. At a watch point
-   [frame_read] trusts the proof first and the byte second. The bytes
-   are set once the block's code has run: nothing reads them mid-block,
-   since a read of a register the same block defined earlier is proven,
-   and a watch point sees a frame only at block entry and return. *)
+   [frame_read] trusts the proof first and the byte second. Which bytes
+   a block keeps is known only once every read of the function is
+   compiled, so each block is compiled first into a list of links
+   awaiting their continuation, and chained after. The bytes are set
+   after the block's instructions: nothing reads them mid-block, since a
+   read of a register the same block defined earlier is proven, and a
+   watch point sees a frame only at block entry and return. *)
 let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
     (observer : observer option) : (string, sfunc) Hashtbl.t =
   let sfuncs : (string, sfunc) Hashtbl.t = Hashtbl.create 8 in
-  (* Pass 1: shells, so call sites and mutual recursion resolve. *)
+  (* Pass 1: shells, so call sites, targets and mutual recursion
+     resolve. *)
   Hashtbl.iter
     (fun name (fm : fmeta) ->
       let def0 = Bytes.make fm.fm_nregs '\000' in
@@ -750,11 +873,8 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
               sb_label = b.Ir.Block.label;
               sb_cycles = Cpu_model.block_cycles b;
               sb_ninstrs = List.length b.Ir.Block.instrs;
-              sb_code = [||];
-              sb_defs = [||];
-              sb_term = S_halt;
+              sb_run = halt.sb_run;
               sb_watch = None;
-              sb_on_return = None;
               sb_cnt = None })
           fm.fm_cfg.Ir.Cfg.blocks
       in
@@ -792,9 +912,9 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
       let on_return =
         Option.bind observer (fun o -> o.obs_return ~func:fname)
       in
-      (* The uids each block defines, by block id, for the def-byte
-         pass. *)
-      let block_defs =
+      (* Per block, by id: its links (last first), its terminator link
+         and the uids it defines, for the def-byte pass. *)
+      let compiled =
         Array.mapi
           (fun v (b : Ir.Block.t) ->
             let sb = blocks.(v) in
@@ -814,11 +934,11 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
             (* Per-position defined set: the block-entry facts, advanced
                past each instruction's destination as we compile. *)
             let defined = Ir.Cfg.Bits.copy at_entry in
-            let code = ref [] and defs = ref [] in
-            let emit c = code := c :: !code in
+            let links = ref [] and defs = ref [] in
+            let emit l = links := l :: !links in
             (* The def-byte check a read of [o] needs at this point, if
-               the analysis does not prove it; it raises the reference
-               engine's exact message. *)
+               the analysis does not prove it, as the uid to test and the
+               reference engine's exact message. *)
             let check_of (o : Ir.Instr.operand) =
               match o with
               | Ir.Instr.Reg r ->
@@ -827,9 +947,9 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
                 else (
                   checked.(uid) <- true;
                   Some
-                    (check uid
-                       (Printf.sprintf "uninitialized register %%%s in %s"
-                          r.Ir.Instr.id fname)))
+                    ( uid,
+                      Printf.sprintf "uninitialized register %%%s in %s"
+                        r.Ir.Instr.id fname ))
               | Ir.Instr.Imm_int _ | Ir.Instr.Imm_float _ | Ir.Instr.Imm_bool _
                 ->
                 None
@@ -847,23 +967,16 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
                emitted first, so checks run in the order the reference
                engine evaluates operands. *)
             let slot o =
-              Option.iter emit (check_of o);
+              Option.iter (fun (uid, msg) -> emit (check uid msg)) (check_of o);
               raw_slot o
             in
             let dst (r : Ir.Instr.reg) = (ri_of r).bidx in
-            let compile_instr (i : Ir.Instr.t) : frame -> unit =
+            let compile_instr (i : Ir.Instr.t) : link -> link =
               match i with
               | Ir.Instr.Assign (r, o) ->
-                let a = slot o and d = dst r in
-                (match (ri_of r).rty with
-                 | Ir.Types.F32 ->
-                   fun fr ->
-                     let f = fr.flts in
-                     Array.unsafe_set f d (Array.unsafe_get f a)
-                 | Ir.Types.I32 | Ir.Types.Bool ->
-                   fun fr ->
-                     let r = fr.ints in
-                     Array.unsafe_set r d (Array.unsafe_get r a))
+                let a = slot o in
+                assign ~float:(Ir.Types.equal (ri_of r).rty Ir.Types.F32)
+                  (dst r) a
               | Ir.Instr.Unary (r, op, o) -> unary op (dst r) (slot o)
               | Ir.Instr.Binary (r, op, a, b) ->
                 (* The reference engine evaluates operand [b] before [a]
@@ -928,29 +1041,61 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
                   exec_sfunc cx csf cfr;
                   cfr
                 in
-                (match dest with
-                 | None -> fun fr -> ignore (call fr : frame)
-                 | Some r ->
-                   let d = dst r in
-                   (match csf.sf_ret with
-                    | R_float ->
-                      fun fr -> Array.unsafe_set fr.flts d (call fr).retf
-                    | R_int | R_bool ->
-                      fun fr -> Array.unsafe_set fr.ints d (call fr).reti
-                    | R_void -> assert false (* ruled out by analysis *)))
+                fun k ->
+                  (match dest with
+                   | None ->
+                     fun fr ->
+                       ignore (call fr : frame);
+                       k fr
+                   | Some r ->
+                     let d = dst r in
+                     (match csf.sf_ret with
+                      | R_float ->
+                        fun fr ->
+                          Array.unsafe_set fr.flts d (call fr).retf;
+                          k fr
+                      | R_int | R_bool ->
+                        fun fr ->
+                          Array.unsafe_set fr.ints d (call fr).reti;
+                          k fr
+                      | R_void -> assert false (* ruled out by analysis *)))
             in
-            List.iter
-              (fun i ->
+            (* Advance the defined set past an instruction, for the
+               operands compiled after it. *)
+            let note_def i =
+              match Ir.Instr.def i with
+              | Some r ->
+                let uid = (ri_of r).uid in
+                Ir.Cfg.Bits.add defined uid;
+                defs := uid :: !defs
+              | None -> ()
+            in
+            (* Does the block's branch test the register [r] defines? *)
+            let feeds_branch (r : Ir.Instr.reg) =
+              match b.Ir.Block.term with
+              | Ir.Instr.Branch (Ir.Instr.Reg c, _, _) ->
+                String.equal c.Ir.Instr.id r.Ir.Instr.id
+              | Ir.Instr.Branch _ | Ir.Instr.Jump _ | Ir.Instr.Return _ ->
+                false
+            in
+            (* Compile the instructions; a trailing integer compare that
+               feeds the branch only has its operands' checks emitted,
+               and is returned for the terminator. *)
+            let rec compile_all (is : Ir.Instr.t list) =
+              match is with
+              | [] -> None
+              | [ (Ir.Instr.Compare (r, op, a, b) as i) ]
+                when (not (Ir.Op.cmp_is_float op)) && feeds_branch r ->
+                let b = slot b in
+                let a = slot a in
+                note_def i;
+                Some (op, dst r, a, b)
+              | i :: rest ->
                 emit (compile_instr i);
-                (* Advance the defined set past this instruction for the
-                   operands compiled after it. *)
-                match Ir.Instr.def i with
-                | Some r ->
-                  let uid = (ri_of r).uid in
-                  Ir.Cfg.Bits.add defined uid;
-                  defs := uid :: !defs
-                | None -> ())
-              b.Ir.Block.instrs;
+                note_def i;
+                compile_all rest
+            in
+            let fused = compile_all b.Ir.Block.instrs in
             (* The [k]th target, in branch order; [dst] is the label as
                the terminator spells it, which the profile keys by. *)
             let edge k dst =
@@ -959,41 +1104,45 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
                 e_dst = dst;
                 e_cnt = None }
             in
-            (* A terminator's check joins the block's code, so it runs
-               after the instructions and before the edge is counted. *)
-            sb.sb_term <-
-              (match b.Ir.Block.term with
-               | Ir.Instr.Jump l -> S_jump (edge 0 l)
-               | Ir.Instr.Branch (c, t, fl) ->
-                 let c = slot c in
-                 S_branch (c, edge 0 t, edge 1 fl)
-               | Ir.Instr.Return None -> S_ret_void
-               | Ir.Instr.Return (Some o) ->
-                 let s = slot o in
-                 (match fm.fm_ret with
-                  | R_float -> S_ret_float s
-                  | R_int -> S_ret_int s
-                  | R_bool -> S_ret_bool s
-                  | R_void -> assert false));
-            (match b.Ir.Block.term, on_return with
-             | Ir.Instr.Return _, Some w ->
-               (* [defined] now holds what is proven at the return. *)
-               watch_at defined;
-               sb.sb_on_return <-
-                 Some
-                   (fun fr value ->
-                     w ~read:(frame_read sf (proven defined) fr) ~value
-                       ~mem:cx.cx_mem)
-             | (Ir.Instr.Return _ | Ir.Instr.Jump _ | Ir.Instr.Branch _), _ ->
-               ());
-            sb.sb_code <- Array.of_list (List.rev !code);
-            !defs)
+            (* The function's return handler at this block's return:
+               [defined] now holds what is proven there. *)
+            let handler () =
+              Option.map
+                (fun w ->
+                  watch_at defined;
+                  fun fr value ->
+                    w ~read:(frame_read sf (proven defined) fr) ~value
+                      ~mem:cx.cx_mem)
+                on_return
+            in
+            (* A terminator's check is the last of the block's links, so
+               it runs after the instructions and before the edge is
+               counted. *)
+            let term =
+              match b.Ir.Block.term, fused with
+              | Ir.Instr.Branch (_, t, fl), Some (op, d, a, bs) ->
+                compare_branch cx fname op d a bs (edge 0 t) (edge 1 fl)
+              | Ir.Instr.Branch (c, t, fl), None ->
+                let c = slot c in
+                branch cx fname c (edge 0 t) (edge 1 fl)
+              | Ir.Instr.Jump l, _ -> jump cx fname (edge 0 l)
+              | Ir.Instr.Return None, _ -> return_void (handler ())
+              | Ir.Instr.Return (Some o), _ ->
+                let s = slot o in
+                (match fm.fm_ret with
+                 | R_float -> return_float s (handler ())
+                 | R_int -> return_int ~bool:false s (handler ())
+                 | R_bool -> return_int ~bool:true s (handler ())
+                 | R_void -> assert false)
+            in
+            !links, term, !defs)
           cfg.Ir.Cfg.blocks
       in
-      (* Def bytes to keep, now that every read has been compiled. *)
+      (* Def bytes to keep, now that every read has been compiled; then
+         each block's chain, from its terminator back. *)
       let stamp = Array.make fm.fm_nregs (-1) in
       Array.iteri
-        (fun k defs ->
+        (fun k (links, term, defs) ->
           let keep =
             List.fold_left
               (fun acc u ->
@@ -1006,8 +1155,11 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
                 else acc)
               [] defs
           in
-          blocks.(k).sb_defs <- Array.of_list keep)
-        block_defs;
+          let tail =
+            if keep = [] then term else set_defs (Array.of_list keep) term
+          in
+          blocks.(k).sb_run <- List.fold_left (fun k l -> l k) tail links)
+        compiled;
       let ints0 = Array.make (fm.fm_nints + Hashtbl.length int_consts) 0 in
       Hashtbl.iter (fun n s -> ints0.(s) <- n) int_consts;
       let flts0 = Array.make (fm.fm_nflts + Hashtbl.length flt_consts) 0.0 in

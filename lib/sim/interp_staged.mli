@@ -1,12 +1,15 @@
-(** The staged (closure-compiled) interpreter engine: blocks are
-    pre-compiled into flat arrays of instruction closures, one per
-    instruction, that read and write typed, integer-indexed register
-    banks directly — no per-instruction match dispatch and no boxed
-    float; allocation is per call and per run, not per instruction. Semantics are differentially
-    tested against {!Interp_reference} (test/test_interp_diff.ml);
-    programs that fail the static cleanliness analysis fall back to the
-    reference engine wholesale. Use {!Interp.run} (which dispatches on
-    the selected engine) rather than calling this directly. *)
+(** The staged (closure-compiled) interpreter engine: each block is
+    pre-compiled into one chain of closures, one per instruction, that
+    read and write typed, integer-indexed register banks directly and
+    tail-call the next; the chain ends in the block's terminator, which
+    returns the next block, and an integer compare feeding the block's
+    branch is fused into it. No per-instruction match dispatch and no
+    boxed float; allocation is per call and per run, not per
+    instruction. Semantics are differentially tested against
+    {!Interp_reference} (test/test_interp_diff.ml); programs that fail
+    the static cleanliness analysis fall back to the reference engine
+    wholesale. Use {!Interp.run} (which dispatches on the selected
+    engine) rather than calling this directly. *)
 
 val run :
   ?fuel:int ->

@@ -949,6 +949,232 @@ let test_hot_path_no_alloc () =
       w_small w_large
 
 (* ------------------------------------------------------------------ *)
+(* Block chains and fused compare-and-branch                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Both engines, unobserved and with every block and return watched,
+   at [fuel] (unlimited by default), must agree. *)
+let agree ?fuel name p =
+  List.iter
+    (fun observe ->
+      check_outcomes
+        (fun m -> Alcotest.failf "%s (observe=%b): %s" name observe m)
+        p
+        (run_one ~observe ?fuel Sim.Interp.Reference p)
+        (run_one ~observe ?fuel Sim.Interp.Staged p))
+    [ false; true ]
+
+let main_i32 ?(globals = typed_globals) ?(funcs = []) blocks =
+  Ir.Program.v ~globals
+    ~funcs:
+      (Ir.Func.v ~name:"main" ~params:[] ~ret:(Some Ir.Types.I32) ~blocks
+      :: funcs)
+    ~main:"main"
+
+let staged_return name p want =
+  match Sim.Interp.run ~engine:Sim.Interp.Staged p with
+  | { Sim.Interp.return_value = Some (Sim.Value.Vint n); _ } ->
+    Alcotest.(check int) name want n
+  | _ -> Alcotest.failf "%s: expected an int return" name
+  | exception e -> Alcotest.failf "%s: %s" name (Printexc.to_string e)
+
+(* A counted loop whose header ends in an integer compare feeding its
+   branch, so the header compiles to one fused terminator link. The
+   compare's register [c0] is read again in both successors ([body] by
+   a select, [exit] by another), and a watch point at [body] reads it
+   proven while one at [head] reads it through its def byte: it is not
+   must-defined at [head], whose first entry comes from [entry]. The
+   run returns 0 + 1 + 2 = 3 only if the fused link writes [c0]. *)
+let fused_loop =
+  let k = kreg and c0 = breg 0 and n0 = ireg 0 and n1 = ireg 1 in
+  let n2 = ireg 2 in
+  main_i32
+    [ block "entry"
+        [ Ir.Instr.Assign (k, imm 0); Ir.Instr.Assign (n1, imm 0) ]
+        (Ir.Instr.Jump "head");
+      block "head"
+        [ Ir.Instr.Compare (c0, Ir.Op.Lt, reg_op k, imm 3) ]
+        (Ir.Instr.Branch (reg_op c0, "body", "exit"));
+      block "body"
+        [ Ir.Instr.Select (n0, reg_op c0, reg_op k, imm 99);
+          Ir.Instr.Binary (n1, Ir.Op.Add, reg_op n1, reg_op n0);
+          Ir.Instr.Binary (k, Ir.Op.Add, reg_op k, imm 1) ]
+        (Ir.Instr.Jump "head");
+      block "exit"
+        [ Ir.Instr.Select (n2, reg_op c0, imm 1000, reg_op n1) ]
+        (Ir.Instr.Return (Some (reg_op n2))) ]
+
+let test_fused_register_read () =
+  agree "fused loop" fused_loop;
+  staged_return "fused loop returns" fused_loop 3;
+  let s = run_one ~observe:true Sim.Interp.Staged fused_loop in
+  let c0_at label =
+    List.filter_map
+      (function
+        | E_block (_, l, reads) when String.equal l label ->
+          Some (List.assoc "c0" reads)
+        | E_block _ | E_return _ -> None)
+      s.o_events
+  in
+  let value =
+    Alcotest.testable (Fmt.of_to_string pp_value_opt) value_opt_equal
+  in
+  let t = Some (Sim.Value.Vbool true) and f = Some (Sim.Value.Vbool false) in
+  Alcotest.(check (list value)) "c0 at head" [ None; t; t; t ] (c0_at "head");
+  Alcotest.(check (list value)) "c0 at body" [ t; t; t ] (c0_at "body");
+  Alcotest.(check (list value)) "c0 at exit" [ f ] (c0_at "exit")
+
+(* A fused compare whose operands [Must_defined] does not prove keeps
+   their checks, in the reference engine's order: [b] before [a]. *)
+let test_fused_unproven_operand () =
+  let u1 = Ir.Instr.reg "u1" Ir.Types.I32 in
+  let u2 = Ir.Instr.reg "u2" Ir.Types.I32 in
+  let c0 = breg 0 in
+  let fused a b =
+    main_i32
+      [ block "entry"
+          [ Ir.Instr.Compare (c0, Ir.Op.Le, a, b) ]
+          (Ir.Instr.Branch (reg_op c0, "t", "f"));
+        block "t" [] (Ir.Instr.Return (Some (imm 1)));
+        block "f" [] (Ir.Instr.Return (Some (imm 2))) ]
+  in
+  expect_error "fused compare, both operands unproven"
+    (fused (reg_op u1) (reg_op u2))
+    "uninitialized register %u2 in main";
+  expect_error "fused compare, a unproven"
+    (fused (reg_op u1) (imm 0))
+    "uninitialized register %u1 in main";
+  (* [n1] is written on one path only, so its read at [join] keeps a
+     check that passes on that path and raises on the other. *)
+  let one_path taken =
+    let n0 = ireg 0 and n1 = ireg 1 and c1 = breg 1 in
+    main_i32
+      [ block "entry"
+          [ Ir.Instr.Assign (n0, imm (if taken then 1 else 9));
+            Ir.Instr.Compare (c0, Ir.Op.Lt, reg_op n0, imm 5) ]
+          (Ir.Instr.Branch (reg_op c0, "then", "join"));
+        block "then" [ Ir.Instr.Assign (n1, imm 7) ] (Ir.Instr.Jump "join");
+        block "join"
+          [ Ir.Instr.Compare (c1, Ir.Op.Gt, reg_op n1, reg_op n0) ]
+          (Ir.Instr.Branch (reg_op c1, "big", "small"));
+        block "big" [] (Ir.Instr.Return (Some (imm 1)));
+        block "small" [] (Ir.Instr.Return (Some (imm 2))) ]
+  in
+  agree "one-path operand, defined" (one_path true);
+  staged_return "one-path operand, defined" (one_path true) 1;
+  agree "one-path operand, undefined" (one_path false);
+  expect_error "one-path operand, undefined" (one_path false)
+    "uninitialized register %n1 in main"
+
+(* The exact Out_of_fuel boundary on a loop whose header is a fused
+   block: at N - 1 both engines run out, at N both complete, with the
+   same events up to that point. *)
+let test_fused_fuel_boundary () =
+  let p = fused_loop in
+  let n =
+    fuel_needed p (Sim.Interp.run ~engine:Sim.Interp.Reference p).profile
+  in
+  List.iter
+    (fun engine ->
+      let at fuel =
+        match Sim.Interp.run ~engine ~fuel p with
+        | _ -> "done"
+        | exception Sim.Interp.Out_of_fuel -> "out of fuel"
+      in
+      let name = Sim.Interp.engine_name engine in
+      Alcotest.(check string) (name ^ " at N - 1") "out of fuel" (at (n - 1));
+      Alcotest.(check string) (name ^ " at N") "done" (at n))
+    [ Sim.Interp.Reference; Sim.Interp.Staged ];
+  List.iter (fun fuel -> agree ~fuel "fused loop fuel" p) [ n - 1; n ]
+
+(* A float compare stays a link of its own, and the branch reads its
+   register. With a NaN operand every ordered compare is false and
+   [Fne] is true, as in the reference engine. *)
+let test_float_compare_branch () =
+  let f0 = freg 0 and c0 = breg 0 and c1 = breg 1 in
+  let p =
+    main_i32
+      [ block "entry"
+          [ Ir.Instr.Binary
+              (f0, Ir.Op.Fdiv, Ir.Instr.Imm_float 0.0, Ir.Instr.Imm_float 0.0);
+            Ir.Instr.Compare (c0, Ir.Op.Flt, reg_op f0, Ir.Instr.Imm_float 1.0)
+          ]
+          (Ir.Instr.Branch (reg_op c0, "lt", "nlt"));
+        block "lt" [] (Ir.Instr.Return (Some (imm 1)));
+        block "nlt"
+          [ Ir.Instr.Compare (c1, Ir.Op.Fne, reg_op f0, reg_op f0) ]
+          (Ir.Instr.Branch (reg_op c1, "ne", "eq"));
+        block "ne" [] (Ir.Instr.Return (Some (imm 2)));
+        block "eq" [] (Ir.Instr.Return (Some (imm 3))) ]
+  in
+  agree "NaN compare" p;
+  staged_return "NaN compare" p 2
+
+(* Blocks with no instructions: the chain is the terminator alone, a
+   branch on a register written in another block and a return. *)
+let test_empty_blocks () =
+  let c0 = breg 0 and n0 = ireg 0 in
+  let p =
+    main_i32
+      [ block "entry"
+          [ Ir.Instr.Assign (c0, Ir.Instr.Imm_bool false);
+            Ir.Instr.Assign (n0, imm 5) ]
+          (Ir.Instr.Jump "hop");
+        block "hop" [] (Ir.Instr.Branch (reg_op c0, "dead", "out"));
+        block "dead" [] (Ir.Instr.Return (Some (imm 0)));
+        block "out" [] (Ir.Instr.Return (Some (reg_op n0))) ]
+  in
+  agree "empty blocks" p;
+  staged_return "empty blocks" p 5;
+  let n =
+    fuel_needed p (Sim.Interp.run ~engine:Sim.Interp.Reference p).profile
+  in
+  List.iter (fun fuel -> agree ~fuel "empty blocks fuel" p) [ n - 1; n ]
+
+(* A returning block that keeps def bytes, in a function with a return
+   handler. With every block watched, [n2], defined in [done], is not
+   must-defined at the entry of [neg], so [done] keeps its byte and its
+   chain runs the def-byte link before the return link; the handler
+   reads [n1] through the byte [neg] keeps. [h] is called on both
+   paths. *)
+let test_defs_before_return () =
+  let x = Ir.Instr.reg "x" Ir.Types.I32 in
+  let c0 = breg 0 and n0 = ireg 0 and n1 = ireg 1 and n2 = ireg 2 in
+  let n3 = ireg 3 in
+  let h =
+    Ir.Func.v ~name:"h" ~params:[ x ] ~ret:(Some Ir.Types.I32)
+      ~blocks:
+        [ block "entry"
+            [ Ir.Instr.Compare (c0, Ir.Op.Lt, reg_op x, imm 0) ]
+            (Ir.Instr.Branch (reg_op c0, "neg", "done"));
+          block "neg" [ Ir.Instr.Assign (n1, imm 7) ] (Ir.Instr.Jump "done");
+          block "done"
+            [ Ir.Instr.Binary (n2, Ir.Op.Add, reg_op x, imm 1) ]
+            (Ir.Instr.Return (Some (reg_op n2))) ]
+  in
+  let p =
+    main_i32 ~funcs:[ h ]
+      [ block "entry"
+          [ Ir.Instr.Call (Some n0, "h", [ imm (-4) ]);
+            Ir.Instr.Call (Some n3, "h", [ imm 4 ]);
+            Ir.Instr.Binary (n0, Ir.Op.Mul, reg_op n0, reg_op n3) ]
+          (Ir.Instr.Return (Some (reg_op n0))) ]
+  in
+  agree "def bytes before a watched return" p;
+  staged_return "def bytes before a watched return" p (-15);
+  let s = run_one ~observe:true Sim.Interp.Staged p in
+  let returns =
+    List.filter_map
+      (function
+        | E_return ("h", v, reads) ->
+          Some (pp_value_opt v ^ " n1=" ^ pp_value_opt (List.assoc "n1" reads))
+        | E_return _ | E_block _ -> None)
+      s.o_events
+  in
+  Alcotest.(check (list string)) "h's returns" [ "-3 n1=7"; "5 n1=<none>" ]
+    returns
+
+(* ------------------------------------------------------------------ *)
 (* 28-benchmark suite parity + fast-path sanity                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1092,6 +1318,17 @@ let tests =
       test_spec_fuel_boundary;
     Alcotest.test_case "hot path does not allocate" `Quick
       test_hot_path_no_alloc;
+    Alcotest.test_case "fused compare register read in successors" `Quick
+      test_fused_register_read;
+    Alcotest.test_case "fused compare with unproven operands" `Quick
+      test_fused_unproven_operand;
+    Alcotest.test_case "fuel boundary at a fused loop header" `Quick
+      test_fused_fuel_boundary;
+    Alcotest.test_case "float compare with NaN feeding a branch" `Quick
+      test_float_compare_branch;
+    Alcotest.test_case "blocks with no instructions" `Quick test_empty_blocks;
+    Alcotest.test_case "def bytes before a watched return" `Quick
+      test_defs_before_return;
     Alcotest.test_case "28-benchmark suite parity" `Quick test_suite_parity;
     Alcotest.test_case "fig6 observer-stream parity" `Quick
       test_fig6_observer_parity;
