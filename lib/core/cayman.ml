@@ -24,7 +24,9 @@ let fp_ifconv = Obs.Faultpoint.register "ifconv"
    listing ([Memo.Hash.program_code], floats printed exactly). The
    "ir-exact" field keeps these keys apart from those of the earlier
    listing, whose six-digit floats let two programs share a profile.
-   [Profile.publish_metrics] (normally run inside [Interp.run]) is
+   The "cfg-id-counts" field names the stored layout (counter arrays by
+   [Ir.Cfg] id), so an entry of the earlier label-keyed tables never
+   unmarshals as this type. [Profile.publish_metrics] (normally run inside [Interp.run]) is
    replayed on a cache hit so the metric totals are identical whether
    the profile came from disk or from execution. Fault campaigns run
    under [Memo.Store.without_cache], so armed interpreter faultpoints
@@ -32,6 +34,7 @@ let fp_ifconv = Obs.Faultpoint.register "ifconv"
 let profile_key ~fuel program =
   let b = Memo.Hash.builder ~ns:"profile" in
   Memo.Hash.str b "ir-exact";
+  Memo.Hash.str b "cfg-id-counts";
   Memo.Hash.str b (Memo.Hash.program_digest program);
   Memo.Hash.int b fuel;
   Memo.Hash.digest b

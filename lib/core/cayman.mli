@@ -23,8 +23,8 @@ val analyze : ?fuel:int -> ?if_convert:bool -> Cayman_ir.Program.t -> analyzed
 
 (** Memo-store key of the profiling pass that {!analyze} runs over
     [program] (the validated, if-converted program) with [fuel]: the
-    digest of its exact listing ({!Memo.Hash.program_code}) and the
-    fuel. *)
+    digest of its exact listing ({!Memo.Hash.program_code}), the fuel,
+    and the name of the profile's stored layout. *)
 val profile_key : fuel:int -> Cayman_ir.Program.t -> string
 
 (** [analyze_source src] compiles MiniC source first.

@@ -10,29 +10,64 @@ module Sim = Cayman_sim
 type t = {
   program : Ir.Program.t;
   func : Ir.Func.t;
-  profile : Sim.Profile.t;
+  counts : Sim.Profile.counts;
   loops : An.Loops.t;
   scev : An.Scev.t;
   cfg : Ir.Cfg.t;
   dfgs : Dfg.t array;
-  blocks : (int * int) array;
+  cycles : int array;
   loop_info : An.Memdep.loop_info option array;
   trips : float array;
   entries : int array;
 }
 
+(* Executions of the edges into block [dst] from the sources [from]
+   accepts, each edge once: a source that names [dst] on both arms of
+   its branch appears twice in [preds.(dst)], and adds its two slots
+   once. *)
+let edges_into (counts : Sim.Profile.counts) (cfg : Ir.Cfg.t) dst ~from =
+  let preds = cfg.Ir.Cfg.preds.(dst) in
+  let n = ref 0 in
+  Array.iteri
+    (fun i p ->
+      let rec seen j = j < i && (preds.(j) = p || seen (j + 1)) in
+      if from p && not (seen 0) then
+        Array.iteri
+          (fun k s -> if s = dst then n := !n + counts.Sim.Profile.edges.(p).(k))
+          cfg.Ir.Cfg.succs.(p))
+    preds;
+  !n
+
+(* Average trip count of loop [l] with header id [h], entered [entries]
+   times from outside: body iterations per entry. Iterations are
+   header -> body edge executions. Back edges count the iterations after
+   the first; they, plus one per entry, stand in when no header -> body
+   edge ran. *)
+let avg_trip (counts : Sim.Profile.counts) (cfg : Ir.Cfg.t) h ~entries ~in_loop =
+  if entries = 0 then 0.0
+  else
+    let body_edges = ref 0 in
+    Array.iteri
+      (fun k s ->
+        if in_loop s then
+          body_edges := !body_edges + counts.Sim.Profile.edges.(h).(k))
+      cfg.Ir.Cfg.succs.(h);
+    let iters =
+      if !body_edges > 0 then !body_edges
+      else entries + edges_into counts cfg h ~from:in_loop
+    in
+    float_of_int iters /. float_of_int entries
+
 let create program profile (cfg : Ir.Cfg.t) =
   let func = cfg.Ir.Cfg.func in
+  let counts = Sim.Profile.find profile func.Ir.Func.name in
   let loops = An.Loops.of_cfg cfg in
   let live = An.Liveness.compute func in
   let scev = An.Scev.create func loops in
   let dfgs = Array.map Dfg.of_block cfg.Ir.Cfg.blocks in
-  let fname = func.Ir.Func.name in
-  let blocks =
-    Array.map
-      (fun (b : Ir.Block.t) ->
-        ( Sim.Profile.block_exec profile ~func:fname ~label:b.Ir.Block.label,
-          Sim.Profile.cycles_of_block profile ~func:fname b ))
+  let cycles =
+    Array.mapi
+      (fun v b -> counts.Sim.Profile.blocks.(v) * Sim.Cpu_model.block_cycles b)
       cfg.Ir.Cfg.blocks
   in
   let size = cfg.Ir.Cfg.size in
@@ -44,21 +79,14 @@ let create program profile (cfg : Ir.Cfg.t) =
       let header = l.An.Loops.header in
       let h = Ir.Cfg.id cfg header in
       loop_info.(h) <- Some (An.Memdep.analyze_loop func live scev l);
-      (* entries into the loop from outside it *)
-      let n =
-        Array.fold_left
-          (fun acc p ->
-            let src = cfg.Ir.Cfg.labels.(p) in
-            if An.Loops.String_set.mem src l.An.Loops.blocks then acc
-            else acc + Sim.Profile.edge_exec profile ~func:fname ~src ~dst:header)
-          0 cfg.Ir.Cfg.preds.(h)
+      let in_loop v =
+        An.Loops.String_set.mem cfg.Ir.Cfg.labels.(v) l.An.Loops.blocks
       in
+      let n = edges_into counts cfg h ~from:(fun p -> not (in_loop p)) in
       entries.(h) <- n;
-      trips.(h) <-
-        Sim.Profile.avg_trip profile ~func:fname ~header:cfg.Ir.Cfg.blocks.(h)
-          ~entries:n l)
+      trips.(h) <- avg_trip counts cfg h ~entries:n ~in_loop)
     loops;
-  { program; func; profile; loops; scev; cfg; dfgs; blocks; loop_info; trips;
+  { program; func; counts; loops; scev; cfg; dfgs; cycles; loop_info; trips;
     entries }
 
 let dfg t label = t.dfgs.(Ir.Cfg.id t.cfg label)
@@ -77,10 +105,10 @@ let trip t header =
 
 let block_exec t label =
   match Ir.Cfg.id_opt t.cfg label with
-  | Some v -> fst t.blocks.(v)
+  | Some v -> t.counts.Sim.Profile.blocks.(v)
   | None -> 0
 
-let block_cycles t label = snd t.blocks.(Ir.Cfg.id t.cfg label)
+let block_cycles t label = t.cycles.(Ir.Cfg.id t.cfg label)
 
 (* Whether loop [l] lies wholly inside region [r]; the header test
    settles most loops without walking their blocks. *)
@@ -97,15 +125,24 @@ let region_trips t r label =
       else None)
     (An.Scev.enclosing t.scev label)
 
-(* [Sim.Profile.region_cycles] and [region_entries] over the tables
-   built above, without a scan of the function or a fresh pred map. *)
+(* Host cycles spent inside the region's own blocks (callee time
+   excluded; regions containing calls are never offloaded). *)
 let region_cycles t (r : An.Region.t) =
   An.Region.String_set.fold
     (fun l acc -> acc + block_cycles t l)
     r.An.Region.blocks 0
 
+(* Executions of the region: entries into its entry block from outside
+   it. The whole-function region counts invocations. *)
 let region_entries t (r : An.Region.t) =
-  Sim.Profile.region_entries t.cfg t.profile r
+  match r.An.Region.kind with
+  | An.Region.Whole_function -> t.counts.Sim.Profile.calls
+  | An.Region.Basic_block -> block_exec t r.An.Region.entry
+  | An.Region.Loop_region | An.Region.Cond_region ->
+    edges_into t.counts t.cfg (Ir.Cfg.id t.cfg r.An.Region.entry)
+      ~from:(fun p ->
+        not
+          (An.Region.String_set.mem t.cfg.Ir.Cfg.labels.(p) r.An.Region.blocks))
 
 (* Entries into a loop from outside it. *)
 let loop_entries t (l : An.Loops.loop) =

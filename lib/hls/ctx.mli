@@ -9,13 +9,12 @@
 type t = {
   program : Cayman_ir.Program.t;
   func : Cayman_ir.Func.t;
-  profile : Cayman_sim.Profile.t;
+  counts : Cayman_sim.Profile.counts;  (** the function's profile, by id *)
   loops : Cayman_analysis.Loops.t;
   scev : Cayman_analysis.Scev.t;
   cfg : Cayman_ir.Cfg.t;  (** the index the function's wPST was built from *)
   dfgs : Dfg.t array;  (** per block id *)
-  blocks : (int * int) array;
-      (** per block id: {!block_exec} and {!block_cycles} *)
+  cycles : int array;  (** per block id: {!block_cycles} *)
   loop_info : Cayman_analysis.Memdep.loop_info option array;
       (** per block id, [Some] for loop headers *)
   trips : float array;  (** per loop header id: average profiled trip count *)
@@ -23,7 +22,10 @@ type t = {
       (** per loop header id: profiled entries into the loop from outside *)
 }
 
-(** The context of an indexed function of the program. *)
+(** The context of an indexed function of the program, whose counts it
+    reads from the program's profile by the index's ids.
+    @raise Invalid_argument when the profile has no function of that
+    name. *)
 val create :
   Cayman_ir.Program.t -> Cayman_sim.Profile.t -> Cayman_ir.Cfg.t -> t
 
@@ -35,7 +37,8 @@ val trip : t -> string -> int
 
 val block_exec : t -> string -> int
 
-(** Profiled host cycles of one block ({!Cayman_sim.Profile.block_cycles}). *)
+(** Profiled host cycles of one block: its executions times its static
+    cost. *)
 val block_cycles : t -> string -> int
 
 (** The loops that lie wholly inside a region. *)
@@ -48,10 +51,12 @@ val loops_inside :
 val region_trips :
   t -> Cayman_analysis.Region.t -> string -> (string * int) list
 
-(** {!Cayman_sim.Profile.region_cycles} of a region of this function. *)
+(** Profiled host cycles spent in a region's own blocks (callee time
+    excluded). *)
 val region_cycles : t -> Cayman_analysis.Region.t -> int
 
-(** {!Cayman_sim.Profile.region_entries} of a region of this function. *)
+(** Executions of a region: entries into its entry block from outside
+    it, each edge counted once; a whole-function region counts calls. *)
 val region_entries : t -> Cayman_analysis.Region.t -> int
 
 val loop_entries : t -> Cayman_analysis.Loops.loop -> int

@@ -214,7 +214,7 @@ let region_facts (ctx : Ctx.t) (r : An.Region.t) =
         (fun b_slot b_label ->
           let id = ids.(b_slot) in
           let b_dfg = ctx.Ctx.dfgs.(id) in
-          { b_label; b_slot; b_dfg; b_execs = fst ctx.Ctx.blocks.(id);
+          { b_label; b_slot; b_dfg; b_execs = ctx.Ctx.counts.Sim.Profile.blocks.(id);
             b_units_area = units_area b_dfg.Dfg.units; b_summaries = [] })
         labels
     in

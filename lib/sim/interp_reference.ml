@@ -11,9 +11,13 @@ open Interp_common
    the instruction list only at compile time), and the dynamic
    instruction count is [Array.length instrs]. The observer's watch
    points are resolved here too, once per run: [watch] per block and
-   [on_return] per function. *)
+   [on_return] per function. So are the block's profile counters: [id]
+   is its {!Ir.Cfg} id, and [slots] the successor slot of each target
+   of its terminator, in branch order ([-1] for a label the index
+   drops). *)
 type cblock = {
-  label : string;
+  id : int;
+  slots : int array;
   static_cycles : int;
   instrs : Ir.Instr.t array;
   term : Ir.Instr.term;
@@ -25,16 +29,32 @@ type cfunc = {
   blocks : (string, cblock) Hashtbl.t;
   entry : string;
   on_return : return_watch option;
+  counts : Profile.counts;
 }
 
 let compile_func observer (f : Ir.Func.t) =
   let func = f.Ir.Func.name in
   let blocks = Hashtbl.create 16 in
+  let entry = (Ir.Func.entry f).Ir.Block.label in
+  let cfg = Ir.Cfg.of_func f in
+  (* A node's slots are its blocks' targets in block order, so a block
+     that repeats a label takes the slots after those of its namesakes. *)
+  let next_slot = Array.make cfg.Ir.Cfg.size 0 in
   List.iter
     (fun (b : Ir.Block.t) ->
       let label = b.Ir.Block.label in
+      let id = Ir.Cfg.id cfg label in
+      let slot l =
+        match Ir.Cfg.id_opt cfg l with
+        | None -> -1
+        | Some _ ->
+          let k = next_slot.(id) in
+          next_slot.(id) <- k + 1;
+          k
+      in
       Hashtbl.replace blocks label
-        { label;
+        { id;
+          slots = Array.of_list (List.map slot (Ir.Block.succs b));
           static_cycles = Cpu_model.block_cycles b;
           instrs = Array.of_list b.Ir.Block.instrs;
           term = b.Ir.Block.term;
@@ -42,12 +62,12 @@ let compile_func observer (f : Ir.Func.t) =
     f.Ir.Func.blocks;
   { f;
     blocks;
-    entry = (Ir.Func.entry f).Ir.Block.label;
-    on_return = Option.bind observer (fun o -> o.obs_return ~func) }
+    entry;
+    on_return = Option.bind observer (fun o -> o.obs_return ~func);
+    counts = Profile.counts cfg }
 
 let exec ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
   let memory = Memory.create p in
-  let profile = Profile.create () in
   let cache = Option.map (fun config -> Cache.create ~config p) cache_config in
   let touch base index =
     match cache with
@@ -55,14 +75,20 @@ let exec ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
     | None -> ()
   in
   let funcs = Hashtbl.create 8 in
-  List.iter
-    (fun (f : Ir.Func.t) ->
-      Hashtbl.replace funcs f.Ir.Func.name (compile_func observer f))
-    p.Ir.Program.funcs;
+  let profile =
+    Profile.create
+      (List.map
+         (fun (f : Ir.Func.t) ->
+           let cf = compile_func observer f in
+           Hashtbl.replace funcs f.Ir.Func.name cf;
+           cf.counts)
+         p.Ir.Program.funcs)
+  in
   let fuel_left = ref fuel in
   let rec exec_func (cf : cfunc) (args : Value.t list) : Value.t option =
     let fname = cf.f.Ir.Func.name in
-    Profile.note_call profile fname;
+    let counts = cf.counts in
+    counts.Profile.calls <- counts.Profile.calls + 1;
     let env : (string, Value.t) Hashtbl.t = Hashtbl.create 64 in
     (try
        List.iter2
@@ -117,14 +143,20 @@ let exec ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
          | None, (Some _ | None) -> ())
     in
     let read rid = Hashtbl.find_opt env rid in
+    let take blk k =
+      let s = blk.slots.(k) in
+      if s >= 0 then
+        let e = counts.Profile.edges.(blk.id) in
+        e.(s) <- e.(s) + 1
+    in
     let cur = ref (Hashtbl.find cf.blocks cf.entry) in
     let return_value = ref None in
     let running = ref true in
     while !running do
       let blk = !cur in
-      let label = blk.label in
       let n_instrs = Array.length blk.instrs in
-      Profile.note_block profile ~func:fname ~label;
+      let execs = counts.Profile.blocks in
+      execs.(blk.id) <- execs.(blk.id) + 1;
       (match blk.watch with
        | Some w -> w ~read ~mem:memory
        | None -> ());
@@ -141,12 +173,12 @@ let exec ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
           | None -> ());
          running := false
        | Ir.Instr.Jump l ->
-         Profile.note_edge profile ~func:fname ~src:label ~dst:l;
+         take blk 0;
          cur := Hashtbl.find cf.blocks l
        | Ir.Instr.Branch (c, t, f) ->
-         let l = if Value.to_bool (eval c) then t else f in
-         Profile.note_edge profile ~func:fname ~src:label ~dst:l;
-         cur := Hashtbl.find cf.blocks l)
+         let taken = Value.to_bool (eval c) in
+         take blk (if taken then 0 else 1);
+         cur := Hashtbl.find cf.blocks (if taken then t else f))
     done;
     !return_value
   in

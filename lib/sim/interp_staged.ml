@@ -22,8 +22,10 @@ open Interp_common
    {!Ir.Cfg.Must_defined} cannot prove the read safe. Def bytes are kept
    only for registers such a check reads, or that an observer's watch
    point reads without that proof.
+   Profile counters are bound at codegen: a block bumps its cell of its
+   function's {!Profile.counts}, and an edge its successor slot's.
    What still allocates is per call (a frame) or per run (codegen, the
-   profile tables), not per instruction.
+   profile's counter arrays), not per instruction.
 
    None of this is allowed to be observable: the engine is only used for
    programs that pass a whole-program static cleanliness check
@@ -238,9 +240,12 @@ let analyze (p : Ir.Program.t) : pmeta option =
         (* Last definition wins, matching Memory.create. *)
         Hashtbl.replace pm_globals g.Ir.Program.gname (g.Ir.Program.elem, n))
       p.Ir.Program.globals;
+    (* A name given to two functions is unclean, so the profile has one
+       counter set per name, in program order. *)
     let fsigs = Hashtbl.create 8 in
     List.iter
       (fun (f : Ir.Func.t) ->
+        if Hashtbl.mem fsigs f.Ir.Func.name then raise Unclean;
         Hashtbl.replace fsigs f.Ir.Func.name
           ( List.map (fun (r : Ir.Instr.reg) -> r.Ir.Instr.ty)
               f.Ir.Func.params,
@@ -280,10 +285,10 @@ type frame = {
    them, so they share a cache line: the counter, the watch point, the
    fuel cost and the chain. *)
 type sblock = {
-  (* Profile counter, bound lazily on first execution so the profile
-     hashtable sees exactly the reference engine's insertion sequence
-     (byte-identical under Marshal). *)
-  mutable sb_cnt : int ref option;
+  (* Profile counter: cell [sb_id] (the block's {!Ir.Cfg} id) of its
+     function's block counters. *)
+  sb_execs : int array;
+  sb_id : int;
   (* The observer's block handler, resolved once per run: it fires at
      block entry when the block is a watch point. *)
   mutable sb_watch : (frame -> unit) option;
@@ -292,22 +297,19 @@ type sblock = {
      then its terminator, which returns the next block ([halt] after a
      return). Set by [codegen] once every block has its shell. *)
   mutable sb_run : frame -> sblock;
-  sb_func : string;
-  sb_label : string;
   sb_cycles : int;
 }
 
 (* A control-flow edge as its terminator link holds it: the block it
-   enters and the labels the profile keys its counter by. *)
+   enters, and its counter as cell [e_slot] of its source's edge
+   counters. *)
 type sedge = {
   e_target : sblock;
-  e_src : string;
-  e_dst : string;
-  mutable e_cnt : int ref option;
+  e_cnt : int array;
+  e_slot : int;
 }
 
 type sfunc = {
-  sf_name : string;
   sf_entry : sblock;
   (* Fresh-frame images: registers zero, constant slots filled, the
      parameters' def bytes set (a call writes every parameter). *)
@@ -316,12 +318,11 @@ type sfunc = {
   sf_def0 : Bytes.t;
   sf_regs : rinfo Ir.Cfg.String_tbl.t;
   sf_ret : ret_kind;
-  mutable sf_cnt : int ref option; (* lazy call-count slot *)
+  sf_counts : Profile.counts;
   sf_blocks : sblock array; (* by {!Ir.Cfg} id; the entry is id 0 *)
 }
 
 type ctx = {
-  cx_profile : Profile.t;
   mutable cx_fuel : int;
   cx_mem : Memory.t;
 }
@@ -352,12 +353,11 @@ let frame_read (sf : sfunc) (proven : int -> bool) (fr : frame) (rid : string)
 (* What a return link hands back to the block loop, which stops at it.
    It is never run and never written. *)
 let halt =
-  { sb_cnt = None;
+  { sb_execs = [||];
+    sb_id = 0;
     sb_watch = None;
     sb_ninstrs = 0;
     sb_run = (fun _ -> assert false);
-    sb_func = "";
-    sb_label = "";
     sb_cycles = 0 }
 
 (* The block loop: per-block bookkeeping mirrors the reference engine
@@ -366,23 +366,13 @@ let halt =
    instruction totals are not kept here: [run] derives them from the
    block counters once the run completes. *)
 let exec_sfunc (cx : ctx) (sf : sfunc) (fr : frame) : unit =
-  (match sf.sf_cnt with
-   | Some r -> incr r
-   | None ->
-     let r = Profile.call_slot cx.cx_profile sf.sf_name in
-     incr r;
-     sf.sf_cnt <- Some r);
+  let c = sf.sf_counts in
+  c.Profile.calls <- c.Profile.calls + 1;
   let cur = ref sf.sf_entry in
   while !cur != halt do
     let b = !cur in
-    (match b.sb_cnt with
-     | Some r -> incr r
-     | None ->
-       let r =
-         Profile.block_slot cx.cx_profile ~func:b.sb_func ~label:b.sb_label
-       in
-       incr r;
-       b.sb_cnt <- Some r);
+    let execs = b.sb_execs in
+    Array.unsafe_set execs b.sb_id (Array.unsafe_get execs b.sb_id + 1);
     (match b.sb_watch with
      | Some w -> w fr
      | None -> ());
@@ -716,68 +706,60 @@ let set_defs defs (k : link) : link =
 (* Terminator links                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Take an edge: bump its lazily bound profile counter and return the
-   block it enters. The slot is created on first execution (not at
-   compile time), so the profile hashtables see exactly the reference
-   engine's insertion sequence and stay byte-identical under Marshal.
-   After the first bump the counter is a cached [int ref]: no hashing,
-   no allocation. *)
-let[@inline] take (cx : ctx) func (e : sedge) =
-  (match e.e_cnt with
-   | Some r -> incr r
-   | None ->
-     let r = Profile.edge_slot cx.cx_profile ~func ~src:e.e_src ~dst:e.e_dst in
-     incr r;
-     e.e_cnt <- Some r);
+(* Take an edge: bump its profile counter and return the block it
+   enters. *)
+let[@inline] take (e : sedge) =
+  let c = e.e_cnt in
+  Array.unsafe_set c e.e_slot (Array.unsafe_get c e.e_slot + 1);
   e.e_target
 
-let jump cx func e : link = fun _ -> take cx func e
+let jump e : link = fun _ -> take e
 
-let branch cx func c te fe : link =
- fun fr -> take cx func (if Array.unsafe_get fr.ints c <> 0 then te else fe)
+let branch c te fe : link =
+ fun fr -> take (if Array.unsafe_get fr.ints c <> 0 then te else fe)
 
 (* A block's trailing integer compare and the branch on its result, in
    one link: the compare still writes its register, which a successor
    or a watch point may read, and the branch tests the result without
    reading it back. Float compares are not fused. *)
-let compare_branch cx func (op : Ir.Op.cmp) d a b te fe : link =
+let compare_branch (op : Ir.Op.cmp) d a b te fe : link =
   match op with
   | Ir.Op.Eq ->
     fun fr ->
       let r = fr.ints in
       let t = Array.unsafe_get r a = Array.unsafe_get r b in
       Array.unsafe_set r d (Bool.to_int t);
-      take cx func (if t then te else fe)
+      take (if t then te else fe)
   | Ir.Op.Ne ->
     fun fr ->
       let r = fr.ints in
       let t = Array.unsafe_get r a <> Array.unsafe_get r b in
       Array.unsafe_set r d (Bool.to_int t);
-      take cx func (if t then te else fe)
+      take (if t then te else fe)
   | Ir.Op.Lt ->
     fun fr ->
       let r = fr.ints in
       let t = Array.unsafe_get r a < Array.unsafe_get r b in
       Array.unsafe_set r d (Bool.to_int t);
-      take cx func (if t then te else fe)
+      take (if t then te else fe)
   | Ir.Op.Le ->
     fun fr ->
       let r = fr.ints in
       let t = Array.unsafe_get r a <= Array.unsafe_get r b in
       Array.unsafe_set r d (Bool.to_int t);
-      take cx func (if t then te else fe)
+      take (if t then te else fe)
   | Ir.Op.Gt ->
     fun fr ->
       let r = fr.ints in
       let t = Array.unsafe_get r a > Array.unsafe_get r b in
       Array.unsafe_set r d (Bool.to_int t);
-      take cx func (if t then te else fe)
+      take (if t then te else fe)
   | Ir.Op.Ge ->
     fun fr ->
       let r = fr.ints in
       let t = Array.unsafe_get r a >= Array.unsafe_get r b in
       Array.unsafe_set r d (Bool.to_int t);
-      take cx func (if t then te else fe)
+      take (if t then te else fe)
   | Ir.Op.Feq | Ir.Op.Fne | Ir.Op.Flt | Ir.Op.Fle | Ir.Op.Fgt | Ir.Op.Fge ->
     invalid_arg "Interp_staged.compare_branch: float compare"
 
@@ -866,27 +848,26 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
           let ri = Ir.Cfg.String_tbl.find fm.fm_regs r.Ir.Instr.id in
           Bytes.set def0 ri.uid '\001')
         fm.fm_func.Ir.Func.params;
+      let counts = Profile.counts fm.fm_cfg in
       let blocks =
-        Array.map
-          (fun (b : Ir.Block.t) ->
-            { sb_func = name;
-              sb_label = b.Ir.Block.label;
+        Array.mapi
+          (fun v (b : Ir.Block.t) ->
+            { sb_execs = counts.Profile.blocks;
+              sb_id = v;
               sb_cycles = Cpu_model.block_cycles b;
               sb_ninstrs = List.length b.Ir.Block.instrs;
               sb_run = halt.sb_run;
-              sb_watch = None;
-              sb_cnt = None })
+              sb_watch = None })
           fm.fm_cfg.Ir.Cfg.blocks
       in
       Hashtbl.replace sfuncs name
-        { sf_name = name;
-          sf_entry = blocks.(0);
+        { sf_entry = blocks.(0);
           sf_ints0 = [||];
           sf_flts0 = [||];
           sf_def0 = def0;
           sf_regs = fm.fm_regs;
           sf_ret = fm.fm_ret;
-          sf_cnt = None;
+          sf_counts = counts;
           sf_blocks = blocks })
     pm.pm_funcs;
   (* Pass 2: code. *)
@@ -1096,13 +1077,11 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
                 compile_all rest
             in
             let fused = compile_all b.Ir.Block.instrs in
-            (* The [k]th target, in branch order; [dst] is the label as
-               the terminator spells it, which the profile keys by. *)
-            let edge k dst =
+            (* The [k]th target, in branch order, and its counter. *)
+            let edge k =
               { e_target = blocks.(cfg.Ir.Cfg.succs.(v).(k));
-                e_src = b.Ir.Block.label;
-                e_dst = dst;
-                e_cnt = None }
+                e_cnt = sf.sf_counts.Profile.edges.(v);
+                e_slot = k }
             in
             (* The function's return handler at this block's return:
                [defined] now holds what is proven there. *)
@@ -1120,12 +1099,12 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
                counted. *)
             let term =
               match b.Ir.Block.term, fused with
-              | Ir.Instr.Branch (_, t, fl), Some (op, d, a, bs) ->
-                compare_branch cx fname op d a bs (edge 0 t) (edge 1 fl)
-              | Ir.Instr.Branch (c, t, fl), None ->
+              | Ir.Instr.Branch _, Some (op, d, a, bs) ->
+                compare_branch op d a bs (edge 0) (edge 1)
+              | Ir.Instr.Branch (c, _, _), None ->
                 let c = slot c in
-                branch cx fname c (edge 0 t) (edge 1 fl)
-              | Ir.Instr.Jump l, _ -> jump cx fname (edge 0 l)
+                branch c (edge 0) (edge 1)
+              | Ir.Instr.Jump _, _ -> jump (edge 0)
               | Ir.Instr.Return None, _ -> return_void (handler ())
               | Ir.Instr.Return (Some o), _ ->
                 let s = slot o in
@@ -1139,21 +1118,26 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
           cfg.Ir.Cfg.blocks
       in
       (* Def bytes to keep, now that every read has been compiled; then
-         each block's chain, from its terminator back. *)
+         each block's chain, from its terminator back. A block that
+         returns keeps none: its frame dies at the return, and the
+         return handler reads what the block defined through the proof. *)
       let stamp = Array.make fm.fm_nregs (-1) in
       Array.iteri
         (fun k (links, term, defs) ->
           let keep =
-            List.fold_left
-              (fun acc u ->
-                if
-                  ((not (Ir.Cfg.Bits.mem proven_at_watch u)) || checked.(u))
-                  && stamp.(u) <> k
-                then (
-                  stamp.(u) <- k;
-                  u :: acc)
-                else acc)
-              [] defs
+            match cfg.Ir.Cfg.blocks.(k).Ir.Block.term with
+            | Ir.Instr.Return _ -> []
+            | Ir.Instr.Jump _ | Ir.Instr.Branch _ ->
+              List.fold_left
+                (fun acc u ->
+                  if
+                    ((not (Ir.Cfg.Bits.mem proven_at_watch u)) || checked.(u))
+                    && stamp.(u) <> k
+                  then (
+                    stamp.(u) <- k;
+                    u :: acc)
+                  else acc)
+                [] defs
           in
           let tail =
             if keep = [] then term else set_defs (Array.of_list keep) term
@@ -1187,12 +1171,17 @@ let run ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
     Interp_reference.exec ~fuel ?cache_config ?observer p
   | Some pm ->
     let memory = Memory.create p in
-    let profile = Profile.create () in
     let cache =
       Option.map (fun config -> Cache.create ~config p) cache_config
     in
-    let cx = { cx_profile = profile; cx_fuel = fuel; cx_mem = memory } in
+    let cx = { cx_fuel = fuel; cx_mem = memory } in
     let sfuncs = codegen pm cx cache observer in
+    let profile =
+      Profile.create
+        (List.map
+           (fun (f : Ir.Func.t) -> (Hashtbl.find sfuncs f.Ir.Func.name).sf_counts)
+           p.Ir.Program.funcs)
+    in
     let main = Hashtbl.find sfuncs p.Ir.Program.main in
     let return_value =
       try
@@ -1214,11 +1203,9 @@ let run ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
       (fun _ sf ->
         Array.iter
           (fun sb ->
-            match sb.sb_cnt with
-            | Some r ->
-              Profile.add_cycles profile (!r * sb.sb_cycles);
-              Profile.add_instrs profile (!r * sb.sb_ninstrs)
-            | None -> ())
+            let n = sb.sb_execs.(sb.sb_id) in
+            Profile.add_cycles profile (n * sb.sb_cycles);
+            Profile.add_instrs profile (n * sb.sb_ninstrs))
           sf.sf_blocks)
       sfuncs;
     Profile.publish_metrics profile;

@@ -1,35 +1,47 @@
 (** Execution profile: block, edge and call counts gathered by the
-    interpreter, with region-level aggregation.
+    interpreter.
 
-    Stands in for the paper's LLVM instrumentation pass: it yields, for
-    every wPST region, its execution count and duration, which feed kernel
-    selection and Eq. (1). *)
+    Stands in for the paper's LLVM instrumentation pass, and keeps its
+    layout: one counter array per function. It yields, for every wPST
+    region, its execution count and duration ([Hls.Ctx] sums them),
+    which feed kernel selection and Eq. (1).
+
+    The layout depends only on the program: one {!counts} per function,
+    in program order, whose ids are those of {!Cayman_ir.Cfg.of_func} on
+    the profiled function. Both engines bind their counters when they
+    compile a function, so a profile's Marshal bytes do not depend on
+    the engine or on the order in which counters are first used. *)
+
+(** The counters of one function. *)
+type counts = {
+  name : string;
+  blocks : int array;  (** executions, by block id *)
+  edges : int array array;
+      (** [edges.(v).(k)]: exits of block [v] through its [k]th successor
+          slot, in the order of the index's [succs] (a branch with the same
+          target on both arms has two slots) *)
+  mutable calls : int;
+}
 
 type t
 
-val create : unit -> t
+(** Zeroed counters over a function's index. *)
+val counts : Cayman_ir.Cfg.t -> counts
 
-(** Recording (used by the interpreter). *)
+(** The profile of a program from its functions' counters, in program
+    order, with both totals at 0. *)
+val create : counts list -> t
 
-val note_block : t -> func:string -> label:string -> unit
-val note_edge : t -> func:string -> src:string -> dst:string -> unit
-val note_call : t -> string -> unit
+(** The counters of the function called [name]: the last of that name,
+    the one both engines call.
+    @raise Invalid_argument when no function has that name. *)
+val find : t -> string -> counts
+
+(** Add to the run's host cycles and executed instructions. *)
+
 val add_cycles : t -> int -> unit
 val add_instrs : t -> int -> unit
 
-(** Counter slots (used by the staged interpreter): return the live
-    counter for a key, creating it at 0 if absent, so the caller can
-    cache the [ref] and bump it without further hash lookups. *)
-
-val block_slot : t -> func:string -> label:string -> int ref
-val edge_slot : t -> func:string -> src:string -> dst:string -> int ref
-val call_slot : t -> string -> int ref
-
-(** Queries. *)
-
-val block_exec : t -> func:string -> label:string -> int
-val edge_exec : t -> func:string -> src:string -> dst:string -> int
-val func_calls : t -> string -> int
 val total_cycles : t -> int
 val total_instrs : t -> int
 
@@ -41,35 +53,3 @@ val total_seconds : t -> float
     they appear in [cayman stats]. Called by {!Interp.run} once per
     completed profiling run. *)
 val publish_metrics : t -> unit
-
-(** Host cycles of one block across the run: its executions times its
-    static cost. *)
-val cycles_of_block : t -> func:string -> Cayman_ir.Block.t -> int
-
-(** {!cycles_of_block} of the block [label] of the function (a scan of
-    its block list; per-block callers go through a label table, such as
-    [Hls.Ctx.block_cycles]). *)
-val block_cycles : Cayman_ir.Func.t -> t -> label:string -> int
-
-(** Host cycles spent in the region's own blocks across the run (one
-    pass over the function's blocks). *)
-val region_cycles : Cayman_ir.Func.t -> t -> Cayman_analysis.Region.t -> int
-
-(** Executions of the region (entries from outside), with the
-    predecessors read from the function's index. *)
-val region_entries :
-  Cayman_ir.Cfg.t ->
-  t ->
-  Cayman_analysis.Region.t ->
-  int
-
-(** Average body iterations per loop entry, for the loop with header
-    block [header] in function [func] that was entered [entries] times
-    from outside ([0.0] when it never was). *)
-val avg_trip :
-  t ->
-  func:string ->
-  header:Cayman_ir.Block.t ->
-  entries:int ->
-  Cayman_analysis.Loops.loop ->
-  float

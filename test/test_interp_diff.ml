@@ -464,12 +464,8 @@ let fuel_needed (p : Ir.Program.t) (profile : Sim.Profile.t) =
   let block_entries =
     List.fold_left
       (fun acc (f : Ir.Func.t) ->
-        List.fold_left
-          (fun acc (b : Ir.Block.t) ->
-            acc
-            + Sim.Profile.block_exec profile ~func:f.Ir.Func.name
-                ~label:b.Ir.Block.label)
-          acc f.Ir.Func.blocks)
+        Array.fold_left ( + ) acc
+          (Sim.Profile.find profile f.Ir.Func.name).Sim.Profile.blocks)
       0 p.Ir.Program.funcs
   in
   Sim.Profile.total_instrs profile + block_entries
@@ -763,7 +759,9 @@ let test_one_path_def () =
 
 (* Control-flow graphs the staged engine's analysis rejects through the
    function's [Ir.Cfg] index: a label given to two blocks, a jump or a
-   branch to a label no block has, and a function with no blocks. Each
+   branch to a label no block has, and a function with no blocks; and a
+   name given to two functions, which has one counter set in the
+   profile and so one function to run (the last, on both engines). Each
    program falls back to the reference engine, so both engines agree on
    the outcome, including any exception the reference engine raises for
    the malformed graph. *)
@@ -791,7 +789,19 @@ let malformed_cfgs =
     ( "function with no blocks",
       prog
         [ main [ block "entry" [] (Ir.Instr.Return (Some (imm 0))) ];
-          Ir.Func.v ~name:"empty" ~params:[] ~ret:None ~blocks:[] ] ) ]
+          Ir.Func.v ~name:"empty" ~params:[] ~ret:None ~blocks:[] ] );
+    ( "function name given twice",
+      let f k =
+        Ir.Func.v ~name:"f" ~params:[] ~ret:(Some Ir.Types.I32)
+          ~blocks:[ block "entry" [] (Ir.Instr.Return (Some (imm k))) ]
+      in
+      prog
+        [ main
+            [ block "entry"
+                [ Ir.Instr.Call (Some n0, "f", []) ]
+                (Ir.Instr.Return (Some (reg_op n0))) ];
+          f 1;
+          f 2 ] ) ]
 
 let test_malformed_cfgs () =
   List.iter
@@ -1224,6 +1234,63 @@ let check_bench_parity bname (r : Sim.Interp.result) (s : Sim.Interp.result) =
     (Digest.to_hex (Digest.string (Marshal.to_string r.Sim.Interp.profile [])))
     (Digest.to_hex (Digest.string (Marshal.to_string s.Sim.Interp.profile [])))
 
+(* Flow conservation of a completed run's profile, which checks its
+   indexing by {!Ir.Cfg} id: in every function, a block runs as often as
+   it is entered, through its incoming edges' successor slots or, for
+   the entry, by a call; and the blocks' executions times their static
+   costs add up to the run's totals. A counter written to the wrong
+   block or slot breaks an equation. *)
+let check_flow name (p : Ir.Program.t) (profile : Sim.Profile.t) =
+  let cycles = ref 0 and instrs = ref 0 in
+  List.iter
+    (fun (f : Ir.Func.t) ->
+      let cfg = Ir.Cfg.of_func f in
+      let c = Sim.Profile.find profile f.Ir.Func.name in
+      let entered = Array.make cfg.Ir.Cfg.size 0 in
+      entered.(0) <- c.Sim.Profile.calls;
+      Array.iteri
+        (fun u succs ->
+          Array.iteri
+            (fun k v -> entered.(v) <- entered.(v) + c.Sim.Profile.edges.(u).(k))
+            succs)
+        cfg.Ir.Cfg.succs;
+      Array.iteri
+        (fun v (b : Ir.Block.t) ->
+          let n = c.Sim.Profile.blocks.(v) in
+          if n <> entered.(v) then
+            Alcotest.failf "%s: %s/%s runs %d times but is entered %d times"
+              name f.Ir.Func.name b.Ir.Block.label n entered.(v);
+          cycles := !cycles + (n * Sim.Cpu_model.block_cycles b);
+          instrs := !instrs + (n * List.length b.Ir.Block.instrs))
+        cfg.Ir.Cfg.blocks)
+    p.Ir.Program.funcs;
+  Alcotest.(check int) (name ^ " total cycles") !cycles
+    (Sim.Profile.total_cycles profile);
+  Alcotest.(check int) (name ^ " total instructions") !instrs
+    (Sim.Profile.total_instrs profile)
+
+(* Flow conservation on both engines over generated MiniC programs (the
+   Table II programs are checked by the suite parity test below, which
+   has both engines' runs at hand). *)
+let test_flow_conservation () =
+  List.iter
+    (fun seed ->
+      for index = 0 to 15 do
+        let p =
+          Cayman_frontend.Lower.compile
+            (Fleet.Genprog.minic_source ~seed ~index)
+        in
+        List.iter
+          (fun engine ->
+            let name =
+              Printf.sprintf "genprog %d/%d (%s)" seed index
+                (Sim.Interp.engine_name engine)
+            in
+            check_flow name p (run_bench_engine name engine p).Sim.Interp.profile)
+          [ Sim.Interp.Reference; Sim.Interp.Staged ]
+      done)
+    [ 1; 2; 3 ]
+
 let test_suite_parity () =
   List.iter
     (fun (b : Cayman_suites.Suite.benchmark) ->
@@ -1236,6 +1303,8 @@ let test_suite_parity () =
          Alcotest.failf "%s fails the staged cleanliness analysis" b.name);
       let r = run_bench_engine b.name Sim.Interp.Reference p in
       let s = run_bench_engine b.name Sim.Interp.Staged p in
+      check_flow (b.name ^ " (reference)") p r.Sim.Interp.profile;
+      check_flow (b.name ^ " (staged)") p s.Sim.Interp.profile;
       check_bench_parity b.name r s)
     Cayman_suites.Suite.all
 
@@ -1329,6 +1398,8 @@ let tests =
     Alcotest.test_case "blocks with no instructions" `Quick test_empty_blocks;
     Alcotest.test_case "def bytes before a watched return" `Quick
       test_defs_before_return;
+    Alcotest.test_case "profile flow conservation" `Quick
+      test_flow_conservation;
     Alcotest.test_case "28-benchmark suite parity" `Quick test_suite_parity;
     Alcotest.test_case "fig6 observer-stream parity" `Quick
       test_fig6_observer_parity;

@@ -103,7 +103,7 @@ let test_profile_counts () =
           return a[3];
         }|}
   in
-  let profile = res.Sim.Interp.profile in
+  let ctx = Testutil.func_ctx program res "main" in
   let f = Ir.Program.func_exn program "main" in
   (* find the loop body and header blocks *)
   let dom = An.Dominance.dominators f in
@@ -111,16 +111,13 @@ let test_profile_counts () =
   let l = List.hd loops in
   let header = l.An.Loops.header in
   Alcotest.(check int) "header executes N+1 times" 14
-    (Sim.Profile.block_exec profile ~func:"main" ~label:header);
-  let entries =
-    Cayman_hls.Ctx.loop_entries (Testutil.func_ctx program res "main") l
-  in
-  Alcotest.(check int) "loop entered once" 1 entries;
+    (Cayman_hls.Ctx.block_exec ctx header);
+  Alcotest.(check int) "loop entered once" 1
+    (Cayman_hls.Ctx.loop_entries ctx l);
   Alcotest.(check (float 0.01)) "avg trip" 13.0
-    (Sim.Profile.avg_trip profile ~func:"main"
-       ~header:(Ir.Func.block_exn f header) ~entries l);
+    ctx.Cayman_hls.Ctx.trips.(Ir.Cfg.id ctx.Cayman_hls.Ctx.cfg header);
   Alcotest.(check int) "main called once" 1
-    (Sim.Profile.func_calls profile "main")
+    (Sim.Profile.find res.Sim.Interp.profile "main").Sim.Profile.calls
 
 let test_profile_totals_consistency () =
   (* total cycles equal the sum of per-block cycles plus callee blocks *)
@@ -135,18 +132,18 @@ let test_profile_totals_consistency () =
           return s;
         }|}
   in
-  let profile = res.Sim.Interp.profile in
   let sum =
     List.fold_left
       (fun acc (f : Ir.Func.t) ->
+        let ctx = Testutil.func_ctx program res f.Ir.Func.name in
         List.fold_left
           (fun acc (b : Ir.Block.t) ->
-            acc + Sim.Profile.block_cycles f profile ~label:b.Ir.Block.label)
+            acc + Cayman_hls.Ctx.block_cycles ctx b.Ir.Block.label)
           acc f.Ir.Func.blocks)
       0 program.Ir.Program.funcs
   in
   Alcotest.(check int) "cycles attribute exactly to blocks"
-    (Sim.Profile.total_cycles profile) sum
+    (Sim.Profile.total_cycles res.Sim.Interp.profile) sum
 
 let test_region_profile () =
   let _, res, program =
@@ -161,12 +158,12 @@ let test_region_profile () =
           return a[2];
         }|}
   in
-  let profile = res.Sim.Interp.profile in
+  let ctx = Testutil.func_ctx program res "fill" in
   let f = Ir.Program.func_exn program "fill" in
   let root = An.Region.pst f in
   (* whole-function region entered 3 times *)
   Alcotest.(check int) "fill region entries" 3
-    (Sim.Profile.region_entries (Ir.Cfg.of_func f) profile root);
+    (Cayman_hls.Ctx.region_entries ctx root);
   (* its loop region is also entered 3 times *)
   let loop_region = ref None in
   An.Region.iter
@@ -177,19 +174,73 @@ let test_region_profile () =
   (match !loop_region with
    | Some r ->
      Alcotest.(check int) "loop region entries" 3
-       (Sim.Profile.region_entries (Ir.Cfg.of_func f) profile r);
+       (Cayman_hls.Ctx.region_entries ctx r);
      Alcotest.(check bool) "loop region cycles positive" true
-       (Sim.Profile.region_cycles f profile r > 0)
+       (Cayman_hls.Ctx.region_cycles ctx r > 0)
    | None -> Alcotest.fail "no loop region in fill");
   (* region cycles of the root equal the sum over its blocks *)
   let by_blocks =
     List.fold_left
       (fun acc (b : Ir.Block.t) ->
-        acc + Sim.Profile.block_cycles f profile ~label:b.Ir.Block.label)
+        acc + Cayman_hls.Ctx.block_cycles ctx b.Ir.Block.label)
       0 f.Ir.Func.blocks
   in
   Alcotest.(check int) "root region cycles = block sum" by_blocks
-    (Sim.Profile.region_cycles f profile root)
+    (Cayman_hls.Ctx.region_cycles ctx root)
+
+(* A branch with the same target on both arms enters its target once
+   per execution: the loop's entries, trip count and loop-region entries
+   count that edge once, though the header lists the branch's block
+   twice among its predecessors. *)
+let test_branch_same_target () =
+  let i = Ir.Instr.reg "i" Ir.Types.I32 and c = Ir.Instr.reg "c" Ir.Types.Bool in
+  let block label instrs term = Ir.Block.v ~label ~instrs ~term in
+  let program =
+    Ir.Program.v ~globals:[] ~main:"main"
+      ~funcs:
+        [ Ir.Func.v ~name:"main" ~params:[] ~ret:(Some Ir.Types.I32)
+            ~blocks:
+              [ block "entry"
+                  [ Ir.Instr.Assign (i, Ir.Instr.Imm_int 0);
+                    Ir.Instr.Assign (c, Ir.Instr.Imm_bool true) ]
+                  (Ir.Instr.Branch (Ir.Instr.Reg c, "head", "head"));
+                block "head"
+                  [ Ir.Instr.Compare
+                      (c, Ir.Op.Lt, Ir.Instr.Reg i, Ir.Instr.Imm_int 3) ]
+                  (Ir.Instr.Branch (Ir.Instr.Reg c, "body", "exit"));
+                block "body"
+                  [ Ir.Instr.Binary
+                      (i, Ir.Op.Add, Ir.Instr.Reg i, Ir.Instr.Imm_int 1) ]
+                  (Ir.Instr.Jump "head");
+                block "exit" [] (Ir.Instr.Return (Some (Ir.Instr.Reg i))) ] ]
+  in
+  Ir.Validate.check_exn program;
+  List.iter
+    (fun engine ->
+      let res = Sim.Interp.run ~engine program in
+      let ctx = Testutil.func_ctx program res "main" in
+      let l =
+        match ctx.Cayman_hls.Ctx.loops with
+        | [ l ] -> l
+        | _ -> Alcotest.fail "expected one loop"
+      in
+      let name what =
+        Printf.sprintf "%s (%s)" what (Sim.Interp.engine_name engine)
+      in
+      Alcotest.(check int) (name "loop entries") 1
+        (Cayman_hls.Ctx.loop_entries ctx l);
+      Alcotest.(check int) (name "trip") 3 (Cayman_hls.Ctx.trip ctx "head");
+      let loop_region = ref None in
+      An.Region.iter
+        (fun r ->
+          if r.An.Region.kind = An.Region.Loop_region then loop_region := Some r)
+        (An.Region.pst ctx.Cayman_hls.Ctx.func);
+      match !loop_region with
+      | Some r ->
+        Alcotest.(check int) (name "loop region entries") 1
+          (Cayman_hls.Ctx.region_entries ctx r)
+      | None -> Alcotest.fail "no loop region")
+    [ Sim.Interp.Reference; Sim.Interp.Staged ]
 
 let test_determinism () =
   let src = (Cayman_suites.Suite.find_exn "atax").Cayman_suites.Suite.source in
@@ -290,6 +341,8 @@ let tests =
     Alcotest.test_case "profile totals consistent" `Quick
       test_profile_totals_consistency;
     Alcotest.test_case "region profiling" `Quick test_region_profile;
+    Alcotest.test_case "branch with one target on both arms" `Quick
+      test_branch_same_target;
     Alcotest.test_case "determinism" `Quick test_determinism;
     qcheck_interp_matches_reference;
     qcheck_array_sum;
