@@ -731,7 +731,8 @@ let ablation_cache () =
     (fun (b : Suite.benchmark) ->
       let program = Suite.compile b in
       match
-        Sim.Interp.run ~cache_config:Sim.Cache.default_l1 program
+        Sim.Interp.run ~cache_config:Sim.Cache.default_l1
+          (program :> Ir.Cfg.program)
       with
       | res ->
         (match res.Sim.Interp.cache_stats with

@@ -284,13 +284,13 @@ let graph_cmd program out setup =
     close_out oc
   in
   write "wpst.dot" (An.Dot.wpst a.Core.Cayman.wpst);
+  let funcs = (Ir.Validate.program a.Core.Cayman.program).Ir.Program.funcs in
   List.iter
     (fun (f : Ir.Func.t) ->
       write (Printf.sprintf "cfg_%s.dot" f.Ir.Func.name) (An.Dot.cfg f))
-    a.Core.Cayman.program.Ir.Program.funcs;
+    funcs;
   Printf.printf "wrote wpst.dot + %d CFGs to %s/ (render with graphviz)\n"
-    (List.length a.Core.Cayman.program.Ir.Program.funcs)
-    out;
+    (List.length funcs) out;
   0
 
 let list_cmd () =

@@ -163,12 +163,9 @@ let upward_exposed (b : Ir.Block.t) =
     b.Ir.Block.instrs;
   !exposed
 
-(* Try to convert one branch in [f]; [Some f'] on success. *)
-let convert_one (f : Ir.Func.t) =
-  let cfg = Ir.Cfg.of_func f in
-  (* Solved only once a shape matches: the last pass over a function
-     matches none. *)
-  let defined = lazy (Ir.Cfg.Must_defined.solve cfg) in
+(* Try to convert one branch of [cfg]'s function; [Some f'] on success. *)
+let convert_one (cfg : Ir.Cfg.t) (defined : Ir.Cfg.Must_defined.t Lazy.t) =
+  let f = cfg.Ir.Cfg.func in
   (* Registers defined on every path into block [l]. *)
   let available l =
     let md = Lazy.force defined in
@@ -343,20 +340,25 @@ let convert_one (f : Ir.Func.t) =
   in
   List.find_map try_block f.Ir.Func.blocks
 
-let convert_func f =
-  let rec fixpoint f n =
-    if n <= 0 then f
-    else
-      match convert_one f with
-      | Some f' -> fixpoint f' (n - 1)
-      | None -> f
+(* One function to fixpoint (bounded). A rewritten function is indexed
+   again, and solved only once a shape matches: the last round over a
+   function matches none. *)
+let convert_func (cfg, md) =
+  let rec fixpoint cfg defined n =
+    match convert_one cfg defined with
+    | Some f' when n > 1 ->
+      let cfg' = Ir.Cfg.of_func f' in
+      fixpoint cfg' (lazy (Ir.Cfg.Must_defined.solve cfg')) (n - 1)
+    | Some f' -> f'
+    | None -> cfg.Ir.Cfg.func
   in
-  fixpoint f 64
+  fixpoint cfg (Lazy.from_val md) 64
 
 let m_runs = Obs.Metrics.counter "analysis.ifconv_runs"
 let m_blocks_removed = Obs.Metrics.counter "analysis.ifconv_blocks_removed"
 
-let run (p : Ir.Program.t) =
+let run (ix : Ir.Cfg.program) =
+  let p = ix.Ir.Cfg.program in
   Obs.Trace.span ~cat:"analysis" "analysis.ifconv" (fun () ->
       Obs.Metrics.incr m_runs;
       let block_count fs =
@@ -364,7 +366,8 @@ let run (p : Ir.Program.t) =
           (fun acc (f : Ir.Func.t) -> acc + List.length f.Ir.Func.blocks)
           0 fs
       in
-      let funcs = List.map convert_func p.Ir.Program.funcs in
+      let convert f = Option.fold ~none:f ~some:convert_func in
+      let funcs = List.map2 convert p.Ir.Program.funcs ix.Ir.Cfg.funcs in
       Obs.Metrics.add m_blocks_removed
         (block_count p.Ir.Program.funcs - block_count funcs);
       Ir.Program.v ~globals:p.Ir.Program.globals ~funcs

@@ -14,8 +14,7 @@
     register. *)
 exception Internal_error of string
 
-(** One function to fixpoint (bounded). *)
-val convert_func : Cayman_ir.Func.t -> Cayman_ir.Func.t
-
-(** Whole program. *)
-val run : Cayman_ir.Program.t -> Cayman_ir.Program.t
+(** Whole program, each function to a bounded fixpoint. The first round
+    on a function reads the index and solution [p] carries; a function
+    it rewrites is indexed again for the next round. *)
+val run : Cayman_ir.Cfg.program -> Cayman_ir.Program.t

@@ -90,8 +90,6 @@ let of_cfg (cfg : Ir.Cfg.t) : t =
       { l with parent = Option.map snd parent })
     found
 
-let find (_ : Ir.Func.t) (dom : Dominance.t) = of_cfg (Dominance.cfg dom)
-
 let loop_of t header = List.find_opt (fun l -> String.equal l.header header) t
 
 (* Innermost-first list of loops containing [label]. *)

@@ -14,11 +14,8 @@ type loop = {
 
 type t = loop list
 
-(** Loops of a function, from the index its dominator tree was read
-    from; outer loops first (headers in reverse postorder). *)
-val find : Cayman_ir.Func.t -> Dominance.t -> t
-
-(** Loops of an index. *)
+(** Loops of an index; outer loops first (headers in reverse
+    postorder). *)
 val of_cfg : Cayman_ir.Cfg.t -> t
 val loop_of : t -> string -> loop option
 

@@ -224,8 +224,6 @@ let pst_of_cfg (cfg : Ir.Cfg.t) : t =
   in
   freeze root
 
-let pst f = pst_of_cfg (Ir.Cfg.of_func f)
-
 let rec iter g r =
   g r;
   List.iter (iter g) r.children

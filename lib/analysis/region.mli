@@ -36,11 +36,8 @@ val is_ctrl_flow : t -> bool
 (** Human-readable name derived from the entry label. *)
 val name : t -> string
 
-(** Program structure tree of a function; the root is the whole function.
-    Builds the function's index. *)
-val pst : Cayman_ir.Func.t -> t
-
-(** Program structure tree of an indexed function. *)
+(** Program structure tree of an indexed function; the root is the whole
+    function. *)
 val pst_of_cfg : Cayman_ir.Cfg.t -> t
 
 val iter : (t -> unit) -> t -> unit

@@ -3,5 +3,4 @@
     is). Run after {!Ifconv} to restore canonical single-block loop
     bodies. *)
 
-val merge_chains_func : Cayman_ir.Func.t -> Cayman_ir.Func.t
 val merge_chains : Cayman_ir.Program.t -> Cayman_ir.Program.t

@@ -37,16 +37,16 @@ let reachable_funcs (p : Ir.Program.t) =
 let m_builds = Obs.Metrics.counter "analysis.wpst_builds"
 let m_regions = Obs.Metrics.counter "analysis.wpst_regions"
 
-let build (p : Ir.Program.t) =
+let build (ix : Ir.Cfg.program) =
+  let p = ix.Ir.Cfg.program in
   Obs.Trace.span ~cat:"analysis" "analysis.wpst" (fun () ->
       let funcs =
         List.filter_map
           (fun name ->
-            match Ir.Program.find_func p name with
-            | Some f ->
-              let cfg = Ir.Cfg.of_func f in
-              Some { fname = name; root = Region.pst_of_cfg cfg; cfg }
-            | None -> None)
+            Option.map
+              (fun (cfg, _) ->
+                { fname = name; root = Region.pst_of_cfg cfg; cfg })
+              (Ir.Cfg.find ix name))
           (reachable_funcs p)
       in
       Obs.Metrics.incr m_builds;

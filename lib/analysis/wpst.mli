@@ -16,7 +16,8 @@ type t = { program : Cayman_ir.Program.t; funcs : func_tree list }
 (** Functions reachable from main through direct calls, main first. *)
 val reachable_funcs : Cayman_ir.Program.t -> string list
 
-val build : Cayman_ir.Program.t -> t
+(** The wPST of a program, over the indices it carries. *)
+val build : Cayman_ir.Cfg.program -> t
 val func_tree : t -> string -> func_tree option
 val region : t -> vref -> Region.t option
 

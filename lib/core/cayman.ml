@@ -7,7 +7,7 @@ module Fe = Cayman_frontend
 (* Everything derived from one profiled execution of the application;
    shared by all selection methods so comparisons use identical inputs. *)
 type analyzed = {
-  program : Ir.Program.t;
+  program : Ir.Validate.t;
   profile : Sim.Profile.t;
   wpst : An.Wpst.t;
   ctxs : (string, Hls.Ctx.t) Hashtbl.t;
@@ -39,39 +39,39 @@ let profile_key ~fuel program =
   Memo.Hash.int b fuel;
   Memo.Hash.digest b
 
-let profile_of ~fuel program =
+let profile_of ~fuel (ix : Ir.Cfg.program) =
   if not (Memo.Store.active ()) then
-    (Sim.Interp.run ~fuel program).Sim.Interp.profile
+    (Sim.Interp.run ~fuel ix).Sim.Interp.profile
   else begin
     let key =
       Obs.Trace.span ~cat:"memo" "memo.key" (fun () ->
-          profile_key ~fuel program)
+          profile_key ~fuel ix.Ir.Cfg.program)
     in
     match Memo.Store.find ~ns:"profile" ~key with
     | Some p ->
       Sim.Profile.publish_metrics p;
       p
     | None ->
-      let p = (Sim.Interp.run ~fuel program).Sim.Interp.profile in
+      let p = (Sim.Interp.run ~fuel ix).Sim.Interp.profile in
       Memo.Store.save ~ns:"profile" ~key p;
       p
   end
 
-let analyze ?fuel ?(if_convert = true) (program : Ir.Program.t) =
+let analyze ?fuel ?(if_convert = true) (program : Ir.Validate.t) =
   Obs.Trace.span ~cat:"core" "core.analyze" @@ fun () ->
   Obs.Metrics.incr m_analyzes;
-  Ir.Validate.check_exn program;
   let program =
     if if_convert then begin
       Obs.Faultpoint.hit fp_ifconv;
-      An.Simplify.merge_chains (An.Ifconv.run program)
+      Ir.Validate.check_exn
+        (An.Simplify.merge_chains (An.Ifconv.run (program :> Ir.Cfg.program)))
     end
     else program
   in
-  Ir.Validate.check_exn program;
+  let ix = (program :> Ir.Cfg.program) in
   let fuel = Engine.Config.fuel ?fuel () in
-  let profile = profile_of ~fuel program in
-  let wpst = An.Wpst.build program in
+  let profile = profile_of ~fuel ix in
+  let wpst = An.Wpst.build ix in
   let ctxs = Hls.Ctx.for_program wpst profile in
   { program; profile; wpst; ctxs; t_all = Sim.Profile.total_seconds profile }
 

@@ -3,23 +3,25 @@
     solutions under area budgets. *)
 
 type analyzed = {
-  program : Cayman_ir.Program.t;
+  program : Cayman_ir.Validate.t;  (** the profiled program, indexed *)
   profile : Cayman_sim.Profile.t;
   wpst : Cayman_analysis.Wpst.t;
   ctxs : (string, Cayman_hls.Ctx.t) Hashtbl.t;
   t_all : float;  (** profiled whole-program duration in seconds *)
 }
 
-(** Profile a validated program and gather all analyses. By default the
+(** Profile a checked program and gather all analyses. By default the
     program is first if-converted (see {!Cayman_analysis.Ifconv}), the
-    control-flow optimization a -O3 front end would apply. When [fuel]
-    is absent it is resolved through {!Engine.Config.fuel} (the [--fuel]
-    flag / [CAYMAN_FUEL] / finite default), so a diverging program
-    raises [Out_of_fuel] instead of hanging.
-    @raise Invalid_argument if the program is ill-formed.
+    control-flow optimization a -O3 front end would apply, and checked
+    again. When [fuel] is absent it is resolved through
+    {!Engine.Config.fuel} (the [--fuel] flag / [CAYMAN_FUEL] / finite
+    default), so a diverging program raises [Out_of_fuel] instead of
+    hanging.
+    @raise Invalid_argument if the if-converted program is ill-formed.
     @raise Cayman_sim.Interp.Out_of_fuel when the budget is exhausted.
     @raise Cayman_sim.Interp.Runtime_error on dynamic errors. *)
-val analyze : ?fuel:int -> ?if_convert:bool -> Cayman_ir.Program.t -> analyzed
+val analyze :
+  ?fuel:int -> ?if_convert:bool -> Cayman_ir.Validate.t -> analyzed
 
 (** Memo-store key of the profiling pass that {!analyze} runs over
     [program] (the validated, if-converted program) with [fuel]: the

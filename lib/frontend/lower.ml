@@ -681,20 +681,22 @@ let compile src =
             Obs.Faultpoint.hit fp_lower;
             lower ast)
       in
-      Obs.Trace.span ~cat:"frontend" "frontend.validate" (fun () ->
-          match Ir.Validate.check program with
-          | Ok () -> ()
-          | Error errors ->
-            let message =
-              String.concat "; "
-                (List.map
-                   (fun e -> Format.asprintf "%a" Ir.Validate.pp_error e)
-                   errors)
-            in
-            raise
-              (Diag.Error
-                 { Diag.d_phase = "validate"; d_span = None;
-                   d_message = "internal lowering error: " ^ message }));
+      let checked =
+        Obs.Trace.span ~cat:"frontend" "frontend.validate" (fun () ->
+            match Ir.Validate.check program with
+            | Ok checked -> checked
+            | Error errors ->
+              let message =
+                String.concat "; "
+                  (List.map
+                     (fun e -> Format.asprintf "%a" Ir.Validate.pp_error e)
+                     errors)
+              in
+              raise
+                (Diag.Error
+                   { Diag.d_phase = "validate"; d_span = None;
+                     d_message = "internal lowering error: " ^ message }))
+      in
       Obs.Metrics.incr m_programs;
       Obs.Metrics.add m_funcs (List.length program.Ir.Program.funcs);
-      program)
+      checked)

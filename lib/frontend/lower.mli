@@ -15,8 +15,8 @@ exception Internal_error of string
     @raise Diag.Error on type errors (phase ["lower"], line-located). *)
 val lower : Ast.program -> Cayman_ir.Program.t
 
-(** [compile src] parses, lowers, and validates. The result is guaranteed
-    to pass {!Cayman_ir.Validate.check}.
+(** [compile src] parses, lowers, and validates: the result is the
+    checked program, with each function's index.
     @raise Diag.Error on lexical, syntax, type, or internal validation
     errors — phases ["lex"], ["parse"], ["lower"], ["validate"]. *)
-val compile : string -> Cayman_ir.Program.t
+val compile : string -> Cayman_ir.Validate.t

@@ -83,7 +83,6 @@ type t = {
   idom : int array;
   depth : int array;
   ipdom : int array;
-  pdepth : int array;
 }
 
 (* Iterative Cooper-Harvey-Kennedy dominators of the graph given by
@@ -207,24 +206,21 @@ let of_func (f : Func.t) =
   Array.iter
     (fun v -> rpreds.(v) <- Array.append rpreds.(v) [| size |])
     returning;
-  let _, _, ipdom, pdepth = dom_tree ~root:size ~succs:rsuccs ~preds:rpreds in
+  let _, _, ipdom, _ = dom_tree ~root:size ~succs:rsuccs ~preds:rpreds in
   { func = f; size; blocks; labels; index; succs; preds; returning; rpo;
-    rpo_index; idom; depth; ipdom; pdepth }
+    rpo_index; idom; depth; ipdom }
 
 let exit_node t = t.size
 let id_opt t label = String_tbl.find_opt t.index label
 let id t label = String_tbl.find t.index label
 
 (* Walk [b]'s chain up to [a]'s depth. *)
-let in_tree idom depth a b =
-  let da = depth.(a) and db = depth.(b) in
+let dominates t a b =
+  let da = t.depth.(a) and db = t.depth.(b) in
   da >= 0 && db >= da
   &&
-  let rec up v d = if d = da then v else up idom.(v) (d - 1) in
+  let rec up v d = if d = da then v else up t.idom.(v) (d - 1) in
   up b db = a
-
-let dominates t a b = in_tree t.idom t.depth a b
-let postdominates t a b = in_tree t.ipdom t.pdepth a b
 
 module Must_defined = struct
   type cfg = t
@@ -309,3 +305,23 @@ module Must_defined = struct
     done;
     { regs; ins }
 end
+
+type program = {
+  program : Program.t;
+  funcs : (t * Must_defined.t) option list;
+}
+
+let of_program (p : Program.t) =
+  let index (f : Func.t) =
+    if f.Func.blocks = [] then None
+    else let cfg = of_func f in Some (cfg, Must_defined.solve cfg)
+  in
+  { program = p; funcs = List.map index p.Program.funcs }
+
+let find t name =
+  List.find_map
+    (function
+      | Some ((cfg, _) as ix) when String.equal cfg.func.Func.name name ->
+        Some ix
+      | Some _ | None -> None)
+    t.funcs

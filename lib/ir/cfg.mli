@@ -3,11 +3,13 @@
     Blocks get ids [0 .. size - 1] in the order of their first
     occurrence in the function, so the entry is id 0. Edges, reverse
     postorder and both dominator trees are int arrays over those ids,
-    and block sets are {!Bits} words. The index is built once per
-    function ({!of_func}) and read by dominance, the program structure
-    tree, loop detection, the accelerator model's context,
-    if-conversion, the validator and the staged interpreter; string
-    labels are only looked up at its boundary.
+    and block sets are {!Bits} words. String labels are only looked up
+    at its boundary. {!Validate.check} indexes each function of the
+    program it accepts once ({!of_program}); if-conversion reads those
+    indices for its first round, and the program structure tree, loop
+    detection, the accelerator model's context, both interpreter
+    engines and the co-simulation read those of the checked,
+    if-converted program.
 
     A label names one node: edges to an unknown label are dropped, and
     a label given to several blocks (which {!Validate} rejects) is the
@@ -76,7 +78,6 @@ type t = private {
       (** immediate postdominator over ids [0 .. size]: node [size] is
           the virtual exit that every returning block jumps to;
           [ipdom.(size) = size], [-1] for a block that reaches no return *)
-  pdepth : int array;  (** depth in the postdominator tree, or [-1] *)
 }
 
 (** @raise Invalid_argument if the function has no blocks. *)
@@ -92,10 +93,6 @@ val id : t -> string -> int
 
 (** Reflexive dominance; [false] when either block is unreachable. *)
 val dominates : t -> int -> int -> bool
-
-(** Reflexive postdominance over ids [0 .. size]; [false] when either
-    node is absent from the postdominator tree. *)
-val postdominates : t -> int -> int -> bool
 
 (** The one forward must-defined analysis: a register is defined at a
     block's entry when every path from the function entry writes it
@@ -123,3 +120,17 @@ module Must_defined : sig
       copy it before changing it. *)
   val at_entry : t -> int -> Bits.t
 end
+
+(** A program with each function's index and must-defined solution, in
+    program order; [None] for a function with no blocks. *)
+type program = private {
+  program : Program.t;
+  funcs : (t * Must_defined.t) option list;
+}
+
+(** Indexes and solves every function of a program. *)
+val of_program : Program.t -> program
+
+(** The index and solution of the first function with blocks called
+    [name]. *)
+val find : program -> string -> (t * Must_defined.t) option

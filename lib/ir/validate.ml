@@ -132,9 +132,8 @@ let check_structure (p : Program.t) (cfg : Cfg.t) =
 
 (* Reads of registers that may not be written yet on some path from the
    entry, over the one must-defined solution of the index. *)
-let check_init (cfg : Cfg.t) =
+let check_init (cfg : Cfg.t) md =
   let f = cfg.Cfg.func in
-  let md = Cfg.Must_defined.solve cfg in
   let errors = ref [] in
   List.iter
     (fun (b : Block.t) ->
@@ -161,13 +160,10 @@ let check_init (cfg : Cfg.t) =
     f.Func.blocks;
   List.rev !errors
 
-let check_func p f =
-  if f.Func.blocks = [] then [ err f.Func.name "function has no blocks" ]
-  else
-    let cfg = Cfg.of_func f in
-    check_structure p cfg @ check_init cfg
+type t = Cfg.program
 
 let check (p : Program.t) =
+  let indexed = Cfg.of_program p in
   let errors = ref [] in
   (match Program.find_func p p.Program.main with
    | None -> errors := [ err "program" "missing main function %s" p.Program.main ]
@@ -182,23 +178,30 @@ let check (p : Program.t) =
         errors := err g.Program.gname "global has non-positive size" :: !errors)
     p.Program.globals;
   let fseen = Hashtbl.create 8 in
-  List.iter
-    (fun (f : Func.t) ->
+  List.iter2
+    (fun (f : Func.t) index ->
       if Hashtbl.mem fseen f.Func.name then
         errors := err "program" "duplicate function %s" f.Func.name :: !errors;
       Hashtbl.replace fseen f.Func.name ();
-      errors := List.rev_append (check_func p f) !errors)
-    p.Program.funcs;
+      let func_errors =
+        match index with
+        | None -> [ err f.Func.name "function has no blocks" ]
+        | Some (cfg, md) -> check_structure p cfg @ check_init cfg md
+      in
+      errors := List.rev_append func_errors !errors)
+    p.Program.funcs indexed.Cfg.funcs;
   match List.rev !errors with
-  | [] -> Ok ()
+  | [] -> Ok indexed
   | es -> Error es
 
 let check_exn p =
   match check p with
-  | Ok () -> ()
+  | Ok checked -> checked
   | Error es ->
     let msg =
       String.concat "\n"
         (List.map (fun e -> Format.asprintf "%a" pp_error e) es)
     in
     invalid_arg ("Validate.check_exn:\n" ^ msg)
+
+let program (t : t) = t.Cfg.program

@@ -274,7 +274,7 @@ let m_mismatches = Obs.Metrics.counter "rtl.cosim_mismatches"
 let fp_cosim = Obs.Faultpoint.register "cosim"
 
 let run_many_uncached ?fuel ?(tolerance = default_tolerance) ?max_invocations
-    ?max_cycles ?faults (program : Ir.Program.t) (specs : spec list) =
+    ?max_cycles ?faults (program : Ir.Validate.t) (specs : spec list) =
   Obs.Trace.span ~cat:"rtl" "rtl.cosim" @@ fun () ->
   Obs.Faultpoint.hit fp_cosim;
   Obs.Metrics.incr m_runs;
@@ -395,7 +395,9 @@ let run_many_uncached ?fuel ?(tolerance = default_tolerance) ?max_invocations
     }
   in
   let fuel = Engine.Config.fuel ?fuel () in
-  let (_ : Interp.result) = Interp.run ~fuel ~observer program in
+  let (_ : Interp.result) =
+    Interp.run ~fuel ~observer (program :> Ir.Cfg.program)
+  in
   List.map
     (fun ks ->
       (* a pending invocation can only survive the run if the golden
@@ -464,7 +466,7 @@ let spec_key ~program_digest ~fuel ~tolerance ~max_invocations ~max_cycles
   Memo.Hash.digest b
 
 let run_many ?fuel ?(tolerance = default_tolerance) ?max_invocations
-    ?max_cycles ?faults (program : Ir.Program.t) (specs : spec list) =
+    ?max_cycles ?faults (program : Ir.Validate.t) (specs : spec list) =
   match faults with
   | Some _ ->
     run_many_uncached ?fuel ~tolerance ?max_invocations ?max_cycles ?faults
@@ -477,7 +479,9 @@ let run_many ?fuel ?(tolerance = default_tolerance) ?max_invocations
       let fuel = Engine.Config.fuel ?fuel () in
       let keys =
         Obs.Trace.span ~cat:"memo" "memo.key" (fun () ->
-            let program_digest = Memo.Hash.program_digest program in
+            let program_digest =
+              Memo.Hash.program_digest (Ir.Validate.program program)
+            in
             List.map
               (spec_key ~program_digest ~fuel ~tolerance ~max_invocations
                  ~max_cycles)

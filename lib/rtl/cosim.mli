@@ -67,7 +67,8 @@ type spec = {
 }
 
 (** [run_many program specs] co-simulates every kernel in one observed
-    interpreter pass; reports come back in [specs] order. Regions may
+    interpreter pass over [program], the analyzed (if-converted) one;
+    reports come back in [specs] order. Regions may
     belong to different functions; nested specs are handled
     independently.
 
@@ -93,7 +94,7 @@ val run_many :
   ?max_invocations:int ->
   ?max_cycles:int ->
   ?faults:(Cayman_hls.Netlist.structure option * Sim.fault option) list ->
-  Cayman_ir.Program.t ->
+  Cayman_ir.Validate.t ->
   spec list ->
   report list
 
@@ -101,6 +102,6 @@ val run :
   ?fuel:int ->
   ?tolerance:tolerance ->
   ?max_invocations:int ->
-  Cayman_ir.Program.t ->
+  Cayman_ir.Validate.t ->
   spec ->
   report

@@ -196,11 +196,13 @@ let parse_primitives () =
     hdrs;
   prims
 
-let primitive_table = lazy (parse_primitives ())
+(* Parsed once, when the module is initialised: a [lazy] table forced
+   by two pool domains at once raises [CamlinternalLazy.Undefined]. *)
+let primitive_table = parse_primitives ()
 
 let check (nl : Hls.Netlist.structure) =
   let open Hls.Netlist in
-  let prims = Lazy.force primitive_table in
+  let prims = primitive_table in
   let findings = ref [] in
   let report rule fmt =
     Printf.ksprintf (fun d -> findings := finding rule d :: !findings) fmt

@@ -123,7 +123,7 @@ let run_text ?fuel ~budget ~mode ~alpha program =
 let compile_text program =
   let b = Buffer.create 1024 in
   let fmt = formatter_of b in
-  Format.fprintf fmt "%a@." Ir.Program.pp program;
+  Format.fprintf fmt "%a@." Ir.Program.pp (Ir.Validate.program program);
   Format.pp_print_flush fmt ();
   Buffer.contents b
 
@@ -140,7 +140,7 @@ let profile_text ?fuel program =
 let dump_text ?fuel program =
   let b = Buffer.create 1024 in
   let fmt = formatter_of b in
-  Format.fprintf fmt "%a@." Ir.Program.pp program;
+  Format.fprintf fmt "%a@." Ir.Program.pp (Ir.Validate.program program);
   Format.pp_print_flush fmt ();
   let a = Core.Cayman.analyze ?fuel program in
   note_instrs (Sim.Profile.total_instrs a.Core.Cayman.profile);

@@ -25,7 +25,7 @@ val load :
   ?bench:string ->
   ?source:string ->
   unit ->
-  (Cayman_ir.Program.t, string) result
+  (Cayman_ir.Validate.t, string) result
 
 (** Selection generator for a [--mode] string ([full],
     [coupled-only], [novia], [qscores]). *)
@@ -41,17 +41,17 @@ val run_text :
   budget:float ->
   mode:string ->
   alpha:float ->
-  Cayman_ir.Program.t ->
+  Cayman_ir.Validate.t ->
   (string, string) result
 
 (** Pretty-printed IR only. *)
-val compile_text : Cayman_ir.Program.t -> string
+val compile_text : Cayman_ir.Validate.t -> string
 
 (** Profile summary line only. *)
-val profile_text : ?fuel:int -> Cayman_ir.Program.t -> string
+val profile_text : ?fuel:int -> Cayman_ir.Validate.t -> string
 
 (** The [dump] subcommand body: IR, wPST, profile total. *)
-val dump_text : ?fuel:int -> Cayman_ir.Program.t -> string
+val dump_text : ?fuel:int -> Cayman_ir.Validate.t -> string
 
 (** The [cosim] subcommand body. Returns the text and the verdict
     (lint-clean and all reports functionally and cycle-wise OK) the CLI
@@ -61,5 +61,5 @@ val cosim_text :
   ?max_invocations:int ->
   budget:float ->
   mode:string ->
-  Cayman_ir.Program.t ->
+  Cayman_ir.Validate.t ->
   (string * bool, string) result

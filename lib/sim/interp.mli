@@ -84,9 +84,11 @@ val current_engine : unit -> engine
     the previous override afterwards (also on exceptions). *)
 val with_engine : engine -> (unit -> 'a) -> 'a
 
-(** [run ?engine ?fuel p] interprets [p] from [main]. [fuel] bounds the
-    number of dynamic instructions (default 2e9). [cache_config]
-    additionally drives a {!Cache} simulator with the access trace.
+(** [run ?engine ?fuel p] interprets [p] from [main] over the indices
+    [p] carries (a checked program or {!Cayman_ir.Cfg.of_program} of a
+    raw one). [fuel] bounds the number of dynamic instructions (default
+    2e9). [cache_config] additionally drives a {!Cache} simulator with
+    the access trace.
     @raise Runtime_error on dynamic errors (division by zero, bad memory
     access, unknown callee, uninitialized register).
     @raise Out_of_fuel when the budget is exhausted. *)
@@ -95,7 +97,7 @@ val run :
   ?fuel:int ->
   ?cache_config:Cache.config ->
   ?observer:observer ->
-  Cayman_ir.Program.t ->
+  Cayman_ir.Cfg.program ->
   result
 
 (** Value semantics of the IR operators, shared with the RTL netlist

@@ -32,11 +32,12 @@ type cfunc = {
   counts : Profile.counts;
 }
 
-let compile_func observer (f : Ir.Func.t) =
+let compile_func observer (f : Ir.Func.t) index =
   let func = f.Ir.Func.name in
   let blocks = Hashtbl.create 16 in
   let entry = (Ir.Func.entry f).Ir.Block.label in
-  let cfg = Ir.Cfg.of_func f in
+  (* [Func.entry] raised for the one function without an index. *)
+  let cfg, _ = Option.get index in
   (* A node's slots are its blocks' targets in block order, so a block
      that repeats a label takes the slots after those of its namesakes. *)
   let next_slot = Array.make cfg.Ir.Cfg.size 0 in
@@ -66,7 +67,8 @@ let compile_func observer (f : Ir.Func.t) =
     on_return = Option.bind observer (fun o -> o.obs_return ~func);
     counts = Profile.counts cfg }
 
-let exec ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
+let exec ?(fuel = default_fuel) ?cache_config ?observer (ix : Ir.Cfg.program) =
+  let p = ix.Ir.Cfg.program in
   let memory = Memory.create p in
   let cache = Option.map (fun config -> Cache.create ~config p) cache_config in
   let touch base index =
@@ -77,12 +79,12 @@ let exec ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
   let funcs = Hashtbl.create 8 in
   let profile =
     Profile.create
-      (List.map
-         (fun (f : Ir.Func.t) ->
-           let cf = compile_func observer f in
+      (List.map2
+         (fun (f : Ir.Func.t) index ->
+           let cf = compile_func observer f index in
            Hashtbl.replace funcs f.Ir.Func.name cf;
            cf.counts)
-         p.Ir.Program.funcs)
+         p.Ir.Program.funcs ix.Ir.Cfg.funcs)
   in
   let fuel_left = ref fuel in
   let rec exec_func (cf : cfunc) (args : Value.t list) : Value.t option =

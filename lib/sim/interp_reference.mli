@@ -10,7 +10,7 @@ val run :
   ?fuel:int ->
   ?cache_config:Cache.config ->
   ?observer:Interp_common.observer ->
-  Cayman_ir.Program.t ->
+  Cayman_ir.Cfg.program ->
   Interp_common.result
 
 (** [run] without opening the ["sim.interp"] span, for the staged
@@ -19,5 +19,5 @@ val exec :
   ?fuel:int ->
   ?cache_config:Cache.config ->
   ?observer:Interp_common.observer ->
-  Cayman_ir.Program.t ->
+  Cayman_ir.Cfg.program ->
   Interp_common.result

@@ -118,15 +118,13 @@ let operand_ty (o : Ir.Instr.operand) = Ir.Instr.operand_ty o
 
 (* Check one function: intern every register, enforce full type/arity/
    label consistency. [fsigs] maps callee name to (param types, ret).
-   The function's control-flow index and must-defined facts are built
-   here, once: a label given to two blocks leaves the index smaller
-   than the block list, and a target the index does not know is an
-   unknown label. *)
-let check_func fsigs pm_globals (f : Ir.Func.t) : fmeta =
-  if f.Ir.Func.blocks = [] then raise Unclean;
-  let cfg = Ir.Cfg.of_func f in
+   The function's control-flow index and must-defined facts come with
+   the program ([None] for a function with no blocks): a label given to
+   two blocks leaves the index smaller than the block list, and a
+   target the index does not know is an unknown label. *)
+let check_func fsigs pm_globals (f : Ir.Func.t) index : fmeta =
+  let cfg, md = match index with Some ix -> ix | None -> raise Unclean in
   if cfg.Ir.Cfg.size < List.length f.Ir.Func.blocks then raise Unclean;
-  let md = Ir.Cfg.Must_defined.solve cfg in
   let fm_regs = Ir.Cfg.String_tbl.create 32 in
   let next_uid = ref (Ir.Cfg.Must_defined.size md) in
   let next_int = ref 0 and next_flt = ref 0 in
@@ -230,7 +228,8 @@ let check_func fsigs pm_globals (f : Ir.Func.t) : fmeta =
 (* [analyze p] is [Some meta] when [p] is statically clean (no dynamic
    type error is reachable), [None] when the staged engine must fall
    back to the reference engine. *)
-let analyze (p : Ir.Program.t) : pmeta option =
+let analyze (ix : Ir.Cfg.program) : pmeta option =
+  let p = ix.Ir.Cfg.program in
   try
     let pm_globals = Hashtbl.create 16 in
     List.iter
@@ -252,11 +251,11 @@ let analyze (p : Ir.Program.t) : pmeta option =
             f.Ir.Func.ret ))
       p.Ir.Program.funcs;
     let pm_funcs = Hashtbl.create 8 in
-    List.iter
-      (fun (f : Ir.Func.t) ->
+    List.iter2
+      (fun (f : Ir.Func.t) index ->
         Hashtbl.replace pm_funcs f.Ir.Func.name
-          (check_func fsigs pm_globals f))
-      p.Ir.Program.funcs;
+          (check_func fsigs pm_globals f index))
+      p.Ir.Program.funcs ix.Ir.Cfg.funcs;
     let pm_main =
       match Hashtbl.find_opt pm_funcs p.Ir.Program.main with
       | Some fm -> fm
@@ -1161,15 +1160,16 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
 
 (* The whole run — analysis and code generation included — is one
    "sim.interp" span, like a reference run. *)
-let run ?(fuel = default_fuel) ?cache_config ?observer (p : Ir.Program.t) =
+let run ?(fuel = default_fuel) ?cache_config ?observer (ix : Ir.Cfg.program) =
   Obs.Trace.span ~cat:"sim" "sim.interp" @@ fun () ->
-  match analyze p with
+  match analyze ix with
   | None ->
     (* Unclean program: execute on the reference engine so every
        dynamic error (type errors, unknown labels, arity mismatches,
        missing main, ...) surfaces exactly as it always has. *)
-    Interp_reference.exec ~fuel ?cache_config ?observer p
+    Interp_reference.exec ~fuel ?cache_config ?observer ix
   | Some pm ->
+    let p = ix.Ir.Cfg.program in
     let memory = Memory.create p in
     let cache =
       Option.map (fun config -> Cache.create ~config p) cache_config

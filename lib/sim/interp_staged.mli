@@ -15,7 +15,7 @@ val run :
   ?fuel:int ->
   ?cache_config:Cache.config ->
   ?observer:Interp_common.observer ->
-  Cayman_ir.Program.t ->
+  Cayman_ir.Cfg.program ->
   Interp_common.result
 
 (** [analyze p] is [Some _] when [p] passes the static cleanliness
@@ -24,4 +24,4 @@ val run :
 
 type pmeta
 
-val analyze : Cayman_ir.Program.t -> pmeta option
+val analyze : Cayman_ir.Cfg.program -> pmeta option

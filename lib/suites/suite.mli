@@ -18,6 +18,6 @@ val names : string list
 (** Benchmarks plotted in Fig. 6 (one per suite). *)
 val fig6 : string list
 
-(** Compile a benchmark's MiniC source to IR.
+(** Compile a benchmark's MiniC source to checked IR.
     @raise Cayman_frontend.Diag.Error on frontend errors. *)
-val compile : benchmark -> Cayman_ir.Program.t
+val compile : benchmark -> Cayman_ir.Validate.t

@@ -19,16 +19,19 @@ module An = Cayman_analysis
 let opt = Option.value ~default:"-"
 let set s = String.concat "," (An.Region.String_set.elements s)
 
-let print_func name (f : Ir.Func.t) =
-  Printf.printf "func %s %s\n" name f.Ir.Func.name;
-  let dom = An.Dominance.dominators f in
-  let pdom = An.Dominance.postdominators f in
-  List.iter
-    (fun label ->
+let print_func name (cfg : Ir.Cfg.t) =
+  Printf.printf "func %s %s\n" name cfg.Ir.Cfg.func.Ir.Func.name;
+  let parent tree v =
+    let p = tree.(v) in
+    if p < 0 || p = v then "-"
+    else if p = Ir.Cfg.exit_node cfg then "<exit>"
+    else cfg.Ir.Cfg.labels.(p)
+  in
+  Array.iteri
+    (fun v label ->
       Printf.printf "block %s idom=%s ipdom=%s\n" label
-        (opt (An.Dominance.idom dom label))
-        (opt (An.Dominance.idom pdom label)))
-    (Ir.Func.labels f);
+        (parent cfg.Ir.Cfg.idom v) (parent cfg.Ir.Cfg.ipdom v))
+    cfg.Ir.Cfg.labels;
   List.iter
     (fun (l : An.Loops.loop) ->
       Printf.printf
@@ -39,17 +42,22 @@ let print_func name (f : Ir.Func.t) =
         (String.concat ","
            (List.map (fun (a, b) -> a ^ "->" ^ b) l.An.Loops.exits))
         (opt l.An.Loops.preheader) (opt l.An.Loops.parent))
-    (An.Loops.find f dom);
+    (An.Loops.of_cfg cfg);
   An.Region.iter
     (fun (r : An.Region.t) ->
       Printf.printf "region %d %s entry=%s exit=%s blocks=%s\n" r.An.Region.id
         (An.Region.kind_to_string r.An.Region.kind)
         r.An.Region.entry (opt r.An.Region.exit) (set r.An.Region.blocks))
-    (An.Region.pst f)
+    (An.Region.pst_of_cfg cfg)
 
-let print_program name (p : Ir.Program.t) =
-  let p = An.Simplify.merge_chains (An.Ifconv.run p) in
-  List.iter (print_func name) p.Ir.Program.funcs
+let print_program name (p : Ir.Validate.t) =
+  let p =
+    Ir.Validate.check_exn
+      (An.Simplify.merge_chains (An.Ifconv.run (p :> Ir.Cfg.program)))
+  in
+  List.iter
+    (Option.iter (fun (cfg, _) -> print_func name cfg))
+    (p :> Ir.Cfg.program).Ir.Cfg.funcs
 
 let () =
   List.iter

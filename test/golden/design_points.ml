@@ -28,7 +28,7 @@ let units_to_string units =
        (fun (k, c) -> Printf.sprintf "%s:%d" (Ir.Op.unit_kind_to_string k) c)
        units)
 
-let print_points name (program : Ir.Program.t) =
+let print_points name (program : Ir.Validate.t) =
   let a = Core.Cayman.analyze program in
   An.Wpst.iter
     (fun fname (r : An.Region.t) ->

@@ -19,11 +19,12 @@ let table2 = [ "atax"; "gramschmidt"; "fft"; "nw"; "epic"; "zip-test" ]
 let config =
   { Hls.Kernel.unroll = 2; pipeline = true; mode = Hls.Kernel.Heuristic }
 
-let print_keys name (program : Ir.Program.t) =
+let print_keys name (program : Ir.Validate.t) =
   let a = Core.Cayman.analyze program in
   let program = a.Core.Cayman.program in
   Printf.printf "profile %s %s\n" name
-    (Core.Cayman.profile_key ~fuel:(Engine.Config.fuel ()) program);
+    (Core.Cayman.profile_key ~fuel:(Engine.Config.fuel ())
+       (Ir.Validate.program program));
   An.Wpst.iter
     (fun fname (r : An.Region.t) ->
       match Hashtbl.find_opt a.Core.Cayman.ctxs fname with

@@ -32,10 +32,39 @@ let diamond_loop_func () =
           (Ir.Instr.Jump "head");
         block "exit" [] (Ir.Instr.Return None) ]
 
+(* Label-level reads of the index's dominator tree ([post = false]) or
+   postdominator tree, whose virtual exit is labelled "<exit>". *)
+let virtual_exit = "<exit>"
+
+let node cfg ~post l =
+  if post && String.equal l virtual_exit then Some (Ir.Cfg.exit_node cfg)
+  else Ir.Cfg.id_opt cfg l
+
+(* Reflexive; [false] when either node is absent from the tree. The
+   index keeps depths for the dominator tree only, so the postdominator
+   tree is walked up its parents. *)
+let dominates cfg ~post a b =
+  match node cfg ~post a, node cfg ~post b with
+  | Some a, Some b when not post -> Ir.Cfg.dominates cfg a b
+  | Some a, Some b ->
+    let up = cfg.Ir.Cfg.ipdom in
+    let rec above v = v = a || (up.(v) <> v && above up.(v)) in
+    up.(a) >= 0 && up.(b) >= 0 && above b
+  | None, _ | _, None -> false
+
+let idom cfg ~post l =
+  match node cfg ~post l with
+  | None -> None
+  | Some v ->
+    let p = (if post then cfg.Ir.Cfg.ipdom else cfg.Ir.Cfg.idom).(v) in
+    if p < 0 || p = v then None
+    else if post && p = Ir.Cfg.exit_node cfg then Some virtual_exit
+    else Some cfg.Ir.Cfg.labels.(p)
+
 let test_dominators () =
   let f = diamond_loop_func () in
-  let dom = An.Dominance.dominators f in
-  let idom l = An.Dominance.idom dom l in
+  let cfg = Ir.Cfg.of_func f in
+  let idom = idom cfg ~post:false and dominates = dominates cfg ~post:false in
   Alcotest.(check (option string)) "idom head" (Some "entry") (idom "head");
   Alcotest.(check (option string)) "idom a" (Some "head") (idom "a");
   Alcotest.(check (option string)) "idom b" (Some "a") (idom "b");
@@ -43,26 +72,24 @@ let test_dominators () =
   Alcotest.(check (option string)) "idom exit" (Some "head") (idom "exit");
   Alcotest.(check (option string)) "entry has no idom" None (idom "entry");
   Alcotest.(check bool) "entry dominates all" true
-    (List.for_all (An.Dominance.dominates dom "entry") (Ir.Func.labels f));
+    (List.for_all (dominates "entry") (Ir.Func.labels f));
   Alcotest.(check bool) "dominance is reflexive" true
-    (An.Dominance.dominates dom "a" "a");
+    (dominates "a" "a");
   Alcotest.(check bool) "b does not dominate join" false
-    (An.Dominance.dominates dom "b" "join")
+    (dominates "b" "join")
 
 let test_postdominators () =
   let f = diamond_loop_func () in
-  let pdom = An.Dominance.postdominators f in
+  let dominates = dominates (Ir.Cfg.of_func f) ~post:true in
   Alcotest.(check bool) "exit postdominates head" true
-    (An.Dominance.dominates pdom "exit" "head");
+    (dominates "exit" "head");
   Alcotest.(check bool) "join postdominates a" true
-    (An.Dominance.dominates pdom "join" "a");
+    (dominates "join" "a");
   Alcotest.(check bool) "b does not postdominate a" false
-    (An.Dominance.dominates pdom "b" "a")
+    (dominates "b" "a")
 
 let test_natural_loops () =
-  let f = diamond_loop_func () in
-  let dom = An.Dominance.dominators f in
-  let loops = An.Loops.find f dom in
+  let loops = An.Loops.of_cfg (Ir.Cfg.of_func (diamond_loop_func ())) in
   Alcotest.(check int) "one loop" 1 (List.length loops);
   let l = List.hd loops in
   Alcotest.(check string) "header" "head" l.An.Loops.header;
@@ -88,9 +115,7 @@ let test_nested_loops () =
         }|}
   in
   ignore res;
-  let f = Ir.Program.func_exn program "main" in
-  let dom = An.Dominance.dominators f in
-  let loops = An.Loops.find f dom in
+  let loops = An.Loops.of_cfg (Testutil.cfg_of program "main") in
   Alcotest.(check int) "two loops" 2 (List.length loops);
   let inner =
     List.find (fun l -> An.Loops.is_innermost loops l) loops
@@ -108,8 +133,10 @@ let test_nested_loops () =
    2. every block of a region is covered by exactly one child (partition),
       counting bb leaves;
    3. ids are unique. *)
-let check_pst_invariants (f : Ir.Func.t) =
-  let root = An.Region.pst f in
+let check_pst_invariants index =
+  let cfg, _ = Option.get index in
+  let f = cfg.Ir.Cfg.func in
+  let root = An.Region.pst_of_cfg cfg in
   let ids = Hashtbl.create 64 in
   An.Region.iter
     (fun r ->
@@ -150,8 +177,8 @@ let check_pst_invariants (f : Ir.Func.t) =
 let test_pst_invariants_suite () =
   List.iter
     (fun (b : Cayman_suites.Suite.benchmark) ->
-      let program = Cayman_suites.Suite.compile b in
-      List.iter check_pst_invariants program.Ir.Program.funcs)
+      let program = (Cayman_suites.Suite.compile b :> Ir.Cfg.program) in
+      List.iter check_pst_invariants program.Ir.Cfg.funcs)
     Cayman_suites.Suite.all
 
 let test_pst_loop_kinds () =
@@ -165,8 +192,10 @@ let test_pst_loop_kinds () =
           return a[1];
         }|}
   in
-  let f = Ir.Program.func_exn program "main" in
-  let root = An.Region.pst f in
+  let root =
+    An.Region.pst_of_cfg
+      (Testutil.cfg_of (program :> Ir.Cfg.program) "main")
+  in
   let kinds = ref [] in
   An.Region.iter (fun r -> kinds := r.An.Region.kind :: !kinds) root;
   Alcotest.(check bool) "has a loop region" true
@@ -183,10 +212,10 @@ let test_wpst_reachability () =
         int dead() { return 2; }
         int main() { return used(); }|}
   in
-  let names = An.Wpst.reachable_funcs program in
+  let names = An.Wpst.reachable_funcs (Ir.Validate.program program) in
   Alcotest.(check (list string)) "main first, dead excluded"
     [ "main"; "used" ] names;
-  let wpst = An.Wpst.build program in
+  let wpst = An.Wpst.build (program :> Ir.Cfg.program) in
   Alcotest.(check int) "two function trees" 2 (List.length wpst.An.Wpst.funcs);
   Alcotest.(check bool) "region lookup works" true
     (An.Wpst.region wpst { An.Wpst.vfunc = "main"; vid = 0 } <> None)
@@ -213,27 +242,24 @@ let test_dominance_suite_properties () =
   List.iter
     (fun name ->
       let b = Cayman_suites.Suite.find_exn name in
-      let program = Cayman_suites.Suite.compile b in
+      let program = (Cayman_suites.Suite.compile b :> Ir.Cfg.program) in
       List.iter
-        (fun (f : Ir.Func.t) ->
-          let dom = An.Dominance.dominators f in
-          let entry = (Ir.Func.entry f).Ir.Block.label in
-          List.iter
-            (fun l ->
-              if An.Dominance.reachable dom l then begin
+        (fun index ->
+          let cfg, _ = Option.get index in
+          Array.iteri
+            (fun v p ->
+              if p >= 0 then begin
                 Alcotest.(check bool)
                   (Printf.sprintf "%s/%s entry dominates %s" name
-                     f.Ir.Func.name l)
+                     cfg.Ir.Cfg.func.Ir.Func.name cfg.Ir.Cfg.labels.(v))
                   true
-                  (An.Dominance.dominates dom entry l);
-                match An.Dominance.idom dom l with
-                | Some p ->
+                  (Ir.Cfg.dominates cfg 0 v);
+                if p <> v then
                   Alcotest.(check bool) "idom strictly dominates" true
-                    (An.Dominance.dominates dom p l && not (String.equal p l))
-                | None -> ()
+                    (Ir.Cfg.dominates cfg p v)
               end)
-            (Ir.Func.labels f))
-        program.Ir.Program.funcs)
+            cfg.Ir.Cfg.idom)
+        program.Ir.Cfg.funcs)
     [ "3mm"; "nw"; "zip-test"; "fft" ]
 
 (* --- oracles: dominance and SESE checked straight from the CFG --- *)
@@ -252,7 +278,7 @@ let reach ~next ~cut roots =
 
 (* [a] dominates [b] iff [b] is reachable from the root and stops being
    so once [a] is removed (or is [a]). *)
-let dominance_matches ~what t ~nodes ~root ~next =
+let dominance_matches ~what cfg ~post ~nodes ~root ~next =
   let reachable = reach ~next ~cut:"" [ root ] in
   let without = Hashtbl.create 16 in
   List.iter (fun a -> Hashtbl.replace without a (reach ~next ~cut:a [ root ])) nodes;
@@ -264,11 +290,11 @@ let dominance_matches ~what t ~nodes ~root ~next =
     (fun b ->
       List.for_all
         (fun a ->
-          An.Dominance.dominates t a b = dom a b
+          dominates cfg ~post a b = dom a b
           || QCheck.Test.fail_reportf "%s: dominates %s %s" what a b)
         nodes
       &&
-      match An.Dominance.idom t b with
+      match idom cfg ~post b with
       | None ->
         (* only the root and unreachable nodes have none *)
         String.equal b root || not (Hashtbl.mem reachable b)
@@ -290,7 +316,7 @@ let succs_of (f : Ir.Func.t) l =
 let dominance_oracle (f : Ir.Func.t) =
   let labels = Ir.Func.labels f in
   let entry = (Ir.Func.entry f).Ir.Block.label in
-  let exit = An.Dominance.virtual_exit in
+  let exit = virtual_exit in
   let returning =
     List.filter_map
       (fun (b : Ir.Block.t) ->
@@ -300,9 +326,10 @@ let dominance_oracle (f : Ir.Func.t) =
       f.Ir.Func.blocks
   in
   let preds_of l = List.filter (fun p -> List.mem l (succs_of f p)) labels in
-  dominance_matches ~what:"dom" (An.Dominance.dominators f) ~nodes:labels
+  let cfg = Ir.Cfg.of_func f in
+  dominance_matches ~what:"dom" cfg ~post:false ~nodes:labels
     ~root:entry ~next:(succs_of f)
-  && dominance_matches ~what:"pdom" (An.Dominance.postdominators f)
+  && dominance_matches ~what:"pdom" cfg ~post:true
        ~nodes:(exit :: labels) ~root:exit
        ~next:(fun l -> if String.equal l exit then returning else preds_of l)
 
@@ -328,7 +355,7 @@ let sese_oracle (f : Ir.Func.t) =
               (succs_of f x))
           f.Ir.Func.blocks
       end)
-    (An.Region.pst f);
+    (Testutil.pst f);
   !ok || QCheck.Test.fail_reportf "%s: a region is not SESE" f.Ir.Func.name
 
 let cfg_oracles f = dominance_oracle f && sese_oracle f
@@ -343,9 +370,12 @@ let qcheck_oracles_programs =
       match Test_random.compile_ok (Test_random.prog_to_minic p) with
       | Error m -> QCheck.Test.fail_report m
       | Ok program ->
-        let converted = An.Simplify.merge_chains (An.Ifconv.run program) in
+        let converted =
+          An.Simplify.merge_chains (An.Ifconv.run (program :> Ir.Cfg.program))
+        in
         List.for_all cfg_oracles
-          (program.Ir.Program.funcs @ converted.Ir.Program.funcs))
+          ((Ir.Validate.program program).Ir.Program.funcs
+           @ converted.Ir.Program.funcs))
 
 let tests =
   [ Alcotest.test_case "dominators on diamond loop" `Quick test_dominators;

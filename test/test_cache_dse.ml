@@ -20,7 +20,7 @@ let test_cache_sequential_locality () =
         return (int)s;
       }|}
   in
-  let program = Cayman_frontend.Lower.compile src in
+  let program = (Cayman_frontend.Lower.compile src :> Ir.Cfg.program) in
   let res = Sim.Interp.run ~cache_config:Sim.Cache.default_l1 program in
   match res.Sim.Interp.cache_stats with
   | None -> Alcotest.fail "cache stats expected"
@@ -45,7 +45,7 @@ let test_cache_resident_workload () =
         return (int)s;
       }|}
   in
-  let program = Cayman_frontend.Lower.compile src in
+  let program = (Cayman_frontend.Lower.compile src :> Ir.Cfg.program) in
   let res = Sim.Interp.run ~cache_config:Sim.Cache.default_l1 program in
   match res.Sim.Interp.cache_stats with
   | None -> Alcotest.fail "cache stats expected"
@@ -63,7 +63,7 @@ let test_cache_thrash_with_tiny_cache () =
         return (int)s;
       }|}
   in
-  let program = Cayman_frontend.Lower.compile src in
+  let program = (Cayman_frontend.Lower.compile src :> Ir.Cfg.program) in
   let tiny =
     { Sim.Cache.line_words = 8; sets = 1; ways = 1; hit_cycles = 1;
       miss_cycles = 10 }
@@ -86,13 +86,13 @@ let test_cache_thrash_with_tiny_cache () =
 let test_cache_rejects_bad_geometry () =
   let program = Cayman_frontend.Lower.compile "int main() { return 0; }" in
   let bad = { Sim.Cache.default_l1 with Sim.Cache.sets = 3 } in
-  match Sim.Cache.create ~config:bad program with
+  match Sim.Cache.create ~config:bad (Ir.Validate.program program) with
   | _ -> Alcotest.fail "non-power-of-two sets must be rejected"
   | exception Invalid_argument _ -> ()
 
 let test_cache_off_by_default () =
   let program = Cayman_frontend.Lower.compile "int main() { return 0; }" in
-  let res = Sim.Interp.run program in
+  let res = Sim.Interp.run (program :> Ir.Cfg.program) in
   Alcotest.(check bool) "no stats without config" true
     (res.Sim.Interp.cache_stats = None)
 
@@ -111,7 +111,7 @@ let setup_kernel () =
         return (int)b[0];
       }|}
   in
-  let program = Cayman_frontend.Lower.compile src in
+  let program = (Cayman_frontend.Lower.compile src :> Ir.Cfg.program) in
   let res = Sim.Interp.run program in
   let ctx =
     Hashtbl.find
@@ -123,7 +123,7 @@ let setup_kernel () =
     (fun r ->
       if r.An.Region.kind = An.Region.Loop_region && !region = None then
         region := Some r)
-    (An.Region.pst ctx.Hls.Ctx.func);
+    (An.Region.pst_of_cfg ctx.Hls.Ctx.cfg);
   ctx, Option.get !region
 
 let test_dse_explore () =
@@ -182,15 +182,16 @@ let test_dse_fast_strategy_close () =
 
 let test_dot_outputs () =
   let program =
-    Cayman_frontend.Lower.compile
-      {|const int N = 8;
-        int a[N];
-        int main() {
-          for (int i = 0; i < N; i++) { a[i] = i; }
-          return a[3];
-        }|}
+    (Cayman_frontend.Lower.compile
+       {|const int N = 8;
+         int a[N];
+         int main() {
+           for (int i = 0; i < N; i++) { a[i] = i; }
+           return a[3];
+         }|}
+      :> Ir.Cfg.program)
   in
-  let f = Ir.Program.func_exn program "main" in
+  let f = Ir.Program.func_exn program.Ir.Cfg.program "main" in
   let cfg = An.Dot.cfg f in
   Alcotest.(check bool) "cfg is a digraph" true
     (Testutil.contains cfg "digraph cfg_main");

@@ -12,7 +12,7 @@ module Fe = Cayman_frontend
    point: user input must never surface as an internal error. *)
 let expect_diag ?phase ?line ?col name src =
   match Fe.Lower.compile src with
-  | (_ : Cayman_ir.Program.t) ->
+  | (_ : Cayman_ir.Validate.t) ->
     Alcotest.failf "%s: compiled, expected a diagnostic" name
   | exception Fe.Diag.Error d ->
     (match phase with
@@ -114,7 +114,7 @@ let test_ok_after_errors () =
   in
   Alcotest.(check bool)
     "compiles after failures" true
-    (List.length p.Cayman_ir.Program.funcs >= 1)
+    (List.length (Cayman_ir.Validate.program p).Cayman_ir.Program.funcs >= 1)
 
 let tests =
   [ Alcotest.test_case "lexical errors are located" `Quick test_lex_errors;

@@ -124,6 +124,54 @@ let test_cli_building_blocks () =
   Alcotest.(check int) "nothing to accelerate" 0
     (List.length s.Core.Solution.accels)
 
+(* The checked program [analyze] returns carries the one index of each
+   function that the later stages read: every wPST tree and every
+   context holds that very index, not a rebuilt copy. A program fed to
+   [analyze] straight from the frontend and the same IR checked again
+   give the same frontier. *)
+let test_stages_share_index () =
+  List.iter
+    (fun (name, src) ->
+      let compiled = Cayman_frontend.Lower.compile src in
+      let a = Core.Cayman.analyze compiled in
+      let indexed = (a.Core.Cayman.program :> Cayman_ir.Cfg.program) in
+      let index_of fname =
+        match Cayman_ir.Cfg.find indexed fname with
+        | Some (cfg, _) -> cfg
+        | None -> Alcotest.failf "%s: no index for %s" name fname
+      in
+      List.iter
+        (fun (ft : Cayman_analysis.Wpst.func_tree) ->
+          let cfg = index_of ft.Cayman_analysis.Wpst.fname in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s: wPST reads the checked index" name
+               ft.Cayman_analysis.Wpst.fname)
+            true
+            (ft.Cayman_analysis.Wpst.cfg == cfg);
+          match Hashtbl.find_opt a.Core.Cayman.ctxs ft.Cayman_analysis.Wpst.fname with
+          | Some ctx ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s/%s: context reads the checked index" name
+                 ft.Cayman_analysis.Wpst.fname)
+              true (ctx.Hls.Ctx.cfg == cfg)
+          | None ->
+            Alcotest.failf "%s: no context for %s" name
+              ft.Cayman_analysis.Wpst.fname)
+        a.Core.Cayman.wpst.Cayman_analysis.Wpst.funcs;
+      let frontier a =
+        (Core.Cayman.run ~mode:Hls.Kernel.Heuristic a).Core.Cayman.frontier
+      in
+      let rechecked =
+        Core.Cayman.analyze
+          (Cayman_ir.Validate.check_exn (Cayman_ir.Validate.program compiled))
+      in
+      Alcotest.(check bool)
+        (name ^ ": frontend program and rechecked IR agree")
+        true
+        (Core.Solution.equal_frontier (frontier a) (frontier rechecked)))
+    [ "atax", (Suite.find_exn "atax").Suite.source;
+      "genprog 1000/3", Fleet.Genprog.minic_source ~seed:1000 ~index:3 ]
+
 let tests =
   [ Alcotest.test_case "flow invariants" `Slow test_flow_invariants;
     Alcotest.test_case "budget ordering" `Slow test_budget_ordering;
@@ -132,4 +180,6 @@ let tests =
     Alcotest.test_case "parallel selection deterministic" `Slow
       test_parallel_determinism;
     Alcotest.test_case "selection runtime sane" `Quick test_runtime_reasonable;
-    Alcotest.test_case "driver building blocks" `Quick test_cli_building_blocks ]
+    Alcotest.test_case "driver building blocks" `Quick test_cli_building_blocks;
+    Alcotest.test_case "stages share the checked index" `Quick
+      test_stages_share_index ]

@@ -147,8 +147,8 @@ let test_canon_digest_distinguishes () =
   in
   let rec distinct_pair s =
     let f = gen s and g = gen (s + 1) in
-    let cf = Memo.Hash.canon_region f (An.Region.pst f)
-    and cg = Memo.Hash.canon_region g (An.Region.pst g) in
+    let cf = Memo.Hash.canon_region f (Testutil.pst f)
+    and cg = Memo.Hash.canon_region g (Testutil.pst g) in
     if cf.Memo.Hash.code = cg.Memo.Hash.code then
       distinct_pair (s + 2)
     else (cf, cg)

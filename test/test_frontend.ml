@@ -242,7 +242,9 @@ let test_loop_labels () =
           return 0;
         }|}
   in
-  let main = Cayman_ir.Program.func_exn program "main" in
+  let main =
+    Cayman_ir.Program.func_exn (Cayman_ir.Validate.program program) "main"
+  in
   Alcotest.(check bool) "label names blocks" true
     (List.exists
        (fun l -> Testutil.contains l "mylabel")
@@ -304,8 +306,8 @@ let test_lowering_validates () =
           return (int)dot();
         }|}
   in
-  match Cayman_ir.Validate.check program with
-  | Ok () -> ()
+  match Cayman_ir.Validate.check (Cayman_ir.Validate.program program) with
+  | Ok _ -> ()
   | Error _ -> Alcotest.fail "lowered program must validate"
 
 let tests =

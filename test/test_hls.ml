@@ -7,14 +7,14 @@ module Sim = Cayman_sim
 module Hls = Cayman_hls
 
 let compile_ctx src fname =
-  let program = Cayman_frontend.Lower.compile src in
+  let program = (Cayman_frontend.Lower.compile src :> Ir.Cfg.program) in
   let res = Sim.Interp.run program in
   let ctxs = Hls.Ctx.for_program (An.Wpst.build program) res.Sim.Interp.profile in
   Hashtbl.find ctxs fname
 
 (* The innermost (first) loop region of a function's PST. *)
 let first_loop_region (ctx : Hls.Ctx.t) =
-  let root = An.Region.pst ctx.Hls.Ctx.func in
+  let root = An.Region.pst_of_cfg ctx.Hls.Ctx.cfg in
   let found = ref None in
   An.Region.iter
     (fun r ->

@@ -16,9 +16,8 @@ let run_program p =
 
 (* semantic preservation: the converted program computes the same value *)
 let check_preserves name src =
-  let p = Cayman_frontend.Lower.compile src in
-  let p' = An.Ifconv.run p in
-  Ir.Validate.check_exn p';
+  let p = (Cayman_frontend.Lower.compile src :> Ir.Cfg.program) in
+  let p' = (Ir.Validate.check_exn (An.Ifconv.run p) :> Ir.Cfg.program) in
   Alcotest.(check int) (name ^ ": same result") (run_program p) (run_program p')
 
 let test_preserves_semantics () =
@@ -77,6 +76,12 @@ let test_preserves_semantics () =
 
 let count_blocks f = List.length f.Ir.Func.blocks
 
+(* [kernel] before and after converting the whole program. *)
+let convert_kernel p =
+  let kernel p = Ir.Program.func_exn p "kernel" in
+  ( kernel (Ir.Validate.program p),
+    kernel (An.Ifconv.run (p :> Ir.Cfg.program)) )
+
 let test_triangle_collapses () =
   let p =
     Cayman_frontend.Lower.compile
@@ -89,8 +94,7 @@ let test_triangle_collapses () =
         }
         int main() { return kernel(5); }|}
   in
-  let f = Ir.Program.func_exn p "kernel" in
-  let f' = An.Ifconv.convert_func f in
+  let f, f' = convert_kernel p in
   Alcotest.(check bool) "fewer blocks after conversion" true
     (count_blocks f' < count_blocks f);
   (* a select appears *)
@@ -117,8 +121,7 @@ let test_store_arm_not_converted () =
         }
         int main() { kernel(5); return a[0]; }|}
   in
-  let f = Ir.Program.func_exn p "kernel" in
-  let f' = An.Ifconv.convert_func f in
+  let f, f' = convert_kernel p in
   Alcotest.(check int) "store arm untouched" (count_blocks f)
     (count_blocks f')
 
@@ -132,12 +135,11 @@ let test_division_arm_not_converted () =
         }
         int main() { return kernel(10, 0); }|}
   in
-  let f = Ir.Program.func_exn p "kernel" in
-  let f' = An.Ifconv.convert_func f in
+  let f, f' = convert_kernel p in
   Alcotest.(check int) "trapping arm untouched" (count_blocks f)
     (count_blocks f');
   (* and the guarded division still works end to end *)
-  let p' = An.Ifconv.run p in
+  let p' = Ir.Cfg.of_program (An.Ifconv.run (p :> Ir.Cfg.program)) in
   Alcotest.(check int) "division by zero still guarded" 0 (run_program p')
 
 let test_enables_pipelining () =
@@ -201,8 +203,8 @@ let test_idempotent () =
           return s;
         }|}
   in
-  let p1 = An.Ifconv.run p in
-  let p2 = An.Ifconv.run p1 in
+  let p1 = An.Ifconv.run (p :> Ir.Cfg.program) in
+  let p2 = An.Ifconv.run (Ir.Cfg.of_program p1) in
   Alcotest.(check string) "second pass is identity"
     (Ir.Program.to_string p1) (Ir.Program.to_string p2)
 

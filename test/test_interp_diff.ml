@@ -10,6 +10,13 @@
 module Ir = Cayman_ir
 module Sim = Cayman_sim
 
+(* The harness runs raw, possibly malformed programs, so each run
+   indexes its program itself. *)
+let interp ?engine ?fuel ?cache_config ?observer p =
+  Sim.Interp.run ?engine ?fuel ?cache_config ?observer (Ir.Cfg.of_program p)
+
+let staged_analysis p = Cayman_sim.Interp_staged.analyze (Ir.Cfg.of_program p)
+
 (* ------------------------------------------------------------------ *)
 (* Running one program under one engine                                *)
 (* ------------------------------------------------------------------ *)
@@ -70,7 +77,7 @@ let run_one ?(observe = false) ?(watch = watch_all) ?cache_config ?fuel engine
   let observer =
     if observe then Some (recording_observer watch events) else None
   in
-  match Sim.Interp.run ~engine ?fuel ?cache_config ?observer p with
+  match interp ~engine ?fuel ?cache_config ?observer p with
   | res ->
     { o_ret = Some res.Sim.Interp.return_value;
       o_err = None;
@@ -471,13 +478,13 @@ let fuel_needed (p : Ir.Program.t) (profile : Sim.Profile.t) =
   Sim.Profile.total_instrs profile + block_entries
 
 let fuel_boundary_holds (p : Ir.Program.t) =
-  match Sim.Interp.run ~engine:Sim.Interp.Reference p with
+  match interp ~engine:Sim.Interp.Reference p with
   | exception (Sim.Interp.Runtime_error _ | Sim.Interp.Out_of_fuel) ->
     true (* aborting programs are covered by the other properties *)
   | res ->
     let n = fuel_needed p res.Sim.Interp.profile in
     let at fuel engine =
-      match Sim.Interp.run ~engine ~fuel p with
+      match interp ~engine ~fuel p with
       | _ -> `Done
       | exception Sim.Interp.Out_of_fuel -> `Fuel
     in
@@ -512,7 +519,7 @@ let event_watched (watch : watch) = function
 let watch_subset_holds (p : Ir.Program.t) seed frac =
   let watch = watch_subset seed in
   let fuels =
-    match Sim.Interp.run ~engine:Sim.Interp.Reference p with
+    match interp ~engine:Sim.Interp.Reference p with
     | exception (Sim.Interp.Runtime_error _ | Sim.Interp.Out_of_fuel) ->
       [ None ]
     | res ->
@@ -560,7 +567,7 @@ let straight ?(globals = []) instrs ret =
 let expect_error name p expected =
   List.iter
     (fun engine ->
-      match Sim.Interp.run ~engine p with
+      match interp ~engine p with
       | _ ->
         Alcotest.failf "%s (%s): expected Runtime_error" name
           (Sim.Interp.engine_name engine)
@@ -726,7 +733,7 @@ let test_one_path_def () =
             (run_one ~observe Sim.Interp.Staged p))
         [ true; false ])
     [ false; true ];
-  (match Sim.Interp.run ~engine:Sim.Interp.Staged (one_path_def true) with
+  (match interp ~engine:Sim.Interp.Staged (one_path_def true) with
    | { Sim.Interp.return_value = Some (Sim.Value.Vint 8); _ } -> ()
    | _ -> Alcotest.fail "defined path must return 8");
   (* A watch point at [join] alone: the proof answers for [n0], the def
@@ -806,7 +813,7 @@ let malformed_cfgs =
 let test_malformed_cfgs () =
   List.iter
     (fun (name, p) ->
-      if Option.is_some (Cayman_sim.Interp_staged.analyze p) then
+      if Option.is_some (staged_analysis p) then
         Alcotest.failf "%s: the staged analysis must reject it" name;
       let run engine =
         match run_one ~observe:true engine p with
@@ -852,10 +859,10 @@ let test_dead_latch () =
   let cfg = Ir.Cfg.of_func (Ir.Program.func_exn p "main") in
   Alcotest.(check int) "latch is unreachable" (-1)
     cfg.Ir.Cfg.rpo_index.(Ir.Cfg.id cfg "latch");
-  if Option.is_none (Cayman_sim.Interp_staged.analyze p) then
+  if Option.is_none (staged_analysis p) then
     Alcotest.fail "the dead-latch program must take the staged path";
   let n =
-    let res = Sim.Interp.run ~engine:Sim.Interp.Reference p in
+    let res = interp ~engine:Sim.Interp.Reference p in
     fuel_needed p res.Sim.Interp.profile
   in
   let at_head ~func:_ ~label = label = Some "head" in
@@ -909,7 +916,7 @@ let test_spec_cache () =
   | Some _ | None -> Alcotest.fail "expected cache accesses"
 
 let test_spec_fuel_boundary () =
-  (match Sim.Interp.run ~engine:Sim.Interp.Reference spec_kernel with
+  (match interp ~engine:Sim.Interp.Reference spec_kernel with
    | _ -> ()
    | exception e ->
      Alcotest.failf "kernel must complete: %s" (Printexc.to_string e));
@@ -938,7 +945,8 @@ let alloc_kernel reps =
          }|}
        reps)
 
-let staged_minor_words p =
+let staged_minor_words checked =
+  let p = (checked : Ir.Validate.t :> Ir.Cfg.program) in
   (match Cayman_sim.Interp_staged.analyze p with
    | Some _ -> ()
    | None -> Alcotest.fail "alloc kernel fails the staged analysis");
@@ -982,7 +990,7 @@ let main_i32 ?(globals = typed_globals) ?(funcs = []) blocks =
     ~main:"main"
 
 let staged_return name p want =
-  match Sim.Interp.run ~engine:Sim.Interp.Staged p with
+  match interp ~engine:Sim.Interp.Staged p with
   | { Sim.Interp.return_value = Some (Sim.Value.Vint n); _ } ->
     Alcotest.(check int) name want n
   | _ -> Alcotest.failf "%s: expected an int return" name
@@ -1082,12 +1090,12 @@ let test_fused_unproven_operand () =
 let test_fused_fuel_boundary () =
   let p = fused_loop in
   let n =
-    fuel_needed p (Sim.Interp.run ~engine:Sim.Interp.Reference p).profile
+    fuel_needed p (interp ~engine:Sim.Interp.Reference p).profile
   in
   List.iter
     (fun engine ->
       let at fuel =
-        match Sim.Interp.run ~engine ~fuel p with
+        match interp ~engine ~fuel p with
         | _ -> "done"
         | exception Sim.Interp.Out_of_fuel -> "out of fuel"
       in
@@ -1137,7 +1145,7 @@ let test_empty_blocks () =
   agree "empty blocks" p;
   staged_return "empty blocks" p 5;
   let n =
-    fuel_needed p (Sim.Interp.run ~engine:Sim.Interp.Reference p).profile
+    fuel_needed p (interp ~engine:Sim.Interp.Reference p).profile
   in
   List.iter (fun fuel -> agree ~fuel "empty blocks fuel" p) [ n - 1; n ]
 
@@ -1212,7 +1220,7 @@ let folding_observer () =
   obs, h, count
 
 let run_bench_engine bname ?observer engine p =
-  match Sim.Interp.run ~engine ?observer p with
+  match Sim.Interp.run ~engine ?observer (p : Ir.Validate.t :> Ir.Cfg.program) with
   | res -> res
   | exception e ->
     Alcotest.failf "%s (%s): %s" bname
@@ -1240,11 +1248,12 @@ let check_bench_parity bname (r : Sim.Interp.result) (s : Sim.Interp.result) =
    the entry, by a call; and the blocks' executions times their static
    costs add up to the run's totals. A counter written to the wrong
    block or slot breaks an equation. *)
-let check_flow name (p : Ir.Program.t) (profile : Sim.Profile.t) =
+let check_flow name (p : Ir.Validate.t) (profile : Sim.Profile.t) =
   let cycles = ref 0 and instrs = ref 0 in
   List.iter
-    (fun (f : Ir.Func.t) ->
-      let cfg = Ir.Cfg.of_func f in
+    (fun index ->
+      let cfg, _ = Option.get index in
+      let f = cfg.Ir.Cfg.func in
       let c = Sim.Profile.find profile f.Ir.Func.name in
       let entered = Array.make cfg.Ir.Cfg.size 0 in
       entered.(0) <- c.Sim.Profile.calls;
@@ -1263,7 +1272,7 @@ let check_flow name (p : Ir.Program.t) (profile : Sim.Profile.t) =
           cycles := !cycles + (n * Sim.Cpu_model.block_cycles b);
           instrs := !instrs + (n * List.length b.Ir.Block.instrs))
         cfg.Ir.Cfg.blocks)
-    p.Ir.Program.funcs;
+    (p :> Ir.Cfg.program).Ir.Cfg.funcs;
   Alcotest.(check int) (name ^ " total cycles") !cycles
     (Sim.Profile.total_cycles profile);
   Alcotest.(check int) (name ^ " total instructions") !instrs
@@ -1297,7 +1306,7 @@ let test_suite_parity () =
       let p = Cayman_suites.Suite.compile b in
       (* The staged engine must actually take its fast path on real
          benchmarks — falling back would make the speedup a lie. *)
-      (match Cayman_sim.Interp_staged.analyze p with
+      (match Cayman_sim.Interp_staged.analyze (p :> Ir.Cfg.program) with
        | Some _ -> ()
        | None ->
          Alcotest.failf "%s fails the staged cleanliness analysis" b.name);

@@ -39,7 +39,7 @@ let valid_program () =
 
 let check_valid () =
   match Ir.Validate.check (valid_program ()) with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error es ->
     Alcotest.failf "expected valid, got %d errors: %s" (List.length es)
       (Format.asprintf "%a" Ir.Validate.pp_error (List.hd es))
@@ -48,7 +48,7 @@ let check_valid () =
    program must not add, drop, reword or reorder a message. *)
 let expect_invalid name p expected =
   match Ir.Validate.check p with
-  | Ok () -> Alcotest.failf "%s: expected validation failure" name
+  | Ok _ -> Alcotest.failf "%s: expected validation failure" name
   | Error es ->
     Alcotest.(check (list string)) name expected
       (List.map (Format.asprintf "%a" Ir.Validate.pp_error) es)
@@ -214,7 +214,7 @@ let test_defined_on_all_paths_ok () =
           (Ir.Instr.Return None) ]
   in
   match Ir.Validate.check p with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error _ -> Alcotest.fail "defined on all paths should validate"
 
 let test_call_arity () =

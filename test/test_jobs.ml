@@ -129,7 +129,7 @@ let () =
     Sim.Interp.with_engine e (fun () ->
         Digest.string
           (Marshal.to_string
-             (Sim.Interp.run program).Sim.Interp.profile []))
+             (Sim.Interp.run (program :> Cayman_ir.Cfg.program)).Sim.Interp.profile []))
   in
   if profile_digest Sim.Interp.Reference <> profile_digest Sim.Interp.Staged
   then fail "profile Marshal bytes differ between engines";

@@ -133,7 +133,7 @@ let rename_func (f : Ir.Func.t) =
              ~term:(rterm b.Ir.Block.term))
          f.Ir.Func.blocks)
 
-let canon_of f = Memo.Hash.canon_region f (An.Region.pst f)
+let canon_of f = Memo.Hash.canon_region f (Testutil.pst f)
 
 let test_rename_invariance =
   Testutil.qtest ~count:150 "canon_code is rename-invariant" arb_func
@@ -153,7 +153,7 @@ let test_rename_invariance =
       (* renaming is visible in the exact listing whenever the function
          has at least one named thing (it always has a terminator label
          or register here) *)
-      let exact f = (Memo.Hash.exact_region f (An.Region.pst f)).Memo.Hash.code in
+      let exact f = (Memo.Hash.exact_region f (Testutil.pst f)).Memo.Hash.code in
       exact f <> exact g)
 
 (* Canonical names go out in a fixed order that stored keys depend on:

@@ -21,11 +21,11 @@ let mac_src =
     }|}
 
 let setup src fname =
-  let program = Cayman_frontend.Lower.compile src in
+  let program = (Cayman_frontend.Lower.compile src :> Ir.Cfg.program) in
   let res = Sim.Interp.run program in
   let ctxs = Hls.Ctx.for_program (An.Wpst.build program) res.Sim.Interp.profile in
   let ctx = Hashtbl.find ctxs fname in
-  let root = An.Region.pst ctx.Hls.Ctx.func in
+  let root = An.Region.pst_of_cfg ctx.Hls.Ctx.cfg in
   let region = ref None in
   An.Region.iter
     (fun r ->

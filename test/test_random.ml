@@ -233,11 +233,14 @@ let qcheck_compiles =
   Testutil.qtest ~count:60 "random programs compile and validate" arb_prog
     (fun p ->
       match compile_ok (prog_to_minic p) with
-      | Ok program -> Ir.Validate.check program = Ok ()
+      | Ok program -> Result.is_ok (Ir.Validate.check (Ir.Validate.program program))
       | Error m -> QCheck.Test.fail_report m)
 
-let run_value program =
-  match (Sim.Interp.run ~fuel:50_000_000 program).Sim.Interp.return_value with
+let run_value (program : Ir.Validate.t) =
+  match
+    (Sim.Interp.run ~fuel:50_000_000 (program :> Ir.Cfg.program))
+      .Sim.Interp.return_value
+  with
   | Some (Sim.Value.Vint n) -> n
   | Some (Sim.Value.Vfloat _ | Sim.Value.Vbool _) | None -> min_int
 
@@ -255,13 +258,14 @@ let qcheck_ifconv_preserves =
       | Error m -> QCheck.Test.fail_report m
       | Ok program ->
         let converted =
-          An.Simplify.merge_chains (An.Ifconv.run program)
+          An.Simplify.merge_chains (An.Ifconv.run (program :> Ir.Cfg.program))
         in
-        Ir.Validate.check converted = Ok ()
-        && run_value program = run_value converted)
+        match Ir.Validate.check converted with
+        | Ok converted -> run_value program = run_value converted
+        | Error _ -> false)
 
-let check_pst_partition (f : Ir.Func.t) =
-  let root = An.Region.pst f in
+let check_pst_partition index =
+  let root = An.Region.pst_of_cfg (fst (Option.get index)) in
   let ok = ref true in
   An.Region.iter
     (fun r ->
@@ -293,10 +297,13 @@ let qcheck_pst_partition =
       match compile_ok (prog_to_minic p) with
       | Error m -> QCheck.Test.fail_report m
       | Ok program ->
-        List.for_all check_pst_partition program.Ir.Program.funcs
+        let program = (program :> Ir.Cfg.program) in
+        List.for_all check_pst_partition program.Ir.Cfg.funcs
         &&
-        let converted = An.Simplify.merge_chains (An.Ifconv.run program) in
-        List.for_all check_pst_partition converted.Ir.Program.funcs)
+        let converted =
+          Ir.Cfg.of_program (An.Simplify.merge_chains (An.Ifconv.run program))
+        in
+        List.for_all check_pst_partition converted.Ir.Cfg.funcs)
 
 let qcheck_flow_sane =
   Testutil.qtest ~count:15 "full flow on random programs" arb_prog

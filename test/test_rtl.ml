@@ -356,7 +356,7 @@ let mac_netlist (a : Core.Cayman.analyzed) region_name =
         && String.equal (An.Region.name r) region_name)
       (netlists_of a [ cfg ])
   with
-  | Some (ctx, _, _, nl) -> a.Core.Cayman.program, ctx, nl
+  | Some (ctx, _, _, nl) -> Ir.Validate.program a.Core.Cayman.program, ctx, nl
   | None -> Alcotest.failf "mac kernel region %s not synthesizable" region_name
 
 (* One invocation from power-up zeros on a fresh memory image. *)

@@ -8,9 +8,9 @@ module An = Cayman_analysis
 let analyze src name =
   let _, res, program = Testutil.compile_run src in
   ignore res;
-  let f = Ir.Program.func_exn program name in
-  let dom = An.Dominance.dominators f in
-  let loops = An.Loops.find f dom in
+  let cfg = Testutil.cfg_of program name in
+  let f = cfg.Ir.Cfg.func in
+  let loops = An.Loops.of_cfg cfg in
   let scev = An.Scev.create f loops in
   let live = An.Liveness.compute f in
   f, loops, scev, live

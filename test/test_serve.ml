@@ -585,7 +585,10 @@ let test_stalled_reader_isolation () =
   in
   let path = temp_sock () in
   let m_slow = Obs.Metrics.counter "serve.slow_client_disconnects" in
+  let m_requests = Obs.Metrics.counter "serve.requests" in
+  let m_analyzes = Obs.Metrics.counter "core.analyzes" in
   let slow_before = Obs.Metrics.value m_slow in
+  let requests_before = Obs.Metrics.value m_requests in
   with_socket_server ~config path @@ fun cl ->
   (* a raw peer that asks for ~1 MB of dump replies and never reads:
      far beyond the kernel socket buffer plus the 64 KB user-space cap *)
@@ -609,17 +612,44 @@ let test_stalled_reader_isolation () =
   check "well-behaved reply intact" (expected_profile "atax")
     r.Serve.Protocol.rp_output;
   (* the stalled peer must have been disconnected at the cap (the
-     daemon domain shares this process's metric registry) *)
-  let rec wait n =
-    if Obs.Metrics.value m_slow > slow_before then ()
-    else if n = 0 then
-      Alcotest.fail "slow-client disconnect never happened"
+     daemon domain shares this process's metric registry). How long
+     that takes depends on how fast the daemon computes the dumps, so
+     the wait follows its progress rather than a fixed time. Replies
+     are counted ([serve.requests]) only once their whole batch of up
+     to 64 is computed, so a dump the daemon starts ([core.analyzes])
+     counts as progress too. The wait fails once all 100 dumps (and
+     the profile) were answered without a disconnect, when neither
+     counter moved for [stall_s], or after a generous backstop. *)
+  let stall_s = 15.0 and backstop_s = 600.0 in
+  let disconnected () = Obs.Metrics.value m_slow > slow_before in
+  let progress () =
+    Obs.Metrics.value m_requests + Obs.Metrics.value m_analyzes
+  in
+  let t0 = Unix.gettimeofday () in
+  let rec wait ~seen ~moved_at =
+    let now = Unix.gettimeofday () in
+    let p = progress () in
+    let moved_at = if p > seen then now else moved_at in
+    if disconnected () then ()
+    else if Obs.Metrics.value m_requests - requests_before >= 101 then begin
+      (* a reply is counted just before it is written, and the write is
+         where the cap disconnects the peer *)
+      Unix.sleepf 0.1;
+      if not (disconnected ()) then
+        Alcotest.fail "all stalled dumps answered without a slow-client \
+                       disconnect"
+    end
+    else if now -. moved_at > stall_s then
+      Alcotest.failf "no slow-client disconnect and no progress for %.0f s"
+        stall_s
+    else if now -. t0 > backstop_s then
+      Alcotest.failf "no slow-client disconnect after %.0f s" backstop_s
     else begin
       Unix.sleepf 0.01;
-      wait (n - 1)
+      wait ~seen:p ~moved_at
     end
   in
-  wait 500;
+  wait ~seen:(progress ()) ~moved_at:t0;
   (* and the stats verb reports it *)
   let s = Serve.Client.rpc cl "stats" in
   check_bool "stats reports slow-client disconnects" true

@@ -12,7 +12,7 @@ let test_memory_basics () =
       {|int a[4]; float f[2];
         int main() { a[0] = 7; f[1] = 2.5; return a[0]; }|}
   in
-  let res = Sim.Interp.run program in
+  let res = Sim.Interp.run (program :> Ir.Cfg.program) in
   let m = res.Sim.Interp.memory in
   Alcotest.(check int) "int cell" 7
     (match Sim.Memory.load m ~base:"a" ~index:0 with
@@ -71,8 +71,7 @@ let qcheck_memory_diff_equality =
 
 let test_runtime_errors () =
   let run src =
-    let program = Cayman_frontend.Lower.compile src in
-    Sim.Interp.run program
+    Sim.Interp.run (Cayman_frontend.Lower.compile src :> Ir.Cfg.program)
   in
   (match run "int a[2]; int main() { a[5] = 1; return 0; }" with
    | _ -> Alcotest.fail "oob store must raise"
@@ -89,7 +88,7 @@ let test_fuel () =
     Cayman_frontend.Lower.compile
       "int main() { int x = 0; while (x < 2) { x = x * 1; } return x; }"
   in
-  match Sim.Interp.run ~fuel:10_000 program with
+  match Sim.Interp.run ~fuel:10_000 (program :> Ir.Cfg.program) with
   | _ -> Alcotest.fail "infinite loop must run out of fuel"
   | exception Sim.Interp.Out_of_fuel -> ()
 
@@ -104,11 +103,8 @@ let test_profile_counts () =
         }|}
   in
   let ctx = Testutil.func_ctx program res "main" in
-  let f = Ir.Program.func_exn program "main" in
   (* find the loop body and header blocks *)
-  let dom = An.Dominance.dominators f in
-  let loops = An.Loops.find f dom in
-  let l = List.hd loops in
+  let l = List.hd (An.Loops.of_cfg (Testutil.cfg_of program "main")) in
   let header = l.An.Loops.header in
   Alcotest.(check int) "header executes N+1 times" 14
     (Cayman_hls.Ctx.block_exec ctx header);
@@ -140,7 +136,7 @@ let test_profile_totals_consistency () =
           (fun acc (b : Ir.Block.t) ->
             acc + Cayman_hls.Ctx.block_cycles ctx b.Ir.Block.label)
           acc f.Ir.Func.blocks)
-      0 program.Ir.Program.funcs
+      0 program.Ir.Cfg.program.Ir.Program.funcs
   in
   Alcotest.(check int) "cycles attribute exactly to blocks"
     (Sim.Profile.total_cycles res.Sim.Interp.profile) sum
@@ -159,8 +155,8 @@ let test_region_profile () =
         }|}
   in
   let ctx = Testutil.func_ctx program res "fill" in
-  let f = Ir.Program.func_exn program "fill" in
-  let root = An.Region.pst f in
+  let f = ctx.Cayman_hls.Ctx.func in
+  let root = An.Region.pst_of_cfg ctx.Cayman_hls.Ctx.cfg in
   (* whole-function region entered 3 times *)
   Alcotest.(check int) "fill region entries" 3
     (Cayman_hls.Ctx.region_entries ctx root);
@@ -214,7 +210,7 @@ let test_branch_same_target () =
                   (Ir.Instr.Jump "head");
                 block "exit" [] (Ir.Instr.Return (Some (Ir.Instr.Reg i))) ] ]
   in
-  Ir.Validate.check_exn program;
+  let program = (Ir.Validate.check_exn program :> Ir.Cfg.program) in
   List.iter
     (fun engine ->
       let res = Sim.Interp.run ~engine program in
@@ -234,7 +230,7 @@ let test_branch_same_target () =
       An.Region.iter
         (fun r ->
           if r.An.Region.kind = An.Region.Loop_region then loop_region := Some r)
-        (An.Region.pst ctx.Cayman_hls.Ctx.func);
+        (An.Region.pst_of_cfg ctx.Cayman_hls.Ctx.cfg);
       match !loop_region with
       | Some r ->
         Alcotest.(check int) (name "loop region entries") 1
@@ -246,8 +242,8 @@ let test_determinism () =
   let src = (Cayman_suites.Suite.find_exn "atax").Cayman_suites.Suite.source in
   let p1 = Cayman_frontend.Lower.compile src in
   let p2 = Cayman_frontend.Lower.compile src in
-  let r1 = Sim.Interp.run p1 in
-  let r2 = Sim.Interp.run p2 in
+  let r1 = Sim.Interp.run (p1 :> Ir.Cfg.program) in
+  let r2 = Sim.Interp.run (p2 :> Ir.Cfg.program) in
   Alcotest.(check int) "same cycles" (Sim.Profile.total_cycles r1.Sim.Interp.profile)
     (Sim.Profile.total_cycles r2.Sim.Interp.profile);
   Alcotest.(check bool) "same return" true

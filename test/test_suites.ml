@@ -34,8 +34,8 @@ let test_all_compile_and_validate () =
           Alcotest.failf "%s: %s" b.Suite.name
             (Cayman_frontend.Diag.to_string d)
       in
-      match Ir.Validate.check program with
-      | Ok () -> ()
+      match Ir.Validate.check (Ir.Validate.program program) with
+      | Ok _ -> ()
       | Error es ->
         Alcotest.failf "%s: %d validation errors" b.Suite.name (List.length es))
     Suite.all
@@ -43,7 +43,7 @@ let test_all_compile_and_validate () =
 let run_one name =
   let b = Suite.find_exn name in
   let program = Suite.compile b in
-  let res = Sim.Interp.run program in
+  let res = Sim.Interp.run (program :> Ir.Cfg.program) in
   Alcotest.(check bool)
     (name ^ " returns an int")
     true
@@ -64,13 +64,12 @@ let test_every_benchmark_has_hotspot () =
   (* the top-level loop structure exists: at least one loop per program *)
   List.iter
     (fun b ->
-      let program = Suite.compile b in
+      let program = (Suite.compile b :> Ir.Cfg.program) in
       let has_loop =
         List.exists
-          (fun (f : Ir.Func.t) ->
-            let dom = Cayman_analysis.Dominance.dominators f in
-            Cayman_analysis.Loops.find f dom <> [])
-          program.Ir.Program.funcs
+          (fun index ->
+            Cayman_analysis.Loops.of_cfg (fst (Option.get index)) <> [])
+          program.Ir.Cfg.funcs
       in
       Alcotest.(check bool) (b.Suite.name ^ " has loops") true has_loop)
     Suite.all

@@ -9,10 +9,12 @@ let contains haystack needle =
   in
   nn = 0 || scan 0
 
-(* Compile MiniC and run it, returning the int exit value and the
-   interpreter result. *)
+(* Compile MiniC and run it, returning the int exit value, the
+   interpreter result and the checked program's indices. *)
 let compile_run ?fuel src =
-  let program = Cayman_frontend.Lower.compile src in
+  let program =
+    (Cayman_frontend.Lower.compile src :> Cayman_ir.Cfg.program)
+  in
   let res = Cayman_sim.Interp.run ?fuel program in
   let value =
     match res.Cayman_sim.Interp.return_value with
@@ -31,6 +33,15 @@ let expect_frontend_error name src =
   match Cayman_frontend.Lower.compile src with
   | _ -> Alcotest.failf "%s: expected a frontend error" name
   | exception Cayman_frontend.Diag.Error _ -> ()
+
+(* The program structure tree of a raw function. *)
+let pst f = Cayman_analysis.Region.pst_of_cfg (Cayman_ir.Cfg.of_func f)
+
+(* The index of the first function with the given name. *)
+let cfg_of program name =
+  match Cayman_ir.Cfg.find program name with
+  | Some (cfg, _) -> cfg
+  | None -> Alcotest.failf "no indexed function %s" name
 
 (* First function with the given name, with its analyses. *)
 let func_ctx program res name =
