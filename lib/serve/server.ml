@@ -127,6 +127,7 @@ let m_cache_misses = Obs.Metrics.counter "serve.cache_misses"
 let m_shed = Obs.Metrics.counter "serve.shed"
 let m_deadline_expired = Obs.Metrics.counter "serve.deadline_expired"
 let m_slow_disconnects = Obs.Metrics.counter "serve.slow_client_disconnects"
+let m_dropped_closed = Obs.Metrics.counter "serve.dropped_closed"
 let g_queue = Obs.Metrics.gauge "serve.queue_depth"
 let g_inflight = Obs.Metrics.gauge "serve.inflight"
 let g_write_buf = Obs.Metrics.gauge "serve.write_buf_bytes"
@@ -715,15 +716,27 @@ let serve_conns ~(config : config) ?listen conns0 =
         (* One bounded batch through the pool. Draining keeps batching
            (that is what "finish in-flight work" means) — it only stops
            admitting new requests. Requests whose deadline expired while
-           queued are shed here, before they cost any pool time. *)
+           queued are shed here, and those whose connection closed are
+           dropped, before they cost any pool time. *)
         Obs.Metrics.gauge_set g_queue (Queue.length pending_q);
         let batch = ref [] in
         let n_batch = ref 0 in
         while !n_batch < config.sc_max_batch && not (Queue.is_empty pending_q)
         do
           let p = Queue.pop pending_q in
-          match p.p_deadline with
-          | Some dl when now () > dl ->
+          match p with
+          | { p_conn = { c_alive = false; _ }; _ } ->
+            (* Its peer is gone (it hung up, or the slow-client policy
+               closed it): nobody would read the reply, so the request
+               costs no pool time. *)
+            Obs.Metrics.incr m_dropped_closed;
+            audit ~id:p.p_req.Protocol.rq_id ~verb:p.p_req.Protocol.rq_verb
+              ~reply:
+                (Protocol.error_reply ~id:p.p_req.Protocol.rq_id
+                   ~cls:"connection-closed"
+                   "the connection closed while the request was queued")
+              ~fuel:0 ~wall_us:0 ~cache:"-"
+          | { p_deadline = Some dl; _ } when now () > dl ->
             incr served;
             Obs.Metrics.incr m_requests;
             Obs.Metrics.incr m_errors;

@@ -9,9 +9,13 @@ open Interp_common
    block's terminator, which counts the edge it takes and returns the
    next block (or the [halt] sentinel on a return). Executing a block is
    one call into its chain, with no per-instruction array load, loop
-   test or match dispatch, and no terminator match. A block that ends
-   in an integer compare feeding its branch compiles the two into one
-   terminator link. Registers live in typed, integer-indexed banks
+   test or match dispatch, and no terminator match. Some instruction
+   sequences are one link: an integer compare feeding the block's
+   branch, or an integer add before its jump, fuse into the terminator
+   link; an integer mul feeding the add right after it is one link, with
+   the load that add indexes if one follows. The block loop only charges
+   fuel; a watched block's handler is the head link of its chain.
+   Registers live in typed, integer-indexed banks
    ([ints] holds both I32 and Bool — booleans as 0/1 — [flts] holds
    F32), and immediates in constant slots of the same banks, so each
    closure reads its operands and writes its result in the banks
@@ -22,10 +26,12 @@ open Interp_common
    {!Ir.Cfg.Must_defined} cannot prove the read safe. Def bytes are kept
    only for registers such a check reads, or that an observer's watch
    point reads without that proof.
-   Profile counters are bound at codegen: a block bumps its cell of its
-   function's {!Profile.counts}, and an edge its successor slot's.
-   What still allocates is per call (a frame) or per run (codegen, the
-   profile's counter arrays), not per instruction.
+   Profile counters are bound at codegen: an edge bumps its successor
+   slot's cell of its function's {!Profile.counts}. Block counts are not
+   bumped at all: once a run completes, each is derived from the block's
+   incoming edges, plus the calls for the entry. What still allocates is
+   per call (a frame) or per run (codegen, the profile's counter
+   arrays), not per instruction.
 
    None of this is allowed to be observable: the engine is only used for
    programs that pass a whole-program static cleanliness check
@@ -281,22 +287,22 @@ type frame = {
 }
 
 (* The fields the block loop reads come first, in the order it reads
-   them, so they share a cache line: the counter, the watch point, the
-   fuel cost and the chain. *)
+   them: the fuel charge and the chain. *)
 type sblock = {
-  (* Profile counter: cell [sb_id] (the block's {!Ir.Cfg} id) of its
-     function's block counters. *)
-  sb_execs : int array;
-  sb_id : int;
-  (* The observer's block handler, resolved once per run: it fires at
-     block entry when the block is a watch point. *)
-  mutable sb_watch : (frame -> unit) option;
-  sb_ninstrs : int;
-  (* The block's code: its instructions, then the def bytes it keeps,
-     then its terminator, which returns the next block ([halt] after a
-     return). Set by [codegen] once every block has its shell. *)
+  sb_fuel : int; (* the block's instructions, plus one *)
+  (* The block's code: the watch handler if the block is a watch point,
+     its instructions, then the def bytes it keeps, then its terminator,
+     which returns the next block ([halt] after a return). Set by
+     [codegen] once every block has its shell. *)
   mutable sb_run : frame -> sblock;
+  (* The observer's block handler, resolved once per run. It is the
+     head link of [sb_run]; the block loop calls it itself only when the
+     fuel runs out at this block, just before it raises. *)
+  mutable sb_watch : (frame -> unit) option;
+  (* Static costs, read once the run completes: host cycles, and the
+     links of [sb_run] (one indirect call each). *)
   sb_cycles : int;
+  mutable sb_links : int;
 }
 
 (* A control-flow edge as its terminator link holds it: the block it
@@ -319,6 +325,7 @@ type sfunc = {
   sf_ret : ret_kind;
   sf_counts : Profile.counts;
   sf_blocks : sblock array; (* by {!Ir.Cfg} id; the entry is id 0 *)
+  sf_succs : int array array; (* the index's [succs] *)
 }
 
 type ctx = {
@@ -352,31 +359,35 @@ let frame_read (sf : sfunc) (proven : int -> bool) (fr : frame) (rid : string)
 (* What a return link hands back to the block loop, which stops at it.
    It is never run and never written. *)
 let halt =
-  { sb_execs = [||];
-    sb_id = 0;
-    sb_watch = None;
-    sb_ninstrs = 0;
+  { sb_fuel = 0;
     sb_run = (fun _ -> assert false);
-    sb_cycles = 0 }
+    sb_watch = None;
+    sb_cycles = 0;
+    sb_links = 0 }
 
-(* The block loop: per-block bookkeeping mirrors the reference engine
-   (profile, watch point, fuel — in that order), then one call runs the
-   block's chain, which returns the next block. The run's cycle and
-   instruction totals are not kept here: [run] derives them from the
-   block counters once the run completes. *)
+(* Fuel ran out on entry to [b]. The reference engine calls a block's
+   watch handler before it charges the block's fuel, so the handler the
+   chain would have run first runs here, then the run stops. *)
+let out_of_fuel b fr =
+  (match b.sb_watch with
+   | Some w -> w fr
+   | None -> ());
+  raise Out_of_fuel
+
+(* The block loop charges each block's fuel, then one call runs the
+   block's chain, which returns the next block. It counts nothing: the
+   edges count themselves in the terminator links, and [run] derives
+   the block counts and the run's totals from them once the run
+   completes. *)
 let exec_sfunc (cx : ctx) (sf : sfunc) (fr : frame) : unit =
   let c = sf.sf_counts in
   c.Profile.calls <- c.Profile.calls + 1;
   let cur = ref sf.sf_entry in
   while !cur != halt do
     let b = !cur in
-    let execs = b.sb_execs in
-    Array.unsafe_set execs b.sb_id (Array.unsafe_get execs b.sb_id + 1);
-    (match b.sb_watch with
-     | Some w -> w fr
-     | None -> ());
-    cx.cx_fuel <- cx.cx_fuel - b.sb_ninstrs - 1;
-    if cx.cx_fuel < 0 then raise Out_of_fuel;
+    let fuel = cx.cx_fuel - b.sb_fuel in
+    cx.cx_fuel <- fuel;
+    if fuel < 0 then out_of_fuel b fr;
     cur := b.sb_run fr
   done
 
@@ -691,6 +702,50 @@ let store mem cache base ix v (k : link) : link =
       Array.unsafe_set arr i (Array.unsafe_get fr.flts v);
       k fr
 
+(* Address arithmetic as one link: [%t = mul a b] and the [add] right
+   after it that reads [%t] ([%u = add %t o] or [add o %t]), and, in
+   [mul_add_load], the load right after that indexed by [%u]. Every
+   member writes its register in program order, so a later member, a
+   successor block or a watch point reads what the unfused links would
+   have left, also when members share a register: [o] is read after
+   [%t] is written, and the load's destination is written last. Only
+   the load can raise, as the last member, after touching the cache. *)
+let mul_add d1 a1 b1 d2 o (k : link) : link =
+ fun fr ->
+  let r = fr.ints in
+  let t = Array.unsafe_get r a1 * Array.unsafe_get r b1 in
+  Array.unsafe_set r d1 t;
+  Array.unsafe_set r d2 (t + Array.unsafe_get r o);
+  k fr
+
+let mul_add_load mem cache base d1 a1 b1 d2 o d3 (k : link) : link =
+  match Memory.int_cells mem base with
+  | Some arr ->
+    let n = Array.length arr in
+    fun fr ->
+      let r = fr.ints in
+      let t = Array.unsafe_get r a1 * Array.unsafe_get r b1 in
+      Array.unsafe_set r d1 t;
+      let i = t + Array.unsafe_get r o in
+      Array.unsafe_set r d2 i;
+      touch cache base i;
+      if i < 0 || i >= n then raise (oob base n i);
+      Array.unsafe_set r d3 (Array.unsafe_get arr i);
+      k fr
+  | None ->
+    let arr = Option.get (Memory.float_cells mem base) in
+    let n = Array.length arr in
+    fun fr ->
+      let r = fr.ints in
+      let t = Array.unsafe_get r a1 * Array.unsafe_get r b1 in
+      Array.unsafe_set r d1 t;
+      let i = t + Array.unsafe_get r o in
+      Array.unsafe_set r d2 i;
+      touch cache base i;
+      if i < 0 || i >= n then raise (oob base n i);
+      Array.unsafe_set fr.flts d3 (Array.unsafe_get arr i);
+      k fr
+
 (* The def bytes a block keeps, set in one link once its instructions
    have run (see [codegen]). *)
 let set_defs defs (k : link) : link =
@@ -713,6 +768,14 @@ let[@inline] take (e : sedge) =
   e.e_target
 
 let jump e : link = fun _ -> take e
+
+(* A loop latch: a block's trailing integer [add] and its [jump], in one
+   link. The add still writes its register. *)
+let add_jump d a b e : link =
+ fun fr ->
+  let r = fr.ints in
+  Array.unsafe_set r d (Array.unsafe_get r a + Array.unsafe_get r b);
+  take e
 
 let branch c te fe : link =
  fun fr -> take (if Array.unsafe_get fr.ints c <> 0 then te else fe)
@@ -804,6 +867,14 @@ let const_slot tbl ~nregs key =
     Hashtbl.replace tbl key s;
     s
 
+(* What a block's trailing instruction hands its terminator link when
+   the two are fused: a compare's or an add's destination and operand
+   slots. *)
+type fused_term =
+  | F_none
+  | F_compare of Ir.Op.cmp * int * int * int
+  | F_add of int * int * int
+
 (* Compile every function of a clean program against one run's memory,
    cache, context and observer. Everything built here belongs to this
    run: the daemon and the pool interpret on several domains at once.
@@ -813,10 +884,21 @@ let const_slot tbl ~nregs key =
    branch order. A block's chain is built back to front, each link
    taking the rest of the block as its continuation: its terminator
    first, then the def-byte link if the block keeps any, then its
-   instructions' links from the last. An integer [Compare] that is the
-   last instruction of a block whose [Branch] tests its register is not
-   compiled alone: it becomes part of the terminator link
-   ([compare_branch]), after the checks its operands need.
+   instructions' links from the last, then, for a watched block, its
+   watch handler. Some instructions are not compiled alone:
+   - an integer [Compare] that is the last instruction of a block whose
+     [Branch] tests its register, and an integer [Add] that is the last
+     instruction of a block ending in a [Jump], become part of the
+     terminator link ([compare_branch], [add_jump]);
+   - an integer [Mul] whose register the next instruction, an [Add],
+     reads, compiles with that add into one link ([mul_add]), and with
+     the [Load] right after it too when the add's register is its index
+     ([mul_add_load]).
+   A fused group's operand checks are emitted before its link, in the
+   order the unfused links would run them; that is safe because every
+   member but the last is an add, a mul or a compare, which cannot
+   raise. The link still writes every member's register, in program
+   order. The fuel charge and the profile see the same instructions.
 
    The observer's watch points are resolved here, once per block and
    once per function. Def bytes exist for def-byte checks and for
@@ -849,14 +931,13 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
         fm.fm_func.Ir.Func.params;
       let counts = Profile.counts fm.fm_cfg in
       let blocks =
-        Array.mapi
-          (fun v (b : Ir.Block.t) ->
-            { sb_execs = counts.Profile.blocks;
-              sb_id = v;
-              sb_cycles = Cpu_model.block_cycles b;
-              sb_ninstrs = List.length b.Ir.Block.instrs;
+        Array.map
+          (fun (b : Ir.Block.t) ->
+            { sb_fuel = List.length b.Ir.Block.instrs + 1;
               sb_run = halt.sb_run;
-              sb_watch = None })
+              sb_watch = None;
+              sb_cycles = Cpu_model.block_cycles b;
+              sb_links = 0 })
           fm.fm_cfg.Ir.Cfg.blocks
       in
       Hashtbl.replace sfuncs name
@@ -867,7 +948,8 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
           sf_regs = fm.fm_regs;
           sf_ret = fm.fm_ret;
           sf_counts = counts;
-          sf_blocks = blocks })
+          sf_blocks = blocks;
+          sf_succs = fm.fm_cfg.Ir.Cfg.succs })
     pm.pm_funcs;
   (* Pass 2: code. *)
   Hashtbl.iter
@@ -1050,27 +1132,60 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
                 defs := uid :: !defs
               | None -> ()
             in
-            (* Does the block's branch test the register [r] defines? *)
-            let feeds_branch (r : Ir.Instr.reg) =
-              match b.Ir.Block.term with
-              | Ir.Instr.Branch (Ir.Instr.Reg c, _, _) ->
-                String.equal c.Ir.Instr.id r.Ir.Instr.id
-              | Ir.Instr.Branch _ | Ir.Instr.Jump _ | Ir.Instr.Return _ ->
+            (* Does operand [o] read register [r]? *)
+            let is_reg (r : Ir.Instr.reg) (o : Ir.Instr.operand) =
+              match o with
+              | Ir.Instr.Reg x -> String.equal x.Ir.Instr.id r.Ir.Instr.id
+              | Ir.Instr.Imm_int _ | Ir.Instr.Imm_float _
+              | Ir.Instr.Imm_bool _ ->
                 false
             in
-            (* Compile the instructions; a trailing integer compare that
-               feeds the branch only has its operands' checks emitted,
-               and is returned for the terminator. *)
+            (* Compile the instructions. A trailing integer compare that
+               feeds the branch, or a trailing integer add before a jump,
+               only has its operands' checks emitted, and is returned for
+               the terminator. A [mul] feeding the [add] after it, and the
+               load that [add] indexes, are one link; their operands'
+               checks are emitted before it, in the unfused order. *)
             let rec compile_all (is : Ir.Instr.t list) =
-              match is with
-              | [] -> None
-              | [ (Ir.Instr.Compare (r, op, a, b) as i) ]
-                when (not (Ir.Op.cmp_is_float op)) && feeds_branch r ->
+              match is, b.Ir.Block.term with
+              | [], _ -> F_none
+              | ( [ (Ir.Instr.Compare (r, op, a, b) as i) ],
+                  Ir.Instr.Branch (c, _, _) )
+                when (not (Ir.Op.cmp_is_float op)) && is_reg r c ->
                 let b = slot b in
                 let a = slot a in
                 note_def i;
-                Some (op, dst r, a, b)
-              | i :: rest ->
+                F_compare (op, dst r, a, b)
+              | [ (Ir.Instr.Binary (r, Ir.Op.Add, a, b) as i) ], Ir.Instr.Jump _
+                ->
+                let b = slot b in
+                let a = slot a in
+                note_def i;
+                F_add (dst r, a, b)
+              | ( (Ir.Instr.Binary (t, Ir.Op.Mul, a1, b1) as i1)
+                  :: (Ir.Instr.Binary (u, Ir.Op.Add, a2, b2) as i2)
+                  :: rest ),
+                _
+                when is_reg t a2 || is_reg t b2 ->
+                let b1 = slot b1 in
+                let a1 = slot a1 in
+                note_def i1;
+                let b2s = slot b2 in
+                let a2s = slot a2 in
+                note_def i2;
+                let o = if is_reg t b2 then a2s else b2s in
+                (match rest with
+                 | (Ir.Instr.Load (v, m) as i3) :: rest
+                   when is_reg u m.Ir.Instr.index ->
+                   emit
+                     (mul_add_load cx.cx_mem cache m.Ir.Instr.base (dst t) a1
+                        b1 (dst u) o (dst v));
+                   note_def i3;
+                   compile_all rest
+                 | rest ->
+                   emit (mul_add (dst t) a1 b1 (dst u) o);
+                   compile_all rest)
+              | i :: rest, _ ->
                 emit (compile_instr i);
                 note_def i;
                 compile_all rest
@@ -1098,11 +1213,12 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
                counted. *)
             let term =
               match b.Ir.Block.term, fused with
-              | Ir.Instr.Branch _, Some (op, d, a, bs) ->
+              | Ir.Instr.Branch _, F_compare (op, d, a, bs) ->
                 compare_branch op d a bs (edge 0) (edge 1)
-              | Ir.Instr.Branch (c, _, _), None ->
+              | Ir.Instr.Branch (c, _, _), _ ->
                 let c = slot c in
                 branch c (edge 0) (edge 1)
+              | Ir.Instr.Jump _, F_add (d, a, bs) -> add_jump d a bs (edge 0)
               | Ir.Instr.Jump _, _ -> jump (edge 0)
               | Ir.Instr.Return None, _ -> return_void (handler ())
               | Ir.Instr.Return (Some o), _ ->
@@ -1141,7 +1257,19 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
           let tail =
             if keep = [] then term else set_defs (Array.of_list keep) term
           in
-          blocks.(k).sb_run <- List.fold_left (fun k l -> l k) tail links)
+          let sb = blocks.(k) in
+          let chain = List.fold_left (fun k l -> l k) tail links in
+          sb.sb_run <-
+            (match sb.sb_watch with
+             | Some w ->
+               fun fr ->
+                 w fr;
+                 chain fr
+             | None -> chain);
+          sb.sb_links <-
+            List.length links + 1
+            + (if keep = [] then 0 else 1)
+            + if Option.is_some sb.sb_watch then 1 else 0)
         compiled;
       let ints0 = Array.make (fm.fm_nints + Hashtbl.length int_consts) 0 in
       Hashtbl.iter (fun n s -> ints0.(s) <- n) int_consts;
@@ -1157,6 +1285,10 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                        *)
 (* ------------------------------------------------------------------ *)
+
+(* Links run by completed runs (each one indirect call): a host-free
+   measure of dispatch cost, next to [sim.profile_instrs]. *)
+let m_links = Obs.Metrics.counter "sim.profile_links"
 
 (* The whole run — analysis and code generation included — is one
    "sim.interp" span, like a reference run. *)
@@ -1196,18 +1328,31 @@ let run ?(fuel = default_fuel) ?cache_config ?observer (ix : Ir.Cfg.program) =
       | Value.Type_error m -> raise (Runtime_error ("type error: " ^ m))
       | Memory.Fault m -> raise (Runtime_error ("memory fault: " ^ m))
     in
-    (* The run completed: its totals are each block's executions times
-       its static cost, the same integers the reference engine adds up
-       block by block. *)
+    (* The run completed, so every edge taken entered its target: a
+       block ran as often as its incoming edges were taken, plus, for
+       the entry, once per call. The totals are each block's executions
+       times its static cost, the same integers the reference engine
+       adds up block by block. *)
+    let links = ref 0 in
     Hashtbl.iter
       (fun _ sf ->
-        Array.iter
-          (fun sb ->
-            let n = sb.sb_execs.(sb.sb_id) in
+        let c = sf.sf_counts in
+        let execs = c.Profile.blocks in
+        execs.(0) <- c.Profile.calls;
+        Array.iteri
+          (fun v succs ->
+            let e = c.Profile.edges.(v) in
+            Array.iteri (fun k t -> execs.(t) <- execs.(t) + e.(k)) succs)
+          sf.sf_succs;
+        Array.iteri
+          (fun v sb ->
+            let n = execs.(v) in
             Profile.add_cycles profile (n * sb.sb_cycles);
-            Profile.add_instrs profile (n * sb.sb_ninstrs))
+            Profile.add_instrs profile (n * (sb.sb_fuel - 1));
+            links := !links + (n * sb.sb_links))
           sf.sf_blocks)
       sfuncs;
     Profile.publish_metrics profile;
+    Obs.Metrics.add m_links !links;
     { return_value; memory; profile;
       cache_stats = Option.map Cache.stats cache }

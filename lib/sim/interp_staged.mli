@@ -2,8 +2,10 @@
     pre-compiled into one chain of closures, one per instruction, that
     read and write typed, integer-indexed register banks directly and
     tail-call the next; the chain ends in the block's terminator, which
-    returns the next block, and an integer compare feeding the block's
-    branch is fused into it. No per-instruction match dispatch and no
+    returns the next block. An integer compare feeding the block's
+    branch, or an integer add before its jump, is fused into it, and an
+    integer mul feeding the next add (with the load that add indexes)
+    is one link. No per-instruction match dispatch and no
     boxed float; allocation is per call and per run, not per
     instruction. Semantics are differentially tested against
     {!Interp_reference} (test/test_interp_diff.ml); programs that fail

@@ -10,7 +10,11 @@
     in program order, whose ids are those of {!Cayman_ir.Cfg.of_func} on
     the profiled function. Both engines bind their counters when they
     compile a function, so a profile's Marshal bytes do not depend on
-    the engine or on the order in which counters are first used. *)
+    the engine or on the order in which counters are first used. The
+    reference engine bumps a block's counter as the block runs; the
+    staged engine bumps only edges and calls, and derives each block's
+    count from its incoming edges (plus the calls, for the entry) once
+    the run completes, which gives the same integers. *)
 
 (** The counters of one function. *)
 type counts = {

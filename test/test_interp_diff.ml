@@ -1193,6 +1193,425 @@ let test_defs_before_return () =
     returns
 
 (* ------------------------------------------------------------------ *)
+(* Fused address links and loop latches                                *)
+(* ------------------------------------------------------------------ *)
+
+let binop d op a b = Ir.Instr.Binary (d, op, a, b)
+let store base index v = Ir.Instr.Store ({ Ir.Instr.base; index }, v)
+let load d base index = Ir.Instr.Load (d, { Ir.Instr.base; index })
+
+(* A loop whose body holds both address groups and ends in a latch:
+   [n1 = mul k 2; n2 = add n1 n0; f1 = load A[n2]] (the fed operand
+   first, float memory) and [w = mul n0 k; x = add n0 w; a = load N[x]]
+   (fed operand second, int memory), then [k = add k 1; jump head].
+   [exit] reads every group member: none is must-defined there, so the
+   reads keep checks and the body keeps their def bytes, and a watch
+   point at [head] reads them through those bytes. The run returns 38
+   only if every member writes its register. *)
+let address_loop =
+  let k = kreg and n0 = ireg 0 and n1 = ireg 1 and n2 = ireg 2 in
+  let n3 = ireg 3 and f0 = freg 0 and f1 = freg 1 and c0 = breg 0 in
+  let w = Ir.Instr.reg "w" Ir.Types.I32 and x = Ir.Instr.reg "x" Ir.Types.I32 in
+  let a = Ir.Instr.reg "a" Ir.Types.I32 in
+  let t0 = Ir.Instr.reg "t0" Ir.Types.I32 in
+  let t1 = Ir.Instr.reg "t1" Ir.Types.I32 in
+  main_i32
+    [ block "entry"
+        [ Ir.Instr.Assign (k, imm 0);
+          Ir.Instr.Assign (n0, imm 1);
+          Ir.Instr.Assign (n3, imm 0);
+          Ir.Instr.Assign (f0, Ir.Instr.Imm_float 0.0);
+          store "N" (imm 3) (imm 11);
+          store "A" (imm 3) (Ir.Instr.Imm_float 2.5) ]
+        (Ir.Instr.Jump "head");
+      block "head"
+        [ Ir.Instr.Compare (c0, Ir.Op.Lt, reg_op k, imm 3) ]
+        (Ir.Instr.Branch (reg_op c0, "body", "exit"));
+      block "body"
+        [ binop n1 Ir.Op.Mul (reg_op k) (imm 2);
+          binop n2 Ir.Op.Add (reg_op n1) (reg_op n0);
+          load f1 "A" (reg_op n2);
+          binop f0 Ir.Op.Fadd (reg_op f0) (reg_op f1);
+          binop w Ir.Op.Mul (reg_op n0) (reg_op k);
+          binop x Ir.Op.Add (reg_op n0) (reg_op w);
+          load a "N" (reg_op x);
+          binop n3 Ir.Op.Add (reg_op n3) (reg_op a);
+          binop k Ir.Op.Add (reg_op k) (imm 1) ]
+        (Ir.Instr.Jump "head");
+      block "exit"
+        [ binop t0 Ir.Op.Add (reg_op n1) (reg_op n2);
+          binop t0 Ir.Op.Add (reg_op t0) (reg_op w);
+          binop t0 Ir.Op.Add (reg_op t0) (reg_op x);
+          binop t0 Ir.Op.Add (reg_op t0) (reg_op a);
+          binop t0 Ir.Op.Add (reg_op t0) (reg_op n3);
+          Ir.Instr.Unary (t1, Ir.Op.Int_of_float, reg_op f0);
+          binop t0 Ir.Op.Add (reg_op t0) (reg_op t1) ]
+        (Ir.Instr.Return (Some (reg_op t0))) ]
+
+let test_fused_address_reads () =
+  agree "address loop" address_loop;
+  staged_return "address loop returns" address_loop 38;
+  let s = run_one ~observe:true Sim.Interp.Staged address_loop in
+  let at label reg =
+    List.filter_map
+      (function
+        | E_block (_, l, reads) when String.equal l label ->
+          Some (pp_value_opt (List.assoc reg reads))
+        | E_block _ | E_return _ -> None)
+      s.o_events
+  in
+  Alcotest.(check (list string)) "n1 at head" [ "<none>"; "0"; "2"; "4" ]
+    (at "head" "n1");
+  Alcotest.(check (list string)) "n2 at head" [ "<none>"; "1"; "3"; "5" ]
+    (at "head" "n2");
+  Alcotest.(check (list string)) "w, x, a at exit" [ "2"; "3"; "11" ]
+    (List.concat_map (at "exit") [ "w"; "x"; "a" ])
+
+(* One register through a whole group: [n1 = mul n1 3; n1 = add n1 n1;
+   n1 = load N[n1]], the same with a float load into another register,
+   and with no load. The add must read the mul's result for both
+   operands, and the load's destination is written last. *)
+let test_fused_register_reuse () =
+  let n1 = ireg 1 and n2 = ireg 2 and n3 = ireg 3 and f0 = freg 0 in
+  let t0 = Ir.Instr.reg "t0" Ir.Types.I32 in
+  let p =
+    straight ~globals:typed_globals
+      [ Ir.Instr.Assign (n1, imm 1);
+        Ir.Instr.Assign (n2, imm 1);
+        store "N" (imm 6) (imm 9);
+        store "A" (imm 6) (Ir.Instr.Imm_float 1.5);
+        binop n1 Ir.Op.Mul (reg_op n1) (imm 3);
+        binop n1 Ir.Op.Add (reg_op n1) (reg_op n1);
+        load n1 "N" (reg_op n1);
+        binop n2 Ir.Op.Mul (reg_op n2) (imm 3);
+        binop n2 Ir.Op.Add (reg_op n2) (reg_op n2);
+        load f0 "A" (reg_op n2);
+        Ir.Instr.Assign (n3, imm 2);
+        binop n3 Ir.Op.Mul (reg_op n3) (imm 3);
+        binop n3 Ir.Op.Add (reg_op n3) (reg_op n3);
+        binop t0 Ir.Op.Add (reg_op n1) (reg_op n2);
+        binop t0 Ir.Op.Add (reg_op t0) (reg_op n3) ]
+      (Ir.Instr.Return (Some (reg_op t0)))
+  in
+  agree "register reuse" p;
+  staged_return "register reuse returns" p 27
+
+(* A fused load out of bounds faults with [Memory]'s exact message, in
+   int and float memory, below and above the bounds; in-bounds fused
+   loads touch the cache as the reference engine's loads do. *)
+let test_fused_load_bounds () =
+  let n0 = ireg 0 and n1 = ireg 1 and n2 = ireg 2 and n3 = ireg 3 in
+  let group base dst a0 a1 =
+    straight ~globals:typed_globals
+      [ Ir.Instr.Assign (n0, imm a0);
+        Ir.Instr.Assign (n1, imm a1);
+        binop n2 Ir.Op.Mul (reg_op n1) (imm 2);
+        binop n3 Ir.Op.Add (reg_op n2) (reg_op n0);
+        load dst base (reg_op n3) ]
+      (Ir.Instr.Return (Some (imm 0)))
+  in
+  expect_error "fused int load past end" (group "N" (ireg 0) 0 4)
+    "memory fault: index 8 out of bounds for N[8]";
+  expect_error "fused int load below start" (group "N" (ireg 0) 1 (-1))
+    "memory fault: index -1 out of bounds for N[8]";
+  expect_error "fused float load past end" (group "A" (freg 0) 3 3)
+    "memory fault: index 9 out of bounds for A[8]";
+  expect_error "fused float load below start" (group "A" (freg 0) (-3) 1)
+    "memory fault: index -1 out of bounds for A[8]";
+  let p = address_loop in
+  let r = run_one ~cache_config:Sim.Cache.default_l1 Sim.Interp.Reference p in
+  let s = run_one ~cache_config:Sim.Cache.default_l1 Sim.Interp.Staged p in
+  check_outcomes alco_fail p r s;
+  match s.o_cache with
+  | Some st -> Alcotest.(check int) "cache accesses" 8 st.Sim.Cache.accesses
+  | None -> Alcotest.fail "expected cache statistics"
+
+(* Group members whose operands [Must_defined] does not prove keep their
+   checks, emitted before the group in the unfused order: the mul's
+   operands b before a, then the add's other operand. A trailing add
+   fused with its jump checks b before a too. *)
+let test_fused_unproven_add () =
+  let u1 = Ir.Instr.reg "u1" Ir.Types.I32 in
+  let u2 = Ir.Instr.reg "u2" Ir.Types.I32 in
+  let n0 = ireg 0 and n1 = ireg 1 and n2 = ireg 2 and f0 = freg 0 in
+  let group mul_a mul_b add_a add_b =
+    straight ~globals:typed_globals
+      [ Ir.Instr.Assign (n0, imm 2);
+        binop n1 Ir.Op.Mul mul_a mul_b;
+        binop n2 Ir.Op.Add add_a add_b;
+        load f0 "A" (reg_op n2) ]
+      (Ir.Instr.Return (Some (imm 0)))
+  in
+  let msg r = Printf.sprintf "uninitialized register %%%s in main" r in
+  expect_error "add operand a unproven"
+    (group (reg_op n0) (imm 3) (reg_op u1) (reg_op n1))
+    (msg "u1");
+  expect_error "add operand b unproven"
+    (group (reg_op n0) (imm 3) (reg_op n1) (reg_op u2))
+    (msg "u2");
+  expect_error "mul operand before add operand"
+    (group (reg_op u1) (imm 3) (reg_op n1) (reg_op u2))
+    (msg "u1");
+  expect_error "mul operands b before a"
+    (group (reg_op u1) (reg_op u2) (reg_op n1) (reg_op n0))
+    (msg "u2");
+  expect_error "latch operands b before a"
+    (main_i32
+       [ block "entry"
+           [ binop n1 Ir.Op.Add (reg_op u1) (reg_op u2) ]
+           (Ir.Instr.Jump "out");
+         block "out" [] (Ir.Instr.Return (Some (imm 0))) ])
+    (msg "u2");
+  (* [n1] is written on one path only, so the add's read of it at
+     [join] keeps a check that passes on that path and raises on the
+     other. *)
+  let one_path taken =
+    let c0 = breg 0 and n3 = ireg 3 in
+    main_i32
+      [ block "entry"
+          [ Ir.Instr.Assign (n0, imm (if taken then 1 else 9));
+            Ir.Instr.Compare (c0, Ir.Op.Lt, reg_op n0, imm 5) ]
+          (Ir.Instr.Branch (reg_op c0, "then", "join"));
+        block "then" [ Ir.Instr.Assign (n1, imm 2) ] (Ir.Instr.Jump "join");
+        block "join"
+          [ binop n2 Ir.Op.Mul (reg_op n0) (imm 3);
+            binop n3 Ir.Op.Add (reg_op n2) (reg_op n1);
+            load n2 "N" (reg_op n3) ]
+          (Ir.Instr.Return (Some (reg_op n3))) ]
+  in
+  agree "one-path add operand, defined" (one_path true);
+  staged_return "one-path add operand, defined" (one_path true) 5;
+  expect_error "one-path add operand, undefined" (one_path false) (msg "n1")
+
+(* Every fuel budget from 0 to the run's need on a loop whose latch is
+   a block of its own, [k = add k 1; jump head], one fused link: both
+   engines run out at the same block, with the same events before it,
+   the latch's watch handler included when the fuel runs out on entry
+   to the latch. *)
+let test_fused_latch_fuel () =
+  let k = kreg and c0 = breg 0 and n1 = ireg 1 in
+  let p =
+    main_i32
+      [ block "entry"
+          [ Ir.Instr.Assign (k, imm 0); Ir.Instr.Assign (n1, imm 0) ]
+          (Ir.Instr.Jump "head");
+        block "head"
+          [ Ir.Instr.Compare (c0, Ir.Op.Lt, reg_op k, imm 3) ]
+          (Ir.Instr.Branch (reg_op c0, "body", "exit"));
+        block "body"
+          [ binop n1 Ir.Op.Add (reg_op n1) (reg_op k) ]
+          (Ir.Instr.Jump "latch");
+        block "latch"
+          [ binop k Ir.Op.Add (reg_op k) (imm 1) ]
+          (Ir.Instr.Jump "head");
+        block "exit" [] (Ir.Instr.Return (Some (reg_op n1))) ]
+  in
+  let n = fuel_needed p (interp ~engine:Sim.Interp.Reference p).profile in
+  for fuel = 0 to n do
+    agree ~fuel (Printf.sprintf "latch loop at fuel %d" fuel) p
+  done;
+  List.iter
+    (fun engine ->
+      let at fuel =
+        match interp ~engine ~fuel p with
+        | _ -> "done"
+        | exception Sim.Interp.Out_of_fuel -> "out of fuel"
+      in
+      let name = Sim.Interp.engine_name engine in
+      Alcotest.(check string) (name ^ " at N - 1") "out of fuel" (at (n - 1));
+      Alcotest.(check string) (name ^ " at N") "done" (at n))
+    [ Sim.Interp.Reference; Sim.Interp.Staged ];
+  (* Fuel that runs out on entry to the latch: the last event is the
+     latch's, on both engines. *)
+  let last_label fuel =
+    let s = run_one ~observe:true ~fuel Sim.Interp.Staged p in
+    match List.rev s.o_events with
+    | E_block (_, l, _) :: _ -> l
+    | E_return _ :: _ | [] -> "-"
+  in
+  let latch_stops =
+    List.filter
+      (fun fuel ->
+        String.equal (last_label fuel) "latch"
+        && (run_one ~fuel Sim.Interp.Staged p).o_err = Some "out_of_fuel")
+      (List.init n Fun.id)
+  in
+  if latch_stops = [] then
+    Alcotest.fail "no budget runs out on entry to the latch"
+
+(* A kernel whose inner loop takes all three fused links: two address
+   groups feeding loads, one feeding a store (a mul-add link alone), and
+   the latch. *)
+let fused_alloc_kernel reps =
+  Cayman_frontend.Lower.compile
+    (Printf.sprintf
+       {|const int M = 8;
+         const int R = %d;
+         float a[M][M]; int b[M][M];
+         int main() {
+           float s = 0.0;
+           int t = 0;
+           for (int r = 0; r < R; r++) {
+             for (int i = 0; i < M; i++) {
+               for (int j = 0; j < M; j++) {
+                 s = s + a[i][j] * 0.5;
+                 t = t + b[j][i];
+                 b[i][j] = t - r;
+               }
+             }
+           }
+           return t;
+         }|}
+       reps)
+
+(* The shapes [codegen] fuses, counted over a program's blocks: a
+   mul-add whose add feeds a load, a mul-add alone, and an add before a
+   jump. *)
+let fused_shapes (p : Ir.Validate.t) =
+  let feeds (t : Ir.Instr.reg) (o : Ir.Instr.operand) =
+    match o with
+    | Ir.Instr.Reg r -> String.equal r.Ir.Instr.id t.Ir.Instr.id
+    | Ir.Instr.Imm_int _ | Ir.Instr.Imm_float _ | Ir.Instr.Imm_bool _ -> false
+  in
+  let with_load = ref 0 and alone = ref 0 and latch = ref 0 in
+  List.iter
+    (fun (f : Ir.Func.t) ->
+      List.iter
+        (fun (b : Ir.Block.t) ->
+          let rec scan = function
+            | Ir.Instr.Binary (t, Ir.Op.Mul, _, _)
+              :: Ir.Instr.Binary (u, Ir.Op.Add, a, c)
+              :: rest
+              when feeds t a || feeds t c ->
+              (match rest with
+               | Ir.Instr.Load (_, m) :: rest when feeds u m.Ir.Instr.index ->
+                 incr with_load;
+                 scan rest
+               | rest ->
+                 incr alone;
+                 scan rest)
+            | [ Ir.Instr.Binary (_, Ir.Op.Add, _, _) ] ->
+              (match b.Ir.Block.term with
+               | Ir.Instr.Jump _ -> incr latch
+               | Ir.Instr.Branch _ | Ir.Instr.Return _ -> ())
+            | _ :: rest -> scan rest
+            | [] -> ()
+          in
+          scan b.Ir.Block.instrs)
+        f.Ir.Func.blocks)
+    (p :> Ir.Cfg.program).Ir.Cfg.program.Ir.Program.funcs;
+  !with_load, !alone, !latch
+
+let test_fused_no_alloc () =
+  let small = fused_alloc_kernel 50 and large = fused_alloc_kernel 200 in
+  let with_load, alone, latch = fused_shapes small in
+  if with_load < 2 || alone < 1 || latch < 1 then
+    Alcotest.failf
+      "kernel lacks a fused shape: %d mul-add-loads, %d mul-adds, %d latches"
+      with_load alone latch;
+  ignore (staged_minor_words small : float);
+  let w_small = staged_minor_words small in
+  let w_large = staged_minor_words large in
+  if w_large -. w_small > 256.0 then
+    Alcotest.failf
+      "fused links allocate per instruction: %.0f minor words at R=50, %.0f \
+       at R=200"
+      w_small w_large
+
+(* ------------------------------------------------------------------ *)
+(* Block counts derived from edges                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The staged engine derives a block's count from its incoming edges
+   (and, for the entry, the calls) once a run completes; each function's
+   block counts must equal those the reference engine bumps block by
+   block. *)
+let same_block_counts name (p : Ir.Program.t) reference staged =
+  let counts prof =
+    List.map
+      (fun (f : Ir.Func.t) ->
+        ( f.Ir.Func.name,
+          Array.to_list
+            (Sim.Profile.find prof f.Ir.Func.name).Sim.Profile.blocks ))
+      p.Ir.Program.funcs
+  in
+  Alcotest.(check (list (pair string (list int))))
+    (name ^ " block counts") (counts reference) (counts staged)
+
+let check_block_counts name p =
+  same_block_counts name p
+    (interp ~engine:Sim.Interp.Reference p).Sim.Interp.profile
+    (interp ~engine:Sim.Interp.Staged p).Sim.Interp.profile
+
+let test_derived_block_counts () =
+  let x = Ir.Instr.reg "x" Ir.Types.I32 in
+  let c0 = breg 0 and n0 = ireg 0 and n1 = ireg 1 and n2 = ireg 2 in
+  let k = kreg in
+  (* [g]'s entry block is its loop header, so edges enter id 0 on top of
+     its two calls; [dead] has no predecessor and never runs. *)
+  let g =
+    Ir.Func.v ~name:"g" ~params:[ x ] ~ret:(Some Ir.Types.I32)
+      ~blocks:
+        [ block "top"
+            [ Ir.Instr.Compare (c0, Ir.Op.Lt, reg_op x, imm 5) ]
+            (Ir.Instr.Branch (reg_op c0, "step", "done"));
+          block "step" [ binop x Ir.Op.Add (reg_op x) (imm 2) ]
+            (Ir.Instr.Jump "top");
+          block "dead" [ binop n0 Ir.Op.Add (reg_op x) (imm 1) ]
+            (Ir.Instr.Jump "top");
+          block "done" [] (Ir.Instr.Return (Some (reg_op x))) ]
+  in
+  let header_entry =
+    main_i32 ~funcs:[ g ]
+      [ block "entry"
+          [ Ir.Instr.Call (Some n0, "g", [ imm 0 ]);
+            Ir.Instr.Call (Some n1, "g", [ imm 3 ]);
+            binop n0 Ir.Op.Add (reg_op n0) (reg_op n1) ]
+          (Ir.Instr.Return (Some (reg_op n0))) ]
+  in
+  check_block_counts "entry block is a loop header" header_entry;
+  agree "entry block is a loop header" header_entry;
+  staged_return "entry block is a loop header" header_entry 11;
+  let prof = (interp ~engine:Sim.Interp.Staged header_entry).profile in
+  let cfg = Ir.Cfg.of_func g in
+  Alcotest.(check int) "unreachable block count" 0
+    (Sim.Profile.find prof "g").Sim.Profile.blocks.(Ir.Cfg.id cfg "dead");
+  Alcotest.(check int) "loop header count" 6
+    (Sim.Profile.find prof "g").Sim.Profile.blocks.(0);
+  (* [fact] is called from [main]'s loop and by itself. *)
+  let fact =
+    Ir.Func.v ~name:"fact" ~params:[ x ] ~ret:(Some Ir.Types.I32)
+      ~blocks:
+        [ block "entry"
+            [ Ir.Instr.Compare (c0, Ir.Op.Le, reg_op x, imm 1) ]
+            (Ir.Instr.Branch (reg_op c0, "base", "rec"));
+          block "base" [] (Ir.Instr.Return (Some (imm 1)));
+          block "rec"
+            [ binop n0 Ir.Op.Sub (reg_op x) (imm 1);
+              Ir.Instr.Call (Some n1, "fact", [ reg_op n0 ]);
+              binop n1 Ir.Op.Mul (reg_op x) (reg_op n1) ]
+            (Ir.Instr.Return (Some (reg_op n1))) ]
+  in
+  let recursive =
+    main_i32 ~funcs:[ fact ]
+      [ block "entry"
+          [ Ir.Instr.Assign (k, imm 0); Ir.Instr.Assign (n1, imm 0) ]
+          (Ir.Instr.Jump "head");
+        block "head"
+          [ Ir.Instr.Compare (c0, Ir.Op.Lt, reg_op k, imm 4) ]
+          (Ir.Instr.Branch (reg_op c0, "body", "exit"));
+        block "body"
+          [ Ir.Instr.Call (Some n2, "fact", [ reg_op k ]);
+            binop n1 Ir.Op.Add (reg_op n1) (reg_op n2);
+            binop k Ir.Op.Add (reg_op k) (imm 1) ]
+          (Ir.Instr.Jump "head");
+        block "exit" [] (Ir.Instr.Return (Some (reg_op n1))) ]
+  in
+  check_block_counts "called from a loop and recursively" recursive;
+  agree "called from a loop and recursively" recursive;
+  staged_return "called from a loop and recursively" recursive 10
+
+(* ------------------------------------------------------------------ *)
 (* 28-benchmark suite parity + fast-path sanity                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1278,9 +1697,11 @@ let check_flow name (p : Ir.Validate.t) (profile : Sim.Profile.t) =
   Alcotest.(check int) (name ^ " total instructions") !instrs
     (Sim.Profile.total_instrs profile)
 
-(* Flow conservation on both engines over generated MiniC programs (the
-   Table II programs are checked by the suite parity test below, which
-   has both engines' runs at hand). *)
+(* Flow conservation on the reference engine over generated MiniC
+   programs (the Table II programs are checked by the suite parity test
+   below). The staged engine derives its block counts from these very
+   equations, so they hold there by construction; its counts must equal
+   the reference engine's instead. *)
 let test_flow_conservation () =
   List.iter
     (fun seed ->
@@ -1289,14 +1710,12 @@ let test_flow_conservation () =
           Cayman_frontend.Lower.compile
             (Fleet.Genprog.minic_source ~seed ~index)
         in
-        List.iter
-          (fun engine ->
-            let name =
-              Printf.sprintf "genprog %d/%d (%s)" seed index
-                (Sim.Interp.engine_name engine)
-            in
-            check_flow name p (run_bench_engine name engine p).Sim.Interp.profile)
-          [ Sim.Interp.Reference; Sim.Interp.Staged ]
+        let name = Printf.sprintf "genprog %d/%d" seed index in
+        let r = run_bench_engine name Sim.Interp.Reference p in
+        let s = run_bench_engine name Sim.Interp.Staged p in
+        check_flow name p r.Sim.Interp.profile;
+        same_block_counts name (p :> Ir.Cfg.program).Ir.Cfg.program
+          r.Sim.Interp.profile s.Sim.Interp.profile
       done)
     [ 1; 2; 3 ]
 
@@ -1313,7 +1732,6 @@ let test_suite_parity () =
       let r = run_bench_engine b.name Sim.Interp.Reference p in
       let s = run_bench_engine b.name Sim.Interp.Staged p in
       check_flow (b.name ^ " (reference)") p r.Sim.Interp.profile;
-      check_flow (b.name ^ " (staged)") p s.Sim.Interp.profile;
       check_bench_parity b.name r s)
     Cayman_suites.Suite.all
 
@@ -1407,6 +1825,20 @@ let tests =
     Alcotest.test_case "blocks with no instructions" `Quick test_empty_blocks;
     Alcotest.test_case "def bytes before a watched return" `Quick
       test_defs_before_return;
+    Alcotest.test_case "fused address link reads in successors" `Quick
+      test_fused_address_reads;
+    Alcotest.test_case "fused address link register reuse" `Quick
+      test_fused_register_reuse;
+    Alcotest.test_case "fused load bounds faults and cache" `Quick
+      test_fused_load_bounds;
+    Alcotest.test_case "fused address link with unproven operands" `Quick
+      test_fused_unproven_add;
+    Alcotest.test_case "fuel boundary at a fused latch" `Quick
+      test_fused_latch_fuel;
+    Alcotest.test_case "fused links do not allocate" `Quick
+      test_fused_no_alloc;
+    Alcotest.test_case "staged block counts equal the reference's" `Quick
+      test_derived_block_counts;
     Alcotest.test_case "profile flow conservation" `Quick
       test_flow_conservation;
     Alcotest.test_case "28-benchmark suite parity" `Quick test_suite_parity;

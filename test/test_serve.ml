@@ -587,7 +587,9 @@ let test_stalled_reader_isolation () =
   let m_slow = Obs.Metrics.counter "serve.slow_client_disconnects" in
   let m_requests = Obs.Metrics.counter "serve.requests" in
   let m_analyzes = Obs.Metrics.counter "core.analyzes" in
+  let m_dropped = Obs.Metrics.counter "serve.dropped_closed" in
   let slow_before = Obs.Metrics.value m_slow in
+  let dropped_before = Obs.Metrics.value m_dropped in
   let requests_before = Obs.Metrics.value m_requests in
   with_socket_server ~config path @@ fun cl ->
   (* a raw peer that asks for ~1 MB of dump replies and never reads:
@@ -650,6 +652,23 @@ let test_stalled_reader_isolation () =
     end
   in
   wait ~seen:(progress ()) ~moved_at:t0;
+  (* The batch whose replies overflowed the cap was computed in full
+     before any of them was written, so every analysis it needed is
+     counted by now. The stalled peer's requests still queued behind it
+     must be dropped, not computed: a compute request sent now is
+     answered only after every request queued before it, and by then
+     the daemon may have run its own analysis alone. *)
+  let analyzes_at_disconnect = Obs.Metrics.value m_analyzes in
+  let r = Serve.Client.rpc cl ~bench:"atax" "profile" in
+  check_bool "probe after the disconnect served" true r.Serve.Protocol.rp_ok;
+  let grown = Obs.Metrics.value m_analyzes - analyzes_at_disconnect in
+  if grown > 1 then
+    Alcotest.failf
+      "%d analyses ran after the stalled peer was disconnected (at most the \
+       probe's own may)"
+      grown;
+  check_bool "the stalled peer's queued requests were dropped" true
+    (Obs.Metrics.value m_dropped > dropped_before);
   (* and the stats verb reports it *)
   let s = Serve.Client.rpc cl "stats" in
   check_bool "stats reports slow-client disconnects" true
