@@ -13,8 +13,12 @@ open Interp_common
    sequences are one link: an integer compare feeding the block's
    branch, or an integer add before its jump, fuse into the terminator
    link; an integer mul feeding the add right after it is one link, with
-   the load that add indexes if one follows. The block loop only charges
-   fuel; a watched block's handler is the head link of its chain.
+   the load that add indexes if one follows. A jump into a bare loop
+   header (a block that holds only such a fused compare, with no check,
+   def-byte or watch link) is threaded into it: its link also charges the
+   header's fuel, where the fuel covers it, and runs the header, so the
+   block loop is not re-entered. The block loop only charges fuel; a
+   watched block's handler is the head link of its chain.
    Registers live in typed, integer-indexed banks
    ([ints] holds both I32 and Bool — booleans as 0/1 — [flts] holds
    F32), and immediates in constant slots of the same banks, so each
@@ -326,6 +330,8 @@ type sfunc = {
   sf_counts : Profile.counts;
   sf_blocks : sblock array; (* by {!Ir.Cfg} id; the entry is id 0 *)
   sf_succs : int array array; (* the index's [succs] *)
+  (* The blocks whose jump is threaded into its target, a bare header. *)
+  mutable sf_threads : int array;
 }
 
 type ctx = {
@@ -825,6 +831,75 @@ let compare_branch (op : Ir.Op.cmp) d a b te fe : link =
   | Ir.Op.Feq | Ir.Op.Fne | Ir.Op.Flt | Ir.Op.Fle | Ir.Op.Fgt | Ir.Op.Fge ->
     invalid_arg "Interp_staged.compare_branch: float compare"
 
+(* Threaded loop headers. A jump into a bare header (a block that holds
+   only a fused integer compare, with no check, def-byte or watch link;
+   see [codegen]) runs the header in its own link: the latch's add, the
+   jump's edge, the header's fuel charge where the fuel covers it, the
+   compare (still writing its register) and the header's edge. Where the
+   fuel does not cover the header, the link returns the header
+   uncharged, and the block loop charges it and raises exactly where it
+   would have. [Gt] and [Ge] arrive as [Lt] and [Le] with their operands
+   swapped: a bare header has no check, so its operand order is not
+   observable. A plain jump is threaded as a latch whose add is
+   [%c = add %c, 0] on the header's compare register, which keeps its
+   value until the compare writes it. *)
+type bare = {
+  h_op : Ir.Op.cmp; (* [Eq], [Ne], [Lt] or [Le] *)
+  h_d : int;
+  h_a : int;
+  h_b : int;
+  h_te : sedge;
+  h_fe : sedge;
+}
+
+let[@inline] enter cx (e : sedge) hf =
+  ignore (take e : sblock);
+  let fuel = cx.cx_fuel - hf in
+  if fuel < 0 then false
+  else (
+    cx.cx_fuel <- fuel;
+    true)
+
+let[@inline] decide r d t te fe =
+  Array.unsafe_set r d (Bool.to_int t);
+  take (if t then te else fe)
+
+let thread cx ad aa ab e h : link =
+  let hb = e.e_target and hf = e.e_target.sb_fuel in
+  let d = h.h_d and a = h.h_a and b = h.h_b and te = h.h_te and fe = h.h_fe in
+  match h.h_op with
+  | Ir.Op.Eq ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r ad (Array.unsafe_get r aa + Array.unsafe_get r ab);
+      if enter cx e hf then
+        decide r d (Array.unsafe_get r a = Array.unsafe_get r b) te fe
+      else hb
+  | Ir.Op.Ne ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r ad (Array.unsafe_get r aa + Array.unsafe_get r ab);
+      if enter cx e hf then
+        decide r d (Array.unsafe_get r a <> Array.unsafe_get r b) te fe
+      else hb
+  | Ir.Op.Lt ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r ad (Array.unsafe_get r aa + Array.unsafe_get r ab);
+      if enter cx e hf then
+        decide r d (Array.unsafe_get r a < Array.unsafe_get r b) te fe
+      else hb
+  | Ir.Op.Le ->
+    fun fr ->
+      let r = fr.ints in
+      Array.unsafe_set r ad (Array.unsafe_get r aa + Array.unsafe_get r ab);
+      if enter cx e hf then
+        decide r d (Array.unsafe_get r a <= Array.unsafe_get r b) te fe
+      else hb
+  | Ir.Op.Gt | Ir.Op.Ge | Ir.Op.Feq | Ir.Op.Fne | Ir.Op.Flt | Ir.Op.Fle
+  | Ir.Op.Fgt | Ir.Op.Fge ->
+    invalid_arg "Interp_staged.thread: unnormalised compare"
+
 (* A return stores its value in the frame's return slot, calls the
    function's return handler, if any, and stops the block loop. *)
 let return_int ~bool s on_return : link =
@@ -915,7 +990,18 @@ type fused_term =
    awaiting their continuation, and chained after. The bytes are set
    after the block's instructions: nothing reads them mid-block, since a
    read of a register the same block defined earlier is proven, and a
-   watch point sees a frame only at block entry and return. *)
+   watch point sees a frame only at block entry and return.
+
+   A block whose only link is a fused compare-and-branch, that is not a
+   watch point and that keeps no def byte, is a bare header. Whether a
+   block keeps a byte is also known only after every read is compiled,
+   so a jump's terminator is picked when the chains are built: a jump
+   into a bare header becomes a [thread] link, which runs the header
+   too; the header's own chain still serves its other
+   entries. A threaded header is entered without a check or a watch
+   handler, which it does not have, and without setting a def byte,
+   which it does not keep. The run subtracts each threaded edge's count
+   from the links and block-loop entries it reports. *)
 let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
     (observer : observer option) : (string, sfunc) Hashtbl.t =
   let sfuncs : (string, sfunc) Hashtbl.t = Hashtbl.create 8 in
@@ -949,7 +1035,8 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
           sf_ret = fm.fm_ret;
           sf_counts = counts;
           sf_blocks = blocks;
-          sf_succs = fm.fm_cfg.Ir.Cfg.succs })
+          sf_succs = fm.fm_cfg.Ir.Cfg.succs;
+          sf_threads = [||] })
     pm.pm_funcs;
   (* Pass 2: code. *)
   Hashtbl.iter
@@ -1210,36 +1297,58 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
             in
             (* A terminator's check is the last of the block's links, so
                it runs after the instructions and before the edge is
-               counted. *)
-            let term =
+               counted. A jump also gets the link that threads it into
+               its target, used if the target turns out bare. *)
+            let term, thread =
               match b.Ir.Block.term, fused with
               | Ir.Instr.Branch _, F_compare (op, d, a, bs) ->
-                compare_branch op d a bs (edge 0) (edge 1)
+                compare_branch op d a bs (edge 0) (edge 1), None
               | Ir.Instr.Branch (c, _, _), _ ->
                 let c = slot c in
-                branch c (edge 0) (edge 1)
-              | Ir.Instr.Jump _, F_add (d, a, bs) -> add_jump d a bs (edge 0)
-              | Ir.Instr.Jump _, _ -> jump (edge 0)
-              | Ir.Instr.Return None, _ -> return_void (handler ())
+                branch c (edge 0) (edge 1), None
+              | Ir.Instr.Jump _, F_add (d, a, bs) ->
+                add_jump d a bs (edge 0), Some (thread cx d a bs (edge 0))
+              | Ir.Instr.Jump _, _ ->
+                ( jump (edge 0),
+                  Some
+                    (fun h ->
+                      let zero = const_slot int_consts ~nregs:fm.fm_nints 0 in
+                      thread cx h.h_d h.h_d zero (edge 0) h) )
+              | Ir.Instr.Return None, _ -> return_void (handler ()), None
               | Ir.Instr.Return (Some o), _ ->
                 let s = slot o in
-                (match fm.fm_ret with
-                 | R_float -> return_float s (handler ())
-                 | R_int -> return_int ~bool:false s (handler ())
-                 | R_bool -> return_int ~bool:true s (handler ())
-                 | R_void -> assert false)
+                ( (match fm.fm_ret with
+                   | R_float -> return_float s (handler ())
+                   | R_int -> return_int ~bool:false s (handler ())
+                   | R_bool -> return_int ~bool:true s (handler ())
+                   | R_void -> assert false),
+                  None )
             in
-            !links, term, !defs)
+            (* A bare header, if the def-byte pass keeps no byte here:
+               nothing but its fused compare-and-branch. *)
+            let bare =
+              match fused, !links, sb.sb_watch with
+              | F_compare (op, d, a, bs), [], None ->
+                let h_op, h_a, h_b =
+                  match op with
+                  | Ir.Op.Gt -> Ir.Op.Lt, bs, a
+                  | Ir.Op.Ge -> Ir.Op.Le, bs, a
+                  | _ -> op, a, bs
+                in
+                Some { h_op; h_d = d; h_a; h_b; h_te = edge 0; h_fe = edge 1 }
+              | _ -> None
+            in
+            !links, term, !defs, thread, bare)
           cfg.Ir.Cfg.blocks
       in
-      (* Def bytes to keep, now that every read has been compiled; then
-         each block's chain, from its terminator back. A block that
-         returns keeps none: its frame dies at the return, and the
-         return handler reads what the block defined through the proof. *)
+      (* Def bytes to keep, now that every read has been compiled. A
+         block that returns keeps none: its frame dies at the return, and
+         the return handler reads what the block defined through the
+         proof. *)
       let stamp = Array.make fm.fm_nregs (-1) in
-      Array.iteri
-        (fun k (links, term, defs) ->
-          let keep =
+      let keeps =
+        Array.mapi
+          (fun k (_, _, defs, _, _) ->
             match cfg.Ir.Cfg.blocks.(k).Ir.Block.term with
             | Ir.Instr.Return _ -> []
             | Ir.Instr.Jump _ | Ir.Instr.Branch _ ->
@@ -1252,7 +1361,25 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
                     stamp.(u) <- k;
                     u :: acc)
                   else acc)
-                [] defs
+                [] defs)
+          compiled
+      in
+      (* Then each block's chain, from its terminator back; a jump into a
+         bare header is threaded into it. *)
+      let threads = ref [] in
+      Array.iteri
+        (fun k (links, term, _, thread, _) ->
+          let keep = keeps.(k) in
+          let term =
+            match thread with
+            | None -> term
+            | Some thread ->
+              let t = cfg.Ir.Cfg.succs.(k).(0) in
+              (match compiled.(t), keeps.(t) with
+               | (_, _, _, _, Some h), [] ->
+                 threads := k :: !threads;
+                 thread h
+               | _ -> term)
           in
           let tail =
             if keep = [] then term else set_defs (Array.of_list keep) term
@@ -1278,7 +1405,8 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
         (fun bits s -> flts0.(s) <- Int64.float_of_bits bits)
         flt_consts;
       sf.sf_ints0 <- ints0;
-      sf.sf_flts0 <- flts0)
+      sf.sf_flts0 <- flts0;
+      sf.sf_threads <- Array.of_list !threads)
     pm.pm_funcs;
   sfuncs
 
@@ -1286,9 +1414,11 @@ let codegen (pm : pmeta) (cx : ctx) (cache : Cache.t option)
 (* Entry point                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Links run by completed runs (each one indirect call): a host-free
-   measure of dispatch cost, next to [sim.profile_instrs]. *)
+(* Links run by completed runs (each one indirect call), and block-loop
+   entries: host-free measures of dispatch cost, next to
+   [sim.profile_instrs]. *)
 let m_links = Obs.Metrics.counter "sim.profile_links"
+let m_entries = Obs.Metrics.counter "sim.profile_entries"
 
 (* The whole run — analysis and code generation included — is one
    "sim.interp" span, like a reference run. *)
@@ -1332,8 +1462,10 @@ let run ?(fuel = default_fuel) ?cache_config ?observer (ix : Ir.Cfg.program) =
        block ran as often as its incoming edges were taken, plus, for
        the entry, once per call. The totals are each block's executions
        times its static cost, the same integers the reference engine
-       adds up block by block. *)
-    let links = ref 0 in
+       adds up block by block. A bare header entered through a threaded
+       jump ran inside the jump's link: neither its chain's one link nor
+       a block-loop entry. *)
+    let links = ref 0 and entries = ref 0 in
     Hashtbl.iter
       (fun _ sf ->
         let c = sf.sf_counts in
@@ -1349,10 +1481,18 @@ let run ?(fuel = default_fuel) ?cache_config ?observer (ix : Ir.Cfg.program) =
             let n = execs.(v) in
             Profile.add_cycles profile (n * sb.sb_cycles);
             Profile.add_instrs profile (n * (sb.sb_fuel - 1));
+            entries := !entries + n;
             links := !links + (n * sb.sb_links))
-          sf.sf_blocks)
+          sf.sf_blocks;
+        Array.iter
+          (fun v ->
+            let n = c.Profile.edges.(v).(0) in
+            entries := !entries - n;
+            links := !links - n)
+          sf.sf_threads)
       sfuncs;
     Profile.publish_metrics profile;
     Obs.Metrics.add m_links !links;
+    Obs.Metrics.add m_entries !entries;
     { return_value; memory; profile;
       cache_stats = Option.map Cache.stats cache }

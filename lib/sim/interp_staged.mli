@@ -5,7 +5,13 @@
     returns the next block. An integer compare feeding the block's
     branch, or an integer add before its jump, is fused into it, and an
     integer mul feeding the next add (with the load that add indexes)
-    is one link. No per-instruction match dispatch and no
+    is one link. A jump into a loop header that holds only such a fused
+    compare, with no watch point and no kept def byte, runs the header
+    in the same link (charging its fuel only where the fuel covers it),
+    so the block loop is not re-entered for it; the
+    [sim.profile_links] and [sim.profile_entries] counters report the
+    links and block-loop entries a completed run took. No
+    per-instruction match dispatch and no
     boxed float; allocation is per call and per run, not per
     instruction. Semantics are differentially tested against
     {!Interp_reference} (test/test_interp_diff.ml); programs that fail

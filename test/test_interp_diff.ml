@@ -970,16 +970,17 @@ let test_hot_path_no_alloc () =
 (* Block chains and fused compare-and-branch                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Both engines, unobserved and with every block and return watched,
-   at [fuel] (unlimited by default), must agree. *)
-let agree ?fuel name p =
+(* Both engines, unobserved and with every block and return watched (or
+   the points [watch] picks), at [fuel] (unlimited by default), must
+   agree. *)
+let agree ?fuel ?watch name p =
   List.iter
     (fun observe ->
       check_outcomes
         (fun m -> Alcotest.failf "%s (observe=%b): %s" name observe m)
         p
-        (run_one ~observe ?fuel Sim.Interp.Reference p)
-        (run_one ~observe ?fuel Sim.Interp.Staged p))
+        (run_one ~observe ?watch ?fuel Sim.Interp.Reference p)
+        (run_one ~observe ?watch ?fuel Sim.Interp.Staged p))
     [ false; true ]
 
 let main_i32 ?(globals = typed_globals) ?(funcs = []) blocks =
@@ -1612,6 +1613,250 @@ let test_derived_block_counts () =
   staged_return "called from a loop and recursively" recursive 10
 
 (* ------------------------------------------------------------------ *)
+(* Threaded loop headers                                               *)
+(* ------------------------------------------------------------------ *)
+
+let m_entries = Obs.Metrics.counter "sim.profile_entries"
+
+(* The block executions of a completed staged run that were not
+   block-loop entries: bare headers run inside the jump that entered
+   them. [watch] observes the run with those watch points. *)
+let threaded ?watch p =
+  let observer = Option.map (fun w -> recording_observer w (ref [])) watch in
+  let before = Obs.Metrics.value m_entries in
+  let res = interp ~engine:Sim.Interp.Staged ?observer p in
+  let entries = Obs.Metrics.value m_entries - before in
+  let blocks =
+    List.fold_left
+      (fun acc (f : Ir.Func.t) ->
+        Array.fold_left ( + ) acc
+          (Sim.Profile.find res.Sim.Interp.profile f.Ir.Func.name)
+            .Sim.Profile.blocks)
+      0 p.Ir.Program.funcs
+  in
+  blocks - entries
+
+(* The executions of block [label] of [main] in a reference run. *)
+let block_runs p label =
+  let prof = (interp ~engine:Sim.Interp.Reference p).Sim.Interp.profile in
+  let cfg = Ir.Cfg.of_func (Ir.Program.func_exn p "main") in
+  (Sim.Profile.find prof "main").Sim.Profile.blocks.(Ir.Cfg.id cfg label)
+
+let watch_labels labels : watch =
+ fun ~func:_ ~label ->
+  match label with
+  | Some l -> List.mem l labels
+  | None -> false
+
+(* A two-deep loop nest. Both headers hold only their compare, and every
+   jump into them is threaded: the preheader jumps from [entry] and [ob]
+   ([ob]'s is a plain jump after an assign) and the latches [ib] and
+   [ol] (an add and its jump). [exit] reads the outer compare's
+   register. *)
+let loop_nest =
+  let i = ireg 0 and j = ireg 1 and s = ireg 2 and t0 = ireg 3 in
+  let c0 = breg 0 and c1 = breg 1 in
+  main_i32
+    [ block "entry"
+        [ Ir.Instr.Assign (i, imm 0); Ir.Instr.Assign (s, imm 0) ]
+        (Ir.Instr.Jump "oh");
+      block "oh"
+        [ Ir.Instr.Compare (c0, Ir.Op.Lt, reg_op i, imm 3) ]
+        (Ir.Instr.Branch (reg_op c0, "ob", "exit"));
+      block "ob" [ Ir.Instr.Assign (j, imm 0) ] (Ir.Instr.Jump "ih");
+      block "ih"
+        [ Ir.Instr.Compare (c1, Ir.Op.Gt, imm 2, reg_op j) ]
+        (Ir.Instr.Branch (reg_op c1, "ib", "ol"));
+      block "ib"
+        [ binop s Ir.Op.Add (reg_op s) (reg_op j);
+          binop s Ir.Op.Add (reg_op s) (reg_op i);
+          binop j Ir.Op.Add (reg_op j) (imm 1) ]
+        (Ir.Instr.Jump "ih");
+      block "ol" [ binop i Ir.Op.Add (reg_op i) (imm 1) ] (Ir.Instr.Jump "oh");
+      block "exit"
+        [ Ir.Instr.Select (t0, reg_op c0, imm 1000, reg_op s) ]
+        (Ir.Instr.Return (Some (reg_op t0))) ]
+
+(* Every budget from 0 to the run's need, unobserved, with every block
+   watched (no header is threaded), with the latches watched (both
+   headers are threaded, and the fuel that runs out at [ih] is seen from
+   its successors), and with [exit] watched ([c1] is not proven there,
+   so [ih] keeps its byte; [oh] is threaded). *)
+let test_threaded_nest_fuel () =
+  let p = loop_nest in
+  staged_return "loop nest returns" p 9;
+  let runs = block_runs p in
+  let latches = watch_labels [ "ib"; "ol" ] and at_exit = watch_labels [ "exit" ] in
+  Alcotest.(check int) "threaded, unobserved" (runs "oh" + runs "ih")
+    (threaded p);
+  Alcotest.(check int) "threaded, every block watched" 0
+    (threaded ~watch:watch_all p);
+  Alcotest.(check int) "threaded, latches watched" (runs "oh" + runs "ih")
+    (threaded ~watch:latches p);
+  Alcotest.(check int) "threaded, exit watched" (runs "oh")
+    (threaded ~watch:at_exit p);
+  let n = fuel_needed p (interp ~engine:Sim.Interp.Reference p).profile in
+  for fuel = 0 to n do
+    List.iter
+      (fun (wname, watch) ->
+        agree ~fuel ~watch
+          (Printf.sprintf "loop nest at fuel %d, watching %s" fuel wname)
+          p)
+      [ "every block", watch_all; "latches", latches; "exit", at_exit ]
+  done
+
+(* Each integer compare in a threaded header, over equal, negative and
+   [max_int] operands: the header is entered from [entry]'s jump and
+   from the latch, whose add wraps past [max_int]. [exit] reads the
+   compare's register, in an instruction and at a watch point. *)
+let compare_header op x0 y0 =
+  let x = ireg 0 and y = ireg 1 and n1 = ireg 2 and n2 = ireg 3 in
+  let c0 = breg 0 and c1 = breg 1 in
+  main_i32
+    [ block "entry"
+        [ Ir.Instr.Assign (x, imm x0);
+          Ir.Instr.Assign (y, imm y0);
+          Ir.Instr.Assign (n1, imm 0) ]
+        (Ir.Instr.Jump "head");
+      block "head"
+        [ Ir.Instr.Compare (c0, op, reg_op x, reg_op y) ]
+        (Ir.Instr.Branch (reg_op c0, "body", "exit"));
+      block "body"
+        [ binop n1 Ir.Op.Add (reg_op n1) (imm 1);
+          Ir.Instr.Compare (c1, Ir.Op.Lt, reg_op n1, imm 3) ]
+        (Ir.Instr.Branch (reg_op c1, "latch", "exit"));
+      block "latch" [ binop x Ir.Op.Add (reg_op x) (imm 1) ]
+        (Ir.Instr.Jump "head");
+      block "exit"
+        [ Ir.Instr.Select (n2, reg_op c0, imm 100, imm 0);
+          binop n2 Ir.Op.Add (reg_op n2) (reg_op n1) ]
+        (Ir.Instr.Return (Some (reg_op n2))) ]
+
+let test_threaded_compares () =
+  let ops =
+    [ Ir.Op.Eq; Ir.Op.Ne; Ir.Op.Lt; Ir.Op.Le; Ir.Op.Gt; Ir.Op.Ge ]
+  in
+  let operands =
+    [ 0, 0; 7, 7; -5, -5; -5, 3; 3, -5; -1, -2; -2, -1;
+      max_int, max_int; max_int - 1, max_int; max_int, 0; 0, max_int;
+      -max_int, max_int; max_int, -1 ]
+  in
+  let at_exit = watch_labels [ "exit" ] in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun (x0, y0) ->
+          let p = compare_header op x0 y0 in
+          let name =
+            Printf.sprintf "%s %d %d" (Ir.Op.cmp_to_string op) x0 y0
+          in
+          agree name p;
+          agree ~watch:at_exit (name ^ ", exit watched") p;
+          Alcotest.(check int) (name ^ " threaded") (block_runs p "head")
+            (threaded ~watch:at_exit p))
+        operands)
+    ops
+
+(* A watched header, and a header that keeps a def byte, are not
+   threaded; [oh] is threaded in both runs of [loop_nest]. With [ih]
+   watched, [ih] runs its handler first. With [ob] watched, [c1] is not
+   proven at [ob] (its first entry comes before [ih] ran), so [ih]
+   keeps the byte the watch point reads [c1] through. *)
+let test_unthreaded_headers () =
+  let p = loop_nest in
+  let at_ih = watch_labels [ "ih" ] and at_ob = watch_labels [ "ob" ] in
+  agree ~watch:at_ih "inner header watched" p;
+  Alcotest.(check int) "inner header watched" (block_runs p "oh")
+    (threaded ~watch:at_ih p);
+  agree ~watch:at_ob "inner header keeps a def byte" p;
+  Alcotest.(check int) "inner header keeps a def byte" (block_runs p "oh")
+    (threaded ~watch:at_ob p);
+  let s = run_one ~observe:true ~watch:at_ob Sim.Interp.Staged p in
+  let c1 =
+    List.map
+      (function
+        | E_block (_, _, reads) -> pp_value_opt (List.assoc "c1" reads)
+        | E_return _ -> "-")
+      s.o_events
+  in
+  Alcotest.(check (list string)) "c1 at ob" [ "<none>"; "false"; "false" ] c1;
+  let n = fuel_needed p (interp ~engine:Sim.Interp.Reference p).profile in
+  for fuel = 0 to n do
+    agree ~fuel ~watch:at_ob
+      (Printf.sprintf "def-byte header at fuel %d" fuel)
+      p
+  done
+
+(* A header entered from a threaded latch and from a branch ([body]
+   branches straight back on odd [k]), and a header that is the
+   function's entry, id 0, entered by calls and by a threaded latch:
+   block counts derived from edges must equal the reference's. *)
+let test_threaded_mixed_entries () =
+  let k = kreg and n0 = ireg 0 and n1 = ireg 1 and n2 = ireg 2 in
+  let c0 = breg 0 and c1 = breg 1 in
+  let p =
+    main_i32
+      [ block "entry"
+          [ Ir.Instr.Assign (k, imm 0); Ir.Instr.Assign (n1, imm 0) ]
+          (Ir.Instr.Jump "head");
+        block "head"
+          [ Ir.Instr.Compare (c0, Ir.Op.Le, reg_op k, imm 6) ]
+          (Ir.Instr.Branch (reg_op c0, "body", "exit"));
+        block "body"
+          [ binop n1 Ir.Op.Add (reg_op n1) (reg_op k);
+            binop k Ir.Op.Add (reg_op k) (imm 1);
+            binop n2 Ir.Op.And (reg_op k) (imm 1);
+            Ir.Instr.Compare (c1, Ir.Op.Ne, reg_op n2, imm 0) ]
+          (Ir.Instr.Branch (reg_op c1, "head", "latch"));
+        block "latch" [ binop k Ir.Op.Add (reg_op k) (imm 1) ]
+          (Ir.Instr.Jump "head");
+        block "exit" [] (Ir.Instr.Return (Some (reg_op n1))) ]
+  in
+  agree "header entered by a latch and a branch" p;
+  check_block_counts "header entered by a latch and a branch" p;
+  staged_return "header entered by a latch and a branch" p 9;
+  Alcotest.(check int) "threaded through entry and latch"
+    (block_runs p "entry" + block_runs p "latch")
+    (threaded p);
+  let x = Ir.Instr.reg "x" Ir.Types.I32 in
+  let g =
+    Ir.Func.v ~name:"g" ~params:[ x ] ~ret:(Some Ir.Types.I32)
+      ~blocks:
+        [ block "top"
+            [ Ir.Instr.Compare (c0, Ir.Op.Ge, imm 9, reg_op x) ]
+            (Ir.Instr.Branch (reg_op c0, "step", "done"));
+          block "step" [ binop x Ir.Op.Add (reg_op x) (imm 2) ]
+            (Ir.Instr.Jump "top");
+          block "done" [] (Ir.Instr.Return (Some (reg_op x))) ]
+  in
+  let p =
+    main_i32 ~funcs:[ g ]
+      [ block "entry"
+          [ Ir.Instr.Call (Some n0, "g", [ imm 0 ]);
+            Ir.Instr.Call (Some n1, "g", [ imm 5 ]);
+            binop n0 Ir.Op.Add (reg_op n0) (reg_op n1) ]
+          (Ir.Instr.Return (Some (reg_op n0))) ]
+  in
+  agree "entry header with a latch" p;
+  check_block_counts "entry header with a latch" p;
+  staged_return "entry header with a latch" p 21;
+  (* [g]'s latch ran 5 + 3 times, each entering [top] threaded. *)
+  Alcotest.(check int) "entry header threaded" 8 (threaded p)
+
+let test_threaded_no_alloc () =
+  let small = fused_alloc_kernel 50 and large = fused_alloc_kernel 200 in
+  if threaded (small :> Ir.Cfg.program).Ir.Cfg.program = 0 then
+    Alcotest.fail "kernel threads no loop header";
+  ignore (staged_minor_words small : float);
+  let w_small = staged_minor_words small in
+  let w_large = staged_minor_words large in
+  if w_large -. w_small > 256.0 then
+    Alcotest.failf
+      "threaded links allocate per instruction: %.0f minor words at R=50, \
+       %.0f at R=200"
+      w_small w_large
+
+(* ------------------------------------------------------------------ *)
 (* 28-benchmark suite parity + fast-path sanity                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1839,6 +2084,16 @@ let tests =
       test_fused_no_alloc;
     Alcotest.test_case "staged block counts equal the reference's" `Quick
       test_derived_block_counts;
+    Alcotest.test_case "fuel boundary in a threaded loop nest" `Quick
+      test_threaded_nest_fuel;
+    Alcotest.test_case "integer compares in a threaded header" `Quick
+      test_threaded_compares;
+    Alcotest.test_case "watched and def-byte headers are not threaded" `Quick
+      test_unthreaded_headers;
+    Alcotest.test_case "threaded headers entered several ways" `Quick
+      test_threaded_mixed_entries;
+    Alcotest.test_case "threaded links do not allocate" `Quick
+      test_threaded_no_alloc;
     Alcotest.test_case "profile flow conservation" `Quick
       test_flow_conservation;
     Alcotest.test_case "28-benchmark suite parity" `Quick test_suite_parity;
