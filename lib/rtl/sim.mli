@@ -9,10 +9,11 @@
     counts instead of profiled averages).
 
     Datapath unit bodies are evaluated behaviourally via the IR operation
-    each instance implements (through {!Cayman_sim.Interp.eval_bin} and
-    friends), because the Verilog primitive library deliberately stubs
-    the floating-point units. Sequencing, commits, interface selection
-    and timing all come from the netlist structure itself. *)
+    each instance implements, because the Verilog primitive library
+    deliberately stubs the floating-point units: each operator computes
+    exactly what {!Cayman_sim.Interp.eval_bin} and friends compute, over
+    unboxed typed register banks. Sequencing, commits, interface
+    selection and timing all come from the netlist structure itself. *)
 
 (** Simulation-level failure: undriven register, call in a datapath,
     malformed FSM, or an exceeded cycle budget. *)
@@ -67,12 +68,16 @@ type outcome = {
 (** {1 Compiled netlists}
 
     A structure is compiled once and then executed once per invocation.
-    Compiling resolves every register, wire, state, successor label,
-    commit and array base to a slot, so an invocation does no name
-    lookup beyond resolving each array base once. Malformed structure
-    is not rejected by {!compile}: each error is raised by {!exec} when
-    the FSM walk reaches it, with the same text, and a broken state the
-    walk never visits never fails. *)
+    Compiling resolves every register, wire, immediate, state, successor
+    label, commit and array base to a slot, and every IR instruction to
+    one closure over an [int] bank (I32 and Bool) or a [float] bank
+    (F32), so an invocation does no name lookup beyond resolving each
+    array base once, and a datapath instruction allocates nothing.
+    Values cross the {!Cayman_sim.Value.t} interface only at power-up
+    and in the {!outcome}. Malformed structure is not rejected by
+    {!compile}: each error is raised by {!exec} when the FSM walk
+    reaches it, with the same text, and a broken state the walk never
+    visits never fails. *)
 
 type compiled
 
@@ -99,9 +104,23 @@ val writes : compiled -> string list
     direct-interface stores and by the scratchpad write-back; arrays
     outside {!writes} are only read. Each invocation is one ["rtl.sim"]
     trace span, so a traced co-simulation books netlist time apart from
-    the golden interpreter's ["sim.interp"] span it runs inside.
-    @raise Rtl_error on simulation failure (never on a well-formed
-    netlist driven with well-typed inputs). *)
+    the golden interpreter's ["sim.interp"] span it runs inside, and
+    adds the datapath instructions it executed (each state activation
+    and pipeline step counts its block's instructions) to the
+    ["rtl.sim_instrs"] counter.
+    @raise Rtl_error on a malformed structure (an undriven register, a
+    commit without a driving wire, an undefined state, a missing
+    pipeline controller or data-flow graph, a call in a datapath) or an
+    exceeded cycle or activation budget.
+    @raise Cayman_sim.Interp.Runtime_error on integer division or
+    remainder by zero.
+    @raise Cayman_sim.Memory.Fault on an out-of-bounds index, an unknown
+    array, or a store of a value of the wrong kind.
+    @raise Cayman_sim.Value.Type_error when an operator reads a value of
+    the wrong type, which only a [Swap_with] fault between registers of
+    different types, or an [env] value of the wrong type, can produce.
+    None of these is raised on a well-formed netlist of a validated
+    program driven with well-typed inputs and no fault. *)
 val exec :
   compiled ->
   env:(string -> Cayman_sim.Value.t option) ->

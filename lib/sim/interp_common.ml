@@ -34,11 +34,12 @@ type observer = {
   obs_return : func:string -> return_watch option;
 }
 
-(* Value semantics of the IR operators. Shared by the reference engine,
-   the staged engine and the RTL netlist simulator, so all three compute
-   bit-identical results (the staged engine inlines specialisations of
-   these, which must stay semantically in lockstep — see
-   Interp_staged). *)
+(* Value semantics of the IR operators, as the reference engine runs
+   them. The staged engine and the RTL netlist simulator (Rtl.Sim) spell
+   out typed specialisations of these per operator, which must stay
+   semantically in lockstep (see Interp_staged); the netlist simulator
+   also calls them on the boxed path a cross-type register fault
+   needs. *)
 
 let eval_bin (op : Ir.Op.bin) a b =
   match op with

@@ -24,9 +24,12 @@ val float_cells : t -> string -> float array option
 
     An array looked up once by name, for callers that access it many
     times (the RTL netlist simulator resolves each base once per
-    invocation). Errors carry the same text as {!load} and {!store}. *)
+    invocation, and reads and writes its typed backing array directly).
+    Errors carry the same text as {!load} and {!store}. *)
 
-type cell
+type cell =
+  | Ints of int array  (** I32 and Bool elements *)
+  | Floats of float array
 
 (** The array named [base], shared with the memory; [None] when absent. *)
 val find_cell : t -> string -> cell option

@@ -55,6 +55,24 @@ let specs_of (a : Core.Cayman.analyzed) (s : Core.Solution.t) =
             k_config = acc.Core.Solution.a_point.Hls.Kernel.config })
     s.Core.Solution.accels
 
+(* A kernel's netlist, found by function and region name, in one
+   config. *)
+let find_netlist (a : Core.Cayman.analyzed) ~func ~region cfg =
+  match
+    List.find_opt
+      (fun ((ctx : Hls.Ctx.t), r, _, _) ->
+        String.equal ctx.Hls.Ctx.func.Ir.Func.name func
+        && String.equal (An.Region.name r) region)
+      (netlists_of a [ cfg ])
+  with
+  | Some (ctx, r, _, nl) -> ctx, r, nl
+  | None -> Alcotest.failf "%s/%s is not synthesizable" func region
+
+let seq_cfg =
+  { Hls.Kernel.unroll = 1; pipeline = false; mode = Hls.Kernel.Heuristic }
+
+let pipe_cfg = { seq_cfg with Hls.Kernel.pipeline = true }
+
 (* --- lint --- *)
 
 (* A cross-suite sample (Fig. 6's one-per-suite picks, fft for its
@@ -370,6 +388,26 @@ let expect_rtl_error name expected (program, ctx, nl) ?max_cycles () =
   | _ -> Alcotest.failf "%s: simulation succeeded" name
   | exception Rtl.Sim.Rtl_error m -> Alcotest.(check string) name expected m
 
+(* Damage that names a block the kernel has no data-flow graph for: the
+   entry state's block, or a pipelined loop's header. *)
+let no_dfg_state (nl : Hls.Netlist.structure) =
+  { nl with
+    Hls.Netlist.nl_states =
+      List.map
+        (fun (s : Hls.Netlist.fsm_state) ->
+          if String.equal s.Hls.Netlist.s_name "S_entry0" then
+            { s with Hls.Netlist.s_block = Some "no_such_block" }
+          else s)
+        nl.Hls.Netlist.nl_states }
+
+let no_dfg_header (nl : Hls.Netlist.structure) =
+  { nl with
+    Hls.Netlist.nl_pipes =
+      List.map
+        (fun (pc : Hls.Netlist.pipe_ctrl) ->
+          { pc with Hls.Netlist.pc_header = "no_such_block" })
+        nl.Hls.Netlist.nl_pipes }
+
 let test_sim_errors () =
   let a = mac_analyzed () in
   let program, ctx, whole = mac_netlist a "func:entry0" in
@@ -415,7 +453,57 @@ let test_sim_errors () =
   expect_rtl_error "pipelined walk budget"
     ("cycle budget exceeded (pipelined loop loop_head1 walked 21 blocks) in "
      ^ name)
-    (program, ctx, whole) ~max_cycles:20 ()
+    (program, ctx, whole) ~max_cycles:20 ();
+  (* a reachable state or loop block with no data-flow graph *)
+  expect_rtl_error "state without a data-flow graph"
+    ("state S_entry0 evaluates block no_such_block, which has no data-flow \
+      graph, in " ^ name)
+    (program, ctx, no_dfg_state whole)
+    ();
+  expect_rtl_error "loop block without a data-flow graph"
+    ("pipelined loop no_such_block steps block no_such_block, which has no \
+      data-flow graph, in " ^ loop.nl_name)
+    (program, ctx, no_dfg_header loop)
+    ()
+
+(* A state of a co-simulated kernel with no data-flow graph is that
+   kernel's sim-error; a kernel observed in the same golden run keeps
+   its verdict. *)
+let test_cosim_no_dfg_is_a_sim_error () =
+  let a = mac_analyzed () in
+  let _, ctx, loop = mac_netlist a "loop:loop_head1" in
+  let spec region =
+    match
+      List.find_opt
+        (fun (_, r, _, _) -> String.equal (An.Region.name r) region)
+        (netlists_of a [ pipe_cfg ])
+    with
+    | Some (_, r, _, _) ->
+      { Rtl.Cosim.k_ctx = ctx; k_region = r; k_config = pipe_cfg }
+    | None -> Alcotest.failf "no region %s" region
+  in
+  let reports =
+    List.map Rtl.Cosim.report_to_string
+      (Rtl.Cosim.run_many
+         ~faults:[ Some (no_dfg_header loop), None; None, None ]
+         a.Core.Cayman.program
+         [ spec "loop:loop_head1"; spec "func:entry0" ])
+  in
+  let damaged =
+    Printf.sprintf
+      "  inv %d sim-error: Rtl_error: pipelined loop no_such_block steps \
+       block no_such_block, which has no data-flow graph, in %s"
+  in
+  Alcotest.(check (list string)) "reports"
+    [ String.concat "\n"
+        ("kernel/loop:loop_head1 [u1+pipe/heuristic]: 4 invocations, 4 \
+          MISMATCHES; cycles sim=0 est=592 (+0.00%) OUT OF TOLERANCE"
+        :: List.map
+             (fun k -> damaged k loop.Hls.Netlist.nl_name)
+             [ 1; 2; 3; 4 ]);
+      "kernel/func:entry0 [u1+pipe/heuristic]: 4 invocations, functionally \
+       equivalent; cycles sim=616 est=616 (+0.00%) within tolerance" ]
+    reports
 
 let test_sim_unreachable_damage () =
   let program, ctx, whole = mac_netlist (mac_analyzed ()) "func:entry0" in
@@ -444,6 +532,344 @@ let test_sim_unreachable_damage () =
   Alcotest.(check int) "the loop ran" 64 clean.Rtl.Sim.o_iterations;
   Alcotest.(check bool) "unreachable damage simulates like the original" true
     (strip clean = strip (sim_once (program, ctx, damaged)))
+
+(* --- register fault semantics ---
+
+   The reports of faults whose effect depends on how the simulator
+   carries values, pinned as the boxed-value simulator printed them. A
+   register swapped with one of another type takes a value of the
+   wrong type: an operator that reads it fails with a type error, while
+   an assign or a commit copies it onward unchanged, so it can reach the
+   region exit as a register mismatch. A stuck-at-1 float is the
+   all-ones bit pattern (a negative NaN), a flipped bool is negated,
+   and every commit counts as one write, also when one state commits a
+   register twice. *)
+
+let faults_src =
+  {|const int N = 16;
+    float a[N]; float out[2];
+    void kernel() {
+      float s = 0.0; float keep = 0.0; float keep2 = 0.0;
+      for (int i = 0; i < N; i++) { keep2 = keep; keep = s; s = s + a[i]; }
+      out[0] = s + keep + keep2;
+    }
+    void twice() {
+      float s = 0.0; float acc = 0.0;
+      for (int i = 0; i < N; i++) { s = s + a[i]; s = s * 0.5; acc = acc + s; }
+      out[1] = acc;
+    }
+    int main() {
+      for (int i = 0; i < N; i++) { a[i] = 1.5; }
+      for (int t = 0; t < 3; t++) { kernel(); twice(); }
+      return (int)out[0];
+    }|}
+
+let fault_reports func cfg faults =
+  let a = Core.Cayman.analyze (Cayman_frontend.Lower.compile faults_src) in
+  let ctx, region, _ = find_netlist a ~func ~region:"loop:loop_head1" cfg in
+  let spec = { Rtl.Cosim.k_ctx = ctx; k_region = region; k_config = cfg } in
+  List.map
+    (fun fault ->
+      Rtl.Cosim.report_to_string
+        (List.hd
+           (Rtl.Cosim.run_many ~faults:[ None, Some fault ]
+              a.Core.Cayman.program [ spec ])))
+    faults
+
+let fault f_reg f_kind f_nth = { Rtl.Sim.f_reg; f_kind; f_nth }
+
+let test_fault_semantics () =
+  let check name want got =
+    Alcotest.(check string) name (String.concat "\n" want) got
+  in
+  let head = "kernel/loop:loop_head1 [u1+pipe/heuristic]: 3 invocations, " in
+  let mismatches n = head ^ n ^ " MISMATCHES; cycles sim=150 est=150 \
+                                 (+0.00%) within tolerance" in
+  match
+    fault_reports "kernel" pipe_cfg
+      [ fault "s0" (Rtl.Sim.Swap_with "i3") 2;
+        fault "keep1" (Rtl.Sim.Swap_with "i3") 2;
+        fault "t4" (Rtl.Sim.Swap_with "i3") 2;
+        fault "keep1" Rtl.Sim.Stuck_one 2;
+        fault "t4" (Rtl.Sim.Flip_bit 0) 2 ]
+  with
+  | [ consumed; travels; bool_int; stuck_one; flip_bool ] ->
+    check "cross-type swap consumed by an operator"
+      [ head ^ "3 MISMATCHES; cycles sim=0 est=150 (+0.00%) OUT OF TOLERANCE";
+        "  inv 1 sim-error: type error: expected float, got int";
+        "  inv 2 sim-error: type error: expected float, got int";
+        "  inv 3 sim-error: type error: expected float, got int" ]
+      consumed;
+    check "cross-type swap travels to the exit"
+      [ mismatches "6";
+        "  inv 1 register: %keep1: golden 22.5, netlist 15";
+        "  inv 1 register: %keep22: golden 21, netlist 14";
+        "  inv 2 register: %keep1: golden 22.5, netlist 15";
+        "  inv 2 register: %keep22: golden 21, netlist 14";
+        "  inv 3 register: %keep1: golden 22.5, netlist 15";
+        "  inv 3 register: %keep22: golden 21, netlist 14" ]
+      travels;
+    check "int into a bool register"
+      [ mismatches "3";
+        "  inv 1 register: %t4: golden false, netlist 16";
+        "  inv 2 register: %t4: golden false, netlist 16";
+        "  inv 3 register: %t4: golden false, netlist 16" ]
+      bool_int;
+    check "stuck-at-1 float"
+      [ mismatches "6";
+        "  inv 1 register: %keep1: golden 22.5, netlist -nan";
+        "  inv 1 register: %keep22: golden 21, netlist -nan";
+        "  inv 2 register: %keep1: golden 22.5, netlist -nan";
+        "  inv 2 register: %keep22: golden 21, netlist -nan";
+        "  inv 3 register: %keep1: golden 22.5, netlist -nan";
+        "  inv 3 register: %keep22: golden 21, netlist -nan" ]
+      stuck_one;
+    check "flipped bool"
+      [ mismatches "3";
+        "  inv 1 register: %t4: golden false, netlist true";
+        "  inv 2 register: %t4: golden false, netlist true";
+        "  inv 3 register: %t4: golden false, netlist true" ]
+      flip_bool
+  | _ -> Alcotest.fail "one report per fault"
+
+(* [twice] assigns [s] two times in one block, so each activation of
+   that block commits it twice: write 2N+1 is the last body's second
+   commit, and a fault pinned there fires only if both count. *)
+let test_fault_counts_double_commit () =
+  let n = 16 in
+  List.iter
+    (fun cfg ->
+      match
+        fault_reports "twice" cfg
+          [ fault "s0" Rtl.Sim.Stuck_zero ((2 * n) + 1);
+            fault "s0" Rtl.Sim.Stuck_zero ((2 * n) + 2) ]
+      with
+      | [ last; past ] ->
+        let name = Hls.Kernel.config_to_string cfg in
+        let head =
+          Printf.sprintf "twice/loop:loop_head1 [%s]: 3 invocations, " name
+        and cycles = if cfg.Hls.Kernel.pipeline then 252 else 762 in
+        Alcotest.(check string) ("last write " ^ name)
+          (String.concat "\n"
+             (Printf.sprintf
+                "%s3 MISMATCHES; cycles sim=%d est=%d (+0.00%%) within \
+                 tolerance"
+                head cycles cycles
+             :: List.map
+                  (Printf.sprintf
+                     "  inv %d register: %%s0: golden 1.49998, netlist 0")
+                  [ 1; 2; 3 ]))
+          last;
+        Alcotest.(check string) ("past the last write " ^ name)
+          (Printf.sprintf
+             "%sfunctionally equivalent; cycles sim=%d est=%d (+0.00%%) \
+              within tolerance"
+             head cycles cycles)
+          past
+      | _ -> Alcotest.fail "one report per fault")
+    [ seq_cfg; pipe_cfg ]
+
+(* --- datapath parity ---
+
+   One loop whose body runs every binary, compare and unary operator of
+   the IR on negative operands, shifts, a NaN and a negative zero. The
+   netlist must agree with the golden run exactly, cycles included. *)
+
+let parity_src =
+  {|const int N = 6;
+    int ia[N]; int ib[N]; float fa[N]; float fb[N];
+    int io[96]; float fo[96];
+    void kernel() {
+      for (int i = 0; i < N; i++) {
+        int x = ia[i]; int y = ib[i]; float u = fa[i]; float v = fb[i];
+        int k = i * 16;
+        io[k] = x + y; io[k + 1] = x - y; io[k + 2] = x * y;
+        io[k + 3] = x / y; io[k + 4] = x % y; io[k + 5] = x & y;
+        io[k + 6] = x | y; io[k + 7] = x ^ y; io[k + 8] = x << (y & 7);
+        io[k + 9] = x >> (y & 7); io[k + 10] = -x; io[k + 11] = (int)v;
+        fo[k] = u + v; fo[k + 1] = u - v; fo[k + 2] = u * v;
+        fo[k + 3] = u / v; fo[k + 4] = -u; fo[k + 5] = (float)x;
+        int m = 0;
+        if (x == y) { m = m + 1; }
+        if (x != y) { m = m + 2; }
+        if (x < y) { m = m + 4; }
+        if (x <= y) { m = m + 8; }
+        if (x > y) { m = m + 16; }
+        if (x >= y) { m = m + 32; }
+        if (u == v) { m = m + 64; }
+        if (u != v) { m = m + 128; }
+        if (u < v) { m = m + 256; }
+        if (u <= v) { m = m + 512; }
+        if (u > v) { m = m + 1024; }
+        if (u >= v) { m = m + 2048; }
+        if (!(x < y) && u < v) { m = m + 4096; }
+        io[k + 12] = m;
+      }
+    }
+    int main() {
+      ia[0] = 7; ia[1] = -7; ia[2] = 12; ia[3] = -1; ia[4] = 0; ia[5] = 5;
+      ib[0] = 3; ib[1] = 3; ib[2] = -5; ib[3] = -2; ib[4] = 9; ib[5] = 5;
+      fa[0] = 1.5; fa[1] = -2.25; fa[2] = fa[4] / fa[4]; fa[3] = 3.0;
+      fa[5] = 0.5;
+      fb[0] = 2.0; fb[1] = -fb[4]; fb[2] = 1.0; fb[3] = fa[2]; fb[5] = 0.5;
+      for (int t = 0; t < 3; t++) { kernel(); }
+      return io[3];
+    }|}
+
+let test_datapath_parity () =
+  let a = Core.Cayman.analyze (Cayman_frontend.Lower.compile parity_src) in
+  let ops = Hashtbl.create 32 in
+  Hashtbl.iter
+    (fun _ (ctx : Hls.Ctx.t) ->
+      List.iter
+        (fun (b : Ir.Block.t) ->
+          List.iter
+            (fun (i : Ir.Instr.t) ->
+              match i with
+              | Ir.Instr.Binary (_, op, _, _) ->
+                Hashtbl.replace ops (Ir.Op.bin_to_string op) ()
+              | Ir.Instr.Compare (_, op, _, _) ->
+                Hashtbl.replace ops (Ir.Op.cmp_to_string op) ()
+              | Ir.Instr.Unary (_, op, _) ->
+                Hashtbl.replace ops (Ir.Op.un_to_string op) ()
+              | Ir.Instr.Assign _ | Ir.Instr.Select _ | Ir.Instr.Load _
+              | Ir.Instr.Store _ | Ir.Instr.Call _ ->
+                ())
+            b.Ir.Block.instrs)
+        ctx.Hls.Ctx.func.Ir.Func.blocks)
+    a.Core.Cayman.ctxs;
+  Alcotest.(check int) "every operator occurs" (14 + 12 + 5)
+    (Hashtbl.length ops);
+  List.iter
+    (fun cfg ->
+      let ctx, region, _ =
+        find_netlist a ~func:"kernel" ~region:"loop:loop_head1" cfg
+      in
+      let rep =
+        Rtl.Cosim.run a.Core.Cayman.program
+          { Rtl.Cosim.k_ctx = ctx; k_region = region; k_config = cfg }
+      in
+      if not (Rtl.Cosim.functional_ok rep) then
+        Alcotest.failf "functional mismatch:\n%s"
+          (Rtl.Cosim.report_to_string rep);
+      Alcotest.(check int) "three invocations" 3 rep.Rtl.Cosim.r_invocations;
+      Alcotest.(check int)
+        ("exact cycles " ^ Hls.Kernel.config_to_string cfg)
+        (int_of_float rep.Rtl.Cosim.r_est_cycles)
+        rep.Rtl.Cosim.r_sim_cycles)
+    [ seq_cfg; pipe_cfg ]
+
+(* --- datapath error texts and order ---
+
+   Each kernel is a whole function, simulated once from a fresh memory.
+   Operands are read in the order the boxed-value simulator evaluated
+   them: a binary operator's right operand before its left, a store's
+   value before its index, and only the arm a select takes. *)
+
+let errors_src =
+  {|int p[4]; int q[4]; int o[4];
+    void kbin(int x, int y) { o[0] = x - y; }
+    void kstore(int i, int v) { p[i] = v; }
+    void ksel(int c, int u, int v) { o[1] = u; }
+    void kdiv() { o[2] = p[0] / q[0]; }
+    void krem() { o[3] = p[1] % q[1]; }
+    void kload(int i) { o[0] = p[i]; }
+    int main() {
+      kbin(5, 3); kstore(1, 2); ksel(1, 4, 5); q[0] = 1; q[1] = 1;
+      kdiv(); krem(); kload(2);
+      return o[0];
+    }|}
+
+(* If-conversion copies each arm into a register of its own block, so
+   [ksel] is written by hand: a select whose arms are its parameters. *)
+let with_direct_select (p : Ir.Program.t) =
+  let reg = Ir.Instr.reg in
+  let c = reg "c" Ir.Types.I32 and u = reg "u" Ir.Types.I32
+  and v = reg "v" Ir.Types.I32 in
+  let t = reg "t" Ir.Types.Bool and r = reg "r" Ir.Types.I32 in
+  let ksel =
+    Ir.Func.v ~name:"ksel" ~params:[ c; u; v ] ~ret:None
+      ~blocks:
+        [ Ir.Block.v ~label:"entry0"
+            ~instrs:
+              [ Ir.Instr.Compare
+                  (t, Ir.Op.Gt, Ir.Instr.Reg c, Ir.Instr.Imm_int 0);
+                Ir.Instr.Select
+                  (r, Ir.Instr.Reg t, Ir.Instr.Reg u, Ir.Instr.Reg v);
+                Ir.Instr.Store
+                  ( { Ir.Instr.base = "o"; index = Ir.Instr.Imm_int 1 },
+                    Ir.Instr.Reg r ) ]
+            ~term:(Ir.Instr.Return None) ]
+  in
+  Ir.Validate.check_exn
+    { p with
+      Ir.Program.funcs =
+        List.map
+          (fun (f : Ir.Func.t) ->
+            if String.equal f.Ir.Func.name "ksel" then ksel else f)
+          p.Ir.Program.funcs }
+
+let test_sim_error_order () =
+  let a =
+    Core.Cayman.analyze
+      (with_direct_select
+         (Ir.Validate.program (Cayman_frontend.Lower.compile errors_src)))
+  in
+  let program = Ir.Validate.program a.Core.Cayman.program in
+  let run ?(undriven = []) ?(env = []) func =
+    let ctx, _, nl = find_netlist a ~func ~region:"func:entry0" seq_cfg in
+    let nl =
+      { nl with
+        Hls.Netlist.nl_arch_regs =
+          List.filter
+            (fun (r, _) -> not (List.mem r undriven))
+            nl.Hls.Netlist.nl_arch_regs }
+    in
+    match
+      Rtl.Sim.run ctx nl
+        ~env:(fun id -> List.assoc_opt id env)
+        ~mem:(Sim.Memory.create program)
+    with
+    | o -> Ok o
+    | exception Rtl.Sim.Rtl_error m -> Error ("Rtl_error: " ^ m)
+    | exception Sim.Interp.Runtime_error m -> Error ("Runtime_error: " ^ m)
+    | exception Sim.Memory.Fault m -> Error ("memory fault: " ^ m)
+  in
+  let expect name want got =
+    match got with
+    | Ok _ -> Alcotest.failf "%s: simulation succeeded" name
+    | Error m -> Alcotest.(check string) name want m
+  in
+  let i n = Sim.Value.Vint n in
+  expect "division by zero" "Runtime_error: integer division by zero"
+    (run "kdiv");
+  expect "remainder by zero" "Runtime_error: integer remainder by zero"
+    (run "krem");
+  expect "load out of bounds" "memory fault: index 4 out of bounds for p[4]"
+    (run ~env:[ "i", i 4 ] "kload");
+  expect "store out of bounds"
+    "memory fault: index -1 out of bounds for p[4]"
+    (run ~env:[ "i", i (-1) ] "kstore");
+  expect "binary reads b before a"
+    "Rtl_error: undriven register %y in block entry0"
+    (run ~undriven:[ "x"; "y" ] "kbin");
+  expect "binary reads a" "Rtl_error: undriven register %x in block entry0"
+    (run ~undriven:[ "x" ] "kbin");
+  expect "store reads the value before the index"
+    "Rtl_error: undriven register %v in block entry0"
+    (run ~undriven:[ "i"; "v" ] "kstore");
+  expect "store reads the index"
+    "Rtl_error: undriven register %i in block entry0"
+    (run ~undriven:[ "i" ] "kstore");
+  expect "select reads the arm it takes"
+    "Rtl_error: undriven register %u in block entry0"
+    (run ~undriven:[ "u"; "v" ] ~env:[ "c", i 1 ] "ksel");
+  expect "select reads the other arm"
+    "Rtl_error: undriven register %v in block entry0"
+    (run ~undriven:[ "u"; "v" ] "ksel");
+  match run ~undriven:[ "v" ] ~env:[ "c", i 1; "u", i 9 ] "ksel" with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "the arm a select skips was read: %s" m
 
 (* --- co-simulation memory traffic ---
 
@@ -506,6 +932,106 @@ let test_cosim_no_per_invocation_major_alloc () =
       "direct major allocation grows with invocations: %.0f words at 10, \
        %.0f at 40"
       g10 g40
+
+(* --- netlist simulator allocation ---
+
+   A datapath step reads and writes unboxed banks, so the minor words of
+   one invocation do not depend on how many instructions it executes:
+   the same loop kernel at 10 and at 1000 iterations, sequential and
+   pipelined, int and float arithmetic, loads, stores and a select. *)
+
+let trips_src n =
+  Printf.sprintf
+    {|const int N = %d;
+      float a[16]; float out[16]; int cnt[1];
+      void kernel() {
+        int c = 0;
+        for (int i = 0; i < N; i++) {
+          int k = i %% 16;
+          out[k] = a[k] * 2.0 + out[k];
+          if (a[k] > 0.5) { c = c + 1; }
+        }
+        cnt[0] = c;
+      }
+      int main() {
+        for (int i = 0; i < 16; i++) { a[i] = 1.0; }
+        kernel();
+        return cnt[0];
+      }|}
+    n
+
+let exec_minor_words n cfg =
+  let a = Core.Cayman.analyze (Cayman_frontend.Lower.compile (trips_src n)) in
+  let ctx, _, nl =
+    find_netlist a ~func:"kernel" ~region:"loop:loop_head1" cfg
+  in
+  let program = Ir.Validate.program a.Core.Cayman.program in
+  let sim = Rtl.Sim.compile ctx nl in
+  let mem = Sim.Memory.create program in
+  let exec () = Rtl.Sim.exec sim ~env:(fun _ -> None) ~mem in
+  let (_ : Rtl.Sim.outcome) = exec () in
+  let before = Gc.minor_words () in
+  let o = exec () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "the loop ran" true
+    (o.Rtl.Sim.o_iterations + o.Rtl.Sim.o_activations > n);
+  words
+
+let test_sim_no_per_instruction_alloc () =
+  List.iter
+    (fun cfg ->
+      let w10 = exec_minor_words 10 cfg
+      and w1000 = exec_minor_words 1000 cfg in
+      if w1000 > w10 then
+        Alcotest.failf
+          "%s: minor words grow with the trip count: %.0f at 10 iterations, \
+           %.0f at 1000"
+          (Hls.Kernel.config_to_string cfg)
+          w10 w1000)
+    [ seq_cfg; pipe_cfg ]
+
+(* --- the RTL work count ---
+
+   [rtl.sim_instrs] counts the datapath instructions of every state
+   activation and pipeline step. Every entry of a region is
+   co-simulated, so it equals the golden profile's work in the region:
+   the sum over its blocks of executions times instructions. *)
+let test_sim_instrs_match_profile () =
+  let counter = Obs.Metrics.counter "rtl.sim_instrs" in
+  List.iter
+    (fun name ->
+      let a = Core.Cayman.analyze (Suite.compile (Suite.find_exn name)) in
+      let r = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a in
+      let specs =
+        specs_of a (Core.Cayman.best_under_ratio r ~budget_ratio:0.25)
+      in
+      let expected =
+        List.fold_left
+          (fun acc (spec : Rtl.Cosim.spec) ->
+            let ctx = spec.Rtl.Cosim.k_ctx in
+            An.Region.String_set.fold
+              (fun l acc ->
+                acc
+                + Hls.Ctx.block_exec ctx l
+                  * Array.length (Hls.Ctx.dfg ctx l).Hls.Dfg.instrs)
+              spec.Rtl.Cosim.k_region.An.Region.blocks acc)
+          0 specs
+      in
+      let before = Obs.Metrics.value counter in
+      let reports =
+        Memo.Store.without_cache (fun () ->
+            Rtl.Cosim.run_many a.Core.Cayman.program specs)
+      in
+      List.iter
+        (fun rep ->
+          if not (Rtl.Cosim.functional_ok rep) then
+            Alcotest.failf "functional mismatch:\n%s"
+              (Rtl.Cosim.report_to_string rep))
+        reports;
+      Alcotest.(check bool) (name ^ ": kernels selected") true (specs <> []);
+      Alcotest.(check int) (name ^ ": rtl.sim_instrs") expected
+        (Obs.Metrics.value counter - before))
+    [ "atax"; "fft"; "mvt" ]
 
 (* --- tracing ---
 
@@ -570,8 +1096,22 @@ let tests =
       test_sim_errors;
     Alcotest.test_case "sim: unreachable damage is never raised" `Quick
       test_sim_unreachable_damage;
+    Alcotest.test_case "cosim: a state without a data-flow graph" `Quick
+      test_cosim_no_dfg_is_a_sim_error;
+    Alcotest.test_case "sim: fault semantics of cross-type swaps and bits"
+      `Quick test_fault_semantics;
+    Alcotest.test_case "sim: a register committed twice counts two writes"
+      `Quick test_fault_counts_double_commit;
+    Alcotest.test_case "sim: every operator agrees with the golden run"
+      `Quick test_datapath_parity;
+    Alcotest.test_case "sim: datapath errors and their order" `Quick
+      test_sim_error_order;
     Alcotest.test_case "cosim: no major allocation per invocation" `Quick
       test_cosim_no_per_invocation_major_alloc;
+    Alcotest.test_case "sim: no allocation per datapath instruction" `Quick
+      test_sim_no_per_instruction_alloc;
+    Alcotest.test_case "sim: rtl.sim_instrs is the profiled region work"
+      `Quick test_sim_instrs_match_profile;
     Alcotest.test_case "trace: rtl.sim nests inside sim.interp" `Quick
       test_cosim_trace_spans;
     qcheck_cosim_smoke ]
