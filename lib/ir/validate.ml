@@ -175,7 +175,11 @@ let check (p : Program.t) =
         errors := err "program" "duplicate global %s" g.Program.gname :: !errors;
       Hashtbl.replace seen g.Program.gname ();
       if Program.global_size g <= 0 then
-        errors := err g.Program.gname "global has non-positive size" :: !errors)
+        errors := err g.Program.gname "global has non-positive size" :: !errors;
+      (* program memory holds int and float cells only, and MiniC
+         cannot declare a bool array *)
+      if Types.equal g.Program.elem Types.Bool then
+        errors := err g.Program.gname "global has bool elements" :: !errors)
     p.Program.globals;
   let fseen = Hashtbl.create 8 in
   List.iter2

@@ -4,10 +4,10 @@
     exist, operand and instruction typing, known globals and callees, and
     a forward must-defined data-flow analysis that flags registers possibly
     read before written. Program-level: main exists, globals are unique
-    with positive sizes, function names are unique. A program that
-    passes comes back as a {!t}, with the indices the check built
-    ({!Cfg.of_program}); only this module makes one, so a stage that
-    takes it needs no check and no index of its own. *)
+    with positive sizes and int or float elements, function names are
+    unique. A program that passes comes back as a {!t}, with the indices
+    the check built ({!Cfg.of_program}); only this module makes one, so
+    a stage that takes it needs no check and no index of its own. *)
 
 type error = { where : string; message : string }
 

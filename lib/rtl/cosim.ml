@@ -27,6 +27,15 @@ module Interp = Cayman_sim.Interp
    (unsynthesizable otherwise), so every golden observation between
    entry and exit belongs to the same invocation.
 
+   The golden run ends as soon as no kernel can act again. Each kernel
+   also watches its done points ({!done_points}): blocks from which
+   neither the current activation nor any caller waiting on the stack
+   can reach the kernel's region again. A kernel with no pending
+   invocation is done at one of them, and a capped kernel is done at
+   the entry that finds its cap reached; once every kernel is done,
+   nothing the rest of the program does can change a report, so the
+   run stops there.
+
    Simulated cycles accumulate across invocations and are compared to
    {!Hls.Kernel.estimate}'s [accel_cycles] under a documented tolerance:
    the estimator works from profiled *average* trip counts (rounded) and
@@ -159,6 +168,138 @@ let region_exits (ctx : Hls.Ctx.t) (region : An.Region.t) =
          else [])
        ctx.Hls.Ctx.func.Ir.Func.blocks)
 
+module String_set = An.Region.String_set
+
+(* The done points of a region of [func]: the (function, label) pairs
+   of the blocks v of every function g such that, once control enters v
+   in some activation of g, no activation can enter the region again.
+
+   R holds [func] and every function that may transitively call it.
+   [live g v] holds when, from the entry of block v, the current
+   activation of g may still reach a block of the region (in [func])
+   or a block that calls into R; it is the backward closure over
+   [preds] of those blocks. Every block of the region is a seed, not
+   only its entry: the inner blocks of a conditional region need not
+   reach its entry, and its exit must still count as leaving it.
+   [unsafe g] is the least set such that g is unsafe when some call
+   site of g, in a function h, may be followed by a call into R in the
+   rest of its block, by a live successor of its block, or when h is
+   itself unsafe: a caller waiting on such a call site could still
+   reach the region once g returns. A done point is a block v of a
+   function g that is not unsafe, where v is not live and has a live
+   predecessor, so that it is reached exactly when the current
+   activation gives up its last way back to the region. *)
+let done_points (program : Ir.Cfg.program) func (region : An.Region.t) =
+  let funcs =
+    List.concat
+      (List.map2
+         (fun (f : Ir.Func.t) ix ->
+           match ix with
+           | Some (cfg, _) -> [ f.Ir.Func.name, cfg ]
+           | None -> [])
+         program.Ir.Cfg.program.Ir.Program.funcs program.Ir.Cfg.funcs)
+  in
+  let callee (i : Ir.Instr.t) =
+    match i with
+    | Ir.Instr.Call (_, g, _) -> Some g
+    | Ir.Instr.Assign _ | Ir.Instr.Unary _ | Ir.Instr.Binary _
+    | Ir.Instr.Compare _ | Ir.Instr.Select _ | Ir.Instr.Load _
+    | Ir.Instr.Store _ ->
+      None
+  in
+  let calls_into r instrs =
+    List.exists
+      (fun i ->
+        match callee i with
+        | Some g -> String_set.mem g r
+        | None -> false)
+      instrs
+  in
+  let rec callers_closure r =
+    let r' =
+      List.fold_left
+        (fun r (g, (cfg : Ir.Cfg.t)) ->
+          if
+            Array.exists
+              (fun (b : Ir.Block.t) -> calls_into r b.Ir.Block.instrs)
+              cfg.Ir.Cfg.blocks
+          then String_set.add g r
+          else r)
+        r funcs
+    in
+    if String_set.equal r r' then r else callers_closure r'
+  in
+  let into_r = callers_closure (String_set.singleton func) in
+  let live =
+    List.map
+      (fun (g, (cfg : Ir.Cfg.t)) ->
+        let l = Array.make cfg.Ir.Cfg.size false in
+        let rec seed v =
+          if not l.(v) then begin
+            l.(v) <- true;
+            Array.iter seed cfg.Ir.Cfg.preds.(v)
+          end
+        in
+        Array.iteri
+          (fun v (b : Ir.Block.t) ->
+            if
+              calls_into into_r b.Ir.Block.instrs
+              || String.equal g func
+                 && String_set.mem cfg.Ir.Cfg.labels.(v)
+                      region.An.Region.blocks
+            then seed v)
+          cfg.Ir.Cfg.blocks;
+        g, l)
+      funcs
+  in
+  let unsafe = Hashtbl.create 8 in
+  let rec mark g =
+    if not (Hashtbl.mem unsafe g) then begin
+      Hashtbl.replace unsafe g ();
+      (* every callee of an unsafe function is unsafe *)
+      Option.iter
+        (fun (cfg : Ir.Cfg.t) ->
+          Array.iter
+            (fun (b : Ir.Block.t) ->
+              List.iter
+                (fun i -> Option.iter mark (callee i))
+                b.Ir.Block.instrs)
+            cfg.Ir.Cfg.blocks)
+        (List.assoc_opt g funcs)
+    end
+  in
+  List.iter
+    (fun (h, (cfg : Ir.Cfg.t)) ->
+      let l = List.assoc h live in
+      Array.iteri
+        (fun v (b : Ir.Block.t) ->
+          let succ_live = Array.exists (fun s -> l.(s)) cfg.Ir.Cfg.succs.(v) in
+          let rec scan = function
+            | [] -> ()
+            | i :: rest ->
+              (match callee i with
+               | Some g when succ_live || calls_into into_r rest -> mark g
+               | Some _ | None -> ());
+              scan rest
+          in
+          scan b.Ir.Block.instrs)
+        cfg.Ir.Cfg.blocks)
+    funcs;
+  List.concat_map
+    (fun (g, (cfg : Ir.Cfg.t)) ->
+      if Hashtbl.mem unsafe g then []
+      else
+        let l = List.assoc g live in
+        List.filter_map
+          (fun v ->
+            if
+              (not l.(v))
+              && Array.exists (fun p -> l.(p)) cfg.Ir.Cfg.preds.(v)
+            then Some (g, cfg.Ir.Cfg.labels.(v))
+            else None)
+          (List.init cfg.Ir.Cfg.size Fun.id))
+    funcs
+
 (* per-kernel live state during the observed run *)
 type kstate = {
   ks_spec : spec;
@@ -176,6 +317,7 @@ type kstate = {
   mutable ks_n_mm : int;
   mutable ks_capped : bool;
   mutable ks_fault_fired : bool;
+  mutable ks_done : bool;  (* nothing later in the run changes the report *)
 }
 
 let note ks kind fmt =
@@ -270,6 +412,10 @@ let m_kernels = Obs.Metrics.counter "rtl.cosim_kernels"
 let m_invocations = Obs.Metrics.counter "rtl.cosim_invocations"
 let m_sim_cycles = Obs.Metrics.counter "rtl.cosim_sim_cycles"
 let m_mismatches = Obs.Metrics.counter "rtl.cosim_mismatches"
+let m_golden_stops = Obs.Metrics.counter "rtl.cosim_golden_stops"
+
+(* Raised by a watch handler once every kernel of the run is done. *)
+exception Golden_done
 
 let fp_cosim = Obs.Faultpoint.register "cosim"
 
@@ -345,21 +491,28 @@ let run_many_uncached ?fuel ?(tolerance = default_tolerance) ?max_invocations
           ks_mm = [];
           ks_n_mm = 0;
           ks_capped = false;
-          ks_fault_fired = false })
+          ks_fault_fired = false;
+          ks_done = false })
       specs
   in
-  (* The dispatch table, built once per run. A kernel acts at two kinds
+  (* The dispatch table, built once per run. A kernel acts at three kinds
      of watch point: at a block its region exits to, it resolves its
-     pending invocation; at its region's entry, it enters. A kernel
-     region holds no calls, so the first block the golden run executes
-     outside the region after an entry is one of those exits. Each point
-     lists its kernels in [kstates] order, as does each function's
-     return. *)
-  let acts = Hashtbl.create 16 and returns = Hashtbl.create 4 in
+     pending invocation; at its region's entry, it enters; at one of its
+     done points, it is done. A kernel region holds no calls, so the
+     first block the golden run executes outside the region after an
+     entry is one of those exits. Each point lists its entries and exits
+     in [kstates] order, then its done points in the same order, so a
+     kernel is done only after the block has resolved it; each
+     function's return lists its kernels in [kstates] order. *)
+  let acts = Hashtbl.create 16
+  and dones = Hashtbl.create 16
+  and returns = Hashtbl.create 4 in
   let add tbl key x =
     Hashtbl.replace tbl key
       (x :: Option.value (Hashtbl.find_opt tbl key) ~default:[])
   in
+  let checked = (program :> Ir.Cfg.program) in
+  let done_points_of = Hashtbl.create 8 in
   List.iter
     (fun ks ->
       let region = ks.ks_spec.k_region in
@@ -367,17 +520,42 @@ let run_many_uncached ?fuel ?(tolerance = default_tolerance) ?max_invocations
       List.iter
         (fun l -> add acts (ks.ks_func, l) (`Exit ks))
         (region_exits ks.ks_spec.k_ctx region);
+      let key =
+        ks.ks_func, String_set.elements region.An.Region.blocks
+      in
+      let points =
+        match Hashtbl.find_opt done_points_of key with
+        | Some points -> points
+        | None ->
+          let points = done_points checked ks.ks_func region in
+          Hashtbl.replace done_points_of key points;
+          points
+      in
+      List.iter (fun point -> add dones point ks) points;
       add returns ks.ks_func ks)
     (List.rev kstates);
-  let block_watch label kacts : Interp.block_watch =
+  let remaining = ref (List.length kstates) in
+  let finish ks =
+    if (not ks.ks_done) && ks.ks_pending = None then begin
+      ks.ks_done <- true;
+      decr remaining
+    end
+  in
+  let block_watch label kacts kdones : Interp.block_watch =
     let exit = `Exit label in
     fun ~read ~mem ->
       List.iter
         (function
           | `Exit ks -> if ks.ks_pending <> None then resolve ks read mem exit
           | `Enter ks ->
-            if ks.ks_pending = None then enter ks max_invocations read mem)
-        kacts
+            if ks.ks_pending = None then begin
+              enter ks max_invocations read mem;
+              (* past its cap, an entry changes nothing in the report *)
+              if ks.ks_capped then finish ks
+            end)
+        kacts;
+      List.iter finish kdones;
+      if !remaining = 0 then raise Golden_done
   in
   let return_watch kss : Interp.return_watch =
     fun ~read ~value ~mem ->
@@ -389,15 +567,24 @@ let run_many_uncached ?fuel ?(tolerance = default_tolerance) ?max_invocations
   let observer =
     { Interp.obs_block =
         (fun ~func ~label ->
-          Option.map (block_watch label) (Hashtbl.find_opt acts (func, label)));
+          let find tbl =
+            Option.value (Hashtbl.find_opt tbl (func, label)) ~default:[]
+          in
+          match find acts, find dones with
+          | [], [] -> None
+          | kacts, kdones -> Some (block_watch label kacts kdones));
       obs_return =
         (fun ~func -> Option.map return_watch (Hashtbl.find_opt returns func))
     }
   in
-  let fuel = Engine.Config.fuel ?fuel () in
-  let (_ : Interp.result) =
-    Interp.run ~fuel ~observer (program :> Ir.Cfg.program)
-  in
+  (* A run with no kernel has nothing to watch and is done before it
+     starts. *)
+  if kstates <> [] then begin
+    let fuel = Engine.Config.fuel ?fuel () in
+    match Interp.run ~fuel ~observer checked with
+    | (_ : Interp.result) -> ()
+    | exception Golden_done -> Obs.Metrics.incr m_golden_stops
+  end;
   List.map
     (fun ks ->
       (* a pending invocation can only survive the run if the golden

@@ -9,7 +9,16 @@
     netlist or the golden region stores to; no other array can differ),
     the exit edge, and the return value. Simulated cycles are summed
     across invocations and compared to the estimator's [accel_cycles]
-    under {!tolerance}; functional equivalence is always exact. *)
+    under {!tolerance}; functional equivalence is always exact.
+
+    The golden run ends as soon as no kernel can act again: at a block
+    from which neither the current activation nor any caller waiting on
+    the stack can reach a kernel's region again (once that kernel has no
+    pending invocation), or at the entry that finds a kernel's
+    [max_invocations] reached, whichever makes the last kernel done. A
+    run ended there publishes no profile, like any run that raises, and
+    counts in [rtl.cosim_golden_stops]; what the program would have done
+    afterwards, a fault or fuel exhaustion included, is not seen. *)
 
 (** Cycle-agreement bound: [|est - sim| <= tol_abs + tol_rel * sim].
     The estimator rounds profiled average trip counts; the simulator
@@ -87,7 +96,9 @@ type spec = {
     @raise Invalid_argument if a spec's kernel is not synthesizable, or
     if [faults] has a different length than [specs].
     @raise Cayman_sim.Interp.Runtime_error if the golden program itself
-    faults. *)
+    faults before every kernel is done.
+    @raise Cayman_sim.Interp.Out_of_fuel if the golden program runs out
+    of [fuel] before every kernel is done. *)
 val run_many :
   ?fuel:int ->
   ?tolerance:tolerance ->

@@ -36,7 +36,11 @@ type result = {
     memory. A resolver must not depend on when or how often it is
     called. To observe every block, return [Some] for every label.
     [Rtl.Cosim] watches only its kernels' region entries, the blocks
-    control leaves a region to, and the returns of their functions. *)
+    control leaves a region to, the returns of their functions, and
+    the blocks past which no kernel can be entered again; it ends the
+    run by raising from a handler: {!run} lets an exception a handler
+    raises through unchanged, and both engines run the same handlers
+    before it. *)
 
 type block_watch =
   read:(string -> Value.t option) -> mem:Memory.t -> unit

@@ -1997,6 +1997,86 @@ let test_fig6_observer_parity () =
     Cayman_suites.Suite.fig6
 
 (* ------------------------------------------------------------------ *)
+(* An exception from a watch handler                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Rtl.Cosim ends a golden run by raising from a watch handler. Both
+   engines must let that exception through unchanged, after the same
+   handler calls: the k-th call raises, for a k early, in the middle and
+   at the last call of a complete run, with every block, the loop
+   headers only, or the returns watched. *)
+exception Watch_stop of int
+
+let stopping_observer (watch : watch) k =
+  let calls = ref 0 in
+  let hit () =
+    incr calls;
+    if !calls = k then raise (Watch_stop k)
+  in
+  ( { Sim.Interp.obs_block =
+        (fun ~func ~label ->
+          if watch ~func ~label:(Some label) then
+            Some (fun ~read:_ ~mem:_ -> hit ())
+          else None);
+      obs_return =
+        (fun ~func ->
+          if watch ~func ~label:None then
+            Some (fun ~read:_ ~value:_ ~mem:_ -> hit ())
+          else None) },
+    calls )
+
+let test_watch_exception () =
+  let watches =
+    [ "every block", (fun ~func:_ ~label -> label <> None);
+      ( "loop headers",
+        fun ~func:_ ~label ->
+          match label with
+          | Some l -> Testutil.contains l "loop_head"
+          | None -> false );
+      "returns", (fun ~func:_ ~label -> label = None) ]
+  in
+  List.iter
+    (fun index ->
+      let p =
+        Cayman_frontend.Lower.compile
+          (Fleet.Genprog.minic_source ~seed:5 ~index)
+      in
+      List.iter
+        (fun (wname, (watch : watch)) ->
+          let name = Printf.sprintf "genprog 5/%d, %s" index wname in
+          let total =
+            let obs, calls = stopping_observer watch 0 in
+            ignore
+              (run_bench_engine name ~observer:obs Sim.Interp.Reference p);
+            !calls
+          in
+          if total = 0 then Alcotest.failf "%s: no watch point ran" name;
+          List.iter
+            (fun k ->
+              let stopped engine =
+                let obs, calls = stopping_observer watch k in
+                match
+                  Sim.Interp.run ~engine ~observer:obs (p :> Ir.Cfg.program)
+                with
+                | _ -> Alcotest.failf "%s: the run outlived call %d" name k
+                | exception Watch_stop k' -> k', !calls
+                | exception e ->
+                  Alcotest.failf "%s (%s): %s" name
+                    (Sim.Interp.engine_name engine)
+                    (Printexc.to_string e)
+              in
+              let label = Printf.sprintf "%s, raise at call %d" name k in
+              Alcotest.(check (pair int int))
+                (label ^ " (reference)") (k, k)
+                (stopped Sim.Interp.Reference);
+              Alcotest.(check (pair int int))
+                (label ^ " (staged)") (k, k)
+                (stopped Sim.Interp.Staged))
+            (List.sort_uniq compare [ 1; 2; (total + 1) / 2; total ]))
+        watches)
+    [ 0; 1; 2; 3 ]
+
+(* ------------------------------------------------------------------ *)
 (* Engine selection plumbing                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -2099,5 +2179,7 @@ let tests =
     Alcotest.test_case "28-benchmark suite parity" `Quick test_suite_parity;
     Alcotest.test_case "fig6 observer-stream parity" `Quick
       test_fig6_observer_parity;
+    Alcotest.test_case "an exception from a watch handler" `Quick
+      test_watch_exception;
     Alcotest.test_case "engine selection plumbing" `Quick
       test_engine_selection ]

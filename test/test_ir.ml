@@ -139,6 +139,23 @@ let test_unknown_global () =
   expect_invalid "unknown global" p
     [ "main/entry: unknown global ghost" ]
 
+(* Memory has no bool cells, so a bool-element global is refused here
+   rather than faulting at its first store. *)
+let test_bool_global () =
+  let c = reg "c" Ir.Types.Bool and v = reg "v" Ir.Types.Bool in
+  let flag = { Ir.Instr.base = "flags"; index = Ir.Instr.Imm_int 0 } in
+  let g = { Ir.Program.gname = "flags"; elem = Ir.Types.Bool; dims = [ 4 ] } in
+  let p =
+    program_of_blocks ~globals:[ g ]
+      [ block "entry"
+          [ Ir.Instr.Compare
+              (c, Ir.Op.Lt, Ir.Instr.Imm_int 1, Ir.Instr.Imm_int 2);
+            Ir.Instr.Store (flag, Ir.Instr.Reg c);
+            Ir.Instr.Load (v, flag) ]
+          (Ir.Instr.Return None) ]
+  in
+  expect_invalid "bool global" p [ "flags: global has bool elements" ]
+
 let test_load_type_mismatch () =
   let r = reg "x" Ir.Types.I32 in
   let g = { Ir.Program.gname = "a"; elem = Ir.Types.F32; dims = [ 4 ] } in
@@ -417,6 +434,7 @@ let tests =
     Alcotest.test_case "int branch condition rejected" `Quick
       test_branch_condition_not_bool;
     Alcotest.test_case "unknown global rejected" `Quick test_unknown_global;
+    Alcotest.test_case "bool-element global rejected" `Quick test_bool_global;
     Alcotest.test_case "load type mismatch rejected" `Quick
       test_load_type_mismatch;
     Alcotest.test_case "register retyping rejected" `Quick test_register_retyped;

@@ -312,46 +312,96 @@ let test_cosim_shared_exit_entry () =
            [ ka; kb ]))
     [ Sim.Interp.Reference; Sim.Interp.Staged ]
 
-(* --- random-program smoke test --- *)
+(* --- the co-simulation oracle over generated programs ---
 
-let compile_ok src =
-  try Ok (Cayman_frontend.Lower.compile src) with
-  | Cayman_frontend.Diag.Error d ->
-    Error (Cayman_frontend.Diag.to_string d)
+   For every synthesizable kernel of a Fleet.Genprog program (every
+   region in every configuration the DSE sweeps: the three interface
+   modes, sequential and unroll 1/2/4/8 pipelined, decoupled-preferred),
+   under a random invocation cap or none: the kernel's report from a
+   singleton run equals its report from one run over all the kernels,
+   and its invocations, counting the capped entry, equal the region
+   entries that a complete observed run counts. The singleton runs go
+   through the pool, so the schedule must not matter either. *)
 
-(* Small invocation budget; each kernel co-simulated independently
-   through the pool so the jobs=1 and jobs=4 schedules must agree
-   report-for-report. Every configuration the DSE sweeps is covered:
-   the three interface modes, sequential and unroll 1/2/4/8 pipelined,
-   and decoupled-preferred. *)
-let qcheck_cosim_smoke =
-  Testutil.qtest ~count:8
-    "random-program co-simulation is exact and job-count independent"
-    Test_random.arb_prog (fun p ->
-      match compile_ok (Test_random.prog_to_minic p) with
-      | Error m -> QCheck.Test.fail_report m
-      | Ok program ->
-        let a = Core.Cayman.analyze ~fuel:50_000_000 program in
-        let program = a.Core.Cayman.program in
-        let specs =
-          List.map
-            (fun (ctx, region, cfg, _) ->
-              { Rtl.Cosim.k_ctx = ctx; k_region = region; k_config = cfg })
-            (netlists_of a all_mode_configs)
-        in
-        (match specs with
-         | [] -> true  (* nothing synthesizable: vacuous but legal *)
-         | specs ->
-           let run jobs =
-             Engine.Pool.map ~jobs
-               (fun spec ->
-                 Rtl.Cosim.run ~fuel:50_000_000 ~max_invocations:4 program
-                   spec)
-               specs
-           in
-           let r1 = run 1 in
-           let r4 = run 4 in
-           r1 = r4 && List.for_all Rtl.Cosim.functional_ok r1))
+(* Entries of [region] in a complete run: entries of its entry block
+   from a block of [func] outside the region, or from a call. *)
+let region_entries (program : Ir.Validate.t) func (region : An.Region.t) =
+  let entries = ref 0 and inside = ref false in
+  let observer =
+    { Sim.Interp.obs_block =
+        (fun ~func:f ~label ->
+          if String.equal f func then
+            Some
+              (fun ~read:_ ~mem:_ ->
+                if String.equal label region.An.Region.entry && not !inside
+                then incr entries;
+                inside :=
+                  An.Region.String_set.mem label region.An.Region.blocks)
+          else None);
+      obs_return =
+        (fun ~func:f ->
+          if String.equal f func then
+            Some (fun ~read:_ ~value:_ ~mem:_ -> inside := false)
+          else None) }
+  in
+  ignore
+    (Sim.Interp.run ~observer (program :> Ir.Cfg.program) : Sim.Interp.result);
+  !entries
+
+let arb_oracle_case =
+  QCheck.make
+    ~print:(fun (index, cap) ->
+      Printf.sprintf "%s\nmax_invocations %s"
+        (Fleet.Genprog.minic_source ~seed:17 ~index)
+        (Option.fold ~none:"none" ~some:string_of_int cap))
+    QCheck.Gen.(pair (int_range 0 999) (opt (int_range 0 3)))
+
+let qcheck_cosim_oracle =
+  Testutil.qtest ~count:10 "cosim oracle on generated programs"
+    arb_oracle_case (fun (index, max_invocations) ->
+      Memo.Store.without_cache @@ fun () ->
+      let a =
+        Core.Cayman.analyze
+          (Cayman_frontend.Lower.compile
+             (Fleet.Genprog.minic_source ~seed:17 ~index))
+      in
+      let program = a.Core.Cayman.program in
+      let specs =
+        List.map
+          (fun (ctx, region, cfg, _) ->
+            { Rtl.Cosim.k_ctx = ctx; k_region = region; k_config = cfg })
+          (netlists_of a all_mode_configs)
+      in
+      let batched = Rtl.Cosim.run_many ?max_invocations program specs in
+      let singles =
+        Engine.Pool.map ~jobs:4
+          (fun spec -> Rtl.Cosim.run ?max_invocations program spec)
+          specs
+      in
+      List.for_all2
+        (fun (spec : Rtl.Cosim.spec) ((single : Rtl.Cosim.report), batch) ->
+          let entries =
+            region_entries program
+              spec.Rtl.Cosim.k_ctx.Hls.Ctx.func.Ir.Func.name
+              spec.Rtl.Cosim.k_region
+          in
+          let seen =
+            single.Rtl.Cosim.r_invocations
+            + if single.Rtl.Cosim.r_capped then 1 else 0
+          in
+          let want =
+            match max_invocations with
+            | Some cap -> min entries (cap + 1)
+            | None -> entries
+          in
+          if single <> batch then
+            QCheck.Test.fail_reportf "%s: singleton and batched reports differ"
+              single.Rtl.Cosim.r_kernel
+          else if seen <> want then
+            QCheck.Test.fail_reportf "%s: %d invocations seen, %d entries"
+              single.Rtl.Cosim.r_kernel seen want
+          else Rtl.Cosim.functional_ok single)
+        specs (List.combine singles batched))
 
 (* --- netlist simulator error paths ---
 
@@ -1082,6 +1132,280 @@ let test_cosim_trace_spans () =
         Alcotest.fail "an rtl.sim span is not nested inside sim.interp")
     sims
 
+(* --- when the golden run stops ---
+
+   Each program stores [dv[0] = 1] first and later divides by a value
+   derived from [dv[0]]. The analysis profiles it as written; the golden
+   run under test is the same if-converted program with that store
+   writing 0, so the division faults wherever control reaches it. A
+   fault the stopped run no longer reaches is unseen; one before the
+   stop still raises. *)
+
+let m_golden_stops = Obs.Metrics.counter "rtl.cosim_golden_stops"
+
+let faulting (a : Core.Cayman.analyzed) =
+  let p = Ir.Validate.program a.Core.Cayman.program in
+  let zero_dv (i : Ir.Instr.t) =
+    match i with
+    | Ir.Instr.Store (({ Ir.Instr.base = "dv"; _ } as m), Ir.Instr.Imm_int 1)
+      ->
+      Ir.Instr.Store (m, Ir.Instr.Imm_int 0)
+    | i -> i
+  in
+  let funcs =
+    List.map
+      (fun (f : Ir.Func.t) ->
+        { f with
+          Ir.Func.blocks =
+            List.map
+              (fun (b : Ir.Block.t) ->
+                { b with Ir.Block.instrs = List.map zero_dv b.Ir.Block.instrs })
+              f.Ir.Func.blocks })
+      p.Ir.Program.funcs
+  in
+  let checked = Ir.Validate.check_exn { p with Ir.Program.funcs } in
+  (match Sim.Interp.run (checked :> Ir.Cfg.program) with
+   | _ -> Alcotest.fail "the faulting program runs to completion"
+   | exception Sim.Interp.Runtime_error _ -> ());
+  checked
+
+(* The synthesizable region of [func] of the given kind with the fewest
+   blocks (the innermost loop). *)
+let stop_spec (a : Core.Cayman.analyzed) ~func kind =
+  let regions =
+    List.filter
+      (fun ((ctx : Hls.Ctx.t), (r : An.Region.t), _, _) ->
+        String.equal ctx.Hls.Ctx.func.Ir.Func.name func
+        && r.An.Region.kind = kind)
+      (netlists_of a [ seq_cfg ])
+  in
+  let size (_, (r : An.Region.t), _, _) =
+    An.Region.String_set.cardinal r.An.Region.blocks
+  in
+  match List.sort (fun x y -> compare (size x) (size y)) regions with
+  | (ctx, region, _, _) :: _ ->
+    { Rtl.Cosim.k_ctx = ctx; k_region = region; k_config = seq_cfg }
+  | [] ->
+    Alcotest.failf "no synthesizable %s region in %s"
+      (An.Region.kind_to_string kind)
+      func
+
+let stop_setup src ~func kind =
+  let a = Core.Cayman.analyze (Cayman_frontend.Lower.compile src) in
+  faulting a, stop_spec a ~func kind
+
+(* The reports of a run that must end before its fault, and the golden
+   stops it counted. *)
+let stopped_reports ?max_invocations golden specs =
+  Memo.Store.without_cache @@ fun () ->
+  let before = Obs.Metrics.value m_golden_stops in
+  let reports = Rtl.Cosim.run_many ?max_invocations golden specs in
+  List.iter
+    (fun rep ->
+      if not (Rtl.Cosim.functional_ok rep) then
+        Alcotest.failf "functional mismatch:\n%s"
+          (Rtl.Cosim.report_to_string rep))
+    reports;
+  reports, Obs.Metrics.value m_golden_stops - before
+
+(* Every kernel here runs past its cap when it has one. *)
+let check_stopped ?max_invocations name golden spec ~invocations =
+  match stopped_reports ?max_invocations golden [ spec ] with
+  | [ rep ], stops ->
+    Alcotest.(check int) (name ^ ": invocations") invocations
+      rep.Rtl.Cosim.r_invocations;
+    Alcotest.(check bool) (name ^ ": capped") (max_invocations <> None)
+      rep.Rtl.Cosim.r_capped;
+    Alcotest.(check int) (name ^ ": golden stops") 1 stops
+  | _ -> Alcotest.failf "%s: one report expected" name
+
+let check_faults ?max_invocations name golden specs =
+  Memo.Store.without_cache @@ fun () ->
+  match Rtl.Cosim.run_many ?max_invocations golden specs with
+  | _ -> Alcotest.failf "%s: the fault before the stop went unseen" name
+  | exception Sim.Interp.Runtime_error m ->
+    Alcotest.(check string) name "integer division by zero" m
+
+(* [between] runs after [init] returns and before main's loop. *)
+let init_program between =
+  Printf.sprintf
+    {|const int N = 16;
+      int dv[1]; int a[N]; int b[N]; int out[2];
+      void init() {
+        for (int i = 0; i < N; i++) { a[i] = i * 3; }
+      }
+      int main() {
+        dv[0] = 1;
+        init();
+        %s
+        for (int t = 0; t < 4; t++) {
+          for (int i = 0; i < N; i++) { b[i] = b[i] + a[i]; }
+        }
+        out[1] = 5 / dv[0];
+        return b[3];
+      }|}
+    between
+
+let test_stop_once_called () =
+  let golden, spec =
+    stop_setup (init_program "") ~func:"init" An.Region.Loop_region
+  in
+  check_stopped "init" golden spec ~invocations:1;
+  (* a second call later in the same block keeps the first from ending
+     the run *)
+  let golden, spec =
+    stop_setup (init_program "init();") ~func:"init" An.Region.Loop_region
+  in
+  check_stopped "init twice" golden spec ~invocations:2
+
+(* Two divisors: [in_loop] is evaluated after the call in iteration [t]
+   of main's loop, [after] after the loop. Each must be non-zero for
+   [dv[0] = 1]. *)
+let called_src ~in_loop ~after =
+  Printf.sprintf
+    {|const int N = 16;
+      int dv[1]; int a[N]; int b[N]; int out[2];
+      void kernel() {
+        for (int i = 0; i < N; i++) { b[i] = b[i] + a[i]; }
+      }
+      int main() {
+        dv[0] = 1;
+        for (int i = 0; i < N; i++) { a[i] = i; }
+        for (int t = 0; t < 4; t++) {
+          kernel();
+          out[0] = 5 / (%s);
+        }
+        out[1] = 5 / (%s);
+        return b[3];
+      }|}
+    in_loop after
+
+let test_stop_called_in_loop () =
+  let golden, spec =
+    stop_setup
+      (called_src ~in_loop:"dv[0] + 3 - t" ~after:"1")
+      ~func:"kernel" An.Region.Loop_region
+  in
+  check_faults "fault after the last call" golden [ spec ];
+  let golden, spec =
+    stop_setup
+      (called_src ~in_loop:"1" ~after:"dv[0]")
+      ~func:"kernel" An.Region.Loop_region
+  in
+  check_stopped "fault after the loop" golden spec ~invocations:4
+
+let test_stop_recursive () =
+  let golden, spec =
+    stop_setup
+      {|const int N = 16;
+        int dv[1]; int a[N]; int b[N]; int out[2];
+        void rec(int d) {
+          for (int i = 0; i < N; i++) { b[i] = b[i] + a[i] * d; }
+          if (d > 0) { rec(d - 1); }
+        }
+        int main() {
+          dv[0] = 1;
+          for (int i = 0; i < N; i++) { a[i] = i; }
+          rec(3);
+          out[1] = 5 / dv[0];
+          return b[3];
+        }|}
+      ~func:"rec" An.Region.Loop_region
+  in
+  check_stopped "recursive" golden spec ~invocations:4
+
+let test_stop_in_main () =
+  let golden, spec =
+    stop_setup
+      {|const int N = 16;
+        int dv[1]; int a[N]; int b[N]; int out[2];
+        int main() {
+          dv[0] = 1;
+          for (int i = 0; i < N; i++) { a[i] = i; }
+          for (int t = 0; t < 4; t++) {
+            for (int i = 0; i < N; i++) { b[i] = b[i] + a[i] * t; }
+          }
+          out[1] = 5 / dv[0];
+          return b[3];
+        }|}
+      ~func:"main" An.Region.Loop_region
+  in
+  check_stopped "main" golden spec ~invocations:4
+
+(* The region is a branch over two loops, run once: its exit is the
+   only block where the golden run can learn it is done, and the inner
+   blocks cannot reach its entry. *)
+let test_stop_conditional () =
+  let golden, spec =
+    stop_setup
+      {|const int N = 16;
+        int dv[1]; int a[N]; int b[N]; int out[2];
+        int main() {
+          dv[0] = 1;
+          for (int i = 0; i < N; i++) { a[i] = i; }
+          if (a[1] > 0) {
+            for (int i = 0; i < N; i++) { b[i] = a[i] * 2; }
+          } else {
+            for (int i = 0; i < N; i++) { b[i] = a[i] + 1; }
+          }
+          out[0] = b[3];
+          out[1] = 5 / dv[0];
+          return out[0];
+        }|}
+      ~func:"main" An.Region.Cond_region
+  in
+  check_stopped "conditional" golden spec ~invocations:1
+
+(* An early kernel (in [init]) and a late one (main's loop): the run
+   stops only once the late one is done, so a fault between the two is
+   seen by the batch and not by the early kernel alone. *)
+let test_stop_waits_for_late_kernel () =
+  let a =
+    Core.Cayman.analyze (Cayman_frontend.Lower.compile (init_program ""))
+  in
+  let early = stop_spec a ~func:"init" An.Region.Loop_region
+  and late = stop_spec a ~func:"main" An.Region.Loop_region in
+  let golden = faulting a in
+  let single spec =
+    match stopped_reports golden [ spec ] with
+    | [ rep ], _ -> rep
+    | _ -> Alcotest.fail "one report expected"
+  in
+  (match stopped_reports golden [ early; late ] with
+   | [ e; l ], stops ->
+     Alcotest.(check int) "golden stops" 1 stops;
+     Alcotest.(check int) "late invocations" 4 l.Rtl.Cosim.r_invocations;
+     Alcotest.(check bool) "early report alone" true (e = single early);
+     Alcotest.(check bool) "late report alone" true (l = single late)
+   | _ -> Alcotest.fail "two reports expected");
+  let a =
+    Core.Cayman.analyze
+      (Cayman_frontend.Lower.compile (init_program "out[0] = 5 / dv[0];"))
+  in
+  let early = stop_spec a ~func:"init" An.Region.Loop_region
+  and late = stop_spec a ~func:"main" An.Region.Loop_region in
+  let golden = faulting a in
+  check_stopped "early alone" golden early ~invocations:1;
+  check_faults "fault between the kernels" golden [ early; late ]
+
+(* With one invocation allowed, the run stops at the second entry: a
+   fault after it is unseen, one before it raises. *)
+let test_stop_capped () =
+  let golden, spec =
+    stop_setup
+      (called_src ~in_loop:"dv[0] * 4 + 1 - t" ~after:"1")
+      ~func:"kernel" An.Region.Loop_region
+  in
+  check_stopped ~max_invocations:1 "after the second entry" golden spec
+    ~invocations:1;
+  check_faults "uncapped" golden [ spec ];
+  let golden, spec =
+    stop_setup
+      (called_src ~in_loop:"dv[0] * (t + 1)" ~after:"1")
+      ~func:"kernel" An.Region.Loop_region
+  in
+  check_faults ~max_invocations:1 "before the second entry" golden [ spec ]
+
 let tests =
   [ Alcotest.test_case "lint: suite netlists are clean" `Slow test_lint_clean;
     Alcotest.test_case "lint: damaged netlist is flagged" `Quick
@@ -1114,5 +1438,18 @@ let tests =
       `Quick test_sim_instrs_match_profile;
     Alcotest.test_case "trace: rtl.sim nests inside sim.interp" `Quick
       test_cosim_trace_spans;
-    qcheck_cosim_smoke ]
+    Alcotest.test_case "stop: kernel in a once-called function" `Quick
+      test_stop_once_called;
+    Alcotest.test_case "stop: kernel called in a loop" `Quick
+      test_stop_called_in_loop;
+    Alcotest.test_case "stop: kernel in a recursive function" `Quick
+      test_stop_recursive;
+    Alcotest.test_case "stop: kernel in main" `Quick test_stop_in_main;
+    Alcotest.test_case "stop: conditional region" `Quick
+      test_stop_conditional;
+    Alcotest.test_case "stop: a batch waits for its late kernel" `Quick
+      test_stop_waits_for_late_kernel;
+    Alcotest.test_case "stop: a capped kernel at its second entry" `Quick
+      test_stop_capped;
+    qcheck_cosim_oracle ]
 
