@@ -497,31 +497,6 @@ let fig6 () =
 (* Co-simulation: Rtl.Sim netlists vs the golden interpreter           *)
 (* ------------------------------------------------------------------ *)
 
-(* The kernels a selected solution accelerates, as co-simulation specs
-   paired with the structured netlists Rtl.Lint checks. Every selected
-   kernel came from [Kernel.estimate], so [of_kernel] is expected to
-   succeed; a kernel it cannot elaborate is reported, not skipped
-   silently. *)
-let cosim_specs (a : Core.Cayman.analyzed) (s : Core.Solution.t) =
-  List.filter_map
-    (fun (acc : Core.Solution.accel) ->
-      let ctx = Hashtbl.find a.Core.Cayman.ctxs acc.Core.Solution.a_func in
-      match
-        An.Wpst.region a.Core.Cayman.wpst
-          { An.Wpst.vfunc = acc.Core.Solution.a_func;
-            vid = acc.Core.Solution.a_region_id }
-      with
-      | None -> None
-      | Some region ->
-        let config = acc.Core.Solution.a_point.Hls.Kernel.config in
-        (match Hls.Netlist.of_kernel ctx region config with
-         | Some { Hls.Netlist.structure = Some nl; _ } ->
-           Some
-             ( { Rtl.Cosim.k_ctx = ctx; k_region = region; k_config = config },
-               nl )
-         | Some { Hls.Netlist.structure = None; _ } | None -> None))
-    s.Core.Solution.accels
-
 let cosim_modes =
   [ "heuristic", Hls.Kernel.Heuristic;
     "coupled-only", Hls.Kernel.Coupled_only;
@@ -551,10 +526,11 @@ let cosim_bench (b : Suite.benchmark) =
       (fun (mname, mode) ->
         let r = Core.Cayman.run ~mode a in
         let sel = Core.Cayman.best_under_ratio r ~budget_ratio:0.25 in
-        let pairs = cosim_specs a sel in
+        let specs = Core.Cayman.kernels a sel in
         let n_lint = ref 0 in
         List.iter
-          (fun (_, nl) ->
+          (fun spec ->
+            let nl = Hls.Netlist.structure_of spec in
             List.iter
               (fun f ->
                 incr n_lint;
@@ -563,9 +539,9 @@ let cosim_bench (b : Suite.benchmark) =
                     nl.Hls.Netlist.nl_name (Rtl.Lint.to_string f)
                   :: !lines)
               (Rtl.Lint.check nl))
-          pairs;
+          specs;
         lint := !lint + !n_lint;
-        let reports = Rtl.Cosim.run_many program (List.map fst pairs) in
+        let reports = Rtl.Cosim.run_many program specs in
         let json_kernels =
           List.map
             (fun (rep : Rtl.Cosim.report) ->

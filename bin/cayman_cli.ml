@@ -213,34 +213,17 @@ let emit_cmd program budget out jobs setup =
   write "cayman_primitives.v" Hls.Netlist.primitives;
   let count = ref 0 in
   List.iter
-    (fun (acc : Core.Solution.accel) ->
-      match Hashtbl.find_opt a.Core.Cayman.ctxs acc.Core.Solution.a_func with
-      | None -> ()
-      | Some ctx ->
-        let region =
-          An.Wpst.region a.Core.Cayman.wpst
-            { An.Wpst.vfunc = acc.Core.Solution.a_func;
-              vid = acc.Core.Solution.a_region_id }
-        in
-        (match region with
-         | None -> ()
-         | Some region ->
-           (match
-              Hls.Netlist.of_kernel ctx region
-                acc.Core.Solution.a_point.Hls.Kernel.config
-            with
-            | Some n ->
-              incr count;
-              write (n.Hls.Netlist.module_name ^ ".v") n.Hls.Netlist.verilog;
-              Printf.printf
-                "%-48s %4d units %3d mem %4d regs %3d states\n"
-                (n.Hls.Netlist.module_name ^ ".v")
-                n.Hls.Netlist.stats.Hls.Netlist.n_compute
-                n.Hls.Netlist.stats.Hls.Netlist.n_mem
-                n.Hls.Netlist.stats.Hls.Netlist.n_regs
-                n.Hls.Netlist.stats.Hls.Netlist.n_states
-            | None -> ())))
-    s.Core.Solution.accels;
+    (fun k ->
+      let n = Hls.Netlist.of_spec k in
+      incr count;
+      write (n.Hls.Netlist.module_name ^ ".v") n.Hls.Netlist.verilog;
+      Printf.printf "%-48s %4d units %3d mem %4d regs %3d states\n"
+        (n.Hls.Netlist.module_name ^ ".v")
+        n.Hls.Netlist.stats.Hls.Netlist.n_compute
+        n.Hls.Netlist.stats.Hls.Netlist.n_mem
+        n.Hls.Netlist.stats.Hls.Netlist.n_regs
+        n.Hls.Netlist.stats.Hls.Netlist.n_states)
+    (Core.Cayman.kernels a s);
   (* merged (reusable) accelerators *)
   let m = Core.Cayman.merge a s in
   List.iteri

@@ -121,22 +121,40 @@ let best_under_ratio (r : run_result) ~budget_ratio =
 
 let speedup (a : analyzed) (s : Solution.t) = Solution.speedup ~t_all:a.t_all s
 
-(* Datapath operation nodes of a selected accelerator, for DFG-level
-   merging. *)
-let datapath_nodes (a : analyzed) (acc : Solution.accel) =
-  match Hashtbl.find_opt a.ctxs acc.Solution.a_func with
-  | None -> None
-  | Some ctx ->
-    (match
-       An.Wpst.region a.wpst
-         { An.Wpst.vfunc = acc.Solution.a_func;
-           vid = acc.Solution.a_region_id }
-     with
-     | None -> None
-     | Some region ->
-       Hls.Datapath.of_kernel ctx region
-         acc.Solution.a_point.Hls.Kernel.config)
+(* The one way from a selected accelerator to its kernel: both lookups
+   happen once, and nothing is built, so a caller pays only for the
+   netlist, plan or datapath it goes on to ask for. An accelerator whose
+   function or region this analysis does not have was selected from
+   another one. *)
+let kernel_of (a : analyzed) (acc : Solution.accel) =
+  let missing what =
+    invalid_arg
+      (Printf.sprintf "Cayman.kernel_of: no %s for %s/%s" what
+         acc.Solution.a_func acc.Solution.a_region_name)
+  in
+  let k_ctx =
+    match Hashtbl.find_opt a.ctxs acc.Solution.a_func with
+    | Some ctx -> ctx
+    | None -> missing "analysis context"
+  in
+  let k_region =
+    match
+      An.Wpst.region a.wpst
+        { An.Wpst.vfunc = acc.Solution.a_func;
+          vid = acc.Solution.a_region_id }
+    with
+    | Some region -> region
+    | None -> missing "wPST region"
+  in
+  { Hls.Kernel.k_ctx; k_region;
+    k_config = acc.Solution.a_point.Hls.Kernel.config }
+
+let kernels a (s : Solution.t) = List.map (kernel_of a) s.Solution.accels
 
 (* Accelerator merging with the paper's DFG-level operation matching. *)
-let merge (a : analyzed) (s : Solution.t) =
-  Merge.merge_solution ~nodes_of:(datapath_nodes a) s
+let merge a (s : Solution.t) =
+  Merge.run
+    (List.map
+       (fun acc ->
+         Merge.accel_of (Hls.Datapath.of_kernel (kernel_of a acc)) acc)
+       s.Solution.accels)

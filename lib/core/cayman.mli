@@ -65,9 +65,19 @@ val best_under_ratio : run_result -> budget_ratio:float -> Solution.t
 
 val speedup : analyzed -> Solution.t -> float
 
-(** Datapath nodes of a selected accelerator (for {!Merge}). *)
-val datapath_nodes :
-  analyzed -> Solution.accel -> Cayman_hls.Datapath.node list option
+(** The kernel a selected accelerator implements: the analysis context
+    of its function, its wPST region and its configuration. Both are
+    looked up once; no plan, netlist or datapath is built.
+    @raise Invalid_argument if [analyzed] has no context or region for
+    the accelerator (it was selected from another analysis). *)
+val kernel_of : analyzed -> Solution.accel -> Cayman_hls.Kernel.spec
 
-(** {!Merge.merge_solution} wired with DFG-level operation matching. *)
+(** {!kernel_of} every accelerator of a solution, in its order. *)
+val kernels : analyzed -> Solution.t -> Cayman_hls.Kernel.spec list
+
+(** {!Merge.run} over the solution's accelerators, each lifted with the
+    datapath nodes of its {!kernel_of} (the DFG-level matching of
+    Section III-E).
+    @raise Invalid_argument if a kernel cannot be resolved or is not
+    synthesizable. *)
 val merge : analyzed -> Solution.t -> Merge.result

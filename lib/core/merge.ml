@@ -13,16 +13,14 @@ type res = {
 }
 
 (* An accelerator during merging: possibly already a reusable accelerator
-   covering several program regions, each with its own FSM. When the
-   datapath operation nodes are known (full flow), pair savings use the
-   paper's DFG-level matching; otherwise the resource-vector
-   approximation applies. *)
+   covering several program regions, each with its own FSM. Pair savings
+   match its datapath operation nodes (the paper's DFG-level matching). *)
 type accel = {
   regions : string list;
   res : res;
   area : float;
   fsms : int;
-  nodes : Hls.Datapath.node list option;
+  nodes : Hls.Datapath.node list;
 }
 
 type result = {
@@ -41,44 +39,27 @@ let res_of_point (p : Hls.Kernel.point) =
     r_sp_words = p.Hls.Kernel.sp_words;
     r_regs = p.Hls.Kernel.n_regs }
 
-let accel_of ?nodes (a : Solution.accel) =
+let accel_of nodes (a : Solution.accel) =
   { regions = [ a.Solution.a_func ^ "/" ^ a.Solution.a_region_name ];
     res = res_of_point a.Solution.a_point;
     area = a.Solution.a_point.Hls.Kernel.area;
     fsms = 1;
     nodes }
 
-let count units k =
-  match List.assoc_opt k units with
-  | Some c -> c
-  | None -> 0
-
-(* Per shared unit instance the merged datapath pays input multiplexers
-   and reconfiguration bits. *)
-let share_overhead =
-  (2.0 *. Hls.Tech.mux_area_per_input) +. Hls.Tech.config_reg_area
+(* Per shared interface unit the merged datapath pays what a matched
+   operation unit at the same level does: input multiplexers and
+   reconfiguration bits. *)
+let share_overhead = Hls.Datapath.share_overhead ~level_gap:0
 
 (* Fixed cost of combining two accelerators under one global Ctrl unit. *)
 let ctrl_overhead = 420.0
 
-(* Estimated area saving of merging two accelerators: every unit instance
-   present on both sides is kept once instead of twice, minus muxing
-   overhead; only profitable unit kinds contribute. *)
+(* Estimated area saving of merging two accelerators: every matched
+   operation unit (Section III-E's DFG-level matching) and every shared
+   interface unit is kept once instead of twice, minus muxing overhead;
+   only profitable sharing contributes. *)
 let pair_saving a b =
-  let unit_part =
-    (* DFG-level matching (Section III-E) when operation nodes are
-       available; the resource-vector bound otherwise. *)
-    match a.nodes, b.nodes with
-    | Some na, Some nb -> (Hls.Datapath.pair na nb).Hls.Datapath.saved_area
-    | (Some _ | None), _ ->
-      List.fold_left
-        (fun acc k ->
-          let shared = min (count a.res.units k) (count b.res.units k) in
-          let gain = Hls.Tech.area k -. share_overhead in
-          if shared > 0 && gain > 0.0 then acc +. (float_of_int shared *. gain)
-          else acc)
-        0.0 Ir.Op.all_unit_kinds
-  in
+  let unit_part = (Hls.Datapath.pair a.nodes b.nodes).Hls.Datapath.saved_area in
   let iface_part =
     let shared_c = min a.res.r_coupled b.res.r_coupled in
     let shared_d = min a.res.r_decoupled b.res.r_decoupled in
@@ -116,25 +97,11 @@ let pair_saving a b =
   end
 
 let merge_pair a b ~saving =
-  let nodes =
-    match a.nodes, b.nodes with
-    | Some na, Some nb -> Some (Hls.Datapath.pair na nb).Hls.Datapath.merged
-    | (Some _ | None), _ -> None
-  in
-  let units =
-    match nodes with
-    | Some n -> Hls.Datapath.counts n
-    | None ->
-      List.filter_map
-        (fun k ->
-          let c = max (count a.res.units k) (count b.res.units k) in
-          if c > 0 then Some (k, c) else None)
-        Ir.Op.all_unit_kinds
-  in
+  let nodes = (Hls.Datapath.pair a.nodes b.nodes).Hls.Datapath.merged in
   { regions = a.regions @ b.regions;
     nodes;
     res =
-      { units;
+      { units = Hls.Datapath.counts nodes;
         r_coupled = max a.res.r_coupled b.res.r_coupled;
         r_decoupled = max a.res.r_decoupled b.res.r_decoupled;
         r_sp_words = max a.res.r_sp_words b.res.r_sp_words;
@@ -175,14 +142,10 @@ let m_merges = Obs.Metrics.counter "merge.runs"
 let m_inputs = Obs.Metrics.counter "merge.input_accels"
 let m_reusable = Obs.Metrics.counter "merge.reusable_accels"
 
-let merge_solution ?(nodes_of = fun (_ : Solution.accel) -> None)
-    (s : Solution.t) =
+let run initial =
   Obs.Trace.span ~cat:"merge" "merge" @@ fun () ->
   Obs.Metrics.incr m_merges;
-  Obs.Metrics.add m_inputs (List.length s.Solution.accels);
-  let initial =
-    List.map (fun a -> accel_of ?nodes:(nodes_of a) a) s.Solution.accels
-  in
+  Obs.Metrics.add m_inputs (List.length initial);
   let area_before =
     List.fold_left (fun acc a -> acc +. a.area) 0.0 initial
   in

@@ -17,9 +17,9 @@ type accel = {
   res : res;
   area : float;
   fsms : int;
-  nodes : Cayman_hls.Datapath.node list option;
-      (** datapath operation nodes, when known; enables the paper's
-          DFG-level matching instead of the resource-vector bound *)
+  nodes : Cayman_hls.Datapath.node list;
+      (** datapath operation nodes, which {!pair_saving} matches (the
+          paper's DFG-level matching) *)
 }
 
 type result = {
@@ -31,14 +31,15 @@ type result = {
   regions_per_reusable : float;
 }
 
-(** Lift one selected accelerator into a mergeable unit. *)
-val accel_of : ?nodes:Cayman_hls.Datapath.node list -> Solution.accel -> accel
+(** Lift one selected accelerator, given its datapath nodes
+    ({!Cayman_hls.Datapath.of_kernel}), into a mergeable unit. *)
+val accel_of : Cayman_hls.Datapath.node list -> Solution.accel -> accel
 
 (** Estimated saving of merging two accelerators (can be negative). *)
 val pair_saving : accel -> accel -> float
 
 (** Merge two accelerators whose estimated saving is [saving] (from
-    {!pair_saving}): paired datapaths (or max-shared resource vectors),
+    {!pair_saving}): paired datapaths, max-shared interfaces,
     concatenated region lists, summed FSM counts. *)
 val merge_pair : accel -> accel -> saving:float -> accel
 
@@ -49,13 +50,10 @@ val merge_pair : accel -> accel -> saving:float -> accel
     within clusters only. *)
 val merge_accels : accel list -> accel list
 
-(** [nodes_of] supplies the datapath nodes of a selected accelerator
-    (see {!Cayman.merge} for the full-flow wiring); without it the
-    resource-vector approximation is used. *)
-val merge_solution :
-  ?nodes_of:(Solution.accel -> Cayman_hls.Datapath.node list option) ->
-  Solution.t ->
-  result
+(** {!merge_accels} over one program's lifted accelerators, with the
+    area totals before and after (see {!Cayman.merge} for the full-flow
+    wiring). *)
+val run : accel list -> result
 
 (** Verilog skeleton of one merged accelerator (Fig. 5); the index names
     the module. *)

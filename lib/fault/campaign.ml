@@ -1,5 +1,3 @@
-module Ir = Cayman_ir
-module An = Cayman_analysis
 module Hls = Cayman_hls
 module Suite = Cayman_suites.Suite
 
@@ -61,26 +59,6 @@ let m_stage_unhandled = Obs.Metrics.counter "fault.stage_unhandled"
 let modes =
   [ Hls.Kernel.Heuristic; Hls.Kernel.Coupled_only; Hls.Kernel.Scan_only ]
 
-(* Kernels of a selected solution as cosim specs, in accelerator order. *)
-let specs_of (a : Core.Cayman.analyzed) (s : Core.Solution.t) =
-  List.filter_map
-    (fun (acc : Core.Solution.accel) ->
-      match Hashtbl.find_opt a.Core.Cayman.ctxs acc.Core.Solution.a_func with
-      | None -> None
-      | Some ctx ->
-        (match
-           An.Wpst.region a.Core.Cayman.wpst
-             { An.Wpst.vfunc = acc.Core.Solution.a_func;
-               vid = acc.Core.Solution.a_region_id }
-         with
-        | None -> None
-        | Some region ->
-          Some
-            { Rtl.Cosim.k_ctx = ctx;
-              k_region = region;
-              k_config = acc.Core.Solution.a_point.Hls.Kernel.config }))
-    s.Core.Solution.accels
-
 (* --- RTL mutation testing for one benchmark x mode --- *)
 
 let mutant_verdict_cosim slot (r : Rtl.Cosim.report) =
@@ -111,82 +89,69 @@ let rtl_results_for ~options ~rng (a : Core.Cayman.analyzed) bench_name mode =
   let sel =
     Core.Cayman.best_under_ratio r ~budget_ratio:options.budget_ratio
   in
-  match specs_of a sel with
+  match sel.Core.Solution.accels with
   | [] -> []
-  | spec :: _ ->
-    let kernel_name =
-      spec.Rtl.Cosim.k_ctx.Hls.Ctx.func.Ir.Func.name
-      ^ "/"
-      ^ An.Region.name spec.Rtl.Cosim.k_region
+  | acc :: _ ->
+    let spec = Core.Cayman.kernel_of a acc in
+    let kernel_name = Hls.Kernel.spec_name spec in
+    let nl = Hls.Netlist.structure_of spec in
+    let faults = Inject.sample rng ~n:options.faults_per_kernel nl in
+    let result fault fr_verdict =
+      { fr_bench = bench_name;
+        fr_mode = mode_name;
+        fr_kernel = kernel_name;
+        fr_fault = Inject.describe fault;
+        fr_verdict }
     in
-    let nl =
-      match
-        Hls.Netlist.of_kernel spec.Rtl.Cosim.k_ctx spec.Rtl.Cosim.k_region
-          spec.Rtl.Cosim.k_config
-      with
-      | Some { Hls.Netlist.structure = Some s; _ } -> Some s
-      | Some { Hls.Netlist.structure = None; _ } | None -> None
+    (* structural mutants: lint must flag them *)
+    let lint_results, cosim_faults =
+      List.fold_left
+        (fun (lr, cf) fault ->
+          match Inject.mutate nl fault with
+          | Some mutant, None when Inject.is_structural fault ->
+            let v =
+              match Rtl.Lint.check mutant with
+              | f :: _ -> Detected_lint (Rtl.Lint.to_string f)
+              | [] -> Missed "lint found nothing on the mutant"
+            in
+            result fault v :: lr, cf
+          | artefacts -> lr, (fault, artefacts) :: cf)
+        ([], []) faults
     in
-    (match nl with
-     | None -> []
-     | Some nl ->
-       let faults = Inject.sample rng ~n:options.faults_per_kernel nl in
-       let result fault fr_verdict =
-         { fr_bench = bench_name;
-           fr_mode = mode_name;
-           fr_kernel = kernel_name;
-           fr_fault = Inject.describe fault;
-           fr_verdict }
-       in
-       (* structural mutants: lint must flag them *)
-       let lint_results, cosim_faults =
-         List.fold_left
-           (fun (lr, cf) fault ->
-             match Inject.mutate nl fault with
-             | Some mutant, None when Inject.is_structural fault ->
-               let v =
-                 match Rtl.Lint.check mutant with
-                 | f :: _ -> Detected_lint (Rtl.Lint.to_string f)
-                 | [] -> Missed "lint found nothing on the mutant"
-               in
-               result fault v :: lr, cf
-             | artefacts -> lr, (fault, artefacts) :: cf)
-           ([], []) faults
-       in
-       let lint_results = List.rev lint_results in
-       let cosim_faults = List.rev cosim_faults in
-       (* behavioral mutants: one golden pass serves every mutant *)
-       let cosim_results =
-         match cosim_faults with
-         | [] -> []
-         | _ ->
-           let specs = List.map (fun _ -> spec) cosim_faults in
-           let slots = List.map snd cosim_faults in
-           let fuel = Engine.Config.fuel ?fuel:options.fuel () in
-           (* A mutant that corrupts its loop registers can spin the
-              FSM forever; a finite per-invocation cycle budget turns
-              that into a reported sim-error (= detected). 1M cycles is
-              orders of magnitude above any healthy kernel invocation. *)
-           (match
-              Rtl.Cosim.run_many ~fuel
-                ~max_invocations:options.max_invocations
-                ~max_cycles:1_000_000 ~faults:slots
-                a.Core.Cayman.program specs
-            with
-           | reports ->
-             List.map2
-               (fun (fault, slot) rep ->
-                 result fault (mutant_verdict_cosim slot rep))
-               cosim_faults reports
-           | exception e ->
-             (* golden run died under this mutant set: every mutant in
-                the batch surfaced it *)
-             let cls = Classify.exn_class e in
-             List.map
-               (fun (fault, _) -> result fault (Detected_simerror cls))
-               cosim_faults)
-       in
-       lint_results @ cosim_results)
+    let lint_results = List.rev lint_results in
+    let cosim_faults = List.rev cosim_faults in
+    (* behavioral mutants: one golden pass serves every mutant *)
+    let cosim_results =
+      match cosim_faults with
+      | [] -> []
+      | _ ->
+        let specs = List.map (fun _ -> spec) cosim_faults in
+        let slots = List.map snd cosim_faults in
+        let fuel = Engine.Config.fuel ?fuel:options.fuel () in
+        (* A mutant that corrupts its loop registers can spin the
+           FSM forever; a finite per-invocation cycle budget turns
+           that into a reported sim-error (= detected). 1M cycles is
+           orders of magnitude above any healthy kernel invocation. *)
+        (match
+           Rtl.Cosim.run_many ~fuel
+             ~max_invocations:options.max_invocations
+             ~max_cycles:1_000_000 ~faults:slots
+             a.Core.Cayman.program specs
+         with
+        | reports ->
+          List.map2
+            (fun (fault, slot) rep ->
+              result fault (mutant_verdict_cosim slot rep))
+            cosim_faults reports
+        | exception e ->
+          (* golden run died under this mutant set: every mutant in
+             the batch surfaced it *)
+          let cls = Classify.exn_class e in
+          List.map
+            (fun (fault, _) -> result fault (Detected_simerror cls))
+            cosim_faults)
+    in
+    lint_results @ cosim_results
 
 (* --- stage faults --- *)
 
@@ -207,12 +172,12 @@ let stage_pipeline ~fuel (bench : Suite.benchmark) =
   let a = Core.Cayman.analyze ~fuel program in
   let r = Core.Cayman.run ~jobs:1 ~mode:Hls.Kernel.Heuristic a in
   let sel = Core.Cayman.best_under_ratio r ~budget_ratio:0.25 in
-  (match specs_of a sel with
+  (match sel.Core.Solution.accels with
    | [] -> ()
-   | spec :: _ ->
+   | acc :: _ ->
      ignore
        (Rtl.Cosim.run_many ~fuel ~max_invocations:1 a.Core.Cayman.program
-          [ spec ]
+          [ Core.Cayman.kernel_of a acc ]
          : Rtl.Cosim.report list));
   r.Core.Cayman.stats
 

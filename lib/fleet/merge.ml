@@ -59,41 +59,35 @@ let summarize opts index =
     let sel =
       Core.Cayman.best_under_ratio r ~budget_ratio:opts.o_per_budget
     in
-    let kernels =
-      List.filter_map
-        (fun (acc : Core.Solution.accel) ->
-          match
-            An.Wpst.region a.Core.Cayman.wpst
-              { An.Wpst.vfunc = acc.Core.Solution.a_func;
-                vid = acc.Core.Solution.a_region_id }
-          with
-          | None -> None
-          | Some region ->
-            let ctx =
-              Hashtbl.find a.Core.Cayman.ctxs acc.Core.Solution.a_func
-            in
-            let canon = Memo.Hash.canon_region ctx.Hls.Ctx.func region in
-            let digest = Memo.Hash.canon_digest canon in
-            let nodes = Core.Cayman.datapath_nodes a acc in
-            let accel = qualify name (Core.Merge.accel_of ?nodes acc) in
-            let point = acc.Core.Solution.a_point in
-            Some
-              { Cluster.k_program = name;
-                k_region = List.hd accel.Core.Merge.regions;
-                k_digest = digest;
-                k_signature =
-                  Cluster.signature
-                    ~kind:(kind_string region.An.Region.kind)
-                    ~blocks:
-                      (An.Region.String_set.cardinal
-                         region.An.Region.blocks)
-                    ~loop_depth:(loop_depth_of ctx region)
-                    point.Hls.Kernel.units;
-                k_saved = acc.Core.Solution.a_saved;
-                k_accel = accel })
-        sel.Core.Solution.accels
+    (* Each accelerator is lifted for merging once: its program-qualified
+       copy joins the fleet population, the plain one the program's own
+       merge. *)
+    let kernels, accels =
+      List.split
+        (List.map
+           (fun (acc : Core.Solution.accel) ->
+             let k = Core.Cayman.kernel_of a acc in
+             let ctx = k.Hls.Kernel.k_ctx and region = k.Hls.Kernel.k_region in
+             let canon = Memo.Hash.canon_region ctx.Hls.Ctx.func region in
+             let accel = Core.Merge.accel_of (Hls.Datapath.of_kernel k) acc in
+             let qualified = qualify name accel in
+             let point = acc.Core.Solution.a_point in
+             ( { Cluster.k_program = name;
+                 k_region = List.hd qualified.Core.Merge.regions;
+                 k_digest = Memo.Hash.canon_digest canon;
+                 k_signature =
+                   Cluster.signature
+                     ~kind:(kind_string region.An.Region.kind)
+                     ~blocks:
+                       (An.Region.String_set.cardinal region.An.Region.blocks)
+                     ~loop_depth:(loop_depth_of ctx region)
+                     point.Hls.Kernel.units;
+                 k_saved = acc.Core.Solution.a_saved;
+                 k_accel = qualified },
+               accel ))
+           sel.Core.Solution.accels)
     in
-    let merged = Core.Cayman.merge a sel in
+    let merged = Core.Merge.run accels in
     { ps_name = name;
       ps_failed = false;
       ps_kernels = kernels;
@@ -118,9 +112,15 @@ let summarize opts index =
    The program text is pinned by (generator version, seed, index); the
    pipeline by the tech table, the generator knobs, the per-program
    budget, and the fuel budget (a program that ran out of fuel under a
-   smaller budget must not resurface as a cached failure). *)
+   smaller budget must not resurface as a cached failure). The
+   [accel_layout] field names the stored layout of [Core.Merge.accel],
+   whose datapath nodes were once optional, so an entry of that layout
+   never unmarshals as this one. *)
+let accel_layout = "merge-accel-nodes-list"
+
 let summary_key opts index =
   let b = Memo.Hash.builder ~ns:"fleet.prog" in
+  Memo.Hash.str b accel_layout;
   Memo.Hash.str b Genprog.generator_version;
   Memo.Hash.str b Hls.Fingerprint.tech;
   Memo.Hash.str b (Core.Cayman.gen_key Hls.Kernel.Heuristic);
@@ -183,9 +183,10 @@ let merge_cluster (cl : Cluster.cluster) =
   else chain_merge reps
 
 (* Cache key of one cluster's merge: the full resource identity of every
-   member, in fleet order. *)
+   member, in fleet order, and the stored layout as in [summary_key]. *)
 let cluster_key (cl : Cluster.cluster) =
   let b = Memo.Hash.builder ~ns:"fleet.cluster" in
+  Memo.Hash.str b accel_layout;
   Memo.Hash.str b Genprog.generator_version;
   Memo.Hash.str b Hls.Fingerprint.tech;
   Memo.Hash.str b cl.Cluster.cl_key;
@@ -207,16 +208,12 @@ let cluster_key (cl : Cluster.cluster) =
       Memo.Hash.int b res.Core.Merge.r_decoupled;
       Memo.Hash.int b res.Core.Merge.r_sp_words;
       Memo.Hash.int b res.Core.Merge.r_regs;
-      match a.Core.Merge.nodes with
-      | None -> Memo.Hash.int b (-1)
-      | Some nodes ->
-        Memo.Hash.int b (List.length nodes);
-        List.iter
-          (fun (n : Hls.Datapath.node) ->
-            Memo.Hash.str b
-              (Ir.Op.unit_kind_to_string n.Hls.Datapath.n_kind);
-            Memo.Hash.int b n.Hls.Datapath.n_level)
-          nodes)
+      Memo.Hash.int b (List.length a.Core.Merge.nodes);
+      List.iter
+        (fun (n : Hls.Datapath.node) ->
+          Memo.Hash.str b (Ir.Op.unit_kind_to_string n.Hls.Datapath.n_kind);
+          Memo.Hash.int b n.Hls.Datapath.n_level)
+        a.Core.Merge.nodes)
     cl.Cluster.cl_kernels;
   Memo.Hash.digest b
 

@@ -1,5 +1,4 @@
 module Ir = Cayman_ir
-module An = Cayman_analysis
 
 (* Datapath-level merging support (Section III-E of the paper): the
    merging heuristic estimates area savings by *matching operations* of
@@ -39,8 +38,12 @@ let of_plan (ctx : Ctx.t) (plan : Kernel.plan) =
       (fun (_, body, u) -> of_block body u)
       plan.Kernel.p_pipelined
 
-let of_kernel ctx region ?beta config =
-  Option.map (of_plan ctx) (Kernel.plan ctx region ?beta config)
+let of_kernel (k : Kernel.spec) =
+  match Kernel.plan k.Kernel.k_ctx k.Kernel.k_region k.Kernel.k_config with
+  | Some plan -> of_plan k.Kernel.k_ctx plan
+  | None ->
+    invalid_arg
+      ("Datapath: kernel " ^ Kernel.spec_name k ^ " is not synthesizable")
 
 type pairing = {
   n_shared : int;

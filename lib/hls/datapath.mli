@@ -10,12 +10,9 @@ type node = {
 (** Compute nodes of a synthesis plan (unrolled bodies replicated). *)
 val of_plan : Ctx.t -> Kernel.plan -> node list
 
-val of_kernel :
-  Ctx.t ->
-  Cayman_analysis.Region.t ->
-  ?beta:float ->
-  Kernel.config ->
-  node list option
+(** Compute nodes of a selected kernel's synthesis plan.
+    @raise Invalid_argument if the kernel is not synthesizable. *)
+val of_kernel : Kernel.spec -> node list
 
 type pairing = {
   n_shared : int;  (** unit instances kept once instead of twice *)

@@ -19,6 +19,17 @@ type config = {
   mode : mode;
 }
 
+(* One kernel as every later stage sees it: its function's analysis
+   context, its wPST region and the configuration chosen for it. *)
+type spec = {
+  k_ctx : Ctx.t;
+  k_region : An.Region.t;
+  k_config : config;
+}
+
+let spec_name k =
+  k.k_ctx.Ctx.func.Ir.Func.name ^ "/" ^ An.Region.name k.k_region
+
 type iface_counts = {
   n_coupled : int;
   n_decoupled : int;

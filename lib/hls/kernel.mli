@@ -31,6 +31,18 @@ type config = {
   mode : mode;
 }
 
+(** One kernel as netlist generation, datapath merging and
+    co-simulation see it: the analysis context of its function, its
+    wPST region and the configuration chosen for it. *)
+type spec = {
+  k_ctx : Ctx.t;
+  k_region : Cayman_analysis.Region.t;
+  k_config : config;
+}
+
+(** [func/region], the name reports give a kernel. *)
+val spec_name : spec -> string
+
 type iface_counts = {
   n_coupled : int;
   n_decoupled : int;

@@ -701,6 +701,22 @@ let of_kernel (ctx : Ctx.t) (region : An.Region.t) ?beta
     Memo.Store.memoize ~ns:"netlist" ~key (fun () ->
         build_kernel ctx region ?beta config)
 
+(* A selected kernel came from [Kernel.estimate], so its netlist
+   exists; one that does not is a caller's bug and is refused. *)
+let not_synthesizable k =
+  invalid_arg
+    ("Netlist: kernel " ^ Kernel.spec_name k ^ " is not synthesizable")
+
+let of_spec (k : Kernel.spec) =
+  match of_kernel k.Kernel.k_ctx k.Kernel.k_region k.Kernel.k_config with
+  | Some n -> n
+  | None -> not_synthesizable k
+
+let structure_of k =
+  match (of_spec k).structure with
+  | Some s -> s
+  | None -> not_synthesizable k
+
 (* A reusable (merged) accelerator, the hardware of the paper's Fig. 5:
    one reconfigurable datapath bank sized by the merged resource vector,
    input multiplexers with configuration-bit registers on every shared

@@ -124,6 +124,15 @@ val of_kernel :
   Kernel.config ->
   t option
 
+(** {!of_kernel} of a selected kernel, whose design point shows it is
+    synthesizable.
+    @raise Invalid_argument if it is not. *)
+val of_spec : Kernel.spec -> t
+
+(** The {!structure} of {!of_spec}.
+    @raise Invalid_argument if the kernel is not synthesizable. *)
+val structure_of : Kernel.spec -> structure
+
 (** Reusable (merged) accelerator skeleton: a shared reconfigurable
     datapath bank with muxed inputs and configuration registers, one FSM
     per covered region, and a global Ctrl unit (the paper's Fig. 5).

@@ -124,7 +124,7 @@ let report_to_string r =
          (r.r_n_mismatches - List.length r.r_mismatches));
   Buffer.contents b
 
-type spec = {
+type spec = Hls.Kernel.spec = {
   k_ctx : Hls.Ctx.t;
   k_region : An.Region.t;
   k_config : Hls.Kernel.config;
@@ -448,16 +448,7 @@ let run_many_uncached ?fuel ?(tolerance = default_tolerance) ?max_invocations
         let nl =
           match structure_override with
           | Some s -> s
-          | None ->
-            (match
-               Hls.Netlist.of_kernel spec.k_ctx spec.k_region spec.k_config
-             with
-             | Some { Hls.Netlist.structure = Some s; _ } -> s
-             | Some { Hls.Netlist.structure = None; _ } | None ->
-               invalid_arg
-                 (Printf.sprintf "Cosim: kernel %s/%s is not synthesizable"
-                    func
-                    (An.Region.name spec.k_region)))
+          | None -> Hls.Netlist.structure_of spec
         in
         let sim = Sim.compile ?max_cycles ?fault:sim_fault spec.k_ctx nl in
         (* An invocation can change only what the netlist writes and
@@ -482,7 +473,7 @@ let run_many_uncached ?fuel ?(tolerance = default_tolerance) ?max_invocations
           ks_writes = writes;
           ks_shadow = Memory.shadow writes;
           ks_func = func;
-          ks_name = func ^ "/" ^ An.Region.name spec.k_region;
+          ks_name = Hls.Kernel.spec_name spec;
           ks_pending = None;
           ks_inv = 0;
           ks_sim_inv = 0;

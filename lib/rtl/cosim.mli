@@ -69,7 +69,7 @@ val functional_ok : report -> bool
 (** Deterministic multi-line rendering (used by the CLI and bench). *)
 val report_to_string : report -> string
 
-type spec = {
+type spec = Cayman_hls.Kernel.spec = {
   k_ctx : Cayman_hls.Ctx.t;
   k_region : Cayman_analysis.Region.t;
   k_config : Cayman_hls.Kernel.config;

@@ -152,11 +152,9 @@ let dump_text ?fuel program =
   Buffer.contents b
 
 (* Differential co-simulation of every selected kernel netlist against
-   the golden interpreter. Per-kernel co-sims fan out through the engine
-   pool (sequentially when already inside a pool task, i.e. under the
-   daemon's dispatcher); reports print in selection order, so the text
-   is byte-stable across job counts. Returns the text plus the verdict
-   the CLI turns into its exit code. *)
+   the golden interpreter, all kernels in one golden run; reports print
+   in selection order. Returns the text plus the verdict the CLI turns
+   into its exit code. *)
 let cosim_text ?fuel ?max_invocations ~budget ~mode program =
   match kernel_mode_of mode with
   | Error m -> Error m
@@ -169,37 +167,15 @@ let cosim_text ?fuel ?max_invocations ~budget ~mode program =
     let program = a.Core.Cayman.program in
     let r = Core.Cayman.run ~mode a in
     let s = Core.Cayman.best_under_ratio r ~budget_ratio:budget in
-    let specs =
-      List.filter_map
-        (fun (acc : Core.Solution.accel) ->
-          match
-            Hashtbl.find_opt a.Core.Cayman.ctxs acc.Core.Solution.a_func
-          with
-          | None -> None
-          | Some ctx ->
-            Option.bind
-              (An.Wpst.region a.Core.Cayman.wpst
-                 { An.Wpst.vfunc = acc.Core.Solution.a_func;
-                   vid = acc.Core.Solution.a_region_id })
-              (fun region ->
-                let config = acc.Core.Solution.a_point.Hls.Kernel.config in
-                match Hls.Netlist.of_kernel ctx region config with
-                | Some { Hls.Netlist.structure = Some st; _ } ->
-                  Some
-                    ( { Rtl.Cosim.k_ctx = ctx; k_region = region;
-                        k_config = config },
-                      st )
-                | Some { Hls.Netlist.structure = None; _ } | None -> None))
-        s.Core.Solution.accels
-    in
-    if specs = [] then begin
+    match Core.Cayman.kernels a s with
+    | [] ->
       Buffer.add_string b "no synthesizable kernels selected\n";
       Ok (Buffer.contents b, true)
-    end
-    else begin
+    | specs ->
       let n_lint = ref 0 in
       List.iter
-        (fun ((_ : Rtl.Cosim.spec), st) ->
+        (fun spec ->
+          let st = Hls.Netlist.structure_of spec in
           List.iter
             (fun f ->
               incr n_lint;
@@ -211,11 +187,7 @@ let cosim_text ?fuel ?max_invocations ~budget ~mode program =
         (if !n_lint = 1 then "" else "s")
         (List.length specs)
         (if List.length specs = 1 then "" else "s");
-      let reports =
-        Engine.Pool.map
-          (fun (spec, _) -> Rtl.Cosim.run ?fuel ?max_invocations program spec)
-          specs
-      in
+      let reports = Rtl.Cosim.run_many ?fuel ?max_invocations program specs in
       List.iter
         (fun rep ->
           Buffer.add_string b (Rtl.Cosim.report_to_string rep);
@@ -229,4 +201,3 @@ let cosim_text ?fuel ?max_invocations ~budget ~mode program =
       in
       Printf.bprintf b "cosim: %s\n" (if ok then "PASS" else "FAIL");
       Ok (Buffer.contents b, ok)
-    end

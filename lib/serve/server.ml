@@ -588,6 +588,31 @@ let serve_conns ~(config : config) ?listen conns0 =
   let last_tick = ref (now ()) in
   let watchers : (conn * int) list ref = ref [] in
   let pending_q : pending Queue.t = Queue.create () in
+  (* Every reply to a request goes out here: count the request ([served],
+     serve.requests, its verb's counter, and serve.errors when [error]),
+     then build the reply, write it and audit it. With [since], the wall
+     time from then to the write is observed for the verb (and in
+     serve.latency_us when [overall]) and audited; without, the audit
+     records 0. *)
+  let answer ?(error = false) ?since ?(overall = false) ?(fuel = 0)
+      ?(cache = "-") c ~id ~verb build =
+    incr served;
+    Obs.Metrics.incr m_requests;
+    if error then Obs.Metrics.incr m_errors;
+    Obs.Metrics.incr (verb_counter verb);
+    let reply = build () in
+    write_reply ~config c reply;
+    let wall_us =
+      match since with
+      | None -> 0
+      | Some t0 ->
+        let wall = int_of_float (1e6 *. (now () -. t0)) in
+        if overall then Obs.Metrics.observe h_latency wall;
+        Obs.Metrics.observe (verb_latency verb) wall;
+        wall
+    in
+    audit ~id ~verb ~reply ~fuel ~wall_us ~cache
+  in
   Fun.protect
     ~finally:(fun () ->
       Engine.Pool.shutdown pool;
@@ -657,29 +682,19 @@ let serve_conns ~(config : config) ?listen conns0 =
                 (fun payload ->
                   match Protocol.parse_request payload with
                   | Error (id, msg) ->
-                    incr served;
-                    Obs.Metrics.incr m_requests;
-                    Obs.Metrics.incr m_errors;
-                    Obs.Metrics.incr (verb_counter "other");
-                    let reply =
-                      Protocol.error_reply ~id ~cls:"bad-request" msg
-                    in
-                    write_reply ~config c reply;
-                    audit ~id ~verb:"?" ~reply ~fuel:0 ~wall_us:0 ~cache:"-"
+                    (* "?" counts in the "other" verb bucket *)
+                    answer ~error:true c ~id ~verb:"?" (fun () ->
+                        Protocol.error_reply ~id ~cls:"bad-request" msg)
                   | Ok r when is_control r.Protocol.rq_verb ->
-                    incr served;
-                    Obs.Metrics.incr m_requests;
-                    Obs.Metrics.incr (verb_counter r.Protocol.rq_verb);
-                    let t0 = now () in
-                    let reply, action =
-                      control_reply ~served:!served ~window r
-                    in
-                    write_reply ~config c reply;
-                    let wall = int_of_float (1e6 *. (now () -. t0)) in
-                    Obs.Metrics.observe (verb_latency r.Protocol.rq_verb) wall;
-                    audit ~id:r.Protocol.rq_id ~verb:r.Protocol.rq_verb ~reply
-                      ~fuel:0 ~wall_us:wall ~cache:"-";
-                    (match action with
+                    let action = ref C_continue in
+                    answer ~since:(now ()) c ~id:r.Protocol.rq_id
+                      ~verb:r.Protocol.rq_verb (fun () ->
+                        let reply, a =
+                          control_reply ~served:!served ~window r
+                        in
+                        action := a;
+                        reply);
+                    (match !action with
                      | C_continue -> ()
                      | C_shutdown -> start_drain ()
                      | C_watch ->
@@ -688,17 +703,11 @@ let serve_conns ~(config : config) ?listen conns0 =
                     let queued = Queue.length pending_q in
                     if queued >= config.sc_max_queue then begin
                       (* admission control: shed, never silently drop *)
-                      incr served;
-                      Obs.Metrics.incr m_requests;
-                      Obs.Metrics.incr m_errors;
                       Obs.Metrics.incr m_shed;
-                      Obs.Metrics.incr (verb_counter r.Protocol.rq_verb);
-                      let reply =
-                        overloaded_reply ~config ~queued ~id:r.Protocol.rq_id
-                      in
-                      write_reply ~config c reply;
-                      audit ~id:r.Protocol.rq_id ~verb:r.Protocol.rq_verb
-                        ~reply ~fuel:0 ~wall_us:0 ~cache:"-"
+                      answer ~error:true c ~id:r.Protocol.rq_id
+                        ~verb:r.Protocol.rq_verb (fun () ->
+                          overloaded_reply ~config ~queued
+                            ~id:r.Protocol.rq_id)
                     end
                     else
                       Queue.add
@@ -737,21 +746,15 @@ let serve_conns ~(config : config) ?listen conns0 =
                    "the connection closed while the request was queued")
               ~fuel:0 ~wall_us:0 ~cache:"-"
           | { p_deadline = Some dl; _ } when now () > dl ->
-            incr served;
-            Obs.Metrics.incr m_requests;
-            Obs.Metrics.incr m_errors;
             Obs.Metrics.incr m_deadline_expired;
-            Obs.Metrics.incr (verb_counter p.p_req.Protocol.rq_verb);
-            let reply =
-              Protocol.error_reply ~id:p.p_req.Protocol.rq_id
-                ~cls:"deadline-expired"
-                (Printf.sprintf
-                   "deadline_ms %d expired while the request was queued"
-                   (Option.value p.p_req.Protocol.rq_deadline_ms ~default:0))
-            in
-            write_reply ~config p.p_conn reply;
-            audit ~id:p.p_req.Protocol.rq_id ~verb:p.p_req.Protocol.rq_verb
-              ~reply ~fuel:0 ~wall_us:0 ~cache:"-"
+            answer ~error:true p.p_conn ~id:p.p_req.Protocol.rq_id
+              ~verb:p.p_req.Protocol.rq_verb (fun () ->
+                Protocol.error_reply ~id:p.p_req.Protocol.rq_id
+                  ~cls:"deadline-expired"
+                  (Printf.sprintf
+                     "deadline_ms %d expired while the request was queued"
+                     (Option.value p.p_req.Protocol.rq_deadline_ms
+                        ~default:0)))
           | _ ->
             batch := p :: !batch;
             incr n_batch
@@ -764,28 +767,21 @@ let serve_conns ~(config : config) ?listen conns0 =
           in
           List.iter2
             (fun p result ->
-              incr served;
-              Obs.Metrics.incr m_requests;
-              Obs.Metrics.incr (verb_counter p.p_req.Protocol.rq_verb);
-              let reply, cache, fuel =
+              let reply, cache, fuel, error =
                 match result with
                 | Ok (reply, hit, fuel) ->
-                  reply, (if hit then "hit" else "miss"), fuel
+                  reply, (if hit then "hit" else "miss"), fuel, false
                 | Error (e, _bt) ->
                   (* execute is total, so this is pool-level trouble;
                      still degrade to a structured reply *)
-                  Obs.Metrics.incr m_errors;
                   ( Protocol.error_reply ~id:p.p_req.Protocol.rq_id
                       ~cls:(Cayman_fault.Classify.exn_class e)
                       (message_of_exn e),
-                    "miss", 0 )
+                    "miss", 0, true )
               in
-              write_reply ~config p.p_conn reply;
-              let wall = int_of_float (1e6 *. (now () -. p.p_enqueued)) in
-              Obs.Metrics.observe h_latency wall;
-              Obs.Metrics.observe (verb_latency p.p_req.Protocol.rq_verb) wall;
-              audit ~id:p.p_req.Protocol.rq_id ~verb:p.p_req.Protocol.rq_verb
-                ~reply ~fuel ~wall_us:wall ~cache)
+              answer ~error ~since:p.p_enqueued ~overall:true ~fuel ~cache
+                p.p_conn ~id:p.p_req.Protocol.rq_id
+                ~verb:p.p_req.Protocol.rq_verb (fun () -> reply))
             batch results;
           Obs.Metrics.gauge_set g_inflight 0;
           Obs.Metrics.gauge_set g_queue (Queue.length pending_q)

@@ -70,7 +70,7 @@ let mk_kernel prog digest sg_units =
             r_regs = 4 };
         area = 20_000.0;
         fsms = 1;
-        nodes = None } }
+        nodes = Testutil.nodes_of_units sg_units } }
 
 let test_cluster_grouping () =
   let ua = [ (Ir.Op.U_float_add, 2) ]

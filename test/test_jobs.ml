@@ -153,24 +153,8 @@ let () =
   if r_ref.Core.Cayman.stats <> r_stg.Core.Cayman.stats then
     fail "selection stats differ between engines";
   let specs =
-    let sel = Core.Cayman.best_under_ratio r_ref ~budget_ratio:0.25 in
-    List.filter_map
-      (fun (acc : Core.Solution.accel) ->
-        let ctx =
-          Hashtbl.find a_ref.Core.Cayman.ctxs acc.Core.Solution.a_func
-        in
-        match
-          Cayman_analysis.Wpst.region a_ref.Core.Cayman.wpst
-            { Cayman_analysis.Wpst.vfunc = acc.Core.Solution.a_func;
-              vid = acc.Core.Solution.a_region_id }
-        with
-        | None -> None
-        | Some region ->
-          Some
-            { Rtl.Cosim.k_ctx = ctx;
-              k_region = region;
-              k_config = acc.Core.Solution.a_point.Hls.Kernel.config })
-      sel.Core.Solution.accels
+    Core.Cayman.kernels a_ref
+      (Core.Cayman.best_under_ratio r_ref ~budget_ratio:0.25)
   in
   if specs = [] then fail "engine parity phase found no kernels to co-simulate";
   let cosim_text e =

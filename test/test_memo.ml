@@ -464,31 +464,12 @@ let test_float_constants_keep_profiles_apart () =
     (Cayman_sim.Profile.total_cycles own_b.Core.Cayman.profile)
     (Cayman_sim.Profile.total_cycles b.Core.Cayman.profile)
 
-(* Cosim specs of the 25%-budget heuristic solution, as the bench
-   harness builds them. *)
-let cosim_specs (a : Core.Cayman.analyzed) (s : Core.Solution.t) =
-  List.filter_map
-    (fun (acc : Core.Solution.accel) ->
-      let ctx = Hashtbl.find a.Core.Cayman.ctxs acc.Core.Solution.a_func in
-      match
-        An.Wpst.region a.Core.Cayman.wpst
-          { An.Wpst.vfunc = acc.Core.Solution.a_func;
-            vid = acc.Core.Solution.a_region_id }
-      with
-      | None -> None
-      | Some region ->
-        Some
-          { Rtl.Cosim.k_ctx = ctx;
-            k_region = region;
-            k_config = acc.Core.Solution.a_point.Hls.Kernel.config })
-    s.Core.Solution.accels
-
 let test_cosim_cached_equals_uncached () =
   let a = Core.Cayman.analyze_source flow_src in
   Memo.Store.disable ();
   let r = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a in
   let sel = Core.Cayman.best_under_ratio r ~budget_ratio:0.25 in
-  let specs = cosim_specs a sel in
+  let specs = Core.Cayman.kernels a sel in
   Alcotest.(check bool) "has kernels to co-simulate" true (specs <> []);
   let program = a.Core.Cayman.program in
   let base = Rtl.Cosim.run_many program specs in

@@ -4,7 +4,8 @@ module Ir = Cayman_ir
 module Hls = Cayman_hls
 module Suite = Cayman_suites.Suite
 
-(* Construct a synthetic solution accel from a unit multiset. *)
+(* A synthetic accelerator lifted for merging from a unit multiset,
+   its datapath one level-0 node per unit. *)
 let mk_accel name ?(coupled = 0) ?(decoupled = 0) ?(sp = 0) ?(regs = 0) units
     area =
   let point =
@@ -23,19 +24,16 @@ let mk_accel name ?(coupled = 0) ?(decoupled = 0) ?(sp = 0) ?(regs = 0) units
       sp_words = sp * 64;
       n_regs = regs }
   in
-  Core.Solution.accel_of_point ~func:"f" ~region_id:0 ~region_name:name point
-
-let solution_of accels =
-  List.fold_left
-    (fun acc a -> Core.Solution.union acc (Core.Solution.of_accel a))
-    Core.Solution.empty accels
+  Core.Merge.accel_of (Testutil.nodes_of_units units)
+    (Core.Solution.accel_of_point ~func:"f" ~region_id:0 ~region_name:name
+       point)
 
 let fp_units = [ (Ir.Op.U_float_add, 2); (Ir.Op.U_float_mul, 2) ]
 
 let test_identical_pair_saves () =
   let a = mk_accel "k1" ~regs:6 fp_units 25_000.0 in
   let b = mk_accel "k2" ~regs:6 fp_units 25_000.0 in
-  let r = Core.Merge.merge_solution (solution_of [ a; b ]) in
+  let r = Core.Merge.run [ a; b ] in
   Alcotest.(check bool) "merged into one" true
     (List.length r.Core.Merge.accels = 1);
   Alcotest.(check bool) "saves area" true
@@ -53,28 +51,26 @@ let test_disjoint_units_do_not_merge () =
   (* an integer-only and a tiny float accel share nothing worth muxes *)
   let a = mk_accel "ints" [ (Ir.Op.U_int_logic, 2) ] 2_000.0 in
   let b = mk_accel "floats" [ (Ir.Op.U_float_div, 1) ] 11_000.0 in
-  let r = Core.Merge.merge_solution (solution_of [ a; b ]) in
+  let r = Core.Merge.run [ a; b ] in
   Alcotest.(check int) "no merge happens" 2 (List.length r.Core.Merge.accels);
   Alcotest.(check (float 0.001)) "no saving" 0.0 r.Core.Merge.saving_pct
 
 let test_single_accel_noop () =
   let a = mk_accel "only" fp_units 25_000.0 in
-  let r = Core.Merge.merge_solution (solution_of [ a ]) in
+  let r = Core.Merge.run [ a ] in
   Alcotest.(check int) "kept as is" 1 (List.length r.Core.Merge.accels);
   Alcotest.(check (float 1e-9)) "area unchanged" r.Core.Merge.area_before
     r.Core.Merge.area_after;
   Alcotest.(check int) "nothing reusable" 0 r.Core.Merge.n_reusable
 
 let test_empty_solution () =
-  let r = Core.Merge.merge_solution Core.Solution.empty in
+  let r = Core.Merge.run [] in
   Alcotest.(check int) "no accels" 0 (List.length r.Core.Merge.accels);
   Alcotest.(check (float 1e-9)) "zero saving" 0.0 r.Core.Merge.saving_pct
 
 let test_three_way_merge () =
   let mk name = mk_accel name ~decoupled:2 ~regs:8 fp_units 30_000.0 in
-  let r =
-    Core.Merge.merge_solution (solution_of [ mk "k1"; mk "k2"; mk "k3" ])
-  in
+  let r = Core.Merge.run [ mk "k1"; mk "k2"; mk "k3" ] in
   Alcotest.(check int) "all three collapse" 1 (List.length r.Core.Merge.accels);
   let m = List.hd r.Core.Merge.accels in
   Alcotest.(check int) "three FSMs" 3 m.Core.Merge.fsms;
@@ -90,11 +86,9 @@ let test_pair_saving_symmetric () =
     mk_accel "b" ~regs:9 [ (Ir.Op.U_float_add, 3); (Ir.Op.U_int_mul, 1) ]
       20_000.0
   in
-  let ra = Core.Merge.accel_of (List.hd (solution_of [ a ]).Core.Solution.accels) in
-  let rb = Core.Merge.accel_of (List.hd (solution_of [ b ]).Core.Solution.accels) in
   Alcotest.(check (float 1e-6)) "saving is symmetric"
-    (Core.Merge.pair_saving ra rb)
-    (Core.Merge.pair_saving rb ra)
+    (Core.Merge.pair_saving a b)
+    (Core.Merge.pair_saving b a)
 
 let test_merge_never_increases_area_on_benchmarks () =
   List.iter
@@ -104,7 +98,7 @@ let test_merge_never_increases_area_on_benchmarks () =
       List.iter
         (fun budget ->
           let s = Core.Cayman.best_under_ratio r ~budget_ratio:budget in
-          let m = Core.Merge.merge_solution s in
+          let m = Core.Cayman.merge a s in
           Alcotest.(check bool)
             (Printf.sprintf "%s@%.0f%%: merging only saves" name
                (100.0 *. budget))
@@ -158,10 +152,10 @@ let test_dfg_level_merge_on_benchmark () =
   let r = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a in
   let s = Core.Cayman.best_under_ratio r ~budget_ratio:0.25 in
   let m = Core.Cayman.merge a s in
-  Alcotest.(check bool) "nodes resolved for accels" true
+  Alcotest.(check bool) "every accel has datapath nodes" true
     (List.for_all
-       (fun acc -> Core.Cayman.datapath_nodes a acc <> None)
-       s.Core.Solution.accels);
+       (fun k -> Hls.Datapath.of_kernel k <> [])
+       (Core.Cayman.kernels a s));
   Alcotest.(check bool) "saves area" true
     (m.Core.Merge.area_after <= m.Core.Merge.area_before);
   Alcotest.(check bool) "substantial on 3mm" true
@@ -179,7 +173,7 @@ let mk_merge_accel prog area =
         r_regs = 6 };
     area;
     fsms = 1;
-    nodes = None }
+    nodes = Testutil.nodes_of_units fp_units }
 
 let test_cross_program_merge_accels () =
   (* merge_accels is not tied to one program's solution: accelerators
@@ -251,8 +245,7 @@ let qcheck_merge_never_increases_area =
               (float_of_int ak *. 1000.0))
           pop
       in
-      let s = solution_of accels in
-      let r = Core.Merge.merge_solution s in
+      let r = Core.Merge.run accels in
       if r.Core.Merge.area_after > r.Core.Merge.area_before +. 1e-6 then
         QCheck.Test.fail_reportf "area grew: %.1f -> %.1f"
           r.Core.Merge.area_before r.Core.Merge.area_after;

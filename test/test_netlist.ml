@@ -244,41 +244,31 @@ let test_consistency_across_benchmarks () =
       let s = Core.Cayman.best_under_ratio r ~budget_ratio:0.25 in
       List.iter
         (fun (acc : Core.Solution.accel) ->
-          let ctx = Hashtbl.find a.Core.Cayman.ctxs acc.Core.Solution.a_func in
-          let region =
-            Option.get
-              (An.Wpst.region a.Core.Cayman.wpst
-                 { An.Wpst.vfunc = acc.Core.Solution.a_func;
-                   vid = acc.Core.Solution.a_region_id })
+          (* a selected kernel must be emittable: [of_spec] raises
+             otherwise *)
+          let n = Hls.Netlist.of_spec (Core.Cayman.kernel_of a acc) in
+          let p = acc.Core.Solution.a_point in
+          let model_units =
+            List.fold_left (fun t (_, c) -> t + c) 0 p.Hls.Kernel.units
           in
-          match
-            Hls.Netlist.of_kernel ctx region
-              acc.Core.Solution.a_point.Hls.Kernel.config
-          with
-          | None -> Alcotest.failf "%s: selected kernel must be emittable" name
-          | Some n ->
-            let p = acc.Core.Solution.a_point in
-            let model_units =
-              List.fold_left (fun t (_, c) -> t + c) 0 p.Hls.Kernel.units
-            in
-            Alcotest.(check int)
-              (Printf.sprintf "%s/%s: units" name
-                 acc.Core.Solution.a_region_name)
-              model_units n.Hls.Netlist.stats.Hls.Netlist.n_compute;
-            let model_mem =
-              p.Hls.Kernel.ifaces.Hls.Kernel.n_coupled
-              + p.Hls.Kernel.ifaces.Hls.Kernel.n_decoupled
-              + p.Hls.Kernel.ifaces.Hls.Kernel.n_scratchpad
-            in
-            Alcotest.(check int)
-              (Printf.sprintf "%s/%s: interfaces" name
-                 acc.Core.Solution.a_region_name)
-              model_mem n.Hls.Netlist.stats.Hls.Netlist.n_mem;
-            Alcotest.(check int)
-              (Printf.sprintf "%s/%s: balanced module" name
-                 acc.Core.Solution.a_region_name)
-              1
-              (count_substring n.Hls.Netlist.verilog "endmodule"))
+          Alcotest.(check int)
+            (Printf.sprintf "%s/%s: units" name
+               acc.Core.Solution.a_region_name)
+            model_units n.Hls.Netlist.stats.Hls.Netlist.n_compute;
+          let model_mem =
+            p.Hls.Kernel.ifaces.Hls.Kernel.n_coupled
+            + p.Hls.Kernel.ifaces.Hls.Kernel.n_decoupled
+            + p.Hls.Kernel.ifaces.Hls.Kernel.n_scratchpad
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s/%s: interfaces" name
+               acc.Core.Solution.a_region_name)
+            model_mem n.Hls.Netlist.stats.Hls.Netlist.n_mem;
+          Alcotest.(check int)
+            (Printf.sprintf "%s/%s: balanced module" name
+               acc.Core.Solution.a_region_name)
+            1
+            (count_substring n.Hls.Netlist.verilog "endmodule"))
         s.Core.Solution.accels)
     [ "atax"; "doitgen"; "nw"; "spmv"; "linear-alg-mid-100x100-sp" ]
 

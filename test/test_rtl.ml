@@ -37,24 +37,6 @@ let netlists_of (a : Core.Cayman.analyzed) configs =
     a.Core.Cayman.ctxs;
   !acc
 
-(* The kernels of a selected solution as cosim specs. *)
-let specs_of (a : Core.Cayman.analyzed) (s : Core.Solution.t) =
-  List.filter_map
-    (fun (acc : Core.Solution.accel) ->
-      let ctx = Hashtbl.find a.Core.Cayman.ctxs acc.Core.Solution.a_func in
-      match
-        An.Wpst.region a.Core.Cayman.wpst
-          { An.Wpst.vfunc = acc.Core.Solution.a_func;
-            vid = acc.Core.Solution.a_region_id }
-      with
-      | None -> None
-      | Some region ->
-        Some
-          { Rtl.Cosim.k_ctx = ctx;
-            k_region = region;
-            k_config = acc.Core.Solution.a_point.Hls.Kernel.config })
-    s.Core.Solution.accels
-
 (* A kernel's netlist, found by function and region name, in one
    config. *)
 let find_netlist (a : Core.Cayman.analyzed) ~func ~region cfg =
@@ -138,7 +120,7 @@ let test_cosim_three_modes () =
     (fun mode ->
       let r = Core.Cayman.run ~mode a in
       let sel = Core.Cayman.best_under_ratio r ~budget_ratio:0.25 in
-      let specs = specs_of a sel in
+      let specs = Core.Cayman.kernels a sel in
       Alcotest.(check bool) "kernels selected" true (specs <> []);
       List.iter
         (fun (rep : Rtl.Cosim.report) ->
@@ -1053,7 +1035,8 @@ let test_sim_instrs_match_profile () =
       let a = Core.Cayman.analyze (Suite.compile (Suite.find_exn name)) in
       let r = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a in
       let specs =
-        specs_of a (Core.Cayman.best_under_ratio r ~budget_ratio:0.25)
+        Core.Cayman.kernels a
+          (Core.Cayman.best_under_ratio r ~budget_ratio:0.25)
       in
       let expected =
         List.fold_left
@@ -1091,7 +1074,9 @@ let test_sim_instrs_match_profile () =
 let test_cosim_trace_spans () =
   let a = Core.Cayman.analyze (Suite.compile (Suite.find_exn "atax")) in
   let r = Core.Cayman.run ~mode:Hls.Kernel.Heuristic a in
-  let specs = specs_of a (Core.Cayman.best_under_ratio r ~budget_ratio:0.25) in
+  let specs =
+    Core.Cayman.kernels a (Core.Cayman.best_under_ratio r ~budget_ratio:0.25)
+  in
   Obs.Trace.reset ();
   Obs.Trace.set_enabled true;
   let reports =

@@ -158,15 +158,7 @@ let test_dp_nonoverlap () =
           let by_func = Hashtbl.create 4 in
           List.iter
             (fun (acc : Core.Solution.accel) ->
-              let region =
-                match
-                  An.Wpst.region a.Core.Cayman.wpst
-                    { An.Wpst.vfunc = acc.Core.Solution.a_func;
-                      vid = acc.Core.Solution.a_region_id }
-                with
-                | Some r -> r
-                | None -> Alcotest.fail "dangling region reference"
-              in
+              let region = (Core.Cayman.kernel_of a acc).Hls.Kernel.k_region in
               let prev =
                 try Hashtbl.find by_func acc.Core.Solution.a_func
                 with Not_found -> An.Region.String_set.empty

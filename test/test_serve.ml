@@ -221,19 +221,21 @@ let expected_profile bench =
 
 let test_byte_identity_and_warm_cache () =
   with_fd_server @@ fun cl ->
-  let direct =
-    match Serve.Handlers.load ~bench:"atax" () with
-    | Ok p ->
-      (match Serve.Handlers.run_text ~budget:0.25 ~mode:"full" ~alpha:1.08 p with
-       | Ok text -> text
-       | Error m -> Alcotest.fail m)
-    | Error m -> Alcotest.fail m
-  in
-  let r1 = Serve.Client.rpc cl ~bench:"atax" "run" in
-  check_bool "run ok" true r1.Serve.Protocol.rp_ok;
-  check "reply = one-shot output (cold)" direct r1.Serve.Protocol.rp_output;
-  let r2 = Serve.Client.rpc cl ~bench:"atax" "run" in
-  check "reply = one-shot output (warm)" direct r2.Serve.Protocol.rp_output
+  let ok = function Ok v -> v | Error m -> Alcotest.fail m in
+  let p = ok (Serve.Handlers.load ~bench:"atax" ()) in
+  List.iter
+    (fun (verb, direct) ->
+      let r1 = Serve.Client.rpc cl ~bench:"atax" verb in
+      check_bool (verb ^ " ok") true r1.Serve.Protocol.rp_ok;
+      check (verb ^ " reply = one-shot output (cold)") direct
+        r1.Serve.Protocol.rp_output;
+      let r2 = Serve.Client.rpc cl ~bench:"atax" verb in
+      check (verb ^ " reply = one-shot output (warm)") direct
+        r2.Serve.Protocol.rp_output)
+    [ ( "run",
+        ok (Serve.Handlers.run_text ~budget:0.25 ~mode:"full" ~alpha:1.08 p) );
+      ( "cosim",
+        fst (ok (Serve.Handlers.cosim_text ~budget:0.25 ~mode:"full" p)) ) ]
 
 let test_fuel_isolation () =
   with_fd_server @@ fun cl ->

@@ -57,3 +57,11 @@ let func_ctx program res name =
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name gen prop)
+
+(* Datapath nodes of a unit multiset, all issued at level 0: what a
+   synthetic accelerator with those units brings to merging. *)
+let nodes_of_units units =
+  List.concat_map
+    (fun (n_kind, count) ->
+      List.init count (fun _ -> { Cayman_hls.Datapath.n_kind; n_level = 0 }))
+    units
