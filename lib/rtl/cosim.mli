@@ -109,6 +109,18 @@ val run_many :
   spec list ->
   report list
 
+(** [run_built program built] is [run_many program (List.map fst built)]
+    for a caller that has built each spec's netlist structure already
+    ([Hls.Netlist.structure_of spec], to lint it): an uncached spec is
+    co-simulated on the structure given, not on a second build. *)
+val run_built :
+  ?fuel:int ->
+  ?tolerance:tolerance ->
+  ?max_invocations:int ->
+  Cayman_ir.Validate.t ->
+  (spec * Cayman_hls.Netlist.structure) list ->
+  report list
+
 val run :
   ?fuel:int ->
   ?tolerance:tolerance ->

@@ -173,21 +173,24 @@ let cosim_text ?fuel ?max_invocations ~budget ~mode program =
       Ok (Buffer.contents b, true)
     | specs ->
       let n_lint = ref 0 in
-      List.iter
-        (fun spec ->
-          let st = Hls.Netlist.structure_of spec in
-          List.iter
-            (fun f ->
-              incr n_lint;
-              Printf.bprintf b "lint %s: %s\n" st.Hls.Netlist.nl_name
-                (Rtl.Lint.to_string f))
-            (Rtl.Lint.check st))
-        specs;
+      let built =
+        List.map
+          (fun spec ->
+            let st = Hls.Netlist.structure_of spec in
+            List.iter
+              (fun f ->
+                incr n_lint;
+                Printf.bprintf b "lint %s: %s\n" st.Hls.Netlist.nl_name
+                  (Rtl.Lint.to_string f))
+              (Rtl.Lint.check st);
+            spec, st)
+          specs
+      in
       Printf.bprintf b "lint: %d finding%s over %d netlist%s\n" !n_lint
         (if !n_lint = 1 then "" else "s")
         (List.length specs)
         (if List.length specs = 1 then "" else "s");
-      let reports = Rtl.Cosim.run_many ?fuel ?max_invocations program specs in
+      let reports = Rtl.Cosim.run_built ?fuel ?max_invocations program built in
       List.iter
         (fun rep ->
           Buffer.add_string b (Rtl.Cosim.report_to_string rep);

@@ -184,6 +184,155 @@ let diff ?bases (a : t) (b : t) =
       | None, _ -> None)
     bases
 
+(* A store log: one int per entry, the array's number above bit 32 and
+   the index below, in chunks small enough for the minor heap. A
+   growing log then never allocates in the major heap itself: a whole-
+   array buffer doubled in place did, and each such allocation paced
+   the major collector as if the run had kept it. Arrays are numbered by
+   the log on first sight. *)
+module Log = struct
+  let chunk = 256
+
+  type t = {
+    ids : (string, int) Hashtbl.t;
+    mutable names : string array;  (* by number *)
+    mutable chunks : int array array;  (* the used ones, then spares *)
+    mutable cur : int array;  (* [chunks.(full)] *)
+    mutable pos : int;  (* entries in [cur] *)
+    mutable full : int;  (* filled chunks before [cur] *)
+  }
+
+  let create () =
+    let cur = Array.make chunk 0 in
+    { ids = Hashtbl.create 8;
+      names = [||];
+      chunks = [| cur |];
+      cur;
+      pos = 0;
+      full = 0 }
+
+  let id t base =
+    match Hashtbl.find_opt t.ids base with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length t.ids in
+      Hashtbl.replace t.ids base i;
+      t.names <- Array.append t.names [| base |];
+      i
+
+  (* [cur] is full: move to the next chunk, kept from before a [clear]
+     or fresh. *)
+  let next t =
+    t.full <- t.full + 1;
+    if t.full = Array.length t.chunks then begin
+      let chunks = Array.make (2 * t.full) [||] in
+      Array.blit t.chunks 0 chunks 0 t.full;
+      t.chunks <- chunks
+    end;
+    if Array.length t.chunks.(t.full) = 0 then
+      t.chunks.(t.full) <- Array.make chunk 0;
+    t.cur <- t.chunks.(t.full);
+    t.pos <- 0
+
+  let[@inline] add t id index =
+    if t.pos = chunk then next t;
+    Array.unsafe_set t.cur t.pos ((id lsl 32) lor index);
+    t.pos <- t.pos + 1
+
+  let length t = (t.full * chunk) + t.pos
+
+  let clear t =
+    t.full <- 0;
+    t.cur <- t.chunks.(0);
+    t.pos <- 0
+
+  let[@inline] entry t k =
+    Array.unsafe_get (Array.unsafe_get t.chunks (k / chunk)) (k mod chunk)
+
+  let get t k =
+    if k < 0 || k >= length t then invalid_arg "Memory.Log.get";
+    let e = entry t k in
+    t.names.(e lsr 32), e land 0xFFFF_FFFF
+end
+
+(* Whether element [i] differs, as [cells_equal] compares. *)
+let element_differs ca cb i =
+  match ca, cb with
+  | Ints x, Ints y -> Array.unsafe_get x i <> Array.unsafe_get y i
+  | Floats x, Floats y ->
+    let p = Array.unsafe_get x i and q = Array.unsafe_get y i in
+    not (p = q || (p <> p && q <> q))
+  | (Ints _ | Floats _), _ -> false
+
+(* [diff] over the logged elements only. For an array of the same kind
+   and length in both memories, the first differing element is the
+   least logged index whose elements differ: every other element is
+   equal by the caller's promise. Any other pair of arrays is reported
+   as [diff] reports it, without reading a log. The common verdict, no
+   difference, is reached in one pass that looks each array up once per
+   run of entries on it and allocates nothing but its result. *)
+let diff_logged ~bases (a : t) (b : t) (logs : (Log.t * int) list) =
+  (* arrays of the same kind and length in both memories: [first] holds
+     the least differing logged index of each, [max_int] for none *)
+  let comparable base =
+    match Hashtbl.find_opt a base, Hashtbl.find_opt b base with
+    | Some (Ints x), Some (Ints y) -> Array.length x = Array.length y
+    | Some (Floats x), Some (Floats y) -> Array.length x = Array.length y
+    | _ -> false
+  in
+  let others = List.exists (fun base -> Hashtbl.mem a base && not (comparable base)) bases in
+  let first = Hashtbl.create 1 in
+  List.iter
+    (fun ((log : Log.t), from) ->
+      (* the log's arrays by number, resolved on first sight *)
+      let by_id = Array.make (Array.length log.Log.names) `Unseen in
+      for k = max 0 from to Log.length log - 1 do
+        let e = Log.entry log k in
+        let id = e lsr 32 and i = e land 0xFFFF_FFFF in
+        let cells =
+          match Array.unsafe_get by_id id with
+          | `Unseen ->
+            let base = log.Log.names.(id) in
+            let r =
+              if List.mem base bases && comparable base then
+                `Cells (base, Hashtbl.find a base, Hashtbl.find b base)
+              else `Skip
+            in
+            by_id.(id) <- r;
+            r
+          | r -> r
+        in
+        match cells with
+        | `Cells (base, ca, cb) when element_differs ca cb i ->
+          (match Hashtbl.find_opt first base with
+           | Some least -> if i < !least then least := i
+           | None -> Hashtbl.replace first base (ref i))
+        | `Cells _ | `Skip | `Unseen -> ()
+      done)
+    logs;
+  if Hashtbl.length first = 0 && not others then []
+  else
+    List.filter_map
+      (fun base ->
+        match Hashtbl.find_opt first base with
+        | Some least ->
+          let i = !least in
+          Some
+            ( base,
+              match Hashtbl.find a base, Hashtbl.find b base with
+              | Ints x, Ints y ->
+                Printf.sprintf "%s[%d]: %d vs %d" base i x.(i) y.(i)
+              | Floats x, Floats y ->
+                Printf.sprintf "%s[%d]: %.17g vs %.17g" base i x.(i) y.(i)
+              | (Ints _ | Floats _), _ -> assert false )
+        | None ->
+          if comparable base then None
+          else (
+            match diff ~bases:[ base ] a b with
+            | [] -> None
+            | d :: _ -> Some d))
+      (List.sort_uniq String.compare (List.filter (Hashtbl.mem a) bases))
+
 let to_float_array t base =
   match cell_exn t base with
   | Floats a -> Array.copy a

@@ -69,6 +69,45 @@ val view : shadow -> t -> t
     arrays there are not. *)
 val diff : ?bases:string list -> t -> t -> (string * string) list
 
+(** {1 Store logs}
+
+    The (array, index) of each completed store, in order: the observed
+    interpreter logs the stores of the blocks its observer marks, and
+    the RTL netlist simulator logs every store of an invocation. A log
+    is mutable state that belongs to one caller on one domain. *)
+
+module Log : sig
+  type t
+
+  val create : unit -> t
+
+  (** The log's number for array [base], assigned on first sight; a
+      store is logged by number, so appending allocates nothing. *)
+  val id : t -> string -> int
+
+  (** [add t id index] appends a store to element [index] of the array
+      numbered [id]. *)
+  val add : t -> int -> int -> unit
+
+  (** Entries logged since the last {!clear}. *)
+  val length : t -> int
+
+  (** Drops every entry; the numbers of arrays stay. *)
+  val clear : t -> unit
+
+  (** [get t k] is the [k]-th entry, counting from 0: array and index.
+      @raise Invalid_argument unless [0 <= k < length t]. *)
+  val get : t -> int -> string * int
+end
+
+(** [diff_logged ~bases a b logs] is [diff ~bases a b], provided every
+    element that no entry of [logs] names is equal in [a] and [b]; each
+    log is read from the entry position paired with it. It reads only
+    the logged elements of arrays of the same kind and length in both
+    memories, so its cost is that of the logs, not of the arrays. *)
+val diff_logged :
+  bases:string list -> t -> t -> (Log.t * int) list -> (string * string) list
+
 (** Snapshot of an array's contents (for checking example results). *)
 val to_float_array : t -> string -> float array
 
