@@ -1,69 +1,61 @@
 module Ir = Cayman_ir
-module String_set = Set.Make (String)
+module Bits = Ir.Cfg.Bits
+module Md = Ir.Cfg.Must_defined
 
 type t = {
-  live_in : (string, String_set.t) Hashtbl.t;
-  live_out : (string, String_set.t) Hashtbl.t;
+  cfg : Ir.Cfg.t;
+  md : Md.t;
+  live_in : Bits.t array;  (* per block id *)
 }
 
-(* Per-block gen (upward-exposed uses) and kill (defs). *)
-let gen_kill (b : Ir.Block.t) =
-  let gen = ref String_set.empty in
-  let kill = ref String_set.empty in
+(* Per block: upward-exposed uses ([gen]) and the registers it does not
+   define ([keep], the complement of its kill set). *)
+let gen_keep md n (b : Ir.Block.t) =
+  let gen = Bits.create n and keep = Bits.full n in
   let use (r : Ir.Instr.reg) =
-    if not (String_set.mem r.Ir.Instr.id !kill) then
-      gen := String_set.add r.Ir.Instr.id !gen
+    let k = Md.reg md r.Ir.Instr.id in
+    if k >= 0 && Bits.mem keep k then Bits.add gen k
   in
   List.iter
     (fun i ->
       List.iter use (Ir.Instr.uses i);
       match Ir.Instr.def i with
-      | Some r -> kill := String_set.add r.Ir.Instr.id !kill
+      | Some r -> Bits.remove keep (Md.reg md r.Ir.Instr.id)
       | None -> ())
     b.Ir.Block.instrs;
   List.iter use (Ir.Instr.term_uses b.Ir.Block.term);
-  !gen, !kill
+  gen, keep
 
-let compute (f : Ir.Func.t) =
-  let live_in = Hashtbl.create 16 in
-  let live_out = Hashtbl.create 16 in
-  let gk = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Ir.Block.t) ->
-      Hashtbl.replace gk b.Ir.Block.label (gen_kill b);
-      Hashtbl.replace live_in b.Ir.Block.label String_set.empty;
-      Hashtbl.replace live_out b.Ir.Block.label String_set.empty)
-    f.Ir.Func.blocks;
+let compute (cfg : Ir.Cfg.t) md =
+  let n = Md.size md in
+  let gk = Array.map (gen_keep md n) cfg.Ir.Cfg.blocks in
+  let live_in = Array.map (fun _ -> Bits.create n) gk in
+  let inn = Bits.create n in
   let changed = ref true in
   while !changed do
     changed := false;
     (* Backward iteration converges faster on reversed block order. *)
-    List.iter
-      (fun (b : Ir.Block.t) ->
-        let label = b.Ir.Block.label in
-        let out =
-          List.fold_left
-            (fun acc s ->
-              String_set.union acc
-                (try Hashtbl.find live_in s with Not_found -> String_set.empty))
-            String_set.empty (Ir.Block.succs b)
-        in
-        let gen, kill = Hashtbl.find gk label in
-        let inn = String_set.union gen (String_set.diff out kill) in
-        if not (String_set.equal out (Hashtbl.find live_out label)) then begin
-          Hashtbl.replace live_out label out;
-          changed := true
-        end;
-        if not (String_set.equal inn (Hashtbl.find live_in label)) then begin
-          Hashtbl.replace live_in label inn;
-          changed := true
-        end)
-      (List.rev f.Ir.Func.blocks)
+    for v = cfg.Ir.Cfg.size - 1 downto 0 do
+      let gen, keep = gk.(v) in
+      Bits.clear inn;
+      Array.iter
+        (fun s -> Bits.union_into ~dst:inn live_in.(s))
+        cfg.Ir.Cfg.succs.(v);
+      Bits.inter_into ~dst:inn keep;
+      Bits.union_into ~dst:inn gen;
+      if not (Bits.equal inn live_in.(v)) then begin
+        Bits.blit ~dst:live_in.(v) inn;
+        changed := true
+      end
+    done
   done;
-  { live_in; live_out }
+  { cfg; md; live_in }
 
 let live_in t label =
-  try Hashtbl.find t.live_in label with Not_found -> String_set.empty
-
-let live_out t label =
-  try Hashtbl.find t.live_out label with Not_found -> String_set.empty
+  match Ir.Cfg.id_opt t.cfg label with
+  | Some v ->
+    let s = t.live_in.(v) in
+    fun reg ->
+      let k = Md.reg t.md reg in
+      k >= 0 && Bits.mem s k
+  | None -> fun _ -> false

@@ -1,13 +1,15 @@
-(** Classic backward liveness analysis on registers. *)
+(** Classic backward liveness analysis on registers, over an index's
+    block ids.
 
-module String_set :
-  Set.S with type elt = string and type t = Set.Make(String).t
+    Registers are numbered as {!Cayman_ir.Cfg.Must_defined} numbers them
+    (parameters, then definitions in block order) and sets are
+    {!Cayman_ir.Cfg.Bits} words; a register that is neither a parameter
+    nor written by any block is never live. *)
 
-type t = {
-  live_in : (string, String_set.t) Hashtbl.t;
-  live_out : (string, String_set.t) Hashtbl.t;
-}
+type t
 
-val compute : Cayman_ir.Func.t -> t
-val live_in : t -> string -> String_set.t
-val live_out : t -> string -> String_set.t
+val compute : Cayman_ir.Cfg.t -> Cayman_ir.Cfg.Must_defined.t -> t
+
+(** [live_in t label reg]: whether register [reg] is live at the entry
+    of block [label] ([false] for an unknown label). *)
+val live_in : t -> string -> string -> bool

@@ -95,8 +95,7 @@ let recurrence_regs (f : Ir.Func.t) (live : Liveness.t) scev (loop : Loops.loop)
           (Ir.Block.defs (Ir.Func.block_exn f label)))
       loop.Loops.blocks String_set.empty
   in
-  let live_at_header = Liveness.live_in live loop.Loops.header in
-  String_set.inter defs_in_loop live_at_header
+  String_set.filter (Liveness.live_in live loop.Loops.header) defs_in_loop
   |> String_set.elements
   |> List.filter (fun rid -> not (Scev.is_iv scev rid))
 

@@ -370,8 +370,8 @@ let classify t ~block ~pos =
 (* Footprint of the access over one execution of a region: the number of
    distinct elements touched while the loops in [trips] (header, trip
    count) run. [None] if not statically analyzable. *)
-let footprint t ~block ~pos ~trips =
-  match access_form t ~block ~pos with
+let footprint_of_form form ~trips =
+  match form with
   | Unknown -> None
   | Affine a when
       List.exists (fun (s, _) -> String.starts_with ~prefix:"inv:" s) a.syms ->
@@ -387,6 +387,9 @@ let footprint t ~block ~pos ~trips =
         0 trips
     in
     Some (span + 1)
+
+let footprint t ~block ~pos ~trips =
+  footprint_of_form (access_form t ~block ~pos) ~trips
 
 let is_iv t rid = Hashtbl.mem t.ivs rid
 

@@ -53,6 +53,9 @@ val classify : t -> block:string -> pos:int -> pattern
 val footprint :
   t -> block:string -> pos:int -> trips:(string * int) list -> int option
 
+(** {!footprint} of an access of the given address form. *)
+val footprint_of_form : form -> trips:(string * int) list -> int option
+
 (** Whether the register is a canonical induction variable of some loop. *)
 val is_iv : t -> string -> bool
 

@@ -2,7 +2,12 @@ module Ir = Cayman_ir
 
 type vref = { vfunc : string; vid : int }
 
-type func_tree = { fname : string; root : Region.t; cfg : Ir.Cfg.t }
+type func_tree = {
+  fname : string;
+  root : Region.t;
+  cfg : Ir.Cfg.t;
+  md : Ir.Cfg.Must_defined.t;
+}
 
 type t = { program : Ir.Program.t; funcs : func_tree list }
 
@@ -44,8 +49,8 @@ let build (ix : Ir.Cfg.program) =
         List.filter_map
           (fun name ->
             Option.map
-              (fun (cfg, _) ->
-                { fname = name; root = Region.pst_of_cfg cfg; cfg })
+              (fun (cfg, md) ->
+                { fname = name; root = Region.pst_of_cfg cfg; cfg; md })
               (Ir.Cfg.find ix name))
           (reachable_funcs p)
       in

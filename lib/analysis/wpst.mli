@@ -7,9 +7,15 @@
 
 type vref = { vfunc : string; vid : int }
 
-(** A function's region tree and the index it was built from, which the
-    accelerator model's per-function context reads again. *)
-type func_tree = { fname : string; root : Region.t; cfg : Cayman_ir.Cfg.t }
+(** A function's region tree and the index it was built from, with the
+    index's must-defined solution, which the accelerator model's
+    per-function context reads again. *)
+type func_tree = {
+  fname : string;
+  root : Region.t;
+  cfg : Cayman_ir.Cfg.t;
+  md : Cayman_ir.Cfg.Must_defined.t;
+}
 
 type t = { program : Cayman_ir.Program.t; funcs : func_tree list }
 

@@ -185,10 +185,16 @@ let select ?(params = default_params) ?jobs ~(gen : accel_gen)
               else None)
             pts
       in
+      (* [combine [empty] s] is [s] for a filtered Pareto sequence such
+         as [dp]'s, so the fold starts from the first child's frontier
+         rather than crossing it with the empty solution. *)
       let from_children =
-        List.fold_left
-          (fun acc c -> Solution.combine ~alpha acc (dp ctx c))
-          [ Solution.empty ] r.An.Region.children
+        match r.An.Region.children with
+        | [] -> [ Solution.empty ]
+        | c :: rest ->
+          List.fold_left
+            (fun acc c -> Solution.combine ~alpha acc (dp ctx c))
+            (dp ctx c) rest
       in
       let filtered =
         Solution.filter ~alpha (Solution.pareto (own @ from_children))

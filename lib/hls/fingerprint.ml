@@ -35,9 +35,10 @@ let tech =
    in a deterministic order under the original names: [block_order] is
    the region's blocks in the listing's walk order. *)
 let facts b ~block_order (ctx : Ctx.t) (region : An.Region.t) =
+  let m = Ctx.resolve ctx region in
   (* profile: region aggregate + per-block, in walk order *)
   Hash.int b (Ctx.region_cycles ctx region);
-  Hash.int b (Ctx.region_entries ctx region);
+  Hash.int b (Ctx.region_entries ctx m);
   List.iter
     (fun l ->
       Hash.str b l;
@@ -47,7 +48,7 @@ let facts b ~block_order (ctx : Ctx.t) (region : An.Region.t) =
   (* loops fully inside the region, ordered by their header's position
      in the walk *)
   let loops =
-    match Ctx.loops_inside ctx region with
+    match Ctx.loops_inside ctx m with
     | ([] | [ _ ]) as loops -> loops
     | loops ->
       let tbl = Hashtbl.create 16 in
@@ -97,7 +98,7 @@ let facts b ~block_order (ctx : Ctx.t) (region : An.Region.t) =
   List.iter
     (fun label ->
       let dfg = Ctx.dfg ctx label in
-      let trips = Ctx.region_trips ctx region label in
+      let trips = Ctx.region_trips ctx m (Ir.Cfg.id ctx.Ctx.cfg label) in
       List.iter
         (fun i ->
           Hash.str b label;

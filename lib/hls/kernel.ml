@@ -93,35 +93,7 @@ let default_beta = 4.0
 
 (* --- helpers --- *)
 
-(* A loop is pipelineable when it is innermost with a straight-line
-   body: either the canonical header/body/latch shape, or the two-block
-   shape left after CFG simplification fuses the body into the latch. *)
-let pipeline_body (ctx : Ctx.t) (l : An.Loops.loop) =
-  if not (An.Loops.is_innermost ctx.Ctx.loops l) then None
-  else
-    match l.An.Loops.latches with
-    | [ latch ] ->
-      let body =
-        An.Loops.String_set.elements
-          (An.Loops.String_set.remove l.An.Loops.header
-             (An.Loops.String_set.remove latch l.An.Loops.blocks))
-      in
-      (match body with
-       | [ b ] -> Some b
-       | [] -> if String.equal latch l.An.Loops.header then None else Some latch
-       | _ :: _ :: _ -> None)
-    | [] | _ :: _ :: _ -> None
-
 let unit_kinds = Array.of_list Ir.Op.all_unit_kinds
-
-(* Area of a unit multiset given as counts in [unit_kinds] order. *)
-let units_area counts =
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun j c ->
-      if c > 0 then acc := !acc +. (float_of_int c *. Tech.area unit_kinds.(j)))
-    counts;
-  !acc
 
 (* The interface of node [i] in a block's kind array; nodes past its end
    (every node of a block without memory accesses) are coupled. *)
@@ -189,6 +161,7 @@ type static_array = {
 (* A loop inside the region that pipelines when asked. *)
 type pipe_loop = {
   pl_loop : An.Loops.loop;
+  pl_blocks : Ir.Cfg.Bits.t;  (* its member ids *)
   pl_body : block;
   pl_trip : int;  (* profiled trip count, positive *)
   pl_unroll_trip : int;
@@ -214,86 +187,62 @@ type facts = {
 }
 
 (* The facts of [r], or [None] when it contains a call (never
-   synthesized). *)
+   synthesized): a projection of the context's per-function tables onto
+   the region's members, which are resolved once and visited in label
+   order, plus the footprints of its accesses under the trip counts of
+   the loops inside it. *)
 let region_facts (ctx : Ctx.t) (r : An.Region.t) =
-  let labels = Array.of_list (An.Region.String_set.elements r.An.Region.blocks) in
-  let ids = Array.map (Ir.Cfg.id ctx.Ctx.cfg) labels in
+  let m = Ctx.resolve ctx r in
+  let ids = m.Ctx.ids in
   if Array.exists (fun id -> Dfg.has_call ctx.Ctx.dfgs.(id)) ids then None
   else begin
     let blocks =
       Array.mapi
-        (fun b_slot b_label ->
-          let id = ids.(b_slot) in
-          let b_dfg = ctx.Ctx.dfgs.(id) in
-          { b_label; b_slot; b_dfg; b_execs = ctx.Ctx.counts.Sim.Profile.blocks.(id);
-            b_units_area = units_area b_dfg.Dfg.units; b_summaries = [] })
-        labels
+        (fun b_slot id ->
+          { b_label = m.Ctx.labels.(b_slot); b_slot; b_dfg = ctx.Ctx.dfgs.(id);
+            b_execs = ctx.Ctx.counts.Sim.Profile.blocks.(id);
+            b_units_area = ctx.Ctx.units_area.(id); b_summaries = [] })
+        ids
     in
-    let pipelineable =
-      Array.of_list
-        (List.filter_map
-           (fun (l : An.Loops.loop) ->
-             let header = l.An.Loops.header in
-             match pipeline_body ctx l with
-             | Some body when Ctx.trip ctx header > 0 ->
-               let slot =
-                 match Array.find_index (String.equal body) labels with
-                 | Some slot -> slot
-                 | None ->
-                   raise
-                     (Internal_error
-                        (Printf.sprintf
-                           "hls.kernel: body %s of loop %s is outside region %d"
-                           body header r.An.Region.id))
-               in
-               let trip = Ctx.trip ctx header in
-               Some
-                 { pl_loop = l; pl_body = blocks.(slot); pl_trip = trip;
-                   pl_unroll_trip =
-                     (match Ctx.loop_info ctx header with
-                      | Some info when not (An.Memdep.has_carried_dep info) ->
-                        trip
-                      | Some _ | None -> 0);
-                   pl_entries = max 1 (Ctx.loop_entries ctx l) }
-             | Some _ | None -> None)
-           (Ctx.loops_inside ctx r))
-    in
+    let pipelineable = ref [] in
+    for i = Array.length ctx.Ctx.loop_facts - 1 downto 0 do
+      let lf = ctx.Ctx.loop_facts.(i) in
+      if m.Ctx.inside.(i) && lf.Ctx.lf_body >= 0 && lf.Ctx.lf_trip > 0 then begin
+        let slot =
+          match Array.find_index (Int.equal lf.Ctx.lf_body) ids with
+          | Some slot -> slot
+          | None ->
+            raise
+              (Internal_error
+                 (Printf.sprintf
+                    "hls.kernel: body %s of loop %s is outside region %d"
+                    ctx.Ctx.cfg.Ir.Cfg.labels.(lf.Ctx.lf_body)
+                    lf.Ctx.lf_loop.An.Loops.header r.An.Region.id))
+        in
+        pipelineable :=
+          { pl_loop = lf.Ctx.lf_loop; pl_blocks = lf.Ctx.lf_blocks;
+            pl_body = blocks.(slot); pl_trip = lf.Ctx.lf_trip;
+            pl_unroll_trip = lf.Ctx.lf_unroll_trip;
+            pl_entries = max 1 lf.Ctx.lf_entries }
+          :: !pipelineable
+      end
+    done;
+    let pipelineable = Array.of_list !pipelineable in
     let accesses =
       Array.fold_left
         (fun acc b ->
-          let label = b.b_label in
-          let trips = Ctx.region_trips ctx r label in
+          let trips = Ctx.region_trips ctx m ids.(b.b_slot) in
           let pipe =
             Array.find_index (fun p -> p.pl_body.b_slot = b.b_slot) pipelineable
           in
-          List.fold_left
-            (fun acc i ->
-              let instr = b.b_dfg.Dfg.instrs.(i) in
-              let base =
-                match Ir.Instr.mem_ref_of instr with
-                | Some m -> m.Ir.Instr.base
-                | None ->
-                  raise
-                    (Internal_error
-                       (Printf.sprintf
-                          "hls.kernel: DFG memory node %d of block %s has no \
-                           memory reference"
-                          i label))
-              in
-              let a_store =
-                match instr with
-                | Ir.Instr.Store _ -> true
-                | Ir.Instr.Assign _ | Ir.Instr.Unary _ | Ir.Instr.Binary _
-                | Ir.Instr.Compare _ | Ir.Instr.Select _ | Ir.Instr.Load _
-                | Ir.Instr.Call _ -> false
-              in
-              { a_slot = b.b_slot; a_pos = i; a_base = base; a_store;
-                a_footprint =
-                  An.Scev.footprint ctx.Ctx.scev ~block:label ~pos:i ~trips;
-                a_pattern = An.Scev.classify ctx.Ctx.scev ~block:label ~pos:i;
-                a_pipe = pipe; a_static = None }
+          Array.fold_left
+            (fun acc (ac : Ctx.access) ->
+              { a_slot = b.b_slot; a_pos = ac.Ctx.ac_pos; a_base = ac.Ctx.ac_base;
+                a_store = ac.Ctx.ac_store;
+                a_footprint = An.Scev.footprint_of_form ac.Ctx.ac_form ~trips;
+                a_pattern = ac.Ctx.ac_pattern; a_pipe = pipe; a_static = None }
               :: acc)
-            acc (Dfg.mem_nodes b.b_dfg))
+            acc ctx.Ctx.accesses.(ids.(b.b_slot)))
         [] blocks
     in
     (* Per array: total accesses over the run and union footprint, kept
@@ -325,7 +274,7 @@ let region_facts (ctx : Ctx.t) (r : An.Region.t) =
     in
     Some
       { f_region = r;
-        f_labels = labels;
+        f_labels = m.Ctx.labels;
         f_blocks = blocks;
         f_pipelineable = pipelineable;
         f_seq_all = Array.to_list blocks;
@@ -334,8 +283,7 @@ let region_facts (ctx : Ctx.t) (r : An.Region.t) =
             (fun b ->
               not
                 (Array.exists
-                   (fun p ->
-                     An.Loops.String_set.mem b.b_label p.pl_loop.An.Loops.blocks)
+                   (fun p -> Ir.Cfg.Bits.mem p.pl_blocks ids.(b.b_slot))
                    pipelineable))
             (Array.to_list blocks);
         f_accesses =
@@ -349,7 +297,7 @@ let region_facts (ctx : Ctx.t) (r : An.Region.t) =
             accesses;
         f_static_arrays = static_arrays;
         f_cpu_cycles = Ctx.region_cycles ctx r;
-        f_entries = Ctx.region_entries ctx r }
+        f_entries = Ctx.region_entries ctx m }
   end
 
 (* --- interface assignment --- *)
@@ -473,11 +421,14 @@ let unroll_factor config p =
 
 let seq_blocks f config = if config.pipeline then f.f_seq_piped else f.f_seq_all
 
+(* The unroll factor of each pipelineable loop, or [[||]] when the
+   configuration does not pipeline. *)
+let unrolls f config =
+  if config.pipeline then Array.map (unroll_factor config) f.f_pipelineable
+  else [||]
+
 let plan_of_facts (f : facts) ~beta config =
-  let unrolls =
-    if config.pipeline then Array.map (unroll_factor config) f.f_pipelineable
-    else [||]
-  in
+  let unrolls = unrolls f config in
   let pipelined = ref [] in
   for i = Array.length unrolls - 1 downto 0 do
     let p = f.f_pipelineable.(i) in
@@ -685,16 +636,27 @@ let point_of_plan (ctx : Ctx.t) (f : facts) (pl : plan) =
       List.fold_left (fun acc sp -> acc + sp.sp_words) 0 assignment.sp_arrays }
 
 let m_estimates = Obs.Metrics.counter "hls.kernel_estimates"
+let m_plans = Obs.Metrics.counter "hls.kernel_plans"
 let m_points = Obs.Metrics.counter "hls.kernel_points"
 
 let fp_schedule = Obs.Faultpoint.register "schedule"
 
+(* What fixes a configuration's plan, and so its point up to the
+   [config] field: the mode and the unroll vector. Pipelining a region
+   with no pipelineable loop gives the sequential plan, [[||]]. *)
+let plan_key f config = (config.mode, unrolls f config)
+
 (* One configuration over the region's facts. [facts] is forced only
    for a configuration with a positive unroll, so a region is analysed
    exactly when the single-configuration model would have analysed it.
-   The facts, and the block-plan table they carry, never leave the
+   A configuration whose plan key is in [seen] gives no point: an
+   earlier one of the sweep evaluated the same plan, to the same cycles
+   and area, so the sweep's dedup would drop it. Every configuration
+   hits the [schedule] fault point and counts one estimate all the same.
+   The facts, the block-plan table they carry and [seen] never leave the
    caller's stack frame, so no other domain can force or fill them. *)
-let estimate_with (ctx : Ctx.t) (facts : facts option Lazy.t) ~beta config =
+let estimate_with (ctx : Ctx.t) (facts : facts option Lazy.t) ~seen ~beta
+    config =
   Obs.Faultpoint.hit fp_schedule;
   Obs.Metrics.incr m_estimates;
   if config.unroll <= 0 then None
@@ -702,27 +664,36 @@ let estimate_with (ctx : Ctx.t) (facts : facts option Lazy.t) ~beta config =
     match Lazy.force facts with
     | None -> None
     | Some f when f.f_cpu_cycles <= 0 || f.f_entries <= 0 -> None
-    | Some f -> Some (point_of_plan ctx f (plan_of_facts f ~beta config))
+    | Some f ->
+      let key = plan_key f config in
+      if List.mem key !seen then None
+      else begin
+        seen := key :: !seen;
+        Obs.Metrics.incr m_plans;
+        Some (point_of_plan ctx f (plan_of_facts f ~beta config))
+      end
 
 let estimate (ctx : Ctx.t) (r : An.Region.t) ?(beta = default_beta) config =
-  estimate_with ctx (lazy (region_facts ctx r)) ~beta config
+  estimate_with ctx (lazy (region_facts ctx r)) ~seen:(ref []) ~beta config
 
 (* All design points of a kernel for a list of configurations, dropping
    duplicates that collapse to the same (cycles, area). The region's
-   facts are built once and shared by every configuration, and each
-   distinct block plan is scheduled once: a configuration sums the
-   summaries its blocks find in the facts' block-plan table. *)
+   facts are built once and shared by every configuration, each distinct
+   plan is evaluated once, and each distinct block plan is scheduled
+   once: a plan sums the summaries its blocks find in the facts'
+   block-plan table. *)
 let estimate_all ctx r ?(beta = default_beta) configs =
   let facts = lazy (region_facts ctx r) in
-  let points = List.filter_map (estimate_with ctx facts ~beta) configs in
-  let seen = Hashtbl.create 8 in
+  let seen = ref [] in
+  let points = List.filter_map (estimate_with ctx facts ~seen ~beta) configs in
+  let dedup = Hashtbl.create 8 in
   let points =
     List.filter
       (fun p ->
         let key = (p.accel_cycles, p.area) in
-        if Hashtbl.mem seen key then false
+        if Hashtbl.mem dedup key then false
         else begin
-          Hashtbl.replace seen key ();
+          Hashtbl.replace dedup key ();
           true
         end)
       points

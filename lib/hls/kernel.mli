@@ -124,19 +124,27 @@ val estimate :
   Ctx.t -> Cayman_analysis.Region.t -> ?beta:float -> config -> point option
 
 (** Design points for several configurations, deduplicated by
-    (cycles, area). The same points, bit for bit, as one {!estimate} per
-    configuration, but computed as one sweep:
+    (cycles, area). The same points, bit for bit and [config] fields
+    included, as one {!estimate} per configuration, but computed as one
+    sweep:
     - the region's configuration-independent facts (memory accesses
       with their footprints and Scev patterns, per-array scratchpad
       inputs, pipelineable loops, sequential-block lists, profiled
-      cycles and entries) are computed once for the whole list;
+      cycles and entries) are projected once for the whole list from
+      the context's per-function tables;
+    - each distinct plan, keyed by the mode and the unroll factor of
+      each pipelineable loop, is evaluated once: a later configuration
+      with the same key would price to the same cycles and area, which
+      the dedup drops, so it gives no point. [hls.kernel_plans] counts
+      the plans evaluated;
     - each distinct block plan (block, scratchpad banks, interface
       vector) is scheduled once, and its summary (schedule length,
       initiation interval, interface area and counts) is kept in a
-      table local to the sweep; a configuration sums its blocks'
-      summaries. [hls.schedules_run] therefore counts distinct block
-      plans per sweep, while [hls.kernel_estimates] and the [schedule]
-      fault point still count one per configuration. *)
+      table local to the sweep; a plan sums its blocks' summaries.
+      [hls.schedules_run] therefore counts distinct block plans per
+      sweep.
+    [hls.kernel_estimates] and the [schedule] fault point still count
+    one per configuration, skipped or not. *)
 val estimate_all :
   Ctx.t ->
   Cayman_analysis.Region.t ->

@@ -221,20 +221,20 @@ let test_wpst_reachability () =
     (An.Wpst.region wpst { An.Wpst.vfunc = "main"; vid = 0 } <> None)
 
 let test_liveness () =
-  let f = diamond_loop_func () in
-  let live = An.Liveness.compute f in
+  let cfg = Ir.Cfg.of_func (diamond_loop_func ()) in
+  let live = An.Liveness.compute cfg (Ir.Cfg.Must_defined.solve cfg) in
   (* i is live around the loop: live into head, a, join. *)
   List.iter
     (fun label ->
       Alcotest.(check bool)
         ("i live into " ^ label)
         true
-        (An.Liveness.String_set.mem "i" (An.Liveness.live_in live label)))
+        (An.Liveness.live_in live label "i"))
     [ "head"; "a"; "join" ];
   Alcotest.(check bool) "i dead into exit" false
-    (An.Liveness.String_set.mem "i" (An.Liveness.live_in live "exit"));
+    (An.Liveness.live_in live "exit" "i");
   Alcotest.(check bool) "c not live into entry" false
-    (An.Liveness.String_set.mem "c" (An.Liveness.live_in live "entry"))
+    (An.Liveness.live_in live "entry" "c")
 
 (* Dominance sanity on every suite benchmark: entry dominates all
    reachable blocks; idom depth decreases. *)

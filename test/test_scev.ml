@@ -12,7 +12,7 @@ let analyze src name =
   let f = cfg.Ir.Cfg.func in
   let loops = An.Loops.of_cfg cfg in
   let scev = An.Scev.create f loops in
-  let live = An.Liveness.compute f in
+  let live = An.Liveness.compute cfg (Ir.Cfg.Must_defined.solve cfg) in
   f, loops, scev, live
 
 (* All (block, pos, instr) memory accesses of a function touching [base]. *)

@@ -292,8 +292,43 @@ let test_alpha_bounds_frontier () =
   Alcotest.(check bool) "larger alpha gives shorter frontier" true
     (frontier_len 2.0 <= frontier_len 1.05)
 
+(* The DP folds a region's children from the first child's frontier:
+   crossing a filtered Pareto sequence with the empty solution alone
+   gives the same sequence back. *)
+let qcheck_combine_empty_identity =
+  Testutil.qtest ~count:300 "combine with the empty solution is identity"
+    QCheck.(pair arb_solutions (float_range 1.01 3.0))
+    (fun (xs, alpha) ->
+      let s = Core.Solution.filter ~alpha (Core.Solution.pareto xs) in
+      Core.Solution.equal_frontier
+        (Core.Solution.combine ~alpha [ Core.Solution.empty ] s)
+        s)
+
+(* Over the Table II programs and four generated fleets, in all five
+   modes, selection with four jobs equals selection with one over the
+   same shared contexts: frontier and stats. *)
+let test_select_jobs_agree () =
+  let runs = ref 0 in
+  List.iter
+    (fun (name, (a : Core.Cayman.analyzed)) ->
+      List.iter
+        (fun mode ->
+          let select jobs =
+            Core.Select.select ~jobs ~gen:(Core.Cayman.gen mode)
+              a.Core.Cayman.ctxs a.Core.Cayman.wpst a.Core.Cayman.profile
+          in
+          let f1, s1 = select 1 and f4, s4 = select 4 in
+          incr runs;
+          if not (Core.Solution.equal_frontier f1 f4 && s1 = s4) then
+            Alcotest.failf "%s, %s: 4 jobs differ from 1" name
+              (Hls.Kernel.mode_to_string mode))
+        Testutil.all_modes)
+    (Lazy.force Testutil.sweep_corpus);
+  Alcotest.(check bool) "selections compared" true (!runs > 0)
+
 let tests =
   [ qcheck_pareto_sorted;
+    qcheck_combine_empty_identity;
     qcheck_pareto_contains_empty;
     qcheck_pareto_dominates_input;
     qcheck_filter_spacing;
@@ -307,5 +342,7 @@ let tests =
     Alcotest.test_case "baselines dominated by full Cayman" `Slow
       test_baselines_dominated;
     Alcotest.test_case "pruning reduces work" `Quick test_pruning_reduces_work;
+    Alcotest.test_case "4 jobs select as 1 on shared contexts" `Slow
+      test_select_jobs_agree;
     Alcotest.test_case "alpha bounds frontier size" `Quick
       test_alpha_bounds_frontier ]

@@ -159,7 +159,7 @@ let test_region_profile () =
   let root = An.Region.pst_of_cfg ctx.Cayman_hls.Ctx.cfg in
   (* whole-function region entered 3 times *)
   Alcotest.(check int) "fill region entries" 3
-    (Cayman_hls.Ctx.region_entries ctx root);
+    (Cayman_hls.Ctx.region_entries ctx (Cayman_hls.Ctx.resolve ctx root));
   (* its loop region is also entered 3 times *)
   let loop_region = ref None in
   An.Region.iter
@@ -170,7 +170,7 @@ let test_region_profile () =
   (match !loop_region with
    | Some r ->
      Alcotest.(check int) "loop region entries" 3
-       (Cayman_hls.Ctx.region_entries ctx r);
+       (Cayman_hls.Ctx.region_entries ctx (Cayman_hls.Ctx.resolve ctx r));
      Alcotest.(check bool) "loop region cycles positive" true
        (Cayman_hls.Ctx.region_cycles ctx r > 0)
    | None -> Alcotest.fail "no loop region in fill");
@@ -234,7 +234,7 @@ let test_branch_same_target () =
       match !loop_region with
       | Some r ->
         Alcotest.(check int) (name "loop region entries") 1
-          (Cayman_hls.Ctx.region_entries ctx r)
+          (Cayman_hls.Ctx.region_entries ctx (Cayman_hls.Ctx.resolve ctx r))
       | None -> Alcotest.fail "no loop region")
     [ Sim.Interp.Reference; Sim.Interp.Staged ]
 
