@@ -58,7 +58,10 @@ let ctrl_overhead = 420.0
    operation unit (Section III-E's DFG-level matching) and every shared
    interface unit is kept once instead of twice, minus muxing overhead;
    only profitable sharing contributes. *)
+let m_pairs = Obs.Metrics.counter "merge.pairs_evaluated"
+
 let pair_saving a b =
+  Obs.Metrics.incr m_pairs;
   let unit_part = (Hls.Datapath.pair a.nodes b.nodes).Hls.Datapath.saved_area in
   let iface_part =
     let shared_c = min a.res.r_coupled b.res.r_coupled in

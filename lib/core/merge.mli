@@ -35,7 +35,8 @@ type result = {
     ({!Cayman_hls.Datapath.of_kernel}), into a mergeable unit. *)
 val accel_of : Cayman_hls.Datapath.node list -> Solution.accel -> accel
 
-(** Estimated saving of merging two accelerators (can be negative). *)
+(** Estimated saving of merging two accelerators (can be negative).
+    Counts one [merge.pairs_evaluated] per call. *)
 val pair_saving : accel -> accel -> float
 
 (** Merge two accelerators whose estimated saving is [saving] (from

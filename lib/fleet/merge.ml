@@ -143,6 +143,8 @@ let collect opts =
         (fun () -> summarize opts index))
     (List.init opts.o_kernels Fun.id)
 
+let kernels opts = List.concat_map (fun p -> p.ps_kernels) (collect opts)
+
 (* ------------------------------------------------------------------ *)
 (* Per-cluster merging                                                 *)
 (* ------------------------------------------------------------------ *)

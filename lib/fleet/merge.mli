@@ -62,6 +62,15 @@ type report = {
   r_budget_saved_per_program : float;
 }
 
+(** The {e collect} phase alone: every selected kernel of the fleet, in
+    fleet order (program index, then selection order). *)
+val kernels : options -> Cluster.kernel list
+
+(** The {e merge} phase of one cluster, unmemoized: alpha-equivalent
+    members chain-merged, then the distinct representatives through
+    {!Core.Merge.merge_accels}. *)
+val merge_cluster : Cluster.cluster -> Core.Merge.accel list
+
 (** Run the full pipeline. Deterministic for fixed [options] (modulo
     the memo store being semantically transparent). *)
 val run : options -> report
