@@ -14,13 +14,14 @@ type res = {
 
 (* An accelerator during merging: possibly already a reusable accelerator
    covering several program regions, each with its own FSM. Pair savings
-   match its datapath operation nodes (the paper's DFG-level matching). *)
+   match its datapath operation nodes, held as a level profile (the
+   paper's DFG-level matching). *)
 type accel = {
   regions : string list;
   res : res;
   area : float;
   fsms : int;
-  nodes : Hls.Datapath.node list;
+  nodes : Hls.Datapath.t;
 }
 
 type result = {
@@ -62,7 +63,7 @@ let m_pairs = Obs.Metrics.counter "merge.pairs_evaluated"
 
 let pair_saving a b =
   Obs.Metrics.incr m_pairs;
-  let unit_part = (Hls.Datapath.pair a.nodes b.nodes).Hls.Datapath.saved_area in
+  let unit_part = Hls.Datapath.saved_area a.nodes b.nodes in
   let iface_part =
     let shared_c = min a.res.r_coupled b.res.r_coupled in
     let shared_d = min a.res.r_decoupled b.res.r_decoupled in
@@ -114,32 +115,65 @@ let merge_pair a b ~saving =
 
 (* Heuristic merging loop (Section III-E): repeatedly merge the
    accelerator pair with the maximum estimated area saving until no
-   positive saving remains. *)
+   positive saving remains. The population is scanned pair by pair in
+   order and a later pair replaces the best only with a strictly larger
+   saving; the merged accelerator goes first, the rest keep their order.
+
+   A pair's saving depends only on its two accelerators, so each is
+   priced once: savings live in a triangular table over slots, the
+   merged accelerator takes its first member's slot, and after a merge
+   only its savings against the rest are priced. *)
 let merge_accels accels =
-  let arr = ref (Array.of_list accels) in
-  let continue_ = ref true in
-  while !continue_ && Array.length !arr > 1 do
-    let n = Array.length !arr in
-    let best = ref None in
-    for i = 0 to n - 2 do
-      for j = i + 1 to n - 1 do
-        let s = pair_saving !arr.(i) !arr.(j) in
-        match !best with
-        | Some (_, _, s') when s' >= s -> ()
-        | Some _ | None -> if s > 0.0 then best := Some (i, j, s)
+  let slots = Array.of_list accels in
+  let n = Array.length slots in
+  let cell p q =
+    let lo = min p q and hi = max p q in
+    (hi * (hi - 1) / 2) + lo
+  in
+  let saving = Float.Array.make (n * (n - 1) / 2) 0.0 in
+  let price p q =
+    Float.Array.set saving (cell p q) (pair_saving slots.(p) slots.(q))
+  in
+  for q = 1 to n - 1 do
+    for p = 0 to q - 1 do
+      price p q
+    done
+  done;
+  (* [order.(0 .. live - 1)]: the population's slots, in scan order *)
+  let order = Array.init n Fun.id in
+  let live = ref n and continue_ = ref (n > 1) in
+  while !continue_ do
+    let bi = ref (-1) and bj = ref (-1) and best = ref 0.0 in
+    for i = 0 to !live - 2 do
+      for j = i + 1 to !live - 1 do
+        let s = Float.Array.get saving (cell order.(i) order.(j)) in
+        if s > !best then begin
+          bi := i;
+          bj := j;
+          best := s
+        end
       done
     done;
-    match !best with
-    | None -> continue_ := false
-    | Some (i, j, s) ->
-      let merged = merge_pair !arr.(i) !arr.(j) ~saving:s in
-      let rest =
-        Array.to_list !arr
-        |> List.filteri (fun k _ -> k <> i && k <> j)
+    if !bi < 0 then continue_ := false
+    else begin
+      let p = order.(!bi) and q = order.(!bj) in
+      slots.(p) <- merge_pair slots.(p) slots.(q) ~saving:!best;
+      (* the merged slot first, the others in order *)
+      let others =
+        List.filter
+          (fun slot -> slot <> p && slot <> q)
+          (Array.to_list (Array.sub order 0 !live))
       in
-      arr := Array.of_list (merged :: rest)
+      order.(0) <- p;
+      List.iteri (fun m slot -> order.(m + 1) <- slot) others;
+      decr live;
+      for m = 1 to !live - 1 do
+        price p order.(m)
+      done;
+      continue_ := !live > 1
+    end
   done;
-  Array.to_list !arr
+  List.init !live (fun m -> slots.(order.(m)))
 
 let m_merges = Obs.Metrics.counter "merge.runs"
 let m_inputs = Obs.Metrics.counter "merge.input_accels"

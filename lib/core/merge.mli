@@ -17,9 +17,9 @@ type accel = {
   res : res;
   area : float;
   fsms : int;
-  nodes : Cayman_hls.Datapath.node list;
-      (** datapath operation nodes, which {!pair_saving} matches (the
-          paper's DFG-level matching) *)
+  nodes : Cayman_hls.Datapath.t;
+      (** level profile of the datapath's operation nodes, which
+          {!pair_saving} matches (the paper's DFG-level matching) *)
 }
 
 type result = {
@@ -31,9 +31,9 @@ type result = {
   regions_per_reusable : float;
 }
 
-(** Lift one selected accelerator, given its datapath nodes
+(** Lift one selected accelerator, given its datapath's level profile
     ({!Cayman_hls.Datapath.of_kernel}), into a mergeable unit. *)
-val accel_of : Cayman_hls.Datapath.node list -> Solution.accel -> accel
+val accel_of : Cayman_hls.Datapath.t -> Solution.accel -> accel
 
 (** Estimated saving of merging two accelerators (can be negative).
     Counts one [merge.pairs_evaluated] per call. *)
@@ -46,9 +46,12 @@ val merge_pair : accel -> accel -> saving:float -> accel
 
 (** The greedy max-saving merging loop over an arbitrary accelerator
     population — not necessarily one program's solution, which is how
-    the fleet subsystem shares accelerators across programs. Quadratic
-    in the population size: fleet-scale callers pre-cluster and run it
-    within clusters only. *)
+    the fleet subsystem shares accelerators across programs. Each pair
+    saving is priced once ({!pair_saving} runs n(n-1)/2 times up front
+    and n-2 times more per merge), so the pricing is quadratic in the
+    population size; the per-merge scan for the best pair reads a table
+    and stays cheap. Fleet-scale callers still pre-cluster and run it
+    within clusters only. Ties go to the pair scanned first. *)
 val merge_accels : accel list -> accel list
 
 (** {!merge_accels} over one program's lifted accelerators, with the

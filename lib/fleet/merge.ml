@@ -114,9 +114,9 @@ let summarize opts index =
    budget, and the fuel budget (a program that ran out of fuel under a
    smaller budget must not resurface as a cached failure). The
    [accel_layout] field names the stored layout of [Core.Merge.accel],
-   whose datapath nodes were once optional, so an entry of that layout
-   never unmarshals as this one. *)
-let accel_layout = "merge-accel-nodes-list"
+   whose datapath was once an optional node list and then a node list,
+   so an entry of an older layout never unmarshals as this one. *)
+let accel_layout = "merge-accel-level-profile"
 
 let summary_key opts index =
   let b = Memo.Hash.builder ~ns:"fleet.prog" in
@@ -135,11 +135,18 @@ let m_kernels = Obs.Metrics.counter "fleet.kernels"
 let m_clusters = Obs.Metrics.counter "fleet.clusters"
 let m_failures = Obs.Metrics.counter "fleet.gen_failures"
 
+(* [Memo.Store.memoize], with the key derived only when a store is
+   active: without one the key would be built and thrown away. *)
+let memoize ~ns ~key f =
+  if not (Memo.Store.active ()) then f ()
+  else Memo.Store.memoize ~ns ~key:(key ()) f
+
 let collect opts =
   Obs.Trace.span ~cat:"fleet" "fleet.collect" @@ fun () ->
   Engine.Pool.map ?jobs:opts.o_jobs
     (fun index ->
-      Memo.Store.memoize ~ns:"fleet.prog" ~key:(summary_key opts index)
+      memoize ~ns:"fleet.prog"
+        ~key:(fun () -> summary_key opts index)
         (fun () -> summarize opts index))
     (List.init opts.o_kernels Fun.id)
 
@@ -210,11 +217,11 @@ let cluster_key (cl : Cluster.cluster) =
       Memo.Hash.int b res.Core.Merge.r_decoupled;
       Memo.Hash.int b res.Core.Merge.r_sp_words;
       Memo.Hash.int b res.Core.Merge.r_regs;
-      Memo.Hash.int b (List.length a.Core.Merge.nodes);
-      List.iter
-        (fun (n : Hls.Datapath.node) ->
-          Memo.Hash.str b (Ir.Op.unit_kind_to_string n.Hls.Datapath.n_kind);
-          Memo.Hash.int b n.Hls.Datapath.n_level)
+      Memo.Hash.int b (Hls.Datapath.size a.Core.Merge.nodes);
+      Hls.Datapath.iter
+        (fun kind level ->
+          Memo.Hash.str b (Ir.Op.unit_kind_to_string kind);
+          Memo.Hash.int b level)
         a.Core.Merge.nodes)
     cl.Cluster.cl_kernels;
   Memo.Hash.digest b
@@ -305,7 +312,8 @@ let run opts =
     Obs.Trace.span ~cat:"fleet" "fleet.merge" @@ fun () ->
     Engine.Pool.map ?jobs:opts.o_jobs
       (fun cl ->
-        Memo.Store.memoize ~ns:"fleet.cluster" ~key:(cluster_key cl)
+        memoize ~ns:"fleet.cluster"
+          ~key:(fun () -> cluster_key cl)
           (fun () -> merge_cluster cl))
       clusters
     |> List.concat

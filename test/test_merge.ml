@@ -24,7 +24,7 @@ let mk_accel name ?(coupled = 0) ?(decoupled = 0) ?(sp = 0) ?(regs = 0) units
       sp_words = sp * 64;
       n_regs = regs }
   in
-  Core.Merge.accel_of (Testutil.nodes_of_units units)
+  Core.Merge.accel_of (Testutil.profile_of_units units)
     (Core.Solution.accel_of_point ~func:"f" ~region_id:0 ~region_name:name
        point)
 
@@ -120,10 +120,11 @@ let test_merge_never_increases_area_on_benchmarks () =
 
 let test_datapath_pairing () =
   let n k l = { Hls.Datapath.n_kind = k; n_level = l } in
+  let prof = Hls.Datapath.of_nodes in
   let a =
-    [ n Ir.Op.U_float_add 0; n Ir.Op.U_float_mul 2; n Ir.Op.U_int_add 0 ]
+    prof [ n Ir.Op.U_float_add 0; n Ir.Op.U_float_mul 2; n Ir.Op.U_int_add 0 ]
   in
-  let b = [ n Ir.Op.U_float_add 1; n Ir.Op.U_float_mul 2 ] in
+  let b = prof [ n Ir.Op.U_float_add 1; n Ir.Op.U_float_mul 2 ] in
   let p = Hls.Datapath.pair a b in
   Alcotest.(check int) "two shared units" 2 p.Hls.Datapath.n_shared;
   Alcotest.(check int) "a keeps one extra" 1 p.Hls.Datapath.n_only_a;
@@ -138,11 +139,116 @@ let test_datapath_pairing () =
   let q = Hls.Datapath.pair b a in
   Alcotest.(check (float 1e-6)) "symmetric" p.Hls.Datapath.saved_area
     q.Hls.Datapath.saved_area;
+  Alcotest.(check (float 0.0)) "saving-only variant agrees"
+    p.Hls.Datapath.saved_area (Hls.Datapath.saved_area a b);
   (* distant levels share less than aligned levels *)
-  let near = Hls.Datapath.pair [ n Ir.Op.U_float_add 0 ] [ n Ir.Op.U_float_add 0 ] in
-  let far = Hls.Datapath.pair [ n Ir.Op.U_float_add 0 ] [ n Ir.Op.U_float_add 20 ] in
+  let one l = prof [ n Ir.Op.U_float_add l ] in
+  let near = Hls.Datapath.pair (one 0) (one 0) in
+  let far = Hls.Datapath.pair (one 0) (one 20) in
   Alcotest.(check bool) "level gap reduces gain" true
     (far.Hls.Datapath.saved_area < near.Hls.Datapath.saved_area)
+
+(* The list-based pairing profiles replaced, kept as the reference:
+   filter and sort each kind's nodes by level, then zip. *)
+let reference_pair a_nodes b_nodes =
+  let open Hls.Datapath in
+  let by_kind nodes k =
+    List.filter (fun n -> n.n_kind = k) nodes
+    |> List.sort (fun x y -> compare x.n_level y.n_level)
+  in
+  let shared = ref 0 and saved = ref 0.0 and merged = ref [] in
+  let only_a = ref 0 and only_b = ref 0 in
+  List.iter
+    (fun k ->
+      let rec zip xs ys =
+        match xs, ys with
+        | x :: xs', y :: ys' ->
+          let gap = abs (x.n_level - y.n_level) in
+          let gain = Hls.Tech.area k -. share_overhead ~level_gap:gap in
+          if gain > 0.0 then begin
+            incr shared;
+            saved := !saved +. gain;
+            merged := { n_kind = k; n_level = min x.n_level y.n_level } :: !merged
+          end
+          else merged := x :: y :: !merged;
+          zip xs' ys'
+        | rest, [] ->
+          only_a := !only_a + List.length rest;
+          merged := rest @ !merged
+        | [], rest ->
+          only_b := !only_b + List.length rest;
+          merged := rest @ !merged
+      in
+      zip (by_kind a_nodes k) (by_kind b_nodes k))
+    Ir.Op.all_unit_kinds;
+  (!shared, !only_a, !only_b, !saved, !merged)
+
+(* Nodes in profile order: kinds in [all_unit_kinds] order, then level. *)
+let canonical nodes =
+  let rank k =
+    let rec go i = function
+      | k' :: rest -> if k' = k then i else go (i + 1) rest
+      | [] -> assert false
+    in
+    go 0 Ir.Op.all_unit_kinds
+  in
+  List.sort
+    (fun x y ->
+      compare
+        (rank x.Hls.Datapath.n_kind, x.Hls.Datapath.n_level)
+        (rank y.Hls.Datapath.n_kind, y.Hls.Datapath.n_level))
+    nodes
+
+let show_nodes nodes =
+  String.concat " "
+    (List.map
+       (fun n ->
+         Printf.sprintf "%s@%d"
+           (Ir.Op.unit_kind_to_string n.Hls.Datapath.n_kind)
+           n.Hls.Datapath.n_level)
+       nodes)
+
+(* Random node lists: few kinds each (most kinds empty), levels that
+   repeat (small range) or sit far apart (large range). *)
+let gen_nodes =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun n_kinds ->
+    list_repeat n_kinds (oneofl Ir.Op.all_unit_kinds) >>= fun kinds ->
+    list_size (int_range 0 24)
+      (pair (oneofl kinds)
+         (frequency [ (3, int_range 0 3); (1, int_range 0 2000) ]))
+    >|= List.map (fun (n_kind, n_level) -> { Hls.Datapath.n_kind; n_level }))
+
+let qcheck_profile_pair_matches_lists =
+  let arb =
+    QCheck.make
+      ~print:(fun (a, b) -> show_nodes a ^ " | " ^ show_nodes b)
+      QCheck.Gen.(pair gen_nodes gen_nodes)
+  in
+  Testutil.qtest ~count:500 "profile pairing equals the list-based pairing"
+    arb (fun (a, b) ->
+      let shared, only_a, only_b, saved, merged = reference_pair a b in
+      let pa = Hls.Datapath.of_nodes a and pb = Hls.Datapath.of_nodes b in
+      let p = Hls.Datapath.pair pa pb in
+      let bits = Int64.bits_of_float in
+      if bits p.Hls.Datapath.saved_area <> bits saved then
+        QCheck.Test.fail_reportf "saved_area %h, reference %h"
+          p.Hls.Datapath.saved_area saved;
+      if bits (Hls.Datapath.saved_area pa pb) <> bits saved then
+        QCheck.Test.fail_reportf "saving-only %h, reference %h"
+          (Hls.Datapath.saved_area pa pb) saved;
+      if
+        (p.Hls.Datapath.n_shared, p.Hls.Datapath.n_only_a,
+         p.Hls.Datapath.n_only_b)
+        <> (shared, only_a, only_b)
+      then QCheck.Test.fail_reportf "counts differ";
+      let got = Hls.Datapath.nodes p.Hls.Datapath.merged in
+      if got <> canonical merged then
+        QCheck.Test.fail_reportf "merged %s, reference %s" (show_nodes got)
+          (show_nodes (canonical merged));
+      if Hls.Datapath.nodes pa <> canonical a then
+        QCheck.Test.fail_reportf "profile of a lost nodes";
+      true)
 
 let test_dfg_level_merge_on_benchmark () =
   (* DFG-level merging works end to end and never loses to no merging *)
@@ -154,7 +260,7 @@ let test_dfg_level_merge_on_benchmark () =
   let m = Core.Cayman.merge a s in
   Alcotest.(check bool) "every accel has datapath nodes" true
     (List.for_all
-       (fun k -> Hls.Datapath.of_kernel k <> [])
+       (fun k -> Hls.Datapath.size (Hls.Datapath.of_kernel k) > 0)
        (Core.Cayman.kernels a s));
   Alcotest.(check bool) "saves area" true
     (m.Core.Merge.area_after <= m.Core.Merge.area_before);
@@ -173,7 +279,7 @@ let mk_merge_accel prog area =
         r_regs = 6 };
     area;
     fsms = 1;
-    nodes = Testutil.nodes_of_units fp_units }
+    nodes = Testutil.profile_of_units fp_units }
 
 let test_cross_program_merge_accels () =
   (* merge_accels is not tied to one program's solution: accelerators
@@ -260,6 +366,89 @@ let qcheck_merge_never_increases_area =
           (List.length accels) regions_after;
       true)
 
+(* The merging loop as it was before savings were cached: every round
+   re-prices every pair of the current population. *)
+let reference_merge_accels accels =
+  let arr = ref (Array.of_list accels) in
+  let continue_ = ref true in
+  while !continue_ && Array.length !arr > 1 do
+    let n = Array.length !arr in
+    let best = ref None in
+    for i = 0 to n - 2 do
+      for j = i + 1 to n - 1 do
+        let s = Core.Merge.pair_saving !arr.(i) !arr.(j) in
+        match !best with
+        | Some (_, _, s') when s' >= s -> ()
+        | Some _ | None -> if s > 0.0 then best := Some (i, j, s)
+      done
+    done;
+    match !best with
+    | None -> continue_ := false
+    | Some (i, j, s) ->
+      let merged = Core.Merge.merge_pair !arr.(i) !arr.(j) ~saving:s in
+      let rest =
+        Array.to_list !arr |> List.filteri (fun k _ -> k <> i && k <> j)
+      in
+      arr := Array.of_list (merged :: rest)
+  done;
+  Array.to_list !arr
+
+let show_accel (a : Core.Merge.accel) =
+  let r = a.Core.Merge.res in
+  Printf.sprintf "[%s] area=%h fsms=%d units=%s c=%d d=%d sp=%d regs=%d nodes=%s"
+    (String.concat "," a.Core.Merge.regions)
+    a.Core.Merge.area a.Core.Merge.fsms
+    (String.concat ","
+       (List.map
+          (fun (k, c) -> Printf.sprintf "%s:%d" (Ir.Op.unit_kind_to_string k) c)
+          r.Core.Merge.units))
+    r.Core.Merge.r_coupled r.Core.Merge.r_decoupled r.Core.Merge.r_sp_words
+    r.Core.Merge.r_regs
+    (show_nodes (Hls.Datapath.nodes a.Core.Merge.nodes))
+
+(* Populations of 0-60 accelerators, most drawn from a few templates so
+   that identical accelerators force ties between equal savings. *)
+let gen_population =
+  let open QCheck.Gen in
+  let template =
+    map
+      (fun (nodes, (c, d, sp, regs), area) ->
+        let profile = Hls.Datapath.of_nodes nodes in
+        fun region ->
+          { Core.Merge.regions = [ region ];
+            res =
+              { Core.Merge.units = Hls.Datapath.counts profile;
+                r_coupled = c;
+                r_decoupled = d;
+                r_sp_words = sp * 64;
+                r_regs = regs };
+            area = float_of_int area;
+            fsms = 1;
+            nodes = profile })
+      (triple gen_nodes
+         (quad (int_range 0 2) (int_range 0 2) (int_range 0 1) (int_range 0 8))
+         (int_range 2_000 60_000))
+  in
+  list_size (int_range 1 4) template >>= fun templates ->
+  list_size (int_range 0 60)
+    (frequency [ (4, oneofl templates); (1, template) ])
+  >|= List.mapi (fun i mk -> mk (Printf.sprintf "r%d" i))
+
+let qcheck_cached_merge_matches_rescan =
+  let arb =
+    QCheck.make
+      ~print:(fun pop -> String.concat "\n" (List.map show_accel pop))
+      gen_population
+  in
+  Testutil.qtest ~count:60 "cached merge_accels equals the full re-scan" arb
+    (fun pop ->
+      let got = List.map show_accel (Core.Merge.merge_accels pop) in
+      let want = List.map show_accel (reference_merge_accels pop) in
+      if got <> want then
+        QCheck.Test.fail_reportf "got\n%s\nwant\n%s" (String.concat "\n" got)
+          (String.concat "\n" want);
+      true)
+
 let tests =
   [ Alcotest.test_case "identical pair merges with saving" `Quick
       test_identical_pair_saves;
@@ -279,5 +468,7 @@ let tests =
     Alcotest.test_case "merging on real benchmarks" `Slow
       test_merge_never_increases_area_on_benchmarks;
     Alcotest.test_case "datapath pairing" `Quick test_datapath_pairing;
+    qcheck_profile_pair_matches_lists;
+    qcheck_cached_merge_matches_rescan;
     Alcotest.test_case "DFG-level merge on 3mm" `Slow
       test_dfg_level_merge_on_benchmark ]

@@ -58,13 +58,14 @@ let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name gen prop)
 
-(* Datapath nodes of a unit multiset, all issued at level 0: what a
-   synthetic accelerator with those units brings to merging. *)
-let nodes_of_units units =
-  List.concat_map
-    (fun (n_kind, count) ->
-      List.init count (fun _ -> { Cayman_hls.Datapath.n_kind; n_level = 0 }))
-    units
+(* The datapath profile of a unit multiset, every node issued at level
+   0: what a synthetic accelerator with those units brings to merging. *)
+let profile_of_units units =
+  Cayman_hls.Datapath.of_nodes
+    (List.concat_map
+       (fun (n_kind, count) ->
+         List.init count (fun _ -> { Cayman_hls.Datapath.n_kind; n_level = 0 }))
+       units)
 
 (* The 28 Table II programs and the generated programs of fleet seeds
    1000-1003, each analysed once and shared by the suites that sweep
