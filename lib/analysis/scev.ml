@@ -42,20 +42,23 @@ let norm terms =
   |> List.filter (fun (_, c) -> c <> 0)
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let merge_terms f a b =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (k, c) -> Hashtbl.replace tbl k c) a;
-  List.iter
-    (fun (k, c) ->
-      let prev = try Hashtbl.find tbl k with Not_found -> 0 in
-      Hashtbl.replace tbl k (f prev c))
-    b;
-  norm (Hashtbl.fold (fun k c acc -> (k, c) :: acc) tbl [])
+(* Sum of two term lists, each sorted by key with no zero coefficient
+   (as [norm] leaves them): one merge pass, dropping terms that cancel. *)
+let rec merge_terms a b =
+  match a, b with
+  | [], t | t, [] -> t
+  | ((ka, ca) as x) :: a', ((kb, cb) as y) :: b' ->
+    let c = String.compare ka kb in
+    if c < 0 then x :: merge_terms a' b
+    else if c > 0 then y :: merge_terms a b'
+    else
+      let sum = ca + cb in
+      if sum = 0 then merge_terms a' b' else (ka, sum) :: merge_terms a' b'
 
 let add_affine x y =
   { const = x.const + y.const;
-    ivs = merge_terms ( + ) x.ivs y.ivs;
-    syms = merge_terms ( + ) x.syms y.syms }
+    ivs = merge_terms x.ivs y.ivs;
+    syms = merge_terms x.syms y.syms }
 
 let neg_affine x =
   { const = -x.const;
@@ -109,47 +112,45 @@ let collect_defs (f : Ir.Func.t) =
   defs
 
 (* A register is the canonical IV of a loop when its only definition inside
-   the loop is a single [r = r +/- c] in a latch block. *)
+   the loop is a single [r = r +/- c] in a latch block. Only latch
+   instructions of that shape can qualify, so those are the candidates;
+   a register gets the first loop, in [loops] order, that qualifies it. *)
 let detect_ivs (f : Ir.Func.t) (loops : Loops.t) defs =
   let ivs = Hashtbl.create 8 in
+  let step_of (instr : Ir.Instr.t) =
+    match instr with
+    | Ir.Instr.Binary (r, Ir.Op.Add, Ir.Instr.Reg r', Ir.Instr.Imm_int c)
+    | Ir.Instr.Binary (r, Ir.Op.Add, Ir.Instr.Imm_int c, Ir.Instr.Reg r')
+      when String.equal r.Ir.Instr.id r'.Ir.Instr.id ->
+      Some (r.Ir.Instr.id, c)
+    | Ir.Instr.Binary (r, Ir.Op.Sub, Ir.Instr.Reg r', Ir.Instr.Imm_int c)
+      when String.equal r.Ir.Instr.id r'.Ir.Instr.id ->
+      Some (r.Ir.Instr.id, -c)
+    | Ir.Instr.Assign _ | Ir.Instr.Unary _ | Ir.Instr.Binary _
+    | Ir.Instr.Compare _ | Ir.Instr.Select _ | Ir.Instr.Load _
+    | Ir.Instr.Store _ | Ir.Instr.Call _ ->
+      None
+  in
   List.iter
     (fun (l : Loops.loop) ->
-      Hashtbl.iter
-        (fun rid sites ->
-          let in_loop =
-            List.filter (fun (b, _) -> Loops.String_set.mem b l.Loops.blocks) sites
-          in
-          match in_loop with
-          | [ (block, idx) ] when List.mem block l.Loops.latches ->
-            let b = Ir.Func.block_exn f block in
-            let instr = List.nth b.Ir.Block.instrs idx in
-            let step =
-              match instr with
-              | Ir.Instr.Binary (r, Ir.Op.Add, Ir.Instr.Reg r', Ir.Instr.Imm_int c)
-                when String.equal r.Ir.Instr.id rid
-                     && String.equal r'.Ir.Instr.id rid ->
-                Some c
-              | Ir.Instr.Binary (r, Ir.Op.Add, Ir.Instr.Imm_int c, Ir.Instr.Reg r')
-                when String.equal r.Ir.Instr.id rid
-                     && String.equal r'.Ir.Instr.id rid ->
-                Some c
-              | Ir.Instr.Binary (r, Ir.Op.Sub, Ir.Instr.Reg r', Ir.Instr.Imm_int c)
-                when String.equal r.Ir.Instr.id rid
-                     && String.equal r'.Ir.Instr.id rid ->
-                Some (-c)
-              | Ir.Instr.Assign _ | Ir.Instr.Unary _ | Ir.Instr.Binary _
-              | Ir.Instr.Compare _ | Ir.Instr.Select _ | Ir.Instr.Load _
-              | Ir.Instr.Store _ | Ir.Instr.Call _ ->
-                None
-            in
-            (match step with
-             | Some step when step <> 0 ->
-               if not (Hashtbl.mem ivs rid) then
-                 Hashtbl.replace ivs rid
-                   { iv_loop = l.Loops.header; step; start = Unknown }
-             | Some _ | None -> ())
-          | [] | _ :: _ -> ())
-        defs)
+      let in_loop (b, _) = Loops.String_set.mem b l.Loops.blocks in
+      List.iter
+        (fun latch ->
+          if Loops.String_set.mem latch l.Loops.blocks then
+            List.iteri
+              (fun idx instr ->
+                match step_of instr with
+                | Some (rid, step) when step <> 0 && not (Hashtbl.mem ivs rid)
+                  ->
+                  (match List.filter in_loop (Hashtbl.find defs rid) with
+                   | [ (block, idx') ] when String.equal block latch && idx' = idx
+                     ->
+                     Hashtbl.replace ivs rid
+                       { iv_loop = l.Loops.header; step; start = Unknown }
+                   | [] | _ :: _ -> ())
+                | Some _ | None -> ())
+              (Ir.Func.block_exn f latch).Ir.Block.instrs)
+        l.Loops.latches)
     loops;
   ivs
 

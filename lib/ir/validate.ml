@@ -4,15 +4,24 @@ let err where fmt = Format.kasprintf (fun message -> { where; message }) fmt
 
 let pp_error fmt e = Format.fprintf fmt "%s: %s" e.where e.message
 
+(* Where an error sits: a function, or one of its blocks. The location
+   string is built only for an error, not for every block checked. *)
+type loc = In_func | In_block of string
+
+let err_at (f : Func.t) loc fmt =
+  match loc with
+  | In_func -> err f.Func.name fmt
+  | In_block label -> err (f.Func.name ^ "/" ^ label) fmt
+
 (* Per-function checks that do not need data-flow: label uniqueness, branch
    targets, operand/instruction typing, global and call references. *)
 let check_structure (p : Program.t) (cfg : Cfg.t) =
   let f = cfg.Cfg.func in
   let errors = ref [] in
   let add e = errors := e :: !errors in
-  let where label = Printf.sprintf "%s/%s" f.Func.name label in
+  let err w fmt = err_at f w fmt in
   if List.length f.Func.blocks <> cfg.Cfg.size then
-    add (err f.Func.name "duplicate block labels");
+    add (err In_func "duplicate block labels");
   (* Register typing: each register id must have a single type. *)
   let reg_ty = Cfg.String_tbl.create 64 in
   let note_reg w (r : Instr.reg) =
@@ -25,7 +34,7 @@ let check_structure (p : Program.t) (cfg : Cfg.t) =
              (Types.to_string ty)
              (Types.to_string r.Instr.ty))
   in
-  List.iter (note_reg f.Func.name) f.Func.params;
+  List.iter (note_reg In_func) f.Func.params;
   let expect w what want (o : Instr.operand) =
     let got = Instr.operand_ty o in
     if not (Types.equal want got) then
@@ -124,7 +133,7 @@ let check_structure (p : Program.t) (cfg : Cfg.t) =
   in
   List.iter
     (fun (b : Block.t) ->
-      let w = where b.Block.label in
+      let w = In_block b.Block.label in
       List.iter (check_instr w) b.Block.instrs;
       check_term w b.Block.term)
     f.Func.blocks;
@@ -137,7 +146,7 @@ let check_init (cfg : Cfg.t) md =
   let errors = ref [] in
   List.iter
     (fun (b : Block.t) ->
-      let w = Printf.sprintf "%s/%s" f.Func.name b.Block.label in
+      let w = In_block b.Block.label in
       let defined =
         Cfg.Bits.copy
           (Cfg.Must_defined.at_entry md (Cfg.id cfg b.Block.label))
@@ -146,7 +155,8 @@ let check_init (cfg : Cfg.t) md =
         let k = Cfg.Must_defined.reg md r.Instr.id in
         if k < 0 || not (Cfg.Bits.mem defined k) then
           errors :=
-            err w "register %%%s may be read before it is written" r.Instr.id
+            err_at f w "register %%%s may be read before it is written"
+              r.Instr.id
             :: !errors
       in
       List.iter
