@@ -132,7 +132,8 @@ let pair (a : t) (b : t) =
         let n = min nx ny in
         only_a := !only_a + (nx - n);
         only_b := !only_b + (ny - n);
-        if n = 0 then if nx = 0 then ys else xs
+        if nx = 0 then ys
+        else if ny = 0 then xs
         else begin
           (* a kept pair contributes one node, a dropped pair both *)
           let out = Array.make (nx + ny) 0 and len = ref 0 in
