@@ -55,12 +55,12 @@ let share_overhead = Hls.Datapath.share_overhead ~level_gap:0
 (* Fixed cost of combining two accelerators under one global Ctrl unit. *)
 let ctrl_overhead = 420.0
 
+let m_pairs = Obs.Metrics.counter "merge.pairs_evaluated"
+
 (* Estimated area saving of merging two accelerators: every matched
    operation unit (Section III-E's DFG-level matching) and every shared
    interface unit is kept once instead of twice, minus muxing overhead;
    only profitable sharing contributes. *)
-let m_pairs = Obs.Metrics.counter "merge.pairs_evaluated"
-
 let pair_saving a b =
   Obs.Metrics.incr m_pairs;
   let unit_part = Hls.Datapath.saved_area a.nodes b.nodes in

@@ -164,7 +164,12 @@ let reference_pair a_nodes b_nodes =
         match xs, ys with
         | x :: xs', y :: ys' ->
           let gap = abs (x.n_level - y.n_level) in
-          let gain = Hls.Tech.area k -. share_overhead ~level_gap:gap in
+          let overhead =
+            (2.0 *. Hls.Tech.mux_area_per_input)
+            +. Hls.Tech.config_reg_area
+            +. (float_of_int gap *. Hls.Tech.register_area *. 0.5)
+          in
+          let gain = Hls.Tech.area k -. overhead in
           if gain > 0.0 then begin
             incr shared;
             saved := !saved +. gain;
